@@ -75,7 +75,7 @@ def _store_path_seconds(store, fingerprints) -> float:
 
 def _segment_bytes(session: JoinSession, fingerprint: str) -> bytes:
     segment = session._segments[fingerprint]
-    return bytes(segment.buf)
+    return bytes(segment.rings.buf)
 
 
 def test_store_warm_start(series_cache, report, tmp_path_factory):

@@ -26,15 +26,123 @@ which concatenates the finished arrays (a memcpy) instead of re-running
 the per-object packing kernels.  Incremental registration stays
 available for objects outside any columnar store (the legacy per-join
 path, ``JoinConfig(columnar=False)``).
+
+Stored form
+-----------
+:class:`ApproxColumns` is the one definition of how a kind is *stored*:
+the packed arrays above under fixed column names, written verbatim as
+store pages (:mod:`repro.datasets.store`), copied verbatim into shared
+memory (:mod:`repro.core.parallel_exec`) and gathered by row index in
+tile workers.  It has one reader each way — columns to the bulk
+encoder (:meth:`BatchApproxArrays.from_columns`) and one row to the
+scalar :class:`~repro.approximations.base.Approximation`
+(:meth:`ApproxColumns.approximation`) — and both are bit-identical to
+what :func:`~repro.approximations.factory.compute_approximation` plus
+the packing above produce, because every scalar class re-derives its
+MBR and area from the same vertex / circle floats the columns hold.
+Kinds whose scalar object holds more than those floats (RMBR's angle,
+MBE's matrix) have no stored form (:func:`stored_family` is ``None``)
+and stay on the lazy per-object path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..geometry import Circle, Rect
 from ..geometry.fastops import pack_convex_rows
+from .base import Approximation
+from .hull import ConvexHullApproximation
+from .mbc import MBCApproximation
+from .mbr import MBRApproximation
+from .mcorner import MCornerApproximation
+from .mec import MECApproximation
+from .mer import MERApproximation
+
+#: column names of the stored form, per shape family, in page order.
+STORED_COLUMNS = {
+    "convex": ("vx", "vy", "counts", "mbrs", "false_areas"),
+    "circle": ("circles", "mbrs", "false_areas"),
+}
+
+
+def _corner_count(kind: str) -> Optional[int]:
+    """``m`` of an m-corner kind name (``"5-C"`` -> 5), else ``None``."""
+    if kind.endswith("-C") and kind[:-2].isdigit() and int(kind[:-2]) >= 3:
+        return int(kind[:-2])
+    return None
+
+
+def stored_family(kind: str) -> Optional[str]:
+    """Shape family of a kind that has a stored form, else ``None``."""
+    if kind in ("MBR", "CH", "MER") or _corner_count(kind) is not None:
+        return "convex"
+    if kind in ("MBC", "MEC"):
+        return "circle"
+    return None
+
+
+class ApproxColumns:
+    """One approximation kind over a relation's rows, as stored columns.
+
+    Convex family: ``vx``/``vy`` ``float64[n, W]`` vertex rows padded
+    with copies of each row's first vertex, ``counts`` ``int64[n]`` true
+    vertex counts; circle family: ``circles`` ``float64[n, 3]`` (cx, cy,
+    r); both: ``mbrs`` ``float64[n, 4]`` approximation MBRs and
+    ``false_areas`` ``float64[n]`` (``area(appr) - area(object)``, §3.3).
+    Row ``i`` describes object ``i`` of the relation the columns were
+    packed from.
+    """
+
+    def __init__(self, kind: str, arrays: Mapping[str, np.ndarray]):
+        family = stored_family(kind)
+        if family is None:
+            raise ValueError(f"approximation kind {kind!r} has no stored form")
+        self.kind = kind
+        self.family = family
+        self.arrays: Dict[str, np.ndarray] = {
+            name: arrays[name] for name in STORED_COLUMNS[family]
+        }
+
+    def __len__(self) -> int:
+        return len(self.arrays["mbrs"])
+
+    def take(self, rows: np.ndarray) -> "ApproxColumns":
+        """The given rows as fresh (copied) columns — a tile's slice."""
+        return ApproxColumns(
+            self.kind, {name: a[rows] for name, a in self.arrays.items()}
+        )
+
+    def approximation(self, row: int) -> Approximation:
+        """Row ``row`` as the scalar approximation object.
+
+        Goes through the same constructors as ``compute_approximation``
+        with the floats that constructor call produced, so vertices,
+        MBR, area and circle are bit-identical to a fresh build.
+        """
+        kind = self.kind
+        if self.family == "circle":
+            cx, cy, r = self.arrays["circles"][row].tolist()
+            circle = Circle((cx, cy), r)
+            if kind == "MBC":
+                return MBCApproximation(circle)
+            return MECApproximation(circle)
+        count = int(self.arrays["counts"][row])
+        vertices = list(
+            zip(
+                self.arrays["vx"][row, :count].tolist(),
+                self.arrays["vy"][row, :count].tolist(),
+            )
+        )
+        if kind in ("MBR", "MER"):
+            # Stored as Rect.corners(): lower-left first, upper-right third.
+            rect = Rect(*vertices[0], *vertices[2])
+            return (MBRApproximation if kind == "MBR" else MERApproximation)(rect)
+        if kind == "CH":
+            return ConvexHullApproximation(vertices)
+        return MCornerApproximation(vertices, _corner_count(kind))
 
 
 def _widen_convex_rows(matrix: np.ndarray, width: int) -> np.ndarray:
@@ -86,6 +194,7 @@ class BatchApproxArrays:
         self._circles = np.empty((0, 3))
         self._vx = np.empty((0, 1))
         self._vy = np.empty((0, 1))
+        self._counts = np.empty(0, dtype=np.int64)
         self._degenerate = np.empty(0, dtype=bool)
 
     def __len__(self) -> int:
@@ -129,8 +238,67 @@ class BatchApproxArrays:
         elif out.family == "convex":
             out._vx = _widen_concat([s._vx for s in filled])
             out._vy = _widen_concat([s._vy for s in filled])
+            out._counts = np.concatenate([s._counts for s in filled])
             out._degenerate = np.concatenate([s._degenerate for s in filled])
         return out
+
+    # -- the stored form ------------------------------------------------------
+
+    @classmethod
+    def from_columns(
+        cls, columns: ApproxColumns, objects: Sequence[object]
+    ) -> "BatchApproxArrays":
+        """Encoder over already-packed columns; row ``i`` is ``objects[i]``.
+
+        Installs the arrays as they are (store memmaps and gathered tile
+        rows alike) — no approximation is computed and nothing is
+        packed.
+        """
+        if len(columns) != len(objects):
+            raise ValueError(
+                f"{columns.kind} columns hold {len(columns)} rows for "
+                f"{len(objects)} objects"
+            )
+        out = cls(columns.kind)
+        if not objects:
+            return out
+        out.family = columns.family
+        out._objects = list(objects)
+        out._row_of = {id(obj): row for row, obj in enumerate(objects)}
+        arrays = columns.arrays
+        out._mbrs = arrays["mbrs"]
+        out._false_areas = arrays["false_areas"]
+        if out.family == "circle":
+            out._circles = arrays["circles"]
+        else:
+            out._vx = arrays["vx"]
+            out._vy = arrays["vy"]
+            out._counts = arrays["counts"]
+            out._degenerate = out._counts < 3
+        return out
+
+    def columns(self) -> Optional[ApproxColumns]:
+        """The packed arrays as the kind's stored form.
+
+        ``None`` for kinds without one (:func:`stored_family`).  An
+        empty encoder has registered no object and so knows no family;
+        its columns are the family's empty arrays.
+        """
+        family = stored_family(self.kind)
+        if family is None:
+            return None
+        self._flush()
+        return ApproxColumns(
+            self.kind,
+            {
+                "vx": self._vx,
+                "vy": self._vy,
+                "counts": self._counts,
+                "circles": self._circles,
+                "mbrs": self._mbrs,
+                "false_areas": self._false_areas,
+            },
+        )
 
     # -- registration -------------------------------------------------------
 
@@ -201,9 +369,10 @@ class BatchApproxArrays:
             self._pending_vertex_rows = []
             self._vx = _widen_concat([self._vx, new_vx])
             self._vy = _widen_concat([self._vy, new_vy])
-            self._degenerate = np.concatenate(
-                [self._degenerate, counts < 3]
+            self._counts = np.concatenate(
+                [self._counts, counts.astype(np.int64)]
             )
+            self._degenerate = self._counts < 3
         self._dirty = False
 
     # -- packed columns -----------------------------------------------------

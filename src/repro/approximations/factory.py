@@ -26,6 +26,17 @@ CONSERVATIVE_KINDS = ("MBR", "MBC", "MBE", "RMBR", "4-C", "5-C", "CH")
 PROGRESSIVE_KINDS = ("MEC", "MER")
 ALL_KINDS = CONSERVATIVE_KINDS + PROGRESSIVE_KINDS
 
+#: construction-algorithm version per kind (default 1), persisted with
+#: every stored approximation column set.  Bump a kind's entry when its
+#: construction changes what it returns: stored columns of the old
+#: version are then rebuilt instead of mixed with fresh ones.
+_ALGORITHM_VERSIONS: Dict[str, int] = {}
+
+
+def algorithm_version(kind: str) -> int:
+    """Version of the algorithm :func:`compute_approximation` runs for ``kind``."""
+    return _ALGORITHM_VERSIONS.get(kind, 1)
+
 
 def compute_approximation(polygon: Polygon, kind: str) -> Approximation:
     """Compute the approximation ``kind`` for ``polygon``.

@@ -17,7 +17,6 @@ import math
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.spatial import QhullError, Voronoi
 
 from ..geometry import Circle, Coord, Polygon, Rect
 from ..geometry.fastops import EdgeArrays
@@ -67,6 +66,10 @@ def maximum_enclosed_circle(
     polygon: Polygon, samples: int = _DEFAULT_SAMPLES
 ) -> Circle:
     """Approximate largest enclosed circle; guaranteed to be enclosed."""
+    # Imported here, not at module level: scipy.spatial is most of the
+    # import time of ``repro.cli`` and only MEC *builds* need it.
+    from scipy.spatial import QhullError, Voronoi
+
     fast = EdgeArrays(polygon)
     boundary = _sample_boundary(polygon, samples)
     candidates: List[Coord] = []

@@ -603,7 +603,7 @@ def cmd_knn(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     relation = load_relation(args.relation)
-    tree = relation.build_rtree()
+    tree = relation.rtree()
     point = (args.point[0], args.point[1])
     results = knn_query(tree, point, k)
     print(f"{len(results)} nearest objects to {point}:")

@@ -84,7 +84,7 @@ def points_in_regions_join(
     """
     cfg = config or InsideJoinConfig()
     stats = InsideJoinStats()
-    tree = regions.build_rtree(max_entries=cfg.rtree_max_entries)
+    tree = regions.rtree(cfg.rtree_max_entries)
     pairs: List[Tuple[int, SpatialObject]] = []
     for idx, point in enumerate(points):
         stats.probes += 1

@@ -327,6 +327,21 @@ class JoinConfig:
                     f"processes, but pickling failed: {exc}"
                 ) from exc
 
+    def approximation_kinds(self) -> Tuple[str, ...]:
+        """The approximation kinds a join under this config reads.
+
+        What the parallel executor ships to its workers as stored
+        columns: the filter's conservative and progressive kinds for
+        ``intersects`` / ``within``, MBC and MEC for the ``distance``
+        bound cascade, none for ``knn`` (its bounds are MBR distances).
+        """
+        if self.predicate == "distance":
+            return ("MBC", "MEC")
+        if self.predicate == "knn":
+            return ()
+        kinds = (self.filter.conservative, self.filter.progressive)
+        return tuple(dict.fromkeys(kind for kind in kinds if kind))
+
     # -- canonical identity --------------------------------------------------
 
     def canonical_key(self) -> Tuple:

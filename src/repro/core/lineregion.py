@@ -71,7 +71,7 @@ def line_region_join(
     line_tree = RStarTree(max_entries=cfg.rtree_max_entries)
     for idx, line in enumerate(lines):
         line_tree.insert(line.mbr(), (idx, line))
-    region_tree = regions.build_rtree(max_entries=cfg.rtree_max_entries)
+    region_tree = regions.rtree(cfg.rtree_max_entries)
 
     pairs: List[Tuple[int, SpatialObject]] = []
     use_progressive = (

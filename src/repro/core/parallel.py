@@ -170,9 +170,17 @@ def measure_parallel_join(
     Unlike the simulator, this measures this host's actual fork/pickle
     overheads — on tiny inputs the measured speedup can be < 1 even
     when the model predicts a gain.
+
+    Approximations are built once per relation content, by whichever
+    run touches a kind first; they are built here before any clock
+    starts, so the workers=1 baseline does not carry a one-time cost
+    the later runs are spared.
     """
     from .parallel_exec import parallel_partitioned_join
 
+    for relation in (relation_a, relation_b):
+        for kind in (config or JoinConfig()).approximation_kinds():
+            relation.columnar().approx(kind)
     counts = list(worker_counts)
     if 1 not in counts:
         counts.insert(0, 1)

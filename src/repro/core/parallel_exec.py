@@ -19,15 +19,34 @@ Two wire formats carry a tile to its worker:
   the parent writes each relation's packed ring columns
   (:class:`repro.datasets.columnar.RingColumns`) into one
   :class:`multiprocessing.shared_memory.SharedMemory` segment, once per
-  join.  A :class:`ColumnarTileTask` then pickles only the segment
-  descriptors plus two per-tile index arrays; workers map the segments
-  and gather their slice zero-copy, rebuilding polygons bit-identically
-  via :meth:`Polygon.from_normalized`.  Replicated objects cost nothing
-  extra on the wire (the columns ship once, indices are cheap), which
-  removes the pickling cost that used to dominate small joins.
+  join, and beside it one block per approximation kind the join reads
+  (:meth:`JoinConfig.approximation_kinds`) holding that kind's stored
+  columns (:class:`repro.approximations.batch.ApproxColumns`, taken
+  from ``relation.columnar().approx(kind)`` — the get-or-build point,
+  so a build happens at most once, in the parent).  A
+  :class:`ColumnarTileTask` then pickles only the segment descriptors
+  plus two per-tile index arrays; workers map the segments, rebuild
+  polygons bit-identically via :meth:`Polygon.from_normalized`, and
+  *gather* the tile's approximation rows by the same indices into a
+  pre-seeded tile-local column store — workers gather, they never
+  derive.  Replicated objects cost nothing extra on the wire (the
+  columns ship once, indices are cheap), which removes the pickling
+  cost that used to dominate small joins.
 * **Pickled slices** (``columnar=False``, the legacy format) — each
   :class:`TileTask` carries its relation slices as ``(oid, polygon)``
-  pairs; replicated objects are pickled once per tile they touch.
+  pairs; replicated objects are pickled once per tile they touch and
+  every tile still rebuilds the approximations it needs (removing this
+  format is ROADMAP item 5).
+
+**Segment layout.**  A segment's interior is described in exactly one
+place: the :class:`SegmentLayout` — ``(name, dtype, shape)`` per column,
+back to back — carried by its picklable descriptor
+(:class:`SharedColumnsSpec`).  The layout is derived from the data
+(the arrays being shipped, or the page descriptors of the persistent
+store when :meth:`JoinSession.warm_from_store` streams page files in),
+and parent, warm loader and workers all compute offsets and views from
+that one object.  A relation's descriptor (:class:`SharedRelationSpec`)
+is its ring segment plus ``(kind, block)`` pairs.
 
 How tiles reach the workers is a pluggable **scheduler** strategy
 (``JoinConfig(scheduler=...)``, CLI ``join --scheduler``):
@@ -74,6 +93,14 @@ Either way the guarantees are the same:
   KeyboardInterrupt all leave ``/dev/shm`` clean
   (``tests/test_parallel_exec_shm.py`` enforces it;
   :func:`live_shared_segments` exposes the tracking set).
+  Approximation blocks are owned by their relation's
+  :class:`SharedRelationSegment`, tracked in the same set, and
+  unlinked with it.
+* **Counters** — ``segment_cache_hits`` / ``segment_cache_misses`` /
+  ``shared_payload_bytes`` / ``reused_payload_bytes`` count ring
+  payloads; approximation blocks are reported apart as
+  ``approx_cache_hits`` / ``approx_cache_misses`` /
+  ``approx_payload_bytes``.
 
 **Proximity predicates** (``predicate="distance"`` / ``"knn"``) ride
 the same machinery through ε-aware task plans
@@ -98,6 +125,7 @@ extends them to the ε-aware proximity plans.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import pickle
@@ -106,10 +134,21 @@ from abc import ABC, abstractmethod
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from multiprocessing import shared_memory
-from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    ClassVar,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
+from ..approximations.batch import ApproxColumns, stored_family
 from ..datasets.columnar import RingColumns, unpack_polygon
 from ..datasets.relations import SpatialObject, SpatialRelation
 from ..geometry import Polygon, Rect
@@ -133,9 +172,10 @@ WireObject = Tuple[int, Polygon]
 class TileTask:
     """Picklable unit of work: one tile's local join (pickled slices).
 
-    Carries everything a worker needs and nothing it does not: the two
-    relation slices as ``(oid, polygon)`` pairs (cached approximations
-    and TR*-trees are rebuilt in the worker — they are derived data),
+    The legacy wire format (``JoinConfig(columnar=False)``): the two
+    relation slices travel as ``(oid, polygon)`` pairs and the worker
+    still rebuilds their approximations and TR*-trees — only the
+    columnar format ships stored approximation columns.  Also carried:
     the task key, the reference-tile de-duplication frame
     (``space``/``grid`` — both ``None`` for tree-guided tasks, whose
     candidate sets are disjoint by construction), and the full
@@ -153,23 +193,84 @@ class TileTask:
 
 
 @dataclass(frozen=True)
-class SharedRelationSpec:
-    """Descriptor of one relation's ring columns in a shared segment.
+class SegmentLayout:
+    """What one shared segment holds: ``(name, dtype, shape)`` per column.
 
-    Everything a worker needs to remap the columns: the segment name and
-    the three column lengths that fix the in-segment layout (see
-    :func:`_column_views`).  ``origin_pid`` lets attachers distinguish
-    the creating process (which keeps its resource-tracker registration)
-    from workers (which must unregister theirs — the parent owns the
-    unlink).
+    The single description of a segment's interior.  It is derived from
+    the data itself — the arrays about to be shipped (:meth:`of`) or
+    the page descriptors of a persistent store — and travels inside the
+    pickled spec, so parent, warm loader and workers all compute byte
+    offsets (:meth:`extents`) and numpy views (:meth:`views`) from the
+    same object.  Columns sit back to back in the order listed; every
+    column the executor ships is 8 bytes per item, so all are aligned.
+    """
+
+    columns: Tuple[Tuple[str, str, Tuple[int, ...]], ...]
+
+    @classmethod
+    def of(cls, arrays: Mapping[str, np.ndarray]) -> "SegmentLayout":
+        return cls(
+            tuple(
+                (name, array.dtype.str, tuple(array.shape))
+                for name, array in arrays.items()
+            )
+        )
+
+    def extents(self) -> List[Tuple[str, int, int]]:
+        """``(column, byte_offset, nbytes)`` in segment order."""
+        out: List[Tuple[str, int, int]] = []
+        offset = 0
+        for name, dtype, shape in self.columns:
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            out.append((name, offset, nbytes))
+            offset += nbytes
+        return out
+
+    @property
+    def nbytes(self) -> int:
+        return sum(nbytes for _, _, nbytes in self.extents())
+
+    def views(self, buf) -> Dict[str, np.ndarray]:
+        """Map the layout onto a segment buffer as numpy column views."""
+        return {
+            name: np.ndarray(shape, dtype=dtype, buffer=buf, offset=offset)
+            for (name, dtype, shape), (_, offset, _) in zip(
+                self.columns, self.extents()
+            )
+        }
+
+
+@dataclass(frozen=True)
+class SharedColumnsSpec:
+    """Descriptor of one shared segment: its name and column layout.
+
+    ``origin_pid`` lets attachers distinguish the creating process
+    (which keeps its resource-tracker registration) from workers (which
+    must unregister theirs — the parent owns the unlink).
     """
 
     shm_name: str
-    relation_name: str
-    n_objects: int
-    n_rings: int
-    n_points: int
+    layout: SegmentLayout
     origin_pid: int
+
+
+@dataclass(frozen=True)
+class SharedRelationSpec:
+    """Everything a worker needs to remap one relation's shipped columns.
+
+    ``rings`` is the ring-geometry segment; ``approx`` lists, per
+    approximation kind the join reads, the block holding that kind's
+    stored columns (:class:`repro.approximations.batch.ApproxColumns`).
+    """
+
+    relation_name: str
+    rings: SharedColumnsSpec
+    approx: Tuple[Tuple[str, SharedColumnsSpec], ...] = ()
+
+    @property
+    def kinds(self) -> Tuple[str, ...]:
+        """The approximation kinds whose blocks ride along."""
+        return tuple(kind for kind, _ in self.approx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,6 +335,13 @@ class ParallelPartitionedJoinResult(PartitionedJoinResult):
     #: bytes served from the session's segment cache instead of being
     #: re-shipped (columnar wire format inside a warm session).
     reused_payload_bytes: int = 0
+    #: approximation blocks (one per relation and kind the join reads)
+    #: found beside the ring segments / newly placed there, and the
+    #: bytes of the new ones.  Counted apart from the ring payloads
+    #: above, which keep their meaning.
+    approx_cache_hits: int = 0
+    approx_cache_misses: int = 0
+    approx_payload_bytes: int = 0
 
     @property
     def busy_seconds(self) -> float:
@@ -254,141 +362,37 @@ def live_shared_segments() -> frozenset:
     return frozenset(_LIVE_SEGMENTS)
 
 
-def _column_views(buf, n_objects: int, n_rings: int, n_points: int) -> RingColumns:
-    """Map the fixed segment layout back onto numpy column views.
+class SharedColumns:
+    """Named numpy columns in one owned shared-memory segment.
 
-    Layout (contiguous, all 8-byte items): oids ``int64[n]``,
-    object_rings ``int64[n + 1]``, ring_offsets ``int64[n_rings + 1]``,
-    ring_xy ``float64[n_points, 2]``.
-    """
-    offset = 0
-    oids = np.ndarray((n_objects,), dtype=np.int64, buffer=buf, offset=offset)
-    offset += 8 * n_objects
-    object_rings = np.ndarray(
-        (n_objects + 1,), dtype=np.int64, buffer=buf, offset=offset
-    )
-    offset += 8 * (n_objects + 1)
-    ring_offsets = np.ndarray(
-        (n_rings + 1,), dtype=np.int64, buffer=buf, offset=offset
-    )
-    offset += 8 * (n_rings + 1)
-    ring_xy = np.ndarray(
-        (n_points, 2), dtype=np.float64, buffer=buf, offset=offset
-    )
-    return RingColumns(oids, object_rings, ring_offsets, ring_xy)
-
-
-def _segment_size(n_objects: int, n_rings: int, n_points: int) -> int:
-    return 8 * ((n_objects) + (n_objects + 1) + (n_rings + 1) + 2 * n_points)
-
-
-def segment_column_layout(
-    n_objects: int, n_rings: int, n_points: int
-) -> List[Tuple[str, int, int]]:
-    """``(column, byte_offset, nbytes)`` of each ring column in a segment.
-
-    The byte-level description of :func:`_column_views`'s layout, in
-    segment order.  The persistent store writes its ring pages with
-    exactly these dtypes and extents
-    (:data:`repro.datasets.store.RING_COLUMNS`), so a warm loader can
-    stream each page file straight into its slice of the segment buffer
-    — no numpy round trip, no re-packing
-    (:meth:`repro.core.session.JoinSession.warm_from_store`).
-    """
-    sizes = (
-        ("oids", 8 * n_objects),
-        ("object_rings", 8 * (n_objects + 1)),
-        ("ring_offsets", 8 * (n_rings + 1)),
-        ("ring_xy", 16 * n_points),
-    )
-    layout: List[Tuple[str, int, int]] = []
-    offset = 0
-    for name, nbytes in sizes:
-        layout.append((name, offset, nbytes))
-        offset += nbytes
-    return layout
-
-
-class SharedRelationSegment:
-    """One relation's packed ring columns in one shared-memory segment.
-
-    The unit of segment ownership: created once per relation content,
-    attached (read-only) by any number of tile tasks, and unlinked
-    exactly once by whoever owns it — a per-join
-    :class:`ColumnarShipment` or a cross-join
-    :class:`repro.core.session.JoinSession` segment cache, which keys
-    reuse on :attr:`fingerprint`.
+    Tracked in :func:`live_shared_segments` from creation until
+    :meth:`close` unlinks it.  Created uninitialised; :meth:`of` fills
+    it from arrays, the session's warm loader streams store pages into
+    :attr:`buf` at the layout's extents.
     """
 
-    def __init__(self, relation: SpatialRelation):
-        store = relation.columnar()
-        columns = store.rings
-        self.fingerprint = store.fingerprint
-        n = len(columns.oids)
-        n_rings = len(columns.ring_offsets) - 1
-        n_points = len(columns.ring_xy)
+    def __init__(self, layout: SegmentLayout):
         self._shm: Optional[shared_memory.SharedMemory] = (
-            shared_memory.SharedMemory(
-                create=True,
-                size=max(8, _segment_size(n, n_rings, n_points)),
-            )
+            shared_memory.SharedMemory(create=True, size=max(8, layout.nbytes))
         )
         _LIVE_SEGMENTS.add(self._shm.name)
-        try:
-            self.nbytes = self._shm.size
-            views = _column_views(self._shm.buf, n, n_rings, n_points)
-            views.oids[:] = columns.oids
-            views.object_rings[:] = columns.object_rings
-            views.ring_offsets[:] = columns.ring_offsets
-            views.ring_xy[:] = columns.ring_xy
-            del views
-            self.spec = SharedRelationSpec(
-                shm_name=self._shm.name,
-                relation_name=relation.name,
-                n_objects=n,
-                n_rings=n_rings,
-                n_points=n_points,
-                origin_pid=os.getpid(),
-            )
-        except BaseException:
-            self.close()
-            raise
+        self.nbytes = self._shm.size
+        self.spec = SharedColumnsSpec(
+            shm_name=self._shm.name, layout=layout, origin_pid=os.getpid()
+        )
 
     @classmethod
-    def allocate(
-        cls,
-        relation_name: str,
-        fingerprint: str,
-        n_objects: int,
-        n_rings: int,
-        n_points: int,
-    ) -> "SharedRelationSegment":
-        """An uninitialised segment of the right size, ready to be filled.
-
-        The store warm-up path: the caller streams the relation's ring
-        pages into :attr:`buf` at the :func:`segment_column_layout`
-        offsets (byte-identical to what :meth:`__init__` would have
-        copied from a packed :class:`~repro.datasets.columnar.RingColumns`)
-        before handing the segment to any consumer.  Lifecycle is
-        identical to a packed segment: tracked in
-        :func:`live_shared_segments`, unlinked by :meth:`close`.
-        """
-        segment = cls.__new__(cls)
-        segment.fingerprint = fingerprint
-        segment._shm = shared_memory.SharedMemory(
-            create=True,
-            size=max(8, _segment_size(n_objects, n_rings, n_points)),
-        )
-        _LIVE_SEGMENTS.add(segment._shm.name)
-        segment.nbytes = segment._shm.size
-        segment.spec = SharedRelationSpec(
-            shm_name=segment._shm.name,
-            relation_name=relation_name,
-            n_objects=n_objects,
-            n_rings=n_rings,
-            n_points=n_points,
-            origin_pid=os.getpid(),
-        )
+    def of(cls, arrays: Mapping[str, np.ndarray]) -> "SharedColumns":
+        """A segment holding copies of ``arrays`` (in mapping order)."""
+        segment = cls(SegmentLayout.of(arrays))
+        try:
+            views = segment.spec.layout.views(segment.buf)
+            for name, array in arrays.items():
+                views[name][...] = array
+            del views
+        except BaseException:
+            segment.close()
+            raise
         return segment
 
     @property
@@ -417,11 +421,118 @@ class SharedRelationSegment:
             _LIVE_SEGMENTS.discard(shm.name)
 
 
+class SharedRelationSegment:
+    """One relation's shipped columns: a ring segment plus approximation blocks.
+
+    The unit of segment ownership: created once per relation content,
+    attached (read-only) by any number of tile tasks, and unlinked
+    exactly once by whoever owns it — a per-join
+    :class:`ColumnarShipment` or a cross-join
+    :class:`repro.core.session.JoinSession` segment cache, which keys
+    reuse on :attr:`fingerprint`.  Approximation blocks are keyed by
+    kind under that fingerprint (:attr:`approx`), added as joins need
+    them (:meth:`ensure_approx`) and unlinked together with the rings.
+    """
+
+    def __init__(self, relation: SpatialRelation):
+        store = relation.columnar()
+        self.fingerprint = store.fingerprint
+        self.relation_name = relation.name
+        self.approx: Dict[str, SharedColumns] = {}
+        #: the ring-geometry segment (its ``buf`` is the warm loader's
+        #: fill target for an :meth:`allocate`-d segment).
+        self.rings = SharedColumns.of(store.rings._asdict())
+
+    @classmethod
+    def allocate(
+        cls, relation_name: str, fingerprint: str, layout: SegmentLayout
+    ) -> "SharedRelationSegment":
+        """An uninitialised ring segment, ready to be filled.
+
+        The store warm-up path: the caller streams the relation's ring
+        pages into :attr:`rings` ``.buf`` at the layout's extents
+        (byte-identical to what :meth:`__init__` would have copied from
+        a packed :class:`~repro.datasets.columnar.RingColumns`) before
+        handing the segment to any consumer.  Lifecycle is identical to
+        a packed segment.
+        """
+        segment = cls.__new__(cls)
+        segment.fingerprint = fingerprint
+        segment.relation_name = relation_name
+        segment.approx = {}
+        segment.rings = SharedColumns(layout)
+        return segment
+
+    @property
+    def nbytes(self) -> int:
+        """Ring payload bytes (approximation blocks: :attr:`approx_nbytes`)."""
+        return self.rings.nbytes
+
+    @property
+    def approx_nbytes(self) -> int:
+        return sum(block.nbytes for block in self.approx.values())
+
+    def allocate_approx(self, kind: str, layout: SegmentLayout) -> SharedColumns:
+        """An uninitialised block for ``kind`` (filled by the warm loader)."""
+        block = self.approx[kind] = SharedColumns(layout)
+        return block
+
+    def ensure_approx(
+        self, relation: SpatialRelation, kinds: Sequence[str]
+    ) -> Tuple[int, int, int]:
+        """Place the kinds' stored columns beside the rings, once each.
+
+        A missing block is filled from ``relation.columnar().approx(kind)``
+        — the get-or-build point, so the build (if any) happens here in
+        the parent, once, and never in a tile.  Kinds without a stored
+        form are skipped: tiles derive those lazily, as before.
+        Returns ``(blocks reused, blocks shipped, bytes shipped)``.
+        """
+        hits = misses = shipped = 0
+        for kind in kinds:
+            if stored_family(kind) is None:
+                continue
+            if kind in self.approx:
+                hits += 1
+                continue
+            columns = relation.columnar().approx(kind).columns()
+            block = self.approx[kind] = SharedColumns.of(columns.arrays)
+            misses += 1
+            shipped += block.nbytes
+        return hits, misses, shipped
+
+    def spec_for(self, kinds: Sequence[str] = ()) -> SharedRelationSpec:
+        """The descriptor tile tasks carry: rings plus the given kinds' blocks."""
+        return SharedRelationSpec(
+            relation_name=self.relation_name,
+            rings=self.rings.spec,
+            approx=tuple(
+                (kind, self.approx[kind].spec)
+                for kind in kinds
+                if kind in self.approx
+            ),
+        )
+
+    @property
+    def closed(self) -> bool:
+        return self.rings.closed
+
+    def close(self) -> None:
+        """Unlink the ring segment and every approximation block (idempotent)."""
+        blocks, self.approx = self.approx, {}
+        try:
+            for block in blocks.values():
+                block.close()
+        finally:
+            self.rings.close()
+
+
 class ColumnarShipment:
     """Parent-side owner of one join's per-relation shared segments.
 
     Creating the shipment copies each relation's packed ring columns
-    into one :class:`SharedRelationSegment`; :meth:`close` unlinks them
+    into one :class:`SharedRelationSegment`; :meth:`ship_approx` adds
+    the approximation blocks the join reads; :meth:`close` unlinks them
     all.  Callers must close in a ``finally`` block — the lifecycle
     tests assert that no ``/dev/shm`` entry survives success, worker
     failure, or interrupt.  (Session-cached segments are not wrapped in
@@ -429,25 +540,38 @@ class ColumnarShipment:
     """
 
     def __init__(self, relations: Sequence[SpatialRelation]):
+        self._relations = tuple(relations)
         self._segments: List[SharedRelationSegment] = []
+        #: approximation blocks shipped and their bytes.
+        self.approx_blocks = 0
+        self.approx_bytes = 0
         try:
-            for relation in relations:
+            for relation in self._relations:
                 self._segments.append(SharedRelationSegment(relation))
         except BaseException:
             self.close()
             raise
 
-    @property
-    def specs(self) -> List[SharedRelationSpec]:
-        return [segment.spec for segment in self._segments]
+    def ship_approx(self, kinds: Sequence[str]) -> None:
+        """Ship the given approximation kinds of every relation."""
+        for relation, segment in zip(self._relations, self._segments):
+            _, misses, shipped = segment.ensure_approx(relation, kinds)
+            self.approx_blocks += misses
+            self.approx_bytes += shipped
+
+    def specs_for(self, kinds: Sequence[str] = ()) -> List[SharedRelationSpec]:
+        return [segment.spec_for(kinds) for segment in self._segments]
 
     @property
     def segment_names(self) -> Tuple[str, ...]:
-        return tuple(segment.spec.shm_name for segment in self._segments)
+        """Names of the ring segments, in relation order."""
+        return tuple(
+            segment.rings.spec.shm_name for segment in self._segments
+        )
 
     @property
     def total_bytes(self) -> int:
-        """Payload bytes shipped through shared memory."""
+        """Ring payload bytes shipped through shared memory."""
         return sum(segment.nbytes for segment in self._segments)
 
     def close(self) -> None:
@@ -457,7 +581,7 @@ class ColumnarShipment:
             segment.close()
 
 
-def _attach_segment(spec: SharedRelationSpec) -> shared_memory.SharedMemory:
+def _attach_segment(spec: SharedColumnsSpec) -> shared_memory.SharedMemory:
     """Attach to a parent-owned segment without adopting its lifecycle.
 
     Attaching registers the segment with the resource tracker.  Under
@@ -611,14 +735,18 @@ def plan_columnar_tile_tasks(
 
     Same task plan as :func:`plan_tile_tasks` (both delegate to the
     configured :class:`~repro.core.partition.Partitioner`), but each
-    task references the relations' shared ring columns instead of
-    carrying pickled object slices.  The caller owns the returned
+    task references the relations' shared ring columns — and the
+    stored columns of every approximation kind the join reads
+    (:meth:`JoinConfig.approximation_kinds`) — instead of carrying
+    pickled object slices.  The caller owns the returned
     :class:`ColumnarShipment` and must :meth:`~ColumnarShipment.close`
     it once the outcomes are in — in a ``finally`` block.
     """
     shipment = ColumnarShipment((relation_a, relation_b))
     try:
-        spec_a, spec_b = shipment.specs
+        kinds = config.approximation_kinds()
+        shipment.ship_approx(kinds)
+        spec_a, spec_b = shipment.specs_for(kinds)
         tasks, partitions = _columnar_tasks_for_specs(
             relation_a, relation_b, grid, config, spec_a, spec_b
         )
@@ -655,42 +783,83 @@ def _objects_from_columns(
     ]
 
 
-def _materialise_columnar(
-    spec: SharedRelationSpec, indices: np.ndarray
-) -> SpatialRelation:
-    """Rebuild a tile's relation slice from the shared ring columns.
+class _MappedRelation:
+    """A worker's read-only mapping of one relation's shared segments.
 
-    The segment mapping is released before the join runs (the rebuilt
-    objects are copies, see :func:`_objects_from_columns`).
+    Attaches the ring segment and every approximation block named by
+    the spec.  :meth:`tile` copies a tile's rows out; everything it
+    returns is free of references into the mapped buffers, so
+    :meth:`close` can unmap as soon as whoever holds :attr:`rings`
+    (batched refinement) has let go.
     """
-    shm = _attach_segment(spec)
-    columns = None
-    try:
-        columns = _column_views(
-            shm.buf, spec.n_objects, spec.n_rings, spec.n_points
+
+    def __init__(self, spec: SharedRelationSpec):
+        self.name = spec.relation_name
+        self._segments: List[shared_memory.SharedMemory] = []
+        self.rings: Optional[RingColumns] = None
+        self.approx: List[ApproxColumns] = []
+        try:
+            self.rings = RingColumns(**self._map(spec.rings))
+            self.approx = [
+                ApproxColumns(kind, self._map(block))
+                for kind, block in spec.approx
+            ]
+        except BaseException:
+            self.close()
+            raise
+
+    def _map(self, block: SharedColumnsSpec) -> Dict[str, np.ndarray]:
+        shm = _attach_segment(block)
+        self._segments.append(shm)
+        return block.layout.views(shm.buf)
+
+    def tile(self, indices: np.ndarray) -> SpatialRelation:
+        """The tile's relation slice, approximations gathered — never derived.
+
+        Objects are rebuilt from the ring columns; the rows of every
+        shipped approximation kind are gathered by the same indices
+        into a pre-seeded tile-local
+        :class:`~repro.datasets.columnar.ColumnarRelation`, which also
+        seeds the objects' scalar approximation caches.
+        """
+        relation = subrelation(
+            self.name, _objects_from_columns(self.rings, indices)
         )
-        objects = _objects_from_columns(columns, indices)
-    finally:
-        del columns  # release the exported buffer before closing
-        shm.close()
-    return subrelation(spec.relation_name, objects)
+        if self.approx:
+            columnar = relation.columnar()
+            for columns in self.approx:
+                columnar.install_approx(columns.take(indices))
+        return relation
+
+    def close(self) -> None:
+        # Release the exported buffers (the column views) before closing.
+        self.rings = None
+        self.approx = []
+        segments, self._segments = self._segments, []
+        for shm in segments:
+            try:
+                shm.close()
+            except BufferError:
+                # The traceback of a failing tile still references a
+                # view; the mapping is dropped with it.  The parent
+                # owns the unlink either way.
+                pass
 
 
 def _finish_tile(task, rel_a, rel_b, start: float, refinement=None) -> TileOutcome:
     """Tile-local join + reference-tile de-duplication (both formats).
 
-    The tile-local join runs with ``columnar=False``: its relation
-    slices are freshly rebuilt per task, so eagerly packing per-tile
-    columns would do approximation work for objects the tile's MBR join
-    never emits, with zero reuse.  Incremental packing of just the
-    candidate objects is the better representation here — the toggle is
-    semantics-free, so results and stats are unaffected.
+    The tile-local join runs with the task's own ``columnar`` setting:
+    a columnar task's relation slices arrive with their approximation
+    columns gathered from shared memory (:meth:`_MappedRelation.tile`),
+    so the batched filter adopts them as they are; a pickled-slice task
+    (``columnar=False``) packs incrementally from rebuilt objects.
 
     ``refinement`` optionally injects a pre-built refinement step (the
     columnar wire format binds one to the mapped shared-memory ring
     columns so batched refinement reads the shipped geometry directly).
     """
-    config = replace(task.config, workers=1, columnar=False)
+    config = replace(task.config, workers=1)
     result = SpatialJoinProcessor(config).join(
         rel_a, rel_b, refinement=refinement
     )
@@ -733,7 +902,7 @@ def _finish_proximity_tile(task, rel_a, rel_b, start: float) -> TileOutcome:
     """
     from .proximity import distance_join_pipeline, knn_join_pipeline
 
-    config = replace(task.config, workers=1, columnar=False)
+    config = replace(task.config, workers=1)
     stats = MultiStepStats()
     if config.predicate == "distance":
         owns = None
@@ -781,75 +950,62 @@ def run_columnar_tile_task(task: ColumnarTileTask) -> TileOutcome:
     """Execute one columnar tile task (runs inside a worker).
 
     Identical join semantics to :func:`run_tile_task`; only the way the
-    relation slices reach the worker differs.  With batched refinement
-    configured (``exact_batch > 1``) the segments stay mapped through
-    the join so the exact step consumes the shipped ring columns
-    directly.  Proximity tasks run their own bound cascade — batched
-    refinement is the intersection join's exact step, so they bypass it
-    exactly as the serial proximity pipelines do.
+    relation slices reach the worker differs: objects are rebuilt from
+    the shared ring columns and their approximations are *gathered*
+    from the shared approximation blocks by the task's row indices —
+    no tile computes an approximation of a shipped kind, and the
+    tile-local join adopts the gathered columns as they are.  (Only a
+    filter kind without a stored form is derived in the tile, lazily,
+    for the objects that reach the filter.)  With batched
+    refinement configured (``exact_batch > 1``) the exact step gathers
+    vertex coordinates straight out of the mapped ring columns through
+    a :class:`~repro.exact.refine.RingGeometry` (every array it caches
+    is a copy, so the views are droppable as soon as the join ends).
+    Proximity tasks run their own bound cascade — batched refinement is
+    the intersection join's exact step, so they bypass it exactly as
+    the serial proximity pipelines do.
     """
     start = time.perf_counter()
-    if task.config.predicate in ("distance", "knn"):
-        rel_a = _materialise_columnar(task.spec_a, task.idx_a)
-        rel_b = _materialise_columnar(task.spec_b, task.idx_b)
-        return _finish_proximity_tile(task, rel_a, rel_b, start)
-    if task.config.exact_batch > 1:
-        return _run_columnar_tile_refined(task, start)
-    rel_a = _materialise_columnar(task.spec_a, task.idx_a)
-    rel_b = _materialise_columnar(task.spec_b, task.idx_b)
-    return _finish_tile(task, rel_a, rel_b, start)
-
-
-def _run_columnar_tile_refined(task: ColumnarTileTask, start: float) -> TileOutcome:
-    """Columnar tile task with batched refinement on the shipped columns.
-
-    Keeps both shared segments mapped for the duration of the tile-local
-    join and hands the engine a :class:`~repro.exact.refine.BatchedRefinement`
-    whose :class:`~repro.exact.refine.RingGeometry` indexes the mapped
-    column views — the exact step gathers vertex coordinates straight
-    out of shared memory instead of re-deriving edges from the rebuilt
-    polygons.  Every array the refinement caches is a copy, so all views
-    are droppable (and the segments closable) as soon as the join ends.
-    """
-    from ..exact.refine import BatchedRefinement, RingGeometry
-
-    segments = []
+    mapped: List[_MappedRelation] = []
     refinement = None
-    columns_a = columns_b = None
     try:
-        shm_a = _attach_segment(task.spec_a)
-        segments.append(shm_a)
-        shm_b = _attach_segment(task.spec_b)
-        segments.append(shm_b)
-        spec_a, spec_b = task.spec_a, task.spec_b
-        columns_a = _column_views(
-            shm_a.buf, spec_a.n_objects, spec_a.n_rings, spec_a.n_points
-        )
-        columns_b = _column_views(
-            shm_b.buf, spec_b.n_objects, spec_b.n_rings, spec_b.n_points
-        )
-        objects_a = _objects_from_columns(columns_a, task.idx_a)
-        objects_b = _objects_from_columns(columns_b, task.idx_b)
-        rel_a = subrelation(spec_a.relation_name, objects_a)
-        rel_b = subrelation(spec_b.relation_name, objects_b)
-        refinement = BatchedRefinement(
-            task.config,
-            RingGeometry(
-                columns_a,
-                {id(o): int(r) for o, r in zip(objects_a, task.idx_a)},
-            ),
-            RingGeometry(
-                columns_b,
-                {id(o): int(r) for o, r in zip(objects_b, task.idx_b)},
-            ),
-        )
+        map_a = _MappedRelation(task.spec_a)
+        mapped.append(map_a)
+        map_b = _MappedRelation(task.spec_b)
+        mapped.append(map_b)
+        rel_a = map_a.tile(task.idx_a)
+        rel_b = map_b.tile(task.idx_b)
+        if task.config.predicate in ("distance", "knn"):
+            return _finish_proximity_tile(task, rel_a, rel_b, start)
+        shipped = set(task.spec_a.kinds) & set(task.spec_b.kinds)
+        if not shipped.issuperset(task.config.approximation_kinds()):
+            # A kind without a stored form (RMBR, MBE) did not ride
+            # along.  The tile-local columnar store would build it for
+            # every tile object; incremental packing derives it only
+            # for the objects the tile's MBR join emits (measured
+            # 1.4-1.5x on such joins) and still reads the shipped kinds
+            # from the objects' seeded caches.
+            task = replace(task, config=replace(task.config, columnar=False))
+        if task.config.exact_batch > 1:
+            from ..exact.refine import BatchedRefinement, RingGeometry
+
+            refinement = BatchedRefinement(
+                task.config,
+                RingGeometry(
+                    map_a.rings,
+                    {id(o): int(r) for o, r in zip(rel_a.objects, task.idx_a)},
+                ),
+                RingGeometry(
+                    map_b.rings,
+                    {id(o): int(r) for o, r in zip(rel_b.objects, task.idx_b)},
+                ),
+            )
         return _finish_tile(task, rel_a, rel_b, start, refinement=refinement)
     finally:
         if refinement is not None:
             refinement.release()
-        del columns_a, columns_b  # release exported buffers before closing
-        for shm in segments:
-            shm.close()
+        for relation in mapped:
+            relation.close()
 
 
 def _pool_context():
@@ -1190,12 +1346,16 @@ def parallel_partitioned_join(
     lease = None
     shipped_bytes = reused_bytes = 0
     cache_hits = cache_misses = 0
+    approx_hits = approx_misses = approx_bytes = 0
     try:
         if config.columnar:
             runner: Callable = run_columnar_tile_task
             wire_format = "columnar-shm"
             if session is not None:
-                lease = session.lease_segments((relation_a, relation_b))
+                kinds = wire_config.approximation_kinds()
+                lease = session.lease_segments(
+                    (relation_a, relation_b), kinds
+                )
                 for segment, reused in zip(lease.segments, lease.reused):
                     if reused:
                         cache_hits += 1
@@ -1203,9 +1363,13 @@ def parallel_partitioned_join(
                     else:
                         cache_misses += 1
                         shipped_bytes += segment.nbytes
+                approx_hits = lease.approx_hits
+                approx_misses = lease.approx_misses
+                approx_bytes = lease.approx_bytes
                 tasks, partitions = _columnar_tasks_for_specs(
                     relation_a, relation_b, grid, wire_config,
-                    lease.segments[0].spec, lease.segments[1].spec,
+                    lease.segments[0].spec_for(kinds),
+                    lease.segments[1].spec_for(kinds),
                 )
             else:
                 tasks, partitions, shipment = plan_columnar_tile_tasks(
@@ -1213,6 +1377,8 @@ def parallel_partitioned_join(
                 )
                 shipped_bytes = shipment.total_bytes
                 cache_misses = 2
+                approx_misses = shipment.approx_blocks
+                approx_bytes = shipment.approx_bytes
         else:
             tasks, partitions = plan_tile_tasks(
                 relation_a, relation_b, grid, wire_config
@@ -1282,4 +1448,7 @@ def parallel_partitioned_join(
         segment_cache_hits=cache_hits,
         segment_cache_misses=cache_misses,
         reused_payload_bytes=reused_bytes,
+        approx_cache_hits=approx_hits,
+        approx_cache_misses=approx_misses,
+        approx_payload_bytes=approx_bytes,
     )

@@ -232,7 +232,7 @@ def knn_join_pipeline(
     k = config.k
     kernels = dispatcher_for(config.kernels, stats)
     cache = _EdgeCache()
-    tree_b = relation_b.build_rtree(max_entries=config.rtree_max_entries)
+    tree_b = relation_b.rtree(config.rtree_max_entries)
     for obj_a in relation_a:
         if tree_b.size == 0:
             break

@@ -24,6 +24,21 @@ session-oriented: the setup should be paid once and amortised.
   tile tasks simply reference the cached segment.  A relation whose
   object list changed gets a fresh fingerprint (and so a fresh
   segment); the stale segment stays cached until evicted.
+* **approximation blocks** beside each cached segment, keyed by
+  ``(fingerprint, kind)``: when a join first reads a kind
+  (:meth:`JoinConfig.approximation_kinds`), the lease takes
+  ``relation.columnar().approx(kind)`` — memory, then store pages,
+  then one build that is published — and places its stored columns in
+  shared memory; every later join of that content finds the block.
+  Blocks are owned by their segment: leased, counted into the byte
+  bound, evicted and unlinked with it, and
+  :meth:`JoinSession.warm_from_store` streams stored sidecar pages into
+  them beside the ring pages.  They have their own counters
+  (``approx_cache_hits`` / ``approx_cache_misses`` /
+  ``approx_store_loads`` / ``approx_store_load_bytes`` /
+  ``cached_approx_bytes`` in :meth:`JoinSession.stats`); the
+  ``segment_cache_*`` and ``store_load*`` counters keep counting ring
+  payloads only.
 
 The cache is **byte-bounded LRU** when ``max_cache_bytes`` is set:
 whenever the cached bytes exceed the bound, least-recently-joined
@@ -75,11 +90,12 @@ from ..datasets.relations import SpatialRelation
 from .join import JoinConfig
 from .parallel_exec import (
     ParallelPartitionedJoinResult,
+    SegmentLayout,
+    SharedColumns,
     SharedRelationSegment,
     _pool_context,
     _warm_worker_kernels,
     parallel_partitioned_join,
-    segment_column_layout,
 )
 
 
@@ -87,7 +103,8 @@ class SegmentLease:
     """Pins one join's shared segments in the session cache.
 
     Acquiring the lease resolves (or creates) the segment of every
-    relation and marks its fingerprint as *leased*: LRU eviction skips
+    relation — and beside it the approximation blocks of the kinds the
+    join reads — and marks its fingerprint as *leased*: LRU eviction skips
     leased fingerprints, so a bounded cache can never unlink a segment
     the in-flight join's tile tasks still reference.  :meth:`release`
     unpins and then re-applies the byte bound, so the post-join
@@ -97,13 +114,17 @@ class SegmentLease:
     """
 
     def __init__(self, session: "JoinSession",
-                 relations: Sequence[SpatialRelation]):
+                 relations: Sequence[SpatialRelation],
+                 kinds: Sequence[str] = ()):
         self._session = session
         self._fingerprints: List[str] = []
         #: the relations' segments, in ``relations`` order.
         self.segments: List[SharedRelationSegment] = []
         #: per segment: True when served from the cache (no new bytes).
         self.reused: List[bool] = []
+        #: approximation blocks of ``kinds`` found beside the segments /
+        #: newly placed there by this lease, and the new ones' bytes.
+        self.approx_hits = self.approx_misses = self.approx_bytes = 0
         try:
             with session._lock:
                 for relation in relations:
@@ -115,6 +136,14 @@ class SegmentLease:
                     self._fingerprints.append(fingerprint)
                     self.segments.append(segment)
                     self.reused.append(reused)
+                    hits, misses, shipped = segment.ensure_approx(
+                        relation, kinds
+                    )
+                    self.approx_hits += hits
+                    self.approx_misses += misses
+                    self.approx_bytes += shipped
+                session.approx_cache_hits += self.approx_hits
+                session.approx_cache_misses += self.approx_misses
                 session._evict_to_bound()
         except BaseException:
             self.release()
@@ -135,7 +164,7 @@ class SegmentLease:
                 self._session._evict_to_bound()
 
 
-def _stream_page(job: Tuple[object, SharedRelationSegment, int, int]) -> None:
+def _stream_page(job: Tuple[object, SharedColumns, int, int]) -> None:
     """Read one store page file into its slice of a shared segment.
 
     One unit of the warm loader's I/O parallelism: ``readinto`` drops
@@ -158,6 +187,29 @@ def _stream_page(job: Tuple[object, SharedRelationSegment, int, int]) -> None:
             )
     finally:
         view.release()
+
+
+def _pages_layout(pages) -> SegmentLayout:
+    """The segment layout that holds the given store pages back to back.
+
+    Derived from the page descriptors the store validated, so page
+    extents and segment slices agree by construction.
+    """
+    return SegmentLayout(
+        tuple((page.column, page.dtype, page.shape) for page in pages)
+    )
+
+
+def _stream_jobs(
+    pages, target: SharedColumns
+) -> List[Tuple[object, SharedColumns, int, int]]:
+    """One :func:`_stream_page` job per page of a freshly allocated segment."""
+    return [
+        (page.path, target, offset, nbytes)
+        for page, (_, offset, nbytes) in zip(
+            pages, target.spec.layout.extents()
+        )
+    ]
 
 
 class JoinSession:
@@ -218,6 +270,13 @@ class JoinSession:
         #: (:meth:`warm_from_store`) and the bytes they streamed in.
         self.store_loads = 0
         self.store_load_bytes = 0
+        #: approximation blocks, counted apart from the ring segments
+        #: above: found beside a leased segment / placed there by a
+        #: join, and streamed in from store sidecars.
+        self.approx_cache_hits = 0
+        self.approx_cache_misses = 0
+        self.approx_store_loads = 0
+        self.approx_store_load_bytes = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -365,16 +424,19 @@ class JoinSession:
             return segment, reused
 
     def lease_segments(
-        self, relations: Sequence[SpatialRelation]
+        self, relations: Sequence[SpatialRelation], kinds: Sequence[str] = ()
     ) -> SegmentLease:
         """Acquire (and pin) the segments of one join's relations.
 
-        The returned :class:`SegmentLease` keeps the fingerprints safe
+        ``kinds`` are the approximation kinds the join reads; their
+        stored columns are placed beside each relation's ring segment
+        (once per fingerprint and kind) under the same lease.  The
+        returned :class:`SegmentLease` keeps the fingerprints safe
         from LRU eviction until :meth:`SegmentLease.release` — call it
         in a ``finally`` once the join's outcomes are merged.
         """
         self._ensure_open()
-        return SegmentLease(self, relations)
+        return SegmentLease(self, relations, kinds)
 
     # -- persistent-store warm-up -------------------------------------------
 
@@ -393,9 +455,13 @@ class JoinSession:
         :class:`~repro.datasets.store.RelationStore`) are streamed
         directly into its buffer — ``readinto`` on the raw page files,
         no WKT parsing, no :func:`~repro.datasets.columnar.pack_rings`,
-        no digesting.  Page reads run concurrently on a small thread
-        pool (``io_workers``; ``readinto`` releases the GIL, so the
-        reads genuinely overlap), across columns *and* relations.
+        no digesting.  Every approximation sidecar the store holds for
+        the relation is streamed into a block beside it the same way
+        (``approx_store_loads``), so the first join of a warmed
+        relation finds its approximation blocks too.  Page reads run
+        concurrently on a small thread pool (``io_workers``;
+        ``readinto`` releases the GIL, so the reads genuinely overlap),
+        across columns *and* relations.
 
         Returns ``{fingerprint: "loaded" | "cached"}``.  ``fingerprints``
         defaults to everything in the store.  On any failure all freshly
@@ -420,7 +486,7 @@ class JoinSession:
             )
             report: Dict[str, str] = {}
             fresh: "OrderedDict[str, SharedRelationSegment]" = OrderedDict()
-            jobs: List[Tuple[object, SharedRelationSegment, int, int]] = []
+            jobs: List[Tuple[object, SharedColumns, int, int]] = []
             try:
                 for fingerprint in wanted:
                     if fingerprint in report:
@@ -430,26 +496,20 @@ class JoinSession:
                         report[fingerprint] = "cached"
                         continue
                     stored = store.load(fingerprint)
+                    ring_pages = stored.ring_pages()
                     segment = SharedRelationSegment.allocate(
-                        stored.name,
-                        fingerprint,
-                        stored.n_objects,
-                        stored.n_rings,
-                        stored.n_points,
+                        stored.name, fingerprint, _pages_layout(ring_pages)
                     )
                     fresh[fingerprint] = segment
                     report[fingerprint] = "loaded"
-                    pages = {
-                        page.column: page for page in stored.ring_pages()
-                    }
-                    # Page extents and segment slices both derive from
-                    # the manifest counts, so the mapping is exact.
-                    for column, offset, nbytes in segment_column_layout(
-                        stored.n_objects, stored.n_rings, stored.n_points
-                    ):
-                        jobs.append(
-                            (pages[column].path, segment, offset, nbytes)
-                        )
+                    jobs += _stream_jobs(ring_pages, segment.rings)
+                    for kind in stored.approx_kinds():
+                        pages = stored.approx_pages(kind)
+                        if pages is not None:
+                            block = segment.allocate_approx(
+                                kind, _pages_layout(pages)
+                            )
+                            jobs += _stream_jobs(pages, block)
                 if len(jobs) > 1 and io_workers > 1:
                     with ThreadPoolExecutor(
                         max_workers=min(io_workers, len(jobs))
@@ -468,6 +528,8 @@ class JoinSession:
                 self._segments[fingerprint] = segment
                 self.store_loads += 1
                 self.store_load_bytes += segment.nbytes
+                self.approx_store_loads += len(segment.approx)
+                self.approx_store_load_bytes += segment.approx_nbytes
             self._evict_to_bound(protect=frozenset(fresh))
             return report
 
@@ -543,8 +605,18 @@ class JoinSession:
 
     @property
     def cached_segment_bytes(self) -> int:
-        """Total shared-memory bytes currently cached."""
-        return sum(segment.nbytes for segment in self._segments.values())
+        """Total shared-memory bytes currently cached (rings + blocks)."""
+        return sum(
+            segment.nbytes + segment.approx_nbytes
+            for segment in self._segments.values()
+        )
+
+    @property
+    def cached_approx_bytes(self) -> int:
+        """The approximation blocks' share of :attr:`cached_segment_bytes`."""
+        return sum(
+            segment.approx_nbytes for segment in self._segments.values()
+        )
 
     def stats(self) -> Dict[str, int]:
         """Cumulative telemetry, one flat JSON-safe dict.
@@ -553,8 +625,13 @@ class JoinSession:
         joins that shipped zero redundant bytes, ``store_loads`` /
         ``store_load_bytes`` count segments streamed from persistent
         store pages (:meth:`warm_from_store`), ``evictions`` count
-        byte-bound LRU victims.  The service status endpoint aggregates
-        these across its session pool.
+        byte-bound LRU victims — all of them ring segments.  The
+        ``approx_*`` counters say the same about approximation blocks
+        (found beside a leased segment, placed there by a join,
+        streamed from store sidecars); ``cached_segment_bytes`` is
+        what the byte bound applies to, rings and blocks together.
+        The service status endpoint aggregates these across its
+        session pool.
         """
         with self._lock:
             return {
@@ -564,9 +641,14 @@ class JoinSession:
                 "segment_cache_evictions": self.segment_cache_evictions,
                 "store_loads": self.store_loads,
                 "store_load_bytes": self.store_load_bytes,
+                "approx_cache_hits": self.approx_cache_hits,
+                "approx_cache_misses": self.approx_cache_misses,
+                "approx_store_loads": self.approx_store_loads,
+                "approx_store_load_bytes": self.approx_store_load_bytes,
                 "pools_created": self.pools_created,
                 "cached_relations": self.cached_relations,
                 "cached_segment_bytes": self.cached_segment_bytes,
+                "cached_approx_bytes": self.cached_approx_bytes,
             }
 
     def _note_join(self) -> None:

@@ -60,9 +60,7 @@ class WindowQueryProcessor:
     ):
         self.relation = relation
         self.filter_config = filter_config or FilterConfig()
-        self.tree: RStarTree = relation.build_rtree(
-            max_entries=rtree_max_entries
-        )
+        self.tree: RStarTree = relation.rtree(rtree_max_entries)
         self._counter: Optional[AccessCounter] = None
         if buffer_pages is not None:
             self._counter = AccessCounter(buffer=LRUBuffer(buffer_pages))

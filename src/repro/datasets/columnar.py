@@ -28,16 +28,33 @@ Columns are built lazily by group — ``oids``/``mbrs`` eagerly (they are
 cheap and every consumer needs them), approximation arrays per kind on
 first use, ring geometry on first shipment — and cached on the store,
 which :meth:`SpatialRelation.columnar` in turn caches on the relation.
+
+Approximation columns are **stored data**, keyed by relation content:
+:meth:`ColumnarRelation.approx` is the single get-or-build point and
+resolves a kind from memory, then from the pages of the persistent
+store the relation was loaded from, and only then builds it — and
+publishes what it built back to that store, so an approximation is
+computed at most once per (relation content, kind) across joins,
+sessions and processes.  Columns that arrive already packed (store
+pages, a tile worker's gathered shared-memory rows) are adopted with
+:meth:`ColumnarRelation.install_approx`, which also seeds every
+object's scalar approximation cache from the same rows: nothing
+downstream of a stored kind ever calls ``compute_approximation``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..approximations.batch import BatchApproxArrays
+from ..approximations.batch import (
+    ApproxColumns,
+    BatchApproxArrays,
+    stored_family,
+)
 from ..geometry import Polygon
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -150,10 +167,23 @@ class ColumnarRelation:
         self._areas: Optional[np.ndarray] = None
         self._rings: Optional[RingColumns] = None
         self._fingerprint: Optional[str] = None
+        self._init_derived()
+
+    def _init_derived(self, approx_store=None) -> None:
+        """Empty caches of everything built on top of the base columns."""
         self._approx: Dict[str, BatchApproxArrays] = {}
+        #: where stored approximation columns are read from and
+        #: published to (a :class:`repro.datasets.store.StoredRelation`);
+        #: ``None`` for a relation that came from no store.
+        self._approx_store = approx_store
+        #: serialises the get-or-build of :meth:`approx`: two service
+        #: threads joining the same relation must not both build a kind.
+        self._approx_lock = threading.Lock()
+        self._ring_geometry = None
         self._partition_trees: Dict[int, object] = {}
         #: packing events per approximation kind; stays at 1 per kind
-        #: no matter how many joins read the store (regression-tested).
+        #: no matter how many joins read the store (regression-tested),
+        #: and at 0 for kinds adopted from stored columns.
         self.pack_counts: Dict[str, int] = {}
 
     def __len__(self) -> int:
@@ -203,6 +233,7 @@ class ColumnarRelation:
         areas: np.ndarray,
         rings: RingColumns,
         fingerprint: str,
+        approx_store=None,
     ) -> "ColumnarRelation":
         """A store over ``relation`` seeded with already-packed columns.
 
@@ -215,6 +246,11 @@ class ColumnarRelation:
         digest ever runs.  The caller guarantees the columns describe
         ``relation.objects`` row for row — the store's round-trip tests
         prove its pages do.
+
+        ``approx_store`` (the :class:`~repro.datasets.store.StoredRelation`
+        the columns came from) backs :meth:`approx`: every kind it
+        already holds is installed now, kinds built later are published
+        to it.
         """
         store = cls.__new__(cls)
         store.name = relation.name
@@ -225,9 +261,12 @@ class ColumnarRelation:
         store._areas = np.asarray(areas, dtype=np.float64)
         store._rings = rings
         store._fingerprint = fingerprint
-        store._approx = {}
-        store._partition_trees = {}
-        store.pack_counts = {}
+        store._init_derived(approx_store)
+        if approx_store is not None:
+            for kind in approx_store.approx_kinds():
+                columns = approx_store.load_approx(kind)
+                if columns is not None:
+                    store.install_approx(columns)
         return store
 
     def partition_tree(self, max_entries: int = 8):
@@ -262,15 +301,63 @@ class ColumnarRelation:
     def approx(self, kind: str) -> BatchApproxArrays:
         """The fully-packed approximation columns of ``kind``.
 
-        Packs once per (relation, kind); repeated joins — and sweeps over
-        filter configurations naming the same kinds — reuse the arrays.
-        Row indices equal object indices.
+        The single get-or-build point: memory, then the backing store's
+        pages, then a build from the objects — which is published to
+        the backing store so no later join, session or process builds
+        it again.  Repeated joins — and sweeps over filter
+        configurations naming the same kinds — reuse the arrays.  Row
+        indices equal object indices.
         """
         encoder = self._approx.get(kind)
-        if encoder is None:
+        if encoder is not None:
+            return encoder
+        with self._approx_lock:
+            encoder = self._approx.get(kind)
+            if encoder is not None:
+                return encoder
+            backing = self._approx_store if stored_family(kind) else None
+            columns = (
+                backing.load_approx(kind) if backing is not None else None
+            )
+            if columns is not None:
+                return self.install_approx(columns)
             encoder = BatchApproxArrays(kind)
             encoder.rows(self.objects)
             encoder.mbrs  # materialise now: the pack cost belongs here
             self._approx[kind] = encoder
             self.pack_counts[kind] = self.pack_counts.get(kind, 0) + 1
+            if backing is not None:
+                backing.publish_approx(encoder.columns())
+            return encoder
+
+    def install_approx(self, columns: ApproxColumns) -> BatchApproxArrays:
+        """Adopt already-packed columns of one kind (row ``i`` = object ``i``).
+
+        Also seeds each object's scalar approximation cache from its
+        row, so the filter's scalar fallbacks and every per-object code
+        path read the stored approximation instead of computing one.
+        """
+        kind = columns.kind
+        encoder = BatchApproxArrays.from_columns(columns, self.objects)
+        self._approx[kind] = encoder
+        for row, obj in enumerate(self.objects):
+            if kind not in obj._approximations:
+                obj._approximations[kind] = columns.approximation(row)
         return encoder
+
+    def packed_kinds(self) -> List[str]:
+        """Kinds whose columns are in memory right now."""
+        return list(self._approx)
+
+    def ring_geometry(self):
+        """Per-object edge arrays over the ring columns, memoised.
+
+        What batched refinement gathers vertex coordinates from; kept
+        for the life of this store so repeated joins stop re-gathering
+        every object's edges.  Never ``release()`` it.
+        """
+        if self._ring_geometry is None:
+            from ..exact.refine import RingGeometry  # lazy: import cycle
+
+            self._ring_geometry = RingGeometry.from_store(self)
+        return self._ring_geometry

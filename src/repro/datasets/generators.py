@@ -23,7 +23,6 @@ import random
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import Voronoi
 
 from ..geometry import Coord, Polygon, Rect
 
@@ -42,6 +41,10 @@ def voronoi_cells(
     """
     if n_sites < 3:
         raise ValueError("need at least 3 sites for a tessellation")
+    # Imported here, not at module level: loading or joining stored
+    # relations must not pay for scipy.spatial.
+    from scipy.spatial import Voronoi
+
     sites = np.array(
         [
             (

@@ -101,6 +101,29 @@ class SpatialRelation:
             tree.insert(rect, obj)
         return tree
 
+    def rtree(self, max_entries: int = 32) -> RStarTree:
+        """The (cached) R*-tree of :meth:`build_rtree` for read-only use.
+
+        Built on first use per node capacity and shared by every join,
+        window and nearest-neighbour query over this relation; dropped
+        under the same rule as :meth:`columnar` (the object list was
+        replaced or resized).  Callers must not insert into or delete
+        from it — :meth:`build_rtree` returns a private tree for that.
+        """
+        cached = getattr(self, "_rtrees", None)
+        if (
+            cached is None
+            or cached[0] is not self.objects
+            or cached[1] != len(self.objects)
+        ):
+            cached = (self.objects, len(self.objects), {})
+            self._rtrees = cached
+        trees = cached[2]
+        tree = trees.get(max_entries)
+        if tree is None:
+            tree = trees[max_entries] = self.build_rtree(max_entries)
+        return tree
+
     def precompute_approximations(self, kinds: Sequence[str]) -> None:
         """Force computation of the given approximation kinds."""
         for obj in self.objects:

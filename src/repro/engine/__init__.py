@@ -41,7 +41,12 @@ Storage model — the columnar relation store
     kernels), and the flattened ring geometry that the parallel
     executor ships to workers.  Every value is copied bit-for-bit from
     the scalar accessors, so array consumers and scalar consumers see
-    the same floats.
+    the same floats.  The other two derived structures of the serial
+    path are memoised beside it: ``relation.rtree(max_entries)`` (the
+    read-only R*-tree every join, window and kNN query traverses) and
+    ``relation.columnar().ring_geometry()`` (the per-object edge arrays
+    batched refinement gathers), both dropped when the object list is
+    replaced or resized.
 
     With ``JoinConfig(columnar=True)`` (the default) the batched
     engine's filter *adopts* the two relations' pre-packed columns
@@ -210,8 +215,22 @@ Parallel wire format — shared columns instead of pickled slices
     (``benchmarks/bench_columnar.py`` measures the serialized-byte
     reduction; ``tests/test_parallel_exec_shm.py`` pins the segment
     lifecycle: unlinked on success, worker failure, and interrupt).
-    ``columnar=False`` (CLI ``--no-columnar``) keeps the legacy
-    ``(oid, polygon)`` pickled-slice tasks.
+    The approximations ride the same way: for every kind the join
+    reads (``JoinConfig.approximation_kinds()``) the parent takes
+    ``relation.columnar().approx(kind)`` — the one get-or-build point —
+    and places its stored columns in a block beside the ring segment;
+    workers gather a tile's rows by the same index arrays into a
+    pre-seeded tile-local column store, so **no tile task ever
+    computes an approximation** of a stored kind
+    (``tests/test_stored_approximations.py`` counts the calls across
+    the forked workers; RMBR and MBE have no stored form and are
+    derived in the tile, for the objects that reach the filter).  What
+    each segment
+    holds is described once, by the picklable
+    :class:`~repro.core.parallel_exec.SegmentLayout` its descriptor
+    carries.  ``columnar=False`` (CLI ``--no-columnar``) keeps the
+    legacy ``(oid, polygon)`` pickled-slice tasks, which still rebuild
+    approximations per tile.
 
 Tile formation — uniform grid vs tree-guided partitioning
     What a "tile" *is* is a strategy of its own
@@ -272,7 +291,13 @@ Join sessions — amortising setup across repeated joins
     broken) and a shared-segment cache keyed by relation fingerprint
     (a content digest of the packed ring columns), so repeated joins
     of the same relations ship **zero** redundant bytes
-    (``result.shared_payload_bytes == 0`` warm).  Reuse a session
+    (``result.shared_payload_bytes == 0`` warm).  Approximation blocks
+    are cached under the same fingerprint, one per kind, added when a
+    join first reads the kind and leased, byte-accounted, evicted and
+    unlinked together with the relation's ring segment; they have
+    their own counters (``approx_cache_hits`` / ``approx_cache_misses``
+    on the result and in ``JoinSession.stats()``), so the segment
+    counters keep counting ring payloads only.  Reuse a session
     whenever the same relations are joined more than once — under
     different predicates, engines, grids, or partners; create one-shot
     joins only for one-off queries.  The cache holds segments until
@@ -303,13 +328,32 @@ The persistent storage tier — warm starts that survive restarts
     ``load()`` maps them back with ``np.memmap``: no WKT parsing, no
     ring packing, no digesting — bytes fault in on access, and
     ``load_relation()`` materialises live geometry with the columnar
-    cache pre-seeded from the pages.  Because the ring pages mirror
-    the segment layout, a restarted session warms its segment cache by
-    *streaming the files straight into shared memory*
+    cache pre-seeded from the pages.  **Approximations are stored data
+    too** (the paper keeps them with the index entry): each kind's
+    packed columns — the stored form defined once by
+    :class:`~repro.approximations.batch.ApproxColumns` — live as
+    additive sidecar pages under
+    ``<store_dir>/<fingerprint>/approx/<kind>/`` with their own small
+    manifest (page specs, a blake2b digest, the kind's
+    ``algorithm_version``).  They are published lazily: ``save()``
+    writes the kinds the relation has already packed and never builds
+    one; the first process whose ``ColumnarRelation.approx(kind)`` has
+    to build a kind of a loaded relation publishes it (atomic rename,
+    skipped silently on an unwritable directory); every later load
+    installs what it finds and seeds the objects' scalar caches from
+    the same rows, so an approximation is computed **at most once per
+    (relation content, kind)** across joins, sessions and processes.
+    A store without sidecars stays valid, a sidecar of another
+    algorithm version is rebuilt rather than mixed, and a structurally
+    broken one is a ``StoreCorruptionError`` at load.  Because the ring
+    and sidecar pages mirror the segment layouts, a restarted session
+    warms its segment cache by *streaming the files straight into
+    shared memory*
     (:meth:`~repro.core.session.JoinSession.warm_from_store`, an
     I/O-parallel ``readinto`` loop over a thread pool — the GIL is
     released for the copies), and a warmed service answers its first
-    join of a stored relation as a segment-cache hit.  The store front
+    join of a stored relation as a segment-cache hit with its
+    approximation blocks already in place.  The store front
     doors: ``python -m repro store pack/ls/rm`` manages a store,
     ``join``/``join-batch``/``serve`` accept ``--store-dir`` and
     resolve ``store:<fingerprint>`` relation references through it,
@@ -319,7 +363,8 @@ The persistent storage tier — warm starts that survive restarts
     :meth:`JoinSession.stats`).  Corruption is a clean error, never a
     wrong join: loads validate the manifest and page sizes
     (:class:`~repro.datasets.store.StoreCorruptionError`),
-    ``StoredRelation.verify()`` re-digests page bytes on demand, and
+    ``StoredRelation.verify()`` re-digests page bytes on demand
+    (approximation pages included), and
     the differential suite (``tests/test_store_equivalence.py``)
     proves store-loaded joins byte-identical to object-built joins
     across engines, partitioners, wire formats, and worker counts.

@@ -193,8 +193,8 @@ class Engine(ABC):
             buffer = LRUBuffer(cfg.buffer_pages)
             counter_a = AccessCounter(buffer=buffer)
             counter_b = AccessCounter(buffer=buffer)
-        tree_a = relation_a.build_rtree(max_entries=cfg.rtree_max_entries)
-        tree_b = relation_b.build_rtree(max_entries=cfg.rtree_max_entries)
+        tree_a = relation_a.rtree(cfg.rtree_max_entries)
+        tree_b = relation_b.rtree(cfg.rtree_max_entries)
         if refinement is None:
             refinement = self.build_refinement(relation_a, relation_b)
         candidates = rstar_join(

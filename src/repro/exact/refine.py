@@ -36,7 +36,7 @@ with every predicate.
 
 In the multi-process tile executor the worker builds a
 :class:`RingGeometry` directly over the shared-memory mapped ring
-columns (:func:`repro.core.parallel_exec._run_columnar_tile_refined`),
+columns (:func:`repro.core.parallel_exec.run_columnar_tile_task`),
 so the exact step reads vertex coordinates straight out of the shipped
 segments instead of re-deriving edges from rebuilt polygons.  All
 cached per-object arrays are copies, never views, so the segment can be
@@ -178,11 +178,16 @@ class BatchedRefinement(RefinementStep):
         """Refinement bound to the relations' cached columnar stores."""
         return cls(
             config,
-            RingGeometry.from_store(relation_a.columnar()),
-            RingGeometry.from_store(relation_b.columnar()),
+            relation_a.columnar().ring_geometry(),
+            relation_b.columnar().ring_geometry(),
         )
 
     def release(self) -> None:
+        """Unbind tile-local geometry from its shared-memory columns.
+
+        Only for instances built over mapped segments; the memoised
+        geometry of :meth:`from_relations` is never released.
+        """
         for geometry in self._geometry:
             geometry.release()
 

@@ -438,7 +438,7 @@ class JoinService:
 
     def _execute_knn(self, request: KnnRequest) -> KnnResponse:
         k = validate_k(request.k)
-        tree = request.relation.build_rtree()
+        tree = request.relation.rtree()
         neighbours = knn_query(tree, request.point, k)
         return KnnResponse(
             op="knn",

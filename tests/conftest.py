@@ -49,7 +49,11 @@ def no_leaked_shared_segments():
 
     The parallel executor and :class:`repro.core.session.JoinSession`
     own shared-memory segment lifecycles; a segment still registered in
-    ``live_shared_segments()`` after a test is a leak.  This autouse
+    ``live_shared_segments()`` after a test is a leak — ring segments
+    and the approximation blocks shipped beside them alike (every
+    block is a :class:`repro.core.parallel_exec.SharedColumns` and so
+    registers in the same set;
+    ``tests/test_stored_approximations.py`` pins that).  This autouse
     fixture replaces the ad-hoc per-test live-set assertions the shm
     suite used to carry, and extends the guarantee to every test that
     touches the parallel machinery (including sessions left open by

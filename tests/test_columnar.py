@@ -275,3 +275,51 @@ def test_columnar_cache_invalidated_on_inplace_resize():
 def test_config_rejects_non_bool_columnar():
     with pytest.raises(ValueError, match="columnar"):
         JoinConfig(columnar=1)
+
+
+# ---------------------------------------------------------------------------
+# 4. Derived structures of the serial path are built once per relation.
+# ---------------------------------------------------------------------------
+
+
+def test_rtree_is_memoised_per_capacity_and_invalidated_like_columnar():
+    rel_a, _ = random_relation_pair(321, n_objects=10)
+    tree = rel_a.rtree()
+    assert rel_a.rtree() is tree and rel_a.rtree(32) is tree
+    assert rel_a.rtree(8) is not tree and rel_a.rtree(8) is rel_a.rtree(8)
+    # build_rtree keeps handing out private trees (callers may insert).
+    assert rel_a.build_rtree() is not tree
+    assert rel_a.build_rtree() is not rel_a.build_rtree()
+    assert sorted(e.item.oid for e in tree.all_entries()) == [
+        o.oid for o in rel_a
+    ]
+    # Same rule as columnar(): a replaced or resized list drops the cache.
+    rel_a.objects = rel_a.objects[:-1]
+    shorter = rel_a.rtree()
+    assert shorter is not tree and shorter.size == len(rel_a)
+    rel_a.objects.append(rel_a.objects[0])
+    assert rel_a.rtree() is not shorter
+
+
+def test_serial_joins_reuse_trees_and_edge_arrays(monkeypatch):
+    rel_a, rel_b = random_relation_pair(322, n_objects=10)
+    config = JoinConfig(engine="batched", exact_method="vectorized",
+                        exact_batch=8)
+    builds = []
+    original = SpatialRelation.build_rtree
+
+    def counting(self, *args, **kwargs):
+        builds.append(self.name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpatialRelation, "build_rtree", counting)
+    first = SpatialJoinProcessor(config).join(rel_a, rel_b)
+    geometry = rel_a.columnar().ring_geometry()
+    assert geometry is rel_a.columnar().ring_geometry()
+    gathered = dict(geometry._edges)
+    assert gathered, "batched refinement must have gathered some edges"
+    again = SpatialJoinProcessor(config).join(rel_a, rel_b)
+    assert sorted(builds) == sorted([rel_a.name, rel_b.name])
+    assert all(geometry._edges[row] is edges for row, edges in gathered.items())
+    assert first.id_pairs() == again.id_pairs()
+    assert stats_fingerprint(first.stats) == stats_fingerprint(again.stats)

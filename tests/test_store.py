@@ -18,6 +18,12 @@ Four concerns, one file:
 * **CLI and service fronts** — ``repro store pack/ls/rm``,
   ``join --store-dir`` with ``store:<fingerprint>`` references, and the
   server's ``warm``/``telemetry``/store-reference paths.
+* **Approximation sidecars** — lazily published pages beside the ring
+  pages: every structural defect is a :class:`StoreCorruptionError` at
+  ``load`` (never a wrong filter decision), ``verify`` re-digests them,
+  a stale algorithm version is rebuilt, an unwritable store still
+  joins correctly, concurrent publishers converge on one valid
+  sidecar, and ``remove`` takes them along.
 """
 
 from __future__ import annotations
@@ -25,9 +31,11 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +53,12 @@ from repro.datasets import (
     StoreError,
 )
 from repro.datasets.io import save_relation
-from repro.datasets.store import RING_COLUMNS, STORE_FORMAT_VERSION
+from repro.datasets import store as store_module
+from repro.datasets.store import (
+    RING_COLUMNS,
+    STORE_FORMAT_VERSION,
+    StoredRelation,
+)
 from repro.service import JoinService, JoinServiceServer
 
 
@@ -498,3 +511,433 @@ class TestServiceStore:
         assert response["status"] == "error"
         assert response["code"] == 400
         assert "--store-dir" in response["error"]
+
+
+def _publish_in_child(store_dir, fingerprint, kind, barrier):
+    """Child process: load the relation, then build + publish one kind."""
+    relation = RelationStore(store_dir).load_relation(fingerprint)
+    barrier.wait(timeout=60)
+    relation.columnar().approx(kind)
+
+
+class TestApproximationSidecars:
+    KINDS = ("5-C", "MBC")
+
+    @pytest.fixture()
+    def touched(self, store):
+        """A stored relation with a convex and a circle sidecar."""
+        rel_a, _ = random_relation_pair(91, n_objects=12)
+        rel_a.columnar(eager_kinds=self.KINDS)
+        fingerprint = store.save(rel_a)
+        return rel_a, fingerprint, store
+
+    @staticmethod
+    def _sidecar(store, fingerprint, kind):
+        return store.directory / fingerprint / "approx" / kind
+
+    def _edit(self, store, fingerprint, kind, mutate):
+        path = self._sidecar(store, fingerprint, kind) / "manifest.json"
+        manifest = json.loads(path.read_text())
+        mutate(manifest)
+        path.write_text(json.dumps(manifest))
+
+    # -- publication --------------------------------------------------------
+
+    def test_save_writes_packed_kinds_and_never_builds(self, store):
+        rel_a, rel_b = random_relation_pair(92, n_objects=10)
+        rel_a.columnar(eager_kinds=("MER",))
+        fp_a, fp_b = store.save(rel_a), store.save(rel_b)
+        assert store.load(fp_a).approx_kinds() == ["MER"]
+        assert store.load(fp_b).approx_kinds() == []
+        assert rel_b.columnar().packed_kinds() == []
+        # Kinds packed after the first save ride along with the next.
+        main_manifest = _manifest_path(store, fp_a).stat().st_mtime_ns
+        rel_a.columnar(eager_kinds=("MBC",))
+        assert store.save(rel_a) == fp_a
+        assert store.load(fp_a).approx_kinds() == ["MBC", "MER"]
+        assert _manifest_path(store, fp_a).stat().st_mtime_ns == main_manifest
+
+    def test_sidecars_leave_the_main_entry_as_it_was(self, touched, tmp_path):
+        relation, fingerprint, store = touched
+        plain = RelationStore(tmp_path / "plain")
+        fresh, _ = random_relation_pair(91, n_objects=12)
+        assert plain.save(fresh) == fingerprint
+        with_sidecars = store.load(fingerprint)
+        without = plain.load(fingerprint)
+        assert with_sidecars.manifest == without.manifest
+        assert with_sidecars.nbytes == without.nbytes
+        assert store.fingerprints() == [fingerprint]
+        with_sidecars.verify()
+
+    def test_built_kind_is_published_on_first_use(self, packed):
+        relation, fingerprint, store = packed
+        loaded = store.load_relation(fingerprint)
+        assert store.load(fingerprint).approx_kinds() == []
+        columnar = loaded.columnar()
+        columnar.approx("MER")
+        columnar.approx("RMBR")  # no stored form: built, never published
+        assert columnar.pack_counts == {"MER": 1, "RMBR": 1}
+        assert store.load(fingerprint).approx_kinds() == ["MER"]
+        again = store.load_relation(fingerprint).columnar()
+        assert again.packed_kinds() == ["MER"]
+        assert again.pack_counts == {}
+        original = relation.columnar().approx("MER").columns()
+        for name, array in again.approx("MER").columns().arrays.items():
+            assert array.tobytes() == original.arrays[name].tobytes()
+
+    def test_remove_takes_sidecars_along(self, touched):
+        _, fingerprint, store = touched
+        assert self._sidecar(store, fingerprint, "5-C").is_dir()
+        assert store.remove(fingerprint) is True
+        assert not (store.directory / fingerprint).exists()
+        assert len(store) == 0
+
+    # -- corruption ---------------------------------------------------------
+
+    @pytest.mark.parametrize(
+        "kind, mutate, match",
+        [
+            ("5-C", lambda m: m.update(format_version=STORE_FORMAT_VERSION + 1),
+             "format_version"),
+            ("5-C", lambda m: m.update(kind="4-C"), "kind is '4-C'"),
+            ("MBC", lambda m: m.update(family="convex"), "family"),
+            ("5-C", lambda m: m.update(fingerprint="0" * 32), "fingerprint"),
+            ("5-C", lambda m: m.update(n_objects=m["n_objects"] + 1),
+             "n_objects"),
+            ("5-C", lambda m: m.pop("digest"), "missing 'digest'"),
+            ("5-C", lambda m: m.pop("algorithm_version"),
+             "missing 'algorithm_version'"),
+            ("5-C", lambda m: m.update(columns=[]),
+             "'columns' is not an object"),
+            ("5-C", lambda m: m["columns"].pop("vx"), "missing or incomplete"),
+            ("MBC", lambda m: m["columns"].pop("circles"),
+             "missing or incomplete"),
+            ("5-C", lambda m: m["columns"]["counts"].pop("nbytes"),
+             "missing or incomplete"),
+            ("5-C", lambda m: m["columns"]["counts"].update(dtype="<f8"),
+             "dtype"),
+            ("MBC", lambda m: m["columns"]["circles"].update(dtype="<f4"),
+             "dtype"),
+            ("5-C", lambda m: m["columns"]["mbrs"].update(
+                shape=[m["n_objects"], 5]), "disagrees with the manifest"),
+            ("5-C", lambda m: m["columns"]["vy"].update(
+                shape=[m["n_objects"], m["columns"]["vy"]["shape"][1] + 1]),
+             "disagrees with the manifest"),
+            ("5-C", lambda m: m["columns"]["vx"].update(
+                shape=[m["n_objects"], 0]), "width 0"),
+            ("MBC", lambda m: m["columns"]["false_areas"].update(
+                nbytes=m["columns"]["false_areas"]["nbytes"] - 8),
+             "disagrees with nbytes"),
+        ],
+        ids=[
+            "format-version", "kind-mismatch", "family-mismatch",
+            "fingerprint-mismatch", "count-drift", "missing-digest",
+            "missing-version", "columns-list", "convex-column-missing",
+            "circle-column-missing", "column-incomplete", "dtype-drift-int",
+            "dtype-drift-float", "shape-drift", "width-drift", "width-zero",
+            "nbytes-drift",
+        ],
+    )
+    def test_manifest_defects_fail_at_load(self, touched, kind, mutate, match):
+        _, fingerprint, store = touched
+        self._edit(store, fingerprint, kind, mutate)
+        with pytest.raises(StoreCorruptionError, match=match):
+            store.load(fingerprint)
+        with pytest.raises(StoreCorruptionError, match=match):
+            store.load_relation(fingerprint)
+
+    def test_unparsable_sidecar_manifest(self, touched):
+        _, fingerprint, store = touched
+        path = self._sidecar(store, fingerprint, "MBC") / "manifest.json"
+        path.write_text("{not json")
+        with pytest.raises(StoreCorruptionError, match="unreadable manifest"):
+            store.load(fingerprint)
+
+    @pytest.mark.parametrize("kind, column, damage, match", [
+        ("5-C", "vx", lambda raw: raw[:-8], "truncated"),
+        ("MBC", "circles", lambda raw: raw[:-8], "truncated"),
+        ("5-C", "counts", lambda raw: raw + b"\x00" * 8, "oversized"),
+        ("MBC", "mbrs", None, "missing"),
+    ], ids=["truncated-convex", "truncated-circle", "oversized", "missing"])
+    def test_page_defects_fail_at_load(self, touched, kind, column, damage,
+                                       match):
+        _, fingerprint, store = touched
+        page = self._sidecar(store, fingerprint, kind) / f"{column}.bin"
+        if damage is None:
+            page.unlink()
+        else:
+            page.write_bytes(damage(page.read_bytes()))
+        with pytest.raises(StoreCorruptionError, match=match):
+            store.load(fingerprint)
+        with JoinSession() as session:
+            with pytest.raises(StoreCorruptionError):
+                session.warm_from_store(store, [fingerprint])
+            assert session.cached_relations == 0
+        assert live_shared_segments() == frozenset()
+
+    def test_sidecar_published_after_load_is_validated_on_use(self, packed):
+        """A defect that appears after ``load`` still cannot be adopted."""
+        relation, fingerprint, store = packed
+        loaded = store.load_relation(fingerprint)
+        store.load(fingerprint).publish_approx(
+            relation.columnar().approx("5-C").columns()
+        )
+        page = self._sidecar(store, fingerprint, "5-C") / "vy.bin"
+        page.write_bytes(page.read_bytes()[:-8])
+        with pytest.raises(StoreCorruptionError, match="truncated"):
+            loaded.columnar().approx("5-C")
+
+    @pytest.mark.parametrize("kind, column", [("5-C", "vx"),
+                                              ("MBC", "circles"),
+                                              ("5-C", "false_areas")])
+    def test_verify_catches_byte_flips_in_approximation_pages(
+        self, touched, kind, column
+    ):
+        _, fingerprint, store = touched
+        store.load(fingerprint).verify()
+        page = self._sidecar(store, fingerprint, kind) / f"{column}.bin"
+        raw = bytearray(page.read_bytes())
+        raw[11] ^= 0xFF
+        page.write_bytes(bytes(raw))
+        stored = store.load(fingerprint)  # sizes still agree: load passes
+        with pytest.raises(StoreCorruptionError, match="digest"):
+            stored.verify()
+
+    # -- algorithm versions -------------------------------------------------
+
+    def test_stale_algorithm_version_is_rebuilt_not_mixed(
+        self, touched, monkeypatch
+    ):
+        from repro.approximations import factory
+
+        relation, fingerprint, store = touched
+        monkeypatch.setitem(factory._ALGORITHM_VERSIONS, "5-C", 2)
+        stored = store.load(fingerprint)  # stale is not corrupt
+        assert stored.approx_kinds() == ["5-C", "MBC"]
+        assert stored.load_approx("5-C") is None
+        assert stored.load_approx("MBC") is not None
+        loaded = stored.to_relation()
+        columnar = loaded.columnar()
+        assert columnar.packed_kinds() == ["MBC"]
+        columnar.approx("5-C")
+        assert columnar.pack_counts == {"5-C": 1}
+        manifest = json.loads(
+            (self._sidecar(store, fingerprint, "5-C") / "manifest.json")
+            .read_text()
+        )
+        assert manifest["algorithm_version"] == 2
+        assert store.load_relation(fingerprint).columnar().pack_counts == {}
+        store.load(fingerprint).verify()
+
+    # -- unwritable stores --------------------------------------------------
+
+    def test_unwritable_store_joins_correctly_and_publishes_nothing(
+        self, monkeypatch, tmp_path
+    ):
+        store = RelationStore(tmp_path / "ro")
+        rel_a, rel_b = random_relation_pair(93, n_objects=10)
+        fp_a, fp_b = store.save(rel_a), store.save(rel_b)
+        config = JoinConfig(engine="batched", exact_method="vectorized")
+        oracle = SpatialJoinProcessor(config).join(rel_a, rel_b)
+
+        def read_only(*args, **kwargs):
+            raise PermissionError(30, "Read-only file system")
+
+        monkeypatch.setattr(store_module, "_publish", read_only)
+        loaded_a, loaded_b = store.load_relation(fp_a), store.load_relation(fp_b)
+        result = SpatialJoinProcessor(config).join(loaded_a, loaded_b)
+        assert result.id_pairs() == oracle.id_pairs()
+        assert stats_fingerprint(result.stats) == stats_fingerprint(
+            oracle.stats
+        )
+        assert loaded_a.columnar().pack_counts == {"5-C": 1, "MER": 1}
+        assert store.load(fp_a).approx_kinds() == []
+        assert store.load(fp_b).approx_kinds() == []
+
+    @pytest.mark.skipif(os.geteuid() == 0,
+                        reason="root ignores directory permissions")
+    def test_read_only_directory_is_skipped_silently(self, packed):
+        _, fingerprint, store = packed
+        directory = store.directory / fingerprint
+        directory.chmod(0o555)
+        try:
+            columnar = store.load_relation(fingerprint).columnar()
+            columnar.approx("MBC")
+            assert columnar.pack_counts == {"MBC": 1}
+            assert store.load(fingerprint).approx_kinds() == []
+        finally:
+            directory.chmod(0o755)
+
+    def test_scratch_directory_is_cleaned_after_a_failed_publish(
+        self, packed, monkeypatch
+    ):
+        relation, fingerprint, store = packed
+
+        def disk_full(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(store_module.os, "replace", disk_full)
+        stored = store.load(fingerprint)
+        columns = relation.columnar().approx("MBC").columns()
+        assert stored.publish_approx(columns) is False
+        approx_root = store.directory / fingerprint / "approx"
+        assert list(approx_root.iterdir()) == []
+        assert stored.approx_kinds() == []
+
+    # -- concurrent publishers ----------------------------------------------
+
+    def test_two_processes_publishing_one_kind_leave_one_valid_sidecar(
+        self, packed
+    ):
+        relation, fingerprint, store = packed
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(2)
+        children = [
+            context.Process(
+                target=_publish_in_child,
+                args=(str(store.directory), fingerprint, "MBC", barrier),
+            )
+            for _ in range(2)
+        ]
+        for child in children:
+            child.start()
+        for child in children:
+            child.join(timeout=120)
+            assert not child.is_alive()
+            assert child.exitcode == 0
+        self._assert_one_valid_sidecar(store, fingerprint, relation, "MBC")
+
+    def test_more_threads_than_cores_publishing_one_kind(self, packed):
+        relation, fingerprint, store = packed
+        threads = 2 * (os.cpu_count() or 1) + 1
+        barrier = threading.Barrier(threads)
+        failures = []
+        # Each thread owns its relation; only the store directory is shared.
+        loaded = [store.load_relation(fingerprint) for _ in range(threads)]
+
+        def publish(mine):
+            try:
+                barrier.wait(timeout=60)
+                mine.columnar().approx("5-C")
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                failures.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=publish, args=(mine,))
+                       for mine in loaded]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert failures == []
+        self._assert_one_valid_sidecar(store, fingerprint, relation, "5-C")
+
+    def test_losing_publisher_never_deletes_the_winners_sidecar(
+        self, packed, monkeypatch
+    ):
+        """B looked before A's rename landed; B must find A's and stand down."""
+        relation, fingerprint, store = packed
+        columns = relation.columnar().approx("MBC").columns()
+        loser, winner = store.load(fingerprint), store.load(fingerprint)
+        look = StoredRelation._approx_manifest
+        sidecar = self._sidecar(store, fingerprint, "MBC")
+        looks, inodes = [], []
+
+        def first_look_precedes_the_winner(self, kind):
+            looks.append(kind)
+            if len(looks) == 1:
+                seen = look(self, kind)  # nothing published yet
+                assert winner.publish_approx(columns) is True
+                inodes.append(sidecar.stat().st_ino)
+                return seen
+            return look(self, kind)
+
+        removed = []
+        monkeypatch.setattr(
+            store_module.shutil, "rmtree",
+            lambda path, **kwargs: removed.append(path),
+        )
+        monkeypatch.setattr(
+            StoredRelation, "_approx_manifest", first_look_precedes_the_winner
+        )
+        assert loser.publish_approx(columns) is False
+        assert len(looks) >= 3  # loser twice (second under the lock), winner
+        assert removed == []
+        assert [sidecar.stat().st_ino] == inodes  # the winner's, untouched
+        monkeypatch.undo()
+        self._assert_one_valid_sidecar(store, fingerprint, relation, "MBC")
+
+    def test_publishers_replacing_a_stale_sidecar_keep_it_loadable(
+        self, touched, monkeypatch
+    ):
+        """Version upgrade raced by threads: every load in between succeeds."""
+        from repro.approximations import factory
+
+        relation, fingerprint, store = touched
+        monkeypatch.setitem(factory._ALGORITHM_VERSIONS, "5-C", 2)
+        threads = 2 * (os.cpu_count() or 1) + 1
+        barrier = threading.Barrier(threads)
+        failures = []
+        loaded = [store.load_relation(fingerprint) for _ in range(threads)]
+
+        def upgrade(mine):
+            try:
+                barrier.wait(timeout=60)
+                mine.columnar().approx("5-C")
+                store.load(fingerprint)  # a reader beside the publishers
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                failures.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=upgrade, args=(mine,))
+                       for mine in loaded]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert failures == []
+        approx_root = store.directory / fingerprint / "approx"
+        assert sorted(e.name for e in approx_root.iterdir()) == ["5-C", "MBC"]
+        stored = store.load(fingerprint)
+        stored.verify()
+        assert stored.load_approx("5-C") is not None
+
+    def test_threads_sharing_one_relation_build_a_kind_once(self, packed):
+        _, fingerprint, store = packed
+        loaded = store.load_relation(fingerprint)
+        threads = 2 * (os.cpu_count() or 1) + 1
+        barrier = threading.Barrier(threads)
+        seen = []
+
+        def read():
+            barrier.wait(timeout=60)
+            seen.append(loaded.columnar().approx("MBC"))
+
+        workers = [threading.Thread(target=read) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+        assert len(seen) == threads
+        assert all(encoder is seen[0] for encoder in seen)
+        assert loaded.columnar().pack_counts == {"MBC": 1}
+
+    def _assert_one_valid_sidecar(self, store, fingerprint, relation, kind):
+        approx_root = store.directory / fingerprint / "approx"
+        assert [entry.name for entry in approx_root.iterdir()] == [kind]
+        stored = store.load(fingerprint)
+        stored.verify()
+        expected = relation.columnar().approx(kind).columns()
+        for name, array in stored.load_approx(kind).arrays.items():
+            assert array.tobytes() == expected.arrays[name].tobytes()
