@@ -14,12 +14,13 @@
 #   make bench-service - concurrent join-service benchmark, quick scale
 #   make bench-proximity - parallel distance/kNN join benchmark, quick scale
 #   make bench-store   - persistent-store warm-start benchmark, quick scale
+#   make e2e-warm      - e2e benchmark, warm_serial only: gated metrics + layer trace
 
 PYTEST = PYTHONPATH=src python -m pytest
 
 .PHONY: test test-fast test-parallel serve-smoke bench-engine bench-parallel \
 	bench-columnar bench-refine bench-kernels bench-session bench-tree \
-	bench-service bench-proximity bench-store
+	bench-service bench-proximity bench-store e2e-warm
 
 test:
 	$(PYTEST) -x -q
@@ -62,3 +63,6 @@ bench-proximity:
 
 bench-store:
 	REPRO_BENCH_SCALE=quick $(PYTEST) -q benchmarks/bench_store.py
+
+e2e-warm:
+	python3 benchmarks/e2e/run.py --workload warm_serial --seed 7 --trace 1

@@ -22,6 +22,7 @@ import time
 
 import numpy as np
 
+from repro.exact.refine import clip_rects
 from repro.geometry.fastops import EdgeArrays
 from repro.geometry.kernels import NUMBA_AVAILABLE, get_kernels, warm_up
 from repro.index import nested_loops_mbr_join
@@ -94,27 +95,27 @@ def _build_workloads(series):
         *(np.concatenate(part) for part in pp_cols), np.array(mbr_rows),
     )
 
-    # edge_matrix / min_edge_distance / rect mask: per-pair calls over a
-    # candidate slice (the pipeline's real call shape).
+    # min_edge_distance: per-pair calls over a candidate slice (the
+    # proximity pipelines' call shape).
     pair_cols = [(cols(a), cols(b)) for a, b in pairs[:128]]
     matrix_pairs = sum(len(ea.x1) * len(eb.x1) for ea, eb in pair_cols)
-    clip_rows = [
-        (
-            max(a.mbr.xmin, b.mbr.xmin), max(a.mbr.ymin, b.mbr.ymin),
-            min(a.mbr.xmax, b.mbr.xmax), min(a.mbr.ymax, b.mbr.ymax),
-        )
-        for a, b in pairs[:128]
-    ]
 
-    def run_edge_matrix(kernels):
-        return [
-            bool(
-                kernels.edge_matrix_intersect_any(
-                    ea.x1, ea.y1, ea.x2, ea.y2, eb.x1, eb.y1, eb.x2, eb.y2
-                )
-            )
-            for ea, eb in pair_cols
-        ]
+    # edge_pairs_intersect_ragged: the same slice as one refinement
+    # batch on the relations' edge tables (the exact step's call shape).
+    geometry_a = series.relation_a.columnar().ring_geometry()
+    geometry_b = series.relation_b.columnar().ring_geometry()
+    rows_a = np.array([geometry_a.row_of(a) for a, _ in pairs[:128]])
+    rows_b = np.array([geometry_b.row_of(b) for _, b in pairs[:128]])
+    ragged_args = (
+        geometry_a.table, geometry_b.table, rows_a, rows_b,
+        *clip_rects(
+            geometry_a.table.bounds[rows_a], geometry_b.table.bounds[rows_b]
+        ),
+    )
+
+    def run_ragged(kernels):
+        hits, evaluated = kernels.edge_pairs_intersect_ragged(*ragged_args)
+        return np.asarray(hits).tolist(), evaluated
 
     def run_min_distance(kernels):
         return [
@@ -122,16 +123,6 @@ def _build_workloads(series):
                 ea.x1, ea.y1, ea.x2, ea.y2, eb.x1, eb.y1, eb.x2, eb.y2
             )
             for ea, eb in pair_cols
-        ]
-
-    def run_rect_mask(kernels):
-        return [
-            np.asarray(
-                kernels.edges_overlapping_rect_mask(
-                    ea.x1, ea.y1, ea.x2, ea.y2, *clip
-                )
-            ).tolist()
-            for (ea, _), clip in zip(pair_cols, clip_rows)
         ]
 
     return [
@@ -153,8 +144,10 @@ def _build_workloads(series):
                 kernels.points_in_polygons_bulk(*pp_args)
             ).tolist(),
         ),
-        ("edge_matrix_intersect_any", matrix_pairs, run_edge_matrix),
-        ("edges_overlapping_rect_mask", matrix_pairs, run_rect_mask),
+        (
+            "edge_pairs_intersect_ragged",
+            run_ragged(get_kernels("numpy"))[1], run_ragged,
+        ),
         ("min_edge_distance_bulk", matrix_pairs, run_min_distance),
     ]
 

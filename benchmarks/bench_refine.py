@@ -3,10 +3,11 @@
 Isolates step 3 of the pipeline: every MBR-intersecting candidate pair
 of a canonical series is resolved once by the per-pair ``vectorized``
 processor (:func:`polygons_intersect_fast`, which rebuilds per-polygon
-edge arrays on every call) and once by the batched refinement kernels
-(``exact_batch`` candidates per batch, per-object edges gathered once
-from the relation's ring columns, MBR-clipped edge pruning, bulk
-point-in-polygon).  Decisions must be identical; the measured speedup
+edge arrays on every call) and once by the batched refinement
+(``exact_batch`` candidates per batch, each batch one ragged edge-pair
+kernel call on the relations' edge tables — clip rectangle, edge-box
+pruning, orientation test — plus one bulk point-in-polygon call).
+Decisions must be identical; the measured speedup
 at ``exact_batch >= 64`` is the ISSUE-4 acceptance bar and is recorded
 in ``benchmarks/reports/refine.txt``.
 
@@ -121,9 +122,9 @@ def test_refine_batched_speedup(series_cache, report):
         f"   exact_batch=1        {join_scalar_seconds * 1e3:>8.1f} ms",
         f"   exact_batch=64       {join_batched_seconds * 1e3:>8.1f} ms  "
         f"{join_scalar_seconds / max(join_batched_seconds, 1e-9):>5.1f}x",
-        " (per-pair rebuilds edge arrays per call; batched gathers each",
-        "  object's edges once from the ring columns and prunes the",
-        "  edge matrix to the pair's MBR intersection)",
+        " (per-pair rebuilds edge arrays per call; batched reads the",
+        "  relations' edge tables and tests, per batch, only the edge",
+        "  pairs whose boxes meet inside the pair's clip rectangle)",
     ]
     report.table(
         "Refine",

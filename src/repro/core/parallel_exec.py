@@ -788,9 +788,9 @@ class _MappedRelation:
 
     Attaches the ring segment and every approximation block named by
     the spec.  :meth:`tile` copies a tile's rows out; everything it
-    returns is free of references into the mapped buffers, so
-    :meth:`close` can unmap as soon as whoever holds :attr:`rings`
-    (batched refinement) has let go.
+    returns is free of references into the mapped buffers, and so is
+    the edge table batched refinement gathers from :attr:`rings`, so
+    :meth:`close` can unmap at any time.
     """
 
     def __init__(self, spec: SharedRelationSpec):
@@ -856,7 +856,7 @@ def _finish_tile(task, rel_a, rel_b, start: float, refinement=None) -> TileOutco
     (``columnar=False``) packs incrementally from rebuilt objects.
 
     ``refinement`` optionally injects a pre-built refinement step (the
-    columnar wire format binds one to the mapped shared-memory ring
+    columnar wire format builds one from the mapped shared-memory ring
     columns so batched refinement reads the shipped geometry directly).
     """
     config = replace(task.config, workers=1)
@@ -957,17 +957,16 @@ def run_columnar_tile_task(task: ColumnarTileTask) -> TileOutcome:
     tile-local join adopts the gathered columns as they are.  (Only a
     filter kind without a stored form is derived in the tile, lazily,
     for the objects that reach the filter.)  With batched
-    refinement configured (``exact_batch > 1``) the exact step gathers
-    vertex coordinates straight out of the mapped ring columns through
-    a :class:`~repro.exact.refine.RingGeometry` (every array it caches
-    is a copy, so the views are droppable as soon as the join ends).
+    refinement configured (``exact_batch > 1``) the exact step reads a
+    :class:`~repro.exact.refine.RingGeometry` edge table gathered from
+    the mapped ring columns for the task's rows only (copies, so the
+    mapping can be closed whenever the join ends).
     Proximity tasks run their own bound cascade — batched refinement is
     the intersection join's exact step, so they bypass it exactly as
     the serial proximity pipelines do.
     """
     start = time.perf_counter()
     mapped: List[_MappedRelation] = []
-    refinement = None
     try:
         map_a = _MappedRelation(task.spec_a)
         mapped.append(map_a)
@@ -986,24 +985,17 @@ def run_columnar_tile_task(task: ColumnarTileTask) -> TileOutcome:
             # 1.4-1.5x on such joins) and still reads the shipped kinds
             # from the objects' seeded caches.
             task = replace(task, config=replace(task.config, columnar=False))
+        refinement = None
         if task.config.exact_batch > 1:
             from ..exact.refine import BatchedRefinement, RingGeometry
 
             refinement = BatchedRefinement(
                 task.config,
-                RingGeometry(
-                    map_a.rings,
-                    {id(o): int(r) for o, r in zip(rel_a.objects, task.idx_a)},
-                ),
-                RingGeometry(
-                    map_b.rings,
-                    {id(o): int(r) for o, r in zip(rel_b.objects, task.idx_b)},
-                ),
+                RingGeometry(map_a.rings, rel_a.objects, task.idx_a),
+                RingGeometry(map_b.rings, rel_b.objects, task.idx_b),
             )
         return _finish_tile(task, rel_a, rel_b, start, refinement=refinement)
     finally:
-        if refinement is not None:
-            refinement.release()
         for relation in mapped:
             relation.close()
 

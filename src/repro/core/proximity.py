@@ -43,12 +43,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..datasets.relations import SpatialObject, SpatialRelation
-from ..geometry import Polygon
 from ..geometry.fastops import polygons_intersect_fast
 from ..geometry.kernels import KernelDispatcher, dispatcher_for
 from ..index import JoinStats, rstar_join
@@ -62,44 +61,13 @@ from .stats import MultiStepStats
 
 Pair = Tuple[SpatialObject, SpatialObject]
 
-#: per-object edge columns: (x1, y1, x2, y2) over all rings' edges.
-EdgeColumns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _edge_columns(polygon: Polygon) -> EdgeColumns:
-    """All edges of the polygon (shell and holes) as flat columns.
-
-    Hole edges are included to match the scalar
-    :func:`repro.core.distance.polygon_distance`; for disjoint polygons
-    they can never beat the shell (every hole point lies inside the
-    region), so including them is exact and branch-free.
-    """
-    rows = np.asarray(
-        [(e1[0], e1[1], e2[0], e2[1]) for e1, e2 in polygon.edges()],
-        dtype=np.float64,
-    ).reshape(-1, 4)
-    return rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
-
-
-class _EdgeCache:
-    """Per-pipeline cache of each object's edge columns (keyed by id)."""
-
-    def __init__(self) -> None:
-        self._columns: Dict[int, EdgeColumns] = {}
-
-    def get(self, obj: SpatialObject) -> EdgeColumns:
-        columns = self._columns.get(id(obj))
-        if columns is None:
-            columns = _edge_columns(obj.polygon)
-            self._columns[id(obj)] = columns
-        return columns
-
-
 def _exact_distance(
     obj_a: SpatialObject,
     obj_b: SpatialObject,
     kernels: KernelDispatcher,
-    cache: _EdgeCache,
+    geometry_a,
+    geometry_b,
+    epsilon: Optional[float] = None,
 ) -> float:
     """Exact polygon distance through the kernel tier (0 intersecting).
 
@@ -107,15 +75,32 @@ def _exact_distance(
     backend-independent intersection oracle decides the zero case
     (containment and touching included), then the bulk minimum edge
     distance kernel — bit-identical across backends — resolves the
-    disjoint case.
+    disjoint case over the objects' edges (shell and holes, as the
+    scalar function; a hole can never beat the shell of a disjoint
+    polygon), read from the relations' edge tables
+    (:class:`repro.exact.refine.RingGeometry`).
+
+    With ``epsilon`` the caller only asks whether the distance is
+    ``<= epsilon``: each side keeps the edges whose box lies within
+    ``epsilon`` of the other object's bounds.  If the true minimum is
+    ``<= epsilon`` both attaining edges survive, so that exact value is
+    returned; otherwise the result stays ``> epsilon``.
     """
     if polygons_intersect_fast(obj_a.polygon, obj_b.polygon):
         return 0.0
-    ax1, ay1, ax2, ay2 = cache.get(obj_a)
-    bx1, by1, bx2, by2 = cache.get(obj_b)
-    return kernels.min_edge_distance_bulk(
-        ax1, ay1, ax2, ay2, bx1, by1, bx2, by2
-    )
+    row_a = geometry_a.row_of(obj_a)
+    row_b = geometry_b.row_of(obj_b)
+    if epsilon is None:
+        edges_a = geometry_a.edges(row_a)
+        edges_b = geometry_b.edges(row_b)
+    else:
+        edges_a = geometry_a.edges_within(
+            row_a, geometry_b.table.bounds[row_b], epsilon
+        )
+        edges_b = geometry_b.edges_within(
+            row_b, geometry_a.table.bounds[row_a], epsilon
+        )
+    return kernels.min_edge_distance_bulk(*edges_a, *edges_b)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +133,8 @@ def distance_join_pipeline(
     """
     epsilon = config.epsilon
     kernels = dispatcher_for(config.kernels, stats)
-    cache = _EdgeCache()
+    geometry_a = relation_a.columnar().ring_geometry()
+    geometry_b = relation_b.columnar().ring_geometry()
     half = epsilon / 2.0
     tree_a = _expanded_tree(relation_a, half, config.rtree_max_entries)
     tree_b = _expanded_tree(relation_b, half, config.rtree_max_entries)
@@ -196,7 +182,9 @@ def distance_join_pipeline(
             continue
 
         stats.remaining_candidates += 1
-        if _exact_distance(obj_a, obj_b, kernels, cache) <= epsilon:
+        if _exact_distance(
+            obj_a, obj_b, kernels, geometry_a, geometry_b, epsilon
+        ) <= epsilon:
             stats.exact_hits += 1
             yield (obj_a, obj_b)
         else:
@@ -231,7 +219,8 @@ def knn_join_pipeline(
     """
     k = config.k
     kernels = dispatcher_for(config.kernels, stats)
-    cache = _EdgeCache()
+    geometry_a = relation_a.columnar().ring_geometry()
+    geometry_b = relation_b.columnar().ring_geometry()
     tree_b = relation_b.rtree(config.rtree_max_entries)
     for obj_a in relation_a:
         if tree_b.size == 0:
@@ -254,7 +243,9 @@ def knn_join_pipeline(
                 stats.mbr_join.output_pairs += 1
                 stats.remaining_candidates += 1
                 computed += 1
-                exact = _exact_distance(obj_a, payload, kernels, cache)
+                exact = _exact_distance(
+                    obj_a, payload, kernels, geometry_a, geometry_b
+                )
                 heapq.heappush(best, (-exact, -payload.oid, payload))
                 if len(best) > k:
                     heapq.heappop(best)

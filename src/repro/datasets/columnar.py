@@ -350,14 +350,14 @@ class ColumnarRelation:
         return list(self._approx)
 
     def ring_geometry(self):
-        """Per-object edge arrays over the ring columns, memoised.
+        """The relation's edge table over the ring columns, memoised.
 
-        What batched refinement gathers vertex coordinates from; kept
-        for the life of this store so repeated joins stop re-gathering
-        every object's edges.  Never ``release()`` it.
+        What batched refinement and the distance join's exact step read
+        edges from; built once, vectorised, and kept for the life of
+        this store.
         """
         if self._ring_geometry is None:
             from ..exact.refine import RingGeometry  # lazy: import cycle
 
-            self._ring_geometry = RingGeometry.from_store(self)
+            self._ring_geometry = RingGeometry(self.rings, self.objects)
         return self._ring_geometry

@@ -44,8 +44,8 @@ Storage model — the columnar relation store
     the same floats.  The other two derived structures of the serial
     path are memoised beside it: ``relation.rtree(max_entries)`` (the
     read-only R*-tree every join, window and kNN query traverses) and
-    ``relation.columnar().ring_geometry()`` (the per-object edge arrays
-    batched refinement gathers), both dropped when the object list is
+    ``relation.columnar().ring_geometry()`` (the edge table batched
+    refinement reads), both dropped when the object list is
     replaced or resized.
 
     With ``JoinConfig(columnar=True)`` (the default) the batched
@@ -94,26 +94,28 @@ Refinement pipeline — the exact step as its own layer
     oracle) one pair at a time, exactly as before.
     ``exact_batch=N > 1`` (CLI ``join --exact-batch N``, requires
     ``--exact vectorized``) accumulates remaining candidates into
-    batches of N and resolves them with the columnar kernels of
-    :mod:`repro.exact.refine`: per-object edge arrays gathered once
-    from the relation's flattened ring columns
-    (:class:`~repro.datasets.columnar.RingColumns`), MBR-clipped
-    edge-pair pruning before the bulk segment-intersection matrix, and
-    one bulk numpy point-in-polygon call per batch for the containment
-    fallback.  Results, order, and the Figure-1 statistics are
-    identical to the per-pair backends
-    (``tests/test_refine_equivalence.py`` is the differential suite);
-    ``MultiStepStats.refine_batches`` / ``refine_batch_pairs`` /
+    batches of N and resolves each batch as one array program
+    (:mod:`repro.exact.refine`): the pairs' rows select edge ranges
+    from the relations' edge tables (every edge, its bounding box and a
+    per-object offset column, built once from the flattened
+    :class:`~repro.datasets.columnar.RingColumns`); one ragged kernel
+    clips each pair's edges to the intersection of the two objects'
+    bounds, drops the edge pairs whose own boxes are disjoint, and runs
+    the orientation test on the few that remain; one bulk
+    point-in-polygon call covers the containment fallback.  Results,
+    order, and the Figure-1 statistics are identical to the per-pair
+    backends (``tests/test_refine_equivalence.py`` is the differential
+    suite); ``MultiStepStats.refine_batches`` / ``refine_batch_pairs`` /
     ``refine_fallback_pairs`` report how the work was executed.  In the
-    multi-process executor, workers bind the refinement step directly
-    to the shared-memory mapped ring columns of their tile task, so the
-    exact step reads the shipped geometry without re-deriving edges
+    multi-process executor, workers build the edge tables of their tile
+    task's rows straight from the shared-memory mapped ring columns, so
+    the exact step reads the shipped geometry without re-deriving edges
     from the rebuilt polygons.  ``benchmarks/bench_refine.py`` measures
     the exact-step speedup (report in ``benchmarks/reports/refine.txt``).
 
 The compiled kernel tier — one semantics, three backends
     The bulk hot paths both engines lean on — MBR overlap, segment
-    intersection, the edge-intersection matrix, point-in-polygon,
+    intersection, the ragged edge-pair kernel, point-in-polygon,
     minimum edge distance, and the per-pair plane sweep core — live
     behind the backend registry of :mod:`repro.geometry.kernels`,
     selected by ``JoinConfig(kernels=...)`` (CLI ``join --kernels``,

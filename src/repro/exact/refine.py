@@ -4,59 +4,84 @@ The filter step has been set-at-a-time since the batched engine landed;
 this module makes the *exact* step (step 3, paper §4) set-at-a-time too.
 Candidates that survive the geometric filter are accumulated by the
 :class:`~repro.engine.base.RefinementPipeline` into batches of
-``JoinConfig.exact_batch`` and resolved here against the **flattened
-ring geometry already present in the columnar relation store**
-(:class:`~repro.datasets.columnar.RingColumns`) — no per-call
-``EdgeArrays`` rebuild, no per-pair Python edge loops:
+``JoinConfig.exact_batch`` and each batch is resolved by **one array
+program** — no Python step per pair beyond looking up its two rows:
 
-* per-object edge arrays are gathered from the ring columns once and
-  cached for the whole join (:class:`RingGeometry`);
-* each pair's edge sets are pruned against the (margin-inflated)
-  intersection of the two object MBRs before the ``n1 x n2``
-  segment-intersection matrix runs
-  (:func:`~repro.geometry.fastops.edges_overlapping_rect_mask` +
-  :func:`~repro.geometry.fastops.edge_matrix_intersect_any`);
-* the containment fallback for edge-disjoint pairs runs as one bulk
-  numpy point-in-polygon call over the whole batch
-  (:func:`~repro.geometry.fastops.points_in_polygons_bulk`).
+* **Edge table.**  :class:`RingGeometry` holds a relation's
+  :class:`~repro.geometry.fastops.EdgeTable`: every edge of every object
+  as flat ``x1, y1, x2, y2`` columns in ``Polygon.edges()`` order, each
+  edge's bounding box, an edge-offset column per object, and per object
+  the bounds over all rings and the shell MBR.  It is built once per
+  relation content, by index arithmetic over the
+  :class:`~repro.datasets.columnar.RingColumns` (memoised by
+  ``ColumnarRelation.ring_geometry()``), and only read afterwards.
+* **Ragged gather.**  A batch's ``(row_a, row_b)`` arrays select edge
+  ranges from the two tables; offsets + ``repeat`` turn them into flat
+  per-pair edge lists, clipped to the (margin-inflated) intersection of
+  the two objects' bounds — the paper's restriction of the search space.
+* **Box pruning, then the orientation test.**
+  :func:`~repro.geometry.fastops.edge_pairs_intersect_ragged` forms each
+  pair's cross product of clipped edges as flat index arrays, drops the
+  edge pairs whose own margin-inflated boxes are disjoint (the array
+  form of the plane sweep never comparing edges with disjoint extents;
+  about two edge pairs in a hundred survive on 84-vertex cartographic
+  polygons, fewer on longer rings), and
+  evaluates the orientation / proper-crossing / endpoint-touch
+  expressions of ``edge_matrix_intersect_any`` on the survivors only.
+  Both prunings rest on one lemma — an edge pair whose boxes are more
+  than the margin apart cannot satisfy the eps-tolerant predicate; the
+  kernel's docstring has the argument, ``tests/test_ragged_kernel_fuzz.py``
+  checks it against the unpruned edge matrix.
+* **Element budget.**  The kernel materialises at most ``2**16`` edge
+  pairs at a time (split along one side's edges, so a single pair of
+  2 000-vertex objects is bounded too): temporaries stay at a few MB
+  whatever the batch holds.
+* **Containment** for overlapping, edge-disjoint pairs is one bulk
+  point-in-polygon call per batch
+  (:func:`~repro.geometry.fastops.points_in_polygons_bulk`) on edges
+  sliced from the same tables, with the scalar code's MBR guards and
+  probe vertex.
 
-Decisions are identical to the per-pair ``vectorized`` processor
-(:func:`~repro.geometry.fastops.polygons_intersect_fast`): the matrix
-kernel is the same function evaluated on a pruned subset, pruning is
-sound by construction (an edge whose bounding box misses the inflated
-clip rectangle cannot satisfy the eps-tolerant edge-pair predicate),
-and the point-in-polygon kernel replicates ``Polygon.contains_point``
+Per batch that is one ``rects_intersect_bulk``, one ragged-kernel call
+and at most one ``points_in_polygons_bulk`` call through the configured
+kernel backend.  Decisions are identical to the per-pair ``vectorized``
+processor (:func:`~repro.geometry.fastops.polygons_intersect_fast`):
+same expressions on the same floats, sound pruning, and a
+point-in-polygon kernel that replicates ``Polygon.contains_point``
 operation for operation.  ``tests/test_refine_equivalence.py`` is the
 differential harness.
 
-The ``within`` predicate and objects without a ring-column row fall
-back to the scalar per-pair code inside the batch (counted by
-``MultiStepStats.refine_fallback_pairs``), so the pipeline composes
-with every predicate.
+What still resolves through the scalar per-pair code inside a batch
+(counted by ``MultiStepStats.refine_fallback_pairs``): the ``within``
+predicate, and pairs with an object that has no table row.
 
-In the multi-process tile executor the worker builds a
-:class:`RingGeometry` directly over the shared-memory mapped ring
-columns (:func:`repro.core.parallel_exec.run_columnar_tile_task`),
-so the exact step reads vertex coordinates straight out of the shipped
-segments instead of re-deriving edges from rebuilt polygons.  All
-cached per-object arrays are copies, never views, so the segment can be
-unmapped as soon as the tile's join finishes.
+In the multi-process tile executor the worker builds each side's
+:class:`RingGeometry` from the shared-memory mapped ring columns for the
+**task's rows only** (:func:`repro.core.parallel_exec.run_columnar_tile_task`),
+so a tile pays for its own points, not the relation's.  Table arrays
+are copies, never views, so the segment can be unmapped at any time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.join import JoinConfig
 from ..core.stats import MultiStepStats
-from ..datasets.columnar import ColumnarRelation, RingColumns
+from ..datasets.columnar import RingColumns
 from ..engine.base import Pair, PerPairRefinement, RefinementStep
-from ..geometry.fastops import polygons_intersect_fast
+from ..geometry.fastops import (
+    EdgeTable,
+    build_edge_table,
+    gather_edges,
+    polygons_intersect_fast,
+    rects_contain_bulk,
+)
 from ..geometry.kernels import KernelDispatcher, get_kernels
 
-#: clip-rectangle inflation for the edge pruning pretest.  Must exceed
+#: clip-rectangle inflation for the edge pruning pretests.  Must exceed
 #: the eps-tolerance of the edge-pair predicate (2 x 1e-12) by a wide
 #: margin so pruning can never drop a decisive edge; scaled with the
 #: coordinate magnitude because orientation-sign noise grows ~quadratic
@@ -67,84 +92,93 @@ _CLIP_MARGIN_REL = 1e-13
 EdgeSet = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-class RingGeometry:
-    """Per-object edge arrays gathered lazily from packed ring columns.
+def clip_margins(bounds_a: np.ndarray, bounds_b: np.ndarray) -> np.ndarray:
+    """Per-row pruning margin for ``(k, 4)`` bounds of the two sides."""
+    scale = np.maximum(
+        np.maximum(np.abs(bounds_a).max(axis=1), np.abs(bounds_b).max(axis=1)),
+        1.0,
+    )
+    return np.maximum(_CLIP_MARGIN, scale * scale * _CLIP_MARGIN_REL)
 
-    One instance wraps one relation's :class:`RingColumns` plus a map
-    from live object identity to column row.  ``edges(row)`` returns the
-    object's edges — all rings, ``start -> end``, the exact vertex order
-    of ``Polygon.edges()`` — as four flat float arrays; ``bounds(row)``
-    the bounding box over *all* rings (holes included, unlike the
-    shell-only object MBR, because pruning must cover hole edges too).
-    Gathered arrays are cached per row and are always copies of the
-    column data, so a shared-memory backed instance can be
-    :meth:`release`-d and the segment unmapped once the join is done.
+
+def clip_rects(
+    bounds_a: np.ndarray, bounds_b: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row search rectangle and margin of two ``(k, 4)`` bounds columns.
+
+    The rectangle is the intersection of the two objects' bounds grown
+    by the margin: only edges meeting it can take part in an
+    intersection of the two objects.
+    """
+    margin = clip_margins(bounds_a, bounds_b)
+    clip = np.column_stack(
+        (
+            np.maximum(bounds_a[:, :2], bounds_b[:, :2]) - margin[:, None],
+            np.minimum(bounds_a[:, 2:], bounds_b[:, 2:]) + margin[:, None],
+        )
+    )
+    return clip, margin
+
+
+class RingGeometry:
+    """The edge table of some objects plus the map from object to table row.
+
+    ``table`` (:class:`~repro.geometry.fastops.EdgeTable`) is built once,
+    in the constructor, from packed :class:`RingColumns`: ``objects[i]``
+    is described by column row ``rows[i]`` (default: row ``i``, the whole
+    relation) and becomes table row ``i``.  The table's arrays are copies
+    of the column data, so an instance built over a mapped shared-memory
+    segment keeps working after the segment is unmapped.
     """
 
-    def __init__(self, columns: RingColumns, rows: Mapping[int, int]):
-        self._columns: Optional[RingColumns] = columns
-        self._rows: Dict[int, int] = dict(rows)
-        self._edges: Dict[int, EdgeSet] = {}
-        self._bounds: Dict[int, Tuple[float, float, float, float]] = {}
-
-    @classmethod
-    def from_store(cls, store: ColumnarRelation) -> "RingGeometry":
-        """Geometry over a relation's cached columnar store."""
-        rows = {id(obj): i for i, obj in enumerate(store.objects)}
-        return cls(store.rings, rows)
+    def __init__(
+        self,
+        columns: RingColumns,
+        objects: Sequence[object],
+        rows: Optional[np.ndarray] = None,
+    ):
+        self.table: EdgeTable = build_edge_table(
+            columns.object_rings, columns.ring_offsets, columns.ring_xy, rows
+        )
+        self._rows = {id(obj): i for i, obj in enumerate(objects)}
 
     def row_of(self, obj) -> Optional[int]:
-        """Column row of a live object, or ``None`` if unmapped."""
+        """Table row of a live object, or ``None`` if unmapped."""
         return self._rows.get(id(obj))
 
     def edges(self, row: int) -> EdgeSet:
-        """``(x1, y1, x2, y2)`` arrays of the object's edges (cached)."""
-        cached = self._edges.get(row)
-        if cached is None:
-            cols = self._columns
-            first = int(cols.object_rings[row])
-            last = int(cols.object_rings[row + 1])
-            xs: List[np.ndarray] = []
-            ys: List[np.ndarray] = []
-            xe: List[np.ndarray] = []
-            ye: List[np.ndarray] = []
-            for r in range(first, last):
-                span = cols.ring_xy[cols.ring_offsets[r]:cols.ring_offsets[r + 1]]
-                xs.append(span[:, 0])
-                ys.append(span[:, 1])
-                xe.append(np.roll(span[:, 0], -1))
-                ye.append(np.roll(span[:, 1], -1))
-            # np.concatenate always allocates, so the cache never holds
-            # views into a (possibly shared-memory) column buffer.
-            cached = (
-                np.concatenate(xs),
-                np.concatenate(ys),
-                np.concatenate(xe),
-                np.concatenate(ye),
-            )
-            self._edges[row] = cached
-        return cached
+        """The object's edges as ``(x1, y1, x2, y2)``, ``Polygon.edges()`` order."""
+        offsets = self.table.offsets
+        return tuple(self.table.coords[:, offsets[row]:offsets[row + 1]])
+
+    def edges_within(self, row: int, rect: np.ndarray, reach: float) -> EdgeSet:
+        """The object's edges whose box is within ``reach`` of ``rect``.
+
+        L-infinity reach plus the clip margin, so a superset of the
+        edges within Euclidean distance ``reach`` of anything inside
+        ``rect`` (``xmin, ymin, xmax, ymax``) — what a distance test
+        with threshold ``reach`` against an object bounded by ``rect``
+        can be decided on.
+        """
+        table = self.table
+        span = slice(table.offsets[row], table.offsets[row + 1])
+        reach = reach + clip_margins(table.bounds[row][None], rect[None])[0]
+        xmin, ymin, xmax, ymax = table.boxes[:, span]
+        keep = (
+            (xmin <= rect[2] + reach)
+            & (xmax >= rect[0] - reach)
+            & (ymin <= rect[3] + reach)
+            & (ymax >= rect[1] - reach)
+        )
+        return tuple(table.coords[:, span][:, keep])
 
     def bounds(self, row: int) -> Tuple[float, float, float, float]:
-        """Bounding box over all of the object's rings (cached)."""
-        cached = self._bounds.get(row)
-        if cached is None:
-            cols = self._columns
-            first = int(cols.ring_offsets[cols.object_rings[row]])
-            last = int(cols.ring_offsets[cols.object_rings[row + 1]])
-            span = cols.ring_xy[first:last]
-            cached = (
-                float(span[:, 0].min()),
-                float(span[:, 1].min()),
-                float(span[:, 0].max()),
-                float(span[:, 1].max()),
-            )
-            self._bounds[row] = cached
-        return cached
+        """Bounding box over all of the object's rings.
 
-    def release(self) -> None:
-        """Drop the column reference (caches are copies and survive)."""
-        self._columns = None
+        Holes included, unlike the shell-only object MBR, because
+        pruning must cover hole edges too.
+        """
+        return tuple(self.table.bounds[row].tolist())
 
 
 class BatchedRefinement(RefinementStep):
@@ -153,7 +187,7 @@ class BatchedRefinement(RefinementStep):
     Implements the ``vectorized`` exact semantics
     (:func:`polygons_intersect_fast`) for the ``intersects`` predicate;
     the ``within`` predicate and pairs whose objects are missing from
-    the ring columns resolve through the scalar per-pair backend inside
+    the edge tables resolve through the scalar per-pair backend inside
     the batch.
     """
 
@@ -182,15 +216,6 @@ class BatchedRefinement(RefinementStep):
             relation_b.columnar().ring_geometry(),
         )
 
-    def release(self) -> None:
-        """Unbind tile-local geometry from its shared-memory columns.
-
-        Only for instances built over mapped segments; the memoised
-        geometry of :meth:`from_relations` is never released.
-        """
-        for geometry in self._geometry:
-            geometry.release()
-
     # -- batch resolution ---------------------------------------------------
 
     def resolve_batch(
@@ -208,124 +233,78 @@ class BatchedRefinement(RefinementStep):
         self, pairs: Sequence[Pair], stats: MultiStepStats
     ) -> List[bool]:
         geometry_a, geometry_b = self._geometry
-        n = len(pairs)
-        results = np.zeros(n, dtype=bool)
-        mbr_a = np.empty((n, 4))
-        mbr_b = np.empty((n, 4))
-        for i, (obj_a, obj_b) in enumerate(pairs):
-            m = obj_a.mbr
-            mbr_a[i] = (m.xmin, m.ymin, m.xmax, m.ymax)
-            m = obj_b.mbr
-            mbr_b[i] = (m.xmin, m.ymin, m.xmax, m.ymax)
-        overlap = self._kernels.rects_intersect_bulk(mbr_a, mbr_b)
-        #: bulk point-in-polygon queries: (pair idx, geometry, row, point).
-        contains: List[Tuple[int, RingGeometry, int, Tuple[float, float]]] = []
-        contain_mbrs: List[np.ndarray] = []
-        for i, (obj_a, obj_b) in enumerate(pairs):
-            row_a = geometry_a.row_of(obj_a)
-            row_b = geometry_b.row_of(obj_b)
-            if row_a is None or row_b is None:
-                stats.refine_fallback_pairs += 1
+        table_a, table_b = geometry_a.table, geometry_b.table
+        results = np.zeros(len(pairs), dtype=bool)
+        rows = [
+            (geometry_a.row_of(obj_a), geometry_b.row_of(obj_b))
+            for obj_a, obj_b in pairs
+        ]
+        mapped = [
+            i for i, (row_a, row_b) in enumerate(rows)
+            if row_a is not None and row_b is not None
+        ]
+        if len(mapped) < len(pairs):
+            stats.refine_fallback_pairs += len(pairs) - len(mapped)
+            for i in set(range(len(pairs))).difference(mapped):
                 results[i] = polygons_intersect_fast(
-                    obj_a.polygon, obj_b.polygon
+                    pairs[i][0].polygon, pairs[i][1].polygon
                 )
-                continue
-            if not overlap[i]:
-                continue
-            if self._edges_intersect(
-                geometry_a, row_a, geometry_b, row_b
-            ):
-                results[i] = True
-                continue
-            # Containment fallback: same MBR-containment guards and the
-            # same probe vertex (the other shell's first) as the scalar
-            # polygons_intersect_fast.
-            if _rect_contains_row(mbr_b[i], mbr_a[i]):
-                contains.append(
-                    (i, geometry_b, row_b, obj_a.polygon.shell[0])
-                )
-                contain_mbrs.append(mbr_b[i])
-            if _rect_contains_row(mbr_a[i], mbr_b[i]):
-                contains.append(
-                    (i, geometry_a, row_a, obj_b.polygon.shell[0])
-                )
-                contain_mbrs.append(mbr_a[i])
-        if contains:
-            inside = _contains_bulk(
-                contains, np.array(contain_mbrs), self._kernels
+        row_a = np.array([rows[i][0] for i in mapped], dtype=np.intp)
+        row_b = np.array([rows[i][1] for i in mapped], dtype=np.intp)
+        overlap = self._kernels.rects_intersect_bulk(
+            table_a.mbrs[row_a], table_b.mbrs[row_b]
+        )
+        # ``live`` indexes ``pairs``; row_a / row_b follow it from here on.
+        live = np.array(mapped, dtype=np.intp)[overlap]
+        if len(live) == 0:
+            return results.tolist()
+        row_a = row_a[overlap]
+        row_b = row_b[overlap]
+        clip, margin = clip_rects(table_a.bounds[row_a], table_b.bounds[row_b])
+        crossing = self._kernels.edge_pairs_intersect_ragged(
+            table_a, table_b, row_a, row_b, clip, margin
+        )
+        results[live[crossing]] = True
+        # Containment fallback for overlapping, edge-disjoint pairs: same
+        # MBR-containment guards and the same probe vertex (the other
+        # shell's first) as the scalar polygons_intersect_fast.
+        rest = np.flatnonzero(~crossing)
+        mbr_a = table_a.mbrs[row_a[rest]]
+        mbr_b = table_b.mbrs[row_b[rest]]
+        a_in_b = rest[rects_contain_bulk(mbr_b, mbr_a)]
+        b_in_a = rest[rects_contain_bulk(mbr_a, mbr_b)]
+        if len(a_in_b) or len(b_in_a):
+            inside = self._contains_bulk(
+                (table_b, row_b[a_in_b], table_a, row_a[a_in_b]),
+                (table_a, row_a[b_in_a], table_b, row_b[b_in_a]),
             )
-            for (i, _, _, _), hit in zip(contains, inside):
-                if hit:
-                    results[i] = True
-        return [bool(r) for r in results]
+            results[live[np.concatenate((a_in_b, b_in_a))[inside]]] = True
+        return results.tolist()
 
-    def _edges_intersect(
-        self,
-        geometry_a: RingGeometry,
-        row_a: int,
-        geometry_b: RingGeometry,
-        row_b: int,
-    ) -> bool:
-        """MBR-clipped edge-pair matrix test for one candidate pair."""
-        ax1, ay1, ax2, ay2 = geometry_a.edges(row_a)
-        bx1, by1, bx2, by2 = geometry_b.edges(row_b)
-        bounds_a = geometry_a.bounds(row_a)
-        bounds_b = geometry_b.bounds(row_b)
-        scale = max(
-            abs(bounds_a[0]), abs(bounds_a[2]),
-            abs(bounds_b[0]), abs(bounds_b[2]),
-            abs(bounds_a[1]), abs(bounds_a[3]),
-            abs(bounds_b[1]), abs(bounds_b[3]),
-            1.0,
+    def _contains_bulk(self, *groups) -> np.ndarray:
+        """One bulk point-in-polygon call over the batch's containment queries.
+
+        Each group is ``(polygon table, polygon rows, probe table, probe
+        rows)``: query ``k`` asks whether the first shell vertex of the
+        probe object lies in the polygon object.
+        """
+        probes = []
+        edges = []
+        owners = []
+        mbrs = []
+        first_query = 0
+        for table, rows, probe_table, probe_rows in groups:
+            probes.append(
+                probe_table.coords[:2, probe_table.offsets[probe_rows]]
+            )
+            index, owner = gather_edges(table.offsets, rows)
+            edges.append(table.coords[:, index])
+            owners.append(owner + first_query)
+            mbrs.append(table.mbrs[rows])
+            first_query += len(rows)
+        px, py = np.concatenate(probes, axis=1)
+        ex1, ey1, ex2, ey2 = np.concatenate(edges, axis=1)
+        return self._kernels.points_in_polygons_bulk(
+            px, py, np.concatenate(owners), ex1, ey1, ex2, ey2,
+            np.concatenate(mbrs),
         )
-        margin = max(_CLIP_MARGIN, scale * scale * _CLIP_MARGIN_REL)
-        xmin = max(bounds_a[0], bounds_b[0]) - margin
-        ymin = max(bounds_a[1], bounds_b[1]) - margin
-        xmax = min(bounds_a[2], bounds_b[2]) + margin
-        ymax = min(bounds_a[3], bounds_b[3]) + margin
-        mask_a = self._kernels.edges_overlapping_rect_mask(
-            ax1, ay1, ax2, ay2, xmin, ymin, xmax, ymax
-        )
-        if not mask_a.any():
-            return False
-        mask_b = self._kernels.edges_overlapping_rect_mask(
-            bx1, by1, bx2, by2, xmin, ymin, xmax, ymax
-        )
-        if not mask_b.any():
-            return False
-        return self._kernels.edge_matrix_intersect_any(
-            ax1[mask_a], ay1[mask_a], ax2[mask_a], ay2[mask_a],
-            bx1[mask_b], by1[mask_b], bx2[mask_b], by2[mask_b],
-        )
-
-
-def _rect_contains_row(outer: np.ndarray, inner: np.ndarray) -> bool:
-    """Scalar ``Rect.contains_rect`` on two ``(xmin, ymin, xmax, ymax)`` rows."""
-    return bool(
-        outer[0] <= inner[0]
-        and outer[1] <= inner[1]
-        and inner[2] <= outer[2]
-        and inner[3] <= outer[3]
-    )
-
-
-def _contains_bulk(
-    queries: Sequence[Tuple[int, RingGeometry, int, Tuple[float, float]]],
-    mbrs: np.ndarray,
-    kernels: KernelDispatcher,
-) -> np.ndarray:
-    """One bulk point-in-polygon call over the batch's containment queries."""
-    px = np.array([point[0] for _, _, _, point in queries])
-    py = np.array([point[1] for _, _, _, point in queries])
-    edge_parts: List[List[np.ndarray]] = [[], [], [], []]
-    qidx_parts: List[np.ndarray] = []
-    for q, (_, geometry, row, _) in enumerate(queries):
-        edge_set = geometry.edges(row)
-        for part, arr in zip(edge_parts, edge_set):
-            part.append(arr)
-        qidx_parts.append(np.full(len(edge_set[0]), q, dtype=np.intp))
-    ex1, ey1, ex2, ey2 = (np.concatenate(p) for p in edge_parts)
-    qidx = np.concatenate(qidx_parts)
-    return kernels.points_in_polygons_bulk(
-        px, py, qidx, ex1, ey1, ex2, ey2, mbrs
-    )

@@ -41,8 +41,8 @@ JIT_FUNCTIONS = (
     "_edge_slope",
     "segments_intersect_rows",
     "points_in_polygons",
-    "edge_matrix_any",
-    "edges_overlapping_rect",
+    "_edge_pair_hit",
+    "edge_pairs_ragged",
     "rects_intersect_rows",
     "min_edge_distance",
     "sweep_core",
@@ -172,57 +172,101 @@ def points_in_polygons(px, py, qidx, ex1, ey1, ex2, ey2, mbrs):
     return inside
 
 
-def edge_matrix_any(ax1, ay1, ax2, ay2, bx1, by1, bx2, by2):
-    """Loop counterpart of ``fastops.edge_matrix_intersect_any``.
+def _edge_pair_hit(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
+    """One edge pair of ``fastops.edge_matrix_intersect_any``.
 
-    The oracle answers "does *any* edge pair intersect" in two passes
-    (all proper crossings, then all touches); a per-pair
-    proper-or-touch loop with early return computes the same boolean.
+    The oracle takes all proper crossings, then all touches; "proper or
+    touch" per pair is the same boolean once reduced with *any*.
     """
     eps = 1e-12
-    n1 = ax1.shape[0]
-    n2 = bx1.shape[0]
-    for i in range(n1):
-        p1x = ax1[i]
-        p1y = ay1[i]
-        p2x = ax2[i]
-        p2y = ay2[i]
-        for j in range(n2):
-            q1x = bx1[j]
-            q1y = by1[j]
-            q2x = bx2[j]
-            q2y = by2[j]
-            o1 = _cross(p1x, p1y, p2x, p2y, q1x, q1y)
-            o2 = _cross(p1x, p1y, p2x, p2y, q2x, q2y)
-            o3 = _cross(q1x, q1y, q2x, q2y, p1x, p1y)
-            o4 = _cross(q1x, q1y, q2x, q2y, p2x, p2y)
-            if ((o1 > eps and o2 < -eps) or (o1 < -eps and o2 > eps)) and (
-                (o3 > eps and o4 < -eps) or (o3 < -eps and o4 > eps)
-            ):
-                return True
-            if abs(o1) <= eps and _on_seg(p1x, p1y, q1x, q1y, p2x, p2y):
-                return True
-            if abs(o2) <= eps and _on_seg(p1x, p1y, q2x, q2y, p2x, p2y):
-                return True
-            if abs(o3) <= eps and _on_seg(q1x, q1y, p1x, p1y, q2x, q2y):
-                return True
-            if abs(o4) <= eps and _on_seg(q1x, q1y, p2x, p2y, q2x, q2y):
-                return True
+    o1 = _cross(p1x, p1y, p2x, p2y, q1x, q1y)
+    o2 = _cross(p1x, p1y, p2x, p2y, q2x, q2y)
+    o3 = _cross(q1x, q1y, q2x, q2y, p1x, p1y)
+    o4 = _cross(q1x, q1y, q2x, q2y, p2x, p2y)
+    if ((o1 > eps and o2 < -eps) or (o1 < -eps and o2 > eps)) and (
+        (o3 > eps and o4 < -eps) or (o3 < -eps and o4 > eps)
+    ):
+        return True
+    if abs(o1) <= eps and _on_seg(p1x, p1y, q1x, q1y, p2x, p2y):
+        return True
+    if abs(o2) <= eps and _on_seg(p1x, p1y, q2x, q2y, p2x, p2y):
+        return True
+    if abs(o3) <= eps and _on_seg(q1x, q1y, p1x, p1y, q2x, q2y):
+        return True
+    if abs(o4) <= eps and _on_seg(q1x, q1y, p2x, p2y, q2x, q2y):
+        return True
     return False
 
 
-def edges_overlapping_rect(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
-    """Loop counterpart of ``fastops.edges_overlapping_rect_mask``."""
-    n = x1.shape[0]
-    out = np.zeros(n, dtype=np.bool_)
-    for i in range(n):
-        out[i] = (
-            min(x1[i], x2[i]) <= xmax
-            and max(x1[i], x2[i]) >= xmin
-            and min(y1[i], y2[i]) <= ymax
-            and max(y1[i], y2[i]) >= ymin
-        )
-    return out
+def edge_pairs_ragged(
+    coords_a, boxes_a, offsets_a, coords_b, boxes_b, offsets_b,
+    rows_a, rows_b, clip, margin,
+):
+    """Loop counterpart of ``fastops.edge_pairs_intersect_ragged``.
+
+    Per candidate pair: clip both edge lists to ``clip[p]``, skip edge
+    pairs whose boxes (a-side inflated by ``margin[p]``) are disjoint,
+    test the rest, stop at the pair's first hit.  Returns the per-pair
+    booleans and the summed ``clipped a x clipped b`` sizes — the count
+    the oracle reports, early exit or not.
+    """
+    n_pairs = rows_a.shape[0]
+    hits = np.zeros(n_pairs, dtype=np.bool_)
+    evaluated = 0
+    for p in range(n_pairs):
+        xmin = clip[p, 0]
+        ymin = clip[p, 1]
+        xmax = clip[p, 2]
+        ymax = clip[p, 3]
+        b_lo = offsets_b[rows_b[p]]
+        b_hi = offsets_b[rows_b[p] + 1]
+        kept_b = np.empty(b_hi - b_lo, dtype=np.int64)
+        n_b = 0
+        for j in range(b_lo, b_hi):
+            if (
+                boxes_b[0, j] <= xmax
+                and boxes_b[2, j] >= xmin
+                and boxes_b[1, j] <= ymax
+                and boxes_b[3, j] >= ymin
+            ):
+                kept_b[n_b] = j
+                n_b += 1
+        n_a = 0
+        found = False
+        for i in range(offsets_a[rows_a[p]], offsets_a[rows_a[p] + 1]):
+            if not (
+                boxes_a[0, i] <= xmax
+                and boxes_a[2, i] >= xmin
+                and boxes_a[1, i] <= ymax
+                and boxes_a[3, i] >= ymin
+            ):
+                continue
+            n_a += 1
+            if found:
+                continue
+            axmin = boxes_a[0, i] - margin[p]
+            aymin = boxes_a[1, i] - margin[p]
+            axmax = boxes_a[2, i] + margin[p]
+            aymax = boxes_a[3, i] + margin[p]
+            for k in range(n_b):
+                j = kept_b[k]
+                if (
+                    axmin <= boxes_b[2, j]
+                    and boxes_b[0, j] <= axmax
+                    and aymin <= boxes_b[3, j]
+                    and boxes_b[1, j] <= aymax
+                    and _edge_pair_hit(
+                        coords_a[0, i], coords_a[1, i],
+                        coords_a[2, i], coords_a[3, i],
+                        coords_b[0, j], coords_b[1, j],
+                        coords_b[2, j], coords_b[3, j],
+                    )
+                ):
+                    found = True
+                    break
+        evaluated += n_a * n_b
+        hits[p] = found
+    return hits, evaluated
 
 
 def rects_intersect_rows(a, b):

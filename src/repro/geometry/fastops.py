@@ -10,7 +10,7 @@ in this package (property-tested); only the evaluation strategy differs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -182,6 +182,54 @@ def edges_intersect_matrix_any(poly1: Polygon, poly2: Polygon) -> bool:
     )
 
 
+def _orientations(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
+    """The four raw orientation cross products of an edge pair ``p``/``q``.
+
+    ``(o1, o2)`` place ``q``'s endpoints against the line of ``p`` and
+    ``(o3, o4)`` place ``p``'s endpoints against the line of ``q``.
+    Inputs broadcast, so the same expressions serve the ``n1 x n2``
+    matrix and the flat survivor lists of the ragged kernel.
+    """
+
+    def orient(ax, ay, bx, by, cx, cy):
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+    return (
+        orient(p1x, p1y, p2x, p2y, q1x, q1y),
+        orient(p1x, p1y, p2x, p2y, q2x, q2y),
+        orient(q1x, q1y, q2x, q2y, p1x, p1y),
+        orient(q1x, q1y, q2x, q2y, p2x, p2y),
+    )
+
+
+def _proper_crossing(o1, o2, o3, o4, eps=1e-12):
+    """Both endpoint pairs strictly (beyond ``eps``) straddle the other line."""
+    return (
+        ((o1 > eps) & (o2 < -eps) | (o1 < -eps) & (o2 > eps))
+        & ((o3 > eps) & (o4 < -eps) | (o3 < -eps) & (o4 > eps))
+    )
+
+
+def _endpoint_touch(o1, o2, o3, o4, p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y,
+                    eps=1e-12):
+    """Degenerate cases: a collinear endpoint in the other edge's eps-box."""
+
+    def on_seg(px, py, qx, qy, rx, ry):
+        return (
+            (qx >= np.minimum(px, rx) - eps)
+            & (qx <= np.maximum(px, rx) + eps)
+            & (qy >= np.minimum(py, ry) - eps)
+            & (qy <= np.maximum(py, ry) + eps)
+        )
+
+    return (
+        ((np.abs(o1) <= eps) & on_seg(p1x, p1y, q1x, q1y, p2x, p2y))
+        | ((np.abs(o2) <= eps) & on_seg(p1x, p1y, q2x, q2y, p2x, p2y))
+        | ((np.abs(o3) <= eps) & on_seg(q1x, q1y, p1x, p1y, q2x, q2y))
+        | ((np.abs(o4) <= eps) & on_seg(q1x, q1y, p2x, p2y, q2x, q2y))
+    )
+
+
 def edge_matrix_intersect_any(
     ax1: np.ndarray,
     ay1: np.ndarray,
@@ -194,51 +242,19 @@ def edge_matrix_intersect_any(
 ) -> bool:
     """``n1 x n2`` edge-pair test on raw coordinate arrays.
 
-    The arithmetic core of :func:`edges_intersect_matrix_any`, shared
-    with the batched refinement pipeline so pruned edge subsets are
-    decided by the exact same operations as the full matrix.
+    The arithmetic core of :func:`edges_intersect_matrix_any`.  The
+    batched refinement's :func:`edge_pairs_intersect_ragged` evaluates
+    the same three expression helpers on its pruned edge pairs, so both
+    decide every edge pair by the exact same operations.
     """
-    p1x = ax1[:, None]
-    p1y = ay1[:, None]
-    p2x = ax2[:, None]
-    p2y = ay2[:, None]
-    q1x = bx1[None, :]
-    q1y = by1[None, :]
-    q2x = bx2[None, :]
-    q2y = by2[None, :]
-
-    eps = 1e-12
-
-    def orient(ax, ay, bx, by, cx, cy):
-        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-    o1 = orient(p1x, p1y, p2x, p2y, q1x, q1y)
-    o2 = orient(p1x, p1y, p2x, p2y, q2x, q2y)
-    o3 = orient(q1x, q1y, q2x, q2y, p1x, p1y)
-    o4 = orient(q1x, q1y, q2x, q2y, p2x, p2y)
-    proper = (
-        ((o1 > eps) & (o2 < -eps) | (o1 < -eps) & (o2 > eps))
-        & ((o3 > eps) & (o4 < -eps) | (o3 < -eps) & (o4 > eps))
+    points = (
+        ax1[:, None], ay1[:, None], ax2[:, None], ay2[:, None],
+        bx1[None, :], by1[None, :], bx2[None, :], by2[None, :],
     )
-    if proper.any():
+    orients = _orientations(*points)
+    if _proper_crossing(*orients).any():
         return True
-
-    # Degenerate: collinear endpoint-on-segment cases.
-    def on_seg(px, py, qx, qy, rx, ry):
-        return (
-            (qx >= np.minimum(px, rx) - eps)
-            & (qx <= np.maximum(px, rx) + eps)
-            & (qy >= np.minimum(py, ry) - eps)
-            & (qy <= np.maximum(py, ry) + eps)
-        )
-
-    touch = (
-        ((np.abs(o1) <= eps) & on_seg(p1x, p1y, q1x, q1y, p2x, p2y))
-        | ((np.abs(o2) <= eps) & on_seg(p1x, p1y, q2x, q2y, p2x, p2y))
-        | ((np.abs(o3) <= eps) & on_seg(q1x, q1y, p1x, p1y, q2x, q2y))
-        | ((np.abs(o4) <= eps) & on_seg(q1x, q1y, p2x, p2y, q2x, q2y))
-    )
-    return bool(touch.any())
+    return bool(_endpoint_touch(*orients, *points).any())
 
 
 def polygon_within_fast(inner: Polygon, outer: Polygon) -> bool:
@@ -475,10 +491,11 @@ def edges_overlapping_rect_mask(
 ) -> np.ndarray:
     """Edges whose bounding box meets the closed clip rectangle.
 
-    The pruning pretest of the batched refinement: an edge whose own
-    bounding box misses the (margin-inflated) MBR-intersection rectangle
-    of a candidate pair cannot take part in any edge-pair intersection,
-    so it is dropped before the ``n1 x n2`` matrix test.
+    The clip pretest for one object of one candidate pair: an edge
+    whose own bounding box misses the (margin-inflated) intersection
+    rectangle of the pair's bounds cannot take part in any edge-pair
+    intersection.  :func:`edge_pairs_intersect_ragged` applies the same
+    comparisons to a whole batch's stored edge boxes.
     """
     return (
         (np.minimum(x1, x2) <= xmax)
@@ -486,6 +503,224 @@ def edges_overlapping_rect_mask(
         & (np.minimum(y1, y2) <= ymax)
         & (np.maximum(y1, y2) >= ymin)
     )
+
+
+# ---------------------------------------------------------------------------
+# The edge table: one flat, offset-addressed edge layout per relation, and
+# the ragged kernel that decides a whole batch of candidate pairs on it.
+# ---------------------------------------------------------------------------
+
+
+class EdgeTable(NamedTuple):
+    """Every edge of a set of objects in one flat, offset-addressed layout.
+
+    Edges ``offsets[i] : offsets[i + 1]`` belong to object ``i`` and
+    follow ``Polygon.edges()`` exactly (ring by ring, shell first,
+    ``vertex -> next vertex`` with the closing edge last), so a slice of
+    the table is float-for-float the object's ``EdgeArrays``.
+    """
+
+    coords: np.ndarray  #: ``(4, E)`` rows ``x1, y1, x2, y2``
+    boxes: np.ndarray  #: ``(4, E)`` rows ``xmin, ymin, xmax, ymax`` per edge
+    offsets: np.ndarray  #: ``(n + 1,)`` int64 edge ranges per object
+    bounds: np.ndarray  #: ``(n, 4)`` box over *all* rings of each object
+    mbrs: np.ndarray  #: ``(n, 4)`` box over each shell (the object MBR)
+
+
+def ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + l) for s, l in zip(starts, lengths)])``."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def build_edge_table(
+    object_rings: np.ndarray,
+    ring_offsets: np.ndarray,
+    ring_xy: np.ndarray,
+    rows: Optional[np.ndarray] = None,
+) -> EdgeTable:
+    """The :class:`EdgeTable` of packed ring columns, or of some ``rows``.
+
+    Inputs are the ``RingColumns`` arrays.  With ``rows`` the table
+    covers exactly those objects, in that order, at a cost proportional
+    to their points (a tile worker passes its task's rows).  Built by
+    index arithmetic alone — no per-object or per-ring Python step — and
+    every output array is a fresh copy, never a view of ``ring_xy``, so
+    a shared-memory segment behind it can be unmapped afterwards.
+    """
+    if rows is None:
+        rows = np.arange(len(object_rings) - 1)
+    first_ring = object_rings[rows]
+    ring_counts = object_rings[rows + 1] - first_ring
+    rings = ragged_arange(first_ring, ring_counts)
+    ring_first = ring_offsets[rings]
+    ring_lengths = ring_offsets[rings + 1] - ring_first
+    start = ragged_arange(ring_first, ring_lengths)
+    # Each vertex starts one edge; the edge ends at the next vertex of
+    # the ring, the ring's last edge at its first (Polygon.edges()).
+    ring_ends = np.cumsum(ring_lengths)
+    end = start + 1
+    end[ring_ends - 1] = ring_first
+    coords = np.stack(
+        (ring_xy[start, 0], ring_xy[start, 1], ring_xy[end, 0], ring_xy[end, 1])
+    )
+    boxes = np.stack(
+        (
+            np.minimum(coords[0], coords[2]),
+            np.minimum(coords[1], coords[3]),
+            np.maximum(coords[0], coords[2]),
+            np.maximum(coords[1], coords[3]),
+        )
+    )
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    if len(rows) == 0:
+        empty = np.empty((0, 4))
+        return EdgeTable(coords, boxes, offsets, empty, empty)
+    ring_starts = ring_ends - ring_lengths
+    object_first = np.cumsum(ring_counts) - ring_counts
+    np.cumsum(np.add.reduceat(ring_lengths, object_first), out=offsets[1:])
+    # Every vertex is the start of exactly one edge, so reducing the
+    # start columns per ring, then per object, covers all points.
+    reducers = (np.minimum, np.minimum, np.maximum, np.maximum)
+    ring_boxes = [
+        reduce.reduceat(start_column, ring_starts)
+        for reduce, start_column in zip(reducers, coords[[0, 1, 0, 1]])
+    ]
+    bounds = np.stack(
+        [
+            reduce.reduceat(column, object_first)
+            for reduce, column in zip(reducers, ring_boxes)
+        ],
+        axis=1,
+    )
+    mbrs = np.stack([column[object_first] for column in ring_boxes], axis=1)
+    return EdgeTable(coords, boxes, offsets, bounds, mbrs)
+
+
+def gather_edges(
+    offsets: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Edge indices of ``rows`` and, per edge, its position in ``rows``."""
+    first = offsets[rows]
+    lengths = offsets[rows + 1] - first
+    return (
+        ragged_arange(first, lengths),
+        np.repeat(np.arange(len(rows)), lengths),
+    )
+
+
+#: edge pairs materialised per evaluation of the ragged kernel.  Bounds
+#: the kernel's temporaries to a few MB however many vertices the
+#: batch's objects have (a 527 x 527-edge pair alone is 278k pairs).
+_RAGGED_BUDGET = 1 << 16
+
+
+def edge_pairs_intersect_ragged(
+    table_a: EdgeTable,
+    table_b: EdgeTable,
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
+    clip: np.ndarray,
+    margin: np.ndarray,
+) -> Tuple[np.ndarray, int]:
+    """Per candidate pair: does any edge of ``a`` meet any edge of ``b``?
+
+    Pair ``p`` is object ``rows_a[p]`` of ``table_a`` against object
+    ``rows_b[p]`` of ``table_b``; ``clip[p]`` is the pair's search
+    rectangle (the intersection of the two objects' bounds, already
+    inflated by ``margin[p]``).  One array program for the whole batch:
+
+    1. gather every pair's edges and keep those whose box meets
+       ``clip[p]`` (the paper's restriction of the search space);
+    2. form each pair's ``clipped a x clipped b`` cross product as flat
+       index arrays, at most :data:`_RAGGED_BUDGET` edge pairs at a time
+       (split along the a-edges, so even one huge pair is bounded);
+    3. drop edge pairs whose boxes, the a-side inflated by ``margin[p]``,
+       are disjoint — the array form of the plane sweep never comparing
+       edges with disjoint extents;
+    4. evaluate the orientation / proper-crossing / endpoint-touch
+       expressions of :func:`edge_matrix_intersect_any` on the survivors;
+    5. mark the pairs that own a hit.
+
+    Returns the per-pair booleans and the number of edge pairs step 2
+    enumerated (telemetry; identical across backends).
+
+    **Soundness of 1 and 3** is one lemma: an edge pair whose boxes are
+    more than the margin apart cannot satisfy the eps-tolerant predicate.
+    The touch branch needs an endpoint inside the other edge's box grown
+    by ``eps = 1e-12``, so the boxes are at most ``eps`` apart — far
+    below any margin.  The proper branch needs, in exact arithmetic, a
+    common point, hence overlapping boxes; a computed orientation can
+    only take the wrong sign beyond ``eps`` when rounding noise (about
+    ``2e-15 * scale**2``) exceeds ``eps``, which is why the margin grows
+    with ``scale**2`` and stays some fifty times above that noise.
+    Step 1 is the lemma applied to an edge against the other object's
+    bounds.  ``tests/test_ragged_kernel_fuzz.py`` checks every decision
+    against the unpruned ``edge_matrix_intersect_any``.
+    """
+    n_pairs = len(rows_a)
+    hits = np.zeros(n_pairs, dtype=bool)
+    edges_a, pair_a = _clipped_edges(table_a, rows_a, clip)
+    edges_b, pair_b = _clipped_edges(table_b, rows_b, clip)
+    count_b = np.bincount(pair_b, minlength=n_pairs)
+    #: per clipped a-edge: how many b-edges it meets, and where they start.
+    partners = count_b[pair_a]
+    first_partner = (np.cumsum(count_b) - count_b)[pair_a]
+    done = np.cumsum(partners)
+    if len(done) == 0 or done[-1] == 0:
+        return hits, 0
+    box_a = table_a.boxes[:, edges_a]
+    box_a[:2] -= margin[pair_a]
+    box_a[2:] += margin[pair_a]
+    box_b = table_b.boxes[:, edges_b]
+    xy_a = table_a.coords[:, edges_a]
+    xy_b = table_b.coords[:, edges_b]
+    lo = 0
+    while lo < len(partners):
+        before = done[lo - 1] if lo else 0
+        hi = max(
+            lo + 1,
+            int(np.searchsorted(done, before + _RAGGED_BUDGET, side="right")),
+        )
+        repeats = partners[lo:hi]
+        eb = ragged_arange(first_partner[lo:hi], repeats)
+        # x-extents first: most edge pairs end here, before any a-side
+        # index or y-extent is gathered for them.
+        near = np.repeat(box_a[0, lo:hi], repeats) <= box_b[2, eb]
+        near &= box_b[0, eb] <= np.repeat(box_a[2, lo:hi], repeats)
+        ea = np.repeat(np.arange(lo, hi), repeats)[near]
+        eb = eb[near]
+        near = (box_a[1, ea] <= box_b[3, eb]) & (box_b[1, eb] <= box_a[3, ea])
+        ea = ea[near]
+        eb = eb[near]
+        if len(ea):
+            points = (*xy_a[:, ea], *xy_b[:, eb])
+            orients = _orientations(*points)
+            hit = _proper_crossing(*orients)
+            hit |= _endpoint_touch(*orients, *points)
+            hits[pair_a[ea[hit]]] = True
+        lo = hi
+    return hits, int(done[-1])
+
+
+def _clipped_edges(
+    table: EdgeTable, rows: np.ndarray, clip: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Edges of ``rows`` whose box meets their pair's clip rectangle.
+
+    Returns table edge indices and the pair each belongs to, pair-major.
+    Same comparisons as :func:`edges_overlapping_rect_mask`.
+    """
+    edges, pair = gather_edges(table.offsets, rows)
+    xmin, ymin, xmax, ymax = table.boxes[:, edges]
+    keep = (
+        (xmin <= clip[pair, 2])
+        & (xmax >= clip[pair, 0])
+        & (ymin <= clip[pair, 3])
+        & (ymax >= clip[pair, 1])
+    )
+    return edges[keep], pair[keep]
 
 
 def _point_segment_distance_bulk(

@@ -1,7 +1,11 @@
 """Kernel backend registry for the filter/refine hot paths.
 
 The batched join engine spends its wall time in a handful of bulk
-geometry kernels (``fastops``) plus the scalar plane-sweep fallback.
+geometry kernels (``fastops``) plus the scalar plane-sweep fallback:
+row-wise MBR and segment tests for the filter, and for the exact step
+one ragged edge-pair kernel per refinement batch over the relations'
+edge tables (``edge_pairs_intersect_ragged``), one bulk point-in-polygon
+call, and the minimum edge distance of the proximity predicates.
 This module makes the *execution substrate* of those kernels pluggable
 behind an unchanged interface — ``JoinConfig(kernels=...)`` selects a
 backend per join, and every backend decides every predicate identically
@@ -53,11 +57,13 @@ NUMBA_AVAILABLE = _numba is not None
 KERNEL_BACKENDS = ("auto", "numpy", "numba", "python")
 
 #: kernels a backend provides (the dispatcher mirrors these names).
+#: Per-pair building blocks that no hot path calls through a backend
+#: (``fastops.edge_matrix_intersect_any``, ``edges_overlapping_rect_mask``)
+#: are plain functions, not kernels.
 KERNEL_NAMES = (
     "segments_intersect_bulk",
     "points_in_polygons_bulk",
-    "edge_matrix_intersect_any",
-    "edges_overlapping_rect_mask",
+    "edge_pairs_intersect_ragged",
     "rects_intersect_bulk",
     "min_edge_distance_bulk",
     "planesweep",
@@ -128,8 +134,7 @@ def _build_numpy_set() -> KernelSet:
         "numpy",
         segments_intersect_bulk=_fastops.segments_intersect_bulk,
         points_in_polygons_bulk=_fastops.points_in_polygons_bulk,
-        edge_matrix_intersect_any=_fastops.edge_matrix_intersect_any,
-        edges_overlapping_rect_mask=_fastops.edges_overlapping_rect_mask,
+        edge_pairs_intersect_ragged=_fastops.edge_pairs_intersect_ragged,
         rects_intersect_bulk=_fastops.rects_intersect_bulk,
         min_edge_distance_bulk=_fastops.min_edge_distance_bulk,
         planesweep=polygons_intersect_planesweep,
@@ -162,12 +167,15 @@ def _column(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
+def _index(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
 def _build_loop_set(name: str, funcs: Dict[str, Callable]) -> KernelSet:
     """Adapt loop functions to the oracle kernels' signatures."""
     seg_rows = funcs["segments_intersect_rows"]
     pts_in_poly = funcs["points_in_polygons"]
-    edge_any = funcs["edge_matrix_any"]
-    edges_rect = funcs["edges_overlapping_rect"]
+    edge_pairs = funcs["edge_pairs_ragged"]
     rect_rows = funcs["rects_intersect_rows"]
     min_dist = funcs["min_edge_distance"]
     core = funcs["sweep_core"]
@@ -187,24 +195,21 @@ def _build_loop_set(name: str, funcs: Dict[str, Callable]) -> KernelSet:
     def points_in_polygons_bulk(px, py, qidx, ex1, ey1, ex2, ey2, mbrs=None):
         return pts_in_poly(
             _column(px), _column(py),
-            np.ascontiguousarray(qidx, dtype=np.int64),
+            _index(qidx),
             _column(ex1), _column(ey1), _column(ex2), _column(ey2),
             _NO_MBRS if mbrs is None else _column(mbrs),
         )
 
-    def edge_matrix_intersect_any(ax1, ay1, ax2, ay2, bx1, by1, bx2, by2):
-        return bool(
-            edge_any(
-                _column(ax1), _column(ay1), _column(ax2), _column(ay2),
-                _column(bx1), _column(by1), _column(bx2), _column(by2),
-            )
+    def edge_pairs_intersect_ragged(table_a, table_b, rows_a, rows_b,
+                                    clip, margin):
+        hits, evaluated = edge_pairs(
+            _column(table_a.coords), _column(table_a.boxes),
+            _index(table_a.offsets),
+            _column(table_b.coords), _column(table_b.boxes),
+            _index(table_b.offsets),
+            _index(rows_a), _index(rows_b), _column(clip), _column(margin),
         )
-
-    def edges_overlapping_rect_mask(x1, y1, x2, y2, xmin, ymin, xmax, ymax):
-        return edges_rect(
-            _column(x1), _column(y1), _column(x2), _column(y2),
-            float(xmin), float(ymin), float(xmax), float(ymax),
-        )
+        return hits, int(evaluated)
 
     def rects_intersect_bulk(a, b):
         return rect_rows(_column(a), _column(b))
@@ -223,8 +228,7 @@ def _build_loop_set(name: str, funcs: Dict[str, Callable]) -> KernelSet:
         name,
         segments_intersect_bulk=segments_intersect_bulk,
         points_in_polygons_bulk=points_in_polygons_bulk,
-        edge_matrix_intersect_any=edge_matrix_intersect_any,
-        edges_overlapping_rect_mask=edges_overlapping_rect_mask,
+        edge_pairs_intersect_ragged=edge_pairs_intersect_ragged,
         rects_intersect_bulk=rects_intersect_bulk,
         min_edge_distance_bulk=min_edge_distance_bulk,
         planesweep=_make_planesweep(core),
@@ -338,10 +342,15 @@ def warm_up(name: str = "auto") -> str:
     kernels.points_in_polygons_bulk(
         np.array([0.5]), np.array([0.5]), qidx, ex, ey, ex2, ey2, None
     )
-    kernels.edge_matrix_intersect_any(ex, ey, ex2, ey2, ex, ey, ex2, ey2)
-    kernels.edges_overlapping_rect_mask(ex, ey, ex2, ey2, 0.0, 0.0, 1.0, 1.0)
     rect = np.array([[0.0, 0.0, 1.0, 1.0]])
     kernels.rects_intersect_bulk(rect, rect)
+    table = _fastops.build_edge_table(
+        np.array([0, 1]), np.array([0, 4]), np.column_stack((ex, ey))
+    )
+    one = np.zeros(1, dtype=np.int64)
+    kernels.edge_pairs_intersect_ragged(
+        table, table, one, one, rect, np.array([1e-9])
+    )
     kernels.min_edge_distance_bulk(ex, ey, ex2, ey2, ex + 3.0, ey, ex2 + 3.0, ey2)
     from .polygon import Polygon
 
@@ -411,30 +420,18 @@ class KernelDispatcher:
         )
         return out
 
-    def edge_matrix_intersect_any(self, ax1, ay1, ax2, ay2,
-                                  bx1, by1, bx2, by2):
+    def edge_pairs_intersect_ragged(self, table_a, table_b, rows_a, rows_b,
+                                    clip, margin):
+        """One call per refinement batch; ``pairs`` counts edge pairs."""
         start = time.perf_counter()
-        out = self.kernels.edge_matrix_intersect_any(
-            ax1, ay1, ax2, ay2, bx1, by1, bx2, by2
+        hits, evaluated = self.kernels.edge_pairs_intersect_ragged(
+            table_a, table_b, rows_a, rows_b, clip, margin
         )
         self._record(
-            "edge_matrix_intersect_any",
-            len(ax1) * len(bx1),
+            "edge_pairs_intersect_ragged", evaluated,
             time.perf_counter() - start,
         )
-        return out
-
-    def edges_overlapping_rect_mask(self, x1, y1, x2, y2,
-                                    xmin, ymin, xmax, ymax):
-        start = time.perf_counter()
-        out = self.kernels.edges_overlapping_rect_mask(
-            x1, y1, x2, y2, xmin, ymin, xmax, ymax
-        )
-        self._record(
-            "edges_overlapping_rect_mask", len(x1),
-            time.perf_counter() - start,
-        )
-        return out
+        return hits
 
     def rects_intersect_bulk(self, a, b):
         start = time.perf_counter()

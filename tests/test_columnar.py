@@ -124,6 +124,89 @@ def test_ring_columns_round_trip_holes_and_degenerates():
         assert rebuilt.area() == obj.polygon.area()
 
 
+def _assert_edge_table_identity(rel):
+    """The relation's edge table against the scalar polygon accessors."""
+    geometry = rel.columnar().ring_geometry()
+    table = geometry.table
+    assert table.offsets[0] == 0 and table.offsets[-1] == table.coords.shape[1]
+    for row, obj in enumerate(rel):
+        assert geometry.row_of(obj) == row
+        x1, y1, x2, y2 = (column.tolist() for column in geometry.edges(row))
+        edges = list(obj.polygon.edges())
+        assert list(zip(zip(x1, y1), zip(x2, y2))) == edges
+        xs = [x for ring in obj.polygon.rings() for x, _ in ring]
+        ys = [y for ring in obj.polygon.rings() for _, y in ring]
+        assert geometry.bounds(row) == (min(xs), min(ys), max(xs), max(ys))
+        m = obj.mbr
+        assert table.mbrs[row].tolist() == [m.xmin, m.ymin, m.xmax, m.ymax]
+        span = slice(table.offsets[row], table.offsets[row + 1])
+        assert table.boxes[:, span].T.tolist() == [
+            [min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1])]
+            for a, b in edges
+        ]
+
+
+@SETTINGS
+@given(seed=relation_seeds)
+def test_edge_table_matches_polygon_edges(seed):
+    for rel in random_relation_pair(seed, n_objects=8):
+        _assert_edge_table_identity(rel)
+
+
+def test_edge_table_holes_degenerates_and_cartographic():
+    """Multi-ring objects between single-ring ones, zero-area rings, and
+    the cartographic generator's polygons."""
+    from repro.datasets import cartographic_polygons
+
+    square = [(0, 0), (10, 0), (10, 10), (0, 10)]
+    donut = Polygon(square, holes=[[(4, 4), (6, 4), (6, 6), (4, 6)]])
+    sieve = Polygon(
+        square,
+        holes=[[(1, 1), (2, 1), (2, 2)], [(7, 7), (9, 7), (9, 9), (7, 9)]],
+    )
+    sliver = Polygon([(0, 0), (4, 0), (2, 0)])  # zero area, collinear
+    flat_hole = Polygon(square, holes=[[(3, 3), (5, 3), (4, 3)]])
+    maps = cartographic_polygons(n_objects=6, mean_vertices=40, seed=11)
+    _assert_edge_table_identity(SpatialRelation(
+        "H", [sliver, donut, maps[0], sieve, flat_hole, *maps[1:], donut]
+    ))
+    _assert_edge_table_identity(SpatialRelation("one", [sieve]))
+    empty = SpatialRelation("none", []).columnar().ring_geometry().table
+    assert empty.coords.shape == (4, 0) and empty.offsets.tolist() == [0]
+
+
+class _CountingColumn(np.ndarray):
+    """Counts every indexing of a column or of anything derived from it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        _CountingColumn.reads += 1
+        return super().__getitem__(key)
+
+
+def test_edge_table_build_has_no_per_object_step():
+    """Building the table indexes the ring columns a fixed number of
+    times — the same for 20 objects as for 2 000."""
+    from repro.datasets.columnar import RingColumns
+    from repro.exact.refine import RingGeometry
+
+    def column_reads(n_objects):
+        rel = SpatialRelation("tiny", [
+            Polygon([(i, 0.0), (i + 0.5, 0.0), (i + 0.5, 0.5)])
+            for i in range(n_objects)
+        ])
+        columns = RingColumns(
+            *(column.view(_CountingColumn) for column in rel.columnar().rings)
+        )
+        _CountingColumn.reads = 0
+        geometry = RingGeometry(columns, rel.objects)
+        assert geometry.table.coords.shape == (4, 3 * n_objects)
+        return _CountingColumn.reads
+
+    assert 0 < column_reads(20) == column_reads(2000) <= 40
+
+
 # ---------------------------------------------------------------------------
 # 2. Packing happens once per (relation, kind).
 # ---------------------------------------------------------------------------
@@ -316,10 +399,10 @@ def test_serial_joins_reuse_trees_and_edge_arrays(monkeypatch):
     first = SpatialJoinProcessor(config).join(rel_a, rel_b)
     geometry = rel_a.columnar().ring_geometry()
     assert geometry is rel_a.columnar().ring_geometry()
-    gathered = dict(geometry._edges)
-    assert gathered, "batched refinement must have gathered some edges"
+    table = geometry.table
+    assert first.stats.refine_batches, "the join must have used the table"
     again = SpatialJoinProcessor(config).join(rel_a, rel_b)
     assert sorted(builds) == sorted([rel_a.name, rel_b.name])
-    assert all(geometry._edges[row] is edges for row, edges in gathered.items())
+    assert rel_a.columnar().ring_geometry().table is table
     assert first.id_pairs() == again.id_pairs()
     assert stats_fingerprint(first.stats) == stats_fingerprint(again.stats)

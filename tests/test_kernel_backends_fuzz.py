@@ -20,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.relations import SpatialRelation
 from repro.exact.costmodel import OperationCounter
+from repro.exact.refine import clip_rects
 from repro.geometry import Polygon
 from repro.geometry.fastops import EdgeArrays
 from repro.geometry.kernels import NUMBA_AVAILABLE, get_kernels
@@ -184,36 +186,35 @@ def test_points_in_polygons_match(poly, extra):
         ), name
 
 
-# -- edge_matrix_intersect_any / edges_overlapping_rect_mask ----------------
+# -- edge_pairs_intersect_ragged --------------------------------------------
 
 
 @settings(max_examples=150, deadline=None)
-@given(polygon_strategy, polygon_strategy, snapped, snapped)
-def test_edge_matrix_and_rect_mask_match(poly_a, poly_b, dx, dy):
-    poly_b = poly_b.translated(dx / 4.0, dy / 4.0)
-    ea, eb = EdgeArrays(poly_a), EdgeArrays(poly_b)
-    oracle_any = get_kernels("numpy").edge_matrix_intersect_any(
-        ea.x1, ea.y1, ea.x2, ea.y2, eb.x1, eb.y1, eb.x2, eb.y2
+@given(st.lists(polygon_strategy, min_size=1, max_size=4),
+       st.lists(polygon_strategy, min_size=1, max_size=4), snapped, snapped)
+def test_edge_pairs_ragged_match(polys_a, polys_b, dx, dy):
+    """Booleans and the edge-pair count agree across backends.
+
+    (Agreement with the unpruned edge matrix is
+    ``tests/test_ragged_kernel_fuzz.py``'s job.)
+    """
+    rel_a = SpatialRelation("a", polys_a)
+    rel_b = SpatialRelation(
+        "b", [p.translated(dx / 4.0, dy / 4.0) for p in polys_b]
     )
-    ra, rb = poly_a.mbr(), poly_b.mbr()
-    clip = (
-        max(ra.xmin, rb.xmin), max(ra.ymin, rb.ymin),
-        min(ra.xmax, rb.xmax), min(ra.ymax, rb.ymax),
-    )
-    oracle_mask = get_kernels("numpy").edges_overlapping_rect_mask(
-        ea.x1, ea.y1, ea.x2, ea.y2, *clip
-    )
+    table_a = rel_a.columnar().ring_geometry().table
+    table_b = rel_b.columnar().ring_geometry().table
+    rows_a = np.repeat(np.arange(len(rel_a)), len(rel_b))
+    rows_b = np.tile(np.arange(len(rel_b)), len(rel_a))
+    clip, margin = clip_rects(table_a.bounds[rows_a], table_b.bounds[rows_b])
+    args = (table_a, table_b, rows_a, rows_b, clip, margin)
+    oracle_hits, oracle_count = get_kernels(
+        "numpy"
+    ).edge_pairs_intersect_ragged(*args)
     for name in ALT_BACKENDS:
-        kernels = get_kernels(name)
-        assert bool(kernels.edge_matrix_intersect_any(
-            ea.x1, ea.y1, ea.x2, ea.y2, eb.x1, eb.y1, eb.x2, eb.y2
-        )) == bool(oracle_any), name
-        assert np.array_equal(
-            np.asarray(kernels.edges_overlapping_rect_mask(
-                ea.x1, ea.y1, ea.x2, ea.y2, *clip
-            )),
-            np.asarray(oracle_mask),
-        ), name
+        hits, count = get_kernels(name).edge_pairs_intersect_ragged(*args)
+        assert np.array_equal(np.asarray(hits), oracle_hits), name
+        assert count == oracle_count, name
 
 
 # -- rects_intersect_bulk ---------------------------------------------------

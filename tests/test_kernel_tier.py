@@ -129,6 +129,10 @@ class TestBackendDifferential:
         ).join(rel_a, rel_b)
         assert got.id_pairs() == oracle.id_pairs()
         assert len(oracle) > 0
+        if config.exact_batch > 1:
+            # Batched refinement ran on this backend's loop twin.
+            ragged = f"{backend}.edge_pairs_intersect_ragged"
+            assert got.stats.kernel_calls[ragged] == got.stats.refine_batches
         # Telemetry differs (different backend prefixes) but is
         # compare=False: the Figure-1 statistics must be *equal*.
         assert got.stats == oracle.stats

@@ -64,7 +64,7 @@ def assert_refinement_equivalent(relation_a, relation_b, config):
 
 
 @pytest.mark.parametrize("engine", ("streaming", "batched"))
-@pytest.mark.parametrize("exact_batch", (2, 64))
+@pytest.mark.parametrize("exact_batch", (2, 64, 256))
 def test_refine_equivalence_intersects(engine, exact_batch):
     for seed in (1, 5, 9):
         rel_a, rel_b = random_relation_pair(seed, n_objects=14)
@@ -94,6 +94,106 @@ def test_refine_equivalence_within(engine):
             batched.stats.refine_fallback_pairs
             == batched.stats.refine_batch_pairs
         )
+
+
+@pytest.mark.parametrize("exact_batch", (2, 64, 256))
+def test_refine_equivalence_bw_like(exact_batch):
+    """≈ 500-vertex objects (the paper's BW relation): one batch holds
+    several times the ragged kernel's element budget of edge pairs."""
+    from repro.datasets import cartographic_polygons
+    from repro.datasets.relations import SpatialRelation
+    from repro.geometry import fastops
+
+    rel_a, rel_b = (
+        SpatialRelation(name, cartographic_polygons(
+            n_objects=10, mean_vertices=500, min_vertices=300,
+            max_vertices=900, seed=seed,
+        ))
+        for name, seed in (("bw_a", 3), ("bw_b", 4))
+    )
+    config = JoinConfig(
+        filter=FilterConfig(conservative=None, progressive=None),
+        exact_method="vectorized",
+        exact_batch=exact_batch,
+        kernels="numpy",
+    )
+    batched = assert_refinement_equivalent(rel_a, rel_b, config)
+    edge_pairs = batched.stats.kernel_pairs["numpy.edge_pairs_intersect_ragged"]
+    assert edge_pairs > 4 * fastops._RAGGED_BUDGET
+
+
+def test_refine_kernel_calls_per_batch():
+    """No per-pair kernel call: each batch makes one MBR call, one
+    ragged edge-pair call and at most one point-in-polygon call."""
+    rel_a, rel_b = random_relation_pair(9, n_objects=30)
+    config = JoinConfig(
+        filter=FilterConfig(conservative=None, progressive=None),
+        exact_method="vectorized",
+        exact_batch=8,
+        kernels="numpy",
+    )
+    stats = _run(rel_a, rel_b, config).stats
+    assert stats.refine_batches > 1
+    assert stats.refine_batch_pairs > 4 * stats.refine_batches
+    calls = dict(stats.kernel_calls)
+    assert calls.pop("numpy.rects_intersect_bulk") == stats.refine_batches
+    batches = stats.refine_batches
+    assert 1 <= calls.pop("numpy.edge_pairs_intersect_ragged") <= batches
+    assert 1 <= calls.pop("numpy.points_in_polygons_bulk") <= batches
+    assert not calls
+
+
+def test_tile_geometry_over_mapped_rows_matches_whole_relation():
+    """A worker's edge table covers its task's rows only, decides like
+    the relation's own table, and outlives the shared-memory mapping."""
+    import numpy as np
+
+    from repro.core.parallel_exec import SharedRelationSegment, _MappedRelation
+    from repro.core.stats import MultiStepStats
+    from repro.exact.refine import BatchedRefinement, RingGeometry
+
+    rel_a, rel_b = random_relation_pair(23, n_objects=16)
+    config = JoinConfig(exact_method="vectorized", exact_batch=64)
+    idx_a = np.array([11, 2, 7, 3, 14])
+    idx_b = np.array([0, 9, 4, 15, 8, 1])
+    segments = [SharedRelationSegment(rel) for rel in (rel_a, rel_b)]
+    mapped = []
+    try:
+        mapped = [_MappedRelation(seg.spec_for()) for seg in segments]
+        tiles = [m.tile(idx) for m, idx in zip(mapped, (idx_a, idx_b))]
+        geometry = [
+            RingGeometry(m.rings, tile.objects, idx)
+            for m, tile, idx in zip(mapped, tiles, (idx_a, idx_b))
+        ]
+    finally:
+        for m in mapped:
+            m.close()
+        for seg in segments:
+            seg.close()
+    assert not live_shared_segments()
+    for geo, rel, idx in zip(geometry, (rel_a, rel_b), (idx_a, idx_b)):
+        assert len(geo.table.offsets) == len(idx) + 1
+        whole = rel.columnar().ring_geometry()
+        for row, source in enumerate(idx):
+            for ours, theirs in zip(geo.edges(row), whole.edges(source)):
+                assert np.array_equal(ours, theirs)
+            assert geo.bounds(row) == whole.bounds(source)
+    tile_pairs = [(a, b) for a in tiles[0].objects for b in tiles[1].objects]
+    whole_pairs = [(rel_a[i], rel_b[j]) for i in idx_a for j in idx_b]
+    tile_step = BatchedRefinement(config, *geometry)
+    whole_step = BatchedRefinement.from_relations(config, rel_a, rel_b)
+    tile_stats, whole_stats = MultiStepStats(), MultiStepStats()
+    decided = tile_step.resolve_batch(tile_pairs, tile_stats)
+    assert decided == whole_step.resolve_batch(whole_pairs, whole_stats)
+    assert any(decided) and not all(decided)
+    assert tile_stats.refine_fallback_pairs == 0
+    assert whole_step.resolve_batch([], whole_stats) == []
+    # An object the table has no row for takes the scalar fallback.
+    stranger = (rel_a[0], tiles[1].objects[0])
+    assert tile_step.resolve_batch([stranger], tile_stats) == (
+        whole_step.resolve_batch([(rel_a[0], rel_b[idx_b[0]])], whole_stats)
+    )
+    assert tile_stats.refine_fallback_pairs == 1
 
 
 @pytest.mark.slow
