@@ -15,12 +15,13 @@
 #   make bench-proximity - parallel distance/kNN join benchmark, quick scale
 #   make bench-store   - persistent-store warm-start benchmark, quick scale
 #   make e2e-warm      - e2e benchmark, warm_serial only: gated metrics + layer trace
+#   make e2e-service   - e2e benchmark, service_mixed only: gated metrics
 
 PYTEST = PYTHONPATH=src python -m pytest
 
 .PHONY: test test-fast test-parallel serve-smoke bench-engine bench-parallel \
 	bench-columnar bench-refine bench-kernels bench-session bench-tree \
-	bench-service bench-proximity bench-store e2e-warm
+	bench-service bench-proximity bench-store e2e-warm e2e-service
 
 test:
 	$(PYTEST) -x -q
@@ -66,3 +67,6 @@ bench-store:
 
 e2e-warm:
 	python3 benchmarks/e2e/run.py --workload warm_serial --seed 7 --trace 1
+
+e2e-service:
+	python3 benchmarks/e2e/run.py --workload service_mixed --seed 7 --trace 0

@@ -30,7 +30,9 @@ ALL_KINDS = CONSERVATIVE_KINDS + PROGRESSIVE_KINDS
 #: every stored approximation column set.  Bump a kind's entry when its
 #: construction changes what it returns: stored columns of the old
 #: version are then rebuilt instead of mixed with fresh ones.
-_ALGORITHM_VERSIONS: Dict[str, int] = {}
+#: MER 2: the cell-grid search returns the largest candidate rectangle
+#: ``rect_inside`` accepts (version 1's binary search could miss it).
+_ALGORITHM_VERSIONS: Dict[str, int] = {"MER": 2}
 
 
 def algorithm_version(kind: str) -> int:

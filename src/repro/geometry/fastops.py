@@ -57,8 +57,8 @@ class EdgeArrays:
         x_cross = (x2c - x1c) * (y - y1c) / (y2c - y1c) + x1c
         return bool(np.count_nonzero(x < x_cross) % 2)
 
-    def contains_points_all(self, pts: np.ndarray) -> bool:
-        """True if *all* of the ``(k, 2)`` points are inside (even-odd)."""
+    def contains_points(self, pts: np.ndarray) -> np.ndarray:
+        """Even-odd containment of each of the ``(k, 2)`` points (a mask)."""
         px = pts[:, 0][:, None]
         py = pts[:, 1][:, None]
         crosses = (self.y1[None, :] > py) != (self.y2[None, :] > py)
@@ -68,7 +68,7 @@ class EdgeArrays:
             None, :
         ] + self.x1[None, :]
         counts = np.count_nonzero(crosses & (px < x_cross), axis=1)
-        return bool((counts % 2 == 1).all())
+        return counts % 2 == 1
 
     def boundary_distances(self, pts: np.ndarray) -> np.ndarray:
         """Distances from each of the ``(k, 2)`` points to the boundary."""
@@ -102,26 +102,11 @@ class EdgeArrays:
         self, xmin: float, ymin: float, xmax: float, ymax: float
     ) -> bool:
         """SAT: does any edge intersect the *open* rectangle?"""
-        overlap_x = (np.maximum(self.x1, self.x2) > xmin) & (
-            np.minimum(self.x1, self.x2) < xmax
+        return bool(
+            segments_cross_open_rects(
+                self.x1, self.y1, self.x2, self.y2, xmin, ymin, xmax, ymax
+            ).any()
         )
-        overlap_y = (np.maximum(self.y1, self.y2) > ymin) & (
-            np.minimum(self.y1, self.y2) < ymax
-        )
-        cand = overlap_x & overlap_y
-        if not cand.any():
-            return False
-        x1 = self.x1[cand]
-        y1 = self.y1[cand]
-        dx = self.x2[cand] - x1
-        dy = self.y2[cand] - y1
-        s1 = dx * (ymin - y1) - dy * (xmin - x1)
-        s2 = dx * (ymin - y1) - dy * (xmax - x1)
-        s3 = dx * (ymax - y1) - dy * (xmax - x1)
-        s4 = dx * (ymax - y1) - dy * (xmin - x1)
-        smin = np.minimum(np.minimum(s1, s2), np.minimum(s3, s4))
-        smax = np.maximum(np.maximum(s1, s2), np.maximum(s3, s4))
-        return bool(((smin < 0) & (smax > 0)).any())
 
     def rect_inside(
         self, xmin: float, ymin: float, xmax: float, ymax: float
@@ -147,7 +132,7 @@ class EdgeArrays:
                 ((xmin + xmax) / 2, (ymin + ymax) / 2),
             ]
         )
-        if not self.contains_points_all(probes):
+        if not self.contains_points(probes).all():
             return False
         if self.any_edge_intersects_rect_interior(xmin, ymin, xmax, ymax):
             return False
@@ -156,16 +141,64 @@ class EdgeArrays:
                 return False
         return True
 
-    def horizontal_crossings(self, y: float) -> np.ndarray:
-        """Sorted x-coordinates where edges cross the horizontal line."""
-        crosses = (self.y1 > y) != (self.y2 > y)
-        if not crosses.any():
-            return np.empty(0)
-        y1c = self.y1[crosses]
-        y2c = self.y2[crosses]
-        x1c = self.x1[crosses]
-        x2c = self.x2[crosses]
-        return np.sort((x2c - x1c) * (y - y1c) / (y2c - y1c) + x1c)
+    def horizontal_crossings(self, ys: Sequence[float]) -> np.ndarray:
+        """Sorted x-coordinates where edges cross each horizontal line.
+
+        Row ``r`` holds the crossings of the line at ``ys[r]`` in
+        ascending order, padded with ``+inf`` to the longest row (so a
+        row without crossings is all ``+inf``, and the matrix has no
+        column at all when no line is crossed).
+        """
+        y = np.asarray(ys, dtype=float)
+        row, edge = np.nonzero(
+            (self.y1 > y[:, None]) != (self.y2 > y[:, None])
+        )
+        x1, y1 = self.x1[edge], self.y1[edge]
+        x_cross = (self.x2[edge] - x1) * (y[row] - y1) / (self.y2[edge] - y1) + x1
+        counts = np.bincount(row, minlength=len(y))
+        out = np.full((len(y), int(counts.max(initial=0))), np.inf)
+        # ``row`` ascends, so a crossing's column is its index in its row.
+        column = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+        out[row, column] = x_cross
+        out.sort(axis=1)
+        return out
+
+
+def segments_cross_open_rects(
+    x1: np.ndarray,
+    y1: np.ndarray,
+    x2: np.ndarray,
+    y2: np.ndarray,
+    xmin,
+    ymin,
+    xmax,
+    ymax,
+) -> np.ndarray:
+    """SAT, broadcast: does segment ``x1, y1 -> x2, y2`` meet the open rectangle?
+
+    Segment and rectangle arguments broadcast against each other, so one
+    call decides one rectangle against every edge (scalar bounds, as in
+    :meth:`EdgeArrays.any_edge_intersects_rect_interior`), a column of
+    rectangles against a row of edges, or gathered (rectangle, edge)
+    pairs (the MER cell grid).  A segment meets the open rectangle iff
+    its box overlaps the rectangle's open box and its line strictly
+    separates two of the rectangle's corners.
+    """
+    overlap = (
+        (np.maximum(x1, x2) > xmin)
+        & (np.minimum(x1, x2) < xmax)
+        & (np.maximum(y1, y2) > ymin)
+        & (np.minimum(y1, y2) < ymax)
+    )
+    dx = x2 - x1
+    dy = y2 - y1
+    s1 = dx * (ymin - y1) - dy * (xmin - x1)
+    s2 = dx * (ymin - y1) - dy * (xmax - x1)
+    s3 = dx * (ymax - y1) - dy * (xmax - x1)
+    s4 = dx * (ymax - y1) - dy * (xmin - x1)
+    smin = np.minimum(np.minimum(s1, s2), np.minimum(s3, s4))
+    smax = np.maximum(np.maximum(s1, s2), np.maximum(s3, s4))
+    return overlap & (smin < 0) & (smax > 0)
 
 
 def edges_intersect_matrix_any(poly1: Polygon, poly2: Polygon) -> bool:

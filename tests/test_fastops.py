@@ -17,6 +17,7 @@ from repro.geometry import (
     polygons_intersect_fast,
     segments_intersect,
 )
+from repro.geometry.fastops import segments_cross_open_rects
 from tests.conftest import square, star_polygon
 
 stars = st.builds(
@@ -70,13 +71,29 @@ class TestEdgeArrays:
         for p, d in zip(pts, batch):
             assert d == pytest.approx(fast.boundary_distance(*p), rel=1e-12)
 
-    def test_contains_points_all(self):
+    def test_contains_points(self):
         poly = square(0, 0, 1.0)
         fast = EdgeArrays(poly)
         inside = np.array([[0.0, 0.0], [0.5, 0.5], [-0.5, -0.5]])
         mixed = np.array([[0.0, 0.0], [2.0, 0.0]])
-        assert fast.contains_points_all(inside)
-        assert not fast.contains_points_all(mixed)
+        assert fast.contains_points(inside).tolist() == [True] * 3
+        assert fast.contains_points(mixed).tolist() == [True, False]
+        assert fast.contains_points(np.empty((0, 2))).shape == (0,)
+
+    @given(stars)
+    @settings(max_examples=40, deadline=None)
+    def test_contains_points_mask_matches_contains_point(self, poly):
+        fast = EdgeArrays(poly)
+        mbr = poly.mbr()
+        fx, fy = np.meshgrid(np.linspace(-0.1, 1.1, 9), np.linspace(-0.1, 1.1, 7))
+        pts = np.column_stack(
+            (mbr.xmin + fx.ravel() * mbr.width, mbr.ymin + fy.ravel() * mbr.height)
+        )
+        # Vertices too: boundary behaviour is unspecified, but the same
+        # for both forms.
+        pts = np.vstack((pts, np.array(poly.shell)))
+        mask = fast.contains_points(pts)
+        assert mask.tolist() == [fast.contains_point(x, y) for x, y in pts]
 
     def test_rect_inside(self):
         poly = square(0, 0, 1.0)
@@ -88,9 +105,58 @@ class TestEdgeArrays:
     def test_horizontal_crossings(self):
         poly = square(0, 0, 1.0)
         fast = EdgeArrays(poly)
-        xs = fast.horizontal_crossings(0.0)
-        assert list(xs) == pytest.approx([-1.0, 1.0])
-        assert len(fast.horizontal_crossings(5.0)) == 0
+        xs = fast.horizontal_crossings([0.0])
+        assert xs.tolist() == [[-1.0, 1.0]]
+        assert fast.horizontal_crossings([5.0]).shape == (1, 0)
+        assert fast.horizontal_crossings([]).shape == (0, 0)
+
+    def test_horizontal_crossings_many_ordinates(self):
+        # A U shape: two, four or no crossings depending on the line.
+        poly = Polygon([(0, 0), (3, 0), (3, 2), (2, 2), (2, 1), (1, 1),
+                        (1, 2), (0, 2)])
+        xs = EdgeArrays(poly).horizontal_crossings([0.5, 1.5, 7.0, -1.0])
+        assert xs.shape == (4, 4)
+        assert xs[0].tolist() == [0.0, 3.0, np.inf, np.inf]
+        assert xs[1].tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert np.isinf(xs[2:]).all()
+
+    @given(stars, st.lists(st.floats(min_value=-1.5, max_value=1.5),
+                           min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_horizontal_crossings_rows_match_one_line_at_a_time(self, poly, ys):
+        fast = EdgeArrays(poly)
+        rows = fast.horizontal_crossings(ys)
+        for y, row in zip(ys, rows):
+            crosses = (fast.y1 > y) != (fast.y2 > y)
+            x1, y1 = fast.x1[crosses], fast.y1[crosses]
+            x2, y2 = fast.x2[crosses], fast.y2[crosses]
+            expected = np.sort((x2 - x1) * (y - y1) / (y2 - y1) + x1)
+            assert row[: len(expected)].tobytes() == expected.tobytes()
+            assert np.isinf(row[len(expected):]).all()
+
+    @given(
+        stars,
+        st.lists(
+            st.tuples(*[st.floats(min_value=-1.3, max_value=1.3)] * 2,
+                      *[st.floats(min_value=0.0, max_value=1.5)] * 2),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_shared_rect_sat_matches_any_edge_intersects(self, poly, boxes):
+        fast = EdgeArrays(poly)
+        rects = np.array([(x, y, x + w, y + h) for x, y, w, h in boxes])
+        # One call over the whole (rect, edge) grid.
+        grid = segments_cross_open_rects(
+            fast.x1, fast.y1, fast.x2, fast.y2,
+            *(rects[:, k:k + 1] for k in range(4)),
+        )
+        assert grid.shape == (len(rects), len(fast))
+        for rect, row in zip(rects, grid):
+            assert bool(row.any()) == fast.any_edge_intersects_rect_interior(
+                *rect
+            )
 
 
 class TestEdgeMatrix:

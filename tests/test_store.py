@@ -705,24 +705,42 @@ class TestApproximationSidecars:
 
     # -- algorithm versions -------------------------------------------------
 
-    def test_stale_algorithm_version_is_rebuilt_not_mixed(
-        self, touched, monkeypatch
-    ):
+    def _stale(self, store, monkeypatch, kind):
+        """A stored relation whose ``kind`` sidecar is one version old.
+
+        Every sidecar is written at version 1; then ``kind``'s algorithm
+        is at version 2 — MER's real version (its grid search), a
+        pretended bump for 5-C.
+        """
         from repro.approximations import factory
 
-        relation, fingerprint, store = touched
-        monkeypatch.setitem(factory._ALGORITHM_VERSIONS, "5-C", 2)
+        monkeypatch.setitem(factory._ALGORITHM_VERSIONS, kind, 1)
+        rel_a, _ = random_relation_pair(91, n_objects=12)
+        rel_a.columnar(eager_kinds=(kind, "MBC"))
+        fingerprint = store.save(rel_a)
+        if kind == "MER":
+            monkeypatch.undo()
+            assert factory.algorithm_version("MER") == 2
+        else:
+            monkeypatch.setitem(factory._ALGORITHM_VERSIONS, kind, 2)
+        return fingerprint
+
+    @pytest.mark.parametrize("kind", ["5-C", "MER"])
+    def test_stale_algorithm_version_is_rebuilt_not_mixed(
+        self, store, monkeypatch, kind
+    ):
+        fingerprint = self._stale(store, monkeypatch, kind)
         stored = store.load(fingerprint)  # stale is not corrupt
-        assert stored.approx_kinds() == ["5-C", "MBC"]
-        assert stored.load_approx("5-C") is None
+        assert stored.approx_kinds() == sorted([kind, "MBC"])
+        assert stored.load_approx(kind) is None
         assert stored.load_approx("MBC") is not None
         loaded = stored.to_relation()
         columnar = loaded.columnar()
         assert columnar.packed_kinds() == ["MBC"]
-        columnar.approx("5-C")
-        assert columnar.pack_counts == {"5-C": 1}
+        columnar.approx(kind)
+        assert columnar.pack_counts == {kind: 1}
         manifest = json.loads(
-            (self._sidecar(store, fingerprint, "5-C") / "manifest.json")
+            (self._sidecar(store, fingerprint, kind) / "manifest.json")
             .read_text()
         )
         assert manifest["algorithm_version"] == 2
@@ -872,14 +890,12 @@ class TestApproximationSidecars:
         monkeypatch.undo()
         self._assert_one_valid_sidecar(store, fingerprint, relation, "MBC")
 
+    @pytest.mark.parametrize("kind", ["5-C", "MER"])
     def test_publishers_replacing_a_stale_sidecar_keep_it_loadable(
-        self, touched, monkeypatch
+        self, store, monkeypatch, kind
     ):
         """Version upgrade raced by threads: every load in between succeeds."""
-        from repro.approximations import factory
-
-        relation, fingerprint, store = touched
-        monkeypatch.setitem(factory._ALGORITHM_VERSIONS, "5-C", 2)
+        fingerprint = self._stale(store, monkeypatch, kind)
         threads = 2 * (os.cpu_count() or 1) + 1
         barrier = threading.Barrier(threads)
         failures = []
@@ -888,7 +904,7 @@ class TestApproximationSidecars:
         def upgrade(mine):
             try:
                 barrier.wait(timeout=60)
-                mine.columnar().approx("5-C")
+                mine.columnar().approx(kind)
                 store.load(fingerprint)  # a reader beside the publishers
             except BaseException as exc:  # noqa: BLE001 — reported below
                 failures.append(exc)
@@ -907,10 +923,12 @@ class TestApproximationSidecars:
             sys.setswitchinterval(old_interval)
         assert failures == []
         approx_root = store.directory / fingerprint / "approx"
-        assert sorted(e.name for e in approx_root.iterdir()) == ["5-C", "MBC"]
+        assert sorted(e.name for e in approx_root.iterdir()) == sorted(
+            [kind, "MBC"]
+        )
         stored = store.load(fingerprint)
         stored.verify()
-        assert stored.load_approx("5-C") is not None
+        assert stored.load_approx(kind) is not None
 
     def test_threads_sharing_one_relation_build_a_kind_once(self, packed):
         _, fingerprint, store = packed
