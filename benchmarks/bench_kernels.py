@@ -22,8 +22,8 @@ import time
 
 import numpy as np
 
-from repro.exact.refine import clip_rects
-from repro.geometry.fastops import EdgeArrays
+from repro.exact.refine import clip_margins, clip_rects
+from repro.geometry.fastops import EdgeArrays, vertex_distance_bounds
 from repro.geometry.kernels import NUMBA_AVAILABLE, get_kernels, warm_up
 from repro.index import nested_loops_mbr_join
 
@@ -95,12 +95,7 @@ def _build_workloads(series):
         *(np.concatenate(part) for part in pp_cols), np.array(mbr_rows),
     )
 
-    # min_edge_distance: per-pair calls over a candidate slice (the
-    # proximity pipelines' call shape).
-    pair_cols = [(cols(a), cols(b)) for a, b in pairs[:128]]
-    matrix_pairs = sum(len(ea.x1) * len(eb.x1) for ea, eb in pair_cols)
-
-    # edge_pairs_intersect_ragged: the same slice as one refinement
+    # edge_pairs_intersect_ragged: a candidate slice as one refinement
     # batch on the relations' edge tables (the exact step's call shape).
     geometry_a = series.relation_a.columnar().ring_geometry()
     geometry_b = series.relation_b.columnar().ring_geometry()
@@ -113,17 +108,25 @@ def _build_workloads(series):
         ),
     )
 
+    # min_edge_distance_ragged: the same slice as one proximity round,
+    # reach at the vertex bound (a kNN round before k neighbours are known).
+    distance_args = (
+        geometry_a.table, geometry_b.table, rows_a, rows_b,
+        vertex_distance_bounds(
+            geometry_a.table, geometry_b.table, rows_a, rows_b
+        ),
+        clip_margins(
+            geometry_a.table.bounds[rows_a], geometry_b.table.bounds[rows_b]
+        ),
+    )
+
     def run_ragged(kernels):
         hits, evaluated = kernels.edge_pairs_intersect_ragged(*ragged_args)
         return np.asarray(hits).tolist(), evaluated
 
     def run_min_distance(kernels):
-        return [
-            kernels.min_edge_distance_bulk(
-                ea.x1, ea.y1, ea.x2, ea.y2, eb.x1, eb.y1, eb.x2, eb.y2
-            )
-            for ea, eb in pair_cols
-        ]
+        dist, evaluated = kernels.min_edge_distance_ragged(*distance_args)
+        return np.asarray(dist).tolist(), evaluated
 
     return [
         (
@@ -148,7 +151,10 @@ def _build_workloads(series):
             "edge_pairs_intersect_ragged",
             run_ragged(get_kernels("numpy"))[1], run_ragged,
         ),
-        ("min_edge_distance_bulk", matrix_pairs, run_min_distance),
+        (
+            "min_edge_distance_ragged",
+            run_min_distance(get_kernels("numpy"))[1], run_min_distance,
+        ),
     ]
 
 

@@ -17,13 +17,41 @@ Stats mapping (the Figure-1 invariants hold for both predicates):
 * ``distance`` — candidates are the expanded-MBR-join pairs that
   survive the Euclidean MBR pre-test; the conservative MBC lower bound
   eliminates false hits, the progressive MEC upper bound proves hits,
-  and the remainder is resolved by exact minimum edge distance
-  (:func:`KernelDispatcher.min_edge_distance_bulk` — identical across
-  kernel backends by construction).
+  and the remainder is resolved by exact polygon distance.
 * ``knn`` — best-first MINDIST traversal per left object; every exact
   distance computation is one candidate that goes straight to the
   exact step (``remaining == candidate_pairs``), the emitted ``k``
   nearest are exact hits and the rest exact false hits.
+
+**The exact step is set-at-a-time.**  Exact distances are computed for
+a whole set of pairs at once (:func:`_capped_distances`), on the
+relations' edge tables (:class:`repro.exact.refine.RingGeometry`):
+
+* the zero-distance test is the intersects decision the batched
+  refinement makes (:func:`repro.exact.refine.intersects_rows` — MBR
+  test, ragged crossing kernel, containment), one call for the set;
+* the other pairs go through one
+  :func:`KernelDispatcher.min_edge_distance_ragged` call, which prunes
+  edges and edge pairs by a per-pair **reach** ``min(cap, bound +
+  margin)``: ``bound`` is the distance of one edge pair picked by
+  nearest vertices (:func:`repro.geometry.fastops.vertex_distance_bounds`),
+  so never below the true distance, and ``cap`` is the largest value the caller
+  can still use — ε for the distance join, the current k-th best
+  (``inf`` until ``k`` are known) for a kNN search.  The kernel returns
+  the exact distance, bit for bit, wherever it is ``<= reach`` and
+  ``inf`` elsewhere, so a value that could still decide a distance pair
+  or enter a kNN result is always exact.
+
+The **distance join** collects its remaining candidates in candidate
+order and resolves them with one such call per join, then yields pairs
+in the original interleaved order.  The **kNN join** advances every left
+object's best-first search in lock-step *rounds*: each active search
+pops until it needs an exact distance (or stops), and the round's pairs
+share one call.  Heap contents and pop order per object are those of a
+one-object-at-a-time search — a pair beyond the k-th best gets ``inf``
+instead of its true value, is pushed and immediately evicted either way
+— so candidates, counters and emitted order are unchanged; results are
+emitted per left object in relation order.
 
 Neither predicate decomposes into independent *MBR* tiles (an ε-near
 pair can straddle tiles without MBR overlap; a kNN result is a global
@@ -43,12 +71,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..datasets.relations import SpatialObject, SpatialRelation
-from ..geometry.fastops import polygons_intersect_fast
+from ..exact.refine import RingGeometry, clip_margins, intersects_rows
+from ..geometry.fastops import vertex_distance_bounds
 from ..geometry.kernels import KernelDispatcher, dispatcher_for
 from ..index import JoinStats, rstar_join
 from .distance import (
@@ -61,46 +90,40 @@ from .stats import MultiStepStats
 
 Pair = Tuple[SpatialObject, SpatialObject]
 
-def _exact_distance(
-    obj_a: SpatialObject,
-    obj_b: SpatialObject,
+
+def _capped_distances(
     kernels: KernelDispatcher,
-    geometry_a,
-    geometry_b,
-    epsilon: Optional[float] = None,
-) -> float:
-    """Exact polygon distance through the kernel tier (0 intersecting).
+    geometry_a: RingGeometry,
+    geometry_b: RingGeometry,
+    pairs: Sequence[Pair],
+    caps: np.ndarray,
+) -> np.ndarray:
+    """Exact polygon distance per pair (0 intersecting), ``inf`` beyond ``caps``.
 
     Same semantics as :func:`repro.core.distance.polygon_distance`: the
-    backend-independent intersection oracle decides the zero case
-    (containment and touching included), then the bulk minimum edge
-    distance kernel — bit-identical across backends — resolves the
-    disjoint case over the objects' edges (shell and holes, as the
-    scalar function; a hole can never beat the shell of a disjoint
-    polygon), read from the relations' edge tables
-    (:class:`repro.exact.refine.RingGeometry`).
-
-    With ``epsilon`` the caller only asks whether the distance is
-    ``<= epsilon``: each side keeps the edges whose box lies within
-    ``epsilon`` of the other object's bounds.  If the true minimum is
-    ``<= epsilon`` both attaining edges survive, so that exact value is
-    returned; otherwise the result stays ``> epsilon``.
+    intersects decision settles the zero case (containment and touching
+    included), then the minimum edge distance over the objects' edges
+    (shell and holes; a hole can never beat the shell of a disjoint
+    polygon) resolves the rest — exactly where it is ``<= caps[p]``,
+    ``inf`` where it is larger.
     """
-    if polygons_intersect_fast(obj_a.polygon, obj_b.polygon):
-        return 0.0
-    row_a = geometry_a.row_of(obj_a)
-    row_b = geometry_b.row_of(obj_b)
-    if epsilon is None:
-        edges_a = geometry_a.edges(row_a)
-        edges_b = geometry_b.edges(row_b)
-    else:
-        edges_a = geometry_a.edges_within(
-            row_a, geometry_b.table.bounds[row_b], epsilon
+    table_a, table_b = geometry_a.table, geometry_b.table
+    rows_a = np.array([geometry_a.row_of(a) for a, _ in pairs], dtype=np.intp)
+    rows_b = np.array([geometry_b.row_of(b) for _, b in pairs], dtype=np.intp)
+    dist = np.zeros(len(pairs))
+    apart = np.flatnonzero(
+        ~intersects_rows(kernels, table_a, table_b, rows_a, rows_b)
+    )
+    if len(apart):
+        rows_a = rows_a[apart]
+        rows_b = rows_b[apart]
+        margin = clip_margins(table_a.bounds[rows_a], table_b.bounds[rows_b])
+        bound = vertex_distance_bounds(table_a, table_b, rows_a, rows_b)
+        dist[apart] = kernels.min_edge_distance_ragged(
+            table_a, table_b, rows_a, rows_b,
+            np.minimum(caps[apart], bound + margin), margin,
         )
-        edges_b = geometry_b.edges_within(
-            row_b, geometry_a.table.bounds[row_a], epsilon
-        )
-    return kernels.min_edge_distance_bulk(*edges_a, *edges_b)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +142,8 @@ def distance_join_pipeline(
 
     Pair order is the expanded MBR-join's candidate order — identical
     to :func:`repro.core.distance.within_distance_join` on the same
-    relations and ε, and identical across kernel backends.
+    relations and ε, and identical across kernel backends.  The exact
+    step runs once, after the filter, over all remaining candidates.
 
     ``owns`` is the parallel executor's deduplication hook: an
     ε-expanded grid task replicates border objects into every tile
@@ -133,11 +157,13 @@ def distance_join_pipeline(
     """
     epsilon = config.epsilon
     kernels = dispatcher_for(config.kernels, stats)
-    geometry_a = relation_a.columnar().ring_geometry()
-    geometry_b = relation_b.columnar().ring_geometry()
     half = epsilon / 2.0
     tree_a = _expanded_tree(relation_a, half, config.rtree_max_entries)
     tree_b = _expanded_tree(relation_b, half, config.rtree_max_entries)
+    # Progressive hits and remaining candidates, in candidate order; the
+    # positions of the remaining ones wait for the exact step.
+    survivors: List[Pair] = []
+    remaining: List[int] = []
     # The expanded join reports L∞ candidates; the Euclidean pre-test
     # below corner-tightens them.  Candidate accounting starts *after*
     # the pre-test, so raw tree stats go to a throwaway JoinStats and
@@ -176,26 +202,112 @@ def distance_join_pipeline(
         upper = circle_distance(
             disc_a.center, disc_a.radius, disc_b.center, disc_b.radius
         )
-        if upper <= epsilon:
-            stats.filter_hits_progressive += 1
-            yield (obj_a, obj_b)
-            continue
-
-        stats.remaining_candidates += 1
-        if _exact_distance(
-            obj_a, obj_b, kernels, geometry_a, geometry_b, epsilon
-        ) <= epsilon:
-            stats.exact_hits += 1
-            yield (obj_a, obj_b)
+        if upper > epsilon:
+            stats.remaining_candidates += 1
+            remaining.append(len(survivors))
         else:
-            stats.exact_false_hits += 1
+            stats.filter_hits_progressive += 1
+        survivors.append((obj_a, obj_b))
     stats.mbr_join.mbr_tests += raw.mbr_tests
     stats.mbr_join.node_pairs += raw.node_pairs
+
+    accept = np.ones(len(survivors), dtype=bool)
+    if remaining:
+        near = _capped_distances(
+            kernels,
+            relation_a.columnar().ring_geometry(),
+            relation_b.columnar().ring_geometry(),
+            [survivors[i] for i in remaining],
+            np.full(len(remaining), epsilon),
+        ) <= epsilon
+        stats.exact_hits += int(near.sum())
+        stats.exact_false_hits += len(remaining) - int(near.sum())
+        accept[remaining] = near
+    for pair, hit in zip(survivors, accept.tolist()):
+        if hit:
+            yield pair
 
 
 # ---------------------------------------------------------------------------
 # predicate='knn'
 # ---------------------------------------------------------------------------
+
+
+class _KnnSearch:
+    """One left object's best-first search, advanced a pair at a time.
+
+    ``heap`` holds pending tree nodes and entries by MINDIST (ties by
+    push order via ``tiebreak``); ``best`` is a max-heap of the k best by
+    ``(-exact, -oid)``: the root is the current worst — largest
+    distance, ties evicting the larger oid — so the kept set is the k
+    smallest by ``(exact, oid)``.
+    """
+
+    __slots__ = ("obj", "k", "heap", "tiebreak", "best", "computed")
+
+    def __init__(self, obj: SpatialObject, root, k: int):
+        self.obj = obj
+        self.k = k
+        self.tiebreak = itertools.count()
+        self.heap: List[Tuple[float, int, bool, object]] = [
+            (0.0, next(self.tiebreak), False, root)
+        ]
+        self.best: List[Tuple[float, float, SpatialObject]] = []
+        self.computed = 0
+
+    def next_candidate(self, stats: MultiStepStats) -> Optional[SpatialObject]:
+        """Pop until an entry needs its exact distance; ``None`` once done."""
+        heap, best, mbr = self.heap, self.best, self.obj.mbr
+        while heap:
+            mindist, _, is_entry, payload = heapq.heappop(heap)
+            if len(best) == self.k and mindist > -best[0][0]:
+                return None  # no pending rectangle can beat the k-th best
+            if is_entry:
+                stats.candidate_pairs += 1
+                stats.mbr_join.output_pairs += 1
+                stats.remaining_candidates += 1
+                self.computed += 1
+                return payload
+            stats.mbr_join.node_pairs += 1
+            if payload.is_leaf:
+                for entry in payload.entries:
+                    stats.mbr_join.mbr_tests += 1
+                    heapq.heappush(
+                        heap,
+                        (
+                            rect_distance(mbr, entry.rect),
+                            next(self.tiebreak),
+                            True,
+                            entry.item,
+                        ),
+                    )
+            else:
+                for child in payload.children:
+                    stats.mbr_join.mbr_tests += 1
+                    heapq.heappush(
+                        heap,
+                        (
+                            rect_distance(mbr, child.mbr()),
+                            next(self.tiebreak),
+                            False,
+                            child,
+                        ),
+                    )
+        return None
+
+    def cap(self) -> float:
+        """The largest exact distance that can still enter the k best."""
+        return -self.best[0][0] if len(self.best) == self.k else np.inf
+
+    def admit(self, obj_b: SpatialObject, exact: float) -> None:
+        heapq.heappush(self.best, (-exact, -obj_b.oid, obj_b))
+        if len(self.best) > self.k:
+            heapq.heappop(self.best)
+
+    def neighbours(self) -> List[SpatialObject]:
+        """The kept objects in ascending ``(distance, oid)`` order."""
+        ranked = sorted(self.best, key=lambda t: (t[0], t[1]), reverse=True)
+        return [obj for _, _, obj in ranked]
 
 
 def knn_join_pipeline(
@@ -215,75 +327,41 @@ def knn_join_pipeline(
 
     Every exact distance computation is one candidate pair resolved by
     the exact step (``remaining == candidate_pairs``); the emitted
-    neighbours are the exact hits.
+    neighbours are the exact hits.  The searches advance in lock-step
+    rounds, one exact-distance kernel call per round.
     """
-    k = config.k
+    tree_b = relation_b.rtree(config.rtree_max_entries)
+    if tree_b.size == 0:
+        return
     kernels = dispatcher_for(config.kernels, stats)
     geometry_a = relation_a.columnar().ring_geometry()
     geometry_b = relation_b.columnar().ring_geometry()
-    tree_b = relation_b.rtree(config.rtree_max_entries)
-    for obj_a in relation_a:
-        if tree_b.size == 0:
-            break
-        tiebreak = itertools.count()
-        heap: List[Tuple[float, int, bool, object]] = [
-            (0.0, next(tiebreak), False, tree_b.root)
+    searches = [
+        _KnnSearch(obj_a, tree_b.root, config.k) for obj_a in relation_a
+    ]
+    active = searches
+    while active:
+        pending = [
+            (search, search.next_candidate(stats)) for search in active
         ]
-        # max-heap of the k best by (-exact, -oid): the root is the
-        # current worst — largest distance, ties evicting the larger
-        # oid — so the kept set is the k smallest by (exact, oid).
-        best: List[Tuple[float, float, SpatialObject]] = []
-        computed = 0
-        while heap:
-            mindist, _, is_entry, payload = heapq.heappop(heap)
-            if len(best) == k and mindist > -best[0][0]:
-                break  # no pending rectangle can beat the k-th best
-            if is_entry:
-                stats.candidate_pairs += 1
-                stats.mbr_join.output_pairs += 1
-                stats.remaining_candidates += 1
-                computed += 1
-                exact = _exact_distance(
-                    obj_a, payload, kernels, geometry_a, geometry_b
-                )
-                heapq.heappush(best, (-exact, -payload.oid, payload))
-                if len(best) > k:
-                    heapq.heappop(best)
-                continue
-            node = payload
-            stats.mbr_join.node_pairs += 1
-            if node.is_leaf:
-                for entry in node.entries:
-                    stats.mbr_join.mbr_tests += 1
-                    heapq.heappush(
-                        heap,
-                        (
-                            rect_distance(obj_a.mbr, entry.rect),
-                            next(tiebreak),
-                            True,
-                            entry.item,
-                        ),
-                    )
-            else:
-                for child in node.children:
-                    stats.mbr_join.mbr_tests += 1
-                    heapq.heappush(
-                        heap,
-                        (
-                            rect_distance(obj_a.mbr, child.mbr()),
-                            next(tiebreak),
-                            False,
-                            child,
-                        ),
-                    )
-        emitted = sorted(
-            ((-neg, -negoid, obj) for neg, negoid, obj in best),
-            key=lambda t: (t[0], t[1]),
-        )
+        pending = [
+            (search, obj_b) for search, obj_b in pending if obj_b is not None
+        ]
+        if pending:
+            exact = _capped_distances(
+                kernels, geometry_a, geometry_b,
+                [(search.obj, obj_b) for search, obj_b in pending],
+                np.array([search.cap() for search, _ in pending]),
+            )
+            for (search, obj_b), distance in zip(pending, exact.tolist()):
+                search.admit(obj_b, distance)
+        active = [search for search, _ in pending]
+    for search in searches:
+        emitted = search.neighbours()
         stats.exact_hits += len(emitted)
-        stats.exact_false_hits += computed - len(emitted)
-        for _, _, obj_b in emitted:
-            yield (obj_a, obj_b)
+        stats.exact_false_hits += search.computed - len(emitted)
+        for obj_b in emitted:
+            yield (search.obj, obj_b)
 
 
 def rect_max_distance(a, b) -> float:

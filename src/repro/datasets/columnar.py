@@ -352,9 +352,9 @@ class ColumnarRelation:
     def ring_geometry(self):
         """The relation's edge table over the ring columns, memoised.
 
-        What batched refinement and the distance join's exact step read
-        edges from; built once, vectorised, and kept for the life of
-        this store.
+        What batched refinement and the proximity predicates' exact
+        step read edges from; built once, vectorised, and kept for the
+        life of this store.
         """
         if self._ring_geometry is None:
             from ..exact.refine import RingGeometry  # lazy: import cycle

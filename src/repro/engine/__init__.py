@@ -115,8 +115,8 @@ Refinement pipeline — the exact step as its own layer
 
 The compiled kernel tier — one semantics, three backends
     The bulk hot paths both engines lean on — MBR overlap, segment
-    intersection, the ragged edge-pair kernel, point-in-polygon,
-    minimum edge distance, and the per-pair plane sweep core — live
+    intersection, the ragged edge-pair kernel, point-in-polygon, the
+    ragged edge-distance kernel, and the per-pair plane sweep core — live
     behind the backend registry of :mod:`repro.geometry.kernels`,
     selected by ``JoinConfig(kernels=...)`` (CLI ``join --kernels``,
     env default ``REPRO_KERNELS``).  ``numpy`` is the vectorised
@@ -148,10 +148,11 @@ Proximity predicates — distance and kNN joins on the same runtime
     ``JoinConfig(predicate="distance", epsilon=ε)`` joins all pairs
     with exact polygon distance ≤ ε (expanded-MBR R*-tree join, then
     MBC lower bound / MEC upper bound circle filters, then exact
-    minimum edge distance on the kernel tier);
+    minimum edge distance on the kernel tier, one call per join);
     ``predicate="knn", k=N`` emits each left object's N nearest right
     objects by exact distance via best-first MINDIST traversal with
-    the multi-step stopping rule.  Both report ordinary
+    the multi-step stopping rule, all left objects' searches advanced
+    in lock-step with one exact-distance call per round.  Both report ordinary
     :class:`~repro.core.stats.MultiStepStats` (the Figure-1 invariants
     hold) and flow through the CLI (``join --predicate distance
     --epsilon 0.05``), sessions, and the join service unchanged.

@@ -44,7 +44,9 @@ program** — no Python step per pair beyond looking up its two rows:
 
 Per batch that is one ``rects_intersect_bulk``, one ragged-kernel call
 and at most one ``points_in_polygons_bulk`` call through the configured
-kernel backend.  Decisions are identical to the per-pair ``vectorized``
+kernel backend — the row-level decision :func:`intersects_rows`, which
+the proximity predicates (:mod:`repro.core.proximity`) share as their
+zero-distance test.  Decisions are identical to the per-pair ``vectorized``
 processor (:func:`~repro.geometry.fastops.polygons_intersect_fast`):
 same expressions on the same floats, sound pruning, and a
 point-in-polygon kernel that replicates ``Polygon.contains_point``
@@ -151,27 +153,6 @@ class RingGeometry:
         offsets = self.table.offsets
         return tuple(self.table.coords[:, offsets[row]:offsets[row + 1]])
 
-    def edges_within(self, row: int, rect: np.ndarray, reach: float) -> EdgeSet:
-        """The object's edges whose box is within ``reach`` of ``rect``.
-
-        L-infinity reach plus the clip margin, so a superset of the
-        edges within Euclidean distance ``reach`` of anything inside
-        ``rect`` (``xmin, ymin, xmax, ymax``) — what a distance test
-        with threshold ``reach`` against an object bounded by ``rect``
-        can be decided on.
-        """
-        table = self.table
-        span = slice(table.offsets[row], table.offsets[row + 1])
-        reach = reach + clip_margins(table.bounds[row][None], rect[None])[0]
-        xmin, ymin, xmax, ymax = table.boxes[:, span]
-        keep = (
-            (xmin <= rect[2] + reach)
-            & (xmax >= rect[0] - reach)
-            & (ymin <= rect[3] + reach)
-            & (ymax >= rect[1] - reach)
-        )
-        return tuple(table.coords[:, span][:, keep])
-
     def bounds(self, row: int) -> Tuple[float, float, float, float]:
         """Bounding box over all of the object's rings.
 
@@ -233,7 +214,6 @@ class BatchedRefinement(RefinementStep):
         self, pairs: Sequence[Pair], stats: MultiStepStats
     ) -> List[bool]:
         geometry_a, geometry_b = self._geometry
-        table_a, table_b = geometry_a.table, geometry_b.table
         results = np.zeros(len(pairs), dtype=bool)
         rows = [
             (geometry_a.row_of(obj_a), geometry_b.row_of(obj_b))
@@ -249,62 +229,91 @@ class BatchedRefinement(RefinementStep):
                 results[i] = polygons_intersect_fast(
                     pairs[i][0].polygon, pairs[i][1].polygon
                 )
-        row_a = np.array([rows[i][0] for i in mapped], dtype=np.intp)
-        row_b = np.array([rows[i][1] for i in mapped], dtype=np.intp)
-        overlap = self._kernels.rects_intersect_bulk(
-            table_a.mbrs[row_a], table_b.mbrs[row_b]
+        results[mapped] = intersects_rows(
+            self._kernels,
+            geometry_a.table,
+            geometry_b.table,
+            np.array([rows[i][0] for i in mapped], dtype=np.intp),
+            np.array([rows[i][1] for i in mapped], dtype=np.intp),
         )
-        # ``live`` indexes ``pairs``; row_a / row_b follow it from here on.
-        live = np.array(mapped, dtype=np.intp)[overlap]
-        if len(live) == 0:
-            return results.tolist()
-        row_a = row_a[overlap]
-        row_b = row_b[overlap]
-        clip, margin = clip_rects(table_a.bounds[row_a], table_b.bounds[row_b])
-        crossing = self._kernels.edge_pairs_intersect_ragged(
-            table_a, table_b, row_a, row_b, clip, margin
-        )
-        results[live[crossing]] = True
-        # Containment fallback for overlapping, edge-disjoint pairs: same
-        # MBR-containment guards and the same probe vertex (the other
-        # shell's first) as the scalar polygons_intersect_fast.
-        rest = np.flatnonzero(~crossing)
-        mbr_a = table_a.mbrs[row_a[rest]]
-        mbr_b = table_b.mbrs[row_b[rest]]
-        a_in_b = rest[rects_contain_bulk(mbr_b, mbr_a)]
-        b_in_a = rest[rects_contain_bulk(mbr_a, mbr_b)]
-        if len(a_in_b) or len(b_in_a):
-            inside = self._contains_bulk(
-                (table_b, row_b[a_in_b], table_a, row_a[a_in_b]),
-                (table_a, row_a[b_in_a], table_b, row_b[b_in_a]),
-            )
-            results[live[np.concatenate((a_in_b, b_in_a))[inside]]] = True
         return results.tolist()
 
-    def _contains_bulk(self, *groups) -> np.ndarray:
-        """One bulk point-in-polygon call over the batch's containment queries.
 
-        Each group is ``(polygon table, polygon rows, probe table, probe
-        rows)``: query ``k`` asks whether the first shell vertex of the
-        probe object lies in the polygon object.
-        """
-        probes = []
-        edges = []
-        owners = []
-        mbrs = []
-        first_query = 0
-        for table, rows, probe_table, probe_rows in groups:
-            probes.append(
-                probe_table.coords[:2, probe_table.offsets[probe_rows]]
-            )
-            index, owner = gather_edges(table.offsets, rows)
-            edges.append(table.coords[:, index])
-            owners.append(owner + first_query)
-            mbrs.append(table.mbrs[rows])
-            first_query += len(rows)
-        px, py = np.concatenate(probes, axis=1)
-        ex1, ey1, ex2, ey2 = np.concatenate(edges, axis=1)
-        return self._kernels.points_in_polygons_bulk(
-            px, py, np.concatenate(owners), ex1, ey1, ex2, ey2,
-            np.concatenate(mbrs),
+def intersects_rows(
+    kernels: KernelDispatcher,
+    table_a: EdgeTable,
+    table_b: EdgeTable,
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
+) -> np.ndarray:
+    """Do objects ``rows_a[p]`` of ``table_a`` and ``rows_b[p]`` of ``table_b`` intersect?
+
+    The ``vectorized`` exact decision
+    (:func:`~repro.geometry.fastops.polygons_intersect_fast`) for a whole
+    batch of table rows: one ``rects_intersect_bulk`` over the shell
+    MBRs, one ``edge_pairs_intersect_ragged`` over the overlapping
+    pairs, and at most one ``points_in_polygons_bulk`` for the
+    containment of overlapping, edge-disjoint pairs.  Shared by
+    :class:`BatchedRefinement` and the proximity predicates' zero-distance
+    test (:mod:`repro.core.proximity`).
+    """
+    results = np.zeros(len(rows_a), dtype=bool)
+    overlap = kernels.rects_intersect_bulk(
+        table_a.mbrs[rows_a], table_b.mbrs[rows_b]
+    )
+    # ``live`` indexes the pairs; row_a / row_b follow it from here on.
+    live = np.flatnonzero(overlap)
+    if len(live) == 0:
+        return results
+    row_a = rows_a[live]
+    row_b = rows_b[live]
+    clip, margin = clip_rects(table_a.bounds[row_a], table_b.bounds[row_b])
+    crossing = kernels.edge_pairs_intersect_ragged(
+        table_a, table_b, row_a, row_b, clip, margin
+    )
+    results[live[crossing]] = True
+    # Containment fallback for overlapping, edge-disjoint pairs: same
+    # MBR-containment guards and the same probe vertex (the other
+    # shell's first) as the scalar polygons_intersect_fast.
+    rest = np.flatnonzero(~crossing)
+    mbr_a = table_a.mbrs[row_a[rest]]
+    mbr_b = table_b.mbrs[row_b[rest]]
+    a_in_b = rest[rects_contain_bulk(mbr_b, mbr_a)]
+    b_in_a = rest[rects_contain_bulk(mbr_a, mbr_b)]
+    if len(a_in_b) or len(b_in_a):
+        inside = _contains_bulk(
+            kernels,
+            (table_b, row_b[a_in_b], table_a, row_a[a_in_b]),
+            (table_a, row_a[b_in_a], table_b, row_b[b_in_a]),
         )
+        results[live[np.concatenate((a_in_b, b_in_a))[inside]]] = True
+    return results
+
+
+def _contains_bulk(kernels: KernelDispatcher, *groups) -> np.ndarray:
+    """One bulk point-in-polygon call over a batch's containment queries.
+
+    Each group is ``(polygon table, polygon rows, probe table, probe
+    rows)``: query ``k`` asks whether the first shell vertex of the
+    probe object lies in the polygon object.
+    """
+    probes = []
+    edges = []
+    owners = []
+    mbrs = []
+    first_query = 0
+    for table, rows, probe_table, probe_rows in groups:
+        probes.append(
+            probe_table.coords[:2, probe_table.offsets[probe_rows]]
+        )
+        index, owner = gather_edges(table.offsets, rows)
+        edges.append(table.coords[:, index])
+        owners.append(owner + first_query)
+        mbrs.append(table.mbrs[rows])
+        first_query += len(rows)
+    px, py = np.concatenate(probes, axis=1)
+    ex1, ey1, ex2, ey2 = np.concatenate(edges, axis=1)
+    return kernels.points_in_polygons_bulk(
+        px, py, np.concatenate(owners), ex1, ey1, ex2, ey2,
+        np.concatenate(mbrs),
+    )

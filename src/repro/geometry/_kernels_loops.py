@@ -44,7 +44,9 @@ JIT_FUNCTIONS = (
     "_edge_pair_hit",
     "edge_pairs_ragged",
     "rects_intersect_rows",
-    "min_edge_distance",
+    "_edge_pair_distance",
+    "_box_gap_sq",
+    "edge_distance_ragged",
     "sweep_core",
 )
 
@@ -283,47 +285,113 @@ def rects_intersect_rows(a, b):
     return out
 
 
-def min_edge_distance(ax1, ay1, ax2, ay2, bx1, by1, bx2, by2):
-    """Loop counterpart of ``fastops.min_edge_distance_bulk``.
+def _edge_pair_distance(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
+    """One edge pair of ``fastops._edge_pair_distances``.
 
-    Minimum over all edge pairs of the closed-segment distance
-    (``core.distance.segment_distance`` semantics: 0 on a proper
-    crossing, else the min of the four endpoint-to-segment distances).
+    ``core.distance.segment_distance`` semantics: 0 on a proper
+    crossing (raw signs, no epsilon), else the min of the four
+    endpoint-to-segment distances.
     """
-    n1 = ax1.shape[0]
-    n2 = bx1.shape[0]
-    best = np.inf
-    for i in range(n1):
-        p1x = ax1[i]
-        p1y = ay1[i]
-        p2x = ax2[i]
-        p2y = ay2[i]
-        for j in range(n2):
-            q1x = bx1[j]
-            q1y = by1[j]
-            q2x = bx2[j]
-            q2y = by2[j]
-            d1 = _cross(q1x, q1y, q2x, q2y, p1x, p1y)
-            d2 = _cross(q1x, q1y, q2x, q2y, p2x, p2y)
-            d3 = _cross(p1x, p1y, p2x, p2y, q1x, q1y)
-            d4 = _cross(p1x, p1y, p2x, p2y, q2x, q2y)
-            if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-                (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-            ):
-                return 0.0
-            d = _point_seg_dist(p1x, p1y, q1x, q1y, q2x, q2y)
-            dd = _point_seg_dist(p2x, p2y, q1x, q1y, q2x, q2y)
-            if dd < d:
-                d = dd
-            dd = _point_seg_dist(q1x, q1y, p1x, p1y, p2x, p2y)
-            if dd < d:
-                d = dd
-            dd = _point_seg_dist(q2x, q2y, p1x, p1y, p2x, p2y)
-            if dd < d:
-                d = dd
-            if d < best:
-                best = d
-    return best
+    d1 = _cross(q1x, q1y, q2x, q2y, p1x, p1y)
+    d2 = _cross(q1x, q1y, q2x, q2y, p2x, p2y)
+    d3 = _cross(p1x, p1y, p2x, p2y, q1x, q1y)
+    d4 = _cross(p1x, p1y, p2x, p2y, q2x, q2y)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+    ):
+        return 0.0
+    d = _point_seg_dist(p1x, p1y, q1x, q1y, q2x, q2y)
+    dd = _point_seg_dist(p2x, p2y, q1x, q1y, q2x, q2y)
+    if dd < d:
+        d = dd
+    dd = _point_seg_dist(q1x, q1y, p1x, p1y, p2x, p2y)
+    if dd < d:
+        d = dd
+    dd = _point_seg_dist(q2x, q2y, p1x, p1y, p2x, p2y)
+    if dd < d:
+        d = dd
+    return d
+
+
+def _box_gap_sq(axmin, aymin, axmax, aymax, bxmin, bymin, bxmax, bymax):
+    """Squared Euclidean gap of two boxes (0 where they meet)."""
+    gap_x = max(axmin - bxmax, bxmin - axmax, 0.0)
+    gap_y = max(aymin - bymax, bymin - aymax, 0.0)
+    return gap_x * gap_x + gap_y * gap_y
+
+
+def edge_distance_ragged(
+    coords_a, boxes_a, offsets_a, bounds_a,
+    coords_b, boxes_b, offsets_b, bounds_b,
+    rows_a, rows_b, reach, margin,
+):
+    """Loop counterpart of ``fastops.min_edge_distance_ragged``.
+
+    Per candidate pair, with ``grow = reach[p] + margin[p]``: keep each
+    side's edges whose box lies within ``grow`` of the other object's
+    bounds, skip edge pairs whose boxes (a-side grown by ``grow``) are
+    disjoint or more than ``grow`` apart, take the minimum distance over
+    the rest, ``inf`` beyond ``reach[p]``.  Returns the distances and
+    the summed ``clipped a x clipped b`` sizes.
+    """
+    n_pairs = rows_a.shape[0]
+    dist = np.empty(n_pairs, dtype=np.float64)
+    evaluated = 0
+    for p in range(n_pairs):
+        ra = rows_a[p]
+        rb = rows_b[p]
+        grow = reach[p] + margin[p]
+        grow_sq = grow * grow
+        b_lo = offsets_b[rb]
+        b_hi = offsets_b[rb + 1]
+        kept_b = np.empty(b_hi - b_lo, dtype=np.int64)
+        n_b = 0
+        for j in range(b_lo, b_hi):
+            if _box_gap_sq(
+                boxes_b[0, j], boxes_b[1, j], boxes_b[2, j], boxes_b[3, j],
+                bounds_a[ra, 0], bounds_a[ra, 1],
+                bounds_a[ra, 2], bounds_a[ra, 3],
+            ) <= grow_sq:
+                kept_b[n_b] = j
+                n_b += 1
+        n_a = 0
+        best = np.inf
+        for i in range(offsets_a[ra], offsets_a[ra + 1]):
+            if _box_gap_sq(
+                boxes_a[0, i], boxes_a[1, i], boxes_a[2, i], boxes_a[3, i],
+                bounds_b[rb, 0], bounds_b[rb, 1],
+                bounds_b[rb, 2], bounds_b[rb, 3],
+            ) > grow_sq:
+                continue
+            n_a += 1
+            axmin = boxes_a[0, i] - grow
+            aymin = boxes_a[1, i] - grow
+            axmax = boxes_a[2, i] + grow
+            aymax = boxes_a[3, i] + grow
+            for k in range(n_b):
+                j = kept_b[k]
+                if not (
+                    axmin <= boxes_b[2, j]
+                    and boxes_b[0, j] <= axmax
+                    and aymin <= boxes_b[3, j]
+                    and boxes_b[1, j] <= aymax
+                ):
+                    continue
+                if _box_gap_sq(
+                    boxes_a[0, i], boxes_a[1, i], boxes_a[2, i], boxes_a[3, i],
+                    boxes_b[0, j], boxes_b[1, j], boxes_b[2, j], boxes_b[3, j],
+                ) <= grow_sq:
+                    d = _edge_pair_distance(
+                        coords_a[0, i], coords_a[1, i],
+                        coords_a[2, i], coords_a[3, i],
+                        coords_b[0, j], coords_b[1, j],
+                        coords_b[2, j], coords_b[3, j],
+                    )
+                    if d < best:
+                        best = d
+        evaluated += n_a * n_b
+        dist[p] = best if best <= reach[p] else np.inf
+    return dist, evaluated
 
 
 # ---------------------------------------------------------------------------

@@ -692,49 +692,75 @@ def edge_pairs_intersect_ragged(
     bounds.  ``tests/test_ragged_kernel_fuzz.py`` checks every decision
     against the unpruned ``edge_matrix_intersect_any``.
     """
-    n_pairs = len(rows_a)
-    hits = np.zeros(n_pairs, dtype=bool)
+    hits = np.zeros(len(rows_a), dtype=bool)
     edges_a, pair_a = _clipped_edges(table_a, rows_a, clip)
     edges_b, pair_b = _clipped_edges(table_b, rows_b, clip)
-    count_b = np.bincount(pair_b, minlength=n_pairs)
+    evaluated, chunks = _box_pruned_pairs(
+        table_a, table_b, edges_a, pair_a, edges_b, pair_b, margin
+    )
+    xy_a = table_a.coords[:, edges_a]
+    xy_b = table_b.coords[:, edges_b]
+    for ea, eb in chunks:
+        points = (*xy_a[:, ea], *xy_b[:, eb])
+        orients = _orientations(*points)
+        hit = _proper_crossing(*orients)
+        hit |= _endpoint_touch(*orients, *points)
+        hits[pair_a[ea[hit]]] = True
+    return hits, evaluated
+
+
+def _box_pruned_pairs(
+    table_a: EdgeTable,
+    table_b: EdgeTable,
+    edges_a: np.ndarray,
+    pair_a: np.ndarray,
+    edges_b: np.ndarray,
+    pair_b: np.ndarray,
+    grow: np.ndarray,
+):
+    """Steps 2 and 3 of the ragged kernels: budgeted cross product, box pruning.
+
+    ``edges_a``/``pair_a`` and ``edges_b``/``pair_b`` are the two sides'
+    clipped edges, pair-major (:func:`_clipped_edges`).  Returns the
+    number of edge pairs in every pair's ``clipped a x clipped b`` and
+    an iterator over chunks of at most :data:`_RAGGED_BUDGET` of them:
+    per chunk, positions ``(ea, eb)`` into the two edge lists of the
+    edge pairs whose boxes, the a-side grown by ``grow[pair]``, overlap.
+    ``ea`` ascends, so each chunk's pairs ``pair_a[ea]`` come in runs.
+    """
+    count_b = np.bincount(pair_b, minlength=len(grow))
     #: per clipped a-edge: how many b-edges it meets, and where they start.
     partners = count_b[pair_a]
     first_partner = (np.cumsum(count_b) - count_b)[pair_a]
     done = np.cumsum(partners)
-    if len(done) == 0 or done[-1] == 0:
-        return hits, 0
-    box_a = table_a.boxes[:, edges_a]
-    box_a[:2] -= margin[pair_a]
-    box_a[2:] += margin[pair_a]
-    box_b = table_b.boxes[:, edges_b]
-    xy_a = table_a.coords[:, edges_a]
-    xy_b = table_b.coords[:, edges_b]
-    lo = 0
-    while lo < len(partners):
-        before = done[lo - 1] if lo else 0
-        hi = max(
-            lo + 1,
-            int(np.searchsorted(done, before + _RAGGED_BUDGET, side="right")),
-        )
-        repeats = partners[lo:hi]
-        eb = ragged_arange(first_partner[lo:hi], repeats)
-        # x-extents first: most edge pairs end here, before any a-side
-        # index or y-extent is gathered for them.
-        near = np.repeat(box_a[0, lo:hi], repeats) <= box_b[2, eb]
-        near &= box_b[0, eb] <= np.repeat(box_a[2, lo:hi], repeats)
-        ea = np.repeat(np.arange(lo, hi), repeats)[near]
-        eb = eb[near]
-        near = (box_a[1, ea] <= box_b[3, eb]) & (box_b[1, eb] <= box_a[3, ea])
-        ea = ea[near]
-        eb = eb[near]
-        if len(ea):
-            points = (*xy_a[:, ea], *xy_b[:, eb])
-            orients = _orientations(*points)
-            hit = _proper_crossing(*orients)
-            hit |= _endpoint_touch(*orients, *points)
-            hits[pair_a[ea[hit]]] = True
-        lo = hi
-    return hits, int(done[-1])
+    total = int(done[-1]) if len(done) else 0
+
+    def chunks():
+        box_a = table_a.boxes[:, edges_a]
+        box_a[:2] -= grow[pair_a]
+        box_a[2:] += grow[pair_a]
+        box_b = table_b.boxes[:, edges_b]
+        lo = 0
+        while lo < len(partners):
+            before = done[lo - 1] if lo else 0
+            hi = max(
+                lo + 1,
+                int(np.searchsorted(done, before + _RAGGED_BUDGET, side="right")),
+            )
+            repeats = partners[lo:hi]
+            eb = ragged_arange(first_partner[lo:hi], repeats)
+            # x-extents first: most edge pairs end here, before any a-side
+            # index or y-extent is gathered for them.
+            near = np.repeat(box_a[0, lo:hi], repeats) <= box_b[2, eb]
+            near &= box_b[0, eb] <= np.repeat(box_a[2, lo:hi], repeats)
+            ea = np.repeat(np.arange(lo, hi), repeats)[near]
+            eb = eb[near]
+            near = (box_a[1, ea] <= box_b[3, eb]) & (box_b[1, eb] <= box_a[3, ea])
+            if near.any():
+                yield ea[near], eb[near]
+            lo = hi
+
+    return total, chunks()
 
 
 def _clipped_edges(
@@ -787,44 +813,17 @@ def _point_segment_distance_bulk(
     return np.where(degenerate, dist0, dist)
 
 
-def min_edge_distance_bulk(
-    ax1: np.ndarray,
-    ay1: np.ndarray,
-    ax2: np.ndarray,
-    ay2: np.ndarray,
-    bx1: np.ndarray,
-    by1: np.ndarray,
-    bx2: np.ndarray,
-    by2: np.ndarray,
-) -> float:
-    """Minimum closed-segment distance over all ``n1 x n2`` edge pairs.
+def _edge_pair_distances(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
+    """Closed-segment distance of edge pairs ``p``/``q`` (inputs broadcast).
 
-    The bulk counterpart of ``core.distance.segment_distance`` reduced
-    over every pair: 0 for a properly crossing pair (the raw-sign
-    crossing test, no epsilon), else the minimum of the four
-    endpoint-to-segment distances.  Used by the exact step of the
-    distance-join predicate; returns ``inf`` for empty edge sets.
+    ``core.distance.segment_distance`` semantics: 0 for a properly
+    crossing pair (the raw-sign crossing test, no epsilon), else the
+    minimum of the four endpoint-to-segment distances.  The loop kernel
+    ``_kernels_loops._edge_pair_distance`` evaluates the same
+    expressions, so every backend computes bit-identical distances.
     """
-    if len(ax1) == 0 or len(bx1) == 0:
-        return float("inf")
-    p1x = ax1[:, None]
-    p1y = ay1[:, None]
-    p2x = ax2[:, None]
-    p2y = ay2[:, None]
-    q1x = bx1[None, :]
-    q1y = by1[None, :]
-    q2x = bx2[None, :]
-    q2y = by2[None, :]
-
-    def cross(ax, ay, bx, by, cx, cy):
-        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-    d1 = cross(q1x, q1y, q2x, q2y, p1x, p1y)
-    d2 = cross(q1x, q1y, q2x, q2y, p2x, p2y)
-    d3 = cross(p1x, p1y, p2x, p2y, q1x, q1y)
-    d4 = cross(p1x, p1y, p2x, p2y, q2x, q2y)
-    proper = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
-        ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
+    proper = _proper_crossing(
+        *_orientations(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y), eps=0.0
     )
     dist = np.minimum(
         np.minimum(
@@ -836,8 +835,155 @@ def min_edge_distance_bulk(
             _point_segment_distance_bulk(q2x, q2y, p1x, p1y, p2x, p2y),
         ),
     )
-    dist = np.where(proper, 0.0, dist)
-    return float(dist.min())
+    return np.where(proper, 0.0, dist)
+
+
+def _box_gap_sq(box_a: np.ndarray, box_b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean gap of ``(4, n)`` boxes, column by column.
+
+    0 where the boxes meet; a lower bound of the squared distance of any
+    two segments inside them.
+    """
+    gap_x = np.maximum(np.maximum(box_a[0] - box_b[2], box_b[0] - box_a[2]), 0.0)
+    gap_y = np.maximum(np.maximum(box_a[1] - box_b[3], box_b[1] - box_a[3]), 0.0)
+    return gap_x * gap_x + gap_y * gap_y
+
+
+def _edges_near(
+    table: EdgeTable, rows: np.ndarray, other: np.ndarray, grow_sq: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Edges of ``rows`` whose box lies within ``sqrt(grow_sq[p])`` of ``other[p]``.
+
+    ``other`` holds one ``(xmin, ymin, xmax, ymax)`` box per pair.
+    Returns table edge indices and the pair each belongs to, pair-major.
+    """
+    edges, pair = gather_edges(table.offsets, rows)
+    near = _box_gap_sq(table.boxes[:, edges], other[pair].T) <= grow_sq[pair]
+    return edges[near], pair[near]
+
+
+def min_edge_distance_ragged(
+    table_a: EdgeTable,
+    table_b: EdgeTable,
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
+    reach: np.ndarray,
+    margin: np.ndarray,
+) -> Tuple[np.ndarray, int]:
+    """Per candidate pair: the minimum edge distance, if within ``reach[p]``.
+
+    Pair ``p`` is object ``rows_a[p]`` of ``table_a`` against object
+    ``rows_b[p]`` of ``table_b``, over all their edges (shell and
+    holes).  **Contract:** ``dist[p]`` is the minimum over every edge
+    pair of :func:`_edge_pair_distances` — the value an unpruned
+    ``n_a x n_b`` matrix reduces to, bit for bit — when that minimum is
+    ``<= reach[p]``, and ``inf`` otherwise.  The result is therefore
+    fully determined by the inputs, whatever pruning a backend does.
+    One array program for the whole round, in the shape of
+    :func:`edge_pairs_intersect_ragged`:
+
+    1. keep each side's edges whose box lies within ``reach[p] +
+       margin[p]`` (Euclidean) of the other object's bounds;
+    2. form each pair's ``clipped a x clipped b`` cross product as flat
+       index arrays, at most :data:`_RAGGED_BUDGET` edge pairs at a time
+       (split along the a-edges);
+    3. drop edge pairs whose boxes, the a-side grown by
+       ``reach[p] + margin[p]``, are disjoint (x-extents first), then
+       those whose boxes are more than ``reach[p] + margin[p]`` apart
+       in Euclidean distance (the per-axis test alone keeps a square
+       where the distance keeps a disc — on objects several edge lengths
+       apart, most edge pairs of the facing boundaries);
+    4. evaluate :func:`_edge_pair_distances` on the survivors;
+    5. reduce per pair and map values ``> reach[p]`` to ``inf``.
+
+    Returns the distances and the number of edge pairs step 2
+    enumerated (telemetry; identical across backends).
+
+    **Soundness of 1 and 3:** two segments are at least as far apart as
+    their boxes, so an edge pair at computed distance ``d <= reach`` has
+    a Euclidean box gap of at most ``d`` plus the rounding of the
+    distance and gap expressions (a few ulps of the coordinates), so at
+    most ``reach + margin`` — it is never pruned, and neither is either
+    edge against the other object's bounds, which contain the other edge.
+    So if the true minimum is ``<= reach`` the edge pair attaining it
+    survives and the reduction returns it exactly; otherwise every
+    survivor is ``> reach`` too and the pair maps to ``inf``.  ``margin``
+    is the intersects kernel's (``exact.refine.clip_margins``).
+    """
+    dist = np.full(len(rows_a), np.inf)
+    grow = reach + margin
+    grow_sq = grow * grow
+    edges_a, pair_a = _edges_near(
+        table_a, rows_a, table_b.bounds[rows_b], grow_sq
+    )
+    edges_b, pair_b = _edges_near(
+        table_b, rows_b, table_a.bounds[rows_a], grow_sq
+    )
+    evaluated, chunks = _box_pruned_pairs(
+        table_a, table_b, edges_a, pair_a, edges_b, pair_b, grow
+    )
+    box_a = table_a.boxes[:, edges_a]
+    box_b = table_b.boxes[:, edges_b]
+    xy_a = table_a.coords[:, edges_a]
+    xy_b = table_b.coords[:, edges_b]
+    for ea, eb in chunks:
+        owner = pair_a[ea]
+        near = _box_gap_sq(box_a[:, ea], box_b[:, eb]) <= grow_sq[owner]
+        if not near.any():
+            continue
+        ea = ea[near]
+        eb = eb[near]
+        owner = owner[near]
+        values = _edge_pair_distances(*xy_a[:, ea], *xy_b[:, eb])
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        runs = owner[starts]
+        dist[runs] = np.minimum(
+            dist[runs], np.minimum.reduceat(values, starts)
+        )
+    dist[dist > reach] = np.inf
+    return dist, evaluated
+
+
+def vertex_distance_bounds(
+    table_a: EdgeTable,
+    table_b: EdgeTable,
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
+) -> np.ndarray:
+    """Per pair, an upper bound of the minimum edge distance from two vertices.
+
+    Takes the ``a`` vertex nearest the centre of ``b``'s bounds, then
+    the ``b`` vertex nearest that one, and returns the
+    :func:`_edge_pair_distances` value of the two edges starting there —
+    at most the vertex-to-vertex distance, and one of the values the
+    pair's minimum runs over, so never below it, bit for bit.  A cheap
+    ``reach`` for :func:`min_edge_distance_ragged` that never cuts off
+    the exact value.  Objects have at least one edge each.
+    """
+    bounds_b = table_b.bounds[rows_b]
+    centre_x = (bounds_b[:, 0] + bounds_b[:, 2]) / 2.0
+    centre_y = (bounds_b[:, 1] + bounds_b[:, 3]) / 2.0
+    edges_a, pair_a = gather_edges(table_a.offsets, rows_a)
+    ax, ay = table_a.coords[:2, edges_a]
+    near_a = edges_a[_first_argmin(
+        (ax - centre_x[pair_a]) ** 2 + (ay - centre_y[pair_a]) ** 2, pair_a
+    )]
+    vx, vy = table_a.coords[:2, near_a]
+    edges_b, pair_b = gather_edges(table_b.offsets, rows_b)
+    bx, by = table_b.coords[:2, edges_b]
+    near_b = edges_b[_first_argmin(
+        (bx - vx[pair_b]) ** 2 + (by - vy[pair_b]) ** 2, pair_b
+    )]
+    return _edge_pair_distances(
+        *table_a.coords[:, near_a], *table_b.coords[:, near_b]
+    )
+
+
+def _first_argmin(values: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Position of the first minimum of each run of equal, ascending ``owner``."""
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    hits = np.flatnonzero(values == np.minimum.reduceat(values, starts)[owner])
+    return hits[np.diff(owner[hits], prepend=-1) != 0]
 
 
 #: cap on the temporary projection-tensor size of the bulk SAT kernel.

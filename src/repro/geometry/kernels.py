@@ -5,7 +5,9 @@ geometry kernels (``fastops``) plus the scalar plane-sweep fallback:
 row-wise MBR and segment tests for the filter, and for the exact step
 one ragged edge-pair kernel per refinement batch over the relations'
 edge tables (``edge_pairs_intersect_ragged``), one bulk point-in-polygon
-call, and the minimum edge distance of the proximity predicates.
+call, and for the proximity predicates one ragged edge-distance kernel
+per round of pending pairs (``min_edge_distance_ragged``), capped by a
+per-pair reach.
 This module makes the *execution substrate* of those kernels pluggable
 behind an unchanged interface — ``JoinConfig(kernels=...)`` selects a
 backend per join, and every backend decides every predicate identically
@@ -57,15 +59,18 @@ NUMBA_AVAILABLE = _numba is not None
 KERNEL_BACKENDS = ("auto", "numpy", "numba", "python")
 
 #: kernels a backend provides (the dispatcher mirrors these names).
-#: Per-pair building blocks that no hot path calls through a backend
-#: (``fastops.edge_matrix_intersect_any``, ``edges_overlapping_rect_mask``)
-#: are plain functions, not kernels.
+#: The exact step calls one kernel per batch or round, never per pair:
+#: ``edge_pairs_intersect_ragged`` for intersects, ``min_edge_distance_ragged``
+#: for the proximity predicates.  Per-pair building blocks that no hot
+#: path calls through a backend (``fastops.edge_matrix_intersect_any``,
+#: ``edges_overlapping_rect_mask``) and the reach heuristic
+#: ``fastops.vertex_distance_bounds`` are plain functions, not kernels.
 KERNEL_NAMES = (
     "segments_intersect_bulk",
     "points_in_polygons_bulk",
     "edge_pairs_intersect_ragged",
     "rects_intersect_bulk",
-    "min_edge_distance_bulk",
+    "min_edge_distance_ragged",
     "planesweep",
 )
 
@@ -136,7 +141,7 @@ def _build_numpy_set() -> KernelSet:
         points_in_polygons_bulk=_fastops.points_in_polygons_bulk,
         edge_pairs_intersect_ragged=_fastops.edge_pairs_intersect_ragged,
         rects_intersect_bulk=_fastops.rects_intersect_bulk,
-        min_edge_distance_bulk=_fastops.min_edge_distance_bulk,
+        min_edge_distance_ragged=_fastops.min_edge_distance_ragged,
         planesweep=polygons_intersect_planesweep,
     )
 
@@ -177,7 +182,7 @@ def _build_loop_set(name: str, funcs: Dict[str, Callable]) -> KernelSet:
     pts_in_poly = funcs["points_in_polygons"]
     edge_pairs = funcs["edge_pairs_ragged"]
     rect_rows = funcs["rects_intersect_rows"]
-    min_dist = funcs["min_edge_distance"]
+    edge_dist = funcs["edge_distance_ragged"]
     core = funcs["sweep_core"]
 
     def segments_intersect_bulk(p1, p2, q1, q2):
@@ -214,15 +219,16 @@ def _build_loop_set(name: str, funcs: Dict[str, Callable]) -> KernelSet:
     def rects_intersect_bulk(a, b):
         return rect_rows(_column(a), _column(b))
 
-    def min_edge_distance_bulk(ax1, ay1, ax2, ay2, bx1, by1, bx2, by2):
-        if len(ax1) == 0 or len(bx1) == 0:
-            return float("inf")
-        return float(
-            min_dist(
-                _column(ax1), _column(ay1), _column(ax2), _column(ay2),
-                _column(bx1), _column(by1), _column(bx2), _column(by2),
-            )
+    def min_edge_distance_ragged(table_a, table_b, rows_a, rows_b,
+                                 reach, margin):
+        dist, evaluated = edge_dist(
+            _column(table_a.coords), _column(table_a.boxes),
+            _index(table_a.offsets), _column(table_a.bounds),
+            _column(table_b.coords), _column(table_b.boxes),
+            _index(table_b.offsets), _column(table_b.bounds),
+            _index(rows_a), _index(rows_b), _column(reach), _column(margin),
         )
+        return dist, int(evaluated)
 
     return KernelSet(
         name,
@@ -230,7 +236,7 @@ def _build_loop_set(name: str, funcs: Dict[str, Callable]) -> KernelSet:
         points_in_polygons_bulk=points_in_polygons_bulk,
         edge_pairs_intersect_ragged=edge_pairs_intersect_ragged,
         rects_intersect_bulk=rects_intersect_bulk,
-        min_edge_distance_bulk=min_edge_distance_bulk,
+        min_edge_distance_ragged=min_edge_distance_ragged,
         planesweep=_make_planesweep(core),
     )
 
@@ -351,7 +357,9 @@ def warm_up(name: str = "auto") -> str:
     kernels.edge_pairs_intersect_ragged(
         table, table, one, one, rect, np.array([1e-9])
     )
-    kernels.min_edge_distance_bulk(ex, ey, ex2, ey2, ex + 3.0, ey, ex2 + 3.0, ey2)
+    kernels.min_edge_distance_ragged(
+        table, table, one, one, np.array([1.0]), np.array([1e-9])
+    )
     from .polygon import Polygon
 
     tri_a = Polygon([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)])
@@ -440,17 +448,18 @@ class KernelDispatcher:
                      time.perf_counter() - start)
         return out
 
-    def min_edge_distance_bulk(self, ax1, ay1, ax2, ay2, bx1, by1, bx2, by2):
+    def min_edge_distance_ragged(self, table_a, table_b, rows_a, rows_b,
+                                 reach, margin):
+        """One call per proximity round; ``pairs`` counts edge pairs."""
         start = time.perf_counter()
-        out = self.kernels.min_edge_distance_bulk(
-            ax1, ay1, ax2, ay2, bx1, by1, bx2, by2
+        dist, evaluated = self.kernels.min_edge_distance_ragged(
+            table_a, table_b, rows_a, rows_b, reach, margin
         )
         self._record(
-            "min_edge_distance_bulk",
-            len(ax1) * len(bx1),
+            "min_edge_distance_ragged", evaluated,
             time.perf_counter() - start,
         )
-        return out
+        return dist
 
     def planesweep(self, poly1, poly2, counter=None,
                    restrict_search_space=True):

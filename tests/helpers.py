@@ -15,10 +15,13 @@ import random
 from dataclasses import replace
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.core import JoinConfig, SpatialJoinProcessor
 from repro.core.stats import MultiStepStats
 from repro.datasets.relations import SpatialRelation
 from repro.geometry import Polygon
+from repro.geometry.fastops import _point_segment_distance_bulk
 
 
 def random_star(
@@ -318,3 +321,56 @@ def assert_engines_equivalent(
     assert fp_s == fp_b, f"stats mismatch for {config}: {fp_s} != {fp_b}"
     streaming.stats.check_invariants()
     batched.stats.check_invariants()
+
+
+def min_edge_distance_bulk(
+    ax1: np.ndarray,
+    ay1: np.ndarray,
+    ax2: np.ndarray,
+    ay2: np.ndarray,
+    bx1: np.ndarray,
+    by1: np.ndarray,
+    bx2: np.ndarray,
+    by2: np.ndarray,
+) -> float:
+    """Minimum closed-segment distance over all ``n1 x n2`` edge pairs.
+
+    The dense oracle of ``fastops.min_edge_distance_ragged``: the bulk
+    counterpart of ``core.distance.segment_distance`` reduced over every
+    pair — 0 for a properly crossing pair (the raw-sign crossing test,
+    no epsilon), else the minimum of the four endpoint-to-segment
+    distances; ``inf`` for empty edge sets.  No pruning, no reach.
+    """
+    if len(ax1) == 0 or len(bx1) == 0:
+        return float("inf")
+    p1x = ax1[:, None]
+    p1y = ay1[:, None]
+    p2x = ax2[:, None]
+    p2y = ay2[:, None]
+    q1x = bx1[None, :]
+    q1y = by1[None, :]
+    q2x = bx2[None, :]
+    q2y = by2[None, :]
+
+    def cross(ax, ay, bx, by, cx, cy):
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+    d1 = cross(q1x, q1y, q2x, q2y, p1x, p1y)
+    d2 = cross(q1x, q1y, q2x, q2y, p2x, p2y)
+    d3 = cross(p1x, p1y, p2x, p2y, q1x, q1y)
+    d4 = cross(p1x, p1y, p2x, p2y, q2x, q2y)
+    proper = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
+        ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
+    )
+    dist = np.minimum(
+        np.minimum(
+            _point_segment_distance_bulk(p1x, p1y, q1x, q1y, q2x, q2y),
+            _point_segment_distance_bulk(p2x, p2y, q1x, q1y, q2x, q2y),
+        ),
+        np.minimum(
+            _point_segment_distance_bulk(q1x, q1y, p1x, p1y, p2x, p2y),
+            _point_segment_distance_bulk(q2x, q2y, p1x, p1y, p2x, p2y),
+        ),
+    )
+    dist = np.where(proper, 0.0, dist)
+    return float(dist.min())

@@ -20,11 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import min_edge_distance_bulk
 from repro.datasets.relations import SpatialRelation
 from repro.exact.costmodel import OperationCounter
-from repro.exact.refine import clip_rects
+from repro.exact.refine import clip_margins, clip_rects
 from repro.geometry import Polygon
-from repro.geometry.fastops import EdgeArrays
+from repro.geometry.fastops import (
+    EdgeArrays,
+    build_edge_table,
+    vertex_distance_bounds,
+)
 from repro.geometry.kernels import NUMBA_AVAILABLE, get_kernels
 
 #: the backends whose kernels must match the numpy oracle bit-for-bit.
@@ -38,13 +43,6 @@ coord = st.one_of(
 )
 point = st.tuples(coord, coord)
 segment = st.tuples(point, point)
-
-
-def _seg_columns(segments):
-    rows = np.asarray(
-        [(a[0], a[1], b[0], b[1]) for a, b in segments], dtype=float
-    ).reshape(-1, 4)
-    return rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
 
 
 def _ccw_square(cx, cy, half):
@@ -236,20 +234,144 @@ def test_rects_intersect_rows_match(rows):
         assert np.array_equal(np.asarray(got), np.asarray(oracle)), name
 
 
-# -- min_edge_distance_bulk -------------------------------------------------
+# -- min_edge_distance_ragged -----------------------------------------------
+
+#: one object of an edge table: one or two rings of arbitrary points.  A
+#: ring closes on its first point and repeated points are kept, so
+#: zero-length edges (a one-point ring is a single one), collinear
+#: overlaps and, on the snapped grid, shared vertices all occur.
+edge_object = st.lists(st.lists(point, min_size=1, max_size=7),
+                       min_size=1, max_size=2)
+edge_objects = st.lists(edge_object, min_size=1, max_size=3)
+
+#: coordinate offsets: at 1e6 the clip margin (scaled with the squared
+#: coordinate magnitude) is what keeps the pruning sound.
+OFFSETS = (0.0, 1e6)
+
+
+def _edge_table(objects, offset=0.0):
+    object_rings = [0]
+    ring_offsets = [0]
+    xy = []
+    for rings in objects:
+        for ring in rings:
+            xy.extend(ring)
+            ring_offsets.append(len(xy))
+        object_rings.append(len(ring_offsets) - 1)
+    return build_edge_table(
+        np.array(object_rings),
+        np.array(ring_offsets),
+        np.asarray(xy, dtype=float).reshape(-1, 2) + offset,
+    )
+
+
+def _all_pairs(table_a, table_b):
+    n_a, n_b = len(table_a.offsets) - 1, len(table_b.offsets) - 1
+    return np.repeat(np.arange(n_a), n_b), np.tile(np.arange(n_b), n_a)
+
+
+def _dense(table, row):
+    return table.coords[:, table.offsets[row]:table.offsets[row + 1]]
+
+
+def _dense_distances(table_a, table_b, rows_a, rows_b):
+    """The unpruned oracle, one ``n_a x n_b`` matrix per pair."""
+    return np.array([
+        min_edge_distance_bulk(*_dense(table_a, a), *_dense(table_b, b))
+        for a, b in zip(rows_a, rows_b)
+    ])
+
+
+def _ragged(name, table_a, table_b, rows_a, rows_b, reach):
+    margin = clip_margins(table_a.bounds[rows_a], table_b.bounds[rows_b])
+    return get_kernels(name).min_edge_distance_ragged(
+        table_a, table_b, rows_a, rows_b, np.asarray(reach, dtype=float),
+        margin,
+    )
+
+
+def _check_contract(table_a, table_b, extra_reaches=()):
+    """Every backend returns the dense value where it is ``<= reach``,
+    ``inf`` elsewhere, bit for bit — for reach 0, the vertex bound, the
+    exact value itself, ``inf`` and any extra reach."""
+    rows_a, rows_b = _all_pairs(table_a, table_b)
+    dense = _dense_distances(table_a, table_b, rows_a, rows_b)
+    bound = vertex_distance_bounds(table_a, table_b, rows_a, rows_b)
+    assert np.all(bound >= dense), (bound, dense)
+    margin = clip_margins(table_a.bounds[rows_a], table_b.bounds[rows_b])
+    n = len(rows_a)
+    reaches = [np.zeros(n), bound + margin, dense, np.full(n, np.inf)]
+    reaches += [np.asarray(r, dtype=float) for r in extra_reaches]
+    for reach in reaches:
+        expected = np.where(dense <= reach, dense, np.inf)
+        for name in ["numpy"] + ALT_BACKENDS:
+            got, _ = _ragged(name, table_a, table_b, rows_a, rows_b, reach)
+            assert got.tobytes() == expected.tobytes(), (name, reach, got,
+                                                         expected)
+    # At the pipelines' own reach nothing is cut off.
+    got, _ = _ragged("numpy", table_a, table_b, rows_a, rows_b, bound + margin)
+    assert np.isfinite(got).all()
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(segment, min_size=1, max_size=12),
-       st.lists(segment, min_size=1, max_size=12))
-def test_min_edge_distance_bit_identical(segs_a, segs_b):
-    """Distances are float results — equality must be exact, not approx."""
-    a = _seg_columns(segs_a)
-    b = _seg_columns(segs_b)
-    oracle = get_kernels("numpy").min_edge_distance_bulk(*a, *b)
+@given(edge_objects, edge_objects, st.sampled_from(OFFSETS), st.data())
+def test_min_edge_distance_ragged_contract(objects_a, objects_b, offset,
+                                           data):
+    table_a = _edge_table(objects_a, offset)
+    table_b = _edge_table(objects_b, offset)
+    n = len(objects_a) * len(objects_b)
+    random_reach = data.draw(
+        st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=n,
+                 max_size=n)
+    )
+    _check_contract(table_a, table_b, [random_reach])
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_objects, edge_objects, st.sampled_from(OFFSETS), st.data())
+def test_min_edge_distance_ragged_backends_match(objects_a, objects_b,
+                                                 offset, data):
+    """Distances bit for bit, and the edge-pair count, across backends."""
+    table_a = _edge_table(objects_a, offset)
+    table_b = _edge_table(objects_b, offset)
+    rows_a, rows_b = _all_pairs(table_a, table_b)
+    reach = data.draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 0.125, 0.5, np.inf]),
+                      st.floats(min_value=0.0, max_value=4.0)),
+            min_size=len(rows_a), max_size=len(rows_a),
+        )
+    )
+    oracle, oracle_count = _ragged("numpy", table_a, table_b, rows_a, rows_b,
+                                   reach)
     for name in ALT_BACKENDS:
-        got = get_kernels(name).min_edge_distance_bulk(*a, *b)
-        assert got == oracle, (name, got, oracle)
+        got, count = _ragged(name, table_a, table_b, rows_a, rows_b, reach)
+        assert got.tobytes() == oracle.tobytes(), name
+        assert count == oracle_count, name
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+def test_min_edge_distance_ragged_degenerate_cases(offset):
+    """Zero-length edges, collinear overlaps, shared vertices, holes."""
+    objects_a = [
+        [[(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)]],    # zero-length edge
+        [[(0.0, 0.0), (2.0, 0.0)]],                # flat two-edge ring
+        [[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]],    # vertex shared with b
+        [[(0.5, 0.5)]],                            # a single point
+    ]
+    objects_b = [
+        [[(0.5, 0.0), (3.0, 0.0)]],                # collinear overlap
+        [[(1.0, 1.0), (2.0, 2.0), (2.0, 1.0)]],    # vertex (1, 1) shared
+        [[(0.25, 0.25)]],                          # a single point
+        [                                          # far, with a hole
+            [(5.0, 5.0), (6.0, 5.0), (6.0, 6.0), (5.0, 6.0)],
+            [(5.25, 5.25), (5.75, 5.25), (5.75, 5.75)],
+        ],
+    ]
+    _check_contract(
+        _edge_table(objects_a, offset), _edge_table(objects_b, offset),
+        [np.full(16, 0.125), np.full(16, 1.0)],
+    )
 
 
 # -- plane sweep ------------------------------------------------------------

@@ -33,6 +33,7 @@ from repro.core.proximity import brute_force_knn_join
 from repro.core.session import JoinSession
 from repro.core.stats import MultiStepStats
 from repro.datasets.io import save_relation
+from repro.datasets.relations import SpatialRelation
 from repro.geometry.kernels import (
     KERNEL_BACKENDS,
     NUMBA_AVAILABLE,
@@ -166,9 +167,38 @@ class TestKernelTelemetry:
         assert all(key.startswith("python.") for key in stats.kernel_calls)
         assert stats.kernel_calls.keys() == stats.kernel_pairs.keys()
         assert stats.kernel_calls.keys() == stats.kernel_seconds.keys()
-        assert "python.min_edge_distance_bulk" in stats.kernel_calls
+        assert "python.min_edge_distance_ragged" in stats.kernel_calls
         assert all(n >= 1 for n in stats.kernel_calls.values())
         assert all(s >= 0.0 for s in stats.kernel_seconds.values())
+
+    def test_distance_join_makes_one_exact_call(self):
+        """The exact step resolves every remaining candidate at once."""
+        rel_a, rel_b = _relations(43)
+        config = JoinConfig(predicate="distance", epsilon=0.3,
+                            kernels="numpy")
+        stats = SpatialJoinProcessor(config).join(rel_a, rel_b).stats
+        assert stats.remaining_candidates > 1
+        for kernel in ("min_edge_distance_ragged", "rects_intersect_bulk",
+                       "edge_pairs_intersect_ragged"):
+            assert stats.kernel_calls.get(f"numpy.{kernel}", 0) <= 1, kernel
+
+    def test_knn_join_makes_one_exact_call_per_round(self):
+        """kNN searches advance in lock-step: at most one exact-distance
+        call per round, so no more than the longest search computes
+        (plus one), never one per candidate."""
+        rel_a, rel_b = _relations(43)
+        config = JoinConfig(predicate="knn", k=3, kernels="numpy")
+        stats = SpatialJoinProcessor(config).join(rel_a, rel_b).stats
+        per_object = [
+            SpatialJoinProcessor(config).join(
+                SpatialRelation("one", [obj.polygon]), rel_b
+            ).stats.remaining_candidates
+            for obj in rel_a
+        ]
+        assert sum(per_object) == stats.remaining_candidates
+        calls = stats.kernel_calls["numpy.min_edge_distance_ragged"]
+        assert calls <= max(per_object) + 1
+        assert calls < stats.remaining_candidates
 
     def test_telemetry_excluded_from_equality_and_wire_format(self):
         a, b = MultiStepStats(), MultiStepStats()
