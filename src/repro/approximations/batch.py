@@ -47,6 +47,7 @@ and stay on the lazy per-object path.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -143,6 +144,27 @@ class ApproxColumns:
         if kind == "CH":
             return ConvexHullApproximation(vertices)
         return MCornerApproximation(vertices, _corner_count(kind))
+
+
+def circle_columns(
+    kind: str, circles: np.ndarray, areas: np.ndarray
+) -> ApproxColumns:
+    """The stored form of ``(n, 3)`` circle rows over objects of ``areas``.
+
+    MBRs and false areas are the expressions of ``Circle.mbr()``,
+    ``Circle.area()`` and :class:`BatchApproxArrays`' packing, element
+    by element, so the columns are bit-identical to packing the circles
+    one object at a time.
+    """
+    cx, cy, r = circles.T
+    return ApproxColumns(
+        kind,
+        {
+            "circles": circles,
+            "mbrs": np.column_stack((cx - r, cy - r, cx + r, cy + r)),
+            "false_areas": math.pi * r * r - areas,
+        },
+    )
 
 
 def _widen_convex_rows(matrix: np.ndarray, width: int) -> np.ndarray:

@@ -32,7 +32,9 @@ ALL_KINDS = CONSERVATIVE_KINDS + PROGRESSIVE_KINDS
 #: version are then rebuilt instead of mixed with fresh ones.
 #: MER 2: the cell-grid search returns the largest candidate rectangle
 #: ``rect_inside`` accepts (version 1's binary search could miss it).
-_ALGORITHM_VERSIONS: Dict[str, int] = {"MER": 2}
+#: MEC 2: the pole-of-inaccessibility cell search replaces the sampled
+#: Voronoi diagram.  MER 3: its fallback square is inscribed in that MEC.
+_ALGORITHM_VERSIONS: Dict[str, int] = {"MER": 3, "MEC": 2}
 
 
 def algorithm_version(kind: str) -> int:

@@ -70,6 +70,10 @@ monotonicity, so version 1 could miss its own best candidate.  Version
 2 computes the same chord bit for bit, never returns less area than
 version 1's candidate search found, and returns the same rectangle
 wherever version 1's assumption held.
+
+**Version 3.**  Where no chord is found, the fallback square is
+inscribed in the MEC (:mod:`.mec`) instead of a circle from a separate
+grid probe and hill-climb.
 """
 
 from __future__ import annotations
@@ -82,6 +86,7 @@ import numpy as np
 from ..geometry import Polygon, Rect
 from ..geometry.fastops import EdgeArrays, segments_cross_open_rects
 from .base import ConvexApproximation
+from .mec import maximum_enclosed_circle
 
 #: caps on candidate coordinate counts (subsampled evenly when exceeded).
 _MAX_X_CANDIDATES = 14
@@ -300,17 +305,13 @@ def _centres_inside(fast: EdgeArrays, x: np.ndarray, y: np.ndarray) -> np.ndarra
 
 
 def _fallback_rect(polygon: Polygon) -> Rect:
-    """Inscribed square of the largest interior point found by probing.
+    """The square inscribed in the polygon's MEC.
 
-    Used when the chord search fails (tiny or pathological polygons); the
-    square centred at an interior point with half-diagonal equal to the
-    boundary distance is always enclosed.
+    Used when the chord search fails (tiny or pathological polygons); a
+    square inscribed in an enclosed circle is enclosed.  A zero radius
+    (no interior point) still gives a square of half side ``1e-12``.
     """
-    from .mec import _grid_fallback, _refine
-
-    fast = EdgeArrays(polygon)
-    center, radius = _grid_fallback(polygon, fast)
-    center, radius = _refine(fast, center, radius, rounds=10)
-    half = radius / math.sqrt(2.0) * (1 - 1e-9)
-    half = max(half, 1e-12)
-    return Rect(center[0] - half, center[1] - half, center[0] + half, center[1] + half)
+    circle = maximum_enclosed_circle(polygon)
+    cx, cy = circle.center
+    half = max(circle.radius / math.sqrt(2.0) * (1 - 1e-9), 1e-12)
+    return Rect(cx - half, cy - half, cx + half, cy + half)

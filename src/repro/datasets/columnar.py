@@ -20,9 +20,12 @@ materialises, once, every numpy column the rest of the system consumes:
 Every column is copied bit-for-bit from the scalar accessors
 (``obj.mbr``, ``appr.area()``, vertex tuples), never re-derived, so
 array consumers see exactly the floats the scalar code paths see
-(``tests/test_columnar.py`` proves the round trip).  Row index ``i``
-always refers to ``relation.objects[i]``; tile decomposition and the
-worker wire format are therefore plain index arrays into these columns.
+(``tests/test_columnar.py`` proves the round trip).  The MEC columns
+are the one exception: built for the whole relation at once, they hold
+the same floats as a build per object (``tests/test_mec.py``).  Row
+index ``i`` always refers to ``relation.objects[i]``; tile
+decomposition and the worker wire format are therefore plain index
+arrays into these columns.
 
 Columns are built lazily by group — ``oids``/``mbrs`` eagerly (they are
 cheap and every consumer needs them), approximation arrays per kind on
@@ -53,8 +56,10 @@ import numpy as np
 from ..approximations.batch import (
     ApproxColumns,
     BatchApproxArrays,
+    circle_columns,
     stored_family,
 )
+from ..approximations.mec import enclosed_circles
 from ..geometry import Polygon
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -306,7 +311,10 @@ class ColumnarRelation:
         the backing store so no later join, session or process builds
         it again.  Repeated joins — and sweeps over filter
         configurations naming the same kinds — reuse the arrays.  Row
-        indices equal object indices.
+        indices equal object indices.  MEC is built for all objects at
+        once on the edge table (:func:`enclosed_circles`) and adopted
+        through :meth:`install_approx`; its rows are bit-identical to
+        per-object builds.
         """
         encoder = self._approx.get(kind)
         if encoder is not None:
@@ -321,10 +329,17 @@ class ColumnarRelation:
             )
             if columns is not None:
                 return self.install_approx(columns)
-            encoder = BatchApproxArrays(kind)
-            encoder.rows(self.objects)
-            encoder.mbrs  # materialise now: the pack cost belongs here
-            self._approx[kind] = encoder
+            if kind == "MEC":
+                # One search over the whole edge table, not per object.
+                circles = enclosed_circles(self.ring_geometry().table)
+                encoder = self.install_approx(
+                    circle_columns(kind, circles, self.areas)
+                )
+            else:
+                encoder = BatchApproxArrays(kind)
+                encoder.rows(self.objects)
+                encoder.mbrs  # materialise now: the pack cost belongs here
+                self._approx[kind] = encoder
             self.pack_counts[kind] = self.pack_counts.get(kind, 0) + 1
             if backing is not None:
                 backing.publish_approx(encoder.columns())

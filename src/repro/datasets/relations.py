@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..approximations import Approximation, compute_approximation
+from ..approximations.batch import stored_family
 from ..exact.trstar_test import build_trstar
 from ..geometry import Polygon, Rect
 from ..index import RStarTree
@@ -125,10 +126,18 @@ class SpatialRelation:
         return tree
 
     def precompute_approximations(self, kinds: Sequence[str]) -> None:
-        """Force computation of the given approximation kinds."""
-        for obj in self.objects:
-            for kind in kinds:
-                obj.approximation(kind)
+        """Force computation of the given approximation kinds.
+
+        Kinds with a stored form come from the get-or-build point
+        (:meth:`ColumnarRelation.approx`), which also seeds every
+        object's cache; the others are built object by object.
+        """
+        for kind in kinds:
+            if stored_family(kind):
+                self.columnar().approx(kind)
+            else:
+                for obj in self.objects:
+                    obj.approximation(kind)
 
     def columnar(
         self, eager_kinds: Sequence[str] = ()

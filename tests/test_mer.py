@@ -31,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.approximations import mer
+from repro.approximations.mec import maximum_enclosed_circle
 from repro.approximations.mer import (
     _MAX_CHORD_VERTICES,
     _MAX_X_CANDIDATES,
@@ -377,6 +378,37 @@ class TestVersion2Contract:
     def test_version_1_search_is_gone(self):
         for name in ("_search_rectangles", "_inside_interval_at"):
             assert not hasattr(mer, name)
+
+
+class TestFallback:
+    """Version 3: without a chord, the MER is the square in the MEC."""
+
+    @pytest.mark.parametrize("ring", [
+        [(0, 0), (4, 0), (2, 0)],
+        [(0, 0), (0, 2), (0, 1)],
+        [(0, 0), (1, 0), (1, 1), (1, 0)],
+    ], ids=["zero-height", "zero-width", "out-and-back"])
+    def test_chordless_polygons_take_the_fallback(self, ring):
+        polygon = Polygon(ring)
+        assert mer._longest_vertex_chord(polygon, EdgeArrays(polygon)) is None
+        rect = mer.maximum_enclosed_rectangle(polygon)
+        assert rect == mer._fallback_rect(polygon)
+        cx, cy = maximum_enclosed_circle(polygon).center
+        assert (rect.xmin + rect.xmax) / 2 == pytest.approx(cx, abs=1e-12)
+        assert (rect.ymin + rect.ymax) / 2 == pytest.approx(cy, abs=1e-12)
+        assert polygon.contains_point((cx, cy))
+
+    @given(shapes)
+    @settings(max_examples=40, deadline=None)
+    def test_fallback_square_is_inscribed_in_the_mec(self, polygon):
+        circle = maximum_enclosed_circle(polygon)
+        rect = mer._fallback_rect(polygon)
+        half = circle.radius / math.sqrt(2.0) * (1 - 1e-9)
+        cx, cy = circle.center
+        assert rect == Rect(cx - half, cy - half, cx + half, cy + half)
+        assert EdgeArrays(polygon).rect_inside(
+            rect.xmin, rect.ymin, rect.xmax, rect.ymax
+        )
 
 
 class TestCatalogueSample:

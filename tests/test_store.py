@@ -706,11 +706,11 @@ class TestApproximationSidecars:
     # -- algorithm versions -------------------------------------------------
 
     def _stale(self, store, monkeypatch, kind):
-        """A stored relation whose ``kind`` sidecar is one version old.
+        """A stored relation whose ``kind`` sidecar is out of date.
 
         Every sidecar is written at version 1; then ``kind``'s algorithm
-        is at version 2 — MER's real version (its grid search), a
-        pretended bump for 5-C.
+        is at its real version — MER's 3 (grid search, MEC fallback),
+        MEC's 2 (pole search) — or, for 5-C, a pretended 2.
         """
         from repro.approximations import factory
 
@@ -718,17 +718,19 @@ class TestApproximationSidecars:
         rel_a, _ = random_relation_pair(91, n_objects=12)
         rel_a.columnar(eager_kinds=(kind, "MBC"))
         fingerprint = store.save(rel_a)
-        if kind == "MER":
+        if kind in ("MER", "MEC"):
             monkeypatch.undo()
-            assert factory.algorithm_version("MER") == 2
+            assert factory.algorithm_version(kind) == {"MER": 3, "MEC": 2}[kind]
         else:
             monkeypatch.setitem(factory._ALGORITHM_VERSIONS, kind, 2)
         return fingerprint
 
-    @pytest.mark.parametrize("kind", ["5-C", "MER"])
+    @pytest.mark.parametrize("kind", ["5-C", "MER", "MEC"])
     def test_stale_algorithm_version_is_rebuilt_not_mixed(
         self, store, monkeypatch, kind
     ):
+        from repro.approximations import factory
+
         fingerprint = self._stale(store, monkeypatch, kind)
         stored = store.load(fingerprint)  # stale is not corrupt
         assert stored.approx_kinds() == sorted([kind, "MBC"])
@@ -743,7 +745,7 @@ class TestApproximationSidecars:
             (self._sidecar(store, fingerprint, kind) / "manifest.json")
             .read_text()
         )
-        assert manifest["algorithm_version"] == 2
+        assert manifest["algorithm_version"] == factory.algorithm_version(kind)
         assert store.load_relation(fingerprint).columnar().pack_counts == {}
         store.load(fingerprint).verify()
 
