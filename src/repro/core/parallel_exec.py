@@ -112,7 +112,9 @@ flow counters equal the plain serial pipeline's; tree tasks prune the
 synchronized traversal by rectangle distance and stay disjoint; kNN
 tasks carry disjoint left rows plus the right rows within each
 member's k-th-neighbour upper bound, and merged pairs are re-sorted to
-the serial left-relation order.  Only tiny joins — candidate volume
+the serial left-relation order.  Proximity tiles gather their rows
+(:class:`~repro.core.proximity.ProximityRows`) from the segments or the
+pickled polygons and build no object.  Only tiny joins — candidate volume
 below :data:`PROXIMITY_SERIAL_VOLUME`, a rule that never reads
 execution-only fields, keeping the service result cache coherent —
 route to the plain serial pipeline instead.
@@ -149,9 +151,11 @@ from typing import (
 import numpy as np
 
 from ..approximations.batch import ApproxColumns, stored_family
-from ..datasets.columnar import RingColumns, unpack_polygon
+from ..approximations.mec import enclosed_circles
+from ..datasets.columnar import RingColumns, pack_polygons, unpack_polygon
 from ..datasets.relations import SpatialObject, SpatialRelation
-from ..geometry import Polygon, Rect
+from ..geometry import Polygon, Rect, minimum_enclosing_circle
+from ..geometry.fastops import build_edge_table
 from ..geometry.kernels import resolve_backend, warm_up
 from .join import SCHEDULERS, JoinConfig, SpatialJoinProcessor, validate_grid
 from .partition import (
@@ -160,6 +164,7 @@ from .partition import (
     PartitionStats,
     create_partitioner,
     owning_tile,
+    owning_tiles,
     subrelation,
 )
 from .stats import MultiStepStats
@@ -831,6 +836,29 @@ class _MappedRelation:
                 columnar.install_approx(columns.take(indices))
         return relation
 
+    def proximity_rows(self, indices: np.ndarray, predicate: str):
+        """The task's :class:`~repro.core.proximity.ProximityRows`, gathered.
+
+        Edge table, oids and (``distance`` only) the shipped MBC/MEC
+        circle rows of ``indices`` — copies, and no object, polygon or
+        approximation is built on the way.
+        """
+        from .proximity import ProximityRows
+
+        rings = self.rings
+        table = build_edge_table(
+            rings.object_rings, rings.ring_offsets, rings.ring_xy, indices
+        )
+        circles = {
+            columns.kind: columns.arrays["circles"][indices]
+            for columns in self.approx
+            if columns.kind in ("MBC", "MEC")
+        }
+        return ProximityRows(
+            rings.oids[indices], table.mbrs, table,
+            circles.get("MBC"), circles.get("MEC"),
+        )
+
     def close(self) -> None:
         # Release the exported buffers (the column views) before closing.
         self.rings = None
@@ -886,17 +914,46 @@ def _finish_tile(task, rel_a, rel_b, start: float, refinement=None) -> TileOutco
     )
 
 
-def _finish_proximity_tile(task, rel_a, rel_b, start: float) -> TileOutcome:
-    """Task-local proximity join (both wire formats, both predicates).
+def _wire_rows(wire_objects: Sequence[WireObject], predicate: str):
+    """A pickled slice's :class:`~repro.core.proximity.ProximityRows`.
 
-    Runs the per-task proximity pipeline directly (the serial
-    :class:`SpatialJoinProcessor` proximity branch with the executor's
-    deduplication hook).  For ε-expanded *grid* distance tasks
+    Packed from the wire polygons; the ``distance`` circle rows are the
+    MBC and MEC constructions the object path runs (Welzl on the shell;
+    the relation-level MEC search, bit-identical to one-object builds).
+    """
+    from .proximity import ProximityRows
+
+    polygons = [polygon for _, polygon in wire_objects]
+    rings = pack_polygons(
+        polygons, np.array([oid for oid, _ in wire_objects], dtype=np.int64)
+    )
+    table = build_edge_table(
+        rings.object_rings, rings.ring_offsets, rings.ring_xy
+    )
+    circles = ()
+    if predicate == "distance":
+        mbc = [minimum_enclosing_circle(polygon.shell) for polygon in polygons]
+        circles = (
+            np.array(
+                [(c.center[0], c.center[1], c.radius) for c in mbc],
+                dtype=np.float64,
+            ).reshape(-1, 3),
+            enclosed_circles(table),
+        )
+    return ProximityRows(rings.oids, table.mbrs, table, *circles)
+
+
+def _finish_proximity_tile(task, rows_a, rows_b, start: float) -> TileOutcome:
+    """Task-local proximity join on gathered rows (both wire formats).
+
+    Runs the proximity pipeline on the task's
+    :class:`~repro.core.proximity.ProximityRows`, which yields oid pairs
+    directly.  For ε-expanded *grid* distance tasks
     (``task.space``/``task.grid`` set) the owning-task rule runs on the
-    ε/2-**expanded** MBRs — the frame the replication used — and runs
-    *before* any counter moves, so each global candidate is processed
-    by exactly one task and the merged flow statistics equal the serial
-    pipeline's; non-owned replicas only count into
+    ε/2-**expanded** MBR rows — the frame the replication used — and
+    runs *before* any counter moves, so each global candidate is
+    processed by exactly one task and the merged flow statistics equal
+    the serial pipeline's; non-owned replicas only count into
     ``stats.dedup_dropped``.  Tree-guided distance tasks and every kNN
     task are disjoint by construction and need no hook.
     """
@@ -909,23 +966,24 @@ def _finish_proximity_tile(task, rel_a, rel_b, start: float) -> TileOutcome:
         if task.grid is not None:
             space = Rect(*task.space)
             nx, ny = task.grid
-            half = config.epsilon / 2.0
-            tile = task.tile
+            grow = np.array([-1.0, -1.0, 1.0, 1.0]) * (config.epsilon / 2.0)
+            expanded_a = rows_a.mbrs + grow
+            expanded_b = rows_b.mbrs + grow
 
-            def owns(obj_a: SpatialObject, obj_b: SpatialObject) -> bool:
-                return owning_tile(
-                    obj_a.mbr.expand(half), obj_b.mbr.expand(half),
-                    space, nx, ny,
-                ) == tile
+            def owns(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+                ix, iy = owning_tiles(
+                    expanded_a[ra], expanded_b[rb], space, nx, ny
+                )
+                return (ix == task.tile[0]) & (iy == task.tile[1])
 
         pairs = list(
-            distance_join_pipeline(rel_a, rel_b, config, stats, owns=owns)
+            distance_join_pipeline(rows_a, rows_b, config, stats, owns=owns)
         )
     else:
-        pairs = list(knn_join_pipeline(rel_a, rel_b, config, stats))
+        pairs = list(knn_join_pipeline(rows_a, rows_b, config, stats))
     return TileOutcome(
         tile=task.tile,
-        id_pairs=[(obj_a.oid, obj_b.oid) for obj_a, obj_b in pairs],
+        id_pairs=pairs,
         stats=stats,
         elapsed_seconds=time.perf_counter() - start,
     )
@@ -939,10 +997,16 @@ def run_tile_task(task: TileTask) -> TileOutcome:
     *in the worker*, so only owned pairs cross the process boundary.
     """
     start = time.perf_counter()
+    predicate = task.config.predicate
+    if predicate in ("distance", "knn"):
+        return _finish_proximity_tile(
+            task,
+            _wire_rows(task.objects_a, predicate),
+            _wire_rows(task.objects_b, predicate),
+            start,
+        )
     rel_a = _materialise(task.name_a, task.objects_a)
     rel_b = _materialise(task.name_b, task.objects_b)
-    if task.config.predicate in ("distance", "knn"):
-        return _finish_proximity_tile(task, rel_a, rel_b, start)
     return _finish_tile(task, rel_a, rel_b, start)
 
 
@@ -961,9 +1025,10 @@ def run_columnar_tile_task(task: ColumnarTileTask) -> TileOutcome:
     :class:`~repro.exact.refine.RingGeometry` edge table gathered from
     the mapped ring columns for the task's rows only (copies, so the
     mapping can be closed whenever the join ends).
-    Proximity tasks run their own bound cascade — batched refinement is
-    the intersection join's exact step, so they bypass it exactly as
-    the serial proximity pipelines do.
+    Proximity tasks never build an object: they gather their
+    :class:`~repro.core.proximity.ProximityRows` from the mapped
+    segments (:meth:`_MappedRelation.proximity_rows`) and run the row
+    pipelines on them.
     """
     start = time.perf_counter()
     mapped: List[_MappedRelation] = []
@@ -972,10 +1037,16 @@ def run_columnar_tile_task(task: ColumnarTileTask) -> TileOutcome:
         mapped.append(map_a)
         map_b = _MappedRelation(task.spec_b)
         mapped.append(map_b)
+        predicate = task.config.predicate
+        if predicate in ("distance", "knn"):
+            return _finish_proximity_tile(
+                task,
+                map_a.proximity_rows(task.idx_a, predicate),
+                map_b.proximity_rows(task.idx_b, predicate),
+                start,
+            )
         rel_a = map_a.tile(task.idx_a)
         rel_b = map_b.tile(task.idx_b)
-        if task.config.predicate in ("distance", "knn"):
-            return _finish_proximity_tile(task, rel_a, rel_b, start)
         shipped = set(task.spec_a.kinds) & set(task.spec_b.kinds)
         if not shipped.issuperset(task.config.approximation_kinds()):
             # A kind without a stored form (RMBR, MBE) did not ride

@@ -326,6 +326,32 @@ def owning_tile(
     return (min(nx - 1, max(0, ix)), min(ny - 1, max(0, iy)))
 
 
+def owning_tiles(
+    mbrs_a: np.ndarray, mbrs_b: np.ndarray, space: Rect, nx: int, ny: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`owning_tile` of every row pair of two ``(k, 4)`` MBR arrays.
+
+    The same expressions element by element, so the tile indices equal
+    the scalar rule's bit for bit (``(-1, -1)`` for disjoint rows).
+    """
+    xmin = np.maximum(mbrs_a[:, 0], mbrs_b[:, 0])
+    ymin = np.maximum(mbrs_a[:, 1], mbrs_b[:, 1])
+    disjoint = (xmin > np.minimum(mbrs_a[:, 2], mbrs_b[:, 2])) | (
+        ymin > np.minimum(mbrs_a[:, 3], mbrs_b[:, 3])
+    )
+    cells = []
+    for low, origin, extent, n in (
+        (xmin, space.xmin, space.width, nx), (ymin, space.ymin, space.height, ny)
+    ):
+        cell = (
+            ((low - origin) / extent * n).astype(np.int64)
+            if extent
+            else np.zeros(len(low), dtype=np.int64)
+        )
+        cells.append(np.where(disjoint, -1, np.clip(cell, 0, n - 1)))
+    return cells[0], cells[1]
+
+
 def _owning_cells(
     mbrs: np.ndarray, space: Rect, nx: int, ny: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -370,17 +396,23 @@ def _probe_rows(
     The probe bounding box is the union of each member's MBR expanded
     by its per-object bound ``d_k(a)`` — a superset of the union of the
     per-object probe regions, so coverage is preserved (extra rows only
-    add work; each left object's exact top-k filters them out).  An
+    add work; each left object's exact top-k filters them out).  The
+    bound is the kNN filter's loosened one, and the box is widened by
+    two ulps for the rounding of its own sums, so every right row whose
+    computed MINDIST the task's filter can accept is inside it.  An
     ``inf`` bound (``k >= |B|``) makes the box unbounded and selects
     every right row.
     """
+    from .proximity import loosen
+
     if idx_a.size == 0 or len(mbrs_b) == 0:
         return np.empty(0, dtype=np.intp)
-    d = bounds[idx_a]
-    box_xmin = np.min(mbrs_a[idx_a, 0] - d)
-    box_ymin = np.min(mbrs_a[idx_a, 1] - d)
-    box_xmax = np.max(mbrs_a[idx_a, 2] + d)
-    box_ymax = np.max(mbrs_a[idx_a, 3] + d)
+    d = loosen(bounds[idx_a])
+    low = np.nextafter(np.nextafter(
+        np.min(mbrs_a[idx_a, :2] - d[:, None], axis=0), -np.inf), -np.inf)
+    high = np.nextafter(np.nextafter(
+        np.max(mbrs_a[idx_a, 2:] + d[:, None], axis=0), np.inf), np.inf)
+    (box_xmin, box_ymin), (box_xmax, box_ymax) = low, high
     mask = (
         (mbrs_b[:, 0] <= box_xmax)
         & (box_xmin <= mbrs_b[:, 2])
@@ -559,11 +591,9 @@ class GridPartitioner(Partitioner):
         # top-k is produced whole by its one task.
         from .proximity import knn_probe_bounds
 
-        bounds = knn_probe_bounds(
-            relation_a, relation_b, config.k, config.rtree_max_entries
-        )
         mbrs_a = relation_a.columnar().mbrs
         mbrs_b = relation_b.columnar().mbrs
+        bounds = knn_probe_bounds(mbrs_a, mbrs_b, config.k)
         cell_x, cell_y = _owning_cells(mbrs_a, space, nx, ny)
         entries = []
         for key in tiles:
@@ -739,11 +769,9 @@ class TreePartitioner(Partitioner):
         # the probe bounding box of its members' d_k(a)-expanded MBRs.
         from .proximity import knn_probe_bounds
 
-        bounds = knn_probe_bounds(
-            relation_a, relation_b, config.k, config.rtree_max_entries
-        )
         mbrs_a = relation_a.columnar().mbrs
         mbrs_b = relation_b.columnar().mbrs
+        bounds = knn_probe_bounds(mbrs_a, mbrs_b, config.k)
         tree_a = relation_a.columnar().partition_tree(self.max_entries)
         row_budget = max(1, -(-n_a // self.target_tasks))
         rows_cache: Dict[int, np.ndarray] = {}

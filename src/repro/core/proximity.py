@@ -1,116 +1,162 @@
 """First-class proximity predicates on the multi-step join runtime.
 
 The standalone :mod:`repro.core.distance` module transfers the paper's
-multi-step shape to the within-distance join with its own result and
-stats types.  This module promotes that transfer — plus a k-nearest-
-neighbour join built on the same bounds — to first-class
-:class:`~repro.core.join.JoinConfig` predicates (``predicate='distance'``
-with ``epsilon``, ``predicate='knn'`` with ``k``): the pipelines report
-into the ordinary :class:`~repro.core.stats.MultiStepStats`, run their
-exact step on the batched kernel tier (:mod:`repro.geometry.kernels`,
-selected by ``JoinConfig.kernels``), and therefore flow through every
-runtime layer the intersection join has — CLI, sessions, and the join
-service — unchanged.
+multi-step shape to the within-distance join; this module promotes it —
+plus a k-nearest-neighbour join on the same bounds — to
+:class:`~repro.core.join.JoinConfig` predicates (``'distance'`` with
+``epsilon``, ``'knn'`` with ``k``) that report into the ordinary
+:class:`~repro.core.stats.MultiStepStats`, run their exact step on the
+kernel tier (``JoinConfig.kernels``), and flow through the CLI,
+sessions and the join service unchanged.
 
-Stats mapping (the Figure-1 invariants hold for both predicates):
+**Both predicates are row programs.**  They read a :class:`ProximityRows`
+bundle per side (oids, MBR rows, MBC/MEC circle rows, the
+:class:`~repro.geometry.fastops.EdgeTable`) and produce ``(row_a,
+row_b)`` index arrays; objects (serial joins) or oids (tile tasks, which
+gather their rows from the mapped segments and never build an object)
+are attached only when pairs are emitted.  The exact step
+(:func:`_capped_distances`) settles distance 0 with the batched
+intersects decision (:func:`repro.exact.refine.intersects_rows`) and
+the rest with one :func:`KernelDispatcher.min_edge_distance_ragged`
+call, which returns the exact distance, bit for bit, wherever it is
+``<= cap`` and ``inf`` elsewhere.
 
-* ``distance`` — candidates are the expanded-MBR-join pairs that
-  survive the Euclidean MBR pre-test; the conservative MBC lower bound
-  eliminates false hits, the progressive MEC upper bound proves hits,
-  and the remainder is resolved by exact polygon distance.
-* ``knn`` — best-first MINDIST traversal per left object; every exact
-  distance computation is one candidate that goes straight to the
-  exact step (``remaining == candidate_pairs``), the emitted ``k``
-  nearest are exact hits and the rest exact false hits.
+``distance`` — candidates are the ε/2-expanded R*-tree join's row pairs
+(its candidate order, ``mbr_tests`` and ``node_pairs``) that survive the
+Euclidean MBR pre-test; the MBC lower bound eliminates false hits, the
+MEC upper bound proves hits — each a mask over the candidate rows with
+the scalar ``math.hypot`` decisions (:func:`_hypot_gaps`), each counter
+a mask sum — and one exact call per join resolves the remainder.  Pairs
+come out in candidate order.
 
-**The exact step is set-at-a-time.**  Exact distances are computed for
-a whole set of pairs at once (:func:`_capped_distances`), on the
-relations' edge tables (:class:`repro.exact.refine.RingGeometry`):
+``knn`` — **bound-first in two rounds**, one exact call each.  Per left
+row ``a``, ``d_k(a)`` is the k-th smallest MBR max-distance (``inf``
+when ``k >= |B|``).  Round 1 computes the ``k`` right rows smallest by
+``(MINDIST, oid)``, capped at ``d_k(a)``; ``cap(a)`` is the smaller of
+``d_k(a)`` and the largest round-1 distance.  Round 2 computes every
+other right row with ``MINDIST <= cap(a)``, capped at ``cap(a)``.  The
+top ``k`` by ``(distance, oid)`` are emitted, left rows in order.
+*Exact:* the round-1 rows and the k rows attaining ``d_k(a)`` are k real
+objects within ``cap(a)``, so every result row has ``MINDIST <= exact
+<= cap(a)`` — it is in one of the rounds, and its distance comes back
+exact (caps and MINDIST limits are :func:`loosen`-ed, so rounding only
+adds candidates).  Such rows lie within ``d_k(a)`` of ``a``'s MBR, so a
+kNN task's replicated right set holds them, the per-left-row work is
+the same in every plan, and so are the counters:
 
-* the zero-distance test is the intersects decision the batched
-  refinement makes (:func:`repro.exact.refine.intersects_rows` — MBR
-  test, ragged crossing kernel, containment), one call for the set;
-* the other pairs go through one
-  :func:`KernelDispatcher.min_edge_distance_ragged` call, which prunes
-  edges and edge pairs by a per-pair **reach** ``min(cap, bound +
-  margin)``: ``bound`` is the distance of one edge pair picked by
-  nearest vertices (:func:`repro.geometry.fastops.vertex_distance_bounds`),
-  so never below the true distance, and ``cap`` is the largest value the caller
-  can still use — ε for the distance join, the current k-th best
-  (``inf`` until ``k`` are known) for a kNN search.  The kernel returns
-  the exact distance, bit for bit, wherever it is ``<= reach`` and
-  ``inf`` elsewhere, so a value that could still decide a distance pair
-  or enter a kNN result is always exact.
+* ``candidate_pairs = remaining_candidates = mbr_join.output_pairs`` =
+  pairs of both rounds; ``exact_hits`` = pairs emitted,
+  ``exact_false_hits`` = the rest;
+* ``mbr_join.mbr_tests`` = Σₐ |{b : MINDIST ≤ d_k(a)}|;
+  ``mbr_join.node_pairs`` = 0.
 
-The **distance join** collects its remaining candidates in candidate
-order and resolves them with one such call per join, then yields pairs
-in the original interleaved order.  The **kNN join** advances every left
-object's best-first search in lock-step *rounds*: each active search
-pops until it needs an exact distance (or stops), and the round's pairs
-share one call.  Heap contents and pop order per object are those of a
-one-object-at-a-time search — a pair beyond the k-th best gets ``inf``
-instead of its true value, is pushed and immediately evicted either way
-— so candidates, counters and emitted order are unchanged; results are
-emitted per left object in relation order.
-
-Neither predicate decomposes into independent *MBR* tiles (an ε-near
-pair can straddle tiles without MBR overlap; a kNN result is a global
-per-object ordering), but both decompose under ε-aware task formation
+Both decompose under ε-aware task formation
 (:meth:`repro.core.partition.Partitioner.plan_proximity`): distance
-tasks grow every probe region by ε — grid tiles collect each object
-whose ε/2-expanded MBR touches them, replicated border candidates
-deduplicated by the owning-task rule (the ``owns`` hook below, applied
-*before* any counter moves so merged flow statistics equal the serial
-pipeline's) — and kNN tasks bound each left object's probe radius with
-the :func:`knn_probe_bounds` k-th-neighbour pass.  Tiny relations
-still run these pipelines serially — see
+tasks grow every probe region by ε, replicated border candidates
+deduplicated by the ``owns`` row hook *before* any counter moves; kNN
+tasks probe each left row's MBR grown by :func:`knn_probe_bounds`, the
+same ``d_k``.  Tiny relations run serially — see
 ``parallel_exec.parallel_partitioned_join``.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+import math
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from ..datasets.relations import SpatialObject, SpatialRelation
-from ..exact.refine import RingGeometry, clip_margins, intersects_rows
-from ..geometry.fastops import vertex_distance_bounds
+from ..datasets.relations import SpatialRelation
+from ..exact.refine import clip_margins, intersects_rows
+from ..geometry import Rect
+from ..geometry.fastops import EdgeTable, vertex_distance_bounds
 from ..geometry.kernels import KernelDispatcher, dispatcher_for
-from ..index import JoinStats, rstar_join
-from .distance import (
-    _expanded_tree,
-    circle_distance,
-    rect_distance,
-)
+from ..index import JoinStats, RStarTree, rstar_join
 from .join import JoinConfig
 from .stats import MultiStepStats
 
-Pair = Tuple[SpatialObject, SpatialObject]
+#: ``owns(rows_a, rows_b) -> bool mask``: which candidate row pairs a
+#: task owns (the parallel executor's deduplication hook).
+RowOwner = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+#: relative slack of :func:`loosen` (2**-44 ≈ 256 ulps), and of the band
+#: in which :func:`_hypot_gaps` re-checks with ``math.hypot``.
+_SLACK = 2.0 ** -44
+
+#: left x right rows of one dense block of the kNN bound pass: keeps its
+#: temporaries at a few MB whatever the relation sizes.
+_BLOCK_PAIRS = 1 << 16
+
+
+class ProximityRows(NamedTuple):
+    """What a proximity predicate reads of one relation, row by row.
+
+    ``mbrs`` are the shell MBRs (``EdgeTable.mbrs`` equals
+    ``ColumnarRelation.mbrs`` bit for bit); ``mbc``/``mec`` are ``(n, 3)``
+    circle rows ``(cx, cy, r)``, for the ``distance`` predicate only.
+    """
+
+    oids: np.ndarray
+    mbrs: np.ndarray
+    table: EdgeTable
+    mbc: Optional[np.ndarray] = None
+    mec: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, columnar, predicate: str) -> "ProximityRows":
+        """The rows of a :class:`~repro.datasets.columnar.ColumnarRelation`."""
+        circles = (
+            (columnar.approx("MBC").circles, columnar.approx("MEC").circles)
+            if predicate == "distance"
+            else ()
+        )
+        return cls(
+            columnar.oids, columnar.mbrs, columnar.ring_geometry().table,
+            *circles,
+        )
+
+
+Side = Union[SpatialRelation, ProximityRows]
+
+
+def _bind(side: Side, predicate: str):
+    """``(rows, items)``: a relation yields objects, bare rows their oids."""
+    if isinstance(side, ProximityRows):
+        return side, side.oids.tolist()
+    columnar = side.columnar()
+    return ProximityRows.of(columnar, predicate), columnar.objects
+
+
+def loosen(bound: np.ndarray) -> np.ndarray:
+    """``bound`` grown by a few hundred ulps (``inf`` stays ``inf``).
+
+    MINDIST, max-distance and exact distance are different expressions;
+    a kNN cap or MINDIST limit is loosened so rounding only adds
+    candidates, never drops one.
+    """
+    return bound * (1.0 + _SLACK)
 
 
 def _capped_distances(
     kernels: KernelDispatcher,
-    geometry_a: RingGeometry,
-    geometry_b: RingGeometry,
-    pairs: Sequence[Pair],
+    table_a: EdgeTable,
+    table_b: EdgeTable,
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
     caps: np.ndarray,
+    tighten: bool = True,
 ) -> np.ndarray:
-    """Exact polygon distance per pair (0 intersecting), ``inf`` beyond ``caps``.
+    """Exact polygon distance per row pair (0 intersecting), ``inf`` beyond ``caps``.
 
     Same semantics as :func:`repro.core.distance.polygon_distance`: the
     intersects decision settles the zero case (containment and touching
     included), then the minimum edge distance over the objects' edges
     (shell and holes; a hole can never beat the shell of a disjoint
     polygon) resolves the rest — exactly where it is ``<= caps[p]``,
-    ``inf`` where it is larger.
+    ``inf`` where it is larger.  ``tighten`` prunes the kernel by the
+    vertex bound as well: it changes the work, never the values.
     """
-    table_a, table_b = geometry_a.table, geometry_b.table
-    rows_a = np.array([geometry_a.row_of(a) for a, _ in pairs], dtype=np.intp)
-    rows_b = np.array([geometry_b.row_of(b) for _, b in pairs], dtype=np.intp)
-    dist = np.zeros(len(pairs))
+    dist = np.zeros(len(rows_a))
     apart = np.flatnonzero(
         ~intersects_rows(kernels, table_a, table_b, rows_a, rows_b)
     )
@@ -118,10 +164,12 @@ def _capped_distances(
         rows_a = rows_a[apart]
         rows_b = rows_b[apart]
         margin = clip_margins(table_a.bounds[rows_a], table_b.bounds[rows_b])
-        bound = vertex_distance_bounds(table_a, table_b, rows_a, rows_b)
+        reach = caps[apart]
+        if tighten:
+            bound = vertex_distance_bounds(table_a, table_b, rows_a, rows_b)
+            reach = np.minimum(reach, bound + margin)
         dist[apart] = kernels.min_edge_distance_ragged(
-            table_a, table_b, rows_a, rows_b,
-            np.minimum(caps[apart], bound + margin), margin,
+            table_a, table_b, rows_a, rows_b, reach, margin
         )
     return dist
 
@@ -131,101 +179,132 @@ def _capped_distances(
 # ---------------------------------------------------------------------------
 
 
-def distance_join_pipeline(
-    relation_a: SpatialRelation,
-    relation_b: SpatialRelation,
+def _hypot_gaps(dx, dy, radius_a, radius_b, epsilon: float) -> np.ndarray:
+    """``math.hypot(dx, dy) - radius_a - radius_b`` wherever it decides ``> ε``.
+
+    The scalar bounds (``rect_distance``, ``circle_distance``) use
+    ``math.hypot``, which ``np.hypot`` misses by an ulp on about one
+    input in 500; gaps within ``_SLACK`` of the operands' scale around ε
+    (far more than those ulps can move) are recomputed with it.
+    """
+    hyp = np.hypot(dx, dy)
+    gaps = hyp - radius_a - radius_b
+    scale = hyp + radius_a + radius_b + epsilon
+    for i in np.flatnonzero(np.abs(gaps - epsilon) <= _SLACK * scale).tolist():
+        gaps[i] = math.hypot(dx[i], dy[i]) - radius_a[i] - radius_b[i]
+    return gaps
+
+
+def _mbr_gaps(a: np.ndarray, b: np.ndarray):
+    """``rect_distance``'s per-axis gaps of (broadcast) MBR rows."""
+    return (
+        np.maximum(np.maximum(a[..., 0] - b[..., 2], 0.0), b[..., 0] - a[..., 2]),
+        np.maximum(np.maximum(a[..., 1] - b[..., 3], 0.0), b[..., 1] - a[..., 3]),
+    )
+
+
+def _circle_gaps(circles_a, circles_b, epsilon: float) -> np.ndarray:
+    """Disc-to-disc gaps of ``(k, 3)`` circle rows (negative: overlap)."""
+    return _hypot_gaps(
+        circles_a[:, 0] - circles_b[:, 0], circles_a[:, 1] - circles_b[:, 1],
+        circles_a[:, 2], circles_b[:, 2], epsilon,
+    )
+
+
+def _expanded_tree(mbrs: np.ndarray, amount: float, max_entries: int) -> RStarTree:
+    """R*-tree of the MBR rows grown by ``amount`` (``Rect.expand``), items = rows."""
+    tree = RStarTree(max_entries=max_entries)
+    for row, (xmin, ymin, xmax, ymax) in enumerate(mbrs.tolist()):
+        tree.insert(
+            Rect(xmin - amount, ymin - amount, xmax + amount, ymax + amount),
+            row,
+        )
+    return tree
+
+
+def distance_rows(
+    rows_a: ProximityRows,
+    rows_b: ProximityRows,
     config: JoinConfig,
     stats: MultiStepStats,
-    owns: Optional[Callable[[SpatialObject, SpatialObject], bool]] = None,
-) -> Iterator[Pair]:
+    owns: Optional[RowOwner] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row pairs with exact distance <= ``config.epsilon``, candidate order."""
+    epsilon = config.epsilon
+    half = epsilon / 2.0
+    # L∞ candidates of the expanded join; counting starts after the
+    # Euclidean pre-test, so only the traversal counters are folded in.
+    raw = JoinStats()
+    found = np.array(
+        list(rstar_join(
+            _expanded_tree(rows_a.mbrs, half, config.rtree_max_entries),
+            _expanded_tree(rows_b.mbrs, half, config.rtree_max_entries),
+            None, None, raw,
+        )),
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    ra, rb = found[:, 0], found[:, 1]
+    if owns is not None:
+        kept = owns(ra, rb)
+        stats.dedup_dropped += len(ra) - int(kept.sum())
+        ra, rb = ra[kept], rb[kept]
+    stats.mbr_join.mbr_tests += len(ra) + raw.mbr_tests
+    stats.mbr_join.node_pairs += raw.node_pairs
+    # Euclidean MBR pre-test: rect_distance(mbr_a, mbr_b) <= ε.
+    zero = np.zeros(len(ra))
+    gaps = _mbr_gaps(rows_a.mbrs[ra], rows_b.mbrs[rb])
+    near = _hypot_gaps(*gaps, zero, zero, epsilon) <= epsilon
+    ra, rb = ra[near], rb[near]
+    stats.candidate_pairs += len(ra)
+    stats.mbr_join.output_pairs += len(ra)
+    # Conservative bound: MBCs contain the objects, so their gap
+    # lower-bounds the object distance — gap > ε is a false hit.
+    stats.conservative_tests += len(ra)
+    far = _circle_gaps(rows_a.mbc[ra], rows_b.mbc[rb], epsilon) > epsilon
+    stats.filter_false_hits += int(far.sum())
+    ra, rb = ra[~far], rb[~far]
+    # Progressive bound: MECs lie inside the objects, so their gap
+    # upper-bounds the object distance — gap <= ε is a hit.
+    stats.progressive_tests += len(ra)
+    hit = _circle_gaps(rows_a.mec[ra], rows_b.mec[rb], epsilon) <= epsilon
+    stats.filter_hits_progressive += int(hit.sum())
+    rest = np.flatnonzero(~hit)
+    stats.remaining_candidates += len(rest)
+    if len(rest):
+        close = _capped_distances(
+            dispatcher_for(config.kernels, stats), rows_a.table, rows_b.table,
+            ra[rest], rb[rest], np.full(len(rest), epsilon),
+        ) <= epsilon
+        stats.exact_hits += int(close.sum())
+        stats.exact_false_hits += len(rest) - int(close.sum())
+        hit[rest] = close
+    return ra[hit], rb[hit]
+
+
+def distance_join_pipeline(
+    relation_a: Side,
+    relation_b: Side,
+    config: JoinConfig,
+    stats: MultiStepStats,
+    owns: Optional[RowOwner] = None,
+) -> Iterator[Tuple[object, object]]:
     """All pairs with exact distance <= ``config.epsilon``, multi-step.
 
-    Pair order is the expanded MBR-join's candidate order — identical
-    to :func:`repro.core.distance.within_distance_join` on the same
-    relations and ε, and identical across kernel backends.  The exact
-    step runs once, after the filter, over all remaining candidates.
-
-    ``owns`` is the parallel executor's deduplication hook: an
-    ε-expanded grid task replicates border objects into every tile
-    their expanded MBR touches, so the same candidate surfaces in
-    several tasks.  The hook runs *first*, before the Euclidean
-    pre-test and before any counter moves — a non-owned candidate only
-    increments ``stats.dedup_dropped`` — so each global candidate is
-    processed (and counted) by exactly one task and the merged flow
-    statistics equal the serial pipeline's.  ``None`` (serial, and
-    disjoint tree-guided tasks) owns everything.
+    Pairs come in the expanded MBR-join's candidate order, as from
+    :func:`repro.core.distance.within_distance_join`, on every kernel
+    backend: object pairs for relations, oid pairs for
+    :class:`ProximityRows`.  ``owns`` is the parallel executor's
+    deduplication hook over candidate rows (ε-expanded grid tasks
+    replicate border objects).  It runs *first*: a non-owned candidate
+    only increments ``stats.dedup_dropped``, so each global candidate is
+    counted by one task and merged flow statistics equal the serial
+    pipeline's.  ``None`` (serial, disjoint tree tasks) owns everything.
     """
-    epsilon = config.epsilon
-    kernels = dispatcher_for(config.kernels, stats)
-    half = epsilon / 2.0
-    tree_a = _expanded_tree(relation_a, half, config.rtree_max_entries)
-    tree_b = _expanded_tree(relation_b, half, config.rtree_max_entries)
-    # Progressive hits and remaining candidates, in candidate order; the
-    # positions of the remaining ones wait for the exact step.
-    survivors: List[Pair] = []
-    remaining: List[int] = []
-    # The expanded join reports L∞ candidates; the Euclidean pre-test
-    # below corner-tightens them.  Candidate accounting starts *after*
-    # the pre-test, so raw tree stats go to a throwaway JoinStats and
-    # only the traversal-cost counters are folded in — output_pairs is
-    # set to the post-pre-test candidate count, keeping the Figure-1
-    # flow conservation (`mbr_join.output_pairs == candidate_pairs`).
-    raw = JoinStats()
-    for obj_a, obj_b in rstar_join(tree_a, tree_b, None, None, raw):
-        if owns is not None and not owns(obj_a, obj_b):
-            stats.dedup_dropped += 1
-            continue
-        stats.mbr_join.mbr_tests += 1  # the Euclidean MBR pre-test
-        if rect_distance(obj_a.mbr, obj_b.mbr) > epsilon:
-            continue
-        stats.candidate_pairs += 1
-        stats.mbr_join.output_pairs += 1
-
-        # Conservative bound: MBCs contain the objects, so their gap
-        # lower-bounds the object distance — gap > ε is a false hit.
-        stats.conservative_tests += 1
-        circle_a = obj_a.approximation("MBC").circle()
-        circle_b = obj_b.approximation("MBC").circle()
-        lower = circle_distance(
-            circle_a.center, circle_a.radius,
-            circle_b.center, circle_b.radius,
-        )
-        if lower > epsilon:
-            stats.filter_false_hits += 1
-            continue
-
-        # Progressive bound: MECs lie inside the objects, so their gap
-        # upper-bounds the object distance — gap <= ε is a hit.
-        stats.progressive_tests += 1
-        disc_a = obj_a.approximation("MEC").circle()
-        disc_b = obj_b.approximation("MEC").circle()
-        upper = circle_distance(
-            disc_a.center, disc_a.radius, disc_b.center, disc_b.radius
-        )
-        if upper > epsilon:
-            stats.remaining_candidates += 1
-            remaining.append(len(survivors))
-        else:
-            stats.filter_hits_progressive += 1
-        survivors.append((obj_a, obj_b))
-    stats.mbr_join.mbr_tests += raw.mbr_tests
-    stats.mbr_join.node_pairs += raw.node_pairs
-
-    accept = np.ones(len(survivors), dtype=bool)
-    if remaining:
-        near = _capped_distances(
-            kernels,
-            relation_a.columnar().ring_geometry(),
-            relation_b.columnar().ring_geometry(),
-            [survivors[i] for i in remaining],
-            np.full(len(remaining), epsilon),
-        ) <= epsilon
-        stats.exact_hits += int(near.sum())
-        stats.exact_false_hits += len(remaining) - int(near.sum())
-        accept[remaining] = near
-    for pair, hit in zip(survivors, accept.tolist()):
-        if hit:
-            yield pair
+    rows_a, items_a = _bind(relation_a, "distance")
+    rows_b, items_b = _bind(relation_b, "distance")
+    ra, rb = distance_rows(rows_a, rows_b, config, stats, owns)
+    for i, j in zip(ra.tolist(), rb.tolist()):
+        yield items_a[i], items_b[j]
 
 
 # ---------------------------------------------------------------------------
@@ -233,211 +312,132 @@ def distance_join_pipeline(
 # ---------------------------------------------------------------------------
 
 
-class _KnnSearch:
-    """One left object's best-first search, advanced a pair at a time.
+def _left_blocks(n_a: int, n_b: int) -> List[slice]:
+    """Left-row slices whose dense ``rows x n_b`` blocks stay small."""
+    step = max(1, _BLOCK_PAIRS // max(n_b, 1))
+    return [slice(start, start + step) for start in range(0, n_a, step)]
 
-    ``heap`` holds pending tree nodes and entries by MINDIST (ties by
-    push order via ``tiebreak``); ``best`` is a max-heap of the k best by
-    ``(-exact, -oid)``: the root is the current worst — largest
-    distance, ties evicting the larger oid — so the kept set is the k
-    smallest by ``(exact, oid)``.
+
+def _kth_max_distances(mbrs_a: np.ndarray, mbrs_b: np.ndarray, k: int) -> np.ndarray:
+    """``d_k`` per left row: the k-th smallest MBR max-distance to ``mbrs_b``.
+
+    The max-distance of two rectangles (per axis ``max(a.max - b.min,
+    b.max - a.min)``) bounds the distance of any polygons inside them
+    from above.  ``inf`` when ``k >= |B|``.
     """
+    if k >= len(mbrs_b):
+        return np.full(len(mbrs_a), np.inf)
+    a, b = mbrs_a[:, None, :], mbrs_b[None, :, :]
+    dx = np.maximum(a[..., 2] - b[..., 0], b[..., 2] - a[..., 0])
+    dy = np.maximum(a[..., 3] - b[..., 1], b[..., 3] - a[..., 1])
+    top = np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
+    return np.partition(top, k - 1, axis=1)[:, k - 1]
 
-    __slots__ = ("obj", "k", "heap", "tiebreak", "best", "computed")
 
-    def __init__(self, obj: SpatialObject, root, k: int):
-        self.obj = obj
-        self.k = k
-        self.tiebreak = itertools.count()
-        self.heap: List[Tuple[float, int, bool, object]] = [
-            (0.0, next(self.tiebreak), False, root)
-        ]
-        self.best: List[Tuple[float, float, SpatialObject]] = []
-        self.computed = 0
+def _rank_in_group(groups: np.ndarray) -> np.ndarray:
+    """Position of each element within its run of a sorted group column."""
+    return np.arange(len(groups)) - np.searchsorted(groups, groups)
 
-    def next_candidate(self, stats: MultiStepStats) -> Optional[SpatialObject]:
-        """Pop until an entry needs its exact distance; ``None`` once done."""
-        heap, best, mbr = self.heap, self.best, self.obj.mbr
-        while heap:
-            mindist, _, is_entry, payload = heapq.heappop(heap)
-            if len(best) == self.k and mindist > -best[0][0]:
-                return None  # no pending rectangle can beat the k-th best
-            if is_entry:
-                stats.candidate_pairs += 1
-                stats.mbr_join.output_pairs += 1
-                stats.remaining_candidates += 1
-                self.computed += 1
-                return payload
-            stats.mbr_join.node_pairs += 1
-            if payload.is_leaf:
-                for entry in payload.entries:
-                    stats.mbr_join.mbr_tests += 1
-                    heapq.heappush(
-                        heap,
-                        (
-                            rect_distance(mbr, entry.rect),
-                            next(self.tiebreak),
-                            True,
-                            entry.item,
-                        ),
-                    )
-            else:
-                for child in payload.children:
-                    stats.mbr_join.mbr_tests += 1
-                    heapq.heappush(
-                        heap,
-                        (
-                            rect_distance(mbr, child.mbr()),
-                            next(self.tiebreak),
-                            False,
-                            child,
-                        ),
-                    )
-        return None
 
-    def cap(self) -> float:
-        """The largest exact distance that can still enter the k best."""
-        return -self.best[0][0] if len(self.best) == self.k else np.inf
-
-    def admit(self, obj_b: SpatialObject, exact: float) -> None:
-        heapq.heappush(self.best, (-exact, -obj_b.oid, obj_b))
-        if len(self.best) > self.k:
-            heapq.heappop(self.best)
-
-    def neighbours(self) -> List[SpatialObject]:
-        """The kept objects in ascending ``(distance, oid)`` order."""
-        ranked = sorted(self.best, key=lambda t: (t[0], t[1]), reverse=True)
-        return [obj for _, _, obj in ranked]
+def knn_rows(
+    rows_a: ProximityRows,
+    rows_b: ProximityRows,
+    k: int,
+    kernels: KernelDispatcher,
+    stats: MultiStepStats,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each left row's ``k`` nearest right rows, two exact rounds (module docstring)."""
+    n_a, n_b = len(rows_a.oids), len(rows_b.oids)
+    if n_a == 0 or n_b == 0:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty
+    # Bound pass: d_k per left row and the (row, row, MINDIST) triples
+    # within the loosened d_k — a superset of both rounds' candidates.
+    bounds, near = [], []
+    for block in _left_blocks(n_a, n_b):
+        mind = np.hypot(*_mbr_gaps(rows_a.mbrs[block, None], rows_b.mbrs))
+        d_k = _kth_max_distances(rows_a.mbrs[block], rows_b.mbrs, k)
+        stats.mbr_join.mbr_tests += int((mind <= d_k[:, None]).sum())
+        a, b = np.nonzero(mind <= loosen(d_k)[:, None])
+        bounds.append(d_k)
+        near.append((a + block.start, b, mind[a, b]))
+    d_k = np.concatenate(bounds)
+    near_a, near_b, near_d = (np.concatenate(col) for col in zip(*near))
+    oids_b = rows_b.oids
+    order = np.lexsort((oids_b[near_b], near_d, near_a))
+    near_a, near_b, near_d = near_a[order], near_b[order], near_d[order]
+    # Round 1: the k smallest by (MINDIST, oid) per left row, capped at
+    # d_k.  Every left row has at least min(k, |B|) of them.
+    first = _rank_in_group(near_a) < k
+    r1_a, r1_b = near_a[first], near_b[first]
+    dist_1 = _capped_distances(
+        kernels, rows_a.table, rows_b.table, r1_a, r1_b, loosen(d_k[r1_a])
+    )
+    starts = np.flatnonzero(np.r_[True, r1_a[1:] != r1_a[:-1]])
+    cap = loosen(np.minimum(np.maximum.reduceat(dist_1, starts), d_k))
+    # Round 2: every other near row whose MINDIST can still beat cap;
+    # cap is already a k-th-neighbour bound, so no vertex bound.
+    second = ~first & (near_d <= cap[near_a])
+    r2_a, r2_b = near_a[second], near_b[second]
+    dist_2 = (
+        _capped_distances(
+            kernels, rows_a.table, rows_b.table, r2_a, r2_b, cap[r2_a],
+            tighten=False,
+        )
+        if len(r2_a) else np.empty(0)
+    )
+    pair_a = np.concatenate((r1_a, r2_a))
+    pair_b = np.concatenate((r1_b, r2_b))
+    dist = np.concatenate((dist_1, dist_2))
+    order = np.lexsort((oids_b[pair_b], dist, pair_a))
+    pair_a, pair_b = pair_a[order], pair_b[order]
+    emit = _rank_in_group(pair_a) < k
+    computed, emitted = len(pair_a), int(emit.sum())
+    stats.candidate_pairs += computed
+    stats.mbr_join.output_pairs += computed
+    stats.remaining_candidates += computed
+    stats.exact_hits += emitted
+    stats.exact_false_hits += computed - emitted
+    return pair_a[emit], pair_b[emit]
 
 
 def knn_join_pipeline(
-    relation_a: SpatialRelation,
-    relation_b: SpatialRelation,
+    relation_a: Side,
+    relation_b: Side,
     config: JoinConfig,
     stats: MultiStepStats,
-) -> Iterator[Pair]:
-    """Each left object's ``config.k`` nearest right objects.
+) -> Iterator[Tuple[object, object]]:
+    """Each left object's ``config.k`` nearest right objects (all if fewer).
 
-    Classic best-first filter-refine per left object: MINDIST from the
-    left MBR to tree rectangles lower-bounds the exact distance, so the
-    traversal stops once no pending rectangle can beat the k-th best
-    exact distance.  Per left object the neighbours are emitted in
-    ascending ``(distance, oid)`` order; left objects follow relation
-    order.  Fewer than ``k`` right objects means every one qualifies.
-
-    Every exact distance computation is one candidate pair resolved by
-    the exact step (``remaining == candidate_pairs``); the emitted
-    neighbours are the exact hits.  The searches advance in lock-step
-    rounds, one exact-distance kernel call per round.
+    Left objects in relation order, each one's neighbours by ascending
+    ``(distance, oid)``; object pairs for relations, oid pairs for
+    :class:`ProximityRows`.  Two exact rounds (module docstring).
     """
-    tree_b = relation_b.rtree(config.rtree_max_entries)
-    if tree_b.size == 0:
-        return
-    kernels = dispatcher_for(config.kernels, stats)
-    geometry_a = relation_a.columnar().ring_geometry()
-    geometry_b = relation_b.columnar().ring_geometry()
-    searches = [
-        _KnnSearch(obj_a, tree_b.root, config.k) for obj_a in relation_a
-    ]
-    active = searches
-    while active:
-        pending = [
-            (search, search.next_candidate(stats)) for search in active
-        ]
-        pending = [
-            (search, obj_b) for search, obj_b in pending if obj_b is not None
-        ]
-        if pending:
-            exact = _capped_distances(
-                kernels, geometry_a, geometry_b,
-                [(search.obj, obj_b) for search, obj_b in pending],
-                np.array([search.cap() for search, _ in pending]),
-            )
-            for (search, obj_b), distance in zip(pending, exact.tolist()):
-                search.admit(obj_b, distance)
-        active = [search for search, _ in pending]
-    for search in searches:
-        emitted = search.neighbours()
-        stats.exact_hits += len(emitted)
-        stats.exact_false_hits += search.computed - len(emitted)
-        for obj_b in emitted:
-            yield (search.obj, obj_b)
+    rows_a, items_a = _bind(relation_a, "knn")
+    rows_b, items_b = _bind(relation_b, "knn")
+    ra, rb = knn_rows(
+        rows_a, rows_b, config.k, dispatcher_for(config.kernels, stats), stats
+    )
+    for i, j in zip(ra.tolist(), rb.tolist()):
+        yield items_a[i], items_b[j]
 
 
-def rect_max_distance(a, b) -> float:
-    """Maximum distance between any point of rect ``a`` and any of ``b``.
+def knn_probe_bounds(mbrs_a: np.ndarray, mbrs_b: np.ndarray, k: int) -> np.ndarray:
+    """Per-left-row probe radius ``d_k(a)`` for parallel kNN task formation.
 
-    Upper-bounds the exact distance of any two polygons contained in
-    the rectangles (the exact distance is a *minimum* over point pairs,
-    each of which is at most this).  The per-axis maximum separation is
-    ``max(a.max - b.min, b.max - a.min)`` — non-negative whenever both
-    rectangles are non-empty.
+    The kNN pipeline's own bound: at least ``k`` right objects are
+    within it, so every right object in ``a``'s result has
+    ``rect_distance(mbr_a, mbr_b) <= exact <= d_k(a)`` — its MBR meets
+    ``a``'s MBR grown by ``d_k(a)``, the rule
+    :meth:`Partitioner.plan_proximity` replicates by.  ``inf`` for
+    ``k >= |B|`` (every task probes every right row).
     """
-    dx = max(a.xmax - b.xmin, b.xmax - a.xmin)
-    dy = max(a.ymax - b.ymin, b.ymax - a.ymin)
-    return float(np.hypot(max(dx, 0.0), max(dy, 0.0)))
-
-
-def knn_probe_bounds(
-    relation_a: SpatialRelation,
-    relation_b: SpatialRelation,
-    k: int,
-    max_entries: int,
-) -> np.ndarray:
-    """Per-left-object probe radius for parallel kNN task formation.
-
-    For each left object ``a`` returns ``d_k(a)``: the k-th smallest
-    :func:`rect_max_distance` from ``a``'s MBR to the right relation's
-    MBRs, found by a cheap serial best-first pass over the right
-    relation's bulk-loaded R*-tree (``partition_tree``) — node MINDIST
-    lower-bounds every member's max-distance, so subtrees that cannot
-    improve the current k-th best are pruned without visiting them.
-
-    ``d_k(a)`` upper-bounds the exact distance of ``a``'s k-th nearest
-    neighbour: at least ``k`` right objects have exact distance
-    ``<= rect_max_distance <= d_k(a)``.  Therefore every right object
-    that can appear in ``a``'s result satisfies
-    ``rect_distance(mbr_a, mbr_b) <= exact <= d_k(a)`` — i.e. its MBR
-    intersects ``mbr_a`` expanded by ``d_k(a)`` — which is exactly the
-    replication rule :meth:`Partitioner.plan_proximity` applies.
-
-    ``k >= |B|`` disables the bound (``inf``: every right object
-    qualifies, so every task probes the whole right relation).
-    """
-    bounds = np.full(len(relation_a), np.inf, dtype=np.float64)
-    n_b = len(relation_b)
-    if n_b == 0 or k >= n_b or len(relation_a) == 0:
-        return bounds
-    tree_b = relation_b.columnar().partition_tree(max_entries)
-    for row, obj_a in enumerate(relation_a):
-        mbr_a = obj_a.mbr
-        tiebreak = itertools.count()
-        heap = [(0.0, next(tiebreak), tree_b.root)]
-        # max-heap of the k smallest max-distances seen so far.
-        worst: List[float] = []
-        while heap:
-            mindist, _, node = heapq.heappop(heap)
-            if len(worst) == k and mindist > -worst[0]:
-                break  # no pending subtree can improve the k-th best
-            if node.is_leaf:
-                for entry in node.entries:
-                    top = rect_max_distance(mbr_a, entry.rect)
-                    if len(worst) < k:
-                        heapq.heappush(worst, -top)
-                    elif top < -worst[0]:
-                        heapq.heapreplace(worst, -top)
-            else:
-                for child in node.children:
-                    heapq.heappush(
-                        heap,
-                        (
-                            rect_distance(mbr_a, child.mbr()),
-                            next(tiebreak),
-                            child,
-                        ),
-                    )
-        bounds[row] = -worst[0]
-    return bounds
+    if len(mbrs_a) == 0 or len(mbrs_b) == 0:
+        return np.full(len(mbrs_a), np.inf)
+    return np.concatenate([
+        _kth_max_distances(mbrs_a[block], mbrs_b, k)
+        for block in _left_blocks(len(mbrs_a), len(mbrs_b))
+    ])
 
 
 def brute_force_knn_join(

@@ -96,12 +96,17 @@ def pack_rings(
     """
     if oids is None:
         oids = np.array([obj.oid for obj in objects], dtype=np.int64)
-    object_rings = np.empty(len(objects) + 1, dtype=np.int64)
+    return pack_polygons([obj.polygon for obj in objects], oids)
+
+
+def pack_polygons(polygons: Sequence[Polygon], oids: np.ndarray) -> RingColumns:
+    """:class:`RingColumns` of bare polygons with the given id column."""
+    object_rings = np.empty(len(polygons) + 1, dtype=np.int64)
     object_rings[0] = 0
     ring_lengths: List[int] = []
     coords: List[tuple] = []
-    for i, obj in enumerate(objects):
-        rings = (obj.polygon.shell,) + obj.polygon.holes
+    for i, polygon in enumerate(polygons):
+        rings = (polygon.shell,) + polygon.holes
         for ring in rings:
             ring_lengths.append(len(ring))
             coords.extend(ring)

@@ -147,14 +147,17 @@ The compiled kernel tier — one semantics, three backends
 Proximity predicates — distance and kNN joins on the same runtime
     ``JoinConfig(predicate="distance", epsilon=ε)`` joins all pairs
     with exact polygon distance ≤ ε (expanded-MBR R*-tree join, then
-    MBC lower bound / MEC upper bound circle filters, then exact
-    minimum edge distance on the kernel tier, one call per join);
-    ``predicate="knn", k=N`` emits each left object's N nearest right
-    objects by exact distance via best-first MINDIST traversal with
-    the multi-step stopping rule, all left objects' searches advanced
-    in lock-step with one exact-distance call per round.  Both report ordinary
-    :class:`~repro.core.stats.MultiStepStats` (the Figure-1 invariants
-    hold) and flow through the CLI (``join --predicate distance
+    MBC lower bound / MEC upper bound circle filters as masks over the
+    candidate rows, then exact minimum edge distance on the kernel
+    tier, one call per join); ``predicate="knn", k=N`` emits each left
+    object's N nearest right objects by exact distance, bound-first in
+    two rounds (the k rows nearest by MINDIST, capped at the k-th
+    smallest MBR max-distance; then every row whose MINDIST can still
+    beat the resulting cap), one exact-distance call per round.  Both
+    are row programs over oids, MBR and circle rows and the edge table,
+    report ordinary :class:`~repro.core.stats.MultiStepStats` (the
+    Figure-1 invariants hold; kNN counters are the same in every task
+    plan) and flow through the CLI (``join --predicate distance
     --epsilon 0.05``), sessions, and the join service unchanged.
 
     Both predicates also scale across the worker pool via **ε-aware
@@ -172,7 +175,9 @@ Proximity predicates — distance and kNN joins on the same runtime
     replication).  kNN decomposes by partitioning the left relation
     disjointly and giving each task the right rows within a cheap
     serial upper bound on every member's k-th-neighbour distance
-    (k-th smallest MBR max-distance, best-first over the R*-tree);
+    (k-th smallest MBR max-distance, one ``np.partition`` per block of
+    left rows); proximity tiles gather their rows from the shared
+    segments and build no object;
     merged pairs are re-sorted into the serial pipeline's exact
     left-relation order.  Results at any worker count are
     byte-identical to the workers=1 run of the same plan

@@ -182,10 +182,10 @@ class TestKernelTelemetry:
                        "edge_pairs_intersect_ragged"):
             assert stats.kernel_calls.get(f"numpy.{kernel}", 0) <= 1, kernel
 
-    def test_knn_join_makes_one_exact_call_per_round(self):
-        """kNN searches advance in lock-step: at most one exact-distance
-        call per round, so no more than the longest search computes
-        (plus one), never one per candidate."""
+    def test_knn_join_makes_at_most_two_exact_calls(self):
+        """The kNN join is bound-first in two rounds: at most two
+        exact-distance calls per join, never one per candidate, and the
+        per-left-object work is that of a one-object join."""
         rel_a, rel_b = _relations(43)
         config = JoinConfig(predicate="knn", k=3, kernels="numpy")
         stats = SpatialJoinProcessor(config).join(rel_a, rel_b).stats
@@ -197,7 +197,7 @@ class TestKernelTelemetry:
         ]
         assert sum(per_object) == stats.remaining_candidates
         calls = stats.kernel_calls["numpy.min_edge_distance_ragged"]
-        assert calls <= max(per_object) + 1
+        assert calls <= 2
         assert calls < stats.remaining_candidates
 
     def test_telemetry_excluded_from_equality_and_wire_format(self):

@@ -16,7 +16,10 @@ oracle, every case is checked against predicate-level ground truth:
   candidates *before* any counter moves, so parallelism is invisible
   to the paper's statistics;
 * ``knn`` pairs equal the plain serial pipeline **in the exact same
-  left-relation order** (the merge re-sorts by left position);
+  left-relation order** (the merge re-sorts by left position), and so
+  does the full ``stats_fingerprint`` — ``mbr_tests`` included, and
+  ``node_pairs`` (zero): the two-round kNN does the same work per left
+  object in every plan;
 * the merged stats satisfy the Figure-1 flow invariants, and
   ``dedup_dropped`` is plan-deterministic (identical across worker
   counts, schedulers, and wire formats).
@@ -225,4 +228,9 @@ def test_parallel_proximity_byte_identical(
             seed, predicate, setting
         )
         assert list(result.id_pairs()) == plain.id_pairs()
+        assert stats_fingerprint(result.stats) == stats_fingerprint(
+            plain.stats
+        )
+        assert result.stats.mbr_join.node_pairs == 0
+        assert plain.stats.mbr_join.node_pairs == 0
     result.stats.check_invariants()
