@@ -6,7 +6,6 @@
 #   make serve-smoke   - start the join service, drive one request, shut down
 #   make bench-engine  - streaming-vs-batched engine benchmark, quick scale
 #   make bench-parallel - measured vs LPT-modeled parallel speedup, quick scale
-#   make bench-columnar - columnar wire-format + repack benchmark, quick scale
 #   make bench-refine  - scalar vs batched exact-step benchmark, quick scale
 #   make bench-kernels - numpy vs compiled kernel throughput, quick scale
 #   make bench-session - warm-session reuse + scheduler benchmark, quick scale
@@ -20,7 +19,7 @@
 PYTEST = PYTHONPATH=src python -m pytest
 
 .PHONY: test test-fast test-parallel serve-smoke bench-engine bench-parallel \
-	bench-columnar bench-refine bench-kernels bench-session bench-tree \
+	bench-refine bench-kernels bench-session bench-tree \
 	bench-service bench-proximity bench-store e2e-warm e2e-service
 
 test:
@@ -40,9 +39,6 @@ bench-engine:
 
 bench-parallel:
 	REPRO_BENCH_SCALE=quick $(PYTEST) -q benchmarks/bench_parallel_exec.py
-
-bench-columnar:
-	REPRO_BENCH_SCALE=quick $(PYTEST) -q benchmarks/bench_columnar.py
 
 bench-refine:
 	REPRO_BENCH_SCALE=quick $(PYTEST) -q benchmarks/bench_refine.py

@@ -23,9 +23,11 @@ relation, so repeated joins — and sweeps over filter configurations —
 never re-pack.  A join spans two relations; the batched filter adopts
 the two pre-packed stores with :meth:`BatchApproxArrays.from_columnar`,
 which concatenates the finished arrays (a memcpy) instead of re-running
-the per-object packing kernels.  Incremental registration stays
-available for objects outside any columnar store (the legacy per-join
-path, ``JoinConfig(columnar=False)``).
+the per-object packing kernels.  That holds for every kind with a
+stored form (:func:`stored_family`); a kind without one (RMBR, MBE) is
+registered incrementally, per join, so it is derived only for the
+objects that reach the filter (the one rule,
+:meth:`repro.engine.batched.BatchGeometricFilter.encoder`).
 
 Stored form
 -----------

@@ -288,13 +288,6 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                              "this many tree-guided tasks exist (>= 1, "
                              "default 64); inert for --partitioner grid, "
                              "which is sized by --grid")
-    parser.add_argument("--columnar", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="use the relation-level columnar store: "
-                             "pre-packed filter columns for --engine batched "
-                             "and the shared-memory wire format for "
-                             "--workers > 1 (--no-columnar selects per-join "
-                             "packing and pickled tile slices)")
 
 
 def _join_config(args: argparse.Namespace) -> JoinConfig:
@@ -322,7 +315,6 @@ def _join_config(args: argparse.Namespace) -> JoinConfig:
         batch_size=args.batch_size,
         exact_batch=args.exact_batch,
         workers=args.workers,
-        columnar=args.columnar,
         scheduler=args.scheduler,
         partitioner=args.partitioner,
         target_tasks=args.target_tasks,

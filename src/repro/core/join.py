@@ -55,15 +55,13 @@ PARTITIONERS = ("grid", "rtree")
 #: never change what it returns — pairs, order, or statistics.  The
 #: differential suites prove each one result-neutral: worker count and
 #: scheduler (``tests/test_parallel_exec_equivalence.py``,
-#: ``tests/test_session_scheduler_equivalence.py``), the columnar wire
-#: format (``tests/test_columnar.py``), and the session handle (a
+#: ``tests/test_session_scheduler_equivalence.py``), the kernel backend
+#: (``tests/test_kernel_tier.py``), and the session handle (a
 #: resource-lifecycle choice).  :meth:`JoinConfig.canonical_key` strips
 #: exactly these, so two configs that differ only here share one result
 #: fingerprint — the contract the service result cache and request
 #: coalescing (:mod:`repro.service`) are built on.
-EXECUTION_ONLY_FIELDS = (
-    "workers", "scheduler", "columnar", "session", "kernels"
-)
+EXECUTION_ONLY_FIELDS = ("workers", "scheduler", "session", "kernels")
 
 
 def _default_kernels() -> str:
@@ -186,14 +184,6 @@ class JoinConfig:
     #: shared-segment cache).  Never shipped to workers — tasks carry a
     #: copy of the config with the session stripped.
     session: Optional[object] = None
-    #: use the relation-level columnar store
-    #: (:class:`repro.datasets.columnar.ColumnarRelation`): the batched
-    #: engine reads pre-packed approximation columns instead of packing
-    #: per join, and the parallel executor ships tiles as shared-memory
-    #: column views plus index arrays instead of pickled object slices.
-    #: A representation toggle only — results, order, and statistics are
-    #: identical either way.
-    columnar: bool = True
 
     def __post_init__(self):
         if self.exact_method not in EXACT_METHODS:
@@ -290,10 +280,6 @@ class JoinConfig:
                 f"{self.exact_method!r} processor is a per-pair backend "
                 "and runs with exact_batch=1"
             )
-        if not isinstance(self.columnar, bool):
-            raise ValueError(
-                f"columnar must be a bool, got {self.columnar!r}"
-            )
         if not isinstance(self.workers, int) or isinstance(self.workers, bool):
             raise ValueError(
                 f"workers must be an integer, got {self.workers!r}; "
@@ -351,7 +337,7 @@ class JoinConfig:
         partitioned-join responses — same pairs, same order, same merged
         :class:`~repro.core.stats.MultiStepStats` — regardless of how
         they differ in the :data:`EXECUTION_ONLY_FIELDS` (worker count,
-        scheduler, wire format, session handle).  Everything else is
+        scheduler, kernel backend, session handle).  Everything else is
         included conservatively: the filter configuration, the exact
         method (its :class:`OperationCounter` mix is observable in the
         stats), engine and batch sizes (proven result-identical, but

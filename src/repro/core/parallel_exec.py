@@ -13,30 +13,22 @@ reference-tile rule of the serial partitioned join; tree tasks are
 disjoint by construction and skip it), and merged back into one
 deterministic result.
 
-Two wire formats carry a tile to its worker:
-
-* **Columnar shared memory** (``JoinConfig(columnar=True)``, default) —
-  the parent writes each relation's packed ring columns
-  (:class:`repro.datasets.columnar.RingColumns`) into one
-  :class:`multiprocessing.shared_memory.SharedMemory` segment, once per
-  join, and beside it one block per approximation kind the join reads
-  (:meth:`JoinConfig.approximation_kinds`) holding that kind's stored
-  columns (:class:`repro.approximations.batch.ApproxColumns`, taken
-  from ``relation.columnar().approx(kind)`` — the get-or-build point,
-  so a build happens at most once, in the parent).  A
-  :class:`ColumnarTileTask` then pickles only the segment descriptors
-  plus two per-tile index arrays; workers map the segments, rebuild
-  polygons bit-identically via :meth:`Polygon.from_normalized`, and
-  *gather* the tile's approximation rows by the same indices into a
-  pre-seeded tile-local column store — workers gather, they never
-  derive.  Replicated objects cost nothing extra on the wire (the
-  columns ship once, indices are cheap), which removes the pickling
-  cost that used to dominate small joins.
-* **Pickled slices** (``columnar=False``, the legacy format) — each
-  :class:`TileTask` carries its relation slices as ``(oid, polygon)``
-  pairs; replicated objects are pickled once per tile they touch and
-  every tile still rebuilds the approximations it needs (removing this
-  format is ROADMAP item 5).
+One wire format carries a tile to its worker: the parent writes each
+relation's packed ring columns
+(:class:`repro.datasets.columnar.RingColumns`) into one
+:class:`multiprocessing.shared_memory.SharedMemory` segment, once per
+join, and beside it one block per stored approximation kind the join
+reads (:meth:`JoinConfig.approximation_kinds`) holding that kind's
+columns (:class:`repro.approximations.batch.ApproxColumns`, taken from
+``relation.columnar().approx(kind)`` — the get-or-build point, so a
+build happens at most once, in the parent).  A :class:`ColumnarTileTask`
+then pickles only the segment descriptors plus two per-tile index
+arrays; workers map the segments, rebuild polygons bit-identically via
+:meth:`Polygon.from_normalized`, and *gather* the tile's approximation
+rows by the same indices (:func:`repro.core.partition.tile_relation`,
+the helper the serial partitioned join cuts its tiles with) — workers
+gather, they never derive a stored kind.  Replicated objects cost
+nothing extra on the wire (the columns ship once, indices are cheap).
 
 **Segment layout.**  A segment's interior is described in exactly one
 place: the :class:`SegmentLayout` — ``(name, dtype, shape)`` per column,
@@ -113,8 +105,8 @@ synchronized traversal by rectangle distance and stay disjoint; kNN
 tasks carry disjoint left rows plus the right rows within each
 member's k-th-neighbour upper bound, and merged pairs are re-sorted to
 the serial left-relation order.  Proximity tiles gather their rows
-(:class:`~repro.core.proximity.ProximityRows`) from the segments or the
-pickled polygons and build no object.  Only tiny joins — candidate volume
+(:class:`~repro.core.proximity.ProximityRows`) from the segments and
+build no object.  Only tiny joins — candidate volume
 below :data:`PROXIMITY_SERIAL_VOLUME`, a rule that never reads
 execution-only fields, keeping the service result cache coherent —
 route to the plain serial pipeline instead.
@@ -151,10 +143,9 @@ from typing import (
 import numpy as np
 
 from ..approximations.batch import ApproxColumns, stored_family
-from ..approximations.mec import enclosed_circles
-from ..datasets.columnar import RingColumns, pack_polygons, unpack_polygon
+from ..datasets.columnar import RingColumns, unpack_polygon
 from ..datasets.relations import SpatialObject, SpatialRelation
-from ..geometry import Polygon, Rect, minimum_enclosing_circle
+from ..geometry import Rect
 from ..geometry.fastops import build_edge_table
 from ..geometry.kernels import resolve_backend, warm_up
 from .join import SCHEDULERS, JoinConfig, SpatialJoinProcessor, validate_grid
@@ -165,37 +156,9 @@ from .partition import (
     create_partitioner,
     owning_tile,
     owning_tiles,
-    subrelation,
+    tile_relation,
 )
 from .stats import MultiStepStats
-
-#: ``(oid, polygon)`` — the wire format of one relation slice entry.
-WireObject = Tuple[int, Polygon]
-
-
-@dataclass(frozen=True)
-class TileTask:
-    """Picklable unit of work: one tile's local join (pickled slices).
-
-    The legacy wire format (``JoinConfig(columnar=False)``): the two
-    relation slices travel as ``(oid, polygon)`` pairs and the worker
-    still rebuilds their approximations and TR*-trees — only the
-    columnar format ships stored approximation columns.  Also carried:
-    the task key, the reference-tile de-duplication frame
-    (``space``/``grid`` — both ``None`` for tree-guided tasks, whose
-    candidate sets are disjoint by construction), and the full
-    :class:`JoinConfig`.
-    """
-
-    tile: Tuple[int, int]
-    name_a: str
-    name_b: str
-    objects_a: Tuple[WireObject, ...]
-    objects_b: Tuple[WireObject, ...]
-    space: Optional[Tuple[float, float, float, float]]
-    grid: Optional[Tuple[int, int]]
-    config: JoinConfig
-
 
 @dataclass(frozen=True)
 class SegmentLayout:
@@ -272,18 +235,17 @@ class SharedRelationSpec:
     rings: SharedColumnsSpec
     approx: Tuple[Tuple[str, SharedColumnsSpec], ...] = ()
 
-    @property
-    def kinds(self) -> Tuple[str, ...]:
-        """The approximation kinds whose blocks ride along."""
-        return tuple(kind for kind, _ in self.approx)
-
 
 @dataclass(frozen=True, eq=False)
 class ColumnarTileTask:
-    """Unit of work in the columnar wire format: descriptors + indices.
+    """Picklable unit of work: segment descriptors + one tile's indices.
 
     Pickling this ships ~tens of bytes of segment descriptors plus two
     index arrays; the geometry itself travels through shared memory.
+    Also carried: the task key, the reference-tile de-duplication frame
+    (``space``/``grid`` — both ``None`` for tree-guided tasks, whose
+    candidate sets are disjoint by construction), and the full
+    :class:`JoinConfig`.
     """
 
     tile: Tuple[int, int]
@@ -315,10 +277,11 @@ class ParallelPartitionedJoinResult(PartitionedJoinResult):
     elapsed_seconds: float = 0.0
     #: per-tile wall-clock seconds measured inside the workers.
     tile_seconds: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    #: wire format used: "columnar-shm" or "pickled-slices".
-    wire_format: str = "pickled-slices"
-    #: bytes newly placed in shared memory by this join (columnar wire
-    #: format only; 0 when a warm session reused every segment).
+    #: how the join ran: "columnar-shm" (tile tasks on shared
+    #: segments) or "serial" (the tiny-proximity fallback, no tasks).
+    wire_format: str = "columnar-shm"
+    #: bytes newly placed in shared memory by this join (0 when a warm
+    #: session reused every segment).
     shared_payload_bytes: int = 0
     #: scheduler that dispatched the tiles: "static" or "stealing".
     scheduler: str = "static"
@@ -332,13 +295,12 @@ class ParallelPartitionedJoinResult(PartitionedJoinResult):
     completion_order: List[Tuple[int, int]] = field(default_factory=list)
     #: shared segments served from / added to the segment cache by this
     #: join: a warm session join reports ``hits=2, misses=0``; a
-    #: sessionless columnar join always creates both segments fresh
-    #: (``hits=0, misses=2``); the pickled-slice wire format ships no
-    #: segments at all (``0``/``0``).
+    #: sessionless join always creates both segments fresh
+    #: (``hits=0, misses=2``).
     segment_cache_hits: int = 0
     segment_cache_misses: int = 0
     #: bytes served from the session's segment cache instead of being
-    #: re-shipped (columnar wire format inside a warm session).
+    #: re-shipped (inside a warm session).
     reused_payload_bytes: int = 0
     #: approximation blocks (one per relation and kind the join reads)
     #: found beside the ring segments / newly placed there, and the
@@ -355,7 +317,7 @@ class ParallelPartitionedJoinResult(PartitionedJoinResult):
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory segments for the columnar wire format.
+# Shared-memory segments.
 # ---------------------------------------------------------------------------
 
 #: names of segments created by this process and not yet unlinked.
@@ -649,52 +611,6 @@ def _partition_plan(
     return strategy.plan(relation_a, relation_b, grid)
 
 
-def plan_tile_tasks(
-    relation_a: SpatialRelation,
-    relation_b: SpatialRelation,
-    grid: Tuple[int, int],
-    config: JoinConfig,
-) -> Tuple[List[TileTask], List[PartitionStats]]:
-    """Decompose a join into picklable per-tile tasks (pickled slices).
-
-    Returns the tasks (non-empty only, in the plan's dispatch order —
-    tile-key order for the grid strategy, space-filling-curve order for
-    the tree strategy) and a :class:`PartitionStats` shell for every
-    plan entry in key order, with grid plans listing empty tiles at
-    zero counts exactly as in the serial partitioned join.  The grid
-    decomposition comes from the shared
-    :func:`~repro.core.partition.plan_tile_indices`, so tile order and
-    replication can never diverge from the serial path.
-    """
-    plan = _partition_plan(relation_a, relation_b, grid, config)
-    objects_a = relation_a.objects
-    objects_b = relation_b.objects
-
-    tasks: List[TileTask] = []
-    for key, idx_a, idx_b in plan.entries:
-        if idx_a.size == 0 or idx_b.size == 0:
-            continue
-        tasks.append(
-            TileTask(
-                tile=key,
-                name_a=relation_a.name,
-                name_b=relation_b.name,
-                objects_a=tuple(
-                    (objects_a[i].oid, objects_a[i].polygon)
-                    for i in idx_a.tolist()
-                ),
-                objects_b=tuple(
-                    (objects_b[i].oid, objects_b[i].polygon)
-                    for i in idx_b.tolist()
-                ),
-                space=plan.space_tuple,
-                grid=plan.grid,
-                config=config,
-            )
-        )
-    return tasks, plan.partition_shells()
-
-
 def _columnar_tasks_for_specs(
     relation_a: SpatialRelation,
     relation_b: SpatialRelation,
@@ -703,7 +619,7 @@ def _columnar_tasks_for_specs(
     spec_a: SharedRelationSpec,
     spec_b: SharedRelationSpec,
 ) -> Tuple[List[ColumnarTileTask], List[PartitionStats]]:
-    """Build the columnar tile tasks against already-shipped segments.
+    """Build the tile tasks against already-shipped segments.
 
     Shared by the one-shot path (segments in a fresh
     :class:`ColumnarShipment`) and the session path (segments served
@@ -736,14 +652,16 @@ def plan_columnar_tile_tasks(
     grid: Tuple[int, int],
     config: JoinConfig,
 ) -> Tuple[List[ColumnarTileTask], List[PartitionStats], ColumnarShipment]:
-    """Columnar decomposition: shared segments + per-task index arrays.
+    """Decompose a join into shared segments + per-task index arrays.
 
-    Same task plan as :func:`plan_tile_tasks` (both delegate to the
-    configured :class:`~repro.core.partition.Partitioner`), but each
-    task references the relations' shared ring columns — and the
+    The configured :class:`~repro.core.partition.Partitioner` forms the
+    tasks; each references the relations' shared ring columns and the
     stored columns of every approximation kind the join reads
-    (:meth:`JoinConfig.approximation_kinds`) — instead of carrying
-    pickled object slices.  The caller owns the returned
+    (:meth:`JoinConfig.approximation_kinds`).  Returns the tasks
+    (non-empty only, in the plan's dispatch order), a
+    :class:`PartitionStats` shell for every plan entry in key order
+    (grid plans list empty tiles at zero counts, exactly as the serial
+    partitioned join does), and the shipment.  The caller owns the returned
     :class:`ColumnarShipment` and must :meth:`~ColumnarShipment.close`
     it once the outcomes are in — in a ``finally`` block.
     """
@@ -764,13 +682,6 @@ def plan_columnar_tile_tasks(
 # ---------------------------------------------------------------------------
 # Worker-side execution.
 # ---------------------------------------------------------------------------
-
-
-def _materialise(name: str, wire_objects: Sequence[WireObject]):
-    """Rebuild a relation slice in the worker, preserving original oids."""
-    return subrelation(
-        name, [SpatialObject(oid, poly) for oid, poly in wire_objects]
-    )
 
 
 def _objects_from_columns(
@@ -823,18 +734,15 @@ class _MappedRelation:
 
         Objects are rebuilt from the ring columns; the rows of every
         shipped approximation kind are gathered by the same indices
-        into a pre-seeded tile-local
-        :class:`~repro.datasets.columnar.ColumnarRelation`, which also
-        seeds the objects' scalar approximation caches.
+        (:func:`~repro.core.partition.tile_relation`, which cuts the
+        serial partitioned join's tiles too).
         """
-        relation = subrelation(
-            self.name, _objects_from_columns(self.rings, indices)
+        return tile_relation(
+            self.name,
+            _objects_from_columns(self.rings, indices),
+            self.approx,
+            indices,
         )
-        if self.approx:
-            columnar = relation.columnar()
-            for columns in self.approx:
-                columnar.install_approx(columns.take(indices))
-        return relation
 
     def proximity_rows(self, indices: np.ndarray, predicate: str):
         """The task's :class:`~repro.core.proximity.ProximityRows`, gathered.
@@ -875,16 +783,12 @@ class _MappedRelation:
 
 
 def _finish_tile(task, rel_a, rel_b, start: float, refinement=None) -> TileOutcome:
-    """Tile-local join + reference-tile de-duplication (both formats).
+    """Tile-local join + reference-tile de-duplication.
 
-    The tile-local join runs with the task's own ``columnar`` setting:
-    a columnar task's relation slices arrive with their approximation
-    columns gathered from shared memory (:meth:`_MappedRelation.tile`),
-    so the batched filter adopts them as they are; a pickled-slice task
-    (``columnar=False``) packs incrementally from rebuilt objects.
-
-    ``refinement`` optionally injects a pre-built refinement step (the
-    columnar wire format builds one from the mapped shared-memory ring
+    The relation slices arrive with their stored approximation columns
+    gathered from shared memory (:meth:`_MappedRelation.tile`), so the
+    batched filter reads them as they are.  ``refinement`` optionally
+    injects a pre-built refinement step (built from the mapped ring
     columns so batched refinement reads the shipped geometry directly).
     """
     config = replace(task.config, workers=1)
@@ -914,37 +818,8 @@ def _finish_tile(task, rel_a, rel_b, start: float, refinement=None) -> TileOutco
     )
 
 
-def _wire_rows(wire_objects: Sequence[WireObject], predicate: str):
-    """A pickled slice's :class:`~repro.core.proximity.ProximityRows`.
-
-    Packed from the wire polygons; the ``distance`` circle rows are the
-    MBC and MEC constructions the object path runs (Welzl on the shell;
-    the relation-level MEC search, bit-identical to one-object builds).
-    """
-    from .proximity import ProximityRows
-
-    polygons = [polygon for _, polygon in wire_objects]
-    rings = pack_polygons(
-        polygons, np.array([oid for oid, _ in wire_objects], dtype=np.int64)
-    )
-    table = build_edge_table(
-        rings.object_rings, rings.ring_offsets, rings.ring_xy
-    )
-    circles = ()
-    if predicate == "distance":
-        mbc = [minimum_enclosing_circle(polygon.shell) for polygon in polygons]
-        circles = (
-            np.array(
-                [(c.center[0], c.center[1], c.radius) for c in mbc],
-                dtype=np.float64,
-            ).reshape(-1, 3),
-            enclosed_circles(table),
-        )
-    return ProximityRows(rings.oids, table.mbrs, table, *circles)
-
-
 def _finish_proximity_tile(task, rows_a, rows_b, start: float) -> TileOutcome:
-    """Task-local proximity join on gathered rows (both wire formats).
+    """Task-local proximity join on gathered rows.
 
     Runs the proximity pipeline on the task's
     :class:`~repro.core.proximity.ProximityRows`, which yields oid pairs
@@ -989,38 +864,17 @@ def _finish_proximity_tile(task, rows_a, rows_b, start: float) -> TileOutcome:
     )
 
 
-def run_tile_task(task: TileTask) -> TileOutcome:
-    """Execute one pickled-slice tile task (runs inside a worker).
+def run_columnar_tile_task(task: ColumnarTileTask) -> TileOutcome:
+    """Execute one tile task (runs inside a worker).
 
     The local join is the ordinary multi-step pipeline with the task's
     engine configuration; de-duplication applies the reference-tile rule
     *in the worker*, so only owned pairs cross the process boundary.
-    """
-    start = time.perf_counter()
-    predicate = task.config.predicate
-    if predicate in ("distance", "knn"):
-        return _finish_proximity_tile(
-            task,
-            _wire_rows(task.objects_a, predicate),
-            _wire_rows(task.objects_b, predicate),
-            start,
-        )
-    rel_a = _materialise(task.name_a, task.objects_a)
-    rel_b = _materialise(task.name_b, task.objects_b)
-    return _finish_tile(task, rel_a, rel_b, start)
-
-
-def run_columnar_tile_task(task: ColumnarTileTask) -> TileOutcome:
-    """Execute one columnar tile task (runs inside a worker).
-
-    Identical join semantics to :func:`run_tile_task`; only the way the
-    relation slices reach the worker differs: objects are rebuilt from
-    the shared ring columns and their approximations are *gathered*
-    from the shared approximation blocks by the task's row indices —
-    no tile computes an approximation of a shipped kind, and the
-    tile-local join adopts the gathered columns as they are.  (Only a
-    filter kind without a stored form is derived in the tile, lazily,
-    for the objects that reach the filter.)  With batched
+    Objects are rebuilt from the shared ring columns and their
+    approximations are *gathered* from the shared approximation blocks
+    by the task's row indices — no tile computes an approximation of a
+    shipped kind.  (A filter kind without a stored form is packed per
+    join by the batched filter, for the objects that reach it.)  With batched
     refinement configured (``exact_batch > 1``) the exact step reads a
     :class:`~repro.exact.refine.RingGeometry` edge table gathered from
     the mapped ring columns for the task's rows only (copies, so the
@@ -1047,15 +901,6 @@ def run_columnar_tile_task(task: ColumnarTileTask) -> TileOutcome:
             )
         rel_a = map_a.tile(task.idx_a)
         rel_b = map_b.tile(task.idx_b)
-        shipped = set(task.spec_a.kinds) & set(task.spec_b.kinds)
-        if not shipped.issuperset(task.config.approximation_kinds()):
-            # A kind without a stored form (RMBR, MBE) did not ride
-            # along.  The tile-local columnar store would build it for
-            # every tile object; incremental packing derives it only
-            # for the objects the tile's MBR join emits (measured
-            # 1.4-1.5x on such joins) and still reads the shipped kinds
-            # from the objects' seeded caches.
-            task = replace(task, config=replace(task.config, columnar=False))
         refinement = None
         if task.config.exact_batch > 1:
             from ..exact.refine import BatchedRefinement, RingGeometry
@@ -1126,11 +971,9 @@ class DispatchReport:
     completion_order: List[Tuple[int, int]] = field(default_factory=list)
 
 
-def _task_cost(task) -> int:
+def _task_cost(task: ColumnarTileTask) -> int:
     """Candidate-volume proxy used for size-ordered dispatch."""
-    if isinstance(task, ColumnarTileTask):
-        return int(task.idx_a.size) * int(task.idx_b.size)
-    return len(task.objects_a) * len(task.objects_b)
+    return int(task.idx_a.size) * int(task.idx_b.size)
 
 
 def _run_in_process(
@@ -1338,8 +1181,7 @@ def parallel_partitioned_join(
     order, and merged statistics as the serial :func:`partitioned_join`
     on the same grid under every scheduler, and for the tree strategy
     identical across every worker count and scheduler (its task
-    decomposition depends only on the relations).  ``config.columnar``
-    selects the wire format; either format produces the same outcomes.
+    decomposition depends only on the relations).
 
     ``session`` (or ``config.session``) runs the join inside a
     :class:`repro.core.session.JoinSession`: the worker pool persists
@@ -1411,46 +1253,35 @@ def parallel_partitioned_join(
     cache_hits = cache_misses = 0
     approx_hits = approx_misses = approx_bytes = 0
     try:
-        if config.columnar:
-            runner: Callable = run_columnar_tile_task
-            wire_format = "columnar-shm"
-            if session is not None:
-                kinds = wire_config.approximation_kinds()
-                lease = session.lease_segments(
-                    (relation_a, relation_b), kinds
-                )
-                for segment, reused in zip(lease.segments, lease.reused):
-                    if reused:
-                        cache_hits += 1
-                        reused_bytes += segment.nbytes
-                    else:
-                        cache_misses += 1
-                        shipped_bytes += segment.nbytes
-                approx_hits = lease.approx_hits
-                approx_misses = lease.approx_misses
-                approx_bytes = lease.approx_bytes
-                tasks, partitions = _columnar_tasks_for_specs(
-                    relation_a, relation_b, grid, wire_config,
-                    lease.segments[0].spec_for(kinds),
-                    lease.segments[1].spec_for(kinds),
-                )
-            else:
-                tasks, partitions, shipment = plan_columnar_tile_tasks(
-                    relation_a, relation_b, grid, wire_config
-                )
-                shipped_bytes = shipment.total_bytes
-                cache_misses = 2
-                approx_misses = shipment.approx_blocks
-                approx_bytes = shipment.approx_bytes
+        if session is not None:
+            kinds = wire_config.approximation_kinds()
+            lease = session.lease_segments((relation_a, relation_b), kinds)
+            for segment, reused in zip(lease.segments, lease.reused):
+                if reused:
+                    cache_hits += 1
+                    reused_bytes += segment.nbytes
+                else:
+                    cache_misses += 1
+                    shipped_bytes += segment.nbytes
+            approx_hits = lease.approx_hits
+            approx_misses = lease.approx_misses
+            approx_bytes = lease.approx_bytes
+            tasks, partitions = _columnar_tasks_for_specs(
+                relation_a, relation_b, grid, wire_config,
+                lease.segments[0].spec_for(kinds),
+                lease.segments[1].spec_for(kinds),
+            )
         else:
-            tasks, partitions = plan_tile_tasks(
+            tasks, partitions, shipment = plan_columnar_tile_tasks(
                 relation_a, relation_b, grid, wire_config
             )
-            runner = run_tile_task
-            wire_format = "pickled-slices"
+            shipped_bytes = shipment.total_bytes
+            cache_misses = 2
+            approx_misses = shipment.approx_blocks
+            approx_bytes = shipment.approx_bytes
         outcomes, report = _dispatch(
             tasks,
-            runner,
+            run_columnar_tile_task,
             n_workers,
             scheduler=scheduler,
             session=session,
@@ -1502,7 +1333,7 @@ def parallel_partitioned_join(
         tile_tasks=len(tasks),
         elapsed_seconds=time.perf_counter() - start,
         tile_seconds=tile_seconds,
-        wire_format=wire_format,
+        wire_format="columnar-shm",
         shared_payload_bytes=shipped_bytes,
         scheduler=scheduler.name,
         partitioner=config.partitioner,

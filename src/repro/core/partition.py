@@ -15,11 +15,12 @@ decomposition is a vectorized index computation over the relations'
 columnar MBR columns (:func:`assign_tile_indices` /
 :func:`plan_tile_indices` — masks built from exactly the comparisons of
 :meth:`Rect.intersects`, so membership cannot diverge from the scalar
-reference-tile rule); object-list facades (:func:`assign_to_tiles`,
-:func:`plan_tile_buckets`) remain for callers that want materialised
-slices.  The helpers (:func:`joint_space`, :func:`tile_rects`,
-:func:`owning_tile`) are shared with the real multi-process executor in
-:mod:`repro.core.parallel_exec`, which runs the same tiles on a
+reference-tile rule).  Every tile relation, serial or in a worker, is
+cut by :func:`tile_relation`, which gathers the parent's stored
+approximation rows, so no tile derives a stored kind.  The helpers
+(:func:`joint_space`, :func:`tile_rects`, :func:`owning_tile`,
+:func:`tile_relation`) are shared with the real multi-process executor
+in :mod:`repro.core.parallel_exec`, which runs the same tiles on a
 :class:`concurrent.futures.ProcessPoolExecutor`.
 
 **Tile formation is a pluggable strategy** (``JoinConfig(partitioner=...)``,
@@ -46,11 +47,12 @@ results to the serial join.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..approximations.batch import ApproxColumns, stored_family
 from ..datasets.relations import SpatialObject, SpatialRelation
 from ..geometry import Rect
 from .join import PARTITIONERS, JoinConfig, JoinResult, SpatialJoinProcessor
@@ -108,15 +110,28 @@ def partitioned_join(
     grid: Tuple[int, int] = (2, 2),
     config: Optional[JoinConfig] = None,
 ) -> PartitionedJoinResult:
-    """Grid-partitioned multi-step join (results equal the plain join)."""
+    """Grid-partitioned multi-step join (results equal the plain join).
+
+    ``intersects`` and ``within`` only: MBR-overlap tiles would drop
+    proximity pairs whose MBRs do not meet, so ``distance`` and ``knn``
+    raise ``ValueError`` (the executor's ε-aware plans cover them).
+    """
     config = config or JoinConfig()
+    if config.predicate in ("distance", "knn"):
+        raise ValueError(
+            f"partitioned_join cannot run predicate={config.predicate!r}; "
+            "use parallel_partitioned_join, whose ε-aware plans keep "
+            "pairs whose MBRs do not intersect"
+        )
     nx, ny = grid
     space, plan = plan_tile_indices(relation_a, relation_b, grid)
+    # The parent's stored columns: built here at most once per relation.
+    kinds = [k for k in config.approximation_kinds() if stored_family(k)]
+    stored_a = [relation_a.columnar().approx(k).columns() for k in kinds]
+    stored_b = [relation_b.columnar().approx(k).columns() for k in kinds]
+    objs_a, objs_b = relation_a.objects, relation_b.objects
 
-    # Tile-local joins pack incrementally (see parallel_exec._finish_tile
-    # for the rationale); the relation-level columns still drive the
-    # grid decomposition above.
-    processor = SpatialJoinProcessor(replace(config, columnar=False))
+    processor = SpatialJoinProcessor(config)
     all_pairs: List[Tuple[SpatialObject, SpatialObject]] = []
     partitions: List[PartitionStats] = []
     merged = MultiStepStats()
@@ -127,8 +142,12 @@ def partitioned_join(
         partitions.append(pstats)
         if idx_a.size == 0 or idx_b.size == 0:
             continue
-        sub_a = subrelation_from_indices(relation_a, idx_a)
-        sub_b = subrelation_from_indices(relation_b, idx_b)
+        sub_a = tile_relation(
+            relation_a.name, [objs_a[i] for i in idx_a], stored_a, idx_a
+        )
+        sub_b = tile_relation(
+            relation_b.name, [objs_b[i] for i in idx_b], stored_b, idx_b
+        )
         result = processor.join(sub_a, sub_b)
         pstats.candidate_pairs = result.stats.candidate_pairs
         merged.merge(result.stats)
@@ -139,29 +158,6 @@ def partitioned_join(
     return PartitionedJoinResult(
         pairs=all_pairs, partitions=partitions, stats=merged
     )
-
-
-def plan_tile_buckets(
-    relation_a: SpatialRelation,
-    relation_b: SpatialRelation,
-    grid: Tuple[int, int],
-) -> Tuple[
-    Rect,
-    List[Tuple[Tuple[int, int], List[SpatialObject], List[SpatialObject]]],
-]:
-    """The shared tile plan: ``(space, [(tile, objs_a, objs_b), ...])``.
-
-    Object-list facade over :func:`plan_tile_indices` — kept for callers
-    that want materialised ``SpatialObject`` lists (e.g. the legacy
-    pickled-slice wire format).
-    """
-    space, plan = plan_tile_indices(relation_a, relation_b, grid)
-    objs_a = relation_a.objects
-    objs_b = relation_b.objects
-    return space, [
-        (key, [objs_a[i] for i in idx_a], [objs_b[i] for i in idx_b])
-        for key, idx_a, idx_b in plan
-    ]
 
 
 def plan_tile_indices(
@@ -178,7 +174,7 @@ def plan_tile_indices(
     select each tile's objects out of ``relation.objects`` (and out of
     every column of ``relation.columnar()``).  Single source of truth
     for the grid decomposition consumed by the serial
-    :func:`partitioned_join` and both wire formats of the multi-process
+    :func:`partitioned_join` and the multi-process
     executor (:mod:`repro.core.parallel_exec`) — one definition of tile
     order, replication, and which tiles exist, so the serial-vs-parallel
     byte-identity guarantee cannot drift.
@@ -271,23 +267,6 @@ def assign_tile_indices(
     return out
 
 
-def assign_to_tiles(
-    relation: SpatialRelation, tiles: Dict[Tuple[int, int], Rect]
-) -> Dict[Tuple[int, int], List[SpatialObject]]:
-    """Replicate every object into each tile its MBR intersects.
-
-    Object-list facade over :func:`assign_tile_indices` (tiles that
-    receive no objects are absent, as before).
-    """
-    index_map = assign_tile_indices(relation.columnar().mbrs, tiles)
-    objects = relation.objects
-    return {
-        key: [objects[i] for i in idx]
-        for key, idx in index_map.items()
-        if idx.size
-    }
-
-
 class _SubRelation(SpatialRelation):
     """A view over existing SpatialObjects (shares their caches)."""
 
@@ -307,6 +286,26 @@ def subrelation_from_indices(
     """A relation view selected by index array (rows of the columns)."""
     objects = relation.objects
     return _SubRelation(relation.name, [objects[i] for i in indices])
+
+
+def tile_relation(
+    name: str,
+    objects: List[SpatialObject],
+    stored: Sequence[ApproxColumns],
+    indices: np.ndarray,
+) -> SpatialRelation:
+    """A tile of ``objects`` (the parent's rows ``indices``).
+
+    The rows ``indices`` of each of the parent's ``stored`` columns are
+    installed in the tile's column store, which also seeds the objects'
+    approximation caches: the tile reads stored kinds, never derives.
+    """
+    relation = subrelation(name, objects)
+    if stored:
+        store = relation.columnar()
+        for columns in stored:
+            store.install_approx(columns.take(indices))
+    return relation
 
 
 def owning_tile(
@@ -528,9 +527,9 @@ class Partitioner(ABC):
           top-k is computed whole inside its one owning task.
 
         The plan depends only on the relations and the canonical config
-        (ε, k, partitioner shape) — never on worker count, scheduler,
-        or wire format — so merged results stay byte-identical across
-        every execution configuration.
+        (ε, k, partitioner shape) — never on worker count or scheduler —
+        so merged results stay byte-identical across every execution
+        configuration.
         """
 
 

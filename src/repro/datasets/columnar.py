@@ -15,7 +15,7 @@ materialises, once, every numpy column the rest of the system consumes:
   matrices) reused by the batched engine across joins,
 * ``rings`` — the flattened ring geometry (:class:`RingColumns`) that
   the multi-process executor ships to workers through
-  :mod:`multiprocessing.shared_memory` instead of pickled object slices.
+  :mod:`multiprocessing.shared_memory`.
 
 Every column is copied bit-for-bit from the scalar accessors
 (``obj.mbr``, ``appr.area()``, vertex tuples), never re-derived, so
@@ -96,17 +96,12 @@ def pack_rings(
     """
     if oids is None:
         oids = np.array([obj.oid for obj in objects], dtype=np.int64)
-    return pack_polygons([obj.polygon for obj in objects], oids)
-
-
-def pack_polygons(polygons: Sequence[Polygon], oids: np.ndarray) -> RingColumns:
-    """:class:`RingColumns` of bare polygons with the given id column."""
-    object_rings = np.empty(len(polygons) + 1, dtype=np.int64)
+    object_rings = np.empty(len(objects) + 1, dtype=np.int64)
     object_rings[0] = 0
     ring_lengths: List[int] = []
     coords: List[tuple] = []
-    for i, polygon in enumerate(polygons):
-        rings = (polygon.shell,) + polygon.holes
+    for i, obj in enumerate(objects):
+        rings = (obj.polygon.shell,) + obj.polygon.holes
         for ring in rings:
             ring_lengths.append(len(ring))
             coords.extend(ring)

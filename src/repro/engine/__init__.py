@@ -48,15 +48,15 @@ Storage model — the columnar relation store
     refinement reads), both dropped when the object list is
     replaced or resized.
 
-    With ``JoinConfig(columnar=True)`` (the default) the batched
-    engine's filter *adopts* the two relations' pre-packed columns
-    (``BatchApproxArrays.from_columnar``) instead of re-packing the
-    joined objects: packing happens once per (relation, kind), and a
-    sweep over many filter configurations — or repeated joins of the
-    same relation against different partners — pays no repack cost.
-    ``columnar=False`` restores the per-join incremental packing.  The
-    toggle is a representation choice only; results, order, and
-    statistics are identical either way (``tests/test_columnar.py``).
+    The batched engine's filter decides per kind where a kind's arrays
+    come from (``BatchGeometricFilter.encoder``, the one rule): a kind
+    with a stored form is *adopted* from the two relations' columns
+    (``BatchApproxArrays.from_columnar``), so packing happens once per
+    (relation, kind), and a sweep over many filter configurations — or
+    repeated joins of the same relation against different partners —
+    pays no repack cost; a kind without one (RMBR, MBE) is packed per
+    join, for the objects that reach the filter.  Results, order, and
+    statistics are the same either way (``tests/test_columnar.py``).
 
 Picking a batch size
     ``batch_size`` trades memory and latency against vectorisation
@@ -210,35 +210,31 @@ Parallel execution — model and reality
     worker count compose freely: ``workers=4, engine="batched"`` is four
     processes each running the vectorised filter on its own tiles.
 
-Parallel wire format — shared columns instead of pickled slices
-    With ``columnar=True`` (default) the parent writes each relation's
-    packed ring columns into one
+Parallel wire format — shared columns
+    The parent writes each relation's packed ring columns into one
     :class:`multiprocessing.shared_memory.SharedMemory` segment and a
     tile task pickles only the segment descriptors plus two index
     arrays; workers map the segments, gather their slice, and rebuild
     polygons bit-identically (``Polygon.from_normalized``).  Replicated
     objects therefore cost nothing extra on the wire — the geometry
-    ships once per join, not once per tile — which removes the
-    pickling cost that used to dominate small joins
-    (``benchmarks/bench_columnar.py`` measures the serialized-byte
-    reduction; ``tests/test_parallel_exec_shm.py`` pins the segment
-    lifecycle: unlinked on success, worker failure, and interrupt).
+    ships once per join, not once per tile
+    (``tests/test_parallel_exec_shm.py`` pins the segment lifecycle:
+    unlinked on success, worker failure, and interrupt).
     The approximations ride the same way: for every kind the join
     reads (``JoinConfig.approximation_kinds()``) the parent takes
     ``relation.columnar().approx(kind)`` — the one get-or-build point —
     and places its stored columns in a block beside the ring segment;
     workers gather a tile's rows by the same index arrays into a
-    pre-seeded tile-local column store, so **no tile task ever
-    computes an approximation** of a stored kind
+    pre-seeded tile-local column store
+    (``repro.core.partition.tile_relation``, which cuts the serial
+    partitioned join's tiles too), so **no tile ever computes an
+    approximation** of a stored kind
     (``tests/test_stored_approximations.py`` counts the calls across
     the forked workers; RMBR and MBE have no stored form and are
-    derived in the tile, for the objects that reach the filter).  What
-    each segment
-    holds is described once, by the picklable
+    packed per join, for the objects that reach the filter).  What
+    each segment holds is described once, by the picklable
     :class:`~repro.core.parallel_exec.SegmentLayout` its descriptor
-    carries.  ``columnar=False`` (CLI ``--no-columnar``) keeps the
-    legacy ``(oid, polygon)`` pickled-slice tasks, which still rebuild
-    approximations per tile.
+    carries.
 
 Tile formation — uniform grid vs tree-guided partitioning
     What a "tile" *is* is a strategy of its own
@@ -262,9 +258,8 @@ Tile formation — uniform grid vs tree-guided partitioning
     tasks exist, trading dispatch overhead against balance.  Hilbert declustering (§6
     outlook; ``TreePartitioner(decluster="zorder")`` for the z-order
     curve) orders tasks so spatially adjacent work lands on different
-    workers.  Both partitioners emit the same
-    ``TileTask``/``ColumnarTileTask`` wire format, so schedulers, wire
-    formats, and sessions compose with either; the task plan depends
+    workers.  Both partitioners emit the same ``ColumnarTileTask``
+    wire format, so schedulers and sessions compose with either; the task plan depends
     only on the relations — never the worker count — keeping results
     byte-identical to the serial join
     (``tests/test_tree_partitioner_equivalence.py`` is the
@@ -375,7 +370,7 @@ The persistent storage tier — warm starts that survive restarts
     (approximation pages included), and
     the differential suite (``tests/test_store_equivalence.py``)
     proves store-loaded joins byte-identical to object-built joins
-    across engines, partitioners, wire formats, and worker counts.
+    across engines, partitioners, and worker counts.
     ``benchmarks/bench_store.py`` (``make bench-store``) gates the
     point: cold-session warm-up from store pages must beat re-packing
     by ≥ 3x (``benchmarks/reports/BENCH_store.json``).
@@ -388,7 +383,7 @@ The join service — many concurrent clients, few sessions
     three serving-side mechanisms on top of the session runtime: a
     fingerprint-keyed **result cache** (both relations' content digests
     + the canonicalized ``JoinConfig`` — execution-only fields like
-    ``workers``/``scheduler``/``columnar`` are stripped, since the
+    ``workers``/``scheduler``/``kernels`` are stripped, since the
     differential suites prove them result-neutral), **request
     coalescing** (identical in-flight requests share one execution),
     and **admission control** (a bounded pending queue with 429-style
@@ -407,7 +402,6 @@ Choosing the parallel executor from the CLI::
     python -m repro join a.wkt b.wkt --engine batched --workers 4 --grid 4 4
     python -m repro join a.wkt b.wkt --workers 4 --scheduler stealing
     python -m repro join a.wkt b.wkt --workers 4 --partitioner rtree
-    python -m repro join a.wkt b.wkt --workers 4 --no-columnar  # legacy wire
     python -m repro join-batch a.wkt b.wkt --repeat 5 --workers 4  # session
     python -m repro serve --port 8765 --sessions 2 --workers 2  # service
 

@@ -32,7 +32,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..approximations import approx_intersect, false_area_test
-from ..approximations.batch import BatchApproxArrays
+from ..approximations.batch import BatchApproxArrays, stored_family
 from ..core.filters import FilterConfig, FilterOutcome
 from ..core.stats import MultiStepStats
 from ..datasets.columnar import ColumnarRelation
@@ -70,10 +70,9 @@ class BatchGeometricFilter:
     candidate with the same outcome per pair as
     :func:`repro.core.filters.geometric_filter`.
 
-    ``columnar`` holds the relations' pre-packed column stores
-    (:class:`~repro.datasets.columnar.ColumnarRelation`); when present,
-    per-kind encoders adopt those finished arrays instead of packing the
-    joined objects again (the values are bit-identical either way).
+    ``columnar`` holds the relations' column stores
+    (:class:`~repro.datasets.columnar.ColumnarRelation`).  Which arrays
+    a kind is read from is decided per kind, in :meth:`encoder` alone.
     """
 
     def __init__(
@@ -92,9 +91,18 @@ class BatchGeometricFilter:
         )
 
     def encoder(self, kind: str) -> BatchApproxArrays:
+        """The arrays of ``kind``: stored columns, or packed per join.
+
+        A kind with a stored form (:func:`stored_family`) is read from
+        the relations' columns — built at most once per relation, at
+        ``store.approx(kind)``, the get-or-build point.  A kind without
+        one (RMBR, MBE) is packed incrementally for this join, so it is
+        derived only for the objects that reach the filter.  The values
+        are bit-identical either way.
+        """
         enc = self._encoders.get(kind)
         if enc is None:
-            if self._columnar:
+            if self._columnar and stored_family(kind):
                 enc = BatchApproxArrays.from_columnar(
                     kind, [store.approx(kind) for store in self._columnar]
                 )
@@ -330,11 +338,10 @@ class BatchWithinFilter:
 class BatchedEngine(Engine):
     """Vectorized block-at-a-time pipeline over the candidate stream.
 
-    With ``config.columnar`` (the default) the filter reads the two
-    relations' cached column stores — packing happens once per
-    (relation, kind), not once per join — so sweeping many filter
-    configurations over the same relations pays no repack cost.
-    ``columnar=False`` falls back to per-join incremental packing.
+    The filter reads the two relations' cached column stores: a stored
+    kind is packed once per (relation, kind), not once per join, so
+    sweeping many filter configurations over the same relations pays no
+    repack cost (see :meth:`BatchGeometricFilter.encoder`).
     """
 
     name = "batched"
@@ -350,13 +357,7 @@ class BatchedEngine(Engine):
         stats: MultiStepStats,
         refinement=None,
     ) -> Iterator[Pair]:
-        if self.config.columnar:
-            self._columnar_stores = (
-                relation_a.columnar(),
-                relation_b.columnar(),
-            )
-        else:
-            self._columnar_stores = ()
+        self._columnar_stores = (relation_a.columnar(), relation_b.columnar())
         return super().execute(
             relation_a, relation_b, stats, refinement=refinement
         )

@@ -33,7 +33,7 @@ belongs, inside each session's worker pool.
 Responses are **byte-identical to serial joins**: execution goes
 through :func:`~repro.core.parallel_exec.parallel_partitioned_join`,
 whose output is proven identical to the serial partitioned join across
-worker counts, schedulers, and wire formats —
+worker counts and schedulers —
 ``tests/test_service.py`` is the concurrent differential suite.
 """
 

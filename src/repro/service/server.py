@@ -75,7 +75,6 @@ _JOIN_FIELDS = {
     "scheduler": "scheduler",
     "partitioner": "partitioner",
     "target_tasks": "target_tasks",
-    "columnar": "columnar",
     "kernels": "kernels",
 }
 

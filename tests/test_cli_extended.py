@@ -198,6 +198,17 @@ class TestJoinWorkers:
         with pytest.raises(SystemExit):
             main(["join", path_a, path_b, "--target-tasks", "lots"])
 
+    @pytest.mark.parametrize("flag", ["--no-columnar", "--columnar"])
+    def test_retired_columnar_flag_is_a_usage_error(
+        self, wkt_pair, capsys, flag
+    ):
+        path_a, path_b = wkt_pair
+        with pytest.raises(SystemExit) as exit_info:
+            main(["join", path_a, path_b, "--workers", "2", flag])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments" in err
+
     @pytest.mark.parallel
     def test_target_tasks_budget_matches_serial(self, wkt_pair, capsys):
         """A tiny tree budget changes the decomposition, never the

@@ -10,8 +10,10 @@ Three guarantees under test:
 2. **Pack once per (relation, kind)** — repeated batched joins over the
    same relations never re-run the per-object packing (the ISSUE-3
    repack-waste regression).
-3. **Representation-only** — ``columnar=True/False`` produce identical
-   results, order, and statistics for both engines and predicates.
+3. **One packing rule per kind** — a kind with a stored form is read
+   from the relations' columns; a kind without one (RMBR, MBE) is
+   packed per join, only for the objects that reach the filter.  The
+   option that used to toggle this is gone and is rejected.
 """
 
 from __future__ import annotations
@@ -23,9 +25,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.datasets.relations as relations_module
 from helpers import random_relation_pair, stats_fingerprint
 from repro.approximations.batch import BatchApproxArrays
-from repro.core import JoinConfig, SpatialJoinProcessor
+from repro.core import (
+    FilterConfig,
+    JoinConfig,
+    SpatialJoinProcessor,
+    partitioned_join,
+)
+from repro.core.partition import tile_relation
 from repro.datasets import ColumnarRelation, pack_rings, unpack_polygon
 from repro.datasets.relations import SpatialRelation
 from repro.geometry import Polygon
@@ -259,42 +268,116 @@ def test_same_relation_joined_against_two_partners_packs_once(monkeypatch):
     assert len(calls) == len(rel_c) * len(kinds)
 
 
-def test_legacy_mode_repacks_per_join(monkeypatch):
-    """columnar=False keeps the per-join incremental packing (contrast)."""
-    rel_a, rel_b = random_relation_pair(304, n_objects=10)
+def _build_spy(monkeypatch):
+    """Record the kind of every per-object ``compute_approximation``."""
+    builds = []
+    original = relations_module.compute_approximation
+
+    def counting(polygon, kind):
+        builds.append(kind)
+        return original(polygon, kind)
+
+    monkeypatch.setattr(relations_module, "compute_approximation", counting)
+    return builds
+
+
+def _reaching_objects(rel_a, rel_b) -> int:
+    """Objects in at least one MBR-intersecting pair (closed rectangles)."""
+    a = rel_a.columnar().mbrs[:, None, :]
+    b = rel_b.columnar().mbrs[None, :, :]
+    meet = ((a[..., 0] <= b[..., 2]) & (b[..., 0] <= a[..., 2])
+            & (a[..., 1] <= b[..., 3]) & (b[..., 1] <= a[..., 3]))
+    return int(meet.any(axis=1).sum() + meet.any(axis=0).sum())
+
+
+@pytest.mark.parametrize("unstored", ["RMBR", "MBE"])
+def test_stored_kinds_come_from_columns_unstored_kinds_per_join(
+    monkeypatch, unstored
+):
+    """The per-kind rule of ``BatchGeometricFilter.encoder``.
+
+    RMBR and MBE have no stored form: each join packs the kind for the
+    objects that reach the filter, and each object derives it once.
+    MER has one: it is built once per relation, read from the columns
+    by every later join, and gathered (never re-packed) by serial
+    partitioned tiles.
+    """
+    builds = _build_spy(monkeypatch)
     calls = _register_spy(monkeypatch)
+    rel_a, rel_b = random_relation_pair(304, n_objects=14, degenerate=False)
+    reach = _reaching_objects(rel_a, rel_b)
+    assert 0 < reach < len(rel_a) + len(rel_b)  # else nothing is proven
     config = JoinConfig(
-        engine="batched", exact_method="vectorized", columnar=False
+        engine="batched", exact_method="vectorized",
+        filter=FilterConfig(conservative=unstored, progressive="MER"),
     )
-    SpatialJoinProcessor(config).join(rel_a, rel_b)
-    first = len(calls)
-    SpatialJoinProcessor(config).join(rel_a, rel_b)
-    assert len(calls) > first, "legacy mode re-registers every join"
+
+    first = SpatialJoinProcessor(config).join(rel_a, rel_b)
+    assert builds.count(unstored) == reach
+    assert builds.count("MER") == len(rel_a) + len(rel_b)
+    for _ in range(2):
+        calls.clear()
+        again = SpatialJoinProcessor(config).join(rel_a, rel_b)
+        assert again.id_pairs() == first.id_pairs()
+        assert calls == [unstored] * reach  # packed per join; MER adopted
+    assert builds.count(unstored) == reach  # the objects' caches keep it
+    for rel in (rel_a, rel_b):
+        assert rel.columnar().pack_counts == {"MER": 1}
+
+    builds.clear()
+    calls.clear()
+    parted = partitioned_join(rel_a, rel_b, grid=(3, 3), config=config)
+    assert sorted(parted.id_pairs()) == sorted(first.id_pairs())
+    assert builds == []
+    assert "MER" not in calls  # tiles gather the parent's MER rows
+    for rel in (rel_a, rel_b):
+        assert rel.columnar().pack_counts == {"MER": 1}
 
 
-# ---------------------------------------------------------------------------
-# 3. The toggle changes the representation, never the semantics.
-# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "conservative,progressive",
+    [("CH", None), ("4-C", None), ("5-C", None), ("MBC", None),
+     (None, "MER"), (None, "MEC")],
+    ids=["CH", "4-C", "5-C", "MBC", "MER", "MEC"],
+)
+def test_serial_tiles_gather_every_stored_kind(
+    monkeypatch, conservative, progressive
+):
+    """``tile_relation`` cuts every stored kind from the parent's columns.
 
-
-@pytest.mark.parametrize("engine", ["streaming", "batched"])
-@pytest.mark.parametrize("predicate", ["intersects", "within"])
-def test_columnar_toggle_is_semantics_free(engine, predicate):
-    rel_a, rel_b = random_relation_pair(311, n_objects=10)
-    results = {}
-    for columnar in (True, False):
-        config = JoinConfig(
-            engine=engine,
-            exact_method="vectorized",
-            predicate=predicate,
-            batch_size=16,
-            columnar=columnar,
-        )
-        results[columnar] = SpatialJoinProcessor(config).join(rel_a, rel_b)
-    assert results[True].id_pairs() == results[False].id_pairs()
-    assert stats_fingerprint(results[True].stats) == stats_fingerprint(
-        results[False].stats
+    Once the relations hold a kind, serial partitioned tiles neither
+    derive nor pack it: a tile's columns are the parent's rows bit for
+    bit, and the tiled pairs equal the serial join's.
+    """
+    kind = conservative or progressive
+    rel_a, rel_b = random_relation_pair(306, n_objects=14, degenerate=False)
+    config = JoinConfig(
+        engine="batched", exact_method="vectorized",
+        filter=FilterConfig(
+            conservative=conservative, progressive=progressive
+        ),
     )
+    serial = SpatialJoinProcessor(config).join(rel_a, rel_b)
+    builds = _build_spy(monkeypatch)
+    calls = _register_spy(monkeypatch)
+
+    parted = partitioned_join(rel_a, rel_b, grid=(3, 3), config=config)
+    assert sorted(parted.id_pairs()) == sorted(serial.id_pairs())
+    assert builds == [] and calls == []
+    for rel in (rel_a, rel_b):
+        assert rel.columnar().pack_counts == {kind: 1}
+
+    parent = rel_a.columnar().approx(kind).columns()
+    rows = np.arange(len(rel_a))[1::3]
+    tile = tile_relation(
+        "tile", [rel_a.objects[i] for i in rows], [parent], rows
+    )
+    gathered = tile.columnar().approx(kind).columns()
+    assert gathered.kind == kind
+    for name, column in parent.arrays.items():
+        np.testing.assert_array_equal(gathered.arrays[name], column[rows])
+    assert tile.columnar().pack_counts == {}
+    assert builds == [] and calls == []
 
 
 def test_from_columnar_adopts_without_packing(monkeypatch):
@@ -355,9 +438,9 @@ def test_columnar_cache_invalidated_on_inplace_resize():
     assert sorted(parted.id_pairs()) == sorted(plain.id_pairs())
 
 
-def test_config_rejects_non_bool_columnar():
-    with pytest.raises(ValueError, match="columnar"):
-        JoinConfig(columnar=1)
+def test_config_rejects_the_retired_columnar_option():
+    with pytest.raises(TypeError, match="columnar"):
+        JoinConfig(columnar=True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ the process pools actually under test.
 from __future__ import annotations
 
 import os
-import pickle
 from dataclasses import replace
 
 import pytest
@@ -32,8 +31,6 @@ from repro.core import (
     JoinConfig,
     SpatialJoinProcessor,
     partitioned_join,
-    plan_tile_tasks,
-    run_tile_task,
 )
 from repro.core.parallel_exec import parallel_partitioned_join
 from repro.datasets.relations import SpatialRelation
@@ -137,37 +134,6 @@ def test_streaming_and_batched_engines_agree_under_parallelism():
     assert stats_fingerprint(results["streaming"].stats) == (
         stats_fingerprint(results["batched"].stats)
     )
-
-
-def test_tile_tasks_and_outcomes_are_picklable():
-    """The IPC contract: every task and outcome survives a round trip."""
-    rel_a, rel_b = _relation_pair(204)
-    config = _config("intersects", "batched")
-    tasks, partitions = plan_tile_tasks(rel_a, rel_b, (3, 3), config)
-    assert tasks, "generator produced no joinable tiles"
-    assert len(partitions) == 9
-    for task in tasks:
-        clone = pickle.loads(pickle.dumps(task))
-        assert clone.tile == task.tile
-        assert clone.space == task.space and clone.grid == task.grid
-        assert clone.config == task.config
-        for shipped, original in (
-            (clone.objects_a, task.objects_a),
-            (clone.objects_b, task.objects_b),
-        ):
-            assert [oid for oid, _ in shipped] == [
-                oid for oid, _ in original
-            ]
-            assert [poly.shell for _, poly in shipped] == [
-                poly.shell for _, poly in original
-            ]
-        outcome = run_tile_task(clone)
-        again = pickle.loads(pickle.dumps(outcome))
-        assert again.tile == task.tile
-        assert again.id_pairs == outcome.id_pairs
-        assert stats_fingerprint(again.stats) == (
-            stats_fingerprint(outcome.stats)
-        )
 
 
 def test_empty_relations():

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_relation_pair
 from repro.core import (
     JoinConfig,
     SpatialJoinProcessor,
     nested_loops_join,
+    parallel_partitioned_join,
     partitioned_join,
+    simulate_parallel_join,
 )
 
 
@@ -30,6 +33,33 @@ class TestPartitionedJoin:
             partitioned_join(
                 tiny_series.relation_a, tiny_series.relation_b, grid=(0, 2)
             )
+
+    @pytest.mark.parametrize(
+        "proximity", [{"epsilon": 0.05}, {"k": 2}], ids=["distance", "knn"]
+    )
+    def test_proximity_predicates_are_rejected(self, proximity):
+        """MBR-overlap tiles would drop pairs whose MBRs do not meet.
+
+        Measured before the rejection on this pair and grid: 24 of 35
+        distance pairs, 23 of 40 kNN pairs.  The ε-aware executor keeps
+        them all, in-process at ``workers=1``.
+        """
+        rel_a, rel_b = random_relation_pair(5, n_objects=20)
+        predicate = "distance" if "epsilon" in proximity else "knn"
+        config = JoinConfig(
+            engine="batched", exact_method="vectorized",
+            predicate=predicate, **proximity,
+        )
+        with pytest.raises(ValueError, match="parallel_partitioned_join"):
+            partitioned_join(rel_a, rel_b, grid=(3, 3), config=config)
+        with pytest.raises(ValueError, match="parallel_partitioned_join"):
+            simulate_parallel_join(rel_a, rel_b, grid=(3, 3), config=config)
+        serial = SpatialJoinProcessor(config).join(rel_a, rel_b)
+        tiled = parallel_partitioned_join(
+            rel_a, rel_b, grid=(3, 3), config=config, workers=1
+        )
+        assert tiled.tile_tasks > 0
+        assert sorted(tiled.id_pairs()) == sorted(serial.id_pairs())
 
     def test_partition_stats_cover_grid(self, tiny_series):
         result = partitioned_join(

@@ -5,8 +5,8 @@ The guarantee under test (ISSUE 9 acceptance bar): ``distance`` and
 pairs, pair order, and every merged ``MultiStepStats`` counter — to the
 workers=1 oracle running the *same* ε-aware task plan in-process, for
 both partitioners (grid ε/2-expansion with owning-task dedup; tree
-ε-pruned synchronized traversal), both schedulers, both wire formats,
-and worker counts 2 and 4.  On top of byte-identity against the plan
+ε-pruned synchronized traversal), both schedulers, and worker counts
+2 and 4.  On top of byte-identity against the plan
 oracle, every case is checked against predicate-level ground truth:
 
 * sorted pairs equal the nested-loops oracle
@@ -22,7 +22,7 @@ oracle, every case is checked against predicate-level ground truth:
   object in every plan;
 * the merged stats satisfy the Figure-1 flow invariants, and
   ``dedup_dropped`` is plan-deterministic (identical across worker
-  counts, schedulers, and wire formats).
+  counts and schedulers).
 
 200 generated cases (5 seeds × 5 predicate settings × 8 execution
 combinations); ``REPRO_PAR_QUICK=1`` shrinks the sweep for the CI quick
@@ -66,45 +66,46 @@ PRED_CASES = (
     )
 )
 
-#: (partitioner, scheduler, columnar, workers, target_tasks) — both
-#: partitioners × both schedulers × both wire formats, workers 4 with a
-#: couple of 2-worker pools, and a non-default tree task budget so the
-#: ``target_tasks`` knob is exercised through the full stack.
+#: (partitioner, scheduler, workers, target_tasks) — both partitioners
+#: × both schedulers, each grid scheduler at 4 and 2 workers, the tree
+#: at 4 workers with one 2-worker pool, and a non-default tree task
+#: budget so the ``target_tasks`` knob is exercised through the full
+#: stack.
 EXEC_COMBOS = (
     (
-        ("grid", "static", True, 4, 64),
-        ("grid", "stealing", False, 2, 64),
-        ("rtree", "static", True, 4, 64),
-        ("rtree", "stealing", False, 4, 8),
+        ("grid", "static", 4, 64),
+        ("grid", "stealing", 2, 64),
+        ("rtree", "static", 4, 64),
+        ("rtree", "stealing", 4, 8),
     )
     if QUICK
     else (
-        ("grid", "static", True, 4, 64),
-        ("grid", "static", False, 4, 64),
-        ("grid", "stealing", True, 4, 64),
-        ("grid", "stealing", False, 2, 64),
-        ("rtree", "static", True, 4, 64),
-        ("rtree", "static", False, 4, 8),
-        ("rtree", "stealing", True, 2, 64),
-        ("rtree", "stealing", False, 4, 8),
+        ("grid", "static", 4, 64),
+        ("grid", "static", 2, 64),
+        ("grid", "stealing", 4, 64),
+        ("grid", "stealing", 2, 64),
+        ("rtree", "static", 4, 64),
+        ("rtree", "static", 4, 8),
+        ("rtree", "stealing", 2, 64),
+        ("rtree", "stealing", 4, 8),
     )
 )
 
 CASES = [
     pytest.param(
-        seed, predicate, setting, part, sched, col, workers, target,
+        seed, predicate, setting, part, sched, workers, target,
         id=(
             f"s{seed}-{predicate}{setting}-{part}-{sched}-"
-            f"{'shm' if col else 'pickled'}-w{workers}-t{target}"
+            f"w{workers}-t{target}"
         ),
     )
     for seed in SEEDS
     for predicate, setting in PRED_CASES
-    for part, sched, col, workers, target in EXEC_COMBOS
+    for part, sched, workers, target in EXEC_COMBOS
 ]
 
 
-def _config(predicate, setting, part, sched, col, workers, target):
+def _config(predicate, setting, part, sched, workers, target):
     kwargs = (
         {"epsilon": setting} if predicate == "distance" else {"k": setting}
     )
@@ -114,7 +115,6 @@ def _config(predicate, setting, part, sched, col, workers, target):
         grid=(3, 3),
         partitioner=part,
         scheduler=sched,
-        columnar=col,
         target_tasks=target,
         **kwargs,
     )
@@ -141,7 +141,7 @@ def _plain_serial(seed, predicate, setting):
     key = (seed, predicate, setting)
     if key not in _plain:
         rel_a, rel_b = _relation_pair(seed)
-        config = _config(predicate, setting, "grid", "static", True, 1, 64)
+        config = _config(predicate, setting, "grid", "static", 1, 64)
         _plain[key] = SpatialJoinProcessor(
             replace(config, workers=1)
         ).join(rel_a, rel_b)
@@ -165,15 +165,14 @@ def _plan_oracle(seed, predicate, setting, part, target):
     """workers=1 running the same ε-aware plan in-process — the
     byte-identity oracle.  The task plan depends only on the relations,
     the partitioner, and the canonical config, so one oracle serves
-    every scheduler / wire format / worker count."""
+    every scheduler / worker count."""
     key = (seed, predicate, setting, part, target)
     if key not in _oracle:
         rel_a, rel_b = _relation_pair(seed)
         _oracle[key] = parallel_partitioned_join(
             rel_a,
             rel_b,
-            config=_config(predicate, setting, part, "static", True, 1,
-                           target),
+            config=_config(predicate, setting, part, "static", 1, target),
         )
     return _oracle[key]
 
@@ -191,21 +190,19 @@ def _flow_fingerprint(stats):
 
 
 @pytest.mark.parametrize(
-    "seed,predicate,setting,part,sched,col,workers,target", CASES
+    "seed,predicate,setting,part,sched,workers,target", CASES
 )
 def test_parallel_proximity_byte_identical(
-    seed, predicate, setting, part, sched, col, workers, target
+    seed, predicate, setting, part, sched, workers, target
 ):
     rel_a, rel_b = _relation_pair(seed)
-    config = _config(predicate, setting, part, sched, col, workers, target)
+    config = _config(predicate, setting, part, sched, workers, target)
     result = parallel_partitioned_join(rel_a, rel_b, config=config)
     oracle = _plan_oracle(seed, predicate, setting, part, target)
 
     # Byte-identity against the plan oracle: pairs *in order*, every
     # compared stats counter, and the plan-deterministic telemetry.
-    assert result.wire_format == (
-        "columnar-shm" if col else "pickled-slices"
-    )
+    assert result.wire_format == "columnar-shm"
     assert result.tile_tasks == oracle.tile_tasks
     assert list(result.id_pairs()) == list(oracle.id_pairs())
     assert result.stats == oracle.stats

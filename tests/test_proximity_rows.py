@@ -14,9 +14,8 @@ this suite pins what that form must not change or lose:
   oid), identical and touching polygons (distance-0 ties), holes, and
   ``k >= |B|``, ``|B| = 1`` and empty relations.  The counters of every
   task plan equal the serial join's.
-* **No object in a proximity tile.**  Distance and kNN tiles of both wire
-  formats construct no ``SpatialObject``, unpack no polygon and look up
-  no approximation; the shell MBRs of an edge table are the columnar
+* **No object in a proximity tile.**  Distance and kNN tiles construct
+  no ``SpatialObject``, unpack no polygon and look up no approximation; the shell MBRs of an edge table are the columnar
   MBRs bit for bit.
 """
 
@@ -38,9 +37,7 @@ from repro.core.distance import within_distance_join
 from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import (
     plan_columnar_tile_tasks,
-    plan_tile_tasks,
     run_columnar_tile_task,
-    run_tile_task,
 )
 from repro.core.partition import owning_tile, owning_tiles
 from repro.core.proximity import (
@@ -141,28 +138,21 @@ def test_distance_pretest_keeps_pairs_exactly_at_epsilon():
 # ---------------------------------------------------------------------------
 
 
-def _run_tasks(rel_a, rel_b, config, columnar: bool, around=nullcontext()):
+def _run_tasks(rel_a, rel_b, config, around=nullcontext()):
     """Every task of the config's plan, run here (inside ``around``)."""
-    config = replace(config, columnar=columnar)
-    if columnar:
-        tasks, _, shipment = plan_columnar_tile_tasks(
-            rel_a, rel_b, config.grid, config
-        )
-        runner = run_columnar_tile_task
-    else:
-        tasks, _ = plan_tile_tasks(rel_a, rel_b, config.grid, config)
-        shipment, runner = None, run_tile_task
+    tasks, _, shipment = plan_columnar_tile_tasks(
+        rel_a, rel_b, config.grid, config
+    )
     try:
         with around:
-            return [runner(task) for task in tasks]
+            return [run_columnar_tile_task(task) for task in tasks]
     finally:
-        if shipment is not None:
-            shipment.close()
+        shipment.close()
 
 
-def _run_plan(rel_a, rel_b, config, columnar: bool):
+def _run_plan(rel_a, rel_b, config):
     """Every task of the config's plan, run here; merged pairs and stats."""
-    outcomes = _run_tasks(rel_a, rel_b, config, columnar)
+    outcomes = _run_tasks(rel_a, rel_b, config)
     outcomes.sort(key=lambda outcome: outcome.tile)
     stats = MultiStepStats()
     pairs = []
@@ -213,7 +203,7 @@ def test_knn_on_lattice_squares_matches_oracle(cells_a, cells_b, holed, k):
     assert serial.id_pairs() == brute_force_knn_join(rel_a, rel_b, k)
     for partitioner in ("grid", "rtree"):
         plan = replace(config, partitioner=partitioner, target_tasks=4)
-        pairs, stats = _run_plan(rel_a, rel_b, plan, columnar=True)
+        pairs, stats = _run_plan(rel_a, rel_b, plan)
         assert pairs == serial.id_pairs()
         assert stats_fingerprint(stats) == stats_fingerprint(serial.stats)
         assert stats.mbr_join.node_pairs == 0
@@ -334,11 +324,10 @@ class _counting:
         self.monkeypatch.undo()
 
 
-@pytest.mark.parametrize("columnar", [True, False], ids=["shm", "pickled"])
 @pytest.mark.parametrize("partitioner", ["grid", "rtree"])
 @pytest.mark.parametrize("predicate,setting", [("distance", 0.08),
                                                ("knn", 2)])
-def test_proximity_tiles_build_no_object(monkeypatch, columnar, partitioner,
+def test_proximity_tiles_build_no_object(monkeypatch, partitioner,
                                          predicate, setting):
     rel_a, rel_b = random_relation_pair(11, n_objects=14, degenerate=False)
     kwargs = {"epsilon": setting} if predicate == "distance" else {"k": setting}
@@ -346,7 +335,7 @@ def test_proximity_tiles_build_no_object(monkeypatch, columnar, partitioner,
                         grid=(2, 2), target_tasks=4, **kwargs)
     serial = SpatialJoinProcessor(config).join(rel_a, rel_b)
     counting = _counting(monkeypatch)
-    outcomes = _run_tasks(rel_a, rel_b, config, columnar, around=counting)
+    outcomes = _run_tasks(rel_a, rel_b, config, around=counting)
     assert len(outcomes) > 1
     assert counting.counts == {"objects": 0, "unpack": 0, "approx": 0}
     pairs = sorted(pair for outcome in outcomes for pair in outcome.id_pairs)

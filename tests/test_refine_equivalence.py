@@ -248,16 +248,16 @@ def test_refine_batched_at_large_coordinates():
 
 @pytest.mark.parallel
 @pytest.mark.parametrize("workers", (1, 2))
-@pytest.mark.parametrize("columnar", (True, False))
-def test_refine_parallel_equivalence(workers, columnar):
+@pytest.mark.parametrize("predicate", ("intersects", "within"))
+def test_refine_parallel_equivalence(workers, predicate):
     """Batched refinement composes with the multi-process tile executor.
 
-    Both wire formats: with ``columnar=True`` the workers refine
-    directly on the shared-memory mapped ring columns; with
-    ``columnar=False`` they rebuild per-tile columns from the pickled
-    slices.  Either way: identical pairs, order, and stats as the
-    per-pair refinement on the same grid and worker count — and no
-    shared segment may survive.
+    The workers refine directly on the shared-memory mapped ring
+    columns, for both refinement predicates: identical pairs, order,
+    and stats as the per-pair refinement on the same grid and worker
+    count — and no shared segment may survive.  ``within`` runs
+    without the geometric filter, which on this pair decides every
+    candidate and would leave nothing to refine.
     """
     rel_a, rel_b = random_relation_pair(13, n_objects=20)
     grid = (3, 3)
@@ -265,7 +265,12 @@ def test_refine_parallel_equivalence(workers, columnar):
         config = JoinConfig(
             exact_method="vectorized",
             engine=engine,
-            columnar=columnar,
+            predicate=predicate,
+            filter=(
+                FilterConfig()
+                if predicate == "intersects"
+                else FilterConfig(conservative=None, progressive=None)
+            ),
             exact_batch=16,
         )
         batched = parallel_partitioned_join(

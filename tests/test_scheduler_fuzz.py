@@ -4,8 +4,7 @@ For randomly generated *skewed* relations — the clustered hot-tile
 generator concentrates most candidate pairs into one tile, the
 stealing scheduler's reason to exist — the two schedulers must produce
 the identical result pairs, pair order, and ``MultiStepStats`` at
-worker counts {1, 2, 4} under **both** wire formats (columnar shared
-memory and pickled slices).  Completion order is the only thing allowed
+worker counts {1, 2, 4}.  Completion order is the only thing allowed
 to differ; the tile-sorted merge must hide it completely.
 
 Each example shares one :class:`JoinSession` across all of its joins so
@@ -55,33 +54,22 @@ def test_schedulers_agree_on_skewed_relations(seed, hot_fraction, grid):
     )
     with JoinSession(config=base) as session:
         for workers in WORKERS:
-            for columnar in (True, False):
-                results = {}
-                for scheduler in SCHEDULERS:
-                    results[scheduler] = session.join(
-                        rel_a,
-                        rel_b,
-                        config=replace(
-                            base,
-                            workers=workers,
-                            columnar=columnar,
-                            scheduler=scheduler,
-                        ),
-                    )
-                label = (
-                    f"seed={seed} workers={workers} columnar={columnar}"
+            results = {}
+            for scheduler in SCHEDULERS:
+                results[scheduler] = session.join(
+                    rel_a,
+                    rel_b,
+                    config=replace(
+                        base, workers=workers, scheduler=scheduler
+                    ),
                 )
-                static, stealing = (
-                    results["static"], results["stealing"]
-                )
-                assert static.id_pairs() == stealing.id_pairs(), label
-                assert stats_fingerprint(static.stats) == (
-                    stats_fingerprint(stealing.stats)
-                ), label
-                static.stats.check_invariants()
-                stealing.stats.check_invariants()
-                assert static.steal_count == 0, label
-                expected_wire = (
-                    "columnar-shm" if columnar else "pickled-slices"
-                )
-                assert stealing.wire_format == expected_wire, label
+            label = f"seed={seed} workers={workers}"
+            static, stealing = results["static"], results["stealing"]
+            assert static.id_pairs() == stealing.id_pairs(), label
+            assert stats_fingerprint(static.stats) == (
+                stats_fingerprint(stealing.stats)
+            ), label
+            static.stats.check_invariants()
+            stealing.stats.check_invariants()
+            assert static.steal_count == 0, label
+            assert stealing.wire_format == "columnar-shm", label

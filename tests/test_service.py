@@ -58,7 +58,6 @@ CONFIGS = [
 EXECUTION_VARIANTS = [
     JoinConfig(workers=2),
     JoinConfig(scheduler="stealing", workers=2),
-    JoinConfig(columnar=False),
     JoinConfig(kernels="python"),
 ]
 

@@ -241,7 +241,14 @@ class TestWireErrors:
         }
         assert "frobnicate" in error["error"]
 
-    def test_unknown_join_field_is_400(self, wkt_paths):
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("predicat", "within"),  # typo must not be ignored
+            ("columnar", False),  # retired option
+        ],
+    )
+    def test_unknown_join_field_is_400(self, wkt_paths, field, value):
         _, _, path_a, path_b = wkt_paths
 
         async def body(server, reader, writer):
@@ -252,14 +259,14 @@ class TestWireErrors:
                     "op": "join",
                     "relation_a": path_a,
                     "relation_b": path_b,
-                    "predicat": "within",  # typo must not be ignored
+                    field: value,
                 },
             )
 
         error = _serve(body, sessions=1)
         assert error["status"] == "error"
         assert error["code"] == 400
-        assert "predicat" in error["error"]
+        assert field in error["error"]
 
     def test_missing_relation_file_is_400(self):
         async def body(server, reader, writer):

@@ -139,15 +139,24 @@ class TestMerge:
 
     def test_merged_tile_stats_equal_partitioned_join_stats(self):
         """Folding real per-tile worker stats reproduces the serial sum."""
-        from repro.core import partitioned_join, plan_tile_tasks, run_tile_task
+        from repro.core import (
+            partitioned_join,
+            plan_columnar_tile_tasks,
+            run_columnar_tile_task,
+        )
 
         rel_a, rel_b = random_relation_pair(61)
         config = JoinConfig(exact_method="vectorized")
         serial = partitioned_join(rel_a, rel_b, grid=(3, 3), config=config)
-        tasks, _ = plan_tile_tasks(rel_a, rel_b, (3, 3), config)
-        merged = MultiStepStats.merged(
-            run_tile_task(task).stats for task in tasks
+        tasks, _, shipment = plan_columnar_tile_tasks(
+            rel_a, rel_b, (3, 3), config
         )
+        try:
+            merged = MultiStepStats.merged(
+                run_columnar_tile_task(task).stats for task in tasks
+            )
+        finally:
+            shipment.close()
         assert stats_fingerprint(merged) == stats_fingerprint(serial.stats)
         merged.check_invariants()
 

@@ -8,7 +8,7 @@ built from live Python objects.  Both paths run through warm
 :class:`JoinSession` instances — the store session warmed from the
 store's pages exactly as a restarted server would be — and every
 combination of engine {streaming, batched} x partitioner {grid, rtree}
-x wire format {columnar, legacy} x workers {1, 4} must produce the
+x workers {1, 4} must produce the
 identical sorted pair list and the identical merged stats fingerprint,
 with the plain serial pipeline as the third witness.
 
@@ -18,8 +18,6 @@ with the plain serial pipeline as the third witness.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
-
 import pytest
 
 from helpers import random_relation_pair, stats_fingerprint
@@ -72,42 +70,37 @@ def test_store_loaded_joins_match_object_built(corpus, engine, partitioner):
         SpatialJoinProcessor(base).join(rel_a, rel_b).id_pairs()
     )
 
-    for columnar in (True, False):
-        config = replace(base, columnar=columnar)
-        # A fresh store-loaded pair per wire format: nothing may leak
-        # from the object-built side but the page bytes themselves.
-        loaded_a = store.load_relation(corpus["fp_a"])
-        loaded_b = store.load_relation(corpus["fp_b"])
-        assert loaded_a.columnar().fingerprint == corpus["fp_a"]
+    # A fresh store-loaded pair: nothing may leak from the
+    # object-built side but the page bytes themselves.
+    loaded_a = store.load_relation(corpus["fp_a"])
+    loaded_b = store.load_relation(corpus["fp_b"])
+    assert loaded_a.columnar().fingerprint == corpus["fp_a"]
 
-        with JoinSession(config=config) as obj_session, \
-                JoinSession(config=config) as store_session:
-            # The restart path under test: segments come from pages,
-            # not from packing the loaded objects.
-            store_session.warm_from_store(store)
-            for workers in WORKERS:
-                label = (
-                    f"{engine}/{partitioner} columnar={columnar} "
-                    f"workers={workers}"
-                )
-                baseline = obj_session.join(
-                    rel_a, rel_b, grid=grid, workers=workers
-                )
-                replay = store_session.join(
-                    loaded_a, loaded_b, grid=grid, workers=workers
-                )
-                assert sorted(replay.id_pairs()) == sorted(
-                    baseline.id_pairs()
-                ) == plain, label
-                assert stats_fingerprint(replay.stats) == stats_fingerprint(
-                    baseline.stats
-                ), label
-
-            # Warming covered every store fingerprint, so the store
-            # session never had to pack a segment from objects.
-            stats = store_session.stats()
-            assert stats["store_loads"] == 2
-            assert stats["segment_cache_misses"] == 0, (
-                f"{engine}/{partitioner} columnar={columnar}: the warmed "
-                "session re-packed a segment the store already held"
+    with JoinSession(config=base) as obj_session, \
+            JoinSession(config=base) as store_session:
+        # The restart path under test: segments come from pages,
+        # not from packing the loaded objects.
+        store_session.warm_from_store(store)
+        for workers in WORKERS:
+            label = f"{engine}/{partitioner} workers={workers}"
+            baseline = obj_session.join(
+                rel_a, rel_b, grid=grid, workers=workers
             )
+            replay = store_session.join(
+                loaded_a, loaded_b, grid=grid, workers=workers
+            )
+            assert sorted(replay.id_pairs()) == sorted(
+                baseline.id_pairs()
+            ) == plain, label
+            assert stats_fingerprint(replay.stats) == stats_fingerprint(
+                baseline.stats
+            ), label
+
+        # Warming covered every store fingerprint, so the store
+        # session never had to pack a segment from objects.
+        stats = store_session.stats()
+        assert stats["store_loads"] == 2
+        assert stats["segment_cache_misses"] == 0, (
+            f"{engine}/{partitioner}: the warmed "
+            "session re-packed a segment the store already held"
+        )

@@ -429,19 +429,6 @@ def test_unstored_kind_is_derived_only_for_objects_that_reach_the_filter(
         builds.reset()
 
 
-@pytest.mark.parallel
-def test_legacy_pickled_slices_still_rebuild(builds):
-    """``columnar=False`` is the documented legacy path (ROADMAP item 5)."""
-    rel_a, rel_b = random_relation_pair(622, n_objects=10)
-    config = JoinConfig(engine="batched", exact_method="vectorized",
-                        columnar=False)
-    result = parallel_partitioned_join(rel_a, rel_b, grid=(2, 2),
-                                       config=config, workers=1)
-    assert result.wire_format == "pickled-slices"
-    assert result.approx_cache_misses == result.approx_cache_hits == 0
-    assert builds.count > 0
-
-
 # ---------------------------------------------------------------------------
 # shipping: blocks live and die with the ring segment
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ uniform grid tiles.  This suite is its correctness contract:
   decomposition owns its own deterministic output order);
 * **byte-identity across the runtime matrix** — for a given input the
   rtree join's ordered output is identical across worker counts
-  {1, 2, 4}, both schedulers, and both wire formats (its task
+  {1, 2, 4}, both schedulers, and with or without a session (its task
   decomposition depends only on the relations, never on the workers);
 * **no duplicates** — tree tasks partition the candidate-pair space
   disjointly, so no pair may be emitted twice (no reference-tile rule
@@ -18,7 +18,7 @@ uniform grid tiles.  This suite is its correctness contract:
   pairwise on every input.
 
 Roughly 150 cases: predicates x engines (4) x generators (uniform and
-clustered hot-tile skew) x seeds x workers x wire formats, plus the
+clustered hot-tile skew) x seeds x workers, plus the sessionless
 zorder-declustering, static-scheduler, plan-shape, and empty-input
 checks.  ``REPRO_PAR_QUICK=1`` shrinks the sweep for CI smoke runs.
 """
@@ -34,7 +34,6 @@ from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import (
     parallel_partitioned_join,
     plan_columnar_tile_tasks,
-    plan_tile_tasks,
 )
 from repro.core.partition import (
     DECLUSTER_CURVES,
@@ -127,7 +126,7 @@ def test_rtree_matches_serial_across_runtime_matrix(predicate, engine):
 
 
 @pytest.mark.parametrize("predicate,engine", PREDICATE_ENGINES)
-def test_rtree_pickled_slices_and_static_scheduler(predicate, engine):
+def test_rtree_sessionless_static_scheduler(predicate, engine):
     for generator in GENERATORS:
         for seed in SEEDS:
             rel_a, rel_b = _pair(generator, seed)
@@ -136,23 +135,16 @@ def test_rtree_pickled_slices_and_static_scheduler(predicate, engine):
                 result = parallel_partitioned_join(
                     rel_a, rel_b,
                     config=replace(
-                        config, workers=workers, columnar=False
+                        config, workers=workers, scheduler="static"
                     ),
                 )
-                assert result.wire_format == "pickled-slices"
+                assert result.wire_format == "columnar-shm"
+                assert result.scheduler == "static"
                 _check(
                     result, generator, seed, predicate, engine,
-                    f"pickled {generator.__name__} seed={seed} "
+                    f"static {generator.__name__} seed={seed} "
                     f"workers={workers}",
                 )
-            result = parallel_partitioned_join(
-                rel_a, rel_b,
-                config=replace(config, workers=2, scheduler="static"),
-            )
-            _check(
-                result, generator, seed, predicate, engine,
-                f"static {generator.__name__} seed={seed}",
-            )
 
 
 def test_grid_and_rtree_agree_pairwise():
@@ -192,18 +184,16 @@ def test_zorder_declustering_same_results():
 def test_tree_tasks_carry_no_dedup_frame():
     rel_a, rel_b = _pair(random_relation_pair, SEEDS[0])
     config = _config("intersects", "batched")
-    tasks, partitions = plan_tile_tasks(rel_a, rel_b, (4, 4), config)
-    assert tasks, "tree plan produced no tasks"
-    for task in tasks:
-        assert task.space is None and task.grid is None
-        assert task.tile[1] == -1  # (ordinal, -1) task keys
-    assert len(partitions) == len(tasks)  # tree plans list no empty tiles
-    tasks, _, shipment = plan_columnar_tile_tasks(
+    tasks, partitions, shipment = plan_columnar_tile_tasks(
         rel_a, rel_b, (4, 4), config
     )
     try:
+        assert tasks, "tree plan produced no tasks"
+        # Tree plans list no empty tiles.
+        assert len(partitions) == len(tasks)
         for task in tasks:
             assert task.space is None and task.grid is None
+            assert task.tile[1] == -1  # (ordinal, -1) task keys
             assert task.idx_a.size and task.idx_b.size
             # Row indices ascend, exactly like the grid plan's arrays.
             assert np.all(np.diff(task.idx_a) > 0)
@@ -215,7 +205,10 @@ def test_tree_tasks_carry_no_dedup_frame():
 def test_grid_tasks_unchanged_by_the_strategy_layer():
     rel_a, rel_b = _pair(random_relation_pair, SEEDS[0])
     config = replace(_config("intersects", "batched"), partitioner="grid")
-    tasks, partitions = plan_tile_tasks(rel_a, rel_b, (3, 3), config)
+    tasks, partitions, shipment = plan_columnar_tile_tasks(
+        rel_a, rel_b, (3, 3), config
+    )
+    shipment.close()
     assert len(partitions) == 9  # every tile, empty ones included
     assert [p.tile for p in partitions] == sorted(p.tile for p in partitions)
     for task in tasks:
