@@ -189,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("streaming", "batched"),
                        help="default execution engine for requests")
     serve.add_argument("--kernels", default=None,
-                       choices=("auto", "numpy", "numba", "python"),
+                       choices=("auto", "numpy", "c", "python"),
                        help="default kernel backend for requests "
                             "(execution-only; cached results are shared "
                             "across backends)")
@@ -231,12 +231,13 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                         help="neighbours per left object for "
                              "--predicate knn (default 1)")
     parser.add_argument("--kernels", default=None,
-                        choices=("auto", "numpy", "numba", "python"),
+                        choices=("auto", "numpy", "c", "python"),
                         help="kernel backend for the bulk filter/refine hot "
-                             "paths: 'numpy' (vectorised oracle), 'numba' "
-                             "(JIT-compiled, requires numba), 'python' "
-                             "(uncompiled loops, for testing), or 'auto' "
-                             "(numba when importable, else numpy; the "
+                             "paths: 'numpy' (vectorised oracle), 'c' "
+                             "(loop kernels compiled from C with the local "
+                             "compiler on first use), 'python' "
+                             "(interpreted loops, for testing), or 'auto' "
+                             "(c when it builds and loads, else numpy; the "
                              "default, overridable via REPRO_KERNELS). "
                              "Results are identical across backends")
     parser.add_argument("--conservative", default="5-C",

@@ -70,7 +70,7 @@ def _default_kernels() -> str:
     The env override lets CI (and local runs) force every default
     config in a test run onto one backend — e.g. run the differential
     suites once with ``REPRO_KERNELS=numpy`` and once with
-    ``REPRO_KERNELS=numba`` — without touching any call site.  Since
+    ``REPRO_KERNELS=c`` — without touching any call site.  Since
     ``kernels`` is execution-only, the override can never change
     results or cache fingerprints.
     """
@@ -129,11 +129,12 @@ class JoinConfig:
     #: neighbours per left object for the 'knn' predicate (>= 1).
     k: int = 1
     #: kernel backend for the bulk filter/refine hot paths: 'numpy'
-    #: (vectorised oracle), 'numba' (JIT-compiled loop kernels,
-    #: requires numba), 'python' (uncompiled loop kernels, for
-    #: differential testing), or 'auto' (numba when importable, else
-    #: numpy).  Execution-only: results, order, and statistics are
-    #: identical across backends (see :mod:`repro.geometry.kernels`).
+    #: (vectorised oracle), 'c' (the loop kernels compiled from C,
+    #: built on first use), 'python' (the loop kernels, interpreted,
+    #: for differential testing), or 'auto' (c when the library
+    #: loads, else numpy).  Execution-only: results, order, and
+    #: statistics are identical across backends (see
+    #: :mod:`repro.geometry.kernels`).
     kernels: str = field(default_factory=_default_kernels)
     #: execution engine: 'streaming' (per-pair) or 'batched' (vectorized
     #: filter over candidate blocks); see :mod:`repro.engine`.
@@ -201,13 +202,13 @@ class JoinConfig:
                 f"unknown kernel backend {self.kernels!r}; "
                 f"expected one of {KERNEL_BACKENDS}"
             )
-        if self.kernels == "numba":
+        if self.kernels == "c":
             # Fail at the configuration boundary (clean CLI/service
             # errors) rather than deep inside the first join; 'auto'
             # stays lazy because it can always fall back to numpy.
             from ..geometry.kernels import resolve_backend
 
-            resolve_backend("numba")
+            resolve_backend("c")
         # Proximity parameters are validated unconditionally (they sit
         # in the canonical key), with the same boundary errors the
         # standalone distance/knn pipelines raise.

@@ -924,12 +924,13 @@ def _pool_context():
 
 
 def _warm_worker_kernels(backend: str) -> None:
-    """Pool initializer: compile/exercise the kernel backend once per worker.
+    """Pool initializer: exercise the kernel backend once per worker.
 
-    Runs at worker start-up, before any tile task: with ``numba`` this
-    triggers (or loads from the on-disk cache) the JIT compilation of
-    every loop kernel exactly once per process, so no tile pays a
-    first-call compile stall.  Harmless for the interpreted backends.
+    Runs at worker start-up, before any tile task.  The parent already
+    warmed the backend before forking (see :func:`_dispatch`), so
+    a forked worker inherits the loaded C library and this only runs
+    each kernel once; a spawned worker loads the library the parent
+    built from the on-disk cache.  No worker ever runs the compiler.
     The warm-up is recorded in :func:`repro.geometry.kernels.warm_events`
     so tests can assert it ran without timing anything.
     """
@@ -1127,8 +1128,8 @@ def _dispatch(
 
     ``session`` supplies a persistent pool when given; otherwise a
     one-shot pool is created and torn down around the join.  Either
-    pool pre-warms the resolved ``kernels`` backend in every worker at
-    start-up (:func:`_warm_worker_kernels`).
+    pool warms the resolved ``kernels`` backend in the parent before
+    forking and in every worker at start-up (:func:`_warm_worker_kernels`).
     """
     scheduler = scheduler or StaticScheduler()
     if n_workers == 1 or not tasks:
@@ -1149,6 +1150,9 @@ def _dispatch(
             ):
                 session._discard_pool()
             raise
+    # Warm in the parent first: the first use of the C backend builds
+    # its library once here, and the forked workers inherit it loaded.
+    warm_up(kernels)
     with ProcessPoolExecutor(
         max_workers=min(n_workers, len(tasks)),
         mp_context=_pool_context(),

@@ -87,6 +87,7 @@ from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..datasets.relations import SpatialRelation
+from ..geometry.kernels import warm_up
 from .join import JoinConfig
 from .parallel_exec import (
     ParallelPartitionedJoinResult,
@@ -354,13 +355,13 @@ class JoinSession:
 
         Reused as long as consecutive joins ask for the same worker
         count *and* kernel backend; a different count (or backend —
-        workers pre-warm ``kernels`` once at start-up, so a backend
-        switch needs fresh workers) shuts the old pool down and forks a
-        fresh one.  A pool broken by a dying worker process is
-        discarded by the executor when the ``BrokenExecutor`` surfaces
-        (see ``parallel_exec._dispatch``), so the next join rebuilds it
-        here; the private broken flag is only probed as an extra
-        belt-and-braces check.
+        the parent warms ``kernels`` before forking and each worker once
+        at start-up, so a backend switch needs fresh workers) shuts the
+        old pool down and forks a fresh one.  A pool broken by a dying
+        worker process is discarded by the executor when the
+        ``BrokenExecutor`` surfaces (see ``parallel_exec._dispatch``), so
+        the next join rebuilds it here; the private broken flag is only
+        probed as an extra belt-and-braces check.
         """
         with self._lock:
             self._ensure_open()
@@ -374,6 +375,7 @@ class JoinSession:
             ):
                 self._discard_pool()
             if self._pool is None:
+                warm_up(kernels)  # in the parent: workers inherit it
                 self._pool = ProcessPoolExecutor(
                     max_workers=n_workers,
                     mp_context=_pool_context(),

@@ -120,17 +120,18 @@ The compiled kernel tier — one semantics, three backends
     behind the backend registry of :mod:`repro.geometry.kernels`,
     selected by ``JoinConfig(kernels=...)`` (CLI ``join --kernels``,
     env default ``REPRO_KERNELS``).  ``numpy`` is the vectorised
-    reference implementation (the differential oracle); ``numba``
-    JIT-compiles loop-form twins of every kernel with
-    ``@njit(cache=True)`` — the on-disk cache plus the worker-pool
-    pre-warm hook (:func:`repro.core.parallel_exec._warm_worker_kernels`,
-    installed as the pool initializer by one-shot pools and
-    :meth:`repro.core.session.JoinSession.pool` alike) means each
-    worker process compiles at start-up, never per tile; ``python``
-    runs the same loop kernels uncompiled so the compiled tier's logic
-    is differentially testable without numba installed; ``auto`` (the
-    default) picks numba when importable and falls back to numpy
-    silently.  The backend is **execution-only**: results, order, and
+    reference implementation (the differential oracle); ``c`` runs
+    the three per-batch kernels (ragged edge pairs, ragged edge
+    distance, point-in-polygon) from ``geometry/_ckernels.c``, built
+    with the local compiler on first use and cached per source hash —
+    pools build and load it in the parent before forking
+    (:meth:`repro.core.session.JoinSession.pool` and one-shot pools
+    alike), so workers inherit the library and
+    :func:`repro.core.parallel_exec._warm_worker_kernels` only loads;
+    ``python`` runs the loop-form twins of every kernel, the readable
+    reference the C file transliterates; ``auto`` (the default) picks
+    ``c`` when the library loads and falls back to numpy with one
+    logged warning.  The backend is **execution-only**: results, order, and
     every stats counter are identical across backends
     (``tests/test_kernel_tier.py`` and the hypothesis fuzz in
     ``tests/test_kernel_backends_fuzz.py`` enforce it, including

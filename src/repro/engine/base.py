@@ -70,7 +70,7 @@ class PerPairRefinement(RefinementStep):
     def __init__(self, config: JoinConfig):
         self.config = config
         # The plane sweep routes through the configured kernel backend
-        # (the compiled sweep core when kernels='numba'); all backends
+        # (the loop sweep core when kernels='python'); all backends
         # produce identical results and operation counts.
         self._kernels = KernelDispatcher(get_kernels(config.kernels))
 

@@ -1,18 +1,15 @@
-"""Loop-form geometry kernels for the compiled kernel tier.
+"""Loop-form geometry kernels: the readable reference of the C kernels.
 
 Every function here is a *scalar loop* transliteration of one numpy
 oracle kernel from :mod:`repro.geometry.fastops` (or of the scalar
-plane sweep in :mod:`repro.exact.planesweep`), written in the
-nopython-compatible subset of Python that ``numba.njit`` accepts:
-plain ``for`` loops over contiguous float64/int64 arrays, ``math``
-scalars, no Python objects.
+plane sweep in :mod:`repro.exact.planesweep`): plain ``for`` loops over
+contiguous float64/int64 arrays, ``math`` scalars, no Python objects.
 
-The module itself never imports numba.  :mod:`repro.geometry.kernels`
-compiles these functions with ``numba.njit(cache=True)`` when numba is
-importable (the ``"numba"`` backend) and calls them uncompiled
-otherwise (the ``"python"`` backend, which exists so the loop logic is
-differential-testable against the numpy oracle even on machines
-without numba).
+:mod:`repro.geometry.kernels` runs them as the ``"python"`` backend.
+``_ckernels.c`` transliterates the three per-batch kernels
+(``edge_pairs_ragged``, ``edge_distance_ragged``,
+``points_in_polygons``) statement for statement into the ``"c"``
+backend; a change to one of them must change its C twin the same way.
 
 Float arithmetic is kept operation-for-operation identical to the
 oracle kernels — same expressions, same epsilons, same evaluation
@@ -28,27 +25,6 @@ import numpy as np
 
 #: same absolute tolerance as ``repro.geometry.predicates.EPSILON``.
 EPSILON = 1e-12
-
-#: names compiled by the numba backend (helpers first is not required —
-#: numba resolves globals at first-call compile time).
-JIT_FUNCTIONS = (
-    "_orient_sign",
-    "_cross",
-    "_on_seg",
-    "_seg_intersect",
-    "_point_seg_dist",
-    "_edge_y_at",
-    "_edge_slope",
-    "segments_intersect_rows",
-    "points_in_polygons",
-    "_edge_pair_hit",
-    "edge_pairs_ragged",
-    "rects_intersect_rows",
-    "_edge_pair_distance",
-    "_box_gap_sq",
-    "edge_distance_ragged",
-    "sweep_core",
-)
 
 
 def _cross(ax, ay, bx, by, cx, cy):

@@ -16,21 +16,41 @@ backend per join, and every backend decides every predicate identically
 ``"numpy"``
     The vectorised oracle kernels from :mod:`repro.geometry.fastops`
     and the scalar plane sweep.  Always available.
-``"numba"``
-    The loop kernels of :mod:`repro.geometry._kernels_loops` compiled
-    with ``numba.njit(cache=True)``.  Requires numba; requesting it
-    without numba installed raises a clear ``ValueError``.
+``"c"``
+    The three per-batch loop kernels (ragged edge pairs, ragged edge
+    distance, points in polygons) compiled from ``_ckernels.c``, a
+    statement-for-statement transliteration of their loop twins in
+    :mod:`repro.geometry._kernels_loops`; the row-wise segment and
+    rectangle tests and the plane sweep are the numpy oracle's.
+    Requesting it when the library cannot be built or loaded raises a
+    clear ``ValueError``.
 ``"python"``
-    The same loop kernels, uncompiled.  Slow; exists so the loop logic
-    is differential-testable against the oracle without numba.
+    The loop kernels of :mod:`repro.geometry._kernels_loops`, run by
+    the interpreter.  Slow; the readable reference the C file
+    transliterates, differential-tested against the oracle.
 ``"auto"``
-    ``"numba"`` when numba is importable, else ``"numpy"`` (silent
-    fallback — the repo works with numba uninstalled).
+    ``"c"`` when the library loads, else ``"numpy"`` (with one logged
+    warning quoting why the build or load failed).
 
-Compilation is lazy and warmed explicitly: :func:`warm_up` runs every
-kernel of a backend once on tiny inputs, which triggers (and caches)
-the JIT work.  Worker pools call it from their process initializer so
-tiles never pay a per-task re-JIT (see ``repro.core.session``).
+**Build and cache.**  The C library is built on first use with the
+interpreter's own compiler (``sysconfig``'s ``CC``) and
+``-O2 -std=c99 -fPIC -shared -ffp-contract=off``: no fused multiply-add
+and no fast-math, so every float expression rounds exactly as in the
+loop twins and the oracle.  It is cached as
+``__pycache__/_ckernels-<hash>-<platform>.so`` next to the source (or
+in the system temp directory where that is not writable), named by a
+hash of the C source, the flags and the platform, so an edited source
+builds afresh and a stale library is never loaded.  A build writes a
+temp file and ``os.replace``-s it into place, so concurrent builds
+never load a torn file; a cached file that fails its appended digest
+(truncated, say) or does not load is rebuilt.  It is loaded with
+:mod:`ctypes`.
+
+Loading is lazy and warmed explicitly: :func:`warm_up` runs every
+kernel of a backend once on tiny inputs.  Worker pools call it in the
+parent before forking, so workers inherit a loaded library and never
+race the compiler, and again from each worker's initializer (see
+``repro.core.session``).
 
 :class:`KernelDispatcher` wraps a backend for the engine layers: it
 forwards each kernel call and records per-backend call/pair/seconds
@@ -40,7 +60,17 @@ object.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import logging
+import os
+import platform
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -48,15 +78,15 @@ import numpy as np
 from . import _kernels_loops as _loops
 from . import fastops as _fastops
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-except ImportError:  # pragma: no cover
-    _numba = None
-
-NUMBA_AVAILABLE = _numba is not None
+_LOG = logging.getLogger(__name__)
 
 #: valid values of ``JoinConfig.kernels``.
-KERNEL_BACKENDS = ("auto", "numpy", "numba", "python")
+KERNEL_BACKENDS = ("auto", "numpy", "c", "python")
+
+#: Always False.  The JIT backend this flag described was replaced by
+#: ``"c"``; the name stays only because the end-to-end benchmark's
+#: harness (``benchmarks/e2e/run.py``) reports it among its host facts.
+NUMBA_AVAILABLE = False
 
 #: kernels a backend provides (the dispatcher mirrors these names).
 #: The exact step calls one kernel per batch or round, never per pair:
@@ -73,11 +103,6 @@ KERNEL_NAMES = (
     "min_edge_distance_ragged",
     "planesweep",
 )
-
-#: uncompiled loop functions, captured before any numba rebinding.
-_PYTHON_FUNCS: Dict[str, Callable] = {
-    name: getattr(_loops, name) for name in _loops.JIT_FUNCTIONS
-}
 
 _NO_MBRS = np.empty((0, 4), dtype=np.float64)
 
@@ -100,13 +125,28 @@ def resolve_backend(name: str = "auto") -> str:
             f"unknown kernel backend {name!r}; valid: {KERNEL_BACKENDS}"
         )
     if name == "auto":
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    if name == "numba" and not NUMBA_AVAILABLE:
-        raise ValueError(
-            "kernels='numba' requested but numba is not importable; "
-            "install numba or use kernels='auto' (falls back to numpy)"
-        )
+        return _auto_backend()
+    if name == "c":
+        library, error = _c_library()
+        if library is None:
+            raise ValueError(
+                "kernels='c' requested but the C kernels could not be "
+                f"built or loaded ({error}); use kernels='auto' (falls "
+                "back to numpy)"
+            )
     return name
+
+
+@functools.lru_cache(maxsize=None)
+def _auto_backend() -> str:
+    library, error = _c_library()
+    if library is None:
+        _LOG.warning(
+            "C kernels unavailable, kernels='auto' falls back to numpy: %s",
+            error,
+        )
+        return "numpy"
+    return "c"
 
 
 _SETS: Dict[str, KernelSet] = {}
@@ -117,14 +157,137 @@ def get_kernels(name: str = "auto") -> KernelSet:
     backend = resolve_backend(name)
     kernel_set = _SETS.get(backend)
     if kernel_set is None:
-        if backend == "numpy":
-            kernel_set = _build_numpy_set()
-        elif backend == "python":
-            kernel_set = _build_loop_set("python", _PYTHON_FUNCS)
-        else:
-            kernel_set = _build_loop_set("numba", _compiled_loops())
+        kernel_set = _SET_FACTORIES[backend]()
         _SETS[backend] = kernel_set
     return kernel_set
+
+
+# ---------------------------------------------------------------------------
+# The C library: build, cache, load
+# ---------------------------------------------------------------------------
+
+_C_SOURCE = Path(__file__).with_name("_ckernels.c")
+#: never -ffast-math or -march=native: -ffp-contract=off keeps every
+#: float expression rounding exactly as in the loop twins.
+_C_FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+class _CompileError(Exception):
+    """The compiler could not be run, or rejected the source."""
+
+
+def _cache_dirs() -> Tuple[Path, ...]:
+    """Where the built library may live, in order of preference."""
+    return (_C_SOURCE.parent / "__pycache__", Path(tempfile.gettempdir()))
+
+
+def _library_name() -> str:
+    """File name of the built library: a hash of source, flags, platform."""
+    tag = f"{sys.platform}-{platform.machine()}"
+    digest = hashlib.sha256(
+        _C_SOURCE.read_bytes() + " ".join((*_C_FLAGS, tag)).encode()
+    ).hexdigest()[:16]
+    return f"_ckernels-{digest}-{tag}.so"
+
+
+@functools.lru_cache(maxsize=None)
+def _c_library() -> Tuple[Optional[ctypes.CDLL], str]:
+    """The loaded C kernels and ``""``, or ``None`` and why not.
+
+    Loads the cached library of this source, building it first where
+    it is missing or does not load.  Runs once per process; forked
+    workers inherit the result.
+    """
+    name = _library_name()
+    error = "no writable cache directory"
+    for directory in _cache_dirs():
+        path = directory / name
+        library = _open_library(path)
+        if library is not None:
+            return library, ""
+        try:
+            _build_library(path)
+        except _CompileError as exc:
+            return None, str(exc)
+        except OSError as exc:
+            error = f"cannot write {directory}: {exc}"
+            continue
+        library = _open_library(path)
+        if library is not None:
+            return library, ""
+        error = f"{path} was built but does not load"
+    return None, error
+
+
+def _build_library(path: Path) -> None:
+    """Compile the C source to ``path``, atomically.
+
+    Raises :class:`_CompileError` when the compiler is missing or fails
+    (its last stderr line is the message) and ``OSError`` when
+    ``path``'s directory is not writable.
+    """
+    import shlex
+    import sysconfig
+
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handle, temp = tempfile.mkstemp(
+        prefix=f"{path.name}.", suffix=".tmp", dir=path.parent
+    )
+    os.close(handle)
+    try:
+        try:
+            done = subprocess.run(
+                [*compiler, *_C_FLAGS, "-o", temp, str(_C_SOURCE), "-lm"],
+                capture_output=True, text=True,
+            )
+        except OSError as exc:
+            raise _CompileError(f"{compiler[0]}: {exc}") from exc
+        if done.returncode != 0:
+            lines = done.stderr.strip().splitlines()
+            raise _CompileError(
+                lines[-1] if lines
+                else f"{compiler[0]} exited with status {done.returncode}"
+            )
+        digest = hashlib.sha256(Path(temp).read_bytes()).digest()
+        with open(temp, "ab") as built:
+            built.write(digest)
+        os.replace(temp, path)
+    finally:
+        if os.path.exists(temp):
+            os.unlink(temp)
+    _LOG.debug("built the C kernels into %s", path)
+
+
+def _open_library(path: Path) -> Optional[ctypes.CDLL]:
+    """The library at ``path`` with its signatures declared, or ``None``.
+
+    A build appends the SHA-256 of the library to it (loaders ignore
+    trailing bytes).  A file whose digest does not match, a truncated
+    one say, is never handed to the loader: it would map the missing
+    pages and fault on the first call.
+    """
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    if hashlib.sha256(data[:-32]).digest() != data[-32:]:
+        return None
+    try:
+        library = ctypes.CDLL(str(path))
+    except OSError:
+        return None
+    count, pointer = ctypes.c_int64, ctypes.c_void_p
+    signatures = {
+        "ck_edge_pairs_ragged": (count, 3, 11),
+        "ck_edge_distance_ragged": (count, 3, 13),
+        "ck_points_in_polygons": (None, 3, 10),
+    }
+    for name, (restype, n_counts, n_pointers) in signatures.items():
+        function = getattr(library, name)
+        function.restype = restype
+        function.argtypes = (count,) * n_counts + (pointer,) * n_pointers
+    return library
 
 
 # ---------------------------------------------------------------------------
@@ -146,28 +309,6 @@ def _build_numpy_set() -> KernelSet:
     )
 
 
-_COMPILED: Optional[Dict[str, Callable]] = None
-
-
-def _compiled_loops() -> Dict[str, Callable]:
-    """Compile the loop kernels with numba (idempotent).
-
-    Module globals of ``_kernels_loops`` are rebound to the compiled
-    dispatchers so inter-kernel helper calls resolve to compiled code
-    when numba types them at first call.
-    """
-    global _COMPILED
-    if _COMPILED is None:
-        jit = _numba.njit(cache=True)
-        compiled = {
-            name: jit(fn) for name, fn in _PYTHON_FUNCS.items()
-        }
-        for name, fn in compiled.items():
-            setattr(_loops, name, fn)
-        _COMPILED = compiled
-    return _COMPILED
-
-
 def _column(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
@@ -176,21 +317,132 @@ def _index(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-def _build_loop_set(name: str, funcs: Dict[str, Callable]) -> KernelSet:
-    """Adapt loop functions to the oracle kernels' signatures."""
-    seg_rows = funcs["segments_intersect_rows"]
-    pts_in_poly = funcs["points_in_polygons"]
-    edge_pairs = funcs["edge_pairs_ragged"]
-    rect_rows = funcs["rects_intersect_rows"]
-    edge_dist = funcs["edge_distance_ragged"]
-    core = funcs["sweep_core"]
+def _pointers(arrays) -> List[int]:
+    """Data pointers of ``arrays``; the caller keeps the arrays alive."""
+    return [a.ctypes.data for a in arrays]
+
+
+def _edge_count(evaluated: int) -> int:
+    if evaluated < 0:
+        raise MemoryError("C kernel could not allocate its kept-edge list")
+    return evaluated
+
+
+# The C kernels index raw buffers, so every shape and index they rely on
+# is checked here first: a bad argument raises like the numpy oracle
+# would, instead of reading out of bounds.
+
+
+def _c_table(table, with_bounds: bool) -> List[np.ndarray]:
+    """``table``'s coords, boxes, offsets (and bounds), checked."""
+    arrays = [_column(table.coords), _column(table.boxes),
+              _index(table.offsets)]
+    coords, boxes, offsets = arrays
+    n_objects = len(offsets) - 1
+    if with_bounds:
+        arrays.append(_column(table.bounds))
+    if not (
+        coords.ndim == 2 and len(coords) == 4 and boxes.shape == coords.shape
+        and n_objects >= 0 and offsets.min() >= 0
+        and offsets.max() <= coords.shape[1]
+        and (not with_bounds or arrays[3].shape == (n_objects, 4))
+    ):
+        raise ValueError("malformed edge table")
+    return arrays
+
+
+def _c_index(values, size: int, n: int) -> np.ndarray:
+    """``n`` int64 indices, each in ``range(size)``."""
+    values = _index(values)
+    if values.shape != (n,):
+        raise ValueError(f"expected {n} indices, got shape {values.shape}")
+    if n and (values.min() < 0 or values.max() >= size):
+        raise IndexError(f"index out of range(0, {size})")
+    return values
+
+
+def _c_rows(values, shape: Tuple[int, ...]) -> np.ndarray:
+    values = _column(values)
+    if values.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {values.shape}")
+    return values
+
+
+def _build_c_set() -> KernelSet:
+    """The C kernels, adapted to the oracle kernels' signatures."""
+    library = _c_library()[0]
+    oracle = get_kernels("numpy")
+    edge_pairs = library.ck_edge_pairs_ragged
+    edge_dist = library.ck_edge_distance_ragged
+    pts_in_poly = library.ck_points_in_polygons
+
+    def points_in_polygons_bulk(px, py, qidx, ex1, ey1, ex2, ey2, mbrs=None):
+        k = len(px)
+        n_edges = len(qidx)
+        inside = np.zeros(k, dtype=np.bool_)
+        arrays = (
+            _c_rows(px, (k,)), _c_rows(py, (k,)), _c_index(qidx, k, n_edges),
+            *(_c_rows(e, (n_edges,)) for e in (ex1, ey1, ex2, ey2)),
+            _NO_MBRS if mbrs is None else _c_rows(mbrs, (k, 4)),
+            inside, np.zeros(k, dtype=np.bool_),
+        )
+        pts_in_poly(k, n_edges, mbrs is not None, *_pointers(arrays))
+        return inside
+
+    def edge_pairs_intersect_ragged(table_a, table_b, rows_a, rows_b,
+                                    clip, margin):
+        n = len(rows_a)
+        hits = np.zeros(n, dtype=np.bool_)
+        side_a = _c_table(table_a, False)
+        side_b = _c_table(table_b, False)
+        arrays = (
+            *side_a, *side_b,
+            _c_index(rows_a, len(side_a[2]) - 1, n),
+            _c_index(rows_b, len(side_b[2]) - 1, n),
+            _c_rows(clip, (n, 4)), _c_rows(margin, (n,)), hits,
+        )
+        evaluated = edge_pairs(
+            n, side_a[0].shape[1], side_b[0].shape[1], *_pointers(arrays)
+        )
+        return hits, _edge_count(evaluated)
+
+    def min_edge_distance_ragged(table_a, table_b, rows_a, rows_b,
+                                 reach, margin):
+        n = len(rows_a)
+        dist = np.empty(n, dtype=np.float64)
+        side_a = _c_table(table_a, True)
+        side_b = _c_table(table_b, True)
+        arrays = (
+            *side_a, *side_b,
+            _c_index(rows_a, len(side_a[2]) - 1, n),
+            _c_index(rows_b, len(side_b[2]) - 1, n),
+            _c_rows(reach, (n,)), _c_rows(margin, (n,)), dist,
+        )
+        evaluated = edge_dist(
+            n, side_a[0].shape[1], side_b[0].shape[1], *_pointers(arrays)
+        )
+        return dist, _edge_count(evaluated)
+
+    return KernelSet(
+        "c",
+        segments_intersect_bulk=oracle.segments_intersect_bulk,
+        points_in_polygons_bulk=points_in_polygons_bulk,
+        edge_pairs_intersect_ragged=edge_pairs_intersect_ragged,
+        rects_intersect_bulk=oracle.rects_intersect_bulk,
+        min_edge_distance_ragged=min_edge_distance_ragged,
+        planesweep=oracle.planesweep,
+    )
+
+
+def _build_python_set() -> KernelSet:
+    """The loop kernels, adapted to the oracle kernels' signatures."""
 
     def segments_intersect_bulk(p1, p2, q1, q2):
         p1 = np.asarray(p1, dtype=np.float64)
         p2 = np.asarray(p2, dtype=np.float64)
         q1 = np.asarray(q1, dtype=np.float64)
         q2 = np.asarray(q2, dtype=np.float64)
-        return seg_rows(
+        return _loops.segments_intersect_rows(
             _column(p1[:, 0]), _column(p1[:, 1]),
             _column(p2[:, 0]), _column(p2[:, 1]),
             _column(q1[:, 0]), _column(q1[:, 1]),
@@ -198,7 +450,7 @@ def _build_loop_set(name: str, funcs: Dict[str, Callable]) -> KernelSet:
         )
 
     def points_in_polygons_bulk(px, py, qidx, ex1, ey1, ex2, ey2, mbrs=None):
-        return pts_in_poly(
+        return _loops.points_in_polygons(
             _column(px), _column(py),
             _index(qidx),
             _column(ex1), _column(ey1), _column(ex2), _column(ey2),
@@ -207,7 +459,7 @@ def _build_loop_set(name: str, funcs: Dict[str, Callable]) -> KernelSet:
 
     def edge_pairs_intersect_ragged(table_a, table_b, rows_a, rows_b,
                                     clip, margin):
-        hits, evaluated = edge_pairs(
+        hits, evaluated = _loops.edge_pairs_ragged(
             _column(table_a.coords), _column(table_a.boxes),
             _index(table_a.offsets),
             _column(table_b.coords), _column(table_b.boxes),
@@ -217,11 +469,11 @@ def _build_loop_set(name: str, funcs: Dict[str, Callable]) -> KernelSet:
         return hits, int(evaluated)
 
     def rects_intersect_bulk(a, b):
-        return rect_rows(_column(a), _column(b))
+        return _loops.rects_intersect_rows(_column(a), _column(b))
 
     def min_edge_distance_ragged(table_a, table_b, rows_a, rows_b,
                                  reach, margin):
-        dist, evaluated = edge_dist(
+        dist, evaluated = _loops.edge_distance_ragged(
             _column(table_a.coords), _column(table_a.boxes),
             _index(table_a.offsets), _column(table_a.bounds),
             _column(table_b.coords), _column(table_b.boxes),
@@ -231,18 +483,25 @@ def _build_loop_set(name: str, funcs: Dict[str, Callable]) -> KernelSet:
         return dist, int(evaluated)
 
     return KernelSet(
-        name,
+        "python",
         segments_intersect_bulk=segments_intersect_bulk,
         points_in_polygons_bulk=points_in_polygons_bulk,
         edge_pairs_intersect_ragged=edge_pairs_intersect_ragged,
         rects_intersect_bulk=rects_intersect_bulk,
         min_edge_distance_ragged=min_edge_distance_ragged,
-        planesweep=_make_planesweep(core),
+        planesweep=_make_planesweep(_loops.sweep_core),
     )
 
 
+_SET_FACTORIES: Dict[str, Callable[[], KernelSet]] = {
+    "numpy": _build_numpy_set,
+    "c": _build_c_set,
+    "python": _build_python_set,
+}
+
+
 def _make_planesweep(core: Callable) -> Callable:
-    """Plane-sweep wrapper around a loop/compiled sweep core.
+    """Plane-sweep wrapper around the loop sweep core.
 
     Restriction pre-scan, event ordering, cost-model totals and the
     final containment step replicate ``polygons_intersect_planesweep``
@@ -312,7 +571,7 @@ def _make_planesweep(core: Callable) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# Warm-up (per-process JIT pre-compilation)
+# Warm-up (load the backend before any join or tile needs it)
 # ---------------------------------------------------------------------------
 
 _WARM_EVENTS: List[str] = []
@@ -326,10 +585,11 @@ def warm_events() -> Tuple[str, ...]:
 def warm_up(name: str = "auto") -> str:
     """Run every kernel of the backend once on tiny inputs.
 
-    For the numba backend this triggers (and, with ``cache=True``,
-    persists) JIT compilation, so subsequent joins and tiles in the
-    process run compiled code immediately.  Returns the resolved
-    backend name and records the event for :func:`warm_events`.
+    For the C backend this builds (once per source hash) and loads the
+    library, so later joins and tiles in the process, and processes
+    forked from it, run compiled code immediately.  Returns the
+    resolved backend name and records the event for
+    :func:`warm_events`.
     """
     backend = resolve_backend(name)
     kernels = get_kernels(backend)

@@ -20,7 +20,7 @@ Request shapes::
      "grid": [4, 4], "partitioner": "grid", "exact": "trstar", ...}
     {"op": "join", "relation_a": "a.wkt", "relation_b": "b.wkt",
      "predicate": "distance", "epsilon": 0.05}     # or "knn" with "k"
-    {"op": "join", ..., "kernels": "numba"}        # execution-only
+    {"op": "join", ..., "kernels": "c"}            # execution-only
     {"op": "join", "relation_a": "store:<fp>",
      "relation_b": "store:<fp>"}                   # by fingerprint
     {"op": "window", "relation": "a.wkt",

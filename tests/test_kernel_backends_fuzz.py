@@ -2,10 +2,10 @@
 
 The compiled kernel tier (:mod:`repro.geometry.kernels`) promises that
 every backend decides *identically* — same booleans, same floats, same
-operation counts.  The ``python`` backend runs the exact loop bodies
-numba compiles, so fuzzing ``python`` vs ``numpy`` proves the compiled
-tier's logic without numba installed; with numba present the same
-comparisons run against ``numba`` too (parametrised below).
+operation counts.  The ``python`` backend runs the loop kernels and the
+``c`` backend their C transliteration (``geometry/_ckernels.c``, built
+without FMA contraction); both are fuzzed against the numpy oracle,
+distances bit for bit.
 
 Coordinates are drawn from a coarse ``1/8`` grid (mixed with arbitrary
 floats) so exactly-collinear, exactly-touching, and exactly-overlapping
@@ -30,10 +30,10 @@ from repro.geometry.fastops import (
     build_edge_table,
     vertex_distance_bounds,
 )
-from repro.geometry.kernels import NUMBA_AVAILABLE, get_kernels
+from repro.geometry.kernels import get_kernels
 
 #: the backends whose kernels must match the numpy oracle bit-for-bit.
-ALT_BACKENDS = ["python"] + (["numba"] if NUMBA_AVAILABLE else [])
+ALT_BACKENDS = ["python", "c"]
 
 snapped = st.integers(min_value=-8, max_value=16).map(lambda n: n / 8.0)
 coord = st.one_of(

@@ -3,15 +3,17 @@
 Four contracts, end to end:
 
 1. **Backend resolution** — ``JoinConfig.kernels`` / ``REPRO_KERNELS``
-   validate at the configuration boundary; ``auto`` degrades silently,
-   an explicit ``numba`` without numba fails with a clear error.
+   validate at the configuration boundary; ``auto`` resolves to the C
+   kernels (their build/fallback contract is
+   ``tests/test_ckernels_build.py``).
 2. **Execution-only** — joins are byte-identical (pairs, order, every
    Figure-1 counter) across kernel backends, on every engine and exact
    method; kernel telemetry is recorded but invisible to stats
    equality and to the service wire format.
-3. **Pre-warm** — session pool workers warm their backend exactly once
-   at start-up and never re-JIT per tile (timing-insensitive: asserted
-   on the warm-event log, not on elapsed time).
+3. **Pre-warm** — the parent warms a pool's backend once before
+   forking, each worker once at start-up, and never again per tile
+   (timing-insensitive: asserted on the warm-event log, not on elapsed
+   time).
 4. **Proximity predicates** — ``distance`` and ``knn`` joins match
    their nested-loops oracles through the processor, the parallel
    executor (ε-aware tasks for real workloads, serial routing for tiny
@@ -36,7 +38,6 @@ from repro.datasets.io import save_relation
 from repro.datasets.relations import SpatialRelation
 from repro.geometry.kernels import (
     KERNEL_BACKENDS,
-    NUMBA_AVAILABLE,
     resolve_backend,
     warm_events,
     warm_up,
@@ -46,7 +47,7 @@ from repro.service.api import BadRequestError
 from repro.service.server import _join_config_from_payload
 
 #: backends every default-config join must match bit-for-bit.
-ALT_BACKENDS = ["python"] + (["numba"] if NUMBA_AVAILABLE else [])
+ALT_BACKENDS = ["python", "c"]
 
 
 def _relations(seed, n_objects=20):
@@ -68,22 +69,11 @@ class TestBackendResolution:
             JoinConfig(kernels="fortran")
 
     def test_auto_resolves_to_concrete_backend(self):
-        assert resolve_backend("auto") == (
-            "numba" if NUMBA_AVAILABLE else "numpy"
-        )
+        # A C compiler is part of the supported environment: a silent
+        # fallback here would run every "c" differential against numpy.
+        assert resolve_backend("auto") == "c"
         for name in KERNEL_BACKENDS:
-            if name == "numba" and not NUMBA_AVAILABLE:
-                continue
             assert resolve_backend(name) != "auto"
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="needs numba to be absent")
-    def test_explicit_numba_without_numba_fails_fast(self):
-        with pytest.raises(ValueError, match="numba is not importable"):
-            resolve_backend("numba")
-        # ...and already at JoinConfig construction, so the CLI and the
-        # service surface a clean boundary error instead of a traceback.
-        with pytest.raises(ValueError, match="numba is not importable"):
-            JoinConfig(kernels="numba")
 
     def test_repro_kernels_env_sets_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "python")
@@ -235,17 +225,21 @@ def _fetch_warm_events():
 
 
 class TestPoolPreWarm:
-    def test_session_workers_warm_once_and_never_rejit(self):
-        """Every pool worker warms its backend exactly once at start-up;
-        running joins adds no further warm-ups (no per-tile re-JIT).
+    @pytest.mark.parametrize("backend", ALT_BACKENDS)
+    def test_session_workers_warm_once_and_never_rewarm(self, backend):
+        """The parent warms the backend once before the pool forks (for
+        ``c``: builds and loads the library, so no worker runs the
+        compiler); every worker warms once more at start-up; running
+        joins adds no further warm-ups, in the parent or any worker.
         Timing-insensitive: asserted on the warm-event log."""
-        config = JoinConfig(workers=2, kernels="python", grid=(2, 2))
+        config = JoinConfig(workers=2, kernels=backend, grid=(2, 2))
         with JoinSession(config=config) as session:
-            # Snapshot the parent's events *before* the pool forks —
-            # children inherit them and must append exactly one entry.
             parent_snapshot = warm_events()
-            expected = parent_snapshot + ("python",)
-            pool = session.pool(2, kernels="python")
+            pool = session.pool(2, kernels=backend)
+            parent = parent_snapshot + (backend,)
+            assert warm_events() == parent
+            # Children inherit the parent's events, then append their own.
+            expected = parent + (backend,)
             for _ in range(8):
                 assert pool.submit(_fetch_warm_events).result() == expected
 
@@ -255,19 +249,18 @@ class TestPoolPreWarm:
             for _ in range(8):
                 assert pool.submit(_fetch_warm_events).result() == expected
             assert session.pools_created == 1  # joins reused the pool
-            # The parent process never warmed on the session's behalf.
-            assert warm_events() == parent_snapshot
+            assert warm_events() == parent
 
     def test_backend_switch_rebuilds_pool_with_new_warmup(self):
         with JoinSession(config=JoinConfig(workers=2)) as session:
             parent_snapshot = warm_events()
             pool = session.pool(2, kernels="python")
             assert pool.submit(_fetch_warm_events).result() == (
-                parent_snapshot + ("python",)
+                parent_snapshot + ("python", "python")
             )
             pool = session.pool(2, kernels="numpy")
             assert pool.submit(_fetch_warm_events).result() == (
-                parent_snapshot + ("numpy",)
+                parent_snapshot + ("python", "numpy", "numpy")
             )
             assert session.pools_created == 2
 
@@ -400,11 +393,8 @@ class TestServicePayload:
             _join_config_from_payload({**request, "target_tasks": 0}, base)
         with pytest.raises(BadRequestError, match="unknown join fields"):
             _join_config_from_payload({**request, "epsilo": 0.1}, base)
-        if not NUMBA_AVAILABLE:
-            with pytest.raises(BadRequestError, match="numba"):
-                _join_config_from_payload(
-                    {**request, "kernels": "numba"}, base
-                )
+        with pytest.raises(BadRequestError, match="unknown kernel backend"):
+            _join_config_from_payload({**request, "kernels": "gpu"}, base)
 
 
 class TestCli:
@@ -433,13 +423,6 @@ class TestCli:
         assert rc == 0
         assert "knn (k=2) join:" in capsys.readouterr().out
 
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="needs numba to be absent")
-    def test_numba_unavailable_is_clean_error(self, wkt_paths, capsys):
-        path_a, path_b = wkt_paths
-        rc = cli_main(["join", path_a, path_b, "--kernels", "numba"])
-        assert rc == 2
-        assert "numba is not importable" in capsys.readouterr().err
-
 
 class TestCanonicalKernels:
     def test_kernels_listed_execution_only(self):
@@ -449,6 +432,5 @@ class TestCanonicalKernels:
         fingerprints = {
             JoinConfig(kernels=name).fingerprint()
             for name in KERNEL_BACKENDS
-            if name != "numba" or NUMBA_AVAILABLE
         }
         assert len(fingerprints) == 1

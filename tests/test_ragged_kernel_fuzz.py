@@ -8,7 +8,8 @@ collinear overlapping edges, T-touches, holes, zero-area rings), when a
 pair's clip leaves one or both sides without edges, at coordinate
 magnitudes where only the relative margin term acts, and however the
 element budget splits the batch.  The loop twin (``python`` backend)
-must return the same booleans *and* the same edge-pair count.
+and its C transliteration (``c``) must return the same booleans *and*
+the same edge-pair count.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from repro.datasets.relations import SpatialRelation
 from repro.exact.refine import clip_rects
 from repro.geometry import Polygon, fastops
 from repro.geometry.fastops import edges_intersect_matrix_any
-from repro.geometry.kernels import NUMBA_AVAILABLE, get_kernels
+from repro.geometry.kernels import get_kernels
 
-BACKENDS = ["numpy", "python"] + (["numba"] if NUMBA_AVAILABLE else [])
+BACKENDS = ["numpy", "python", "c"]
 
 snapped = st.integers(min_value=0, max_value=8).map(lambda n: n / 8.0)
 half = st.sampled_from([0.0625, 0.125, 0.25, 0.5])
@@ -128,6 +129,10 @@ def test_one_pair_larger_than_the_budget():
     got, evaluated = _decide("numpy", table_a, table_b, rows_a, rows_b)
     assert got == [True, False, True]
     assert evaluated > fastops._RAGGED_BUDGET
+    for backend in BACKENDS:
+        assert _decide(backend, table_a, table_b, rows_a, rows_b) == (
+            got, evaluated
+        ), backend
     # A zigzag ring around a smaller copy of itself: edge-disjoint, so
     # all of the pair's hundred-odd evaluations have to come up empty.
     spokes = 150
@@ -142,7 +147,10 @@ def test_one_pair_larger_than_the_budget():
     with mock.patch.object(fastops, "_RAGGED_BUDGET", 64):
         got, evaluated = _decide("numpy", table_a, table_b, one, one)
     assert got == [False] and evaluated > 100 * 64
-    assert _decide("python", table_a, table_b, one, one) == (got, evaluated)
+    for backend in BACKENDS:
+        assert _decide(backend, table_a, table_b, one, one) == (
+            got, evaluated
+        ), backend
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
