@@ -8,7 +8,7 @@
 #   make bench-parallel - measured vs LPT-modeled parallel speedup, quick scale
 #   make bench-refine  - scalar vs batched exact-step benchmark, quick scale
 #   make bench-kernels - numpy vs C kernel throughput (>= 3x bar), quick scale
-#   make bench-session - warm-session reuse + scheduler benchmark, quick scale
+#   make bench-session - warm-session reuse benchmark, quick scale
 #   make bench-tree    - grid vs tree-guided task formation benchmark, quick scale
 #   make bench-service - concurrent join-service benchmark, quick scale
 #   make bench-proximity - parallel distance/kNN join benchmark, quick scale

@@ -7,7 +7,13 @@ the candidate set the circle-bound filters settle without exact
 geometry — the distance-predicate analogue of Figure 12.
 """
 
-from repro.core import DistanceJoinConfig, within_distance_join
+from repro.core import JoinConfig, SpatialJoinProcessor
+from repro.core.distance import brute_force_distance_join
+
+
+def _distance_join(rel_a, rel_b, epsilon):
+    config = JoinConfig(predicate="distance", epsilon=epsilon)
+    return SpatialJoinProcessor(config).join(rel_a, rel_b)
 
 
 def test_ablation_distance_filters(benchmark, series_cache, report):
@@ -17,27 +23,22 @@ def test_ablation_distance_filters(benchmark, series_cache, report):
 
     rows = []
     for eps in epsilons:
-        result = within_distance_join(rel_a, rel_b, eps)
+        result = _distance_join(rel_a, rel_b, eps)
         stats = result.stats
         settled = stats.filter_hits + stats.filter_false_hits
         rows.append((eps, stats.candidate_pairs, settled, len(result)))
 
     def run():
-        return within_distance_join(rel_a, rel_b, 0.02)
+        return _distance_join(rel_a, rel_b, 0.02)
 
     benchmark.pedantic(run, rounds=3, iterations=1)
 
-    # The filters must not change the result (spot-check one epsilon).
-    bare = within_distance_join(
-        rel_a,
-        rel_b,
-        0.02,
-        DistanceJoinConfig(
-            use_conservative_circle=False, use_progressive_circle=False
-        ),
+    # The filters must not change the result (spot-check one epsilon
+    # against the nested-loops oracle).
+    filtered = _distance_join(rel_a, rel_b, 0.02)
+    assert sorted(filtered.id_pairs()) == sorted(
+        brute_force_distance_join(rel_a, rel_b, 0.02)
     )
-    filtered = within_distance_join(rel_a, rel_b, 0.02)
-    assert sorted(bare.id_pairs()) == sorted(filtered.id_pairs())
 
     lines = [
         f" {'epsilon':>8} {'candidates':>11} {'settled by filter':>18}"

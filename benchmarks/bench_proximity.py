@@ -92,8 +92,9 @@ def _modeled_makespan(order, task_seconds, workers):
 
 
 def _largest_first(task_seconds):
-    """Largest measured task first — the dispatch order the stealing
-    scheduler approximates and the model's best case for both sides."""
+    """Largest measured task first — the order the executor's
+    largest-first dispatch approximates by candidate volume, and the
+    model's best case for both sides."""
     return sorted(task_seconds, key=lambda t: (-task_seconds[t], t))
 
 

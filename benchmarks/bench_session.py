@@ -1,39 +1,25 @@
-"""JoinSession amortisation and scheduler comparison (ISSUE 5).
+"""JoinSession amortisation: first join vs warm session.
 
-Two measurements, one report (``benchmarks/reports/session.txt``):
-
-* **First join vs warm session** — the same join run three times as
-  independent one-shot ``parallel_partitioned_join`` calls (each forks
-  a pool and ships fresh shared segments) and three times through one
-  :class:`~repro.core.session.JoinSession` (pool forked once, segments
-  shipped once, warm joins reuse both).  Warm joins must ship zero new
-  shared bytes; wall clock shows how much setup the session amortises.
-  Measured on serving-sized relations with the MBR+exact pipeline
-  (no approximation filter), where per-join setup (pool fork + segment
-  shipping) is a real fraction of the latency — that is the regime
-  sessions exist for.  On large compute-bound joins the setup is noise
-  either way; there the dominant worker-side cost is per-tile
-  approximation recomputation, which no session can cache because
-  workers rebuild their objects per task.
-* **Static vs stealing on a skewed grid** — clustered hot-tile
-  relations whose hot tile is the *last* tile in static dispatch
-  order (the adversarial case).  Both schedulers must return
-  identical pairs; the table reports measured wall clock, steal
-  counts, and — because measured walls are meaningless on small or
-  oversubscribed CI hosts (on a 1-core box every schedule has the
-  same wall) — the **modeled makespan**: the measured per-tile worker
-  times replayed through a deterministic pull-queue model under each
-  scheduler's dispatch order, the same modeled-vs-measured bridging
-  ``bench_parallel_exec.py`` uses.
+One measurement, one report (``benchmarks/reports/session.txt``): the
+same join run three times as independent one-shot
+``parallel_partitioned_join`` calls (each forks a pool and ships fresh
+shared segments) and three times through one
+:class:`~repro.core.session.JoinSession` (pool forked once, segments
+shipped once, warm joins reuse both).  Warm joins must ship zero new
+shared bytes; wall clock shows how much setup the session amortises.
+Measured on serving-sized relations with the MBR+exact pipeline (no
+approximation filter), where per-join setup (pool fork + segment
+shipping) is a real fraction of the latency — that is the regime
+sessions exist for.  On large compute-bound joins the setup is noise
+either way.
 
 As with the other parallel benchmarks, the assertion bar is
-correctness plus reporting (plus the deterministic model, which is
-noise-free): CI boxes are too noisy to gate on parallel wall clock.
+correctness plus reporting, plus one robust latency floor: CI boxes
+are too noisy to gate on parallel wall clock.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 import random
@@ -59,68 +45,6 @@ def _star(rng, cx, cy, radius, n):
     return Polygon(pts)
 
 
-def _clustered_pair(seed, n_objects, hot_fraction=0.5, grid=GRID):
-    """Bench-scale hot-tile relations (see tests/helpers.py for the idea).
-
-    The hot cluster sits in the *last* tile of the static dispatch
-    order (upper-right corner): the adversarial case for static
-    scheduling, which starts the straggler only after every cheap tile
-    is already queued — exactly what largest-first stealing fixes.
-    """
-    nx, ny = grid
-    rng = random.Random(seed)
-    hot_w, hot_h = 1.0 / nx, 1.0 / ny
-    relations = []
-    for rel_idx in range(2):
-        anchor = 0.005
-        polys = [
-            _star(rng, anchor, anchor, 0.004, 6),
-            _star(rng, 1 - anchor, 1 - anchor, 0.004, 6),
-        ]
-        n_hot = max(1, int(round(n_objects * hot_fraction)))
-        for _ in range(n_hot):
-            # Tight cluster: radii small enough that hot objects rarely
-            # straddle into neighbour tiles (which would spread the
-            # heat and dilute the skew under test).
-            polys.append(_star(
-                rng,
-                1.0 - rng.uniform(0.25, 0.75) * hot_w,
-                1.0 - rng.uniform(0.25, 0.75) * hot_h,
-                rng.uniform(0.1, 0.22) * min(hot_w, hot_h),
-                rng.randint(8, 20),
-            ))
-        for _ in range(n_objects - n_hot):
-            # The cool objects carry roughly as much total work as the
-            # hot tile, spread over the early tiles — the regime where
-            # dispatch order matters most (hot ~50% of busy time).
-            polys.append(_star(
-                rng,
-                rng.uniform(0.05, 0.95),
-                rng.uniform(0.05, 0.95),
-                rng.uniform(0.07, 0.16),
-                rng.randint(6, 12),
-            ))
-        relations.append(
-            SpatialRelation(f"{'AB'[rel_idx]}skew{seed}", polys)
-        )
-    return relations[0], relations[1]
-
-
-def _modeled_makespan(order, tile_seconds, workers):
-    """Deterministic pull-queue model: greedy next-task-to-free-worker.
-
-    Exactly what both schedulers do on a real pool; only the dispatch
-    order differs.  Replaying the measured per-tile times makes the
-    scheduling effect visible even when the host has too few cores for
-    the wall clock to show it.
-    """
-    free = [0.0] * workers
-    heapq.heapify(free)
-    for tile in order:
-        heapq.heappush(free, heapq.heappop(free) + tile_seconds[tile])
-    return max(free)
-
-
 def _uniform_pair(seed, n_objects):
     """Serving-sized relations: uniformly spread stars over [0, 1]^2."""
     rng = random.Random(seed)
@@ -142,7 +66,7 @@ def _uniform_pair(seed, n_objects):
     return relations[0], relations[1]
 
 
-def test_session_reuse_and_schedulers(report, scale):
+def test_session_reuse(report, scale):
     n_serving = 40 if scale.name == "quick" else 80
     rel_a, rel_b = _uniform_pair(9401, n_serving)
     #: the serving config: MBR join + vectorized exact step, no
@@ -153,12 +77,8 @@ def test_session_reuse_and_schedulers(report, scale):
         exact_method="vectorized", engine="batched",
         workers=WORKERS, grid=GRID,
     )
-    config = JoinConfig(
-        exact_method="vectorized", engine="batched",
-        workers=WORKERS, grid=GRID,
-    )
 
-    # -- Part 1: one-shot joins vs one warm session --------------------------
+    # -- one-shot joins vs one warm session -----------------------------------
     oneshot = []
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -205,90 +125,10 @@ def test_session_reuse_and_schedulers(report, scale):
         f"{oneshot_avg / warm_avg:8.2f}x",
         f"   shared bytes shipped warm: 0 (cache holds {cached_bytes} "
         "bytes across 2 segments)",
+        f"   measured on a {os.cpu_count()}-core host",
     ]
 
-    # -- Part 2: static vs stealing on a skewed grid -------------------------
-    n_objects = 60 if scale.name == "quick" else 120
-    hot_a, hot_b = _clustered_pair(9402, n_objects)
-    sched_rows = {}
-    with JoinSession(config=config) as session:
-        for scheduler in ("static", "stealing"):
-            from dataclasses import replace
-
-            cfg = replace(config, scheduler=scheduler)
-            start = time.perf_counter()
-            result = session.join(hot_a, hot_b, config=cfg)
-            wall = time.perf_counter() - start
-            hot_share = (
-                max(result.tile_seconds.values()) / result.busy_seconds
-                if result.busy_seconds else 0.0
-            )
-            sched_rows[scheduler] = (result, wall, hot_share)
-    assert live_shared_segments() == frozenset()
-
-    static_result = sched_rows["static"][0]
-    stealing_result = sched_rows["stealing"][0]
-    assert static_result.id_pairs() == stealing_result.id_pairs()
-    assert static_result.steal_count == 0
-
-    lines += [
-        "",
-        f" static vs stealing on a skewed grid ({n_objects} objects/"
-        f"relation, ~half the work in one hot tile — the *last* tile "
-        f"in static dispatch order — {static_result.tile_tasks} tile "
-        "tasks):",
-        f" {'scheduler':>10} {'wall':>9} {'steals':>7} "
-        f"{'hot-tile share':>15}",
-    ]
-    for scheduler in ("static", "stealing"):
-        result, wall, hot_share = sched_rows[scheduler]
-        lines.append(
-            f" {scheduler:>10} {wall * 1e3:>7.0f}ms "
-            f"{result.steal_count:>7} {hot_share:>14.0%}"
-        )
-    lines += [
-        " (identical result pairs under both schedulers; 'steals' = ",
-        "  completions that overtook an earlier-dispatched tile; the",
-        "  hot-tile share is the straggler's fraction of busy time;",
-        f"  measured walls on a {os.cpu_count()}-core host — "
-        "oversubscribed hosts",
-        "  time-slice workers, so the dispatch-order effect shows in",
-        "  the modeled makespan below, not the wall)",
-        "",
-        " modeled makespan: measured per-tile worker times replayed",
-        " through the pull-queue model under each dispatch order:",
-        f" {'workers':>8} {'static':>9} {'stealing':>9} {'gain':>7}",
-    ]
-    tile_times = static_result.tile_seconds
-    sizes = {
-        p.tile: p.objects_a * p.objects_b
-        for p in static_result.partitions
-    }
-    static_order = sorted(tile_times)
-    stealing_order = sorted(
-        tile_times, key=lambda tile: (-sizes[tile], tile)
-    )
-    for workers in (2, 4):
-        modeled_static = _modeled_makespan(
-            static_order, tile_times, workers
-        )
-        modeled_stealing = _modeled_makespan(
-            stealing_order, tile_times, workers
-        )
-        lines.append(
-            f" {workers:>8} {modeled_static * 1e3:>7.0f}ms "
-            f"{modeled_stealing * 1e3:>7.0f}ms "
-            f"{modeled_static / modeled_stealing:>6.2f}x"
-        )
-        # Largest-first dispatch must not lose to the adversarial
-        # static order (straggler last) in the noise-free model.
-        assert modeled_stealing <= modeled_static * 1.01, (
-            f"modeled stealing makespan ({modeled_stealing:.3f}s) worse "
-            f"than static ({modeled_static:.3f}s) at {workers} workers"
-        )
-    report.table(
-        "Session", "join-session reuse + tile-scheduler comparison", lines
-    )
+    report.table("Session", "join-session reuse", lines)
 
     # Correctness-plus-reporting bar (see module docstring) plus one
     # robust latency floor: in the setup-dominated serving regime a

@@ -6,7 +6,7 @@ grid tile — a lattice of detailed polygons, each overlapping a handful
 of neighbours.  The uniform grid is hurt twice on this input:
 
 * the hot tile ships as **one indivisible straggler task**, so no
-  scheduler can push the makespan below that task's own run time;
+  dispatch order can push the makespan below that task's own run time;
 * hot polygons near the tile border straddle into neighbour tiles, so
   the grid's replicate-and-filter ownership rule **duplicates their
   exact tests** in every tile they touch.
@@ -117,9 +117,8 @@ def _modeled_makespan(order, task_seconds, workers):
 
 
 def _largest_first(result):
-    """Dispatch order both schedulers can reach: biggest candidate
-    volume first, key order breaking ties (the stealing scheduler's
-    actual order)."""
+    """The executor's dispatch order: biggest candidate volume first,
+    key order breaking ties (for grid tiles that is plan order)."""
     sizes = {
         p.tile: p.objects_a * p.objects_b for p in result.partitions
     }

@@ -17,7 +17,6 @@ Quick start::
 """
 
 from .core import (
-    DistanceJoinConfig,
     FilterConfig,
     FilterOutcome,
     JoinConfig,
@@ -27,14 +26,12 @@ from .core import (
     SpatialJoinProcessor,
     geometric_filter,
     nested_loops_join,
-    within_distance_join,
 )
 from .geometry import Polygon, Rect
 
 __version__ = "1.1.0"
 
 __all__ = [
-    "DistanceJoinConfig",
     "FilterConfig",
     "FilterOutcome",
     "JoinConfig",
@@ -46,6 +43,5 @@ __all__ = [
     "SpatialJoinProcessor",
     "geometric_filter",
     "nested_loops_join",
-    "within_distance_join",
     "__version__",
 ]

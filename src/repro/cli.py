@@ -10,7 +10,8 @@ Commands
 ``join-batch``— repeated joins through one persistent JoinSession
 ``query``     — multi-step window or point query over one WKT relation
 ``overlay``   — map-overlay (intersection layer) of two WKT relations
-``distance``  — within-distance join of two WKT relations
+``distance``  — within-distance join of two WKT relations (the
+                ``join --predicate distance`` pipeline)
 ``knn``       — k nearest objects to a point
 ``estimate``  — pre-execution join cost/selectivity estimate ([Gün 93])
 ``store``     — manage a persistent columnar relation store
@@ -51,7 +52,6 @@ Example session::
     python -m repro info europe.wkt
     python -m repro join europe.wkt b.wkt --conservative 5-C --progressive MER
     python -m repro join europe.wkt b.wkt --workers 4 --grid 4 4
-    python -m repro join europe.wkt b.wkt --workers 4 --scheduler stealing
     python -m repro join-batch europe.wkt b.wkt --repeat 5 --workers 4
     python -m repro query europe.wkt --window 0.2 0.2 0.4 0.4
     python -m repro overlay europe.wkt b.wkt
@@ -266,14 +266,6 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid", nargs=2, type=int, default=(4, 4),
                         metavar=("NX", "NY"),
                         help="tile grid for --workers > 1 (default 4 4)")
-    parser.add_argument("--scheduler", default="static",
-                        choices=("static", "stealing"),
-                        help="tile dispatch strategy for --workers > 1: "
-                             "'static' submits tiles in tile order (the "
-                             "deterministic baseline), 'stealing' "
-                             "dispatches size-ordered and lets idle workers "
-                             "pull the next pending tile (results are "
-                             "identical either way)")
     parser.add_argument("--partitioner", default="grid",
                         choices=("grid", "rtree"),
                         help="tile-formation strategy for --workers > 1: "
@@ -316,7 +308,6 @@ def _join_config(args: argparse.Namespace) -> JoinConfig:
         batch_size=args.batch_size,
         exact_batch=args.exact_batch,
         workers=args.workers,
-        scheduler=args.scheduler,
         partitioner=args.partitioner,
         target_tasks=args.target_tasks,
         grid=tuple(args.grid),
@@ -417,8 +408,6 @@ def cmd_join(args: argparse.Namespace) -> int:
         print(
             f"parallel executor: {config.workers} workers, "
             f"{formation}, "
-            f"scheduler {result.scheduler} ({result.steal_count} steals), "
-            f"wire format {result.wire_format}, "
             f"{result.elapsed_seconds * 1e3:.0f} ms"
         )
     else:
@@ -463,8 +452,7 @@ def cmd_join_batch(args: argparse.Namespace) -> int:
         return 2
     print(
         f"join-batch: {args.repeat} joins through one session "
-        f"({config.workers} workers, {config.grid[0]}x{config.grid[1]} grid, "
-        f"scheduler {config.scheduler})"
+        f"({config.workers} workers, {config.grid[0]}x{config.grid[1]} grid)"
     )
     latencies = []
     baseline = None
@@ -498,8 +486,7 @@ def cmd_join_batch(args: argparse.Namespace) -> int:
                 f"  join {i + 1}/{args.repeat}: {len(result)} pairs, "
                 f"{result.elapsed_seconds * 1e3:.0f} ms, "
                 f"{result.shared_payload_bytes} new shared bytes, "
-                f"{result.segment_cache_hits} cached segments reused, "
-                f"{result.steal_count} steals"
+                f"{result.segment_cache_hits} cached segments reused"
             )
             pairs = sorted(result.id_pairs())
             if baseline is None:
@@ -563,18 +550,16 @@ def cmd_overlay(args: argparse.Namespace) -> int:
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
-    from .core.distance import validate_epsilon, within_distance_join
-
     # Validate before loading anything: a bad threshold should fail
     # fast at the argument boundary, like `join` validates its config.
     try:
-        epsilon = validate_epsilon(args.epsilon)
+        config = JoinConfig(predicate="distance", epsilon=args.epsilon)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rel_a = load_relation(args.relation_a)
     rel_b = load_relation(args.relation_b)
-    result = within_distance_join(rel_a, rel_b, epsilon)
+    result = SpatialJoinProcessor(config).join(rel_a, rel_b)
     stats = result.stats
     print(f"within-distance join (eps={args.epsilon}): {len(result)} pairs")
     print(f"  candidates:        {stats.candidate_pairs}")

@@ -1,47 +1,26 @@
-"""Multi-step within-distance (proximity) join.
+"""Scalar polygon distances, the distance-join oracle, and ε validation.
 
-The paper restricts its presentation to the intersection join but notes
-that "many of the results can easily be transferred to spatial joins
-using other spatial predicates" (§2.2) and lists proximity among the
-spatial predicates.  This module is that transfer, with the same
-three-step shape:
+The within-distance join itself — the paper's §2.2 transfer of the
+multi-step shape to the proximity predicate — is
+``JoinConfig(predicate="distance", epsilon=ε)``, run as a row program by
+:mod:`repro.core.proximity`.  This module keeps what that pipeline and
+its callers share at the scalar level:
 
-1. **expanded MBR-join** — R*-tree join where one side's rectangles are
-   expanded by the distance threshold ε (a pair can only qualify when
-   the expanded MBRs intersect, because MBR distance lower-bounds
-   object distance);
-2. **geometric filter** — distance bounds from stored approximations:
-
-   * conservative approximations *contain* the objects, so their mutual
-     distance is a **lower bound** of the object distance — a
-     conservative-distance > ε identifies a *false hit*;
-
-     (note the asymmetry to the intersection filter: for distance the
-     conservative test is the *false-hit* test and needs no exact
-     geometry, exactly like the paper's conservative intersection test)
-   * progressive approximations are *contained in* the objects, so
-     their mutual distance is an **upper bound** — a
-     progressive-distance ≤ ε identifies a *hit*;
-
-3. **exact geometry** — edge-to-edge minimum distance of the remaining
-   candidates (0 when the polygons intersect).
+* :func:`validate_epsilon`, the boundary check of a distance threshold;
+* exact distances — :func:`segment_distance`, :func:`polygon_distance`
+  (0 when the areas intersect), :func:`point_polygon_distance` and the
+  rectangle lower bound :func:`rect_distance`;
+* :func:`brute_force_distance_join`, the nested-loops set oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Tuple
 
-from ..datasets.relations import SpatialObject, SpatialRelation
+from ..datasets.relations import SpatialRelation
 from ..geometry import Polygon, Rect, point_segment_distance
 from ..geometry.fastops import polygons_intersect_fast
-from ..index import JoinStats, RStarTree, rstar_join
-
-
-# ---------------------------------------------------------------------------
-# Exact distances
-# ---------------------------------------------------------------------------
 
 
 def segment_distance(
@@ -108,62 +87,6 @@ def rect_distance(a: Rect, b: Rect) -> float:
     return math.hypot(dx, dy)
 
 
-def circle_distance(
-    center_a: Tuple[float, float],
-    radius_a: float,
-    center_b: Tuple[float, float],
-    radius_b: float,
-) -> float:
-    """Minimum distance between two discs (0 when overlapping)."""
-    gap = math.hypot(
-        center_a[0] - center_b[0], center_a[1] - center_b[1]
-    ) - radius_a - radius_b
-    return max(0.0, gap)
-
-
-# ---------------------------------------------------------------------------
-# The multi-step distance join
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DistanceJoinConfig:
-    """Configuration of the within-distance join pipeline."""
-
-    #: use the minimum-bounding-circle lower bound (false-hit test).
-    use_conservative_circle: bool = True
-    #: use the maximum-enclosed-circle upper bound (hit test).
-    use_progressive_circle: bool = True
-    #: R*-tree node capacity for step 1.
-    rtree_max_entries: int = 32
-
-
-@dataclass
-class DistanceJoinStats:
-    """Pipeline statistics of one distance join."""
-
-    candidate_pairs: int = 0
-    filter_false_hits: int = 0
-    filter_hits: int = 0
-    remaining_candidates: int = 0
-    exact_hits: int = 0
-    exact_false_hits: int = 0
-    #: step-1 statistics of the expanded MBR-join.
-    mbr_join: JoinStats = field(default_factory=JoinStats)
-
-
-@dataclass
-class DistanceJoinResult:
-    pairs: List[Tuple[SpatialObject, SpatialObject]]
-    stats: DistanceJoinStats
-
-    def id_pairs(self) -> List[Tuple[int, int]]:
-        return [(a.oid, b.oid) for a, b in self.pairs]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 def validate_epsilon(epsilon: float) -> float:
     """Boundary validation of a distance threshold.
 
@@ -180,100 +103,12 @@ def validate_epsilon(epsilon: float) -> float:
     return epsilon
 
 
-def within_distance_join(
-    relation_a: SpatialRelation,
-    relation_b: SpatialRelation,
-    epsilon: float,
-    config: Optional[DistanceJoinConfig] = None,
-) -> DistanceJoinResult:
-    """All pairs ``(a, b)`` with ``distance(a, b) <= epsilon``."""
-    epsilon = validate_epsilon(epsilon)
-    cfg = config or DistanceJoinConfig()
-    stats = DistanceJoinStats()
-    pairs = list(_pipeline(relation_a, relation_b, epsilon, cfg, stats))
-    return DistanceJoinResult(pairs=pairs, stats=stats)
-
-
-def _pipeline(
-    relation_a: SpatialRelation,
-    relation_b: SpatialRelation,
-    epsilon: float,
-    cfg: DistanceJoinConfig,
-    stats: DistanceJoinStats,
-) -> Iterator[Tuple[SpatialObject, SpatialObject]]:
-    # Step 1: expanded MBR-join.  Expanding one side by the full ε keeps
-    # the R*-tree join machinery unchanged and is exactly equivalent to
-    # testing rect_distance(MBR_a, MBR_b) <= ε in the L∞ sense; the
-    # Euclidean re-check below removes the corner slack.
-    half = epsilon / 2.0
-    tree_a = _expanded_tree(relation_a, half, cfg.rtree_max_entries)
-    tree_b = _expanded_tree(relation_b, half, cfg.rtree_max_entries)
-    for obj_a, obj_b in rstar_join(tree_a, tree_b, None, None, stats.mbr_join):
-        # Euclidean MBR distance pre-test (corner-tightens the L∞ join).
-        if rect_distance(obj_a.mbr, obj_b.mbr) > epsilon:
-            continue
-        stats.candidate_pairs += 1
-        outcome = _distance_filter(obj_a, obj_b, epsilon, cfg, stats)
-        if outcome == "false_hit":
-            continue
-        if outcome == "hit":
-            yield (obj_a, obj_b)
-            continue
-        stats.remaining_candidates += 1
-        if polygon_distance(obj_a.polygon, obj_b.polygon) <= epsilon:
-            stats.exact_hits += 1
-            yield (obj_a, obj_b)
-        else:
-            stats.exact_false_hits += 1
-
-
-def _expanded_tree(
-    relation: SpatialRelation, amount: float, max_entries: int
-) -> RStarTree:
-    tree = RStarTree(max_entries=max_entries)
-    for obj in relation:
-        tree.insert(obj.mbr.expand(amount), obj)
-    return tree
-
-
-def _distance_filter(
-    obj_a: SpatialObject,
-    obj_b: SpatialObject,
-    epsilon: float,
-    cfg: DistanceJoinConfig,
-    stats: DistanceJoinStats,
-) -> str:
-    """Classify a candidate as 'hit', 'false_hit' or 'candidate'."""
-    if cfg.use_conservative_circle:
-        circle_a = obj_a.approximation("MBC").circle()
-        circle_b = obj_b.approximation("MBC").circle()
-        lower = circle_distance(
-            circle_a.center, circle_a.radius, circle_b.center, circle_b.radius
-        )
-        if lower > epsilon:
-            stats.filter_false_hits += 1
-            return "false_hit"
-    if cfg.use_progressive_circle:
-        disc_a = obj_a.approximation("MEC").circle()
-        disc_b = obj_b.approximation("MEC").circle()
-        # Progressive discs lie inside the objects, so any disc point is
-        # an object point: the disc-to-disc minimum distance is an upper
-        # bound of the object distance.
-        upper = circle_distance(
-            disc_a.center, disc_a.radius, disc_b.center, disc_b.radius
-        )
-        if upper <= epsilon:
-            stats.filter_hits += 1
-            return "hit"
-    return "candidate"
-
-
 def brute_force_distance_join(
     relation_a: SpatialRelation,
     relation_b: SpatialRelation,
     epsilon: float,
 ) -> List[Tuple[int, int]]:
-    """Nested-loops oracle for :func:`within_distance_join`."""
+    """Nested-loops oracle of the ``distance`` predicate (oid pairs)."""
     out: List[Tuple[int, int]] = []
     for obj_a in relation_a:
         for obj_b in relation_b:

@@ -41,10 +41,6 @@ PREDICATES = ("intersects", "within", "distance", "knn")
 #: :mod:`repro.engine` for the execution models).
 ENGINES = ("streaming", "batched")
 
-#: tile scheduler names accepted by :class:`JoinConfig` (see
-#: :mod:`repro.core.parallel_exec` for the dispatch strategies).
-SCHEDULERS = ("static", "stealing")
-
 #: tile-formation strategies accepted by :class:`JoinConfig` (see
 #: :mod:`repro.core.partition` for the partitioner layer): 'grid' cuts
 #: the joint data space into uniform tiles, 'rtree' forms tasks from
@@ -53,15 +49,15 @@ PARTITIONERS = ("grid", "rtree")
 
 #: :class:`JoinConfig` fields that select *how* a join executes but can
 #: never change what it returns — pairs, order, or statistics.  The
-#: differential suites prove each one result-neutral: worker count and
-#: scheduler (``tests/test_parallel_exec_equivalence.py``,
-#: ``tests/test_session_scheduler_equivalence.py``), the kernel backend
+#: differential suites prove each one result-neutral: worker count
+#: (``tests/test_parallel_exec_equivalence.py``,
+#: ``tests/test_session_equivalence.py``), the kernel backend
 #: (``tests/test_kernel_tier.py``), and the session handle (a
 #: resource-lifecycle choice).  :meth:`JoinConfig.canonical_key` strips
 #: exactly these, so two configs that differ only here share one result
 #: fingerprint — the contract the service result cache and request
 #: coalescing (:mod:`repro.service`) are built on.
-EXECUTION_ONLY_FIELDS = ("workers", "scheduler", "session", "kernels")
+EXECUTION_ONLY_FIELDS = ("workers", "session", "kernels")
 
 
 def _default_kernels() -> str:
@@ -153,12 +149,6 @@ class JoinConfig:
     #: (:mod:`repro.core.parallel_exec`): 1 = serial in-process
     #: execution, N > 1 = tiles run on a process pool.
     workers: int = 1
-    #: tile dispatch strategy for the partitioned executor: 'static'
-    #: submits tiles in tile-key order (the deterministic baseline),
-    #: 'stealing' dispatches size-ordered and lets idle workers pull
-    #: the next pending tile.  Results, order, and statistics are
-    #: identical either way (the merge is tile-sorted).
-    scheduler: str = "static"
     #: tile-formation strategy for the partitioned executor: 'grid'
     #: (default) cuts the joint data space into ``grid`` uniform tiles
     #: with reference-tile de-duplication; 'rtree' bulk-loads (or
@@ -221,11 +211,6 @@ class JoinConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; "
                 f"expected one of {ENGINES}"
-            )
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"expected one of {SCHEDULERS}"
             )
         if self.partitioner not in PARTITIONERS:
             raise ValueError(
@@ -338,7 +323,7 @@ class JoinConfig:
         partitioned-join responses — same pairs, same order, same merged
         :class:`~repro.core.stats.MultiStepStats` — regardless of how
         they differ in the :data:`EXECUTION_ONLY_FIELDS` (worker count,
-        scheduler, kernel backend, session handle).  Everything else is
+        kernel backend, session handle).  Everything else is
         included conservatively: the filter configuration, the exact
         method (its :class:`OperationCounter` mix is observable in the
         stats), engine and batch sizes (proven result-identical, but

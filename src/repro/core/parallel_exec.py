@@ -40,22 +40,13 @@ and parent, warm loader and workers all compute offsets and views from
 that one object.  A relation's descriptor (:class:`SharedRelationSpec`)
 is its ring segment plus ``(kind, block)`` pairs.
 
-How tiles reach the workers is a pluggable **scheduler** strategy
-(``JoinConfig(scheduler=...)``, CLI ``join --scheduler``):
-
-* ``static`` (default) — tiles are submitted and collected in tile-key
-  order, exactly the historical ``pool.map`` behaviour; the
-  differential baseline.
-* ``stealing`` — tiles are dispatched largest-first (candidate-volume
-  order) and idle workers pull the next pending tile as they finish
-  (``submit``/``as_completed``), so one straggling hot tile no longer
-  serialises the tail of the join.  Completion order is observable in
-  :class:`DispatchReport` (``steal_count`` on the result counts
-  completions that overtook an earlier-dispatched tile).
-
-Either way a worker exception is re-raised in the parent as
-:class:`TileExecutionError` carrying the failing tile's index, and the
-shared segments are still unlinked.
+**Dispatch.**  Tasks reach the pool largest-first: sorted by descending
+candidate volume (``|idx_a| * |idx_b|``, a stable sort, so equal-cost
+tasks keep plan order), so the probable stragglers start first, and an
+idle worker pulls the next queued task the moment it finishes.  A worker
+exception is re-raised in the parent as :class:`TileExecutionError`
+carrying the failing tile's index, and the shared segments are still
+unlinked.
 
 Setup costs can be amortised across joins with a
 :class:`repro.core.session.JoinSession`: the session owns a long-lived
@@ -69,17 +60,17 @@ Either way the guarantees are the same:
 
 * **Result transparency** — the merged pair list equals the serial
   partitioned join's (and therefore the plain multi-step join's up to
-  order); outcomes are folded in tile-key order regardless of which
-  worker finished first, so the output order is byte-identical to
-  :func:`repro.core.partition.partitioned_join` under every scheduler.
+  order); outcomes are folded in tile-key order regardless of dispatch
+  order or which worker finished first, so the output order is
+  byte-identical to :func:`repro.core.partition.partitioned_join`.
 * **Stats transparency** — every worker returns its tile's full
   :class:`~repro.core.stats.MultiStepStats`; the parent folds them with
   the associative :meth:`MultiStepStats.merge`, so the merged counters
   equal the serial partitioned join's exactly.
-* **Degenerate pool** — ``workers=1`` executes the identical task
-  objects in-process but still round-trips each task and outcome
-  through :mod:`pickle`, so the single-worker path proves the IPC
-  format without paying for a pool.
+* **Degenerate pool** — ``workers=1`` runs the identical task objects
+  in-process, in the same largest-first order, with no pool and no
+  pickling (the wire format is exercised by every ``workers >= 2``
+  join).
 * **Segment lifecycle** — shared segments are created before dispatch
   and unlinked in a ``finally`` block, so success, worker failure, and
   KeyboardInterrupt all leave ``/dev/shm`` clean
@@ -122,15 +113,12 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import pickle
 import time
-from abc import ABC, abstractmethod
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from multiprocessing import shared_memory
 from typing import (
     Callable,
-    ClassVar,
     Dict,
     List,
     Mapping,
@@ -148,7 +136,7 @@ from ..datasets.relations import SpatialObject, SpatialRelation
 from ..geometry import Rect
 from ..geometry.fastops import build_edge_table
 from ..geometry.kernels import resolve_backend, warm_up
-from .join import SCHEDULERS, JoinConfig, SpatialJoinProcessor, validate_grid
+from .join import JoinConfig, SpatialJoinProcessor, validate_grid
 from .partition import (
     PartitionedJoinResult,
     PartitionPlan,
@@ -277,22 +265,12 @@ class ParallelPartitionedJoinResult(PartitionedJoinResult):
     elapsed_seconds: float = 0.0
     #: per-tile wall-clock seconds measured inside the workers.
     tile_seconds: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    #: how the join ran: "columnar-shm" (tile tasks on shared
-    #: segments) or "serial" (the tiny-proximity fallback, no tasks).
-    wire_format: str = "columnar-shm"
     #: bytes newly placed in shared memory by this join (0 when a warm
     #: session reused every segment).
     shared_payload_bytes: int = 0
-    #: scheduler that dispatched the tiles: "static" or "stealing".
-    scheduler: str = "static"
     #: tile-formation strategy that produced the tasks: "grid" or
     #: "rtree" (tree-guided leaf-overlap tasks).
     partitioner: str = "grid"
-    #: completions that overtook an earlier-dispatched, still-pending
-    #: tile — dynamic balancing in action (0 under "static").
-    steal_count: int = 0
-    #: tile keys in the order their outcomes arrived.
-    completion_order: List[Tuple[int, int]] = field(default_factory=list)
     #: shared segments served from / added to the segment cache by this
     #: join: a warm session join reports ``hits=2, misses=0``; a
     #: sessionless join always creates both segments fresh
@@ -658,10 +636,10 @@ def plan_columnar_tile_tasks(
     tasks; each references the relations' shared ring columns and the
     stored columns of every approximation kind the join reads
     (:meth:`JoinConfig.approximation_kinds`).  Returns the tasks
-    (non-empty only, in the plan's dispatch order), a
-    :class:`PartitionStats` shell for every plan entry in key order
-    (grid plans list empty tiles at zero counts, exactly as the serial
-    partitioned join does), and the shipment.  The caller owns the returned
+    (non-empty only, in plan order), a :class:`PartitionStats` shell
+    for every plan entry in key order (grid plans list empty tiles at
+    zero counts, exactly as the serial partitioned join does), and the
+    shipment.  The caller owns the returned
     :class:`ColumnarShipment` and must :meth:`~ColumnarShipment.close`
     it once the outcomes are in — in a ``finally`` block.
     """
@@ -938,18 +916,17 @@ def _warm_worker_kernels(backend: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Scheduling: how tile tasks reach the workers.
+# Dispatch: how tile tasks reach the workers.
 # ---------------------------------------------------------------------------
 
 
 class TileExecutionError(RuntimeError):
     """A tile's worker raised; carries the tile index for attribution.
 
-    ``pool.map`` used to lose which tile died — both schedulers now map
-    every future back to its tile, so a crashing worker surfaces as
-    ``TileExecutionError(tile=(i, j))`` with the original exception as
-    ``cause`` (and ``__cause__``), while the shared segments are still
-    unlinked by the caller's ``finally``.
+    Every future is mapped back to its tile, so a crashing worker
+    surfaces as ``TileExecutionError(tile=(i, j))`` with the original
+    exception as ``cause`` (and ``__cause__``), while the shared
+    segments are still unlinked by the caller's ``finally``.
     """
 
     def __init__(self, tile: Tuple[int, int], cause: BaseException):
@@ -958,187 +935,61 @@ class TileExecutionError(RuntimeError):
         self.cause = cause
 
 
-@dataclass
-class DispatchReport:
-    """How a scheduler actually ran one join's tile tasks."""
-
-    scheduler: str
-    dispatched: int = 0
-    #: completions that overtook an earlier-dispatched, still-pending
-    #: tile (structurally 0 under the static scheduler, which collects
-    #: in dispatch order).
-    steals: int = 0
-    #: tile keys in outcome-arrival order.
-    completion_order: List[Tuple[int, int]] = field(default_factory=list)
-
-
 def _task_cost(task: ColumnarTileTask) -> int:
-    """Candidate-volume proxy used for size-ordered dispatch."""
+    """Candidate-volume proxy that orders dispatch (largest first)."""
     return int(task.idx_a.size) * int(task.idx_b.size)
 
 
-def _run_in_process(
-    ordered: Sequence[object], runner: Callable, report: DispatchReport
+def _execute(
+    tasks: Sequence[ColumnarTileTask],
+    runner: Callable,
+    pool: Optional[ProcessPoolExecutor],
 ) -> List[TileOutcome]:
-    """workers=1: same tasks, in dispatch order, still through pickle.
+    """Run the tasks largest-first on ``pool`` (in-process when None).
 
-    The single-worker path proves the IPC format without paying for a
-    pool: each task and outcome round-trips through :mod:`pickle`.
+    The stable sort keeps equal-cost tasks in plan order.  Outcomes are
+    collected in dispatch order; the caller folds them in tile-key
+    order, so neither order reaches the result.
     """
-    outcomes = []
-    for task in ordered:
-        shipped = pickle.loads(pickle.dumps(task))
-        try:
-            outcome = runner(shipped)
-        except Exception as exc:
-            raise TileExecutionError(task.tile, exc) from exc
-        outcomes.append(pickle.loads(pickle.dumps(outcome)))
-        report.completion_order.append(task.tile)
+    ordered = sorted(tasks, key=_task_cost, reverse=True)
+    futures = (
+        [] if pool is None else [pool.submit(runner, task) for task in ordered]
+    )
+    outcomes: List[TileOutcome] = []
+    try:
+        for position, task in enumerate(ordered):
+            try:
+                outcomes.append(
+                    runner(task) if pool is None else futures[position].result()
+                )
+            except Exception as exc:
+                raise TileExecutionError(task.tile, exc) from exc
+    finally:
+        for future in futures:
+            future.cancel()
     return outcomes
 
 
-class Scheduler(ABC):
-    """Dispatch strategy for tile tasks (see module docstring).
-
-    A scheduler decides dispatch order and how outcomes are collected;
-    it never affects results — the parent folds outcomes in tile-key
-    order whatever arrives first.
-    """
-
-    #: scheduler name as used by ``JoinConfig.scheduler`` and the CLI.
-    name: ClassVar[str] = "?"
-
-    @abstractmethod
-    def dispatch_order(self, tasks: Sequence[object]) -> List[object]:
-        """The order in which tasks are handed to the pool."""
-
-    @abstractmethod
-    def collect(
-        self,
-        ordered: Sequence[object],
-        runner: Callable,
-        pool: ProcessPoolExecutor,
-        report: DispatchReport,
-    ) -> List[TileOutcome]:
-        """Submit the ordered tasks and gather their outcomes."""
-
-    def execute(
-        self,
-        tasks: Sequence[object],
-        runner: Callable,
-        pool: Optional[ProcessPoolExecutor],
-    ) -> Tuple[List[TileOutcome], DispatchReport]:
-        """Run the tasks on ``pool`` (or in-process when ``pool`` is None)."""
-        ordered = self.dispatch_order(list(tasks))
-        report = DispatchReport(scheduler=self.name, dispatched=len(ordered))
-        if pool is None:
-            return _run_in_process(ordered, runner, report), report
-        return self.collect(ordered, runner, pool, report), report
-
-
-class StaticScheduler(Scheduler):
-    """Tile-key dispatch order, collected in dispatch order.
-
-    The historical ``pool.map`` behaviour, kept as the differential
-    baseline: deterministic dispatch, no dynamic balancing, zero steals
-    by construction.
-    """
-
-    name = "static"
-
-    def dispatch_order(self, tasks: Sequence[object]) -> List[object]:
-        return list(tasks)
-
-    def collect(self, ordered, runner, pool, report) -> List[TileOutcome]:
-        futures = [(task.tile, pool.submit(runner, task)) for task in ordered]
-        outcomes: List[TileOutcome] = []
-        try:
-            for tile, future in futures:
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:
-                    raise TileExecutionError(tile, exc) from exc
-                report.completion_order.append(tile)
-        finally:
-            for _, future in futures:
-                future.cancel()
-        return outcomes
-
-
-class StealingScheduler(Scheduler):
-    """Largest-first dispatch, outcomes gathered as they complete.
-
-    Tiles are submitted in descending candidate-volume order (an LPT
-    heuristic: start the probable stragglers first) and idle workers
-    pull the next pending tile from the pool's queue the moment they
-    finish — work stealing at tile granularity.  On skewed grids this
-    stops one hot tile from serialising the join's tail; on balanced
-    grids it degenerates gracefully to the static behaviour.
-    """
-
-    name = "stealing"
-
-    def dispatch_order(self, tasks: Sequence[object]) -> List[object]:
-        # Stable sort: equal-cost tiles keep their tile-key order.
-        return sorted(tasks, key=_task_cost, reverse=True)
-
-    def collect(self, ordered, runner, pool, report) -> List[TileOutcome]:
-        futures = {
-            pool.submit(runner, task): (position, task.tile)
-            for position, task in enumerate(ordered)
-        }
-        outcomes: List[TileOutcome] = []
-        pending = set(range(len(ordered)))
-        try:
-            for future in as_completed(futures):
-                position, tile = futures[future]
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:
-                    raise TileExecutionError(tile, exc) from exc
-                if pending and min(pending) < position:
-                    report.steals += 1
-                pending.discard(position)
-                report.completion_order.append(tile)
-        finally:
-            for future in futures:
-                future.cancel()
-        return outcomes
-
-
-def create_scheduler(name: str) -> Scheduler:
-    """Instantiate the scheduler selected by ``JoinConfig.scheduler``."""
-    for cls in (StaticScheduler, StealingScheduler):
-        if name == cls.name:
-            return cls()
-    raise ValueError(
-        f"unknown scheduler {name!r}; expected one of {SCHEDULERS}"
-    )
-
-
 def _dispatch(
-    tasks: Sequence[object],
+    tasks: Sequence[ColumnarTileTask],
     runner: Callable,
     n_workers: int,
-    scheduler: Optional[Scheduler] = None,
     session=None,
     kernels: str = "numpy",
-) -> Tuple[List[TileOutcome], DispatchReport]:
-    """Run the tasks under the scheduler on a pool (or in-process).
+) -> List[TileOutcome]:
+    """Run the tasks on a pool (or in-process for one worker).
 
     ``session`` supplies a persistent pool when given; otherwise a
     one-shot pool is created and torn down around the join.  Either
     pool warms the resolved ``kernels`` backend in the parent before
     forking and in every worker at start-up (:func:`_warm_worker_kernels`).
     """
-    scheduler = scheduler or StaticScheduler()
     if n_workers == 1 or not tasks:
-        return scheduler.execute(tasks, runner, None)
+        return _execute(tasks, runner, None)
     if session is not None:
         try:
-            return scheduler.execute(
-                tasks, runner, session.pool(n_workers, kernels=kernels)
-            )
+            pool = session.pool(n_workers, kernels=kernels)
+            return _execute(tasks, runner, pool)
         except BaseException as exc:
             # A pool whose worker process died is unusable for every
             # later join; discard it so the session's next join forks a
@@ -1159,7 +1010,7 @@ def _dispatch(
         initializer=_warm_worker_kernels,
         initargs=(kernels,),
     ) as pool:
-        return scheduler.execute(tasks, runner, pool)
+        return _execute(tasks, runner, pool)
 
 
 def parallel_partitioned_join(
@@ -1177,15 +1028,13 @@ def parallel_partitioned_join(
     ``config.grid`` and ``partitioner`` overrides ``config.partitioner``
     when given.  ``config.partitioner`` selects the tile-formation
     strategy (uniform grid tiles or tree-guided leaf-overlap tasks, see
-    :mod:`repro.core.partition`); ``config.scheduler`` selects how the
-    tasks reach the workers (static dispatch order or size-ordered work
-    stealing, see module docstring).  Outcomes are folded in task-key
-    order, so the merged output is deterministic regardless of which
-    worker finishes first — for the grid strategy identical pairs,
-    order, and merged statistics as the serial :func:`partitioned_join`
-    on the same grid under every scheduler, and for the tree strategy
-    identical across every worker count and scheduler (its task
-    decomposition depends only on the relations).
+    :mod:`repro.core.partition`); tasks reach the workers largest-first
+    (see module docstring).  Outcomes are folded in task-key order, so
+    the merged output is deterministic regardless of which worker
+    finishes first — for the grid strategy identical pairs, order, and
+    merged statistics as the serial :func:`partitioned_join` on the
+    same grid, and for the tree strategy identical across every worker
+    count (its task decomposition depends only on the relations).
 
     ``session`` (or ``config.session``) runs the join inside a
     :class:`repro.core.session.JoinSession`: the worker pool persists
@@ -1207,7 +1056,6 @@ def parallel_partitioned_join(
         session._ensure_open()
     grid = config.grid if grid is None else validate_grid(grid)
     n_workers = config.workers
-    scheduler = create_scheduler(config.scheduler)
     # Tasks ship the config to worker processes; a live session must
     # stay behind in the parent.  ``kernels`` is resolved here, once:
     # workers receive (and pre-warm) a concrete backend name instead of
@@ -1245,8 +1093,6 @@ def parallel_partitioned_join(
             workers=1,
             tile_tasks=0,
             elapsed_seconds=time.perf_counter() - start,
-            wire_format="serial",
-            scheduler=scheduler.name,
             partitioner=config.partitioner,
         )
 
@@ -1283,11 +1129,10 @@ def parallel_partitioned_join(
             cache_misses = 2
             approx_misses = shipment.approx_blocks
             approx_bytes = shipment.approx_bytes
-        outcomes, report = _dispatch(
+        outcomes = _dispatch(
             tasks,
             run_columnar_tile_task,
             n_workers,
-            scheduler=scheduler,
             session=session,
             kernels=resolved_kernels,
         )
@@ -1297,9 +1142,8 @@ def parallel_partitioned_join(
         if lease is not None:
             lease.release()
 
-    # Deterministic merge: fold outcomes in tile-key order no matter
-    # which worker finished first (the stealing scheduler completes out
-    # of order by design).
+    # Deterministic merge: fold outcomes in tile-key order, not the
+    # largest-first dispatch order.
     outcomes.sort(key=lambda outcome: outcome.tile)
     by_id_a = {obj.oid: obj for obj in relation_a}
     by_id_b = {obj.oid: obj for obj in relation_b}
@@ -1337,12 +1181,8 @@ def parallel_partitioned_join(
         tile_tasks=len(tasks),
         elapsed_seconds=time.perf_counter() - start,
         tile_seconds=tile_seconds,
-        wire_format="columnar-shm",
         shared_payload_bytes=shipped_bytes,
-        scheduler=scheduler.name,
         partitioner=config.partitioner,
-        steal_count=report.steals,
-        completion_order=list(report.completion_order),
         segment_cache_hits=cache_hits,
         segment_cache_misses=cache_misses,
         reused_payload_bytes=reused_bytes,

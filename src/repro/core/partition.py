@@ -35,13 +35,13 @@ R*-tree stores every object in exactly one leaf, the emitted tasks
 partition the candidate-pair space *disjointly*: no object replication,
 no reference-tile de-duplication, and task extents follow the data's
 clustering instead of a uniform grid (hot clusters split into many
-small tasks, empty space produces none).  Tasks are declustered across
-workers by ordering dispatch along a Hilbert or Z-order space-filling
-curve (:mod:`repro.index.hilbert` / :mod:`repro.index.zorder`) over the
-task regions.  Either strategy yields a :class:`PartitionPlan` in the
-same index-array shape, so both run behind the executor's unchanged
-``Scheduler``/``ColumnarTileTask`` wire format with byte-identical
-results to the serial join.
+small tasks, empty space produces none).  Tasks are listed along a
+Hilbert or Z-order space-filling curve (:mod:`repro.index.hilbert` /
+:mod:`repro.index.zorder`) over the task regions; the executor
+dispatches largest-first and keeps that order among equal-cost tasks.
+Either strategy yields a :class:`PartitionPlan` in the same index-array
+shape, so both run behind the executor's one ``ColumnarTileTask`` wire
+format with byte-identical results to the serial join.
 """
 
 from __future__ import annotations
@@ -437,11 +437,12 @@ _DECLUSTER_ORDER = 10
 class PartitionPlan:
     """One join's task decomposition, produced by a :class:`Partitioner`.
 
-    ``entries`` is ``[(key, idx_a, idx_b), ...]`` in *dispatch* order —
+    ``entries`` is ``[(key, idx_a, idx_b), ...]`` in *plan* order —
     ascending ``key`` order for the grid strategy, space-filling-curve
-    order for the tree strategy (declustering); the executor always
-    folds outcomes back in ascending ``key`` order, so dispatch order
-    never affects results.  Grid plans include empty tiles (their
+    order for the tree strategy (declustering).  The executor dispatches
+    largest-first, keeping plan order among equal-cost tasks, and
+    always folds outcomes back in ascending ``key`` order, so dispatch
+    order never affects results.  Grid plans include empty tiles (their
     :class:`PartitionStats` shells appear with zero counts, as the
     serial partitioned join reports them); tree plans contain only
     non-empty tasks.
@@ -527,8 +528,8 @@ class Partitioner(ABC):
           top-k is computed whole inside its one owning task.
 
         The plan depends only on the relations and the canonical config
-        (ε, k, partitioner shape) — never on worker count or scheduler —
-        so merged results stay byte-identical across every execution
+        (ε, k, partitioner shape) — never on worker count or dispatch
+        order — so merged results stay byte-identical across every execution
         configuration.
         """
 
@@ -625,10 +626,10 @@ class TreePartitioner(Partitioner):
     is a deterministic function of the relations alone (never of the
     worker count), which keeps results identical across worker counts.
 
-    Dispatch order is declustered along a space-filling curve
+    Plan order is declustered along a space-filling curve
     (``decluster='hilbert'`` default, or ``'zorder'``) over the task
-    regions' centers, so neighbouring hot tasks spread across workers
-    under static dispatch instead of queueing consecutively.
+    regions' centers; the executor dispatches largest-first, so the
+    curve order breaks ties among equal-cost tasks.
     """
 
     name = "rtree"

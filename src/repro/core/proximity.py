@@ -1,10 +1,9 @@
 """First-class proximity predicates on the multi-step join runtime.
 
-The standalone :mod:`repro.core.distance` module transfers the paper's
-multi-step shape to the within-distance join; this module promotes it —
-plus a k-nearest-neighbour join on the same bounds — to
-:class:`~repro.core.join.JoinConfig` predicates (``'distance'`` with
-``epsilon``, ``'knn'`` with ``k``) that report into the ordinary
+This module transfers the paper's multi-step shape (§2.2) to the
+within-distance join — plus a k-nearest-neighbour join on the same
+bounds — as :class:`~repro.core.join.JoinConfig` predicates
+(``'distance'`` with ``epsilon``, ``'knn'`` with ``k``) that report into the ordinary
 :class:`~repro.core.stats.MultiStepStats`, run their exact step on the
 kernel tier (``JoinConfig.kernels``), and flow through the CLI,
 sessions and the join service unchanged.
@@ -182,10 +181,12 @@ def _capped_distances(
 def _hypot_gaps(dx, dy, radius_a, radius_b, epsilon: float) -> np.ndarray:
     """``math.hypot(dx, dy) - radius_a - radius_b`` wherever it decides ``> ε``.
 
-    The scalar bounds (``rect_distance``, ``circle_distance``) use
-    ``math.hypot``, which ``np.hypot`` misses by an ulp on about one
-    input in 500; gaps within ``_SLACK`` of the operands' scale around ε
-    (far more than those ulps can move) are recomputed with it.
+    The scalar decisions (:func:`repro.core.distance.rect_distance`
+    and the disc gaps of the per-object reference pipeline the tests
+    keep) use ``math.hypot``, which ``np.hypot`` misses by an ulp on
+    about one input in 500; gaps within ``_SLACK`` of the operands'
+    scale around ε (far more than those ulps can move) are recomputed
+    with it.
     """
     hyp = np.hypot(dx, dy)
     gaps = hyp - radius_a - radius_b
@@ -290,9 +291,8 @@ def distance_join_pipeline(
 ) -> Iterator[Tuple[object, object]]:
     """All pairs with exact distance <= ``config.epsilon``, multi-step.
 
-    Pairs come in the expanded MBR-join's candidate order, as from
-    :func:`repro.core.distance.within_distance_join`, on every kernel
-    backend: object pairs for relations, oid pairs for
+    Pairs come in the expanded MBR-join's candidate order on every
+    kernel backend: object pairs for relations, oid pairs for
     :class:`ProximityRows`.  ``owns`` is the parallel executor's
     deduplication hook over candidate rows (ε-expanded grid tasks
     replicate border objects).  It runs *first*: a non-owned candidate

@@ -61,7 +61,7 @@ same leak-free guarantee the one-shot path has
 Results are untouched by any of this: a warm session join is
 byte-identical — pairs, order, and merged
 :class:`~repro.core.stats.MultiStepStats` — to the serial partitioned
-join (``tests/test_session_scheduler_equivalence.py`` is the
+join (``tests/test_session_equivalence.py`` is the
 differential suite).
 
 Usage::
@@ -74,8 +74,7 @@ Usage::
     python -m repro join-batch a.wkt b.wkt --repeat 5 --workers 4
 
 ``benchmarks/bench_session.py`` measures the first-join vs warm-join
-latency and the static vs stealing schedulers on a skewed grid
-(report: ``benchmarks/reports/session.txt``).
+latency (report: ``benchmarks/reports/session.txt``).
 """
 
 from __future__ import annotations

@@ -256,35 +256,30 @@ Tile formation — uniform grid vs tree-guided partitioning
     as many tasks as its volume warrants.  The traversal budget is
     ``JoinConfig(target_tasks=N)`` (CLI ``--target-tasks``, service
     field ``target_tasks``): the descent stops once roughly ``N``
-    tasks exist, trading dispatch overhead against balance.  Hilbert declustering (§6
-    outlook; ``TreePartitioner(decluster="zorder")`` for the z-order
-    curve) orders tasks so spatially adjacent work lands on different
-    workers.  Both partitioners emit the same ``ColumnarTileTask``
-    wire format, so schedulers and sessions compose with either; the task plan depends
-    only on the relations — never the worker count — keeping results
-    byte-identical to the serial join
+    tasks exist, trading dispatch overhead against balance.  Hilbert
+    declustering (§6 outlook; ``TreePartitioner(decluster="zorder")``
+    for the z-order curve) orders the plan along the curve; dispatch
+    keeps that order among equal-cost tasks.  Both partitioners emit the same
+    ``ColumnarTileTask`` wire format, so sessions compose with either;
+    the task plan depends only on the relations — never the worker
+    count — keeping results byte-identical to the serial join
     (``tests/test_tree_partitioner_equivalence.py`` is the
     differential suite, and ``benchmarks/bench_tree_partition.py``
     shows the modeled-makespan win on a hot-tile workload, report in
     ``benchmarks/reports/tree_partition.txt``).
 
-Tile scheduling — static order vs work stealing
-    How tiles reach the pool is a strategy of its own
-    (``JoinConfig(scheduler=...)``, CLI ``join --scheduler``).
-    ``static`` (default) submits and collects tiles in tile-key order —
-    the historical ``pool.map`` behaviour, kept as the differential
-    baseline.  ``stealing`` dispatches tiles largest-first (an LPT
-    heuristic over candidate volume) and lets idle workers pull the
-    next pending tile the moment they finish, so a skewed grid's hot
-    tile no longer serialises the tail of the join; on balanced grids
-    it degenerates to the static behaviour.  Either way the parent
-    folds worker outcomes in tile-key order, so results, order, and
-    merged statistics are byte-identical to the serial partitioned
-    join — ``tests/test_session_scheduler_equivalence.py`` and the
-    static-vs-stealing fuzz in ``tests/test_scheduler_fuzz.py`` enforce
-    it.  ``ParallelPartitionedJoinResult.steal_count`` /
-    ``completion_order`` report the dynamics; a worker exception
-    surfaces as ``TileExecutionError`` naming the failed tile.
+Tile dispatch — largest first
+    Tiles reach the pool in one order: descending candidate volume
+    (an LPT heuristic; equal-cost tiles keep plan order), and idle
+    workers pull the next queued tile the moment they finish, so a
+    skewed grid's hot tile starts first instead of serialising the
+    tail of the join.  The parent folds worker outcomes in tile-key
+    order, so results, order, and merged statistics are byte-identical
+    to the serial partitioned join —
+    ``tests/test_session_equivalence.py`` and the clustered hot-tile
+    fuzz in ``tests/test_largest_first_fuzz.py`` enforce it.  A worker
+    exception surfaces as ``TileExecutionError`` naming the failed
+    tile.
 
 Join sessions — amortising setup across repeated joins
     A one-shot ``parallel_partitioned_join`` forks a fresh pool and
@@ -317,8 +312,7 @@ Join sessions — amortising setup across repeated joins
     ``live_shared_segments()`` empty on close, the same leak-free
     guarantee as the one-shot path.
     ``benchmarks/bench_session.py`` measures first-join vs warm-join
-    latency and the scheduler tradeoff on a skewed grid
-    (``benchmarks/reports/session.txt``).
+    latency (``benchmarks/reports/session.txt``).
 
 The persistent storage tier — warm starts that survive restarts
     Everything above amortises work *within* one process; the
@@ -384,7 +378,7 @@ The join service — many concurrent clients, few sessions
     three serving-side mechanisms on top of the session runtime: a
     fingerprint-keyed **result cache** (both relations' content digests
     + the canonicalized ``JoinConfig`` — execution-only fields like
-    ``workers``/``scheduler``/``kernels`` are stripped, since the
+    ``workers``/``kernels`` are stripped, since the
     differential suites prove them result-neutral), **request
     coalescing** (identical in-flight requests share one execution),
     and **admission control** (a bounded pending queue with 429-style
@@ -401,7 +395,6 @@ The join service — many concurrent clients, few sessions
 Choosing the parallel executor from the CLI::
 
     python -m repro join a.wkt b.wkt --engine batched --workers 4 --grid 4 4
-    python -m repro join a.wkt b.wkt --workers 4 --scheduler stealing
     python -m repro join a.wkt b.wkt --workers 4 --partitioner rtree
     python -m repro join-batch a.wkt b.wkt --repeat 5 --workers 4  # session
     python -m repro serve --port 8765 --sessions 2 --workers 2  # service

@@ -3,7 +3,7 @@
 The paper's multi-step join became a serving runtime in PR 5/6
 (:class:`~repro.core.session.JoinSession`: persistent worker pools,
 fingerprint-keyed shared-segment cache, pluggable
-partitioners/schedulers) — but a session runs one join at a time for
+partitioners) — but a session runs one join at a time for
 one caller.  This package is the ROADMAP's "millions of users" layer:
 a long-lived asyncio service that multiplexes many concurrent
 join/window/kNN requests onto a small pool of sessions, with

@@ -11,7 +11,7 @@ key is the triple
 — the relations' content digests
 (:attr:`repro.datasets.columnar.ColumnarRelation.fingerprint`) plus
 :meth:`repro.core.join.JoinConfig.fingerprint`, which strips the
-execution-only fields (workers, scheduler, session, kernels) that
+execution-only fields (workers, session, kernels) that
 can never change a response.  Two requests with equal cache keys are
 guaranteed byte-identical responses, which is what makes caching and
 coalescing semantics-free.

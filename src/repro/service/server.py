@@ -72,7 +72,6 @@ _JOIN_FIELDS = {
     "batch_size": "batch_size",
     "exact_batch": "exact_batch",
     "workers": "workers",
-    "scheduler": "scheduler",
     "partitioner": "partitioner",
     "target_tasks": "target_tasks",
     "kernels": "kernels",

@@ -3,9 +3,11 @@
 Seeded-random generation of small relations with adversarial geometry
 (touching edges, slivers with degenerate convex hulls, contained
 objects), a boundary-straddling generator for the partition
-de-duplication fuzz tests, plus the equivalence assertions used to prove
+de-duplication fuzz tests, the equivalence assertions used to prove
 that the batched engine and the multi-process tile executor produce
-exactly the streaming serial pipeline's results and statistics.
+exactly the streaming serial pipeline's results and statistics, and the
+per-object within-distance join that the distance row pipeline is
+checked against.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core import JoinConfig, SpatialJoinProcessor
+from repro.core import JoinConfig, JoinResult, SpatialJoinProcessor
+from repro.core.distance import polygon_distance, rect_distance
 from repro.core.stats import MultiStepStats
 from repro.datasets.relations import SpatialRelation
 from repro.geometry import Polygon
 from repro.geometry.fastops import _point_segment_distance_bulk
+from repro.index import RStarTree, rstar_join
 
 
 def random_star(
@@ -174,9 +178,9 @@ def clustered_relation_pair(
     into the grid's lower-left tile with radii large enough to overlap
     each other densely (one tile owns almost all candidate pairs),
     while the rest are sprinkled thinly across the remaining tiles.
-    Worst case for static tile dispatch — the hot tile straggles while
+    Worst case for tile-order dispatch — the hot tile straggles while
     every other tile finishes instantly — and therefore the generator
-    behind the scheduler differential and fuzz suites.
+    behind the largest-first dispatch differential and fuzz suites.
     """
     nx, ny = grid
     rng = random.Random(seed)
@@ -374,3 +378,81 @@ def min_edge_distance_bulk(
     )
     dist = np.where(proper, 0.0, dist)
     return float(dist.min())
+
+
+# ---------------------------------------------------------------------------
+# Per-object distance-join reference
+# ---------------------------------------------------------------------------
+
+
+def circle_distance(
+    center_a: Tuple[float, float],
+    radius_a: float,
+    center_b: Tuple[float, float],
+    radius_b: float,
+) -> float:
+    """Minimum distance between two discs (0 when overlapping)."""
+    gap = math.hypot(
+        center_a[0] - center_b[0], center_a[1] - center_b[1]
+    ) - radius_a - radius_b
+    return max(0.0, gap)
+
+
+def expanded_tree(
+    relation: SpatialRelation, amount: float, max_entries: int
+) -> RStarTree:
+    """R*-tree over the relation's MBRs, each grown by ``amount``."""
+    tree = RStarTree(max_entries=max_entries)
+    for obj in relation:
+        tree.insert(obj.mbr.expand(amount), obj)
+    return tree
+
+
+def scalar_distance_join(
+    relation_a: SpatialRelation,
+    relation_b: SpatialRelation,
+    epsilon: float,
+    rtree_max_entries: int = 32,
+) -> JoinResult:
+    """The per-object within-distance join, one ``math.hypot`` at a time.
+
+    The reference for the row pipeline of ``JoinConfig(predicate=
+    "distance")``: the ε/2-expanded R*-tree join's candidates in its
+    order, the Euclidean MBR pre-test, the MBC lower bound (false
+    hits), the MEC upper bound (hits, counted as progressive) and
+    :func:`polygon_distance` for the rest.  Pairs come in candidate
+    order; the flow counters are filled, the test counters are not.
+    """
+    stats = MultiStepStats()
+    pairs = []
+    half = epsilon / 2.0
+    tree_a = expanded_tree(relation_a, half, rtree_max_entries)
+    tree_b = expanded_tree(relation_b, half, rtree_max_entries)
+    for obj_a, obj_b in rstar_join(tree_a, tree_b, None, None, stats.mbr_join):
+        if rect_distance(obj_a.mbr, obj_b.mbr) > epsilon:
+            continue
+        stats.candidate_pairs += 1
+        circle_a = obj_a.approximation("MBC").circle()
+        circle_b = obj_b.approximation("MBC").circle()
+        if circle_distance(
+            circle_a.center, circle_a.radius, circle_b.center, circle_b.radius
+        ) > epsilon:
+            stats.filter_false_hits += 1
+            continue
+        # Progressive discs lie inside the objects: their distance is
+        # an upper bound of the object distance.
+        disc_a = obj_a.approximation("MEC").circle()
+        disc_b = obj_b.approximation("MEC").circle()
+        if circle_distance(
+            disc_a.center, disc_a.radius, disc_b.center, disc_b.radius
+        ) <= epsilon:
+            stats.filter_hits_progressive += 1
+            pairs.append((obj_a, obj_b))
+            continue
+        stats.remaining_candidates += 1
+        if polygon_distance(obj_a.polygon, obj_b.polygon) <= epsilon:
+            stats.exact_hits += 1
+            pairs.append((obj_a, obj_b))
+        else:
+            stats.exact_false_hits += 1
+    return JoinResult(pairs=pairs, stats=stats)

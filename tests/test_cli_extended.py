@@ -52,6 +52,37 @@ class TestDistanceCommand:
         pair_lines = [l for l in out.splitlines() if "\t" in l]
         assert pair_lines  # at eps=0.05 something must match
 
+    def test_distance_runs_the_join_row_pipeline(
+        self, wkt_pair, capsys, monkeypatch
+    ):
+        """``distance`` is ``join --predicate distance``: same pair lines,
+        in order, and no scalar polygon distance on the way."""
+        from repro.core import distance
+
+        def scalar_distance(*args):
+            raise AssertionError("scalar polygon_distance called")
+
+        monkeypatch.setattr(distance, "polygon_distance", scalar_distance)
+        path_a, path_b = wkt_pair
+        epsilon = "0.05"
+        assert main(
+            ["distance", path_a, path_b, "--epsilon", epsilon, "--pairs"]
+        ) == 0
+        out = capsys.readouterr().out
+        exact = [l for l in out.splitlines() if "exact tests" in l]
+        assert int(exact[0].split()[-1]) > 0
+        assert main(
+            ["join", path_a, path_b, "--predicate", "distance",
+             "--epsilon", epsilon, "--pairs"]
+        ) == 0
+        joined = capsys.readouterr().out
+
+        def pair_lines(text):
+            return [l for l in text.splitlines() if "\t" in l]
+
+        assert pair_lines(out)
+        assert pair_lines(out) == pair_lines(joined)
+
     def test_distance_requires_epsilon(self, wkt_pair):
         path_a, path_b = wkt_pair
         with pytest.raises(SystemExit):
@@ -177,11 +208,17 @@ class TestJoinWorkers:
         err = capsys.readouterr().err
         assert "grid" in err and "1x1" in err
 
-    def test_bad_scheduler_rejected(self, wkt_pair):
+    @pytest.mark.parametrize("command", ["join", "join-batch"])
+    def test_retired_scheduler_flag_is_a_usage_error(
+        self, wkt_pair, capsys, command
+    ):
         path_a, path_b = wkt_pair
-        with pytest.raises(SystemExit):
-            main(["join", path_a, path_b, "--workers", "2",
-                  "--scheduler", "chaotic"])
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, path_a, path_b, "--workers", "2",
+                  "--scheduler", "static"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments" in err
 
     def test_bad_target_tasks_rejected(self, wkt_pair, capsys):
         path_a, path_b = wkt_pair
@@ -227,24 +264,6 @@ class TestJoinWorkers:
         ) == 0
         out = capsys.readouterr().out
         assert "tree-guided tasks (rtree)" in out
-        assert pair_lines(out) == serial
-
-    @pytest.mark.parallel
-    def test_stealing_scheduler_matches_serial(self, wkt_pair, capsys):
-        path_a, path_b = wkt_pair
-
-        def pair_lines(out):
-            return sorted(l for l in out.splitlines() if "\t" in l)
-
-        main(["join", path_a, path_b, "--exact", "vectorized", "--pairs"])
-        serial = pair_lines(capsys.readouterr().out)
-        assert main(
-            ["join", path_a, path_b, "--exact", "vectorized", "--pairs",
-             "--workers", "2", "--grid", "3", "3",
-             "--scheduler", "stealing"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "scheduler stealing" in out
         assert pair_lines(out) == serial
 
 

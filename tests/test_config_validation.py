@@ -11,7 +11,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ENGINES, EXACT_METHODS, FilterConfig, JoinConfig
+from repro.core import (
+    ENGINES,
+    EXACT_METHODS,
+    FilterConfig,
+    JoinConfig,
+    SpatialJoinProcessor,
+)
 
 
 def test_unknown_exact_method_names_choices():
@@ -123,33 +129,10 @@ def test_validate_grid_helper_shared_with_executor():
         validate_grid((0, 4))
 
 
-def test_unknown_scheduler_names_choices():
-    from repro.core import SCHEDULERS
-
-    with pytest.raises(ValueError) as excinfo:
-        JoinConfig(scheduler="psychic")
-    message = str(excinfo.value)
-    assert "psychic" in message
-    for choice in SCHEDULERS:
-        assert choice in message
-
-
-def test_valid_schedulers_accepted():
-    from repro.core import SCHEDULERS
-
-    for scheduler in SCHEDULERS:
-        assert JoinConfig(scheduler=scheduler).scheduler == scheduler
-    assert set(SCHEDULERS) == {"static", "stealing"}
-
-
-def test_scheduler_registry_consistent_with_factory():
-    """Config choices, CLI choices, and the factory agree."""
-    from repro.core import SCHEDULERS, create_scheduler
-
-    for name in SCHEDULERS:
-        assert create_scheduler(name).name == name
-    with pytest.raises(ValueError, match="psychic"):
-        create_scheduler("psychic")
+def test_scheduler_is_not_a_config_field():
+    """Tiles always dispatch largest-first: there is nothing to choose."""
+    with pytest.raises(TypeError, match="scheduler"):
+        JoinConfig(scheduler="static")
 
 
 def test_unknown_partitioner_names_choices():
@@ -241,10 +224,10 @@ class TestEpsilonValidation:
         assert isinstance(validate_epsilon(1), float)
 
     def test_join_rejects_negative_epsilon_at_the_boundary(self):
-        from repro.core import within_distance_join
-
         with pytest.raises(ValueError, match="epsilon"):
-            within_distance_join([], [], epsilon=-1.0)
+            SpatialJoinProcessor(
+                JoinConfig(predicate="distance", epsilon=-1.0)
+            ).join([], [])
 
 
 class TestKValidation:

@@ -7,19 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import circle_distance
+from repro.core import JoinConfig, SpatialJoinProcessor
 from repro.core.distance import (
-    DistanceJoinConfig,
     brute_force_distance_join,
-    circle_distance,
     polygon_distance,
     rect_distance,
     segment_distance,
-    within_distance_join,
 )
 from repro.datasets.relations import SpatialRelation, europe
 from repro.geometry import Polygon, Rect
 from repro.index import AccessCounter
 from repro.index.knn import knn_query, nearest_query, point_rect_distance
+
+
+def distance_join(rel_a, rel_b, epsilon):
+    config = JoinConfig(predicate="distance", epsilon=epsilon)
+    return SpatialJoinProcessor(config).join(rel_a, rel_b)
 
 
 def square(x, y, size=1.0):
@@ -100,7 +104,7 @@ class TestDistanceJoin:
     def test_matches_brute_force_grid(self, epsilon):
         rel_a = self.make_grid_relation("A", 4, 1.0)
         rel_b = self.make_grid_relation("B", 4, 1.0)
-        got = sorted(within_distance_join(rel_a, rel_b, epsilon).id_pairs())
+        got = sorted(distance_join(rel_a, rel_b, epsilon).id_pairs())
         expected = sorted(brute_force_distance_join(rel_a, rel_b, epsilon))
         assert got == expected
 
@@ -108,7 +112,7 @@ class TestDistanceJoin:
     def test_matches_brute_force_cartographic(self, epsilon):
         rel_a = europe(size=30)
         rel_b = europe(seed=23, size=30)
-        got = sorted(within_distance_join(rel_a, rel_b, epsilon).id_pairs())
+        got = sorted(distance_join(rel_a, rel_b, epsilon).id_pairs())
         expected = sorted(brute_force_distance_join(rel_a, rel_b, epsilon))
         assert got == expected
 
@@ -116,25 +120,20 @@ class TestDistanceJoin:
         rel_a = europe(size=25)
         rel_b = europe(seed=31, size=25)
         eps = 0.05
-        full = within_distance_join(rel_a, rel_b, eps)
-        bare = within_distance_join(
-            rel_a,
-            rel_b,
-            eps,
-            DistanceJoinConfig(
-                use_conservative_circle=False, use_progressive_circle=False
-            ),
+        result = distance_join(rel_a, rel_b, eps)
+        assert sorted(result.id_pairs()) == sorted(
+            brute_force_distance_join(rel_a, rel_b, eps)
         )
-        assert sorted(full.id_pairs()) == sorted(bare.id_pairs())
-        # with filters on, some work is classified before the exact step
-        assert full.stats.remaining_candidates <= bare.stats.remaining_candidates
+        # Without the circle bounds every candidate reaches the exact
+        # step; with them some are classified before it.
+        assert result.stats.remaining_candidates < result.stats.candidate_pairs
 
     def test_epsilon_zero_equals_intersection_join(self):
         from repro.core.join import nested_loops_join
 
         rel_a = europe(size=25)
         rel_b = europe(seed=13, size=25)
-        got = sorted(within_distance_join(rel_a, rel_b, 0.0).id_pairs())
+        got = sorted(distance_join(rel_a, rel_b, 0.0).id_pairs())
         expected = sorted(nested_loops_join(rel_a, rel_b))
         assert got == expected
 
@@ -142,7 +141,7 @@ class TestDistanceJoin:
         rel_a = europe(size=20)
         rel_b = europe(seed=3, size=20)
         sizes = [
-            len(within_distance_join(rel_a, rel_b, eps))
+            len(distance_join(rel_a, rel_b, eps))
             for eps in (0.0, 0.05, 0.1, 0.4)
         ]
         assert sizes == sorted(sizes)
@@ -150,18 +149,14 @@ class TestDistanceJoin:
     def test_negative_epsilon_rejected(self):
         rel = europe(size=5)
         with pytest.raises(ValueError):
-            within_distance_join(rel, rel, -0.1)
+            distance_join(rel, rel, -0.1)
 
     def test_stats_add_up(self):
         rel_a = europe(size=25)
         rel_b = europe(seed=57, size=25)
-        result = within_distance_join(rel_a, rel_b, 0.03)
+        result = distance_join(rel_a, rel_b, 0.03)
         stats = result.stats
-        assert (
-            stats.filter_hits + stats.filter_false_hits + stats.remaining_candidates
-            == stats.candidate_pairs
-        )
-        assert stats.exact_hits + stats.exact_false_hits == stats.remaining_candidates
+        stats.check_invariants()
         assert len(result) == stats.filter_hits + stats.exact_hits
 
 

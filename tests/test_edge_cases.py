@@ -7,11 +7,15 @@ from repro.core import (
     MapOverlay,
     SpatialJoinProcessor,
     nested_loops_join,
-    within_distance_join,
 )
 from repro.core.distance import brute_force_distance_join
 from repro.datasets.relations import SpatialRelation
 from repro.geometry import Polygon, Rect, polygon_intersection_area
+
+
+def distance_join(rel_a, rel_b, epsilon):
+    config = JoinConfig(predicate="distance", epsilon=epsilon)
+    return SpatialJoinProcessor(config).join(rel_a, rel_b)
 
 
 def tri(x, y, size=0.1):
@@ -128,7 +132,7 @@ class TestOverlayAndDistanceEdges:
         rel_a = SpatialRelation("A", [skinny(0, 0.0)])
         rel_b = SpatialRelation("B", [skinny(0, 0.5)])
         for eps in (0.1, 0.49, 0.51):
-            got = sorted(within_distance_join(rel_a, rel_b, eps).id_pairs())
+            got = sorted(distance_join(rel_a, rel_b, eps).id_pairs())
             assert got == sorted(brute_force_distance_join(rel_a, rel_b, eps))
 
     def test_distance_join_degenerate_epsilon_boundary(self):
@@ -137,8 +141,8 @@ class TestOverlayAndDistanceEdges:
         b = Polygon([(2, 0), (3, 0), (3, 1), (2, 1)])
         rel_a = SpatialRelation("A", [a])
         rel_b = SpatialRelation("B", [b])
-        assert len(within_distance_join(rel_a, rel_b, 1.0)) == 1
-        assert len(within_distance_join(rel_a, rel_b, 0.999)) == 0
+        assert len(distance_join(rel_a, rel_b, 1.0)) == 1
+        assert len(distance_join(rel_a, rel_b, 0.999)) == 0
 
 
 class TestRectEdgeCases:

@@ -26,9 +26,9 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import random_relation_pair, stats_fingerprint
+from helpers import random_relation_pair, scalar_distance_join, stats_fingerprint
 from repro.cli import main as cli_main
-from repro.core.distance import brute_force_distance_join, within_distance_join
+from repro.core.distance import brute_force_distance_join
 from repro.core.join import EXECUTION_ONLY_FIELDS, JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import parallel_partitioned_join
 from repro.core.proximity import brute_force_knn_join
@@ -279,11 +279,9 @@ class TestDistanceJoin:
             assert sorted(result.id_pairs()) == sorted(
                 brute_force_distance_join(rel_a, rel_b, epsilon)
             )
-            # Pair *order* matches the standalone distance pipeline.
-            standalone = within_distance_join(rel_a, rel_b, epsilon)
-            assert result.id_pairs() == [
-                (a.oid, b.oid) for a, b in standalone.pairs
-            ]
+            # Pair *order* matches the per-object reference pipeline.
+            reference = scalar_distance_join(rel_a, rel_b, epsilon)
+            assert result.id_pairs() == reference.id_pairs()
         assert len(result) > 0  # epsilon=0.25 finds neighbours
         result.stats.check_invariants()
 
@@ -299,7 +297,6 @@ class TestDistanceJoin:
         serial = SpatialJoinProcessor(
             replace(config, workers=1)
         ).join(rel_a, rel_b)
-        assert parallel.wire_format == "columnar-shm"
         assert parallel.workers == 3
         assert parallel.tile_tasks > 0
         assert sorted(parallel.id_pairs()) == sorted(serial.id_pairs())
@@ -323,7 +320,6 @@ class TestDistanceJoin:
         serial = SpatialJoinProcessor(
             replace(config, workers=1)
         ).join(rel_a, rel_b)
-        assert parallel.wire_format == "serial"
         assert parallel.workers == 1
         assert parallel.tile_tasks == 0
         assert list(parallel.id_pairs()) == serial.id_pairs()
@@ -353,7 +349,6 @@ class TestKnnJoin:
         serial = SpatialJoinProcessor(
             replace(config, workers=1)
         ).join(rel_a, rel_b)
-        assert inside.wire_format == "columnar-shm"
         assert inside.tile_tasks > 0
         assert list(inside.id_pairs()) == serial.id_pairs()
 

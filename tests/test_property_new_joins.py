@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distance import (
-    brute_force_distance_join,
-    within_distance_join,
-)
+from repro.core import JoinConfig, SpatialJoinProcessor
+from repro.core.distance import brute_force_distance_join
 from repro.core.inside import (
     brute_force_inside_join,
     points_in_regions_join,
@@ -56,6 +54,11 @@ def random_lines(seed: int, count: int):
     return lines
 
 
+def _distance_pairs(rel_a, rel_b, epsilon):
+    config = JoinConfig(predicate="distance", epsilon=epsilon)
+    return SpatialJoinProcessor(config).join(rel_a, rel_b).id_pairs()
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -64,7 +67,7 @@ def random_lines(seed: int, count: int):
 def test_distance_join_equals_oracle(seed, epsilon):
     rel_a = random_relation(seed, 8)
     rel_b = random_relation(seed + 1, 8)
-    got = sorted(within_distance_join(rel_a, rel_b, epsilon).id_pairs())
+    got = sorted(_distance_pairs(rel_a, rel_b, epsilon))
     expected = sorted(brute_force_distance_join(rel_a, rel_b, epsilon))
     assert got == expected
 
@@ -98,6 +101,6 @@ def test_distance_join_monotone(seed, eps_pair):
     lo, hi = sorted(eps_pair)
     rel_a = random_relation(seed, 7)
     rel_b = random_relation(seed + 3, 7)
-    small = set(within_distance_join(rel_a, rel_b, lo).id_pairs())
-    large = set(within_distance_join(rel_a, rel_b, hi).id_pairs())
+    small = set(_distance_pairs(rel_a, rel_b, lo))
+    large = set(_distance_pairs(rel_a, rel_b, hi))
     assert small <= large

@@ -7,8 +7,10 @@ pipelines they replaced are kept below, verbatim, as the reference: one
 ``polygons_intersect_fast`` and one dense ``n_a x n_b`` distance matrix
 per pair.  Only the calls into code that has since left ``src/`` are
 re-pointed: the dense matrix is the test oracle
-``helpers.min_edge_distance_bulk`` (formerly a backend kernel) and the
-ε-clip is the former ``RingGeometry.edges_within``, inlined.
+``helpers.min_edge_distance_bulk`` (formerly a backend kernel), the
+ε-clip is the former ``RingGeometry.edges_within``, inlined, and the
+expanded R*-trees and disc gaps are ``helpers.expanded_tree`` and
+``helpers.circle_distance`` (formerly in ``repro.core.distance``).
 
 Both must produce the same id pairs in the same order on the catalogue
 series (Europe / BW, strategy A / B), on polygons with holes,
@@ -33,8 +35,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_square, min_edge_distance_bulk, random_relation_pair
-from repro.core.distance import _expanded_tree, circle_distance, rect_distance
+from helpers import (
+    circle_distance,
+    expanded_tree,
+    grid_square,
+    min_edge_distance_bulk,
+    random_relation_pair,
+)
+from repro.core.distance import rect_distance
 from repro.core.join import JoinConfig
 from repro.core.partition import (
     GridPartitioner,
@@ -114,8 +122,8 @@ def reference_distance_join(
     geometry_a = relation_a.columnar().ring_geometry()
     geometry_b = relation_b.columnar().ring_geometry()
     half = epsilon / 2.0
-    tree_a = _expanded_tree(relation_a, half, config.rtree_max_entries)
-    tree_b = _expanded_tree(relation_b, half, config.rtree_max_entries)
+    tree_a = expanded_tree(relation_a, half, config.rtree_max_entries)
+    tree_b = expanded_tree(relation_b, half, config.rtree_max_entries)
     raw = JoinStats()
     for obj_a, obj_b in rstar_join(tree_a, tree_b, None, None, raw):
         if owns is not None and not owns(obj_a, obj_b):

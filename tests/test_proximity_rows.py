@@ -30,10 +30,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_square, random_relation_pair, stats_fingerprint
+from helpers import (
+    grid_square,
+    random_relation_pair,
+    scalar_distance_join,
+    stats_fingerprint,
+)
 from repro.approximations.batch import ApproxColumns
 from repro.core import parallel_exec
-from repro.core.distance import within_distance_join
 from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import (
     plan_columnar_tile_tasks,
@@ -128,7 +132,7 @@ def test_distance_pretest_keeps_pairs_exactly_at_epsilon():
         rel_b = SpatialRelation("b", [other])
         config = JoinConfig(predicate="distance", epsilon=gap)
         stats = SpatialJoinProcessor(config).join(rel_a, rel_b).stats
-        scalar = within_distance_join(rel_a, rel_b, gap).stats
+        scalar = scalar_distance_join(rel_a, rel_b, gap).stats
         assert stats.candidate_pairs == scalar.candidate_pairs == 1
         assert stats.filter_false_hits == scalar.filter_false_hits
 

@@ -57,7 +57,7 @@ CONFIGS = [
 #: execution-only variety: must coalesce/cache with the plain default.
 EXECUTION_VARIANTS = [
     JoinConfig(workers=2),
-    JoinConfig(scheduler="stealing", workers=2),
+    JoinConfig(kernels="numpy", workers=2),
     JoinConfig(kernels="python"),
 ]
 
@@ -71,7 +71,7 @@ def _relations(seed):
 def _oracle(rel_a, rel_b, config):
     """The serial ground truth for one request."""
     serial = replace(
-        config, workers=1, scheduler="static", session=None
+        config, workers=1, session=None
     )
     result = parallel_partitioned_join(rel_a, rel_b, config=serial)
     return tuple(result.id_pairs()), stats_to_dict(result.stats)

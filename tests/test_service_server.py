@@ -246,6 +246,7 @@ class TestWireErrors:
         [
             ("predicat", "within"),  # typo must not be ignored
             ("columnar", False),  # retired option
+            ("scheduler", "static"),  # retired option
         ],
     )
     def test_unknown_join_field_is_400(self, wkt_paths, field, value):

@@ -1,8 +1,8 @@
-"""Differential suite: JoinSession + schedulers vs the serial pipeline.
+"""Differential suite: JoinSession vs the serial pipeline.
 
-The guarantee under test (ISSUE 5 acceptance bar): the ``stealing``
-scheduler and warm :class:`~repro.core.session.JoinSession` reuse —
-persistent pool, fingerprint-cached shared segments — produce result
+The guarantee under test: largest-first tile dispatch and warm
+:class:`~repro.core.session.JoinSession` reuse — persistent pool,
+fingerprint-cached shared segments — produce result
 pairs, pair order, and merged ``MultiStepStats`` identical to the
 serial partitioned join (and, up to order, the plain serial join) on
 well over 100 generated cases spanning both predicates, both engines,
@@ -41,7 +41,7 @@ QUICK = os.environ.get("REPRO_PAR_QUICK") == "1"
 SEEDS = (300, 301) if QUICK else (300, 301, 302, 303)
 WORKERS = (1, 2) if QUICK else (1, 2, 4)
 #: (generator, grid): uniform relations on a 3x3 grid plus skewed
-#: hot-tile relations on a 4x4 grid (the stealing scheduler's target).
+#: hot-tile relations on a 4x4 grid (largest-first dispatch's target).
 GENERATORS = (
     (random_relation_pair, (3, 3)),
     (clustered_relation_pair, (4, 4)),
@@ -60,7 +60,6 @@ def _config(predicate: str, engine: str) -> JoinConfig:
         predicate=predicate,
         engine=engine,
         batch_size=16,
-        scheduler="stealing",
     )
 
 
@@ -98,7 +97,7 @@ def _serial_partitioned(config, maker, seed, grid):
 
 
 @pytest.mark.parametrize("predicate,engine", CASES)
-def test_warm_session_stealing_matches_serial(predicate, engine):
+def test_warm_session_matches_serial(predicate, engine):
     config = _config(predicate, engine)
     cases = 0
     with JoinSession(config=config) as session:
@@ -124,7 +123,6 @@ def test_warm_session_stealing_matches_serial(predicate, engine):
                             stats_fingerprint(serial.stats)
                         ), label
                         result.stats.check_invariants()
-                        assert result.scheduler == "stealing"
                         cases += 1
                     # The second run of a pair must have been fully warm.
                     assert result.segment_cache_hits == 2, label

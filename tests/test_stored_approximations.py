@@ -12,9 +12,9 @@ columns became part of a relation's stored form:
   approximations, including the false-area test, degenerate (< 3
   vertex) convex rows and polygons with holes.
 * **No tile derives** — with ``compute_approximation`` counting across
-  the forked workers, every tile task of a session join makes 0 calls:
-  both partitioners, both schedulers, workers 1 and 2, both engines,
-  all four predicates, cold and warm.
+  the forked workers, every tile task makes 0 calls: both partitioners,
+  workers 1, 2 and 3 in a session and 2 without one, both engines, all
+  four predicates, cold and warm.
 * **No process re-derives** — a fresh ``repro join store:…`` process on
   a store another process has touched makes 0 calls and never imports
   scipy.
@@ -367,20 +367,23 @@ def test_tile_tasks_never_compute_an_approximation(
     builds.reset()
     # ... and from here on nothing may derive: not the parent, not a
     # forked worker (the counter is shared across the fork).
-    for scheduler in ("static", "stealing"):
-        for workers in (1, 2):
-            config = replace(base, scheduler=scheduler, workers=workers)
+    for workers, in_session in ((1, True), (2, True), (3, True), (2, False)):
+        config = replace(base, workers=workers)
+        if in_session:
             with JoinSession(config=config) as session:
                 cold = session.join(rel_a, rel_b)
                 warm = session.join(rel_a, rel_b)
-            label = f"{scheduler} workers={workers}"
-            assert cold.tile_tasks > 0, label
-            assert sorted(cold.id_pairs()) == sorted(serial.id_pairs()), label
-            assert cold.id_pairs() == warm.id_pairs(), label
-            assert stats_fingerprint(cold.stats) == stats_fingerprint(
-                warm.stats
-            ), label
-            assert builds.count == 0, label
+        else:
+            cold = parallel_partitioned_join(rel_a, rel_b, config=config)
+            warm = parallel_partitioned_join(rel_a, rel_b, config=config)
+        label = f"workers={workers} session={in_session}"
+        assert cold.tile_tasks > 0, label
+        assert sorted(cold.id_pairs()) == sorted(serial.id_pairs()), label
+        assert cold.id_pairs() == warm.id_pairs(), label
+        assert stats_fingerprint(cold.stats) == stats_fingerprint(
+            warm.stats
+        ), label
+        assert builds.count == 0, label
     assert live_shared_segments() == frozenset()
 
 
