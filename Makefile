@@ -6,7 +6,7 @@
 #   make serve-smoke   - start the join service, drive one request, shut down
 #   make bench-engine  - streaming-vs-batched engine benchmark, quick scale
 #   make bench-parallel - measured vs LPT-modeled parallel speedup, quick scale
-#   make bench-refine  - scalar vs batched exact-step benchmark, quick scale
+#   make bench-refine  - per-pair loop vs batched exact step, quick scale
 #   make bench-kernels - numpy vs C kernel throughput (>= 3x bar), quick scale
 #   make bench-session - warm-session reuse benchmark, quick scale
 #   make bench-tree    - grid vs tree-guided task formation benchmark, quick scale

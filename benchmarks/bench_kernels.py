@@ -8,8 +8,8 @@ the C library is excluded, exactly as in pooled execution after the
 parent's pre-warm) and every backend's results are asserted identical
 to the numpy oracle before timing is trusted.  The ``c`` backend runs
 the ragged edge-pair, ragged edge-distance and point-in-polygon
-kernels in C and the oracle's own segment and rectangle kernels, so
-those two rows measure ~1x by construction.
+kernels in C and the oracle's own rectangle kernel, so that row
+measures ~1x by construction.
 
 The table lands in ``benchmarks/reports/kernels.txt``.  Acceptance:
 at least two refine kernels run >= 3x the numpy oracle's pairs/second
@@ -54,20 +54,6 @@ def _build_workloads(series):
         if key not in edge_cache:
             edge_cache[key] = EdgeArrays(obj.polygon)
         return edge_cache[key]
-
-    # segments_intersect_bulk: one row per (edge of a, edge of b) for a
-    # slice of candidate pairs, flattened into big matched columns.
-    seg_rows = [[], [], [], []]
-    for obj_a, obj_b in pairs[:64]:
-        ea, eb = cols(obj_a), cols(obj_b)
-        na, nb = len(ea.x1), len(eb.x1)
-        ia = np.repeat(np.arange(na), nb)
-        ib = np.tile(np.arange(nb), na)
-        seg_rows[0].append(np.column_stack([ea.x1[ia], ea.y1[ia]]))
-        seg_rows[1].append(np.column_stack([ea.x2[ia], ea.y2[ia]]))
-        seg_rows[2].append(np.column_stack([eb.x1[ib], eb.y1[ib]]))
-        seg_rows[3].append(np.column_stack([eb.x2[ib], eb.y2[ib]]))
-    p1, p2, q1, q2 = (np.concatenate(part) for part in seg_rows)
 
     # rects_intersect_bulk: candidate MBR rows, tiled up.
     def rect_rows(objs):
@@ -129,12 +115,6 @@ def _build_workloads(series):
         return np.asarray(dist).tolist(), evaluated
 
     return [
-        (
-            "segments_intersect_bulk", len(p1),
-            lambda kernels: np.asarray(
-                kernels.segments_intersect_bulk(p1, p2, q1, q2)
-            ).tolist(),
-        ),
         (
             "rects_intersect_bulk", len(rect_a),
             lambda kernels: np.asarray(

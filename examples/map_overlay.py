@@ -5,8 +5,11 @@ municipalities ("cities") and synthetic vegetation patches ("forests")
 — are joined with the intersection predicate, and the result is grouped
 per city, exactly the building block a GIS map-overlay operator needs.
 
-The example also contrasts the cost of three processor configurations
-on the same workload, reproducing the paper's §5 story at laptop scale.
+The example also contrasts the join without and with the geometric
+filter on the same workload (the first step of the paper's §5 story),
+over the one batched exact step.  The paper's exact processors (plane
+sweep, TR*-tree) are compared in ``benchmarks/bench_table7_exact_cost.py``
+and ``benchmarks/bench_fig16_cost_vs_edges.py``.
 
 Run:  python examples/map_overlay.py
 """
@@ -46,7 +49,7 @@ def overlay(cities, forests, config, label):
     elapsed = time.perf_counter() - start
     stats = result.stats
     print(
-        f"{label:28s} {elapsed:6.2f}s  pairs={len(result):4d}  "
+        f"{label:28s} {elapsed * 1e3:6.1f} ms  pairs={len(result):4d}  "
         f"filter identified {stats.identification_rate():4.0%}  "
         f"exact tests {stats.remaining_candidates:4d}"
     )
@@ -58,35 +61,32 @@ def main() -> None:
     print(f"{cities!r}\n{forests!r}\n")
 
     # Preprocessing happens at object-insertion time in the paper's
-    # architecture (approximations live in the SAM, TR*-trees on disk),
-    # so it is paid once here, before the joins are timed.
-    print("preprocessing layers (approximations + TR*-trees)...")
+    # architecture (approximations live in the SAM), so it is paid once
+    # here, before the joins are timed: approximations, R*-trees and
+    # the edge tables the exact step reads.
+    print("preprocessing layers (approximations, R*-trees, edge tables)...")
     start = time.perf_counter()
     for layer in (cities, forests):
         layer.precompute_approximations(["5-C", "MER"])
-        for obj in layer:
-            obj.trstar(3)
+        layer.rtree(JoinConfig().rtree_max_entries)
+        layer.columnar().ring_geometry()
     print(f"  done in {time.perf_counter() - start:.1f}s\n")
 
-    # The three §5 versions, from naive to the paper's recommendation.
-    print("configuration                 time    result     filter        exact")
+    # Without and with the geometric filter (batched engine), over the
+    # one exact step.
+    print("configuration                   time      result     filter"
+          "                exact")
     overlay(
         cities,
         forests,
-        JoinConfig(filter=NO_FILTER, exact_method="planesweep"),
-        "v1: no filter + sweep",
-    )
-    overlay(
-        cities,
-        forests,
-        JoinConfig(filter=FilterConfig(), exact_method="planesweep"),
-        "v2: 5-C/MER + sweep",
+        JoinConfig(filter=NO_FILTER, engine="batched"),
+        "filter off: MBR-join only",
     )
     result = overlay(
         cities,
         forests,
-        JoinConfig(filter=FilterConfig(), exact_method="trstar"),
-        "v3: 5-C/MER + TR*-tree",
+        JoinConfig(filter=FilterConfig(), engine="batched"),
+        "filter on: 5-C/MER",
     )
 
     # Group the overlay result per city, like a GIS operator would.

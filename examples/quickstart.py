@@ -2,8 +2,8 @@
 
 Builds the synthetic Europe relation, joins it with a shifted copy
 (test-series strategy A of the paper) using the paper's recommended
-configuration — R*-tree MBR-join, 5-corner + MER geometric filter,
-TR*-tree exact geometry — and prints what each step contributed.
+filter — R*-tree MBR-join, 5-corner + MER geometric filter, then the
+batched exact-geometry step — and prints what each step contributed.
 
 Run:  python examples/quickstart.py
 """
@@ -20,10 +20,7 @@ def main() -> None:
     print(f"joining {series.relation_a!r} with {series.relation_b!r}")
 
     processor = SpatialJoinProcessor(
-        JoinConfig(
-            filter=FilterConfig(conservative="5-C", progressive="MER"),
-            exact_method="trstar",
-        )
+        JoinConfig(filter=FilterConfig(conservative="5-C", progressive="MER"))
     )
     result = processor.join(series.relation_a, series.relation_b)
     stats = result.stats
@@ -36,11 +33,11 @@ def main() -> None:
     print(f"  false hits eliminated: {stats.filter_false_hits}")
     print(f"  hits proven:           {stats.filter_hits}")
     print(f"  identification rate:   {stats.identification_rate():.0%}")
-    print("\n--- step 3: exact geometry (TR*-trees) ---")
+    print("\n--- step 3: exact geometry (batched edge tables) ---")
     print(f"  remaining candidates: {stats.remaining_candidates}")
     print(f"  exact hits:           {stats.exact_hits}")
     print(f"  exact false hits:     {stats.exact_false_hits}")
-    print(f"  weighted CPU cost:    {stats.exact_ops.cost_ms():.1f} ms")
+    print(f"  refinement batches:   {stats.refine_batches}")
 
     # Show a few result pairs.
     print("\nfirst result pairs (object ids):", result.id_pairs()[:8])

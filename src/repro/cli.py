@@ -66,7 +66,13 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .core import FilterConfig, JoinConfig, SpatialJoinProcessor, WindowQueryProcessor
+from .core import (
+    EXACT_METHODS,
+    FilterConfig,
+    JoinConfig,
+    SpatialJoinProcessor,
+    WindowQueryProcessor,
+)
 from .core.window import WindowQueryStats
 from .datasets import SpatialRelation, cartographic_polygons
 from .datasets.io import load_relation, save_relation
@@ -244,21 +250,20 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                         help="conservative approximation kind or 'none'")
     parser.add_argument("--progressive", default="MER",
                         help="progressive approximation kind or 'none'")
-    parser.add_argument("--exact", default="trstar",
-                        choices=("trstar", "planesweep", "quadratic",
-                                 "vectorized"))
+    parser.add_argument("--exact", default="vectorized",
+                        choices=EXACT_METHODS,
+                        help="exact step: 'vectorized', the batched "
+                             "edge-table refinement (the only choice)")
     parser.add_argument("--engine", default="streaming",
                         choices=("streaming", "batched"),
-                        help="execution engine: per-pair streaming pipeline "
+                        help="execution engine: per-pair streaming filter "
                              "or vectorized batched filter (see repro.engine)")
     parser.add_argument("--batch-size", type=int, default=1024,
                         help="candidate pairs per block for --engine batched")
-    parser.add_argument("--exact-batch", type=int, default=1,
-                        help="remaining candidates per refinement batch; 1 "
-                             "(default) runs the scalar per-pair exact "
-                             "processor, N > 1 routes batches through the "
-                             "vectorized columnar refinement kernels "
-                             "(requires --exact vectorized)")
+    parser.add_argument("--exact-batch", type=int, default=64,
+                        help="remaining candidates per refinement batch "
+                             "(default 64); results are identical at "
+                             "every batch size")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the partitioned tile "
                              "executor; 1 (default) runs the ordinary serial "

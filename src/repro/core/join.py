@@ -4,7 +4,10 @@ Execution of the three steps:
 
 1. **MBR-join** on R*-trees over the objects' MBRs ([BKS 93a]);
 2. **geometric filter** on conservative/progressive approximations;
-3. **exact geometry** test (quadratic, plane sweep, or TR*-tree).
+3. **exact geometry** test, one array program per batch of remaining
+   candidates (:mod:`repro.exact.refine`).  The paper's processors
+   (quadratic, plane sweep, TR*-tree) stay in :mod:`repro.exact` for
+   the §4 benchmarks and as test oracles.
 
 How candidate pairs flow through steps 2 and 3 is the job of an
 execution *engine* (:mod:`repro.engine`): the ``streaming`` engine pipes
@@ -28,8 +31,9 @@ from ..geometry.kernels import KERNEL_BACKENDS
 from .filters import FilterConfig
 from .stats import MultiStepStats
 
-#: exact-geometry processor names accepted by :class:`JoinConfig`.
-EXACT_METHODS = ("trstar", "planesweep", "quadratic", "vectorized")
+#: exact-step names accepted by :class:`JoinConfig`: only the batched
+#: edge-table refinement runs inside a join.
+EXACT_METHODS = ("vectorized",)
 
 #: join predicates accepted by :class:`JoinConfig`: the paper's
 #: intersection join, the containment variant, and the proximity
@@ -104,15 +108,11 @@ class JoinConfig:
     """Configuration of the multi-step join processor."""
 
     filter: FilterConfig = field(default_factory=FilterConfig)
-    #: exact step algorithm: 'trstar' (paper's choice), 'planesweep',
-    #: 'quadratic' or 'vectorized' (numpy oracle).
-    exact_method: str = "trstar"
-    #: TR*-tree node capacity (paper: 3 is best, Fig. 17).
-    trstar_max_entries: int = 3
+    #: exact step: 'vectorized', the batched edge-table refinement of
+    #: :mod:`repro.exact.refine` (the only value).
+    exact_method: str = "vectorized"
     #: R*-tree node capacity for the MBR-join.
     rtree_max_entries: int = 32
-    #: plane-sweep search-space restriction (§4.1).
-    restrict_search_space: bool = True
     #: LRU buffer pages for I/O accounting (None = unbuffered counting).
     buffer_pages: Optional[int] = None
     #: join predicate: 'intersects' (the paper's focus), 'within'
@@ -137,14 +137,10 @@ class JoinConfig:
     engine: str = "streaming"
     #: candidate pairs drained per block by the batched engine.
     batch_size: int = 1024
-    #: remaining candidates accumulated per refinement batch (step 3).
-    #: 1 (default) resolves per pair with the scalar processor named by
-    #: ``exact_method``; N > 1 routes batches of N through the vectorized
-    #: columnar refinement kernels (:mod:`repro.exact.refine`), which
-    #: implement the ``vectorized`` semantics — so N > 1 requires
-    #: ``exact_method='vectorized'``.  Results, order, and the Figure-1
-    #: statistics are identical either way.
-    exact_batch: int = 1
+    #: remaining candidates accumulated per refinement batch (step 3,
+    #: :mod:`repro.exact.refine`).  Results, order, and the Figure-1
+    #: statistics are identical at every batch size.
+    exact_batch: int = 64
     #: worker processes for the partitioned tile executor
     #: (:mod:`repro.core.parallel_exec`): 1 = serial in-process
     #: execution, N > 1 = tiles run on a process pool.
@@ -239,33 +235,14 @@ class JoinConfig:
                     f"session must be a JoinSession or None, "
                     f"got {self.session!r}"
                 )
-        if self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        if not isinstance(self.exact_batch, int) or isinstance(
-            self.exact_batch, bool
-        ):
-            raise ValueError(
-                f"exact_batch must be an integer, got {self.exact_batch!r}; "
-                "valid choices: 1 (per-pair scalar refinement) or N > 1 "
-                "(batched columnar refinement)"
-            )
-        if self.exact_batch < 1:
-            raise ValueError(
-                f"exact_batch must be >= 1, got {self.exact_batch}; "
-                "valid choices: 1 (per-pair scalar refinement) or N > 1 "
-                "(batched columnar refinement)"
-            )
-        if self.exact_batch > 1 and self.exact_method != "vectorized":
-            raise ValueError(
-                f"exact_batch={self.exact_batch} requires "
-                f"exact_method='vectorized' (the batched refinement "
-                f"kernels implement the vectorized semantics), got "
-                f"exact_method={self.exact_method!r}; the "
-                f"{self.exact_method!r} processor is a per-pair backend "
-                "and runs with exact_batch=1"
-            )
+        for name in ("batch_size", "exact_batch"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not isinstance(self.workers, int) or isinstance(self.workers, bool):
             raise ValueError(
                 f"workers must be an integer, got {self.workers!r}; "
@@ -325,8 +302,7 @@ class JoinConfig:
         they differ in the :data:`EXECUTION_ONLY_FIELDS` (worker count,
         kernel backend, session handle).  Everything else is
         included conservatively: the filter configuration, the exact
-        method (its :class:`OperationCounter` mix is observable in the
-        stats), engine and batch sizes (proven result-identical, but
+        method, engine and batch sizes (proven result-identical, but
         kept in the key so the cache never has to rely on that proof),
         the partitioner and the grid (both shape the partitioned stats).
         """
@@ -340,9 +316,7 @@ class JoinConfig:
             f.use_false_area_test,
             f.progressive_first,
             self.exact_method,
-            self.trstar_max_entries,
             self.rtree_max_entries,
-            self.restrict_search_space,
             self.buffer_pages,
             self.engine,
             self.batch_size,
@@ -396,9 +370,9 @@ class SpatialJoinProcessor:
         """Intersection join of two relations.
 
         ``refinement`` optionally injects a pre-built
-        :class:`~repro.engine.base.RefinementStep` — the parallel tile
-        executor uses this to refine directly on the shared-memory ring
-        columns shipped to the worker instead of repacking per tile.
+        :class:`~repro.exact.refine.BatchedRefinement` — the parallel
+        tile executor uses this to refine directly on the edge tables of
+        the rows shipped to the worker instead of repacking per tile.
         """
         stats = MultiStepStats()
         pairs = list(self._pipeline(relation_a, relation_b, stats, refinement))

@@ -760,14 +760,14 @@ class _MappedRelation:
                 pass
 
 
-def _finish_tile(task, rel_a, rel_b, start: float, refinement=None) -> TileOutcome:
+def _finish_tile(task, rel_a, rel_b, start: float, refinement) -> TileOutcome:
     """Tile-local join + reference-tile de-duplication.
 
     The relation slices arrive with their stored approximation columns
     gathered from shared memory (:meth:`_MappedRelation.tile`), so the
-    batched filter reads them as they are.  ``refinement`` optionally
-    injects a pre-built refinement step (built from the mapped ring
-    columns so batched refinement reads the shipped geometry directly).
+    batched filter reads them as they are.  ``refinement`` is the exact
+    step, built from the mapped ring columns so it reads the shipped
+    geometry directly.
     """
     config = replace(task.config, workers=1)
     result = SpatialJoinProcessor(config).join(
@@ -852,8 +852,8 @@ def run_columnar_tile_task(task: ColumnarTileTask) -> TileOutcome:
     approximations are *gathered* from the shared approximation blocks
     by the task's row indices — no tile computes an approximation of a
     shipped kind.  (A filter kind without a stored form is packed per
-    join by the batched filter, for the objects that reach it.)  With batched
-    refinement configured (``exact_batch > 1``) the exact step reads a
+    join by the batched filter, for the objects that reach it.)  The
+    exact step reads a
     :class:`~repro.exact.refine.RingGeometry` edge table gathered from
     the mapped ring columns for the task's rows only (copies, so the
     mapping can be closed whenever the join ends).
@@ -879,16 +879,14 @@ def run_columnar_tile_task(task: ColumnarTileTask) -> TileOutcome:
             )
         rel_a = map_a.tile(task.idx_a)
         rel_b = map_b.tile(task.idx_b)
-        refinement = None
-        if task.config.exact_batch > 1:
-            from ..exact.refine import BatchedRefinement, RingGeometry
+        from ..exact.refine import BatchedRefinement, RingGeometry
 
-            refinement = BatchedRefinement(
-                task.config,
-                RingGeometry(map_a.rings, rel_a.objects, task.idx_a),
-                RingGeometry(map_b.rings, rel_b.objects, task.idx_b),
-            )
-        return _finish_tile(task, rel_a, rel_b, start, refinement=refinement)
+        refinement = BatchedRefinement(
+            task.config,
+            RingGeometry(map_a.rings, rel_a.objects, task.idx_a),
+            RingGeometry(map_b.rings, rel_b.objects, task.idx_b),
+        )
+        return _finish_tile(task, rel_a, rel_b, start, refinement)
     finally:
         for relation in mapped:
             relation.close()

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable
 
-from ..exact.costmodel import OperationCounter
 from ..index.join import JoinStats
 
 
@@ -31,14 +30,13 @@ class MultiStepStats:
     #: step 3 — exact geometry.
     exact_hits: int = 0
     exact_false_hits: int = 0
-    exact_ops: OperationCounter = field(default_factory=OperationCounter)
 
     #: approximation tests performed in step 2 (cheap; §5 neglects them).
     conservative_tests: int = 0
     progressive_tests: int = 0
     false_area_tests: int = 0
 
-    #: step 3 — batched refinement pipeline (``JoinConfig.exact_batch > 1``).
+    #: step 3 — how the batched refinement executed (``JoinConfig.exact_batch``).
     refine_batches: int = 0         # batched kernel invocations
     refine_batch_pairs: int = 0     # candidates resolved through a batch
     refine_fallback_pairs: int = 0  # batch members resolved by scalar code
@@ -129,8 +127,8 @@ class MultiStepStats:
     def merge(self, other: "MultiStepStats") -> "MultiStepStats":
         """Fold ``other``'s counters into this instance (returns ``self``).
 
-        Every counter — including the step-1 :class:`JoinStats` and the
-        weighted :class:`OperationCounter` — is a plain sum, so merging
+        Every counter — including the step-1 :class:`JoinStats` — is a
+        plain sum, so merging
         is associative and commutative: per-tile statistics of a
         partitioned join can be aggregated in any order and any grouping
         (serially, tree-wise, or as results arrive from worker
@@ -164,8 +162,6 @@ class MultiStepStats:
             self.kernel_seconds[key] = (
                 self.kernel_seconds.get(key, 0.0) + seconds
             )
-        for op, count in other.exact_ops.counts.items():
-            self.exact_ops.count(op, count)
         return self
 
     @classmethod
@@ -192,5 +188,4 @@ class MultiStepStats:
             "total_hits": self.total_hits,
             "total_false_hits": self.total_false_hits,
             "identification_rate": self.identification_rate(),
-            "exact_cost_ms": self.exact_ops.cost_ms(),
         }

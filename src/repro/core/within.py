@@ -3,7 +3,9 @@
 The paper's motivating query — "find all forests which are in a city" —
 is an inclusion join, and §1/§2.2 note that the multi-step approach
 carries over from intersection to such predicates.  This module supplies
-the predicate-specific filter steps:
+the predicate-specific filter steps (the exact step is
+:func:`~repro.geometry.fastops.polygon_within_fast`, run inside the
+batched refinement of :mod:`repro.exact.refine`):
 
 * ``mbr(a) ⊆ mbr(b)`` is necessary for ``a ⊆ b`` (free pretest);
 * ``progressive(a) ⊄ conservative(b)``  disproves ``a ⊆ b``;
@@ -22,7 +24,6 @@ from ..approximations.containment import (
     certainly_not_contains,
 )
 from ..datasets.relations import SpatialObject
-from ..geometry.fastops import polygon_within_fast
 from .filters import FilterConfig, FilterOutcome
 from .stats import MultiStepStats
 
@@ -58,7 +59,3 @@ def within_filter(
             return FilterOutcome.HIT
     return FilterOutcome.CANDIDATE
 
-
-def within_exact(obj_a: SpatialObject, obj_b: SpatialObject) -> bool:
-    """Exact within test (vectorised; see ``polygon_within_fast``)."""
-    return polygon_within_fast(obj_a.polygon, obj_b.polygon)

@@ -6,13 +6,14 @@ separates *how* the candidate stream is executed.  Two interchangeable
 backends implement the :class:`~repro.engine.base.Engine` interface:
 
 Streaming engine (``engine="streaming"``, the default)
-    Tuple-at-a-time: each candidate pair leaves the R*-tree MBR-join,
-    runs through the filter and (if needed) the exact processor, and is
-    emitted before the next pair is produced.  This is the paper's
-    original architecture — nothing is materialised between steps, first
-    results appear immediately, and memory use is O(1) in the candidate
-    count.  Per pair, however, it pays Python interpreter overhead for
-    every approximation test.
+    Tuple-at-a-time filtering: each candidate pair leaves the R*-tree
+    MBR-join and runs through the filter before the next pair is
+    produced; a filter hit is emitted at once unless a remaining
+    candidate ahead of it still waits for its exact batch.  This is the
+    paper's original architecture — nothing is materialised between
+    steps and memory use is bounded by the exact batch.  Per pair,
+    however, it pays Python interpreter overhead for every
+    approximation test.
 
 Batched engine (``engine="batched"``)
     Set-at-a-time: candidate pairs are drained from the MBR-join in
@@ -22,8 +23,9 @@ Batched engine (``engine="batched"``)
     tests (MBC, MEC), and a bulk false-area screen.  Only pairs a kernel
     cannot decide identically to the scalar predicate (degenerate
     shapes, near-tangent circles, ellipses, false-area screen survivors)
-    fall back to scalar code; remaining candidates still run the scalar
-    exact processors.  Results, result order, and every
+    fall back to scalar code; remaining candidates go to the same
+    batched exact step as the streaming engine's.  Results, result
+    order, and every
     :class:`~repro.core.stats.MultiStepStats` counter are identical to
     the streaming engine — ``tests/test_engine_equivalence.py`` is the
     differential harness that enforces this.
@@ -83,40 +85,38 @@ paper's test series; the batched filter step is typically ≥ 3× faster at
 batch sizes ≥ 256.
 
 Refinement pipeline — the exact step as its own layer
-    Step 3 (the exact-geometry test on remaining candidates) is a
-    strategy of its own, independent of the engine: a
-    :class:`~repro.engine.base.RefinementStep` resolves candidates, and
-    the order-preserving :class:`~repro.engine.base.RefinementPipeline`
-    drives it inside either engine, so engine choice and refinement
-    strategy compose freely.  ``JoinConfig(exact_batch=1)`` (default)
-    selects :class:`~repro.engine.base.PerPairRefinement` — the paper's
-    scalar processors (TR*-tree, plane sweep, quadratic, vectorized
-    oracle) one pair at a time, exactly as before.
-    ``exact_batch=N > 1`` (CLI ``join --exact-batch N``, requires
-    ``--exact vectorized``) accumulates remaining candidates into
-    batches of N and resolves each batch as one array program
-    (:mod:`repro.exact.refine`): the pairs' rows select edge ranges
-    from the relations' edge tables (every edge, its bounding box and a
-    per-object offset column, built once from the flattened
-    :class:`~repro.datasets.columnar.RingColumns`); one ragged kernel
-    clips each pair's edges to the intersection of the two objects'
-    bounds, drops the edge pairs whose own boxes are disjoint, and runs
-    the orientation test on the few that remain; one bulk
-    point-in-polygon call covers the containment fallback.  Results,
-    order, and the Figure-1 statistics are identical to the per-pair
-    backends (``tests/test_refine_equivalence.py`` is the differential
-    suite); ``MultiStepStats.refine_batches`` / ``refine_batch_pairs`` /
-    ``refine_fallback_pairs`` report how the work was executed.  In the
-    multi-process executor, workers build the edge tables of their tile
-    task's rows straight from the shared-memory mapped ring columns, so
-    the exact step reads the shipped geometry without re-deriving edges
-    from the rebuilt polygons.  ``benchmarks/bench_refine.py`` measures
-    the exact-step speedup (report in ``benchmarks/reports/refine.txt``).
+    Step 3 (the exact-geometry test on remaining candidates) is
+    independent of the engine: the order-preserving
+    :class:`~repro.engine.base.RefinementPipeline` drives one
+    :class:`~repro.exact.refine.BatchedRefinement` inside either
+    engine.  It accumulates remaining candidates into batches of
+    ``JoinConfig.exact_batch`` (CLI ``join --exact-batch N``, default
+    64) and resolves each batch as one array program: the pairs' rows
+    select edge ranges from the relations' edge tables (every edge, its
+    bounding box and a per-object offset column, built once from the
+    flattened :class:`~repro.datasets.columnar.RingColumns`); one
+    ragged kernel clips each pair's edges to the intersection of the
+    two objects' bounds, drops the edge pairs whose own boxes are
+    disjoint, and runs the orientation test on the few that remain;
+    one bulk point-in-polygon call covers the containment fallback.
+    Results, order, and the Figure-1 statistics are the same at every
+    batch size and equal to the paper's scalar processors (TR*-tree,
+    plane sweep, quadratic), which stay in :mod:`repro.exact` for the
+    §4 benchmarks and as test oracles
+    (``tests/test_refine_equivalence.py`` is the differential suite);
+    ``MultiStepStats.refine_batches`` / ``refine_batch_pairs`` /
+    ``refine_fallback_pairs`` report how the work was executed.  In
+    the multi-process executor, workers build the edge tables of their
+    tile task's rows straight from the shared-memory mapped ring
+    columns.  ``benchmarks/bench_refine.py`` measures the batched step
+    against a per-pair loop (report in
+    ``benchmarks/reports/refine.txt``); ``bench_table7_exact_cost.py``
+    and ``bench_fig16_cost_vs_edges.py`` compare the paper's processors.
 
 The compiled kernel tier — one semantics, three backends
-    The bulk hot paths both engines lean on — MBR overlap, segment
-    intersection, the ragged edge-pair kernel, point-in-polygon, the
-    ragged edge-distance kernel, and the per-pair plane sweep core — live
+    The bulk hot paths both engines lean on — MBR overlap, the ragged
+    edge-pair kernel, point-in-polygon and the ragged edge-distance
+    kernel — live
     behind the backend registry of :mod:`repro.geometry.kernels`,
     selected by ``JoinConfig(kernels=...)`` (CLI ``join --kernels``,
     env default ``REPRO_KERNELS``).  ``numpy`` is the vectorised
@@ -134,8 +134,7 @@ The compiled kernel tier — one semantics, three backends
     logged warning.  The backend is **execution-only**: results, order, and
     every stats counter are identical across backends
     (``tests/test_kernel_tier.py`` and the hypothesis fuzz in
-    ``tests/test_kernel_backends_fuzz.py`` enforce it, including
-    operation-count equality of the plane-sweep core), so
+    ``tests/test_kernel_backends_fuzz.py`` enforce it), so
     ``canonical_key()`` strips ``kernels`` and the service result
     cache shares entries across backends.  Per-backend
     calls/pairs/seconds telemetry lands in
@@ -407,13 +406,7 @@ and the persistent store::
     python -m repro serve --port 8765 --store-dir ./pages  # warm op enabled
 """
 
-from .base import (
-    Engine,
-    PerPairRefinement,
-    RefinementPipeline,
-    RefinementStep,
-    create_engine,
-)
+from .base import Engine, RefinementPipeline, create_engine
 from .batched import (
     CANDIDATE,
     FALSE_HIT,
@@ -432,9 +425,7 @@ __all__ = [
     "BatchWithinFilter",
     "BatchedEngine",
     "Engine",
-    "PerPairRefinement",
     "RefinementPipeline",
-    "RefinementStep",
     "StreamingEngine",
     "create_engine",
 ]

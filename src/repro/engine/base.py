@@ -6,122 +6,45 @@ of the R*-tree MBR-join and decides, per pair, hit / false hit / exact
 test.  Step 1 (tree building, I/O accounting, the synchronised traversal)
 is identical for every engine and lives here in :meth:`Engine.execute`.
 
-Step 3 — the exact-geometry test on the remaining candidates — is
-factored into its own strategy, the **refinement step**.  A
-:class:`RefinementStep` resolves remaining candidates either one pair at
-a time with the scalar processors (:class:`PerPairRefinement`: TR*-tree,
-plane sweep, quadratic, or the vectorized oracle) or in batches of
-``config.exact_batch`` with the columnar kernels of
-:mod:`repro.exact.refine`.  The :class:`RefinementPipeline` drives a
-step for one engine run and preserves the candidate order of the output
-stream, so swapping refinement strategies never reorders results.
+Step 3 — the exact-geometry test on the remaining candidates — is one
+array program per batch: :class:`~repro.exact.refine.BatchedRefinement`
+resolves ``config.exact_batch`` remaining candidates at a time with the
+edge-table kernels.  The :class:`RefinementPipeline` drives it for one
+engine run and preserves the candidate order of the output stream, so
+the batch size never reorders results.  The paper's scalar processors
+(TR*-tree, plane sweep, quadratic) stay in :mod:`repro.exact` for the
+§4 benchmarks and as test oracles.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, Iterator, List, Optional, Tuple
 
 from ..core.join import ENGINES, JoinConfig
 from ..core.stats import MultiStepStats
 from ..datasets.relations import SpatialObject, SpatialRelation
-from ..exact import (
-    polygons_intersect_quadratic,
-    polygons_intersect_trstar,
-)
-from ..geometry.fastops import polygons_intersect_fast
-from ..geometry.kernels import KernelDispatcher, get_kernels
 from ..index import AccessCounter, LRUBuffer, rstar_join
+
+if TYPE_CHECKING:
+    from ..exact.refine import BatchedRefinement
 
 Pair = Tuple[SpatialObject, SpatialObject]
 
 
-class RefinementStep(ABC):
-    """Step-3 strategy: how remaining candidates are exactly resolved.
-
-    Implementations decide geometry only; the pipeline owns the
-    bookkeeping counters (``remaining_candidates``, ``exact_hits``,
-    ``exact_false_hits``).  ``batch_capacity`` tells the pipeline how
-    many candidates to accumulate before calling :meth:`resolve_batch`.
-    """
-
-    #: candidates accumulated per :meth:`resolve_batch` call.
-    batch_capacity: int = 1
-
-    @abstractmethod
-    def resolve_batch(
-        self, pairs: Sequence[Pair], stats: MultiStepStats
-    ) -> List[bool]:
-        """Exact-test each pair; qualified flags in input order."""
-
-    def release(self) -> None:
-        """Drop references to external geometry buffers (optional)."""
-
-
-class PerPairRefinement(RefinementStep):
-    """Scalar per-pair backends: TR*, plane sweep, quadratic, vectorized.
-
-    The paper's §4 processors, unchanged — one candidate pair at a time,
-    with the operation counting of the configured method.
-    """
-
-    batch_capacity = 1
-
-    def __init__(self, config: JoinConfig):
-        self.config = config
-        # The plane sweep routes through the configured kernel backend
-        # (the loop sweep core when kernels='python'); all backends
-        # produce identical results and operation counts.
-        self._kernels = KernelDispatcher(get_kernels(config.kernels))
-
-    def resolve_batch(
-        self, pairs: Sequence[Pair], stats: MultiStepStats
-    ) -> List[bool]:
-        return [self.resolve_pair(a, b, stats) for a, b in pairs]
-
-    def resolve_pair(
-        self, obj_a: SpatialObject, obj_b: SpatialObject, stats: MultiStepStats
-    ) -> bool:
-        """Exact test of one pair with the configured processor."""
-        cfg = self.config
-        if cfg.predicate == "within":
-            from ..core.within import within_exact
-
-            return within_exact(obj_a, obj_b)
-        if cfg.exact_method == "trstar":
-            return polygons_intersect_trstar(
-                obj_a.trstar(cfg.trstar_max_entries),
-                obj_b.trstar(cfg.trstar_max_entries),
-                stats.exact_ops,
-            )
-        if cfg.exact_method == "planesweep":
-            return self._kernels.bind(stats).planesweep(
-                obj_a.polygon,
-                obj_b.polygon,
-                stats.exact_ops,
-                restrict_search_space=cfg.restrict_search_space,
-            )
-        if cfg.exact_method == "quadratic":
-            return polygons_intersect_quadratic(
-                obj_a.polygon, obj_b.polygon, stats.exact_ops
-            )
-        return polygons_intersect_fast(obj_a.polygon, obj_b.polygon)
-
-
 class RefinementPipeline:
-    """Order-preserving driver around one :class:`RefinementStep`.
+    """Order-preserving runner around one refinement step.
 
     Engines push every non-false-hit pair here instead of testing
     inline: filter-proven hits emit immediately while no candidate is
     awaiting refinement, otherwise they are buffered behind it so the
-    output order stays exactly the per-pair pipeline's.  Candidates
-    accumulate until ``step.batch_capacity`` are pending, then the whole
-    backlog is resolved in one batch and drained in candidate order.
-    With capacity 1 (the scalar backends) nothing is ever buffered and
-    the behaviour is the classic tuple-at-a-time step 3.
+    output order stays exactly the tuple-at-a-time pipeline's.
+    Candidates accumulate until ``step.batch_capacity`` are pending,
+    then the whole backlog is resolved in one batch and drained in
+    candidate order.  With capacity 1 nothing is ever buffered.
     """
 
-    def __init__(self, step: RefinementStep, stats: MultiStepStats):
+    def __init__(self, step: "BatchedRefinement", stats: MultiStepStats):
         self.step = step
         self.stats = stats
         #: (pair, qualified) in arrival order; ``None`` = awaiting exact.
@@ -179,13 +102,13 @@ class Engine(ABC):
         relation_a: SpatialRelation,
         relation_b: SpatialRelation,
         stats: MultiStepStats,
-        refinement: Optional[RefinementStep] = None,
+        refinement: Optional["BatchedRefinement"] = None,
     ) -> Iterator[Pair]:
         """Run the full three-step join, yielding result pairs.
 
         ``refinement`` overrides the step built by
         :meth:`build_refinement` — the parallel tile executor injects a
-        step bound to the shared-memory ring columns it already mapped.
+        step bound to the edge tables of the rows it already mapped.
         """
         cfg = self.config
         counter_a = counter_b = None
@@ -200,7 +123,9 @@ class Engine(ABC):
         candidates = rstar_join(
             tree_a, tree_b, counter_a, counter_b, stats.mbr_join
         )
-        return self.process(candidates, stats, refinement)
+        return self.process(
+            candidates, stats, RefinementPipeline(refinement, stats)
+        )
 
     # -- steps 2 + 3 (strategy) ---------------------------------------------
 
@@ -209,36 +134,23 @@ class Engine(ABC):
         self,
         candidates: Iterator[Pair],
         stats: MultiStepStats,
-        refinement: Optional[RefinementStep] = None,
+        refine: RefinementPipeline,
     ) -> Iterator[Pair]:
         """Classify the candidate stream; yield the qualifying pairs.
 
-        ``refinement`` is the run's step-3 strategy; ``None`` (direct
-        ``process`` calls in tests) means per-pair scalar resolution.
+        Remaining candidates go to ``refine``, the run's step 3.
         """
-
-    # -- step 3 helpers (shared) --------------------------------------------
 
     def build_refinement(
         self, relation_a: SpatialRelation, relation_b: SpatialRelation
-    ) -> RefinementStep:
-        """The refinement step selected by ``config.exact_batch``."""
-        if self.config.exact_batch > 1:
-            # Imported lazily: repro.exact.refine imports this module.
-            from ..exact.refine import BatchedRefinement
+    ) -> "BatchedRefinement":
+        """The exact step over the relations' cached edge tables."""
+        # Imported lazily: repro.exact.refine imports this module.
+        from ..exact.refine import BatchedRefinement
 
-            return BatchedRefinement.from_relations(
-                self.config, relation_a, relation_b
-            )
-        return PerPairRefinement(self.config)
-
-    def refinement_pipeline(
-        self, stats: MultiStepStats, refinement: Optional[RefinementStep]
-    ) -> RefinementPipeline:
-        """A fresh pipeline over the given step (per-pair when ``None``)."""
-        if refinement is None:
-            refinement = PerPairRefinement(self.config)
-        return RefinementPipeline(refinement, stats)
+        return BatchedRefinement.from_relations(
+            self.config, relation_a, relation_b
+        )
 
 
 def create_engine(config: JoinConfig = None) -> Engine:

@@ -19,9 +19,9 @@ survivors — fall back to the scalar code, so the classification of every
 candidate pair (and therefore every counter in
 :class:`~repro.core.stats.MultiStepStats`) is exactly the streaming
 engine's.  Remaining candidates are handed to the refinement pipeline
-(:class:`~repro.engine.base.RefinementPipeline`): per-pair scalar
-processors at ``exact_batch=1``, batched columnar kernels above — either
-way the result order of the streaming pipeline is preserved.
+(:class:`~repro.engine.base.RefinementPipeline`), which resolves them in
+batches with the edge-table kernels and preserves the result order of
+the streaming pipeline.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from ..geometry.fastops import (
     rects_intersection_area_bulk,
 )
 from ..geometry.kernels import KernelDispatcher, get_kernels
-from .base import Engine, Pair
+from .base import Engine, Pair, RefinementPipeline
 
 #: outcome codes used by the batch classifiers.
 FALSE_HIT, HIT, CANDIDATE = 0, 1, 2
@@ -372,11 +372,13 @@ class BatchedEngine(Engine):
         )
 
     def process(
-        self, candidates: Iterator[Pair], stats: MultiStepStats, refinement=None
+        self,
+        candidates: Iterator[Pair],
+        stats: MultiStepStats,
+        refine: RefinementPipeline,
     ) -> Iterator[Pair]:
         batch_filter = self.make_filter()
         batch_size = self.config.batch_size
-        refine = self.refinement_pipeline(stats, refinement)
         while True:
             batch = list(islice(candidates, batch_size))
             if not batch:

@@ -1,8 +1,9 @@
 """Per-pair (tuple-at-a-time) execution — the paper's original pipeline.
 
-Candidate pairs stream through the geometric filter and the exact
-processor one at a time; no candidate set is materialised between steps
-(§2.4: "no additional cost arises for handling these candidates").  This
+Candidate pairs stream through the geometric filter one at a time; the
+remaining candidates queue in the refinement pipeline for the batched
+exact step.  No candidate set is materialised between steps (§2.4: "no
+additional cost arises for handling these candidates").  This
 is the code that used to live inside
 :class:`repro.core.join.SpatialJoinProcessor`, extracted unchanged so it
 can serve as the reference backend for the differential-testing harness.
@@ -14,7 +15,7 @@ from typing import Iterator
 
 from ..core.filters import FilterOutcome, geometric_filter
 from ..core.stats import MultiStepStats
-from .base import Engine, Pair
+from .base import Engine, Pair, RefinementPipeline
 
 
 class StreamingEngine(Engine):
@@ -23,14 +24,16 @@ class StreamingEngine(Engine):
     name = "streaming"
 
     def process(
-        self, candidates: Iterator[Pair], stats: MultiStepStats, refinement=None
+        self,
+        candidates: Iterator[Pair],
+        stats: MultiStepStats,
+        refine: RefinementPipeline,
     ) -> Iterator[Pair]:
         cfg = self.config
         within = cfg.predicate == "within"
         if within:
             from ..core.within import within_filter
 
-        refine = self.refinement_pipeline(stats, refinement)
         for obj_a, obj_b in candidates:
             stats.candidate_pairs += 1
             if within:

@@ -1,9 +1,9 @@
 """Batched, columnar-native refinement of remaining candidates.
 
-The filter step has been set-at-a-time since the batched engine landed;
-this module makes the *exact* step (step 3, paper §4) set-at-a-time too.
-Candidates that survive the geometric filter are accumulated by the
-:class:`~repro.engine.base.RefinementPipeline` into batches of
+This module is the *exact* step (step 3, paper §4) of every
+``intersects`` and ``within`` join, set-at-a-time like the batched
+filter.  Candidates that survive the geometric filter are accumulated
+by the :class:`~repro.engine.base.RefinementPipeline` into batches of
 ``JoinConfig.exact_batch`` and each batch is resolved by **one array
 program** — no Python step per pair beyond looking up its two rows:
 
@@ -46,16 +46,20 @@ Per batch that is one ``rects_intersect_bulk``, one ragged-kernel call
 and at most one ``points_in_polygons_bulk`` call through the configured
 kernel backend — the row-level decision :func:`intersects_rows`, which
 the proximity predicates (:mod:`repro.core.proximity`) share as their
-zero-distance test.  Decisions are identical to the per-pair ``vectorized``
-processor (:func:`~repro.geometry.fastops.polygons_intersect_fast`):
-same expressions on the same floats, sound pruning, and a
-point-in-polygon kernel that replicates ``Polygon.contains_point``
-operation for operation.  ``tests/test_refine_equivalence.py`` is the
+zero-distance test.  Decisions are identical to the per-pair
+:func:`~repro.geometry.fastops.polygons_intersect_fast`: same
+expressions on the same floats, sound pruning, and a point-in-polygon
+kernel that replicates ``Polygon.contains_point`` operation for
+operation.  They also equal the paper's scalar processors (TR*-tree,
+plane sweep, quadratic; :mod:`repro.exact`), which the §4 benchmarks
+call directly.  ``tests/test_refine_equivalence.py`` is the
 differential harness.
 
-What still resolves through the scalar per-pair code inside a batch
-(counted by ``MultiStepStats.refine_fallback_pairs``): the ``within``
-predicate, and pairs with an object that has no table row.
+What still resolves pair by pair inside a batch (counted by
+``MultiStepStats.refine_fallback_pairs``): the ``within`` predicate,
+through :func:`~repro.geometry.fastops.polygon_within_fast`, and pairs
+with an object that has no table row, through
+:func:`~repro.geometry.fastops.polygons_intersect_fast`.
 
 In the multi-process tile executor the worker builds each side's
 :class:`RingGeometry` from the shared-memory mapped ring columns for the
@@ -73,11 +77,12 @@ import numpy as np
 from ..core.join import JoinConfig
 from ..core.stats import MultiStepStats
 from ..datasets.columnar import RingColumns
-from ..engine.base import Pair, PerPairRefinement, RefinementStep
+from ..engine.base import Pair
 from ..geometry.fastops import (
     EdgeTable,
     build_edge_table,
     gather_edges,
+    polygon_within_fast,
     polygons_intersect_fast,
     rects_contain_bulk,
 )
@@ -162,14 +167,15 @@ class RingGeometry:
         return tuple(self.table.bounds[row].tolist())
 
 
-class BatchedRefinement(RefinementStep):
-    """Vectorized exact step over batches of remaining candidates.
+class BatchedRefinement:
+    """The exact step: batches of remaining candidates, one array program each.
 
-    Implements the ``vectorized`` exact semantics
-    (:func:`polygons_intersect_fast`) for the ``intersects`` predicate;
-    the ``within`` predicate and pairs whose objects are missing from
-    the edge tables resolve through the scalar per-pair backend inside
-    the batch.
+    Decides the ``intersects`` predicate as
+    :func:`polygons_intersect_fast` does; the ``within`` predicate and
+    pairs whose objects are missing from the edge tables resolve pair
+    by pair inside the batch.  ``batch_capacity`` tells the
+    :class:`~repro.engine.base.RefinementPipeline` how many candidates
+    to accumulate before calling :meth:`resolve_batch`.
     """
 
     def __init__(
@@ -181,7 +187,6 @@ class BatchedRefinement(RefinementStep):
         self.config = config
         self.batch_capacity = config.exact_batch
         self._geometry = (geometry_a, geometry_b)
-        self._scalar = PerPairRefinement(config)
         # All bulk kernels route through the configured backend; every
         # backend decides identically (repro.geometry.kernels).
         self._kernels = KernelDispatcher(get_kernels(config.kernels))
@@ -202,12 +207,13 @@ class BatchedRefinement(RefinementStep):
     def resolve_batch(
         self, pairs: Sequence[Pair], stats: MultiStepStats
     ) -> List[bool]:
+        """Exact-test each pair; qualified flags in input order."""
         stats.refine_batches += 1
         stats.refine_batch_pairs += len(pairs)
         self._kernels.bind(stats)
         if self.config.predicate == "within":
             stats.refine_fallback_pairs += len(pairs)
-            return self._scalar.resolve_batch(pairs, stats)
+            return [polygon_within_fast(a.polygon, b.polygon) for a, b in pairs]
         return self._resolve_intersects(pairs, stats)
 
     def _resolve_intersects(

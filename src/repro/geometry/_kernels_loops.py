@@ -1,8 +1,7 @@
 """Loop-form geometry kernels: the readable reference of the C kernels.
 
 Every function here is a *scalar loop* transliteration of one numpy
-oracle kernel from :mod:`repro.geometry.fastops` (or of the scalar
-plane sweep in :mod:`repro.exact.planesweep`): plain ``for`` loops over
+oracle kernel from :mod:`repro.geometry.fastops`: plain ``for`` loops over
 contiguous float64/int64 arrays, ``math`` scalars, no Python objects.
 
 :mod:`repro.geometry.kernels` runs them as the ``"python"`` backend.
@@ -55,25 +54,6 @@ def _on_seg(px, py, qx, qy, rx, ry):
     return True
 
 
-def _seg_intersect(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
-    """Scalar ``segment.segments_intersect`` on unpacked coordinates."""
-    o1 = _orient_sign(p1x, p1y, p2x, p2y, q1x, q1y)
-    o2 = _orient_sign(p1x, p1y, p2x, p2y, q2x, q2y)
-    o3 = _orient_sign(q1x, q1y, q2x, q2y, p1x, p1y)
-    o4 = _orient_sign(q1x, q1y, q2x, q2y, p2x, p2y)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_seg(p1x, p1y, q1x, q1y, p2x, p2y):
-        return True
-    if o2 == 0 and _on_seg(p1x, p1y, q2x, q2y, p2x, p2y):
-        return True
-    if o3 == 0 and _on_seg(q1x, q1y, p1x, p1y, q2x, q2y):
-        return True
-    if o4 == 0 and _on_seg(q1x, q1y, p2x, p2y, q2x, q2y):
-        return True
-    return False
-
-
 def _point_seg_dist(px, py, ax, ay, bx, by):
     """Scalar ``predicates.point_segment_distance`` (sqrt, not hypot, so
     the numpy oracle computes bit-identical values)."""
@@ -99,17 +79,6 @@ def _point_seg_dist(px, py, ax, ay, bx, by):
 # ---------------------------------------------------------------------------
 # Bulk kernels (loop counterparts of the fastops numpy kernels)
 # ---------------------------------------------------------------------------
-
-
-def segments_intersect_rows(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
-    """Loop counterpart of ``fastops.segments_intersect_bulk``."""
-    n = p1x.shape[0]
-    out = np.zeros(n, dtype=np.bool_)
-    for i in range(n):
-        out[i] = _seg_intersect(
-            p1x[i], p1y[i], p2x[i], p2y[i], q1x[i], q1y[i], q2x[i], q2y[i]
-        )
-    return out
 
 
 def points_in_polygons(px, py, qidx, ex1, ey1, ex2, ey2, mbrs):
@@ -368,133 +337,3 @@ def edge_distance_ragged(
         evaluated += n_a * n_b
         dist[p] = best if best <= reach[p] else np.inf
     return dist, evaluated
-
-
-# ---------------------------------------------------------------------------
-# Plane-sweep core (loop counterpart of exact.planesweep._sweep_finds_
-# intersection, including its cost-model counting)
-# ---------------------------------------------------------------------------
-
-
-def _edge_y_at(lx, ly, rx, ry, x):
-    """``segment.segment_y_at`` on an unpacked left/right edge."""
-    dx = rx - lx
-    if abs(dx) <= EPSILON:
-        return min(ly, ry)
-    t = (x - lx) / dx
-    return ly + t * (ry - ly)
-
-
-def _edge_slope(lx, ly, rx, ry):
-    """Status tie-break slope: dy/dx, +inf for vertical edges."""
-    if rx > lx:
-        return (ry - ly) / (rx - lx)
-    return np.inf
-
-
-def sweep_core(pid, lx, ly, rx, ry, ev_x, ev_del, ev_edge):
-    """Shamos–Hoey sweep over pre-sorted events.
-
-    ``pid``/``lx``/``ly``/``rx``/``ry`` describe the left/right-ordered
-    edges; ``ev_x``/``ev_del``/``ev_edge`` are the event arrays sorted
-    by ``(x, is_delete, left_y)`` with ties in original (edge) order —
-    exactly the scalar event queue.  Replicates ``_SweepStatus``
-    semantics: binary-search insertion counting one *position test* per
-    key comparison, removal of the first value-equal edge, neighbour
-    tests after insert/delete, and the ``idx +/- 2`` near-tie probes.
-
-    Returns ``(found, position_tests, edge_intersection_tests)``.
-    """
-    n = pid.shape[0]
-    status = np.empty(n, dtype=np.int64)
-    m = 0
-    positions = 0
-    tests = 0
-    for t in range(ev_x.shape[0]):
-        x = ev_x[t]
-        e = ev_edge[t]
-        if ev_del[t] == 1:
-            # list.index(edge): first *value-equal* edge in the status.
-            idx = -1
-            for j in range(m):
-                s = status[j]
-                if (
-                    pid[s] == pid[e]
-                    and lx[s] == lx[e]
-                    and ly[s] == ly[e]
-                    and rx[s] == rx[e]
-                    and ry[s] == ry[e]
-                ):
-                    idx = j
-                    break
-            if idx < 0:
-                continue
-            for j in range(idx, m - 1):
-                status[j] = status[j + 1]
-            m -= 1
-            if idx - 1 >= 0 and idx < m:
-                below = status[idx - 1]
-                above = status[idx]
-                if pid[below] != pid[above]:
-                    tests += 1
-                    if _seg_intersect(
-                        lx[below], ly[below], rx[below], ry[below],
-                        lx[above], ly[above], rx[above], ry[above],
-                    ):
-                        return 1, positions, tests
-        else:
-            ky = _edge_y_at(lx[e], ly[e], rx[e], ry[e], x)
-            ks = _edge_slope(lx[e], ly[e], rx[e], ry[e])
-            lo = 0
-            hi = m
-            while lo < hi:
-                mid = (lo + hi) // 2
-                positions += 1
-                s = status[mid]
-                my = _edge_y_at(lx[s], ly[s], rx[s], ry[s], x)
-                ms = _edge_slope(lx[s], ly[s], rx[s], ry[s])
-                if my < ky or (my == ky and ms < ks):
-                    lo = mid + 1
-                else:
-                    hi = mid
-            for j in range(m, lo, -1):
-                status[j] = status[j - 1]
-            status[lo] = e
-            m += 1
-            idx = lo
-            if idx - 1 >= 0:
-                other = status[idx - 1]
-                if pid[other] != pid[e]:
-                    tests += 1
-                    if _seg_intersect(
-                        lx[e], ly[e], rx[e], ry[e],
-                        lx[other], ly[other], rx[other], ry[other],
-                    ):
-                        return 1, positions, tests
-            if idx + 1 < m:
-                other = status[idx + 1]
-                if pid[other] != pid[e]:
-                    tests += 1
-                    if _seg_intersect(
-                        lx[e], ly[e], rx[e], ry[e],
-                        lx[other], ly[other], rx[other], ry[other],
-                    ):
-                        return 1, positions, tests
-            # Near-tie probes: edges whose keys coincide at x may hide a
-            # crossing partner one slot further away (tol = 1e-12).
-            for step in range(2):
-                probe = idx - 2 if step == 0 else idx + 2
-                if probe < 0 or probe >= m:
-                    continue
-                other = status[probe]
-                y1 = _edge_y_at(lx[e], ly[e], rx[e], ry[e], x)
-                y2 = _edge_y_at(lx[other], ly[other], rx[other], ry[other], x)
-                if abs(y1 - y2) <= 1e-12:
-                    if pid[other] != pid[e]:
-                        tests += 1
-                        if _seg_intersect(
-                            lx[e], ly[e], rx[e], ry[e],
-                            lx[other], ly[other], rx[other], ry[other],
-                        ):
-                            return 1, positions, tests
-    return 0, positions, tests

@@ -1,27 +1,26 @@
 """Kernel backend registry for the filter/refine hot paths.
 
-The batched join engine spends its wall time in a handful of bulk
-geometry kernels (``fastops``) plus the scalar plane-sweep fallback:
-row-wise MBR and segment tests for the filter, and for the exact step
-one ragged edge-pair kernel per refinement batch over the relations'
-edge tables (``edge_pairs_intersect_ragged``), one bulk point-in-polygon
-call, and for the proximity predicates one ragged edge-distance kernel
-per round of pending pairs (``min_edge_distance_ragged``), capped by a
-per-pair reach.
+The joins spend their kernel time in a handful of bulk geometry
+kernels (``fastops``): row-wise MBR tests for the filter, and for the
+exact step one ragged edge-pair kernel per refinement batch over the
+relations' edge tables (``edge_pairs_intersect_ragged``), one bulk
+point-in-polygon call, and for the proximity predicates one ragged
+edge-distance kernel per round of pending pairs
+(``min_edge_distance_ragged``), capped by a per-pair reach.
 This module makes the *execution substrate* of those kernels pluggable
 behind an unchanged interface — ``JoinConfig(kernels=...)`` selects a
 backend per join, and every backend decides every predicate identically
 (the numpy kernels are the differential oracle):
 
 ``"numpy"``
-    The vectorised oracle kernels from :mod:`repro.geometry.fastops`
-    and the scalar plane sweep.  Always available.
+    The vectorised oracle kernels from :mod:`repro.geometry.fastops`.
+    Always available.
 ``"c"``
     The three per-batch loop kernels (ragged edge pairs, ragged edge
     distance, points in polygons) compiled from ``_ckernels.c``, a
     statement-for-statement transliteration of their loop twins in
-    :mod:`repro.geometry._kernels_loops`; the row-wise segment and
-    rectangle tests and the plane sweep are the numpy oracle's.
+    :mod:`repro.geometry._kernels_loops`; the row-wise rectangle test
+    is the numpy oracle's.
     Requesting it when the library cannot be built or loaded raises a
     clear ``ValueError``.
 ``"python"``
@@ -94,14 +93,14 @@ NUMBA_AVAILABLE = False
 #: for the proximity predicates.  Per-pair building blocks that no hot
 #: path calls through a backend (``fastops.edge_matrix_intersect_any``,
 #: ``edges_overlapping_rect_mask``) and the reach heuristic
-#: ``fastops.vertex_distance_bounds`` are plain functions, not kernels.
+#: ``fastops.vertex_distance_bounds`` are plain functions, not kernels;
+#: so is ``fastops.segments_intersect_bulk``, which ``fastops`` calls
+#: directly.
 KERNEL_NAMES = (
-    "segments_intersect_bulk",
     "points_in_polygons_bulk",
     "edge_pairs_intersect_ragged",
     "rects_intersect_bulk",
     "min_edge_distance_ragged",
-    "planesweep",
 )
 
 _NO_MBRS = np.empty((0, 4), dtype=np.float64)
@@ -296,16 +295,12 @@ def _open_library(path: Path) -> Optional[ctypes.CDLL]:
 
 
 def _build_numpy_set() -> KernelSet:
-    from ..exact.planesweep import polygons_intersect_planesweep
-
     return KernelSet(
         "numpy",
-        segments_intersect_bulk=_fastops.segments_intersect_bulk,
         points_in_polygons_bulk=_fastops.points_in_polygons_bulk,
         edge_pairs_intersect_ragged=_fastops.edge_pairs_intersect_ragged,
         rects_intersect_bulk=_fastops.rects_intersect_bulk,
         min_edge_distance_ragged=_fastops.min_edge_distance_ragged,
-        planesweep=polygons_intersect_planesweep,
     )
 
 
@@ -425,29 +420,15 @@ def _build_c_set() -> KernelSet:
 
     return KernelSet(
         "c",
-        segments_intersect_bulk=oracle.segments_intersect_bulk,
         points_in_polygons_bulk=points_in_polygons_bulk,
         edge_pairs_intersect_ragged=edge_pairs_intersect_ragged,
         rects_intersect_bulk=oracle.rects_intersect_bulk,
         min_edge_distance_ragged=min_edge_distance_ragged,
-        planesweep=oracle.planesweep,
     )
 
 
 def _build_python_set() -> KernelSet:
     """The loop kernels, adapted to the oracle kernels' signatures."""
-
-    def segments_intersect_bulk(p1, p2, q1, q2):
-        p1 = np.asarray(p1, dtype=np.float64)
-        p2 = np.asarray(p2, dtype=np.float64)
-        q1 = np.asarray(q1, dtype=np.float64)
-        q2 = np.asarray(q2, dtype=np.float64)
-        return _loops.segments_intersect_rows(
-            _column(p1[:, 0]), _column(p1[:, 1]),
-            _column(p2[:, 0]), _column(p2[:, 1]),
-            _column(q1[:, 0]), _column(q1[:, 1]),
-            _column(q2[:, 0]), _column(q2[:, 1]),
-        )
 
     def points_in_polygons_bulk(px, py, qidx, ex1, ey1, ex2, ey2, mbrs=None):
         return _loops.points_in_polygons(
@@ -484,12 +465,10 @@ def _build_python_set() -> KernelSet:
 
     return KernelSet(
         "python",
-        segments_intersect_bulk=segments_intersect_bulk,
         points_in_polygons_bulk=points_in_polygons_bulk,
         edge_pairs_intersect_ragged=edge_pairs_intersect_ragged,
         rects_intersect_bulk=rects_intersect_bulk,
         min_edge_distance_ragged=min_edge_distance_ragged,
-        planesweep=_make_planesweep(_loops.sweep_core),
     )
 
 
@@ -498,76 +477,6 @@ _SET_FACTORIES: Dict[str, Callable[[], KernelSet]] = {
     "c": _build_c_set,
     "python": _build_python_set,
 }
-
-
-def _make_planesweep(core: Callable) -> Callable:
-    """Plane-sweep wrapper around the loop sweep core.
-
-    Restriction pre-scan, event ordering, cost-model totals and the
-    final containment step replicate ``polygons_intersect_planesweep``
-    exactly — only the sweep loop itself runs through ``core``.
-    """
-
-    def planesweep(poly1, poly2, counter=None, restrict_search_space=True):
-        from ..exact.costmodel import EDGE_INTERSECTION, POSITION
-        from ..exact.planesweep import _containment_step, _restricted_edges
-
-        clip = poly1.mbr().intersection(poly2.mbr())
-        if clip is None:
-            return False
-        edges = []
-        edges += _restricted_edges(
-            poly1, 0, clip if restrict_search_space else None, counter
-        )
-        edges += _restricted_edges(
-            poly2, 1, clip if restrict_search_space else None, counter
-        )
-        has1 = any(e[0] == 0 for e in edges)
-        has2 = any(e[0] == 1 for e in edges)
-        if edges and has1 and has2:
-            n = len(edges)
-            pid = np.empty(n, dtype=np.int64)
-            lx = np.empty(n, dtype=np.float64)
-            ly = np.empty(n, dtype=np.float64)
-            rx = np.empty(n, dtype=np.float64)
-            ry = np.empty(n, dtype=np.float64)
-            # Interleaved insert/delete events, scalar queue order:
-            # sorted by (x, order, left_y), ties in original order.
-            ev_x = np.empty(2 * n, dtype=np.float64)
-            ev_ord = np.empty(2 * n, dtype=np.int64)
-            ev_y = np.empty(2 * n, dtype=np.float64)
-            ev_edge = np.empty(2 * n, dtype=np.int64)
-            for i, (poly_id, left, right) in enumerate(edges):
-                pid[i] = poly_id
-                lx[i] = left[0]
-                ly[i] = left[1]
-                rx[i] = right[0]
-                ry[i] = right[1]
-                ev_x[2 * i] = left[0]
-                ev_ord[2 * i] = 0
-                ev_y[2 * i] = left[1]
-                ev_edge[2 * i] = i
-                ev_x[2 * i + 1] = right[0]
-                ev_ord[2 * i + 1] = 1
-                ev_y[2 * i + 1] = left[1]
-                ev_edge[2 * i + 1] = i
-            order = np.lexsort((ev_y, ev_ord, ev_x))
-            found, positions, tests = core(
-                pid, lx, ly, rx, ry,
-                np.ascontiguousarray(ev_x[order]),
-                np.ascontiguousarray(ev_ord[order]),
-                np.ascontiguousarray(ev_edge[order]),
-            )
-            if counter is not None:
-                if positions:
-                    counter.count(POSITION, int(positions))
-                if tests:
-                    counter.count(EDGE_INTERSECTION, int(tests))
-            if found:
-                return True
-        return _containment_step(poly1, poly2, counter)
-
-    return planesweep
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +502,6 @@ def warm_up(name: str = "auto") -> str:
     """
     backend = resolve_backend(name)
     kernels = get_kernels(backend)
-    pts_a = np.array([[0.0, 0.0], [1.0, 1.0]])
-    pts_b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    kernels.segments_intersect_bulk(pts_a, pts_b, pts_b, pts_a)
     ex = np.array([0.0, 1.0, 1.0, 0.0])
     ey = np.array([0.0, 0.0, 1.0, 1.0])
     ex2 = np.array([1.0, 1.0, 0.0, 0.0])
@@ -620,11 +526,6 @@ def warm_up(name: str = "auto") -> str:
     kernels.min_edge_distance_ragged(
         table, table, one, one, np.array([1.0]), np.array([1e-9])
     )
-    from .polygon import Polygon
-
-    tri_a = Polygon([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)])
-    tri_b = Polygon([(0.4, 0.2), (1.4, 0.2), (0.9, 1.2)])
-    kernels.planesweep(tri_a, tri_b, None, True)
     _WARM_EVENTS.append(backend)
     return backend
 
@@ -669,14 +570,6 @@ class KernelDispatcher:
             stats.kernel_seconds.get(key, 0.0) + seconds
         )
 
-    def segments_intersect_bulk(self, p1, p2, q1, q2):
-        start = time.perf_counter()
-        out = self.kernels.segments_intersect_bulk(p1, p2, q1, q2)
-        self._record(
-            "segments_intersect_bulk", len(p1), time.perf_counter() - start
-        )
-        return out
-
     def points_in_polygons_bulk(self, px, py, qidx, ex1, ey1, ex2, ey2,
                                 mbrs=None):
         start = time.perf_counter()
@@ -720,15 +613,6 @@ class KernelDispatcher:
             time.perf_counter() - start,
         )
         return dist
-
-    def planesweep(self, poly1, poly2, counter=None,
-                   restrict_search_space=True):
-        start = time.perf_counter()
-        out = self.kernels.planesweep(
-            poly1, poly2, counter, restrict_search_space
-        )
-        self._record("planesweep", 1, time.perf_counter() - start)
-        return out
 
 
 def dispatcher_for(config_kernels: str,

@@ -96,9 +96,6 @@ def stats_to_dict(stats: MultiStepStats) -> Dict[str, object]:
         "refine_batches": stats.refine_batches,
         "refine_batch_pairs": stats.refine_batch_pairs,
         "refine_fallback_pairs": stats.refine_fallback_pairs,
-        "exact_ops": {
-            str(op): count for op, count in sorted(stats.exact_ops.counts.items())
-        },
         "mbr_tests": stats.mbr_join.mbr_tests,
         "mbr_node_pairs": stats.mbr_join.node_pairs,
         "mbr_output_pairs": stats.mbr_join.output_pairs,
@@ -222,16 +219,9 @@ class KnnResponse:
 
 def freeze_stats(stats: MultiStepStats) -> Tuple[Tuple[str, object], ...]:
     """Immutable form of :func:`stats_to_dict` for frozen responses."""
-    return tuple(
-        (key, tuple(sorted(value.items())) if isinstance(value, dict) else value)
-        for key, value in stats_to_dict(stats).items()
-    )
+    return tuple(stats_to_dict(stats).items())
 
 
 def thaw_stats(frozen: Tuple[Tuple[str, object], ...]) -> Dict[str, object]:
-    """Inverse of :func:`freeze_stats` (dict values restored)."""
-    return {
-        key: dict(value) if isinstance(value, tuple) and key == "exact_ops"
-        else value
-        for key, value in frozen
-    }
+    """Inverse of :func:`freeze_stats`."""
+    return dict(frozen)

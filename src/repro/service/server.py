@@ -17,7 +17,7 @@ Request shapes::
 
     {"op": "join", "relation_a": "a.wkt", "relation_b": "b.wkt",
      "predicate": "intersects", "engine": "batched", "workers": 2,
-     "grid": [4, 4], "partitioner": "grid", "exact": "trstar", ...}
+     "grid": [4, 4], "partitioner": "grid", "exact": "vectorized", ...}
     {"op": "join", "relation_a": "a.wkt", "relation_b": "b.wkt",
      "predicate": "distance", "epsilon": 0.05}     # or "knn" with "k"
     {"op": "join", ..., "kernels": "c"}            # execution-only

@@ -231,7 +231,6 @@ def stats_fingerprint(stats: MultiStepStats) -> Dict[str, object]:
         "conservative_tests": stats.conservative_tests,
         "progressive_tests": stats.progressive_tests,
         "false_area_tests": stats.false_area_tests,
-        "exact_ops": dict(stats.exact_ops.counts),
         "mbr_tests": stats.mbr_join.mbr_tests,
         "mbr_output_pairs": stats.mbr_join.output_pairs,
     }

@@ -53,14 +53,38 @@ def test_invalid_batch_size_rejected(batch_size):
         JoinConfig(batch_size=batch_size)
 
 
+@pytest.mark.parametrize("batch_size", (2.5, True, "8", None))
+def test_non_integer_batch_size_rejected(batch_size):
+    """Validated like exact_batch and workers: an int, not a bool."""
+    with pytest.raises(ValueError, match="batch_size"):
+        JoinConfig(batch_size=batch_size)
+
+
+@pytest.mark.parametrize("exact", ("trstar", "planesweep", "quadratic"))
+def test_scalar_exact_methods_rejected(exact):
+    """The paper's scalar processors are oracles, not join options."""
+    with pytest.raises(ValueError) as excinfo:
+        JoinConfig(exact_method=exact)
+    message = str(excinfo.value)
+    assert exact in message and "('vectorized',)" in message
+
+
+@pytest.mark.parametrize(
+    "field", ("trstar_max_entries", "restrict_search_space")
+)
+def test_scalar_processor_fields_removed(field):
+    with pytest.raises(TypeError):
+        JoinConfig(**{field: 3})
+
+
 @pytest.mark.parametrize("exact_batch", (0, -1, -64))
 def test_exact_batch_below_one_rejected(exact_batch):
     with pytest.raises(ValueError) as excinfo:
         JoinConfig(exact_method="vectorized", exact_batch=exact_batch)
     message = str(excinfo.value)
     assert str(exact_batch) in message
-    # The message names the valid choices, like the workers validation.
-    assert "per-pair" in message and "batched" in message
+    # The message names the field and its minimum.
+    assert "exact_batch" in message and ">= 1" in message
 
 
 @pytest.mark.parametrize("exact_batch", (1.5, "64", None, True))
@@ -69,26 +93,13 @@ def test_non_integer_exact_batch_rejected(exact_batch):
         JoinConfig(exact_method="vectorized", exact_batch=exact_batch)
 
 
-@pytest.mark.parametrize("exact_method", ("trstar", "planesweep", "quadratic"))
-def test_exact_batch_rejected_for_per_pair_methods(exact_method):
-    """Batched refinement implements only the vectorized semantics."""
-    # Per-pair capacity composes with every method...
-    JoinConfig(exact_method=exact_method, exact_batch=1)
-    # ...but batching requires the vectorized processor.
-    with pytest.raises(ValueError) as excinfo:
-        JoinConfig(exact_method=exact_method, exact_batch=64)
-    message = str(excinfo.value)
-    assert exact_method in message and "vectorized" in message
-    assert "exact_batch=64" in message
-
-
 def test_exact_batch_accepted_for_vectorized():
     for exact_batch in (1, 2, 64, 4096):
-        config = JoinConfig(exact_method="vectorized", exact_batch=exact_batch)
+        config = JoinConfig(exact_batch=exact_batch)
         assert config.exact_batch == exact_batch
-    # The default composes with every exact method (no batching).
-    for exact in EXACT_METHODS:
-        assert JoinConfig(exact_method=exact).exact_batch == 1
+    assert JoinConfig().exact_batch == 64
+    assert EXACT_METHODS == ("vectorized",)
+    assert JoinConfig().exact_method == "vectorized"
 
 
 @pytest.mark.parametrize(

@@ -44,13 +44,15 @@ class TestPipelineCorrectness:
         result = proc.join(tiny_series.relation_a, tiny_series.relation_b)
         assert set(result.id_pairs()) == tiny_oracle
 
-    @pytest.mark.parametrize("method", ["trstar", "planesweep", "quadratic"])
-    def test_every_exact_method_matches_oracle(
-        self, tiny_series, tiny_oracle, method
-    ):
-        proc = SpatialJoinProcessor(JoinConfig(exact_method=method))
-        result = proc.join(tiny_series.relation_a, tiny_series.relation_b)
-        assert set(result.id_pairs()) == tiny_oracle
+    def test_default_join_refines_in_batches(self, tiny_series):
+        """The default join runs the batched exact step, no fallbacks."""
+        rel_a, rel_b = tiny_series.relation_a, tiny_series.relation_b
+        result = SpatialJoinProcessor().join(rel_a, rel_b)
+        assert result.stats.refine_batches > 0
+        assert result.stats.refine_fallback_pairs == 0
+        assert sorted(result.id_pairs()) == sorted(
+            nested_loops_join(rel_a, rel_b)
+        )
 
     def test_unknown_exact_method_rejected(self):
         with pytest.raises(ValueError):
@@ -106,14 +108,6 @@ class TestPipelineStats:
         ).stats
         assert stats.identified_pairs == 0
         assert stats.remaining_candidates == stats.candidate_pairs
-
-    def test_exact_ops_counted_for_trstar(self, tiny_series):
-        proc = SpatialJoinProcessor(JoinConfig(exact_method="trstar"))
-        stats = proc.join(
-            tiny_series.relation_a, tiny_series.relation_b
-        ).stats
-        assert stats.exact_ops.total_operations() > 0
-        assert stats.exact_ops.cost_ms() > 0
 
     def test_buffered_join_counts_pages(self, tiny_series):
         proc = SpatialJoinProcessor(

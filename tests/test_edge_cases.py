@@ -51,16 +51,18 @@ class TestDegenerateRelations:
 
 
 class TestExtremeShapes:
-    @pytest.mark.parametrize("exact", ["trstar", "planesweep", "quadratic"])
-    def test_skinny_polygons_cross(self, exact):
+    @pytest.mark.parametrize(
+        "engine, exact_batch",
+        [("streaming", 1), ("batched", 1), ("batched", 64)],
+    )
+    def test_skinny_polygons_cross(self, engine, exact_batch):
         """Two hairline slivers crossing like an X must join."""
         horiz = skinny(0, 0.5)
         vert = Polygon([(0.5, 0), (0.5 + 1e-6, 0), (0.5 + 1e-6, 1), (0.5, 1)])
         rel_a = SpatialRelation("H", [horiz])
         rel_b = SpatialRelation("V", [vert])
-        result = SpatialJoinProcessor(JoinConfig(exact_method=exact)).join(
-            rel_a, rel_b
-        )
+        config = JoinConfig(engine=engine, exact_batch=exact_batch)
+        result = SpatialJoinProcessor(config).join(rel_a, rel_b)
         assert result.id_pairs() == [(0, 0)]
 
     def test_skinny_polygons_parallel_disjoint(self):

@@ -3,8 +3,8 @@
 The batched engine must produce *identical* result pairs (same pairs,
 same order) and identical ``MultiStepStats`` filter classifications
 (hit / false hit / remaining candidate, plus every test counter) for
-every predicate, filter configuration, and exact method.  The harness
-generates seeded-random relation pairs — ``test_differential_fuzz``
+every predicate, filter configuration, and refinement batch size.  The
+harness generates seeded-random relation pairs — ``test_differential_fuzz``
 alone covers > 200 of them — and asserts equivalence on each.
 """
 
@@ -20,9 +20,10 @@ from helpers import (
 from repro.core import FilterConfig, JoinConfig
 from repro.engine import BatchedEngine, StreamingEngine, create_engine
 
-# Filter/exact/predicate coverage: every approximation family (rect,
-# general convex, circle, ellipse), both test orders, the false-area
-# test, no-filter, both predicates, and every exact method.
+# Filter/refinement/predicate coverage: every approximation family
+# (rect, general convex, circle, ellipse), both test orders, the
+# false-area test, no-filter, both predicates, and refinement batch
+# sizes beside the default 64 (1, 7 and 1024).
 CONFIGS = [
     JoinConfig(exact_method="vectorized"),  # paper default: 5-C + MER
     JoinConfig(
@@ -46,15 +47,15 @@ CONFIGS = [
     JoinConfig(
         filter=FilterConfig(conservative="CH", progressive="MER",
                             use_false_area_test=True),
-        exact_method="quadratic",
+        exact_batch=1,
     ),
     JoinConfig(
         filter=FilterConfig(conservative=None, progressive="MER"),
-        exact_method="planesweep",
+        exact_batch=7,
     ),
     JoinConfig(
         filter=FilterConfig(conservative=None, progressive=None),
-        exact_method="trstar",
+        exact_batch=1024,
     ),
     JoinConfig(exact_method="vectorized", predicate="within"),
     JoinConfig(
@@ -65,7 +66,7 @@ CONFIGS = [
 ]
 
 _IDS = [
-    f"{c.predicate}-{c.exact_method}-{c.filter.describe().replace(', ', '+')}"
+    f"{c.predicate}-b{c.exact_batch}-{c.filter.describe().replace(', ', '+')}"
     for c in CONFIGS
 ]
 
@@ -83,9 +84,7 @@ def test_engines_equivalent_smoke(config):
 def test_differential_fuzz(config):
     """≥ 200 generated relation pairs across all configs (10 × 21)."""
     for seed in range(100, 121):
-        rel_a, rel_b = random_relation_pair(
-            seed, degenerate=config.exact_method != "trstar"
-        )
+        rel_a, rel_b = random_relation_pair(seed)
         assert_engines_equivalent(rel_a, rel_b, config)
 
 

@@ -2,7 +2,7 @@
 
 The compiled kernel tier (:mod:`repro.geometry.kernels`) promises that
 every backend decides *identically* — same booleans, same floats, same
-operation counts.  The ``python`` backend runs the loop kernels and the
+edge-pair counts.  The ``python`` backend runs the loop kernels and the
 ``c`` backend their C transliteration (``geometry/_ckernels.c``, built
 without FMA contraction); both are fuzzed against the numpy oracle,
 distances bit for bit.
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from helpers import min_edge_distance_bulk
 from repro.datasets.relations import SpatialRelation
-from repro.exact.costmodel import OperationCounter
 from repro.exact.refine import clip_margins, clip_rects
 from repro.geometry import Polygon
 from repro.geometry.fastops import (
@@ -42,7 +41,6 @@ coord = st.one_of(
               allow_infinity=False),
 )
 point = st.tuples(coord, coord)
-segment = st.tuples(point, point)
 
 
 def _ccw_square(cx, cy, half):
@@ -88,46 +86,6 @@ polygon_strategy = st.one_of(
 @pytest.fixture(params=ALT_BACKENDS)
 def backend_pair(request):
     return get_kernels("numpy"), get_kernels(request.param)
-
-
-# -- segments_intersect_bulk ------------------------------------------------
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(segment, segment), min_size=1, max_size=24))
-def test_segments_intersect_rows_match(cases):
-    p1 = np.array([a for (a, _), _ in cases], dtype=float)
-    p2 = np.array([b for (_, b), _ in cases], dtype=float)
-    q1 = np.array([a for _, (a, _) in cases], dtype=float)
-    q2 = np.array([b for _, (_, b) in cases], dtype=float)
-    oracle = get_kernels("numpy").segments_intersect_bulk(p1, p2, q1, q2)
-    for name in ALT_BACKENDS:
-        got = get_kernels(name).segments_intersect_bulk(p1, p2, q1, q2)
-        assert np.array_equal(np.asarray(got), np.asarray(oracle)), name
-
-
-def test_segments_intersect_degenerate_rows(backend_pair):
-    """Collinear / touching / point-degenerate segment rows."""
-    numpy_set, alt = backend_pair
-    cases = [
-        (((0, 0), (1, 0)), ((0.5, 0), (2, 0))),     # collinear overlap
-        (((0, 0), (1, 0)), ((1.5, 0), (2, 0))),     # collinear disjoint
-        (((0, 0), (1, 0)), ((1, 0), (1, 1))),       # endpoint-endpoint
-        (((0, 0), (2, 0)), ((1, 0), (1, 1))),       # T junction
-        (((0, 0), (1, 1)), ((0, 1), (1, 0))),       # proper crossing
-        (((0.5, 0), (0.5, 0)), ((0, 0), (1, 0))),   # point on segment
-        (((0.5, 0.5), (0.5, 0.5)), ((0, 0), (1, 0))),  # point off segment
-        (((0, 0), (1, 1)), ((0, 0), (1, 1))),       # identical
-        (((0, 0), (1, 0)), ((1 + 1e-13, 0), (2, 0))),  # epsilon near-miss
-    ]
-    p1 = np.array([a for (a, _), _ in cases], dtype=float)
-    p2 = np.array([b for (_, b), _ in cases], dtype=float)
-    q1 = np.array([a for _, (a, _) in cases], dtype=float)
-    q2 = np.array([b for _, (_, b) in cases], dtype=float)
-    assert np.array_equal(
-        np.asarray(alt.segments_intersect_bulk(p1, p2, q1, q2)),
-        np.asarray(numpy_set.segments_intersect_bulk(p1, p2, q1, q2)),
-    )
 
 
 # -- points_in_polygons_bulk ------------------------------------------------
@@ -372,25 +330,3 @@ def test_min_edge_distance_ragged_degenerate_cases(offset):
         _edge_table(objects_a, offset), _edge_table(objects_b, offset),
         [np.full(16, 0.125), np.full(16, 1.0)],
     )
-
-
-# -- plane sweep ------------------------------------------------------------
-
-
-@settings(max_examples=150, deadline=None)
-@given(polygon_strategy, polygon_strategy, snapped, snapped,
-       st.booleans())
-def test_planesweep_result_and_counts_match(poly_a, poly_b, dx, dy,
-                                            restrict):
-    poly_b = poly_b.translated(dx / 4.0, dy / 4.0)
-    oracle_counter = OperationCounter()
-    oracle = get_kernels("numpy").planesweep(
-        poly_a, poly_b, oracle_counter, restrict
-    )
-    for name in ALT_BACKENDS:
-        counter = OperationCounter()
-        got = get_kernels(name).planesweep(poly_a, poly_b, counter, restrict)
-        assert bool(got) == bool(oracle), name
-        assert counter.counts == oracle_counter.counts, (
-            name, dict(counter.counts), dict(oracle_counter.counts)
-        )

@@ -94,12 +94,12 @@ class TestBackendResolution:
 # 2. Execution-only: backends are invisible in results and statistics
 # ---------------------------------------------------------------------------
 
-#: engine/exact variety exercising every kernel call site.
+#: engine/refinement-batch variety exercising every kernel call site.
 ENGINE_CONFIGS = [
     JoinConfig(),
     JoinConfig(engine="batched"),
-    JoinConfig(exact_method="vectorized", exact_batch=64),
-    JoinConfig(engine="batched", exact_method="planesweep"),
+    JoinConfig(exact_batch=1),
+    JoinConfig(engine="batched", exact_batch=7),
     JoinConfig(predicate="within", engine="batched"),
 ]
 
@@ -107,7 +107,7 @@ ENGINE_CONFIGS = [
 class TestBackendDifferential:
     @pytest.mark.parametrize(
         "config", ENGINE_CONFIGS,
-        ids=lambda c: f"{c.engine}-{c.exact_method}-{c.predicate}",
+        ids=lambda c: f"{c.engine}-b{c.exact_batch}-{c.predicate}",
     )
     @pytest.mark.parametrize("backend", ALT_BACKENDS)
     def test_joins_identical_across_backends(self, config, backend):
@@ -120,7 +120,7 @@ class TestBackendDifferential:
         ).join(rel_a, rel_b)
         assert got.id_pairs() == oracle.id_pairs()
         assert len(oracle) > 0
-        if config.exact_batch > 1:
+        if config.predicate == "intersects":
             # Batched refinement ran on this backend's loop twin.
             ragged = f"{backend}.edge_pairs_intersect_ragged"
             assert got.stats.kernel_calls[ragged] == got.stats.refine_batches
@@ -192,22 +192,23 @@ class TestKernelTelemetry:
 
     def test_telemetry_excluded_from_equality_and_wire_format(self):
         a, b = MultiStepStats(), MultiStepStats()
-        a.kernel_calls["numpy.planesweep"] = 7
-        a.kernel_pairs["numpy.planesweep"] = 7
-        a.kernel_seconds["numpy.planesweep"] = 0.1
+        a.kernel_calls["numpy.edge_pairs_intersect_ragged"] = 7
+        a.kernel_pairs["numpy.edge_pairs_intersect_ragged"] = 7
+        a.kernel_seconds["numpy.edge_pairs_intersect_ragged"] = 0.1
         assert a == b  # compare=False: execution detail, not a result
         wire = stats_to_dict(a)
         assert not any("kernel" in key for key in wire)
 
     def test_telemetry_merges_across_tiles(self):
         merged = MultiStepStats()
-        for calls in ({"python.planesweep": 2}, {"python.planesweep": 3,
-                                                 "python.rects_intersect_bulk": 1}):
+        ragged = "python.edge_pairs_intersect_ragged"
+        for calls in ({ragged: 2},
+                      {ragged: 3, "python.rects_intersect_bulk": 1}):
             tile = MultiStepStats()
             tile.kernel_calls.update(calls)
             merged.merge(tile)
         assert merged.kernel_calls == {
-            "python.planesweep": 5,
+            ragged: 5,
             "python.rects_intersect_bulk": 1,
         }
 

@@ -82,15 +82,15 @@ class TestOverlayCartographic:
             assert area > 0
 
     def test_overlay_config_passthrough(self):
-        """Any exact-method configuration produces the same layer."""
+        """Any execution configuration produces the same layer."""
         layer_a = europe(size=25)
         layer_b = europe(seed=11, size=25)
-        base = MapOverlay(JoinConfig(exact_method="trstar")).intersection(
+        base = MapOverlay(JoinConfig(exact_batch=1)).intersection(
             layer_a, layer_b
         )
-        alt = MapOverlay(JoinConfig(exact_method="planesweep")).intersection(
-            layer_a, layer_b
-        )
+        alt = MapOverlay(
+            JoinConfig(engine="batched", exact_batch=7)
+        ).intersection(layer_a, layer_b)
         key = lambda r: sorted((p.oid_a, p.oid_b) for p in r.pieces)
         assert key(base) == key(alt)
         assert base.total_area() == pytest.approx(alt.total_area(), rel=1e-9)

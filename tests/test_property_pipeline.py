@@ -74,13 +74,34 @@ class TestPipelineProperty:
     # arbitrary order), silently dropping a result pair at this seed.
     @example(seed=403, method="planesweep")
     @settings(max_examples=8, deadline=None)
-    def test_any_exact_method_matches_oracle(self, seed, method):
+    def test_any_exact_processor_matches_oracle(self, seed, method):
+        """The paper's scalar processors decide every MBR-join
+        candidate of the join like the batched exact step."""
+        from repro.exact import (
+            polygons_intersect_planesweep,
+            polygons_intersect_quadratic,
+            polygons_intersect_trstar,
+        )
+
+        processor = {
+            "trstar": lambda a, b: polygons_intersect_trstar(
+                a.trstar(3), b.trstar(3)),
+            "planesweep": lambda a, b: polygons_intersect_planesweep(
+                a.polygon, b.polygon),
+            "quadratic": lambda a, b: polygons_intersect_quadratic(
+                a.polygon, b.polygon),
+        }[method]
         rel_a = random_relation(seed, 15)
         rel_b = random_relation(seed + 7, 15)
-        proc = SpatialJoinProcessor(JoinConfig(exact_method=method))
-        got = set(proc.join(rel_a, rel_b).id_pairs())
-        want = set(nested_loops_join(rel_a, rel_b))
+        got = {
+            (a.oid, b.oid)
+            for a in rel_a
+            for b in rel_b
+            if a.mbr.intersects(b.mbr) and processor(a, b)
+        }
+        want = set(SpatialJoinProcessor().join(rel_a, rel_b).id_pairs())
         assert got == want
+        assert want == set(nested_loops_join(rel_a, rel_b))
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)

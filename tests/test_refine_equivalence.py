@@ -1,11 +1,13 @@
-"""Differential suite: batched columnar refinement ≡ per-pair refinement.
+"""Differential suite: the batched exact step at every batch size.
 
 ``JoinConfig(exact_batch=N)`` must be a pure execution-strategy toggle:
 for every engine, predicate, batch capacity, and worker count, the
-batched refinement pipeline produces *identical* result pairs (same
-pairs, same order) and an identical Figure-1 statistics fingerprint as
-the scalar per-pair exact step — while actually resolving candidates
-through the columnar batch kernels (the refinement counters prove it).
+refinement pipeline produces *identical* result pairs (same pairs, same
+order) and an identical Figure-1 statistics fingerprint as at capacity
+1, where every remaining candidate is resolved alone in candidate
+order.  The result sets equal the per-pair nested-loops oracle, and the
+batch decisions equal every scalar processor of the paper (TR*-tree,
+plane sweep, quadratic) pair for pair.
 """
 
 from __future__ import annotations
@@ -15,14 +17,21 @@ from dataclasses import replace
 import pytest
 
 from helpers import (
+    grid_square,
     random_relation_pair,
     stats_fingerprint,
 )
-from repro.core import FilterConfig, JoinConfig, SpatialJoinProcessor
+from repro.core import (
+    FilterConfig,
+    JoinConfig,
+    SpatialJoinProcessor,
+    nested_loops_join,
+)
 from repro.core.parallel_exec import (
     live_shared_segments,
     parallel_partitioned_join,
 )
+from repro.geometry.fastops import polygon_within_fast
 
 #: filter configurations that leave different amounts of exact work:
 #: the default (few remaining candidates), a weak filter (many), and
@@ -40,20 +49,35 @@ def _run(relation_a, relation_b, config):
     return result
 
 
+def oracle_pairs(relation_a, relation_b, predicate):
+    """The per-pair nested-loops answer, as a set of id pairs."""
+    if predicate == "intersects":
+        return set(nested_loops_join(relation_a, relation_b))
+    return {
+        (obj_a.oid, obj_b.oid)
+        for obj_a in relation_a
+        for obj_b in relation_b
+        if polygon_within_fast(obj_a.polygon, obj_b.polygon)
+    }
+
+
 def assert_refinement_equivalent(relation_a, relation_b, config):
-    """Batched refinement must equal per-pair refinement exactly."""
-    scalar = _run(relation_a, relation_b, replace(config, exact_batch=1))
+    """Any batch size must equal capacity 1 exactly, and the oracle."""
+    single = _run(relation_a, relation_b, replace(config, exact_batch=1))
     batched = _run(relation_a, relation_b, config)
-    assert scalar.id_pairs() == batched.id_pairs(), (
-        f"result mismatch for {config}: {len(scalar)} per-pair vs "
-        f"{len(batched)} batched pairs"
+    assert single.id_pairs() == batched.id_pairs(), (
+        f"result mismatch for {config}: {len(single)} pairs at capacity "
+        f"1 vs {len(batched)} batched pairs"
     )
-    fp_s = stats_fingerprint(scalar.stats)
+    assert set(single.id_pairs()) == oracle_pairs(
+        relation_a, relation_b, config.predicate
+    )
+    fp_s = stats_fingerprint(single.stats)
     fp_b = stats_fingerprint(batched.stats)
     assert fp_s == fp_b, f"stats mismatch for {config}: {fp_s} != {fp_b}"
-    # The per-pair run never batches; the batched run must, as soon as
-    # there is any exact work at all.
-    assert scalar.stats.refine_batches == 0
+    # Capacity 1 resolves every remaining candidate alone; any capacity
+    # batches every remaining candidate.
+    assert single.stats.refine_batches == single.stats.remaining_candidates
     if batched.stats.remaining_candidates:
         assert batched.stats.refine_batches > 0
         assert (
@@ -64,7 +88,7 @@ def assert_refinement_equivalent(relation_a, relation_b, config):
 
 
 @pytest.mark.parametrize("engine", ("streaming", "batched"))
-@pytest.mark.parametrize("exact_batch", (2, 64, 256))
+@pytest.mark.parametrize("exact_batch", (1, 7, 64, 1024))
 def test_refine_equivalence_intersects(engine, exact_batch):
     for seed in (1, 5, 9):
         rel_a, rel_b = random_relation_pair(seed, n_objects=14)
@@ -89,7 +113,7 @@ def test_refine_equivalence_within(engine):
             exact_batch=8,
         )
         batched = assert_refinement_equivalent(rel_a, rel_b, config)
-        # 'within' resolves through the scalar backend inside the batch.
+        # 'within' resolves pair by pair inside the batch.
         assert (
             batched.stats.refine_fallback_pairs
             == batched.stats.refine_batch_pairs
@@ -211,14 +235,15 @@ def test_refine_fuzz(engine):
             assert_refinement_equivalent(rel_a, rel_b, config)
 
 
-def test_refine_batch_capacity_one_equals_scalar_path():
-    """exact_batch=1 *is* the scalar path — no refinement counters."""
+def test_refine_batch_capacity_one_resolves_each_candidate_alone():
+    """exact_batch=1 runs one batch per remaining candidate."""
     rel_a, rel_b = random_relation_pair(4)
-    result = _run(
-        rel_a, rel_b, JoinConfig(exact_method="vectorized", exact_batch=1)
-    )
-    assert result.stats.refine_batches == 0
-    assert result.stats.refine_batch_pairs == 0
+    result = _run(rel_a, rel_b, JoinConfig(exact_batch=1))
+    stats = result.stats
+    assert stats.remaining_candidates > 0
+    assert stats.refine_batches == stats.remaining_candidates
+    assert stats.refine_batch_pairs == stats.remaining_candidates
+    assert stats.refine_fallback_pairs == 0
 
 
 def test_refine_batched_at_large_coordinates():
@@ -254,8 +279,8 @@ def test_refine_parallel_equivalence(workers, predicate):
 
     The workers refine directly on the shared-memory mapped ring
     columns, for both refinement predicates: identical pairs, order,
-    and stats as the per-pair refinement on the same grid and worker
-    count — and no shared segment may survive.  ``within`` runs
+    and stats as capacity 1 on the same grid and worker count — and no
+    shared segment may survive.  ``within`` runs
     without the geometric filter, which on this pair decides every
     candidate and would leave nothing to refine.
     """
@@ -276,20 +301,20 @@ def test_refine_parallel_equivalence(workers, predicate):
         batched = parallel_partitioned_join(
             rel_a, rel_b, grid=grid, config=config, workers=workers
         )
-        scalar = parallel_partitioned_join(
+        single = parallel_partitioned_join(
             rel_a,
             rel_b,
             grid=grid,
             config=replace(config, exact_batch=1),
             workers=workers,
         )
-        assert batched.id_pairs() == scalar.id_pairs()
+        assert batched.id_pairs() == single.id_pairs()
         assert stats_fingerprint(batched.stats) == stats_fingerprint(
-            scalar.stats
+            single.stats
         )
         batched.stats.check_invariants()
-        assert batched.stats.refine_batches > 0
-        assert scalar.stats.refine_batches == 0
+        assert 0 < batched.stats.refine_batches < single.stats.refine_batches
+        assert single.stats.refine_batches == single.stats.remaining_candidates
     assert not live_shared_segments()
 
 
@@ -316,42 +341,137 @@ def test_cli_exact_batch_flag(tmp_path, capsys):
     save_relation(rel_a, path_a)
     save_relation(rel_b, path_b)
 
-    assert main(["join", path_a, path_b, "--exact", "vectorized"]) == 0
-    out_scalar = capsys.readouterr().out
-    assert main([
-        "join", path_a, path_b, "--exact", "vectorized",
-        "--exact-batch", "32",
-    ]) == 0
-    out_batched = capsys.readouterr().out
-    scalar_lines = out_scalar.splitlines()
-    batched_lines = [
-        line for line in out_batched.splitlines()
-        if not line.startswith("  refinement batches:")
-    ]
-    assert batched_lines == scalar_lines
-    if len(batched_lines) != len(out_batched.splitlines()):
-        assert "refinement batches:" in out_batched
-
-    # Invalid combination: batched refinement needs the vectorized method.
-    assert main([
-        "join", path_a, path_b, "--exact", "trstar", "--exact-batch", "32",
-    ]) == 2
+    outputs = []
+    for exact_batch in ("1", "32"):
+        assert main([
+            "join", path_a, path_b, "--exact-batch", exact_batch, "--pairs",
+        ]) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    single, batched = (
+        [line for line in out if not line.startswith("  refinement batches:")]
+        for out in outputs
+    )
+    assert batched == single
+    assert any(line.startswith("  refinement batches:") for line in outputs[1])
 
 
-def test_refinement_step_interface():
-    """The engine builds the step the config asks for."""
-    from repro.engine import PerPairRefinement, create_engine
+def test_cli_rejects_scalar_exact_methods(tmp_path, capsys):
+    """`--exact` accepts only the batched step; argparse exits 2."""
+    from repro.cli import main
+
+    for method in ("trstar", "planesweep", "quadratic"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["join", "a.wkt", "b.wkt", "--exact", method])
+        assert exit_info.value.code == 2
+        assert "vectorized" in capsys.readouterr().err
+
+
+def test_engine_builds_the_batched_step():
+    """Every engine refines through BatchedRefinement at any capacity."""
+    from repro.engine import create_engine
     from repro.exact.refine import BatchedRefinement
 
     rel_a, rel_b = random_relation_pair(1, n_objects=6)
-    engine = create_engine(JoinConfig(exact_method="vectorized"))
-    step = engine.build_refinement(rel_a, rel_b)
-    assert isinstance(step, PerPairRefinement)
-    assert step.batch_capacity == 1
+    for engine in ("streaming", "batched"):
+        for exact_batch in (1, 64, 128):
+            step = create_engine(
+                JoinConfig(engine=engine, exact_batch=exact_batch)
+            ).build_refinement(rel_a, rel_b)
+            assert isinstance(step, BatchedRefinement)
+            assert step.batch_capacity == exact_batch
 
-    engine = create_engine(
-        JoinConfig(exact_method="vectorized", exact_batch=128)
+
+def _special_pair():
+    """Holes, containment, touching and identical polygons."""
+    from repro.datasets.relations import SpatialRelation
+    from repro.geometry import Polygon
+
+    def holed(cx, cy, outer, inner):
+        return Polygon(
+            grid_square(cx, cy, outer).shell,
+            [grid_square(cx, cy, inner).shell],
+        )
+
+    triangle = Polygon([(0.0, 3.0), (2.0, 3.0), (1.0, 4.5)])
+    polys_a = [
+        holed(0.0, 0.0, 1.0, 0.5),
+        grid_square(3.0, 0.0, 1.0),
+        grid_square(6.0, 0.0, 0.5),
+        triangle,
+        grid_square(9.0, 0.0, 0.25),
+    ]
+    polys_b = [
+        grid_square(0.0, 0.0, 0.25),   # inside the hole
+        grid_square(0.0, 0.0, 0.75),   # crosses the hole's boundary
+        grid_square(3.0, 0.0, 0.125),  # contained
+        grid_square(7.0, 0.0, 0.5),    # touching along an edge
+        grid_square(7.0, 1.0, 0.5),    # touching at a corner
+        triangle,                      # identical
+        holed(0.0, 0.0, 2.0, 1.5),     # A's holed square in its hole
+        holed(9.0, 0.0, 1.0, 0.5),     # A's square in its hole
+    ]
+    return (
+        SpatialRelation("special-a", polys_a),
+        SpatialRelation("special-b", polys_b),
     )
-    step = engine.build_refinement(rel_a, rel_b)
-    assert isinstance(step, BatchedRefinement)
-    assert step.batch_capacity == 128
+
+
+def _cross_processor_pairs():
+    from repro.datasets.testseries import canonical_series
+
+    for which, size in (("Europe A", 40), ("Europe B", 12), ("BW B", 4)):
+        series = canonical_series(which, seed=3, size=size)
+        yield which, series.relation_a, series.relation_b
+    yield "special", *_special_pair()
+    yield "random", *random_relation_pair(5, n_objects=12, degenerate=False)
+
+
+@pytest.mark.parametrize(
+    "name, rel_a, rel_b",
+    [pytest.param(*case, id=case[0]) for case in _cross_processor_pairs()],
+)
+def test_batched_decisions_equal_every_scalar_processor(name, rel_a, rel_b):
+    """Pair for pair on the MBR-join candidates: the batched step decides
+    like TR* (capacities 3 and 8), the plane sweep (with and without the
+    search-space restriction), the quadratic processor and the per-pair
+    vectorized test."""
+    from repro.core.stats import MultiStepStats
+    from repro.exact import (
+        polygons_intersect_planesweep,
+        polygons_intersect_quadratic,
+        polygons_intersect_trstar,
+    )
+    from repro.exact.refine import BatchedRefinement
+    from repro.geometry.fastops import polygons_intersect_fast
+    from repro.index import JoinStats, rstar_join
+
+    candidates = list(
+        rstar_join(rel_a.rtree(32), rel_b.rtree(32), None, None, JoinStats())
+    )
+    stats = MultiStepStats()
+    decided = BatchedRefinement.from_relations(
+        JoinConfig(), rel_a, rel_b
+    ).resolve_batch(candidates, stats)
+    assert stats.refine_fallback_pairs == 0
+    assert any(decided) and not all(decided), name
+    processors = {
+        "trstar/3": lambda a, b: polygons_intersect_trstar(
+            a.trstar(3), b.trstar(3)),
+        "trstar/8": lambda a, b: polygons_intersect_trstar(
+            a.trstar(8), b.trstar(8)),
+        "planesweep": lambda a, b: polygons_intersect_planesweep(
+            a.polygon, b.polygon),
+        "planesweep/unrestricted": lambda a, b: polygons_intersect_planesweep(
+            a.polygon, b.polygon, restrict_search_space=False),
+        "quadratic": lambda a, b: polygons_intersect_quadratic(
+            a.polygon, b.polygon),
+        "fast": lambda a, b: polygons_intersect_fast(a.polygon, b.polygon),
+    }
+    for label, processor in processors.items():
+        expected = [processor(a, b) for a, b in candidates]
+        mismatched = [
+            (a.oid, b.oid)
+            for (a, b), ours, theirs in zip(candidates, decided, expected)
+            if ours != theirs
+        ]
+        assert not mismatched, f"{name}: {label} differs on {mismatched}"

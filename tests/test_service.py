@@ -41,14 +41,14 @@ from repro.service import (
 pytestmark = pytest.mark.parallel
 
 
-#: result-affecting variety: predicates, engines, exact processors,
-#: batched refinement, partitioners, grids.
+#: result-affecting variety: predicates, engines, refinement batch
+#: sizes, partitioners, grids.
 CONFIGS = [
     JoinConfig(),
     JoinConfig(predicate="within"),
     JoinConfig(engine="batched"),
-    JoinConfig(exact_method="vectorized", exact_batch=64),
-    JoinConfig(engine="batched", exact_method="planesweep", grid=(2, 3)),
+    JoinConfig(exact_batch=1),
+    JoinConfig(engine="batched", exact_batch=7, grid=(2, 3)),
     JoinConfig(partitioner="rtree"),
     JoinConfig(predicate="distance", epsilon=0.05),
     JoinConfig(predicate="knn", k=2),
@@ -63,9 +63,7 @@ EXECUTION_VARIANTS = [
 
 
 def _relations(seed):
-    # degenerate=False: the TR*-tree exact processor rejects the fully
-    # collinear slivers (a documented pre-existing limitation).
-    return random_relation_pair(seed, n_objects=28, degenerate=False)
+    return random_relation_pair(seed, n_objects=28)
 
 
 def _oracle(rel_a, rel_b, config):
@@ -446,7 +444,7 @@ class TestConfigCanonicalization:
         for variant in (
             JoinConfig(predicate="within"),
             JoinConfig(engine="batched"),
-            JoinConfig(exact_method="vectorized"),
+            JoinConfig(exact_batch=1),
             JoinConfig(grid=(2, 2)),
             JoinConfig(partitioner="rtree"),
             JoinConfig(rtree_max_entries=8),

@@ -316,7 +316,15 @@ class TestWireErrors:
             assert response["status"] == "error"
             assert response["code"] == 400
 
-    def test_invalid_config_value_is_400(self, wkt_paths):
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("predicate", "overlaps-ish"),
+            ("batch_size", 2.5),  # rejected by JoinConfig, not the engine
+            ("exact", "planesweep"),  # a test oracle, not a join option
+        ],
+    )
+    def test_invalid_config_value_is_400(self, wkt_paths, field, value):
         _, _, path_a, path_b = wkt_paths
 
         async def body(server, reader, writer):
@@ -327,14 +335,14 @@ class TestWireErrors:
                     "op": "join",
                     "relation_a": path_a,
                     "relation_b": path_b,
-                    "predicate": "overlaps-ish",
+                    field: value,
                 },
             )
 
         error = _serve(body, sessions=1)
         assert error["status"] == "error"
         assert error["code"] == 400
-        assert "overlaps-ish" in error["error"]
+        assert str(value) in error["error"]
 
 
 class TestConfigPayload:

@@ -19,7 +19,6 @@ import pytest
 from helpers import random_relation_pair, stats_fingerprint
 from repro.core import FilterConfig, JoinConfig, SpatialJoinProcessor
 from repro.core.stats import MultiStepStats
-from repro.exact.costmodel import EDGE_INTERSECTION, TRAPEZOID_INTERSECTION
 from repro.index import LRUBuffer
 
 ENGINES = ("streaming", "batched")
@@ -77,9 +76,9 @@ def _random_valid_stats(rng: random.Random) -> MultiStepStats:
     stats.conservative_tests = rng.randint(0, stats.candidate_pairs)
     stats.progressive_tests = rng.randint(0, stats.candidate_pairs)
     stats.false_area_tests = rng.randint(0, 10)
-    stats.exact_ops.count(EDGE_INTERSECTION, rng.randint(0, 500))
-    if rng.random() < 0.5:
-        stats.exact_ops.count(TRAPEZOID_INTERSECTION, rng.randint(1, 80))
+    stats.refine_batch_pairs = rng.randint(0, stats.exact_tests)
+    stats.refine_batches = min(stats.refine_batch_pairs, rng.randint(1, 5))
+    stats.refine_fallback_pairs = rng.randint(0, stats.refine_batch_pairs)
     stats.check_invariants()
     return stats
 
@@ -133,8 +132,8 @@ class TestMerge:
             assert merged.candidate_pairs == sum(
                 p.candidate_pairs for p in parts
             )
-            assert merged.exact_ops.total_operations() == sum(
-                p.exact_ops.total_operations() for p in parts
+            assert merged.refine_batch_pairs == sum(
+                p.refine_batch_pairs for p in parts
             )
 
     def test_merged_tile_stats_equal_partitioned_join_stats(self):
