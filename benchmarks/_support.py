@@ -8,10 +8,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.datasets import canonical_series
-from repro.datasets.testseries import TestSeries
+from repro.datasets.testseries import TestSeries, canonical_series
 from repro.geometry.fastops import polygons_intersect_fast
-from repro.index import nested_loops_mbr_join
+from repro.index.join import nested_loops_mbr_join
 
 
 @dataclass(frozen=True)

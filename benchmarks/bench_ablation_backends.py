@@ -14,14 +14,9 @@ series and checks they produce the identical candidate set:
 
 import time
 
-from repro.index import (
-    JoinStats,
-    RPlusTree,
-    hilbert_pack_rtree,
-    rplus_mbr_join,
-    rstar_join,
-    sweep_mbr_join,
-)
+from repro.index.hilbert import hilbert_pack_rtree, sweep_mbr_join
+from repro.index.join import JoinStats, rstar_join
+from repro.index.rplus import RPlusTree, rplus_mbr_join
 
 
 def test_ablation_step1_backends(benchmark, series_cache, report):

@@ -7,8 +7,9 @@ conclusions of Figures 10/11/18 were LRU artifacts, the ranking would
 move here.
 """
 
-from repro.index import AccessCounter, rstar_join
 from repro.index.buffers import BUFFER_POLICIES, make_buffer
+from repro.index.join import rstar_join
+from repro.index.pagemodel import AccessCounter
 
 
 def run_join_with_policy(tree_a, tree_b, policy: str, pages: int) -> tuple:

@@ -9,7 +9,7 @@ Hilbert order, z-order and random order, counting page misses through a
 shared LRU buffer.
 """
 
-from repro.core import SpatialJoinProcessor
+from repro.core.join import SpatialJoinProcessor
 from repro.index.clustering import compare_placements
 
 

@@ -8,12 +8,9 @@ from shape effects — the cleanest test of §4.3's claim that the TR*-tree
 advantage grows with object complexity.
 """
 
-from repro.exact import (
-    OperationCounter,
-    polygons_intersect_planesweep,
-    polygons_intersect_trstar,
-)
-from repro.exact.trstar_test import build_trstar
+from repro.exact.costmodel import OperationCounter
+from repro.exact.planesweep import polygons_intersect_planesweep
+from repro.exact.trstar_test import build_trstar, polygons_intersect_trstar
 from repro.geometry.simplify import simplify_polygon
 
 

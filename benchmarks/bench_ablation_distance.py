@@ -7,8 +7,8 @@ the candidate set the circle-bound filters settle without exact
 geometry — the distance-predicate analogue of Figure 12.
 """
 
-from repro.core import JoinConfig, SpatialJoinProcessor
 from repro.core.distance import brute_force_distance_join
+from repro.core.join import JoinConfig, SpatialJoinProcessor
 
 
 def _distance_join(rel_a, rel_b, epsilon):

@@ -7,7 +7,8 @@ test — but both orders classify identically (DESIGN.md invariant 7) and
 identify exactly the same pair set.
 """
 
-from repro.core import FilterConfig, FilterOutcome, MultiStepStats, geometric_filter
+from repro.core.filters import FilterConfig, FilterOutcome, geometric_filter
+from repro.core.stats import MultiStepStats
 
 
 def run_filter(pairs, config):

@@ -6,7 +6,7 @@ executing the tiles on 1-16 processors (LPT scheduling, §5 cost
 constants) and reports the speedup curve and the skew-induced ceiling.
 """
 
-from repro.core import simulate_parallel_join
+from repro.core.parallel import simulate_parallel_join
 
 
 def test_ablation_parallel_speedup(benchmark, series_cache, report):

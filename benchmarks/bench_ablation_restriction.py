@@ -6,7 +6,8 @@ about as cheap as identifying a hit (without restriction it is ~2.3x
 costlier).
 """
 
-from repro.exact import OperationCounter, polygons_intersect_planesweep
+from repro.exact.costmodel import OperationCounter
+from repro.exact.planesweep import polygons_intersect_planesweep
 
 
 def sweep_cost(pairs, restrict, limit):

@@ -10,7 +10,8 @@ grid redundancy.
 
 import time
 
-from repro.index import JoinStats, build_zorder_indexes, rstar_join, zorder_mbr_join
+from repro.index.join import JoinStats, rstar_join
+from repro.index.zorder import build_zorder_indexes, zorder_mbr_join
 
 
 def test_ablation_zorder_vs_rstar(benchmark, series_cache, report):

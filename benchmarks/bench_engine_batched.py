@@ -13,11 +13,15 @@ import time
 
 import numpy as np
 
-from repro.core import FilterConfig, JoinConfig, SpatialJoinProcessor
-from repro.core.filters import geometric_filter
+from repro.core.filters import FilterConfig, geometric_filter
+from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.stats import MultiStepStats
-from repro.engine import BatchGeometricFilter
-from repro.engine.batched import CANDIDATE, FALSE_HIT, HIT
+from repro.engine.batched import (
+    CANDIDATE,
+    FALSE_HIT,
+    HIT,
+    BatchGeometricFilter,
+)
 
 SERIES = ("Europe A", "BW A")
 BATCH_SIZES = (64, 256, 1024)

@@ -14,17 +14,17 @@ with larger leaf entries (lower page capacity).
 
 import random
 
-from repro.approximations import compute_approximation
-from repro.datasets import cartographic_polygons
-from repro.geometry import Rect
-from repro.index import (
+from repro.approximations.factory import compute_approximation
+from repro.datasets.generators import cartographic_polygons
+from repro.geometry.rectangle import Rect
+from repro.index.join import rstar_join
+from repro.index.pagemodel import (
     APPROX_BYTES,
     AccessCounter,
     LRUBuffer,
     PageLayout,
-    RStarTree,
-    rstar_join,
 )
+from repro.index.rstar import RStarTree
 
 KINDS = ("RMBR", "5-C")
 PAGE_SIZES = (2048, 4096)

@@ -7,16 +7,16 @@ estimate).  The gains dwarf the losses for both the RMBR and the 5-C.
 """
 
 from bench_fig10_storage_approaches import BUFFER_BYTES, build_objects
-from repro.approximations import approx_intersect
-from repro.core import approximation_impact
-from repro.index import (
+from repro.approximations.base import approx_intersect
+from repro.core.costs import approximation_impact
+from repro.index.join import rstar_join
+from repro.index.pagemodel import (
     APPROX_BYTES,
     AccessCounter,
     LRUBuffer,
     PageLayout,
-    RStarTree,
-    rstar_join,
 )
+from repro.index.rstar import RStarTree
 
 PAGE_SIZES = (2048, 4096)
 CONFIGS = ("RMBR", "5-C")  # conservative approx; MER always added (paper)

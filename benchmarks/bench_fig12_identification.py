@@ -5,7 +5,7 @@ Paper (5-corner test + MER test on BW A): 23% identified false hits,
 hits — 46% of all candidate pairs resolved without exact geometry.
 """
 
-from repro.approximations import approx_intersect
+from repro.approximations.base import approx_intersect
 
 PAPER = {
     "identified false hits": 23,

@@ -7,11 +7,9 @@ properties, presumably overlap, dominate).
 
 import numpy as np
 
-from repro.exact import (
-    OperationCounter,
-    polygons_intersect_planesweep,
-    polygons_intersect_trstar,
-)
+from repro.exact.costmodel import OperationCounter
+from repro.exact.planesweep import polygons_intersect_planesweep
+from repro.exact.trstar_test import polygons_intersect_trstar
 
 
 def collect_points(pairs, limit):

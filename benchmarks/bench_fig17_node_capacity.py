@@ -5,7 +5,7 @@ number of trapezoid intersection tests are lowest for M = 3 — small
 nodes beat better space partitioning in main memory.
 """
 
-from repro.index import TRJoinCounters, trstar_trees_intersect
+from repro.index.trstar import TRJoinCounters, trstar_trees_intersect
 
 CAPACITIES = (3, 4, 5)
 

@@ -16,8 +16,8 @@ counts are *measured* on our data.
 
 from bench_fig10_storage_approaches import build_objects
 from bench_fig11_performance_impact import identification_rate, join_pages
-from repro.core import JoinScenario, total_join_cost
-from repro.index import APPROX_BYTES
+from repro.core.costs import JoinScenario, total_join_cost
+from repro.index.pagemodel import APPROX_BYTES
 
 PAPER_PAIRS = 86_000
 

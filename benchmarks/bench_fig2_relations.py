@@ -4,7 +4,8 @@ Paper values — Europe: 810 objects, m∅=84, mmin=4, mmax=869;
 BW: 374 objects, m∅=527, mmin=6, mmax=2087.
 """
 
-from repro.datasets import bw, cartographic_polygons, europe
+from repro.datasets.generators import cartographic_polygons
+from repro.datasets.relations import bw, europe
 
 
 def test_fig2_relation_characteristics(benchmark, scale, report):

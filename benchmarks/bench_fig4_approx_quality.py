@@ -4,8 +4,9 @@ Paper: monotone quality gain MBR > MBC > MBE ~ RMBR > 4-C > 5-C > CH,
 with the 5-corner nearly as accurate as the convex hull.
 """
 
-from repro.approximations import compute_approximation, mbr_based_false_area
-from repro.datasets import bw, europe
+from repro.approximations.factory import compute_approximation
+from repro.approximations.quality import mbr_based_false_area
+from repro.datasets.relations import bw, europe
 
 KINDS = ("MBR", "MBC", "MBE", "RMBR", "4-C", "5-C", "CH")
 

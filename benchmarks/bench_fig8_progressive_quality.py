@@ -6,8 +6,8 @@ the enclosed rectangle 43-45% — pleasantly high for 3-4 parameters.
 
 import time
 
-from repro.approximations import progressive_coverage
-from repro.datasets import bw, europe
+from repro.approximations.quality import progressive_coverage
+from repro.datasets.relations import bw, europe
 
 PAPER = {"Europe": {"MEC": 0.42, "MER": 0.43}, "BW": {"MEC": 0.42, "MER": 0.45}}
 
@@ -42,8 +42,8 @@ def test_fig8_progressive_coverage(benchmark, scale, report):
         # MER one object at a time; MEC for the whole relation at once,
         # through the get-or-build point of a fresh column store (ring
         # packing and edge table included).
-        from repro.approximations import compute_approximation
-        from repro.datasets import ColumnarRelation
+        from repro.approximations.factory import compute_approximation
+        from repro.datasets.columnar import ColumnarRelation
 
         start = time.perf_counter()
         mers = [

@@ -5,8 +5,8 @@ regions — the 5-C's area extension is ~21% above the MBR's, the 4-C's
 44%, the RMBR's 51% and the MBE's 22%.
 """
 
-from repro.approximations import area_extension_ratio
-from repro.datasets import bw, europe
+from repro.approximations.quality import area_extension_ratio
+from repro.datasets.relations import bw, europe
 
 KINDS = ("RMBR", "4-C", "5-C", "MBE")
 PAPER_PCT = {"RMBR": 51, "4-C": 44, "5-C": 21, "MBE": 22}

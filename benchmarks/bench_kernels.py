@@ -25,7 +25,7 @@ import numpy as np
 from repro.exact.refine import clip_margins, clip_rects
 from repro.geometry.fastops import EdgeArrays, vertex_distance_bounds
 from repro.geometry.kernels import get_kernels, warm_up
-from repro.index import nested_loops_mbr_join
+from repro.index.join import nested_loops_mbr_join
 
 #: measured alternative to the numpy oracle.
 ALT_BACKEND = "c"

@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import time
 
-from repro.core import (
-    JoinConfig,
-    SpatialJoinProcessor,
-    parallel_partitioned_join,
-    simulate_parallel_join,
-)
+from repro.core.join import JoinConfig, SpatialJoinProcessor
+from repro.core.parallel import simulate_parallel_join
+from repro.core.parallel_exec import parallel_partitioned_join
 
 WORKER_COUNTS = (1, 2, 4)
 GRID = (4, 4)

@@ -30,13 +30,14 @@ import random
 import time
 from dataclasses import replace
 
-from repro.core import FilterConfig, JoinConfig, SpatialJoinProcessor
+from repro.core.filters import FilterConfig
+from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import (
     live_shared_segments,
     parallel_partitioned_join,
 )
 from repro.datasets.relations import SpatialRelation
-from repro.geometry import Polygon
+from repro.geometry.polygon import Polygon
 
 GRID = (4, 4)
 #: modeled speedup the 4-worker decomposition must reach (ISSUE 9 bar).

@@ -24,11 +24,12 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
-from repro.core import JoinConfig, MultiStepStats, SpatialJoinProcessor
 from repro.core.filters import FilterConfig
+from repro.core.join import JoinConfig, SpatialJoinProcessor
+from repro.core.stats import MultiStepStats
 from repro.exact.refine import BatchedRefinement
 from repro.geometry.fastops import polygons_intersect_fast
-from repro.index import nested_loops_mbr_join
+from repro.index.join import nested_loops_mbr_join
 
 #: the acceptance-bar batch size, plus a larger point for the curve.
 BATCH_SIZES = (64, 256)

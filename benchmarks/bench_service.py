@@ -30,11 +30,12 @@ import math
 import random
 import time
 
-from repro.core import JoinConfig
+from repro.core.join import JoinConfig
 from repro.core.parallel_exec import live_shared_segments
 from repro.datasets.relations import SpatialRelation
-from repro.geometry import Polygon
-from repro.service import JoinRequest, JoinService
+from repro.geometry.polygon import Polygon
+from repro.service.api import JoinRequest
+from repro.service.core import JoinService
 
 CLIENT_COUNTS = (1, 8, 32)
 SESSIONS = 2

@@ -25,11 +25,15 @@ import os
 import random
 import time
 
-from repro.core import FilterConfig, JoinConfig, parallel_partitioned_join
-from repro.core.parallel_exec import live_shared_segments
+from repro.core.filters import FilterConfig
+from repro.core.join import JoinConfig
+from repro.core.parallel_exec import (
+    live_shared_segments,
+    parallel_partitioned_join,
+)
 from repro.core.session import JoinSession
 from repro.datasets.relations import SpatialRelation
-from repro.geometry import Polygon
+from repro.geometry.polygon import Polygon
 
 WORKERS = 2
 GRID = (4, 4)

@@ -31,7 +31,8 @@ import time
 
 from repro.core.parallel_exec import live_shared_segments
 from repro.core.session import JoinSession
-from repro.datasets import RelationStore, SpatialRelation
+from repro.datasets.relations import SpatialRelation
+from repro.datasets.store import RelationStore
 
 #: the acceptance floor: store warm-up must beat object re-packing 3x.
 SPEEDUP_FLOOR = 3.0

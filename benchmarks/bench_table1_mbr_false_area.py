@@ -6,8 +6,9 @@ objects are only *roughly* approximated by MBRs (∅ ≈ 1 means the MBR
 doubles the object's area).
 """
 
-from repro.approximations import MBRApproximation, normalized_false_area
-from repro.datasets import bw, europe
+from repro.approximations.mbr import MBRApproximation
+from repro.approximations.quality import normalized_false_area
+from repro.datasets.relations import bw, europe
 
 
 def test_table1_mbr_normalized_false_area(benchmark, scale, report):

@@ -5,7 +5,7 @@ BW A: 2253/1504/749, BW B: 2562/1684/878.  The headline claim: about one
 third of the MBR-join output are false hits.
 """
 
-from repro.index import JoinStats, rstar_join
+from repro.index.join import JoinStats, rstar_join
 
 
 SERIES = ("Europe A", "Europe B", "BW A", "BW B")

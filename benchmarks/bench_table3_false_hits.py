@@ -5,7 +5,7 @@ Paper values (Europe A row): MBC 17.9, MBE 42.1, RMBR 35.7, 4-C 50.9,
 the false hits; quality ordering MBC < RMBR/MBE < 4-C < 5-C < CH.
 """
 
-from repro.approximations import approx_intersect
+from repro.approximations.base import approx_intersect
 
 KINDS = ("MBC", "MBE", "RMBR", "4-C", "5-C", "CH")
 SERIES = ("Europe A", "Europe B", "BW A", "BW B")

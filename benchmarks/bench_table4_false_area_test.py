@@ -5,7 +5,7 @@ CH 12.5.  Headline: the false-area test identifies few hits — about 6%
 with the 5-corner — which motivates progressive approximations.
 """
 
-from repro.approximations import false_area_test_stored
+from repro.approximations.false_area import false_area_test_stored
 
 KINDS = ("MBR", "RMBR", "4-C", "5-C", "CH")
 SERIES = ("Europe A", "Europe B", "BW A", "BW B")

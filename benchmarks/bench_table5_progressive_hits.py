@@ -5,7 +5,7 @@ Headline: progressive approximations identify 5-6x more hits than the
 false-area test; the MER is slightly better than the MEC.
 """
 
-from repro.approximations import approx_intersect
+from repro.approximations.base import approx_intersect
 
 SERIES = ("Europe A", "Europe B", "BW A", "BW B")
 PAPER = {

@@ -5,7 +5,7 @@ them as model constants and re-measures the host's own weights for
 comparison.  Only the *relative* weights matter for §4.3's conclusions.
 """
 
-from repro.exact import PAPER_WEIGHTS, measure_host_weights
+from repro.exact.costmodel import PAPER_WEIGHTS, measure_host_weights
 
 
 def test_table6_operation_weights(benchmark, report):

@@ -14,13 +14,11 @@ extrapolated to the full candidate set (the quadratic algorithm on the
 527-vertex BW objects is exactly as infeasible as the paper says).
 """
 
-from repro.approximations import approx_intersect
-from repro.exact import (
-    OperationCounter,
-    polygons_intersect_planesweep,
-    polygons_intersect_quadratic,
-    polygons_intersect_trstar,
-)
+from repro.approximations.base import approx_intersect
+from repro.exact.bruteforce import polygons_intersect_quadratic
+from repro.exact.costmodel import OperationCounter
+from repro.exact.planesweep import polygons_intersect_planesweep
+from repro.exact.trstar_test import polygons_intersect_trstar
 
 SERIES = ("Europe A", "BW A")
 PAPER_PER_PAIR = {

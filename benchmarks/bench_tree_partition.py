@@ -41,11 +41,12 @@ import random
 import time
 from dataclasses import replace
 
-from repro.core import FilterConfig, JoinConfig
+from repro.core.filters import FilterConfig
+from repro.core.join import JoinConfig
 from repro.core.parallel_exec import live_shared_segments
 from repro.core.session import JoinSession
 from repro.datasets.relations import SpatialRelation
-from repro.geometry import Polygon
+from repro.geometry.polygon import Polygon
 
 WORKERS = 2
 GRID = (4, 4)

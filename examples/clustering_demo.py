@@ -10,9 +10,9 @@ shared LRU buffer.
 Run:  python examples/clustering_demo.py
 """
 
-from repro.core import SpatialJoinProcessor
+from repro.core.join import SpatialJoinProcessor
 from repro.core.selectivity import estimate_join
-from repro.datasets import europe
+from repro.datasets.relations import europe
 from repro.index.clustering import compare_placements
 
 

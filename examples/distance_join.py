@@ -9,10 +9,10 @@ exact edge-to-edge distance only for the survivors.
 Run:  python examples/distance_join.py
 """
 
-from repro.core import JoinConfig, SpatialJoinProcessor
 from repro.core.distance import brute_force_distance_join
-from repro.datasets import europe
-from repro.index import knn_query
+from repro.core.join import JoinConfig, SpatialJoinProcessor
+from repro.datasets.relations import europe
+from repro.index.knn import knn_query
 
 
 def main() -> None:

@@ -10,7 +10,8 @@ Run:  python examples/filter_tuning.py
 """
 
 from repro import FilterConfig, JoinConfig, SpatialJoinProcessor
-from repro.datasets import europe, strategy_a
+from repro.datasets.relations import europe
+from repro.datasets.testseries import strategy_a
 
 CONSERVATIVE = (None, "MBC", "RMBR", "5-C", "CH")
 PROGRESSIVE = (None, "MEC", "MER")

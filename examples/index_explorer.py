@@ -8,16 +8,13 @@ inspect a TR*-tree decomposition of a single complex polygon.
 Run:  python examples/index_explorer.py
 """
 
-from repro.datasets import europe, strategy_a
-from repro.exact import trapezoid_decomposition
-from repro.geometry import Rect
-from repro.index import (
-    AccessCounter,
-    LRUBuffer,
-    PageLayout,
-    RStarTree,
-    rstar_join,
-)
+from repro.datasets.relations import europe
+from repro.datasets.testseries import strategy_a
+from repro.exact.decomposition import trapezoid_decomposition
+from repro.geometry.rectangle import Rect
+from repro.index.join import rstar_join
+from repro.index.pagemodel import AccessCounter, LRUBuffer, PageLayout
+from repro.index.rstar import RStarTree
 
 
 def main() -> None:

@@ -19,7 +19,7 @@ from repro.core.inside import (
     brute_force_inside_join,
     points_in_regions_join,
 )
-from repro.datasets import europe
+from repro.datasets.relations import europe
 
 
 def main() -> None:

@@ -17,8 +17,9 @@ Run:  python examples/map_overlay.py
 import time
 
 from repro import FilterConfig, JoinConfig, SpatialJoinProcessor
-from repro.core import NO_FILTER
-from repro.datasets import SpatialRelation, cartographic_polygons
+from repro.core.filters import NO_FILTER
+from repro.datasets.generators import cartographic_polygons
+from repro.datasets.relations import SpatialRelation
 
 
 def build_layers():

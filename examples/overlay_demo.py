@@ -8,8 +8,10 @@ and the overlay reports the result layer with per-piece areas.
 Run:  python examples/overlay_demo.py
 """
 
-from repro.core import FilterConfig, JoinConfig, MapOverlay
-from repro.datasets import europe
+from repro.core.filters import FilterConfig
+from repro.core.join import JoinConfig
+from repro.core.overlay import MapOverlay
+from repro.datasets.relations import europe
 
 
 def main() -> None:

@@ -8,8 +8,10 @@ experiment the paper defers to future work.
 Run:  python examples/parallel_partitions.py
 """
 
-from repro.core import JoinConfig, SpatialJoinProcessor, partitioned_join
-from repro.datasets import europe, strategy_a
+from repro.core.join import JoinConfig, SpatialJoinProcessor
+from repro.core.partition import partitioned_join
+from repro.datasets.relations import europe
+from repro.datasets.testseries import strategy_a
 
 
 def main() -> None:

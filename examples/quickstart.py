@@ -9,7 +9,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro import FilterConfig, JoinConfig, SpatialJoinProcessor
-from repro.datasets import europe, strategy_a
+from repro.datasets.relations import europe
+from repro.datasets.testseries import strategy_a
 
 
 def main() -> None:

@@ -12,9 +12,9 @@ Run:  python examples/rivers.py
 import math
 import random
 
-from repro.core import LineJoinConfig, line_region_join
-from repro.datasets import europe
-from repro.geometry import Polyline
+from repro.core.lineregion import LineJoinConfig, line_region_join
+from repro.datasets.relations import europe
+from repro.geometry.polyline import Polyline
 
 
 def make_river(rng, steps=25, step_len=0.05):

@@ -25,7 +25,7 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.core.join import JoinConfig  # noqa: E402
 from repro.core.parallel_exec import parallel_partitioned_join  # noqa: E402
 from repro.datasets.io import save_relation  # noqa: E402
-from repro.datasets import cartographic_polygons  # noqa: E402
+from repro.datasets.generators import cartographic_polygons  # noqa: E402
 from repro.datasets.relations import SpatialRelation  # noqa: E402
 
 

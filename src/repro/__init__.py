@@ -14,20 +14,26 @@ Quick start::
     series = strategy_a(europe())
     result = SpatialJoinProcessor().join(series.relation_a, series.relation_b)
     print(len(result), result.stats.summary())
+
+Import rule: every name has one import path, its defining module.  A
+package ``__init__`` re-exports a name only if its defining module is
+already loaded by a serial join (``repro join`` of two stored
+relations), apart from the few names ``benchmarks/e2e`` imports
+through their packages; so ``import repro.cli`` loads only the join
+path, and every other subsystem is imported from its own module (e.g.
+``repro.core.overlay.MapOverlay``).
 """
 
-from .core import (
-    FilterConfig,
-    FilterOutcome,
+from .core.filters import FilterConfig, FilterOutcome, geometric_filter
+from .core.join import (
     JoinConfig,
     JoinResult,
-    MapOverlay,
-    MultiStepStats,
     SpatialJoinProcessor,
-    geometric_filter,
     nested_loops_join,
 )
-from .geometry import Polygon, Rect
+from .core.stats import MultiStepStats
+from .geometry.polygon import Polygon
+from .geometry.rectangle import Rect
 
 __version__ = "1.1.0"
 
@@ -36,7 +42,6 @@ __all__ = [
     "FilterOutcome",
     "JoinConfig",
     "JoinResult",
-    "MapOverlay",
     "MultiStepStats",
     "Polygon",
     "Rect",

@@ -5,71 +5,8 @@ convex hull, minimum bounding circle, minimum bounding ellipse.
 
 Progressive (approximation ⊆ object): maximum enclosed circle, maximum
 enclosed rectangle.
+
+Import each name from its defining module (``repro.approximations.
+factory``, ``repro.approximations.mer``, ...); this package re-exports
+nothing.
 """
-
-from .base import (
-    Approximation,
-    ConvexApproximation,
-    approx_intersect,
-    approx_intersection_area,
-)
-from .batch import BatchApproxArrays
-from .containment import certainly_contains, certainly_not_contains
-from .factory import (
-    ALL_KINDS,
-    CONSERVATIVE_KINDS,
-    PROGRESSIVE_KINDS,
-    compute_approximation,
-    compute_approximations,
-)
-from .false_area import false_area_test, false_area_test_stored
-from .hull import ConvexHullApproximation
-from .mbc import MBCApproximation
-from .mbe import MBEApproximation
-from .mbr import MBRApproximation
-from .mcorner import MCornerApproximation, reduce_hull_to_m_corners
-from .mec import MECApproximation, maximum_enclosed_circle
-from .mer import MERApproximation, maximum_enclosed_rectangle
-from .quality import (
-    area_extension,
-    area_extension_ratio,
-    false_area,
-    mbr_based_false_area,
-    normalized_false_area,
-    progressive_coverage,
-)
-from .rmbr import RMBRApproximation
-
-__all__ = [
-    "ALL_KINDS",
-    "Approximation",
-    "BatchApproxArrays",
-    "CONSERVATIVE_KINDS",
-    "ConvexApproximation",
-    "ConvexHullApproximation",
-    "MBCApproximation",
-    "MBEApproximation",
-    "MBRApproximation",
-    "MCornerApproximation",
-    "MECApproximation",
-    "MERApproximation",
-    "PROGRESSIVE_KINDS",
-    "RMBRApproximation",
-    "approx_intersect",
-    "approx_intersection_area",
-    "certainly_contains",
-    "certainly_not_contains",
-    "area_extension",
-    "area_extension_ratio",
-    "compute_approximation",
-    "compute_approximations",
-    "false_area",
-    "false_area_test",
-    "false_area_test_stored",
-    "maximum_enclosed_circle",
-    "maximum_enclosed_rectangle",
-    "mbr_based_false_area",
-    "normalized_false_area",
-    "progressive_coverage",
-    "reduce_hull_to_m_corners",
-]

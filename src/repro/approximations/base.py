@@ -18,16 +18,15 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import ClassVar, List, Sequence
 
-from ..geometry import (
-    Circle,
-    Coord,
-    Ellipse,
-    Rect,
+from ..geometry.circle import Circle
+from ..geometry.convex import (
     convex_contains_point,
     convex_intersect,
     convex_intersection_area,
-    point_segment_distance,
 )
+from ..geometry.ellipse import Ellipse
+from ..geometry.predicates import Coord, point_segment_distance
+from ..geometry.rectangle import Rect
 
 
 class Approximation(ABC):
@@ -102,7 +101,7 @@ class ConvexApproximation(Approximation):
 
 
 def _convex_area(vertices: Sequence[Coord]) -> float:
-    from ..geometry import polygon_signed_area
+    from ..geometry.predicates import polygon_signed_area
 
     if len(vertices) < 3:
         return 0.0

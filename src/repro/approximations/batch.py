@@ -54,8 +54,9 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..geometry import Circle, Rect
+from ..geometry.circle import Circle
 from ..geometry.fastops import pack_convex_rows
+from ..geometry.rectangle import Rect
 from .base import Approximation
 from .hull import ConvexHullApproximation
 from .mbc import MBCApproximation

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import List
 
-from ..geometry import Coord
+from ..geometry.predicates import Coord
 from .base import Approximation
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from ..geometry import Polygon
+from ..geometry.polygon import Polygon
 from .base import Approximation
 from .hull import ConvexHullApproximation
 from .mbc import MBCApproximation

@@ -14,7 +14,7 @@ stored per object.
 
 from __future__ import annotations
 
-from ..geometry import Polygon
+from ..geometry.polygon import Polygon
 from .base import Approximation, approx_intersection_area
 
 

@@ -7,7 +7,8 @@ and 46 for BW), which is why §3.2 prefers the 5-corner for SAM storage.
 
 from __future__ import annotations
 
-from ..geometry import Polygon, convex_hull
+from ..geometry.convex import convex_hull
+from ..geometry.polygon import Polygon
 from .base import ConvexApproximation
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from ..geometry import Circle, Coord, Polygon, Rect, minimum_enclosing_circle
+from ..geometry.circle import Circle, minimum_enclosing_circle
+from ..geometry.polygon import Polygon
+from ..geometry.predicates import Coord
+from ..geometry.rectangle import Rect
 from .base import Approximation
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from ..geometry import Coord, Ellipse, Polygon, Rect, minimum_enclosing_ellipse
+from ..geometry.ellipse import Ellipse, minimum_enclosing_ellipse
+from ..geometry.polygon import Polygon
+from ..geometry.predicates import Coord
+from ..geometry.rectangle import Rect
 from .base import Approximation
 
 

@@ -7,7 +7,9 @@ normalized false area around 1.0 on real cartography data).
 
 from __future__ import annotations
 
-from ..geometry import Coord, Polygon, Rect
+from ..geometry.polygon import Polygon
+from ..geometry.predicates import Coord
+from ..geometry.rectangle import Rect
 from .base import ConvexApproximation
 
 

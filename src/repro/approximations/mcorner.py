@@ -17,7 +17,10 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from ..geometry import Coord, Polygon, convex_hull, cross, line_intersection
+from ..geometry.convex import convex_hull
+from ..geometry.polygon import Polygon
+from ..geometry.predicates import Coord, cross
+from ..geometry.segment import line_intersection
 from .base import ConvexApproximation
 
 
@@ -154,7 +157,7 @@ def _expand_to_cover(poly: List[Coord], pts: Sequence[Coord]) -> List[Coord]:
         scaled = [
             (cx + (x - cx) * scale, cy + (y - cy) * scale) for x, y in poly
         ]
-        from ..geometry import convex_contains_point
+        from ..geometry.convex import convex_contains_point
 
         if all(convex_contains_point(scaled, p) for p in pts):
             return scaled
@@ -165,7 +168,7 @@ def _expand_to_cover(poly: List[Coord], pts: Sequence[Coord]) -> List[Coord]:
 
 
 def _restore_ccw(poly: List[Coord]) -> List[Coord]:
-    from ..geometry import is_ccw
+    from ..geometry.predicates import is_ccw
 
     if len(poly) >= 3 and not is_ccw(poly):
         return list(reversed(poly))

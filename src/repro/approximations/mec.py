@@ -37,10 +37,18 @@ import math
 
 import numpy as np
 
-from ..geometry import Circle, Coord, Polygon, Rect
-from ..geometry.fastops import EdgeTable, _first_argmin, build_edge_table
-from ..geometry.fastops import gather_edges, points_in_polygons_bulk, ragged_arange
-from ..geometry.predicates import EPSILON
+from ..geometry.circle import Circle
+from ..geometry.fastops import (
+    EdgeTable,
+    _first_argmin,
+    build_edge_table,
+    gather_edges,
+    points_in_polygons_bulk,
+    ragged_arange,
+)
+from ..geometry.polygon import Polygon
+from ..geometry.predicates import EPSILON, Coord
+from ..geometry.rectangle import Rect
 from .base import Approximation
 
 _PRECISION = 1e-5  #: relative to the longer MBR side

@@ -83,8 +83,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry import Polygon, Rect
 from ..geometry.fastops import EdgeArrays, segments_cross_open_rects
+from ..geometry.polygon import Polygon
+from ..geometry.rectangle import Rect
 from .base import ConvexApproximation
 from .mec import maximum_enclosed_circle
 

@@ -12,13 +12,10 @@ from __future__ import annotations
 
 from typing import List
 
-from ..geometry import (
-    Polygon,
-    Rect,
-    clip_convex,
-    convex_intersection_area,
-    polygon_signed_area,
-)
+from ..geometry.convex import clip_convex, convex_intersection_area
+from ..geometry.polygon import Polygon
+from ..geometry.predicates import polygon_signed_area
+from ..geometry.rectangle import Rect
 from .base import Approximation
 
 

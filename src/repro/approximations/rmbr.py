@@ -7,7 +7,8 @@ rotating-calipers scan over the convex hull (same optimum, O(n log n)).
 
 from __future__ import annotations
 
-from ..geometry import Polygon, min_area_rotated_rect
+from ..geometry.convex import min_area_rotated_rect
+from ..geometry.polygon import Polygon
 from .base import ConvexApproximation
 
 

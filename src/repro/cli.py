@@ -45,6 +45,22 @@ line, e.g.::
     printf '%s\\n' '{"op": "join", "relation_a": "europe.wkt", \
 "relation_b": "b.wkt", "engine": "batched"}' | nc localhost 8765
 
+Imports: loading this module pulls in only the serial join path
+(``core.join`` and what it imports, ``datasets.io``).  Every other
+subsystem is imported inside the one command that runs it:
+``generate`` the generators, ``query`` ``core.window``, ``overlay``
+``core.overlay`` (and the clipping kernel), ``knn`` ``index.knn``,
+``estimate`` ``core.selectivity``, ``store`` and ``--store-dir`` the
+relation store, ``join --workers N`` (N > 1) the tile executor
+(``core.parallel_exec`` and ``multiprocessing``), ``join-batch``
+``core.session``, and ``serve`` ``repro.service``.
+``tests/test_import_graph.py`` pins this.
+
+Invalid arguments exit 2 with a one-line ``error:`` (argparse or
+command boundary): an unreadable or malformed WKT file, a missing
+store directory (only ``store pack`` creates one), a degenerate
+``--window``, non-finite coordinates, ``--objects`` < 3, ``--top`` < 0.
+
 Example session::
 
     python -m repro generate --objects 200 --vertices 84 --out europe.wkt
@@ -63,20 +79,35 @@ Example session::
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-from .core import (
-    EXACT_METHODS,
-    FilterConfig,
-    JoinConfig,
-    SpatialJoinProcessor,
-    WindowQueryProcessor,
-)
-from .core.window import WindowQueryStats
-from .datasets import SpatialRelation, cartographic_polygons
-from .datasets.io import load_relation, save_relation
-from .geometry import Rect
+from .core.filters import FilterConfig
+from .core.join import EXACT_METHODS, JoinConfig, SpatialJoinProcessor
+from .datasets.io import load_relation
+from .datasets.relations import SpatialRelation
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an integer >= ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    # argparse names the type in its "invalid int value: 'x'" message.
+    parse.__name__ = "int"
+    return parse
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float (no nan / inf coordinates)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,7 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a synthetic relation")
-    gen.add_argument("--objects", type=int, default=200)
+    gen.add_argument("--objects", type=_int_at_least(3), default=200,
+                     help="number of objects (>= 3, default 200)")
     gen.add_argument("--vertices", type=float, default=84.0,
                      help="mean vertices per object")
     gen.add_argument("--seed", type=int, default=1994)
@@ -117,15 +149,16 @@ def _build_parser() -> argparse.ArgumentParser:
     query = sub.add_parser("query", help="window or point query")
     query.add_argument("relation", help="WKT file")
     group = query.add_mutually_exclusive_group(required=True)
-    group.add_argument("--window", nargs=4, type=float,
+    group.add_argument("--window", nargs=4, type=_finite_float,
                        metavar=("XMIN", "YMIN", "XMAX", "YMAX"))
-    group.add_argument("--point", nargs=2, type=float, metavar=("X", "Y"))
+    group.add_argument("--point", nargs=2, type=_finite_float,
+                       metavar=("X", "Y"))
 
     overlay = sub.add_parser("overlay", help="map-overlay intersection layer")
     overlay.add_argument("relation_a", help="WKT file (left layer)")
     overlay.add_argument("relation_b", help="WKT file (right layer)")
-    overlay.add_argument("--top", type=int, default=10,
-                         help="print the N largest pieces")
+    overlay.add_argument("--top", type=_int_at_least(0), default=10,
+                         help="print the N largest pieces (>= 0)")
 
     dist = sub.add_parser("distance", help="within-distance join")
     dist.add_argument("relation_a", help="WKT file (left relation)")
@@ -137,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     knn = sub.add_parser("knn", help="k nearest objects to a point")
     knn.add_argument("relation", help="WKT file")
-    knn.add_argument("--point", nargs=2, type=float, required=True,
+    knn.add_argument("--point", nargs=2, type=_finite_float, required=True,
                      metavar=("X", "Y"))
     knn.add_argument("--k", type=int, default=5)
 
@@ -324,13 +357,33 @@ def _none_or(value: str) -> Optional[str]:
     return None if value.lower() in ("none", "-", "") else value
 
 
-def _open_store(store_dir: Optional[str]):
-    """The command's RelationStore, or None when no --store-dir given."""
+def _open_store(store_dir: Optional[str], create: bool = False):
+    """The command's RelationStore, or None when no --store-dir given.
+
+    Only ``store pack`` creates the directory: every other command
+    raises ``ValueError`` for a missing one instead of leaving an empty
+    store behind a mistyped path.
+    """
     if store_dir is None:
         return None
+    if not create and not os.path.isdir(store_dir):
+        raise ValueError(f"no store at {store_dir}")
     from .datasets.store import RelationStore
 
     return RelationStore(store_dir)
+
+
+def _load_wkt(path: str) -> SpatialRelation:
+    """Load a WKT relation argument; ``ValueError`` names the file."""
+    try:
+        return load_relation(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load {path!r}: {exc}") from exc
+
+
+def _fail(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def _resolve_relation(ref: str, store) -> SpatialRelation:
@@ -338,11 +391,12 @@ def _resolve_relation(ref: str, store) -> SpatialRelation:
 
     Store references materialise from the store's mmap pages — no WKT
     parsing, no re-packing, fingerprint trusted from the manifest.
-    Raises ``ValueError`` (caught at each command boundary) for a store
-    reference without ``--store-dir`` or an unknown/corrupted entry.
+    Raises ``ValueError`` (caught at each command boundary) for an
+    unreadable WKT file, a store reference without ``--store-dir`` or
+    an unknown/corrupted entry.
     """
     if not ref.startswith("store:"):
-        return load_relation(ref)
+        return _load_wkt(ref)
     if store is None:
         raise ValueError(
             f"relation reference {ref!r} needs --store-dir"
@@ -356,6 +410,9 @@ def _resolve_relation(ref: str, store) -> SpatialRelation:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .datasets.generators import cartographic_polygons
+    from .datasets.io import save_relation
+
     polygons = cartographic_polygons(
         n_objects=args.objects,
         mean_vertices=args.vertices,
@@ -373,7 +430,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    relation = load_relation(args.relation)
+    try:
+        relation = _load_wkt(args.relation)
+    except ValueError as exc:
+        return _fail(exc)
     stats = relation.statistics()
     total_area = sum(o.polygon.area() for o in relation)
     print(f"relation: {relation.name}")
@@ -393,16 +453,14 @@ def cmd_join(args: argparse.Namespace) -> int:
         rel_b = _resolve_relation(args.relation_b, store)
         config = _join_config(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     if config.workers > 1:
         from .core.parallel_exec import parallel_partitioned_join
 
         try:
             result = parallel_partitioned_join(rel_a, rel_b, config=config)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _fail(exc)
         if result.partitioner == "rtree":
             formation = f"{result.tile_tasks} tree-guided tasks (rtree)"
         else:
@@ -441,20 +499,19 @@ def cmd_join(args: argparse.Namespace) -> int:
 
 
 def cmd_join_batch(args: argparse.Namespace) -> int:
-    from .core.session import JoinSession
-
     try:
         store = _open_store(args.store_dir)
         rel_a = _resolve_relation(args.relation_a, store)
         rel_b = _resolve_relation(args.relation_b, store)
         config = _join_config(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     if args.repeat < 1:
         print(f"error: --repeat must be >= 1, got {args.repeat}",
               file=sys.stderr)
         return 2
+    from .core.session import JoinSession
+
     print(
         f"join-batch: {args.repeat} joins through one session "
         f"({config.workers} workers, {config.grid[0]}x{config.grid[1]} grid)"
@@ -517,12 +574,19 @@ def cmd_join_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    relation = load_relation(args.relation)
+    from .core.window import WindowQueryProcessor, WindowQueryStats
+    from .geometry.rectangle import Rect
+
+    try:
+        window = Rect(*args.window) if args.window else None
+        relation = _load_wkt(args.relation)
+    except ValueError as exc:
+        return _fail(exc)
     processor = WindowQueryProcessor(relation)
     stats = WindowQueryStats()
-    if args.window:
+    if window is not None:
         xmin, ymin, xmax, ymax = args.window
-        results = processor.window_query(Rect(xmin, ymin, xmax, ymax), stats)
+        results = processor.window_query(window, stats)
         label = f"window ({xmin}, {ymin}, {xmax}, {ymax})"
     else:
         x, y = args.point
@@ -539,10 +603,13 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_overlay(args: argparse.Namespace) -> int:
+    try:
+        rel_a = _load_wkt(args.relation_a)
+        rel_b = _load_wkt(args.relation_b)
+    except ValueError as exc:
+        return _fail(exc)
     from .core.overlay import MapOverlay
 
-    rel_a = load_relation(args.relation_a)
-    rel_b = load_relation(args.relation_b)
     result = MapOverlay().intersection(rel_a, rel_b)
     print(f"overlay: {len(result)} intersection pieces")
     print(f"  total area: {result.total_area():.6f}")
@@ -559,11 +626,10 @@ def cmd_distance(args: argparse.Namespace) -> int:
     # fast at the argument boundary, like `join` validates its config.
     try:
         config = JoinConfig(predicate="distance", epsilon=args.epsilon)
+        rel_a = _load_wkt(args.relation_a)
+        rel_b = _load_wkt(args.relation_b)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rel_a = load_relation(args.relation_a)
-    rel_b = load_relation(args.relation_b)
+        return _fail(exc)
     result = SpatialJoinProcessor(config).join(rel_a, rel_b)
     stats = result.stats
     print(f"within-distance join (eps={args.epsilon}): {len(result)} pairs")
@@ -582,10 +648,9 @@ def cmd_knn(args: argparse.Namespace) -> int:
 
     try:
         k = validate_k(args.k)
+        relation = _load_wkt(args.relation)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    relation = load_relation(args.relation)
+        return _fail(exc)
     tree = relation.rtree()
     point = (args.point[0], args.point[1])
     results = knn_query(tree, point, k)
@@ -596,10 +661,13 @@ def cmd_knn(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    try:
+        rel_a = _load_wkt(args.relation_a)
+        rel_b = _load_wkt(args.relation_b)
+    except ValueError as exc:
+        return _fail(exc)
     from .core.selectivity import estimate_join
 
-    rel_a = load_relation(args.relation_a)
-    rel_b = load_relation(args.relation_b)
     est = estimate_join(rel_a, rel_b)
     print("pre-execution join estimate:")
     print(f"  expected candidates:   {est.candidates:.0f}")
@@ -612,17 +680,20 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_store(args: argparse.Namespace) -> int:
-    from .datasets.store import RelationStore, StoreError
+    from .datasets.store import StoreError
 
-    store = RelationStore(args.store_dir)
+    try:
+        store = _open_store(
+            args.store_dir, create=args.store_command == "pack"
+        )
+    except ValueError as exc:
+        return _fail(exc)
     if args.store_command == "pack":
         for path in args.relations:
             try:
-                relation = load_relation(path)
-            except (OSError, ValueError) as exc:
-                print(f"error: cannot load {path!r}: {exc}",
-                      file=sys.stderr)
-                return 2
+                relation = _load_wkt(path)
+            except ValueError as exc:
+                return _fail(exc)
             fingerprint = store.save(relation)
             stored = store.load(fingerprint)
             print(
@@ -663,7 +734,8 @@ def cmd_store(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .service import JoinService, run_server
+    from .service.core import JoinService
+    from .service.server import run_server
 
     try:
         kernel_override = (
@@ -684,8 +756,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             store_dir=args.store_dir,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
 
     def announce(server) -> None:
         print(

@@ -1,179 +1,10 @@
-"""The multi-step spatial join processor (the paper's contribution)."""
+"""The multi-step spatial join processor (the paper's contribution).
 
-from .costs import (
-    PAGE_ACCESS_SECONDS,
-    PLANESWEEP_EXACT_SECONDS,
-    TRSTAR_ACCESS_FACTOR,
-    TRSTAR_EXACT_SECONDS,
-    ApproximationImpact,
-    CostBreakdown,
-    JoinScenario,
-    approximation_impact,
-    total_join_cost,
-)
-from .distance import (
-    brute_force_distance_join,
-    polygon_distance,
-    validate_epsilon,
-)
-from .inside import (
-    InsideJoinConfig,
-    InsideJoinResult,
-    brute_force_inside_join,
-    points_in_regions_join,
-)
-from .lineregion import (
-    LineJoinConfig,
-    LineJoinResult,
-    brute_force_line_region_join,
-    line_region_join,
-)
-from .histogram import (
-    SpatialHistogram,
-    estimate_join_candidates_histogram,
-    joint_histograms,
-)
-from .parallel import (
-    MeasuredRun,
-    ParallelJoinReport,
-    ParallelSimulation,
-    TileCost,
-    measure_parallel_join,
-    schedule_lpt,
-    simulate_parallel_join,
-    tile_costs,
-)
-from .parallel_exec import (
-    ColumnarShipment,
-    ColumnarTileTask,
-    ParallelPartitionedJoinResult,
-    SharedRelationSegment,
-    SharedRelationSpec,
-    TileExecutionError,
-    TileOutcome,
-    live_shared_segments,
-    parallel_partitioned_join,
-    plan_columnar_tile_tasks,
-    run_columnar_tile_task,
-)
-from .session import JoinSession, SegmentLease
-from .selectivity import (
-    FilterRates,
-    JoinEstimate,
-    RelationProfile,
-    calibrate_rates,
-    estimate_candidates,
-    estimate_join,
-    mbr_join_selectivity,
-)
-from .filters import (
-    NO_FILTER,
-    FilterConfig,
-    FilterOutcome,
-    geometric_filter,
-)
-from .join import (
-    ENGINES,
-    EXACT_METHODS,
-    PARTITIONERS,
-    JoinConfig,
-    JoinResult,
-    SpatialJoinProcessor,
-    nested_loops_join,
-    validate_grid,
-)
-from .overlay import MapOverlay, OverlayPiece, OverlayResult
-from .partition import (
-    GridPartitioner,
-    PartitionPlan,
-    Partitioner,
-    PartitionedJoinResult,
-    PartitionStats,
-    TreePartitioner,
-    create_partitioner,
-    partitioned_join,
-)
-from .stats import MultiStepStats
-from .window import WindowQueryProcessor, WindowQueryStats
-from .within import within_filter
+Import each name from its defining module (``repro.core.join``,
+``repro.core.partition``, ``repro.core.session``, ...).  The two
+re-exports below are defined on the join path and cost no import.
+"""
 
-__all__ = [
-    "ApproximationImpact",
-    "CostBreakdown",
-    "brute_force_distance_join",
-    "polygon_distance",
-    "validate_epsilon",
-    "ENGINES",
-    "EXACT_METHODS",
-    "PARTITIONERS",
-    "validate_grid",
-    "FilterConfig",
-    "FilterRates",
-    "InsideJoinConfig",
-    "InsideJoinResult",
-    "JoinEstimate",
-    "LineJoinConfig",
-    "LineJoinResult",
-    "brute_force_line_region_join",
-    "line_region_join",
-    "brute_force_inside_join",
-    "points_in_regions_join",
-    "ColumnarShipment",
-    "ColumnarTileTask",
-    "JoinSession",
-    "MeasuredRun",
-    "ParallelJoinReport",
-    "ParallelPartitionedJoinResult",
-    "ParallelSimulation",
-    "SegmentLease",
-    "SharedRelationSegment",
-    "SharedRelationSpec",
-    "TileExecutionError",
-    "TileOutcome",
-    "live_shared_segments",
-    "measure_parallel_join",
-    "parallel_partitioned_join",
-    "plan_columnar_tile_tasks",
-    "run_columnar_tile_task",
-    "RelationProfile",
-    "SpatialHistogram",
-    "TileCost",
-    "calibrate_rates",
-    "estimate_candidates",
-    "estimate_join",
-    "estimate_join_candidates_histogram",
-    "joint_histograms",
-    "mbr_join_selectivity",
-    "schedule_lpt",
-    "simulate_parallel_join",
-    "tile_costs",
-    "FilterOutcome",
-    "JoinConfig",
-    "JoinResult",
-    "JoinScenario",
-    "MultiStepStats",
-    "MapOverlay",
-    "NO_FILTER",
-    "OverlayPiece",
-    "OverlayResult",
-    "PAGE_ACCESS_SECONDS",
-    "PLANESWEEP_EXACT_SECONDS",
-    "SpatialJoinProcessor",
-    "TRSTAR_ACCESS_FACTOR",
-    "TRSTAR_EXACT_SECONDS",
-    "approximation_impact",
-    "geometric_filter",
-    "nested_loops_join",
-    "total_join_cost",
-    "WindowQueryProcessor",
-    "WindowQueryStats",
-    "within_filter",
-    "GridPartitioner",
-    "PartitionPlan",
-    "PartitionStats",
-    "Partitioner",
-    "PartitionedJoinResult",
-    "TreePartitioner",
-    "create_partitioner",
-    "partitioned_join",
-]
+from .join import JoinConfig, SpatialJoinProcessor
+
+__all__ = ["JoinConfig", "SpatialJoinProcessor"]

@@ -19,8 +19,10 @@ import math
 from typing import List, Tuple
 
 from ..datasets.relations import SpatialRelation
-from ..geometry import Polygon, Rect, point_segment_distance
 from ..geometry.fastops import polygons_intersect_fast
+from ..geometry.polygon import Polygon
+from ..geometry.predicates import point_segment_distance
+from ..geometry.rectangle import Rect
 
 
 def segment_distance(

@@ -13,7 +13,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from ..approximations import approx_intersect, false_area_test
+from ..approximations.base import approx_intersect
+from ..approximations.false_area import false_area_test
 from ..datasets.relations import SpatialObject
 from .stats import MultiStepStats
 

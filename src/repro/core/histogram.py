@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..datasets.relations import SpatialRelation
-from ..geometry import Rect
+from ..geometry.rectangle import Rect
 
 
 @dataclass

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..datasets.relations import SpatialObject, SpatialRelation
-from ..geometry import Coord
-from ..index import AccessCounter
+from ..geometry.predicates import Coord
+from ..index.pagemodel import AccessCounter
 
 
 @dataclass(frozen=True)

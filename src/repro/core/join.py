@@ -407,7 +407,7 @@ class SpatialJoinProcessor:
             return
         # Imported lazily: repro.engine pulls in the concrete engines,
         # which themselves import from repro.core.
-        from ..engine import create_engine
+        from ..engine.base import create_engine
 
         engine = create_engine(self.config)
         yield from engine.execute(

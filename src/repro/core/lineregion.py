@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..datasets.relations import SpatialObject, SpatialRelation
 from ..geometry.polyline import Polyline
-from ..index import JoinStats, RStarTree, rstar_join
+from ..index.join import JoinStats, rstar_join
+from ..index.rstar import RStarTree
 
 
 @dataclass(frozen=True)

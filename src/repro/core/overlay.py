@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..datasets.relations import SpatialObject, SpatialRelation
-from ..geometry import Polygon
 from ..geometry.clipping import (
     ClippingError,
     polygon_intersection,
     polygon_intersection_area,
 )
+from ..geometry.polygon import Polygon
 from .join import JoinConfig, SpatialJoinProcessor
 from .stats import MultiStepStats
 

@@ -133,9 +133,9 @@ import numpy as np
 from ..approximations.batch import ApproxColumns, stored_family
 from ..datasets.columnar import RingColumns, unpack_polygon
 from ..datasets.relations import SpatialObject, SpatialRelation
-from ..geometry import Rect
 from ..geometry.fastops import build_edge_table
 from ..geometry.kernels import resolve_backend, warm_up
+from ..geometry.rectangle import Rect
 from .join import JoinConfig, SpatialJoinProcessor, validate_grid
 from .partition import (
     PartitionedJoinResult,

@@ -54,7 +54,7 @@ import numpy as np
 
 from ..approximations.batch import ApproxColumns, stored_family
 from ..datasets.relations import SpatialObject, SpatialRelation
-from ..geometry import Rect
+from ..geometry.rectangle import Rect
 from .join import PARTITIONERS, JoinConfig, JoinResult, SpatialJoinProcessor
 from .stats import MultiStepStats
 

@@ -67,10 +67,11 @@ import numpy as np
 
 from ..datasets.relations import SpatialRelation
 from ..exact.refine import clip_margins, intersects_rows
-from ..geometry import Rect
 from ..geometry.fastops import EdgeTable, vertex_distance_bounds
 from ..geometry.kernels import KernelDispatcher, dispatcher_for
-from ..index import JoinStats, RStarTree, rstar_join
+from ..geometry.rectangle import Rect
+from ..index.join import JoinStats, rstar_join
+from ..index.rstar import RStarTree
 from .join import JoinConfig
 from .stats import MultiStepStats
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..datasets.relations import SpatialRelation
-from ..geometry import Rect
+from ..geometry.rectangle import Rect
 from .costs import PAGE_ACCESS_SECONDS, TRSTAR_EXACT_SECONDS
 
 #: default filter-rate priors: fraction of false hits removed by the

@@ -13,11 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..approximations import Approximation
+from ..approximations.base import Approximation
 from ..datasets.relations import SpatialObject, SpatialRelation
-from ..geometry import Coord, Polygon, Rect
 from ..geometry.fastops import polygons_intersect_fast
-from ..index import AccessCounter, LRUBuffer, RStarTree
+from ..geometry.polygon import Polygon
+from ..geometry.predicates import Coord
+from ..geometry.rectangle import Rect
+from ..index.pagemodel import AccessCounter, LRUBuffer
+from ..index.rstar import RStarTree
 from .filters import FilterConfig
 
 
@@ -155,7 +158,7 @@ def _approx_intersects_rect(approx: Approximation, rect: Rect) -> bool:
     if not approx.mbr().intersects(rect):
         return False
     if approx.shape_kind == "convex":
-        from ..geometry import convex_intersect
+        from ..geometry.convex import convex_intersect
 
         return convex_intersect(approx.convex_vertices(), list(rect.corners()))
     if approx.shape_kind == "circle":

@@ -1,68 +1,11 @@
-"""Synthetic cartographic datasets and the paper's test series."""
+"""Synthetic cartographic datasets and the paper's test series.
 
-from .columnar import (
-    ColumnarRelation,
-    RingColumns,
-    pack_rings,
-    ring_fingerprint,
-    unpack_polygon,
-)
-from .store import (
-    PageFile,
-    RelationStore,
-    StoreCorruptionError,
-    StoredRelation,
-    StoreError,
-    StoreMissError,
-)
-from .generators import (
-    DATA_SPACE,
-    cartographic_polygons,
-    lognormal_vertex_targets,
-    relation_statistics,
-    roughen_ring,
-    uniform_rect_items,
-    voronoi_cells,
-)
-from .relations import (
-    BW_PROFILE,
-    EUROPE_PROFILE,
-    SpatialObject,
-    SpatialRelation,
-    bw,
-    clear_cache,
-    europe,
-)
-from .testseries import TestSeries, canonical_series, strategy_a, strategy_b
+Import each name from its defining module (``repro.datasets.store``,
+``repro.datasets.generators``, ...).  The re-exports below are defined
+on the join path, apart from the small test-series module.
+"""
 
-__all__ = [
-    "BW_PROFILE",
-    "ColumnarRelation",
-    "DATA_SPACE",
-    "EUROPE_PROFILE",
-    "PageFile",
-    "RelationStore",
-    "RingColumns",
-    "SpatialObject",
-    "SpatialRelation",
-    "StoreCorruptionError",
-    "StoreError",
-    "StoreMissError",
-    "StoredRelation",
-    "pack_rings",
-    "ring_fingerprint",
-    "unpack_polygon",
-    "TestSeries",
-    "bw",
-    "canonical_series",
-    "cartographic_polygons",
-    "clear_cache",
-    "europe",
-    "lognormal_vertex_targets",
-    "relation_statistics",
-    "roughen_ring",
-    "strategy_a",
-    "strategy_b",
-    "uniform_rect_items",
-    "voronoi_cells",
-]
+from .relations import SpatialRelation, europe
+from .testseries import strategy_a, strategy_b
+
+__all__ = ["SpatialRelation", "europe", "strategy_a", "strategy_b"]

@@ -60,7 +60,7 @@ from ..approximations.batch import (
     stored_family,
 )
 from ..approximations.mec import enclosed_circles
-from ..geometry import Polygon
+from ..geometry.polygon import Polygon
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .relations import SpatialRelation
@@ -288,7 +288,7 @@ class ColumnarRelation:
         """
         tree = self._partition_trees.get(max_entries)
         if tree is None:
-            from ..geometry import Rect
+            from ..geometry.rectangle import Rect
             from ..index.rstar import RStarTree  # lazy: avoid an import cycle
 
             tree = RStarTree.bulk_load(

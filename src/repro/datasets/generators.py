@@ -24,7 +24,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry import Coord, Polygon, Rect
+from ..geometry.polygon import Polygon
+from ..geometry.predicates import Coord
+from ..geometry.rectangle import Rect
 
 #: the unit data space used throughout the reproduction.
 DATA_SPACE = Rect(0.0, 0.0, 1.0, 1.0)

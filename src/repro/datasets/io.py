@@ -12,7 +12,8 @@ import re
 from pathlib import Path
 from typing import Iterable, List, Union
 
-from ..geometry import Coord, Polygon
+from ..geometry.polygon import Polygon
+from ..geometry.predicates import Coord
 from .relations import SpatialRelation
 
 _NUMBER = r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"

@@ -9,16 +9,27 @@ approximations are computed at insertion time and stored in the SAM.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..approximations import Approximation, compute_approximation
+from ..approximations.base import Approximation
 from ..approximations.batch import stored_family
-from ..exact.trstar_test import build_trstar
-from ..geometry import Polygon, Rect
-from ..index import RStarTree
-from ..index.trstar import TRStarTree
+from ..approximations.factory import compute_approximation
+from ..geometry.polygon import Polygon
+from ..geometry.rectangle import Rect
+from ..index.rstar import RStarTree
 from .columnar import ColumnarRelation
 from .generators import cartographic_polygons, relation_statistics
+
+if TYPE_CHECKING:
+    from ..index.trstar import TRStarTree
 
 
 class SpatialObject:
@@ -44,6 +55,8 @@ class SpatialObject:
         """The (cached) TR*-tree representation."""
         tree = self._trstar.get(max_entries)
         if tree is None:
+            from ..exact.trstar_test import build_trstar
+
             tree = build_trstar(self.polygon, max_entries=max_entries)
             self._trstar[max_entries] = tree
         return tree

@@ -404,28 +404,8 @@ and the persistent store::
     python -m repro store ls ./pages
     python -m repro join store:<fp_a> store:<fp_b> --store-dir ./pages
     python -m repro serve --port 8765 --store-dir ./pages  # warm op enabled
+
+Each name is imported from its defining module
+(:mod:`repro.engine.base`, :mod:`repro.engine.batched`,
+:mod:`repro.engine.streaming`); this package re-exports nothing.
 """
-
-from .base import Engine, RefinementPipeline, create_engine
-from .batched import (
-    CANDIDATE,
-    FALSE_HIT,
-    HIT,
-    BatchedEngine,
-    BatchGeometricFilter,
-    BatchWithinFilter,
-)
-from .streaming import StreamingEngine
-
-__all__ = [
-    "CANDIDATE",
-    "FALSE_HIT",
-    "HIT",
-    "BatchGeometricFilter",
-    "BatchWithinFilter",
-    "BatchedEngine",
-    "Engine",
-    "RefinementPipeline",
-    "StreamingEngine",
-    "create_engine",
-]

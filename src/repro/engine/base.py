@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING, ClassVar, Iterator, List, Optional, Tuple
 from ..core.join import ENGINES, JoinConfig
 from ..core.stats import MultiStepStats
 from ..datasets.relations import SpatialObject, SpatialRelation
-from ..index import AccessCounter, LRUBuffer, rstar_join
+from ..index.join import rstar_join
+from ..index.pagemodel import AccessCounter, LRUBuffer
 
 if TYPE_CHECKING:
     from ..exact.refine import BatchedRefinement

@@ -31,8 +31,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..approximations import approx_intersect, false_area_test
+from ..approximations.base import approx_intersect
 from ..approximations.batch import BatchApproxArrays, stored_family
+from ..approximations.false_area import false_area_test
 from ..core.filters import FilterConfig, FilterOutcome
 from ..core.stats import MultiStepStats
 from ..datasets.columnar import ColumnarRelation

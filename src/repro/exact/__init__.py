@@ -1,58 +1,9 @@
 """Exact geometry processors (paper §4): quadratic, plane sweep, TR*.
 
-The batched columnar refinement pipeline lives in
-:mod:`repro.exact.refine` (imported directly, not re-exported here: it
-builds on :mod:`repro.engine`, which imports this package).
+Every join refines through the batched columnar pipeline in
+:mod:`repro.exact.refine`; the paper's per-pair processors
+(:mod:`~repro.exact.bruteforce`, :mod:`~repro.exact.planesweep`,
+:mod:`~repro.exact.trstar_test`) run in the §4 benches and as test
+oracles.  Import each name from its defining module; this package
+re-exports nothing.
 """
-
-from .bruteforce import point_in_polygon_counted, polygons_intersect_quadratic
-from .costmodel import (
-    EDGE_INTERSECTION,
-    EDGE_LINE,
-    EDGE_RECT,
-    PAPER_WEIGHTS,
-    POSITION,
-    RECT_INTERSECTION,
-    TRAPEZOID_INTERSECTION,
-    OperationCounter,
-    measure_host_weights,
-)
-from .decomposition import (
-    convex_decomposition,
-    ear_clipping_triangulation,
-    trapezoid_decomposition,
-    triangle_decomposition,
-)
-from .planesweep import polygons_intersect_planesweep
-from .trstar_test import TRStarObject, build_trstar, polygons_intersect_trstar
-
-from .reporting_sweep import (
-    polygon_pair_intersections,
-    quadratic_intersections,
-    report_intersections,
-)
-
-__all__ = [
-    "polygon_pair_intersections",
-    "quadratic_intersections",
-    "report_intersections",
-    "EDGE_INTERSECTION",
-    "EDGE_LINE",
-    "EDGE_RECT",
-    "OperationCounter",
-    "PAPER_WEIGHTS",
-    "POSITION",
-    "RECT_INTERSECTION",
-    "TRAPEZOID_INTERSECTION",
-    "TRStarObject",
-    "build_trstar",
-    "convex_decomposition",
-    "ear_clipping_triangulation",
-    "measure_host_weights",
-    "point_in_polygon_counted",
-    "polygons_intersect_planesweep",
-    "polygons_intersect_quadratic",
-    "polygons_intersect_trstar",
-    "trapezoid_decomposition",
-    "triangle_decomposition",
-]

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..geometry import Coord, Polygon, segments_intersect
+from ..geometry.polygon import Polygon
+from ..geometry.predicates import Coord
+from ..geometry.segment import segments_intersect
 from .costmodel import EDGE_INTERSECTION, EDGE_LINE, OperationCounter
 
 

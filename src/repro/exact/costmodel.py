@@ -66,7 +66,11 @@ class OperationCounter:
 
 def measure_host_weights(repetitions: int = 20000) -> Dict[str, float]:
     """Re-measure Table 6 on the current host (seconds per operation)."""
-    from ..geometry import segments_intersect, segment_intersects_rect, segment_y_at
+    from ..geometry.segment import (
+        segment_intersects_rect,
+        segment_y_at,
+        segments_intersect,
+    )
     from ..index.trstar import Trapezoid
 
     import random
@@ -106,7 +110,7 @@ def measure_host_weights(repetitions: int = 20000) -> Dict[str, float]:
                                 max(c[0], d[0]), max(c[1], d[1]))
     weights[EDGE_RECT] = (time.perf_counter() - start) / repetitions
 
-    from ..geometry import Rect
+    from ..geometry.rectangle import Rect
 
     rects = [
         (

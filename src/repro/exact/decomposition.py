@@ -19,7 +19,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..geometry import EPSILON, Coord, Polygon, cross
+from ..geometry.polygon import Polygon
+from ..geometry.predicates import EPSILON, Coord, cross
 from ..index.trstar import Trapezoid
 
 

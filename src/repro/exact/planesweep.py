@@ -17,14 +17,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..geometry import Coord, Polygon, Rect, segment_y_at, segments_intersect
+from ..geometry.polygon import Polygon
+from ..geometry.predicates import Coord
+from ..geometry.rectangle import Rect
+from ..geometry.segment import segment_y_at, segments_intersect
 from .bruteforce import point_in_polygon_counted
-from .costmodel import (
-    EDGE_INTERSECTION,
-    EDGE_RECT,
-    POSITION,
-    OperationCounter,
-)
+from .costmodel import EDGE_INTERSECTION, EDGE_RECT, POSITION, OperationCounter
 
 _Edge = Tuple[int, Coord, Coord]  # (polygon id, left point, right point)
 
@@ -93,7 +91,7 @@ def _restricted_edges(
     counter: Optional[OperationCounter],
 ) -> List[_Edge]:
     """Edges with left/right ordering, optionally clipped to ``clip``."""
-    from ..geometry import segment_intersects_rect
+    from ..geometry.segment import segment_intersects_rect
 
     out: List[_Edge] = []
     for a, b in polygon.edges():

@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..geometry import Coord
+from ..geometry.predicates import Coord
 from ..geometry.segment import segment_intersection_point, segments_intersect
 
 Segment = Tuple[Coord, Coord]

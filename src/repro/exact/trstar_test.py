@@ -11,12 +11,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..geometry import Polygon
-from ..index.trstar import (
-    TRJoinCounters,
-    TRStarTree,
-    trstar_trees_intersect,
-)
+from ..geometry.polygon import Polygon
+from ..index.trstar import TRJoinCounters, TRStarTree, trstar_trees_intersect
 from .costmodel import (
     RECT_INTERSECTION,
     TRAPEZOID_INTERSECTION,

@@ -4,102 +4,13 @@ Everything in :mod:`repro` is built on this package: robust predicates,
 segments, axis-aligned rectangles, simple polygons with holes, convex
 operations (hull / SAT / clipping / calipers), circles (Welzl) and
 ellipses (Khachiyan).
+
+Import each name from its defining module (``repro.geometry.convex``,
+``repro.geometry.clipping``, ...).  The two re-exports below are
+defined on the join path and cost no import.
 """
 
-from .circle import Circle, minimum_enclosing_circle
-from .clipping import (
-    ClippingError,
-    difference_rings,
-    intersect_rings,
-    polygon_intersection,
-    polygon_intersection_area,
-    union_rings,
-)
-from .simplify import simplify_polygon, simplify_polyline, vertex_reduction
-from .convex import (
-    clip_convex,
-    convex_area,
-    convex_contains_point,
-    convex_hull,
-    convex_intersect,
-    convex_intersection_area,
-    min_area_rotated_rect,
-)
-from .ellipse import Ellipse, minimum_enclosing_ellipse
-from .fastops import (
-    EdgeArrays,
-    edges_intersect_matrix_any,
-    polygon_within_fast,
-    polygons_intersect_fast,
-)
 from .polygon import Polygon
-from .polyline import Polyline
-from .predicates import (
-    EPSILON,
-    Coord,
-    collinear,
-    cross,
-    distance,
-    distance_sq,
-    is_ccw,
-    on_segment,
-    orientation,
-    point_segment_distance,
-    polygon_signed_area,
-)
 from .rectangle import Rect
-from .segment import (
-    clip_segment_to_rect,
-    line_intersection,
-    segment_intersection_point,
-    segment_intersects_rect,
-    segment_y_at,
-    segments_intersect,
-)
 
-__all__ = [
-    "EPSILON",
-    "Circle",
-    "ClippingError",
-    "difference_rings",
-    "intersect_rings",
-    "polygon_intersection",
-    "polygon_intersection_area",
-    "simplify_polygon",
-    "simplify_polyline",
-    "union_rings",
-    "vertex_reduction",
-    "Coord",
-    "Ellipse",
-    "EdgeArrays",
-    "Polygon",
-    "Polyline",
-    "edges_intersect_matrix_any",
-    "polygon_within_fast",
-    "polygons_intersect_fast",
-    "Rect",
-    "clip_convex",
-    "clip_segment_to_rect",
-    "collinear",
-    "convex_area",
-    "convex_contains_point",
-    "convex_hull",
-    "convex_intersect",
-    "convex_intersection_area",
-    "cross",
-    "distance",
-    "distance_sq",
-    "is_ccw",
-    "line_intersection",
-    "min_area_rotated_rect",
-    "minimum_enclosing_circle",
-    "minimum_enclosing_ellipse",
-    "on_segment",
-    "orientation",
-    "point_segment_distance",
-    "polygon_signed_area",
-    "segment_intersection_point",
-    "segment_intersects_rect",
-    "segment_y_at",
-    "segments_intersect",
-]
+__all__ = ["Polygon", "Rect"]

@@ -1065,7 +1065,8 @@ def polygons_intersect_fast(poly1: Polygon, poly2: Polygon) -> bool:
     """Vectorised exact intersection test (edge matrix + containment).
 
     Oracle-grade reference used by the dataset pipeline and the test
-    suite; semantics match :func:`repro.exact.polygons_intersect_quadratic`.
+    suite; semantics match
+    :func:`repro.exact.bruteforce.polygons_intersect_quadratic`.
     """
     if not poly1.mbr().intersects(poly2.mbr()):
         return False

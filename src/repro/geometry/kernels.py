@@ -74,7 +74,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import _kernels_loops as _loops
 from . import fastops as _fastops
 
 _LOG = logging.getLogger(__name__)
@@ -429,6 +428,7 @@ def _build_c_set() -> KernelSet:
 
 def _build_python_set() -> KernelSet:
     """The loop kernels, adapted to the oracle kernels' signatures."""
+    from . import _kernels_loops as _loops
 
     def points_in_polygons_bulk(px, py, qidx, ex1, ey1, ex2, ey2, mbrs=None):
         return _loops.points_in_polygons(

@@ -1,88 +1,10 @@
-"""Spatial access methods: R*-tree, MBR-join, page model, TR*-tree."""
+"""Spatial access methods: R*-tree, MBR-join, page model, TR*-tree.
 
-from .join import JoinStats, nested_loops_mbr_join, rstar_join
-from .knn import (
-    knn_query,
-    knn_query_exact,
-    validate_k,
-    nearest_query,
-    point_rect_distance,
-)
-from .persistence import (
-    deserialize_point_list,
-    deserialize_trstar,
-    serialize_point_list,
-    serialize_trstar,
-    storage_overhead_factor,
-)
-from .pagemodel import (
-    APPROX_BYTES,
-    AccessCounter,
-    IOStats,
-    LRUBuffer,
-    PageLayout,
-)
-from .hilbert import (
-    HilbertMapper,
-    hilbert_d_from_xy,
-    hilbert_pack_rtree,
-    hilbert_sort,
-    hilbert_xy_from_d,
-    sweep_mbr_join,
-)
-from .rplus import RPlusTree, rplus_mbr_join
-from .rstar import Entry, Node, RStarTree
-from .zorder import (
-    ZOrderIndex,
-    build_zorder_indexes,
-    interleave_bits,
-    z_cells_for_rect,
-    zorder_mbr_join,
-)
-from .trstar import (
-    TRJoinCounters,
-    TRStarTree,
-    Trapezoid,
-    trstar_trees_intersect,
-)
+Import each name from its defining module (``repro.index.rstar``,
+``repro.index.rplus``, ``repro.index.trstar``, ...).  The two re-exports
+below are defined on the join path and cost no import.
+"""
 
-__all__ = [
-    "APPROX_BYTES",
-    "AccessCounter",
-    "HilbertMapper",
-    "hilbert_d_from_xy",
-    "hilbert_pack_rtree",
-    "hilbert_sort",
-    "hilbert_xy_from_d",
-    "sweep_mbr_join",
-    "Entry",
-    "IOStats",
-    "JoinStats",
-    "knn_query",
-    "knn_query_exact",
-    "validate_k",
-    "nearest_query",
-    "point_rect_distance",
-    "LRUBuffer",
-    "Node",
-    "PageLayout",
-    "RPlusTree",
-    "RStarTree",
-    "rplus_mbr_join",
-    "TRJoinCounters",
-    "TRStarTree",
-    "Trapezoid",
-    "deserialize_point_list",
-    "deserialize_trstar",
-    "nested_loops_mbr_join",
-    "serialize_point_list",
-    "serialize_trstar",
-    "storage_overhead_factor",
-    "rstar_join",
-    "trstar_trees_intersect",
-    "ZOrderIndex",
-    "build_zorder_indexes",
-    "interleave_bits",
-    "z_cells_for_rect",
-    "zorder_mbr_join",
-]
+from .join import JoinStats, rstar_join
+
+__all__ = ["JoinStats", "rstar_join"]

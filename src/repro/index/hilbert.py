@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..geometry import Coord, Rect
+from ..geometry.predicates import Coord
+from ..geometry.rectangle import Rect
 from .rstar import RStarTree
 
 #: default curve order: a 2**16 x 2**16 grid resolves 65k cells per axis,

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, List, Optional, Tuple
 
-from ..geometry import Rect
+from ..geometry.rectangle import Rect
 from .pagemodel import AccessCounter
 from .rstar import Node, RStarTree
 

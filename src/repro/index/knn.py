@@ -18,7 +18,8 @@ import heapq
 import itertools
 from typing import Any, List, Optional, Tuple
 
-from ..geometry import Coord, Rect
+from ..geometry.predicates import Coord
+from ..geometry.rectangle import Rect
 from .pagemodel import AccessCounter
 from .rstar import Node, RStarTree
 

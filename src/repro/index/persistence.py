@@ -26,7 +26,7 @@ from __future__ import annotations
 import struct
 from typing import List, Tuple
 
-from ..geometry import Polygon
+from ..geometry.polygon import Polygon
 from .rstar import Node
 from .trstar import Trapezoid, TRStarTree
 

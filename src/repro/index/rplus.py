@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 from typing import Any, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..geometry import Coord, Rect
+from ..geometry.predicates import Coord
+from ..geometry.rectangle import Rect
 from .pagemodel import AccessCounter
 
 #: pseudo-infinite bound of the root region (finite so Rect math stays

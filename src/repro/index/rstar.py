@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
-from ..geometry import Coord, Rect
+from ..geometry.predicates import Coord
+from ..geometry.rectangle import Rect
 from .pagemodel import AccessCounter
 
 #: fraction of entries evicted by forced reinsert (paper: p = 30%).

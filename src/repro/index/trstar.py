@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..geometry import Rect
+from ..geometry.rectangle import Rect
 from .rstar import Node, RStarTree
 
 
@@ -85,7 +85,7 @@ class Trapezoid:
 
     def intersects(self, other: "Trapezoid") -> bool:
         """Convex SAT intersection test between two trapezoids."""
-        from ..geometry import convex_intersect
+        from ..geometry.convex import convex_intersect
 
         a = self.corners()
         b = other.corners()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Tuple
 
-from ..geometry import Rect
+from ..geometry.rectangle import Rect
 
 #: default grid resolution: 2^RESOLUTION cells per axis.
 DEFAULT_RESOLUTION = 10

@@ -35,39 +35,7 @@ at 1/8/32 concurrent clients (report:
 ``benchmarks/reports/service.txt``).
 """
 
-from .api import (
-    BadRequestError,
-    JoinRequest,
-    JoinResponse,
-    KnnRequest,
-    KnnResponse,
-    ServiceClosedError,
-    ServiceError,
-    ServiceOverloadedError,
-    ServiceTimeoutError,
-    WindowRequest,
-    WindowResponse,
-    stats_to_dict,
-)
-from .core import JoinService, ServiceTelemetry, SessionPool
-from .server import JoinServiceServer, run_server
+from .core import JoinService
+from .server import run_server
 
-__all__ = [
-    "BadRequestError",
-    "JoinRequest",
-    "JoinResponse",
-    "JoinService",
-    "JoinServiceServer",
-    "KnnRequest",
-    "KnnResponse",
-    "ServiceClosedError",
-    "ServiceError",
-    "ServiceOverloadedError",
-    "ServiceTelemetry",
-    "ServiceTimeoutError",
-    "SessionPool",
-    "WindowRequest",
-    "WindowResponse",
-    "run_server",
-    "stats_to_dict",
-]
+__all__ = ["JoinService", "run_server"]

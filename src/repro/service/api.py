@@ -30,7 +30,7 @@ from typing import Dict, Tuple
 from ..core.join import JoinConfig
 from ..core.stats import MultiStepStats
 from ..datasets.relations import SpatialRelation
-from ..geometry import Rect
+from ..geometry.rectangle import Rect
 
 #: one result pair on the wire: ``(oid_a, oid_b)``.
 IdPair = Tuple[int, int]

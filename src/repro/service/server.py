@@ -52,7 +52,7 @@ from ..core.join import JoinConfig
 from ..datasets.io import load_relation
 from ..datasets.relations import SpatialRelation
 from ..datasets.store import StoreError
-from ..geometry import Rect
+from ..geometry.rectangle import Rect
 from .api import (
     BadRequestError,
     JoinRequest,

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.geometry import Polygon
+from repro.geometry.polygon import Polygon
 
 
 def star_polygon(
@@ -71,7 +71,7 @@ def no_leaked_shared_segments():
 @pytest.fixture(scope="session")
 def tiny_europe():
     """A 60-object Europe-like relation (session-cached for speed)."""
-    from repro.datasets import europe
+    from repro.datasets.relations import europe
 
     return europe(size=60)
 
@@ -79,7 +79,7 @@ def tiny_europe():
 @pytest.fixture(scope="session")
 def tiny_series(tiny_europe):
     """Strategy-A series over the tiny relation."""
-    from repro.datasets import strategy_a
+    from repro.datasets.testseries import strategy_a
 
     return strategy_a(tiny_europe)
 
@@ -87,7 +87,7 @@ def tiny_series(tiny_europe):
 @pytest.fixture(scope="session")
 def tiny_oracle(tiny_series):
     """Exact nested-loops join result of the tiny series."""
-    from repro.core import nested_loops_join
+    from repro.core.join import nested_loops_join
 
     return set(
         nested_loops_join(tiny_series.relation_a, tiny_series.relation_b)

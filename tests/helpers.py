@@ -19,13 +19,14 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core import JoinConfig, JoinResult, SpatialJoinProcessor
 from repro.core.distance import polygon_distance, rect_distance
+from repro.core.join import JoinConfig, JoinResult, SpatialJoinProcessor
 from repro.core.stats import MultiStepStats
 from repro.datasets.relations import SpatialRelation
-from repro.geometry import Polygon
 from repro.geometry.fastops import _point_segment_distance_bulk
-from repro.index import RStarTree, rstar_join
+from repro.geometry.polygon import Polygon
+from repro.index.join import rstar_join
+from repro.index.rstar import RStarTree
 
 
 def random_star(
@@ -271,8 +272,8 @@ def assert_parallel_equivalent(
     flow invariants.  The two baselines can be passed in pre-computed so
     parameterised sweeps don't recompute them per worker count.
     """
-    from repro.core import partitioned_join
     from repro.core.parallel_exec import parallel_partitioned_join
+    from repro.core.partition import partitioned_join
 
     if plain_sorted_pairs is None:
         plain = SpatialJoinProcessor(config).join(relation_a, relation_b)

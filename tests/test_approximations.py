@@ -12,18 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.approximations import (
+from repro.approximations.factory import (
     ALL_KINDS,
     CONSERVATIVE_KINDS,
     PROGRESSIVE_KINDS,
-    MBRApproximation,
-    MCornerApproximation,
     compute_approximation,
     compute_approximations,
+)
+from repro.approximations.mbr import MBRApproximation
+from repro.approximations.mcorner import (
+    MCornerApproximation,
     reduce_hull_to_m_corners,
 )
-from repro.geometry import Rect, convex_contains_point, convex_hull
+from repro.geometry.convex import convex_contains_point, convex_hull
 from repro.geometry.fastops import EdgeArrays
+from repro.geometry.rectangle import Rect
 from tests.conftest import star_polygon
 
 stars = st.builds(

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import convex_hull
 from repro.geometry.clipping import (
     difference_rings,
     intersect_rings,
     union_rings,
 )
+from repro.geometry.convex import convex_hull
 from repro.geometry.predicates import polygon_signed_area
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]

@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import (
-    Circle,
-    Ellipse,
-    minimum_enclosing_circle,
-    minimum_enclosing_ellipse,
-)
+from repro.geometry.circle import Circle, minimum_enclosing_circle
+from repro.geometry.ellipse import Ellipse, minimum_enclosing_ellipse
 
 coords = st.floats(min_value=-10, max_value=10, allow_nan=False).map(
     lambda v: round(v, 6)
@@ -46,7 +42,7 @@ class TestCircle:
         assert Circle((0, 0), 1).intersects_circle(Circle((2, 0), 1))
 
     def test_circle_rect(self):
-        from repro.geometry import Rect
+        from repro.geometry.rectangle import Rect
 
         c = Circle((0, 0), 1)
         assert c.intersects_rect(Rect(0.5, 0.5, 2, 2))

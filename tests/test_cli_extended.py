@@ -375,3 +375,82 @@ class TestEstimateCommand:
             .split()[-1]
         )
         assert measured / 10 <= max(estimated, 1) <= measured * 10
+
+
+class TestArgumentErrors:
+    """Bad arguments exit 2 with one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["store", "ls", "{missing}"],
+        ["store", "rm", "{missing}", "abc"],
+        ["join", "store:a", "store:b", "--store-dir", "{missing}"],
+        ["join-batch", "store:a", "store:b", "--store-dir", "{missing}"],
+    ])
+    def test_missing_store_dir_is_not_created(self, tmp_path, capsys,
+                                              command):
+        missing = tmp_path / "no-store"
+        args = [arg.format(missing=missing) for arg in command]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: no store at {missing}\n"
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["info", "{missing}"],
+        ["join", "{missing}", "{a}"],
+        ["join-batch", "{a}", "{missing}"],
+        ["query", "{missing}", "--point", "0.5", "0.5"],
+        ["overlay", "{missing}", "{a}"],
+        ["distance", "{a}", "{missing}", "--epsilon", "0.01"],
+        ["knn", "{missing}", "--point", "0.5", "0.5"],
+        ["estimate", "{a}", "{missing}"],
+    ])
+    def test_missing_wkt_file(self, wkt_pair, tmp_path, capsys, command):
+        missing = str(tmp_path / "nope.wkt")
+        args = [arg.format(missing=missing, a=wkt_pair[0])
+                for arg in command]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load {missing!r}: ")
+        assert "Traceback" not in err
+
+    def test_malformed_wkt_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.wkt"
+        bad.write_text("POINT (1 2)\n")
+        assert main(["info", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot load {str(bad)!r}: "
+        )
+
+    def test_degenerate_window(self, wkt_pair, capsys):
+        assert main(["query", wkt_pair[0], "--window", "1", "1", "0", "0"]) == 2
+        assert "degenerate rect" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("objects", ["0", "1", "2"])
+    def test_too_few_objects(self, tmp_path, capsys, objects):
+        out = tmp_path / "g.wkt"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate", "--objects", objects, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "--objects: must be >= 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_three_objects_is_enough(self, tmp_path):
+        out = str(tmp_path / "g.wkt")
+        assert main(["generate", "--objects", "3", "--out", out]) == 0
+
+    def test_negative_top(self, wkt_pair, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["overlay", *wkt_pair, "--top", "-1"])
+        assert exit_info.value.code == 2
+        assert "--top: must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["query", "{a}", "--point", "nan", "0.5"],
+        ["query", "{a}", "--window", "0", "0", "inf", "1"],
+        ["knn", "{a}", "--point", "inf", "0", "--k", "2"],
+    ])
+    def test_non_finite_coordinates(self, wkt_pair, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(a=wkt_pair[0]) for arg in command])
+        assert exit_info.value.code == 2
+        assert "must be finite" in capsys.readouterr().err

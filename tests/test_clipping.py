@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Polygon, convex_hull, convex_intersection_area
 from repro.geometry.clipping import (
     intersect_rings,
     polygon_intersection,
     polygon_intersection_area,
 )
+from repro.geometry.convex import convex_hull, convex_intersection_area
+from repro.geometry.polygon import Polygon
 from repro.geometry.predicates import polygon_signed_area
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]

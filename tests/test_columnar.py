@@ -28,16 +28,16 @@ from hypothesis import strategies as st
 import repro.datasets.relations as relations_module
 from helpers import random_relation_pair, stats_fingerprint
 from repro.approximations.batch import BatchApproxArrays
-from repro.core import (
-    FilterConfig,
-    JoinConfig,
-    SpatialJoinProcessor,
-    partitioned_join,
+from repro.core.filters import FilterConfig
+from repro.core.join import JoinConfig, SpatialJoinProcessor
+from repro.core.partition import partitioned_join, tile_relation
+from repro.datasets.columnar import (
+    ColumnarRelation,
+    pack_rings,
+    unpack_polygon,
 )
-from repro.core.partition import tile_relation
-from repro.datasets import ColumnarRelation, pack_rings, unpack_polygon
 from repro.datasets.relations import SpatialRelation
-from repro.geometry import Polygon
+from repro.geometry.polygon import Polygon
 
 KINDS = ("MBR", "RMBR", "4-C", "5-C", "CH", "MBC", "MBE", "MEC", "MER")
 
@@ -165,7 +165,7 @@ def test_edge_table_matches_polygon_edges(seed):
 def test_edge_table_holes_degenerates_and_cartographic():
     """Multi-ring objects between single-ring ones, zero-area rings, and
     the cartographic generator's polygons."""
-    from repro.datasets import cartographic_polygons
+    from repro.datasets.generators import cartographic_polygons
 
     square = [(0, 0), (10, 0), (10, 10), (0, 10)]
     donut = Polygon(square, holes=[[(4, 4), (6, 4), (6, 6), (4, 6)]])
@@ -418,7 +418,7 @@ def test_columnar_cache_invalidated_when_objects_replaced():
 
 def test_columnar_cache_invalidated_on_inplace_resize():
     """Appending to the live object list must rebuild the columns."""
-    from repro.core import partitioned_join
+    from repro.core.partition import partitioned_join
     from repro.datasets.relations import SpatialObject
 
     rel_a, rel_b = random_relation_pair(307, n_objects=4)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
+from repro.core.filters import FilterConfig
+from repro.core.join import (
     ENGINES,
     EXACT_METHODS,
-    FilterConfig,
     JoinConfig,
     SpatialJoinProcessor,
 )
@@ -133,7 +133,7 @@ def test_grid_coerced_to_tuple():
 
 def test_validate_grid_helper_shared_with_executor():
     """The executor's explicit grid argument uses the same validation."""
-    from repro.core import validate_grid
+    from repro.core.join import validate_grid
 
     assert validate_grid([2, 5]) == (2, 5)
     with pytest.raises(ValueError, match="1x1"):
@@ -147,7 +147,7 @@ def test_scheduler_is_not_a_config_field():
 
 
 def test_unknown_partitioner_names_choices():
-    from repro.core import PARTITIONERS
+    from repro.core.join import PARTITIONERS
 
     with pytest.raises(ValueError) as excinfo:
         JoinConfig(partitioner="voronoi")
@@ -158,7 +158,7 @@ def test_unknown_partitioner_names_choices():
 
 
 def test_valid_partitioners_accepted():
-    from repro.core import PARTITIONERS
+    from repro.core.join import PARTITIONERS
 
     for partitioner in PARTITIONERS:
         assert JoinConfig(partitioner=partitioner).partitioner == partitioner
@@ -167,7 +167,8 @@ def test_valid_partitioners_accepted():
 
 def test_partitioner_registry_consistent_with_factory():
     """Config choices, CLI choices, and the factory agree."""
-    from repro.core import PARTITIONERS, create_partitioner
+    from repro.core.join import PARTITIONERS
+    from repro.core.partition import create_partitioner
 
     for name in PARTITIONERS:
         assert create_partitioner(name).name == name
@@ -195,7 +196,7 @@ class TestTargetTasksValidation:
         assert JoinConfig(target_tasks=500).target_tasks == 500
 
     def test_budget_reaches_tree_partitioner(self):
-        from repro.core import create_partitioner
+        from repro.core.partition import create_partitioner
 
         assert create_partitioner("rtree", target_tasks=7).target_tasks == 7
 
@@ -212,7 +213,7 @@ class TestEpsilonValidation:
     """``validate_epsilon`` guards the distance-join boundary."""
 
     def test_negative_epsilon_rejected(self):
-        from repro.core import validate_epsilon
+        from repro.core.distance import validate_epsilon
 
         with pytest.raises(ValueError) as excinfo:
             validate_epsilon(-0.5)
@@ -222,13 +223,13 @@ class TestEpsilonValidation:
     @pytest.mark.parametrize("epsilon", (float("nan"), float("inf"),
                                          float("-inf")))
     def test_non_finite_epsilon_rejected(self, epsilon):
-        from repro.core import validate_epsilon
+        from repro.core.distance import validate_epsilon
 
         with pytest.raises(ValueError, match="finite"):
             validate_epsilon(epsilon)
 
     def test_valid_epsilon_coerced_to_float(self):
-        from repro.core import validate_epsilon
+        from repro.core.distance import validate_epsilon
 
         assert validate_epsilon(0) == 0.0
         assert validate_epsilon(0.25) == 0.25
@@ -246,7 +247,7 @@ class TestKValidation:
 
     @pytest.mark.parametrize("k", (0, -1, -10))
     def test_k_below_one_rejected(self, k):
-        from repro.index import validate_k
+        from repro.index.knn import validate_k
 
         with pytest.raises(ValueError) as excinfo:
             validate_k(k)
@@ -255,20 +256,21 @@ class TestKValidation:
 
     @pytest.mark.parametrize("k", (1.5, "4", None, True))
     def test_non_integer_k_rejected(self, k):
-        from repro.index import validate_k
+        from repro.index.knn import validate_k
 
         with pytest.raises(ValueError, match="integer"):
             validate_k(k)
 
     def test_valid_k_passes_through(self):
-        from repro.index import validate_k
+        from repro.index.knn import validate_k
 
         assert validate_k(1) == 1
         assert validate_k(50) == 50
 
     @pytest.mark.parametrize("k", (0, -3))
     def test_queries_reject_bad_k_at_the_boundary(self, k):
-        from repro.index import RStarTree, knn_query, knn_query_exact
+        from repro.index.knn import knn_query, knn_query_exact
+        from repro.index.rstar import RStarTree
 
         tree = RStarTree()
         with pytest.raises(ValueError, match="k must be"):
@@ -343,6 +345,7 @@ def test_valid_configs_construct():
 
 def test_registry_constants_are_consistent():
     """The CLI choices, config validation, and engine factory agree."""
-    from repro.engine import BatchedEngine, StreamingEngine
+    from repro.engine.batched import BatchedEngine
+    from repro.engine.streaming import StreamingEngine
 
     assert set(ENGINES) == {StreamingEngine.name, BatchedEngine.name}

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import (
+from repro.geometry.convex import (
     convex_area,
     convex_contains_point,
     convex_hull,
     convex_intersect,
     convex_intersection_area,
-    is_ccw,
     min_area_rotated_rect,
 )
+from repro.geometry.predicates import is_ccw
 
 # Coordinates are quantised: the geometry kernel's predicates use an
 # absolute epsilon tuned for unit-scale cartographic data (documented in
@@ -53,7 +53,7 @@ class TestConvexHull:
     @given(point_sets)
     @settings(max_examples=40)
     def test_hull_is_convex(self, pts):
-        from repro.geometry import cross
+        from repro.geometry.predicates import cross
 
         hull = convex_hull(pts)
         n = len(hull)
@@ -161,7 +161,7 @@ class TestRotatedRect:
             return
         corners, area, _ = min_area_rotated_rect(pts)
         # Rotated MBR must contain every point (tolerance for rotation noise).
-        from repro.geometry import Rect
+        from repro.geometry.rectangle import Rect
 
         for p in pts:
             assert convex_contains_point(_ccw(corners), p) or _near_boundary(
@@ -176,7 +176,7 @@ def _ccw(corners):
 
 
 def _near_boundary(corners, p, tol=1e-6):
-    from repro.geometry import point_segment_distance
+    from repro.geometry.predicates import point_segment_distance
 
     n = len(corners)
     return any(

@@ -6,16 +6,14 @@ nested-loops exact join result for *every* filter configuration.
 
 import pytest
 
-from repro.core import (
+from repro.core.filters import (
     NO_FILTER,
     FilterConfig,
     FilterOutcome,
-    JoinConfig,
-    MultiStepStats,
-    SpatialJoinProcessor,
     geometric_filter,
-    nested_loops_join,
 )
+from repro.core.join import JoinConfig, SpatialJoinProcessor, nested_loops_join
+from repro.core.stats import MultiStepStats
 
 
 class TestPipelineCorrectness:
@@ -174,7 +172,7 @@ class TestGeometricFilterUnit:
 class TestCostModels:
     def test_version_ordering_of_figure18(self):
         """v1 (no approx, sweep) > v2 (approx, sweep) > v3 (approx, TR*)."""
-        from repro.core import JoinScenario, total_join_cost
+        from repro.core.costs import JoinScenario, total_join_cost
 
         pairs = 86_000
         v1 = total_join_cost(
@@ -197,7 +195,7 @@ class TestCostModels:
         assert v1.total / v3.total > 3.0
 
     def test_breakdown_dict(self):
-        from repro.core import JoinScenario, total_join_cost
+        from repro.core.costs import JoinScenario, total_join_cost
 
         bd = total_join_cost(JoinScenario(1000, 0.5, 100, uses_trstar=True))
         d = bd.as_dict()
@@ -206,7 +204,7 @@ class TestCostModels:
         )
 
     def test_approximation_impact(self):
-        from repro.core import approximation_impact
+        from repro.core.costs import approximation_impact
 
         impact = approximation_impact(
             base_join_pages=1000, enlarged_join_pages=1200, identified_pairs=5000

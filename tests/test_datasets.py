@@ -5,21 +5,22 @@ import random
 
 import pytest
 
-from repro.datasets import (
-    BW_PROFILE,
+from repro.datasets.generators import (
     DATA_SPACE,
-    EUROPE_PROFILE,
-    SpatialRelation,
     cartographic_polygons,
     lognormal_vertex_targets,
     relation_statistics,
     roughen_ring,
-    strategy_a,
-    strategy_b,
     uniform_rect_items,
     voronoi_cells,
 )
-from repro.geometry import Polygon
+from repro.datasets.relations import (
+    BW_PROFILE,
+    EUROPE_PROFILE,
+    SpatialRelation,
+)
+from repro.datasets.testseries import strategy_a, strategy_b
+from repro.geometry.polygon import Polygon
 
 
 class TestVoronoiCells:

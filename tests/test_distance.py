@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import circle_distance
-from repro.core import JoinConfig, SpatialJoinProcessor
 from repro.core.distance import (
     brute_force_distance_join,
     polygon_distance,
     rect_distance,
     segment_distance,
 )
+from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.datasets.relations import SpatialRelation, europe
-from repro.geometry import Polygon, Rect
-from repro.index import AccessCounter
+from repro.geometry.polygon import Polygon
+from repro.geometry.rectangle import Rect
 from repro.index.knn import knn_query, nearest_query, point_rect_distance
+from repro.index.pagemodel import AccessCounter
 
 
 def distance_join(rel_a, rel_b, epsilon):
@@ -205,7 +206,7 @@ class TestKNN:
         assert d == min(point_rect_distance((0.5, 0.5), o.mbr) for o in rel)
 
     def test_nearest_on_empty_tree(self):
-        from repro.index import RStarTree
+        from repro.index.rstar import RStarTree
 
         assert nearest_query(RStarTree(), (0, 0)) is None
 

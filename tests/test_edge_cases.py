@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.core import (
-    JoinConfig,
-    MapOverlay,
-    SpatialJoinProcessor,
-    nested_loops_join,
-)
 from repro.core.distance import brute_force_distance_join
+from repro.core.join import JoinConfig, SpatialJoinProcessor, nested_loops_join
+from repro.core.overlay import MapOverlay
 from repro.datasets.relations import SpatialRelation
-from repro.geometry import Polygon, Rect, polygon_intersection_area
+from repro.geometry.clipping import polygon_intersection_area
+from repro.geometry.polygon import Polygon
+from repro.geometry.rectangle import Rect
 
 
 def distance_join(rel_a, rel_b, epsilon):

@@ -17,8 +17,11 @@ from helpers import (
     random_relation_pair,
     run_both_engines,
 )
-from repro.core import FilterConfig, JoinConfig
-from repro.engine import BatchedEngine, StreamingEngine, create_engine
+from repro.core.filters import FilterConfig
+from repro.core.join import JoinConfig
+from repro.engine.base import create_engine
+from repro.engine.batched import BatchedEngine
+from repro.engine.streaming import StreamingEngine
 
 # Filter/refinement/predicate coverage: every approximation family
 # (rect, general convex, circle, ellipse), both test orders, the
@@ -139,7 +142,7 @@ def test_cli_engine_flag(tmp_path, capsys):
 
 def test_parallel_simulator_accepts_engine():
     """The tile simulator runs its local joins on the chosen engine."""
-    from repro.core import simulate_parallel_join
+    from repro.core.parallel import simulate_parallel_join
 
     rel_a, rel_b = random_relation_pair(3)
     config = JoinConfig(exact_method="vectorized")

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exact import (
+from repro.exact.bruteforce import (
+    point_in_polygon_counted,
+    polygons_intersect_quadratic,
+)
+from repro.exact.costmodel import (
     EDGE_INTERSECTION,
     EDGE_LINE,
     EDGE_RECT,
@@ -13,14 +17,11 @@ from repro.exact import (
     RECT_INTERSECTION,
     TRAPEZOID_INTERSECTION,
     OperationCounter,
-    build_trstar,
-    point_in_polygon_counted,
-    polygons_intersect_planesweep,
-    polygons_intersect_quadratic,
-    polygons_intersect_trstar,
 )
-from repro.geometry import Polygon
+from repro.exact.planesweep import polygons_intersect_planesweep
+from repro.exact.trstar_test import build_trstar, polygons_intersect_trstar
 from repro.geometry.fastops import polygons_intersect_fast
+from repro.geometry.polygon import Polygon
 from tests.conftest import square, star_polygon
 
 stars = st.builds(
@@ -176,7 +177,7 @@ class TestCostModel:
         assert counter.cost_seconds() == 0.0
 
     def test_host_weights_measurable(self):
-        from repro.exact import measure_host_weights
+        from repro.exact.costmodel import measure_host_weights
 
         weights = measure_host_weights(repetitions=200)
         assert set(weights) == set(PAPER_WEIGHTS)

@@ -9,15 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import (
+from repro.geometry.fastops import (
     EdgeArrays,
-    Polygon,
-    Rect,
     edges_intersect_matrix_any,
     polygons_intersect_fast,
-    segments_intersect,
+    segments_cross_open_rects,
 )
-from repro.geometry.fastops import segments_cross_open_rects
+from repro.geometry.polygon import Polygon
+from repro.geometry.rectangle import Rect
+from repro.geometry.segment import segments_intersect
 from tests.conftest import square, star_polygon
 
 stars = st.builds(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.approximations.base import ConvexApproximation, approx_intersect
-from repro.geometry import Circle, Rect
+from repro.geometry.circle import Circle
 from repro.geometry.convex import convex_hull, convex_intersect
 from repro.geometry.fastops import (
     circle_slack_bulk,
@@ -23,6 +23,7 @@ from repro.geometry.fastops import (
     rects_intersect_bulk,
     rects_intersection_area_bulk,
 )
+from repro.geometry.rectangle import Rect
 
 
 def _rect_row(r: Rect):
@@ -200,8 +201,8 @@ def test_batch_circle_filter_matches_scalar_at_large_coordinates():
     from helpers import random_relation_pair
     from repro.core.filters import FilterConfig, geometric_filter
     from repro.datasets.relations import SpatialRelation
-    from repro.engine import BatchGeometricFilter
-    from repro.geometry import Polygon
+    from repro.engine.batched import BatchGeometricFilter
+    from repro.geometry.polygon import Polygon
 
     def scaled(rel, factor):
         return SpatialRelation(
@@ -238,7 +239,7 @@ class TestBatchApproxArraysIncremental:
         exactly the arrays of a single registration of everything.
         """
         from helpers import random_relation_pair
-        from repro.approximations import BatchApproxArrays
+        from repro.approximations.batch import BatchApproxArrays
 
         rel_a, rel_b = random_relation_pair(13, n_objects=16)
         objects = list(rel_a) + list(rel_b)
@@ -273,7 +274,7 @@ def test_fuzz_batch_filter_against_scalar_filter():
     """BatchGeometricFilter ≡ geometric_filter on adversarial objects."""
     from helpers import random_relation_pair
     from repro.core.filters import FilterConfig, geometric_filter
-    from repro.engine import BatchGeometricFilter
+    from repro.engine.batched import BatchGeometricFilter
 
     configs = [
         FilterConfig(),

@@ -2,12 +2,17 @@
 
 import pytest
 
-from repro.core import FilterConfig, WindowQueryProcessor
-from repro.core.window import WindowQueryStats, _approx_intersects_rect
-from repro.approximations import compute_approximation
+from repro.approximations.factory import compute_approximation
+from repro.core.filters import FilterConfig
+from repro.core.window import (
+    WindowQueryProcessor,
+    WindowQueryStats,
+    _approx_intersects_rect,
+)
+from repro.exact.costmodel import POSITION, OperationCounter
 from repro.exact.planesweep import _SweepStatus
-from repro.exact import OperationCounter, POSITION
-from repro.geometry import Polygon, Rect
+from repro.geometry.polygon import Polygon
+from repro.geometry.rectangle import Rect
 from tests.conftest import star_polygon
 
 
@@ -57,7 +62,7 @@ class TestWindowFilterVariants:
         ids=lambda c: c.describe(),
     )
     def test_all_variants_match_oracle(self, tiny_europe, config):
-        from repro.geometry import polygons_intersect_fast
+        from repro.geometry.fastops import polygons_intersect_fast
 
         proc = WindowQueryProcessor(tiny_europe, filter_config=config)
         window = Rect(0.25, 0.25, 0.55, 0.5)

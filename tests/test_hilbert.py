@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.relations import bw, europe
-from repro.geometry import Rect
-from repro.index import AccessCounter, nested_loops_mbr_join, rstar_join
+from repro.geometry.rectangle import Rect
 from repro.index.hilbert import (
     HilbertMapper,
     hilbert_d_from_xy,
@@ -17,6 +16,8 @@ from repro.index.hilbert import (
     hilbert_xy_from_d,
     sweep_mbr_join,
 )
+from repro.index.join import nested_loops_mbr_join, rstar_join
+from repro.index.pagemodel import AccessCounter
 
 
 class TestCurve:

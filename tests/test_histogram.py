@@ -11,8 +11,9 @@ from repro.core.histogram import (
 )
 from repro.core.selectivity import estimate_candidates
 from repro.datasets.relations import SpatialRelation, europe
-from repro.geometry import Polygon, Rect
-from repro.index import nested_loops_mbr_join
+from repro.geometry.polygon import Polygon
+from repro.geometry.rectangle import Rect
+from repro.index.join import nested_loops_mbr_join
 
 
 def square_at(x, y, size):

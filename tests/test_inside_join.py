@@ -10,7 +10,7 @@ from repro.core.inside import (
     points_in_regions_join,
 )
 from repro.datasets.relations import SpatialRelation, europe
-from repro.geometry import Polygon
+from repro.geometry.polygon import Polygon
 
 
 def random_points(n, seed, lo=0.0, hi=1.0):

@@ -2,23 +2,23 @@
 
 import pytest
 
-from repro.core import (
-    FilterConfig,
-    JoinConfig,
-    MapOverlay,
-    SpatialJoinProcessor,
-    estimate_join,
+from repro.core.filters import FilterConfig
+from repro.core.histogram import (
     estimate_join_candidates_histogram,
     joint_histograms,
-    nested_loops_join,
-    partitioned_join,
-    simulate_parallel_join,
 )
-from repro.core.selectivity import calibrate_rates
-from repro.datasets import europe, strategy_a
+from repro.core.join import JoinConfig, SpatialJoinProcessor, nested_loops_join
+from repro.core.overlay import MapOverlay
+from repro.core.parallel import simulate_parallel_join
+from repro.core.partition import partitioned_join
+from repro.core.selectivity import calibrate_rates, estimate_join
 from repro.datasets.io import load_relation, save_relation
-from repro.index import RPlusTree, hilbert_pack_rtree, rplus_mbr_join, rstar_join
+from repro.datasets.relations import europe
+from repro.datasets.testseries import strategy_a
 from repro.index.clustering import ObjectStore, simulate_join_object_access
+from repro.index.hilbert import hilbert_pack_rtree
+from repro.index.join import rstar_join
+from repro.index.rplus import RPlusTree, rplus_mbr_join
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main
-from repro.datasets import SpatialRelation, cartographic_polygons
+from repro.datasets.generators import cartographic_polygons
 from repro.datasets.io import (
     load_relation,
     polygon_from_wkt,
@@ -11,7 +11,8 @@ from repro.datasets.io import (
     relations_equal,
     save_relation,
 )
-from repro.geometry import Polygon
+from repro.datasets.relations import SpatialRelation
+from repro.geometry.polygon import Polygon
 
 
 class TestWKT:

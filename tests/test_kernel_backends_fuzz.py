@@ -23,13 +23,13 @@ from hypothesis import strategies as st
 from helpers import min_edge_distance_bulk
 from repro.datasets.relations import SpatialRelation
 from repro.exact.refine import clip_margins, clip_rects
-from repro.geometry import Polygon
 from repro.geometry.fastops import (
     EdgeArrays,
     build_edge_table,
     vertex_distance_bounds,
 )
 from repro.geometry.kernels import get_kernels
+from repro.geometry.polygon import Polygon
 
 #: the backends whose kernels must match the numpy oracle bit-for-bit.
 ALT_BACKENDS = ["python", "c"]

@@ -29,7 +29,11 @@ import pytest
 from helpers import random_relation_pair, scalar_distance_join, stats_fingerprint
 from repro.cli import main as cli_main
 from repro.core.distance import brute_force_distance_join
-from repro.core.join import EXECUTION_ONLY_FIELDS, JoinConfig, SpatialJoinProcessor
+from repro.core.join import (
+    EXECUTION_ONLY_FIELDS,
+    JoinConfig,
+    SpatialJoinProcessor,
+)
 from repro.core.parallel_exec import parallel_partitioned_join
 from repro.core.proximity import brute_force_knn_join
 from repro.core.session import JoinSession
@@ -42,8 +46,7 @@ from repro.geometry.kernels import (
     warm_events,
     warm_up,
 )
-from repro.service import stats_to_dict
-from repro.service.api import BadRequestError
+from repro.service.api import BadRequestError, stats_to_dict
 from repro.service.server import _join_config_from_payload
 
 #: backends every default-config join must match bit-for-bit.

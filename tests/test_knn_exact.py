@@ -6,8 +6,9 @@ import pytest
 
 from repro.core.distance import point_polygon_distance
 from repro.datasets.relations import europe
-from repro.geometry import Polygon
-from repro.index import AccessCounter, knn_query_exact
+from repro.geometry.polygon import Polygon
+from repro.index.knn import knn_query_exact
+from repro.index.pagemodel import AccessCounter
 
 
 def exact_dist(point, obj):

@@ -25,7 +25,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import clustered_relation_pair, random_relation_pair, stats_fingerprint
-from repro.core import JoinConfig, parallel_exec, partitioned_join
+from repro.core import parallel_exec
+from repro.core.join import JoinConfig
+from repro.core.partition import partitioned_join
 from repro.core.session import JoinSession
 
 pytestmark = pytest.mark.parallel

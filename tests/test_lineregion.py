@@ -11,8 +11,9 @@ from repro.core.lineregion import (
     line_region_join,
 )
 from repro.datasets.relations import SpatialRelation, europe
-from repro.geometry import Polygon, Rect
+from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
+from repro.geometry.rectangle import Rect
 
 
 def random_river(seed, start=None, steps=12, step_len=0.08):

@@ -40,11 +40,13 @@ import pytest
 from helpers import random_relation_pair
 from repro.approximations import mec
 from repro.approximations.batch import BatchApproxArrays
-from repro.datasets import bw, europe, strategy_a, strategy_b
 from repro.datasets.io import save_relation
-from repro.datasets.relations import SpatialRelation
-from repro.geometry import Circle, Coord, Polygon
+from repro.datasets.relations import SpatialRelation, bw, europe
+from repro.datasets.testseries import strategy_a, strategy_b
+from repro.geometry.circle import Circle
 from repro.geometry.fastops import EdgeArrays
+from repro.geometry.polygon import Polygon
+from repro.geometry.predicates import Coord
 from tests.conftest import star_polygon
 
 # Every warning of the code under test is an error.  Deprecations are
@@ -390,7 +392,7 @@ def test_version_1_is_gone():
 
 _DISTANCE_JOINS = """
 import sys
-from repro.core import JoinConfig, SpatialJoinProcessor
+from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import PROXIMITY_SERIAL_VOLUME
 from repro.core.session import JoinSession
 from repro.datasets.io import load_relation

@@ -38,9 +38,11 @@ from repro.approximations.mer import (
     _MAX_Y_CANDIDATES,
     _candidate_coords,
 )
-from repro.datasets import bw, europe, strategy_a, strategy_b
-from repro.geometry import Polygon, Rect
+from repro.datasets.relations import bw, europe
+from repro.datasets.testseries import strategy_a, strategy_b
 from repro.geometry.fastops import EdgeArrays
+from repro.geometry.polygon import Polygon
+from repro.geometry.rectangle import Rect
 from tests.conftest import star_polygon
 
 # Every warning of the code under test is an error.  Deprecations are

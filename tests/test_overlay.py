@@ -5,7 +5,7 @@ import pytest
 from repro.core.join import JoinConfig, nested_loops_join
 from repro.core.overlay import MapOverlay
 from repro.datasets.relations import SpatialRelation, europe
-from repro.geometry import Polygon
+from repro.geometry.polygon import Polygon
 
 
 def grid_layer(name, n, cell, origin=(0.0, 0.0)):

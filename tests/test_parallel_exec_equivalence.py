@@ -27,12 +27,9 @@ from helpers import (
     random_relation_pair,
     stats_fingerprint,
 )
-from repro.core import (
-    JoinConfig,
-    SpatialJoinProcessor,
-    partitioned_join,
-)
+from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import parallel_partitioned_join
+from repro.core.partition import partitioned_join
 from repro.datasets.relations import SpatialRelation
 
 pytestmark = pytest.mark.parallel

@@ -16,8 +16,8 @@ from multiprocessing import shared_memory
 import pytest
 
 from helpers import random_relation_pair
-from repro.core import JoinConfig, SpatialJoinProcessor
 from repro.core import parallel_exec
+from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import (
     ColumnarShipment,
     TileExecutionError,

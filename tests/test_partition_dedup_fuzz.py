@@ -19,9 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import boundary_straddling_pair
-from repro.core import JoinConfig, nested_loops_join, partitioned_join
+from repro.core.join import JoinConfig, nested_loops_join
 from repro.core.parallel_exec import parallel_partitioned_join
-from repro.core.partition import joint_space, owning_tile, tile_rects
+from repro.core.partition import (
+    joint_space,
+    owning_tile,
+    partitioned_join,
+    tile_rects,
+)
 
 CONFIG = JoinConfig(exact_method="vectorized")
 

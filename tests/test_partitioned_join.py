@@ -5,14 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_relation_pair
-from repro.core import (
-    JoinConfig,
-    SpatialJoinProcessor,
-    nested_loops_join,
-    parallel_partitioned_join,
-    partitioned_join,
-    simulate_parallel_join,
-)
+from repro.core.join import JoinConfig, SpatialJoinProcessor, nested_loops_join
+from repro.core.parallel import simulate_parallel_join
+from repro.core.parallel_exec import parallel_partitioned_join
+from repro.core.partition import partitioned_join
 
 
 class TestPartitionedJoin:

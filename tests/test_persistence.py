@@ -3,9 +3,8 @@
 import pytest
 
 from repro.datasets.relations import bw, europe
-from repro.exact import polygons_intersect_trstar
-from repro.exact.trstar_test import build_trstar
-from repro.geometry import Polygon
+from repro.exact.trstar_test import build_trstar, polygons_intersect_trstar
+from repro.geometry.polygon import Polygon
 from repro.index.persistence import (
     deserialize_point_list,
     deserialize_trstar,

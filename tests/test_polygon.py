@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Polygon, Rect
+from repro.geometry.polygon import Polygon
+from repro.geometry.rectangle import Rect
 from tests.conftest import square, star_polygon
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -19,7 +20,7 @@ class TestConstruction:
 
     def test_orientation_normalised(self):
         cw = Polygon([(0, 0), (0, 1), (1, 1), (1, 0)])
-        from repro.geometry import is_ccw
+        from repro.geometry.predicates import is_ccw
 
         assert is_ccw(cw.shell)
 
@@ -31,7 +32,7 @@ class TestConstruction:
         p = Polygon(
             UNIT_SQUARE, holes=[[(0.2, 0.2), (0.8, 0.2), (0.8, 0.8), (0.2, 0.8)]]
         )
-        from repro.geometry import polygon_signed_area
+        from repro.geometry.predicates import polygon_signed_area
 
         assert polygon_signed_area(p.holes[0]) < 0
 

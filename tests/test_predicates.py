@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import (
+from repro.geometry.predicates import (
     collinear,
     cross,
     distance,

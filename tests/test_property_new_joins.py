@@ -6,17 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import JoinConfig, SpatialJoinProcessor
 from repro.core.distance import brute_force_distance_join
-from repro.core.inside import (
-    brute_force_inside_join,
-    points_in_regions_join,
-)
+from repro.core.inside import brute_force_inside_join, points_in_regions_join
+from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.lineregion import (
     brute_force_line_region_join,
     line_region_join,
 )
-from repro.datasets import SpatialRelation
+from repro.datasets.relations import SpatialRelation
 from repro.geometry.polyline import Polyline
 from tests.conftest import star_polygon
 

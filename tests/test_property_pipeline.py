@@ -11,13 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    FilterConfig,
-    JoinConfig,
-    SpatialJoinProcessor,
-    nested_loops_join,
-)
-from repro.datasets import SpatialRelation
+from repro.core.filters import FilterConfig
+from repro.core.join import JoinConfig, SpatialJoinProcessor, nested_loops_join
+from repro.datasets.relations import SpatialRelation
 from tests.conftest import star_polygon
 
 
@@ -77,11 +73,9 @@ class TestPipelineProperty:
     def test_any_exact_processor_matches_oracle(self, seed, method):
         """The paper's scalar processors decide every MBR-join
         candidate of the join like the batched exact step."""
-        from repro.exact import (
-            polygons_intersect_planesweep,
-            polygons_intersect_quadratic,
-            polygons_intersect_trstar,
-        )
+        from repro.exact.bruteforce import polygons_intersect_quadratic
+        from repro.exact.planesweep import polygons_intersect_planesweep
+        from repro.exact.trstar_test import polygons_intersect_trstar
 
         processor = {
             "trstar": lambda a, b: polygons_intersect_trstar(

@@ -60,9 +60,9 @@ from repro.core.stats import MultiStepStats
 from repro.datasets.relations import SpatialObject, SpatialRelation
 from repro.datasets.testseries import canonical_series
 from repro.exact.refine import clip_margins
-from repro.geometry import Polygon
 from repro.geometry.fastops import polygons_intersect_fast
-from repro.index import JoinStats, rstar_join
+from repro.geometry.polygon import Polygon
+from repro.index.join import JoinStats, rstar_join
 
 Pair = Tuple[SpatialObject, SpatialObject]
 

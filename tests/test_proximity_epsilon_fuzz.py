@@ -39,7 +39,7 @@ from repro.core.join import JoinConfig
 from repro.core.parallel_exec import parallel_partitioned_join
 from repro.core.proximity import brute_force_knn_join
 from repro.datasets.relations import SpatialRelation
-from repro.geometry import Polygon
+from repro.geometry.polygon import Polygon
 
 #: lattice pitch and square half-width: exact binary fractions, so the
 #: axis-aligned gap between row-adjacent squares is exactly

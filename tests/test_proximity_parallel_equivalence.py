@@ -40,8 +40,8 @@ from dataclasses import replace
 import pytest
 
 from helpers import random_relation_pair, stats_fingerprint
-from repro.core import JoinConfig, SpatialJoinProcessor
 from repro.core.distance import brute_force_distance_join
+from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import parallel_partitioned_join
 from repro.core.proximity import brute_force_knn_join
 

@@ -50,13 +50,16 @@ from repro.core.proximity import (
     knn_probe_bounds,
 )
 from repro.core.stats import MultiStepStats
-from repro.datasets import columnar as columnar_module
-from repro.datasets import relations as relations_module
+from repro.datasets import (
+    columnar as columnar_module,
+    relations as relations_module,
+)
 from repro.datasets.columnar import ColumnarRelation
 from repro.datasets.relations import SpatialObject, SpatialRelation
 from repro.datasets.testseries import canonical_series
-from repro.geometry import Polygon, Rect
 from repro.geometry.fastops import build_edge_table
+from repro.geometry.polygon import Polygon
+from repro.geometry.rectangle import Rect
 
 SETTINGS = settings(
     max_examples=40,

@@ -4,18 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.approximations import (
-    compute_approximation,
-    false_area,
+from repro.approximations.factory import compute_approximation
+from repro.approximations.false_area import (
     false_area_test,
     false_area_test_stored,
-    mbr_based_false_area,
-    normalized_false_area,
+)
+from repro.approximations.quality import (
     area_extension,
     area_extension_ratio,
+    false_area,
+    mbr_based_false_area,
+    normalized_false_area,
     progressive_coverage,
 )
-from repro.geometry import Polygon
+from repro.geometry.polygon import Polygon
 from tests.conftest import square, star_polygon
 
 stars = st.builds(

@@ -25,9 +25,10 @@ from hypothesis import strategies as st
 from helpers import grid_square, random_star, sliver
 from repro.datasets.relations import SpatialRelation
 from repro.exact.refine import clip_rects
-from repro.geometry import Polygon, fastops
+from repro.geometry import fastops
 from repro.geometry.fastops import edges_intersect_matrix_any
 from repro.geometry.kernels import get_kernels
+from repro.geometry.polygon import Polygon
 
 BACKENDS = ["numpy", "python", "c"]
 

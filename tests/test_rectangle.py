@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import Rect
+from repro.geometry.rectangle import Rect
 
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -46,7 +46,7 @@ class TestMeasures:
         assert r.center == (1.0, 1.5)
 
     def test_corners_ccw(self):
-        from repro.geometry import is_ccw
+        from repro.geometry.predicates import is_ccw
 
         assert is_ccw(Rect(0, 0, 2, 1).corners())
 

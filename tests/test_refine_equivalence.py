@@ -21,12 +21,8 @@ from helpers import (
     random_relation_pair,
     stats_fingerprint,
 )
-from repro.core import (
-    FilterConfig,
-    JoinConfig,
-    SpatialJoinProcessor,
-    nested_loops_join,
-)
+from repro.core.filters import FilterConfig
+from repro.core.join import JoinConfig, SpatialJoinProcessor, nested_loops_join
 from repro.core.parallel_exec import (
     live_shared_segments,
     parallel_partitioned_join,
@@ -124,7 +120,7 @@ def test_refine_equivalence_within(engine):
 def test_refine_equivalence_bw_like(exact_batch):
     """≈ 500-vertex objects (the paper's BW relation): one batch holds
     several times the ragged kernel's element budget of edge pairs."""
-    from repro.datasets import cartographic_polygons
+    from repro.datasets.generators import cartographic_polygons
     from repro.datasets.relations import SpatialRelation
     from repro.geometry import fastops
 
@@ -249,7 +245,7 @@ def test_refine_batch_capacity_one_resolves_each_candidate_alone():
 def test_refine_batched_at_large_coordinates():
     """The clip margin scales with coordinate magnitude (soundness)."""
     from repro.datasets.relations import SpatialRelation
-    from repro.geometry import Polygon
+    from repro.geometry.polygon import Polygon
 
     rel_a, rel_b = random_relation_pair(21, n_objects=12)
 
@@ -368,7 +364,7 @@ def test_cli_rejects_scalar_exact_methods(tmp_path, capsys):
 
 def test_engine_builds_the_batched_step():
     """Every engine refines through BatchedRefinement at any capacity."""
-    from repro.engine import create_engine
+    from repro.engine.base import create_engine
     from repro.exact.refine import BatchedRefinement
 
     rel_a, rel_b = random_relation_pair(1, n_objects=6)
@@ -384,7 +380,7 @@ def test_engine_builds_the_batched_step():
 def _special_pair():
     """Holes, containment, touching and identical polygons."""
     from repro.datasets.relations import SpatialRelation
-    from repro.geometry import Polygon
+    from repro.geometry.polygon import Polygon
 
     def holed(cx, cy, outer, inner):
         return Polygon(
@@ -436,14 +432,12 @@ def test_batched_decisions_equal_every_scalar_processor(name, rel_a, rel_b):
     search-space restriction), the quadratic processor and the per-pair
     vectorized test."""
     from repro.core.stats import MultiStepStats
-    from repro.exact import (
-        polygons_intersect_planesweep,
-        polygons_intersect_quadratic,
-        polygons_intersect_trstar,
-    )
+    from repro.exact.bruteforce import polygons_intersect_quadratic
+    from repro.exact.planesweep import polygons_intersect_planesweep
     from repro.exact.refine import BatchedRefinement
+    from repro.exact.trstar_test import polygons_intersect_trstar
     from repro.geometry.fastops import polygons_intersect_fast
-    from repro.index import JoinStats, rstar_join
+    from repro.index.join import JoinStats, rstar_join
 
     candidates = list(
         rstar_join(rel_a.rtree(32), rel_b.rtree(32), None, None, JoinStats())

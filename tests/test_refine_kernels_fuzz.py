@@ -16,7 +16,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Polygon
 from repro.geometry.fastops import (
     EdgeArrays,
     edge_matrix_intersect_any,
@@ -25,6 +24,7 @@ from repro.geometry.fastops import (
     points_in_polygons_bulk,
     segments_intersect_bulk,
 )
+from repro.geometry.polygon import Polygon
 from repro.geometry.segment import segments_intersect
 
 # Snapped coordinates make collinearity and touching exact; the float

@@ -12,7 +12,7 @@ from repro.exact.reporting_sweep import (
     quadratic_intersections,
     report_intersections,
 )
-from repro.geometry import Polygon
+from repro.geometry.polygon import Polygon
 
 
 def rand_segments(n, seed, span=1.0):

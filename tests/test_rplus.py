@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.relations import europe
-from repro.geometry import Rect
-from repro.index import AccessCounter, RStarTree, rstar_join
+from repro.geometry.rectangle import Rect
+from repro.index.join import rstar_join
+from repro.index.pagemodel import AccessCounter
 from repro.index.rplus import RPlusTree, rplus_mbr_join
+from repro.index.rstar import RStarTree
 
 
 def random_rects(n, seed, extent=0.1):

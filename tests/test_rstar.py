@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets import uniform_rect_items
-from repro.geometry import Rect
-from repro.index import AccessCounter, LRUBuffer, RStarTree
+from repro.datasets.generators import uniform_rect_items
+from repro.geometry.rectangle import Rect
+from repro.index.pagemodel import AccessCounter, LRUBuffer
+from repro.index.rstar import RStarTree
 
 
 def build_tree(items, max_entries=8):
@@ -153,7 +154,7 @@ class TestIOAccounting:
 
 class TestPageLayout:
     def test_capacities(self):
-        from repro.index import PageLayout
+        from repro.index.pagemodel import PageLayout
 
         # Paper §5: MBR 16B + 5-C 40B + info 32B = 88B -> 46 entries in 4K.
         layout = PageLayout(page_size=4096, key_bytes=16, extra_leaf_bytes=40)
@@ -161,7 +162,7 @@ class TestPageLayout:
         assert layout.directory_capacity() == 4096 // 20
 
     def test_buffer_pages(self):
-        from repro.index import PageLayout
+        from repro.index.pagemodel import PageLayout
 
         layout = PageLayout(page_size=2048)
         assert layout.buffer_pages(128 * 1024) == 64

@@ -6,18 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets import uniform_rect_items
-from repro.geometry import Rect
-from repro.index import (
-    AccessCounter,
+from repro.datasets.generators import uniform_rect_items
+from repro.geometry.rectangle import Rect
+from repro.index.join import (
     JoinStats,
-    LRUBuffer,
-    RStarTree,
+    _matching_pairs,
     nested_loops_mbr_join,
     rstar_join,
 )
-from repro.index.join import _matching_pairs
-from repro.index.rstar import Entry, Node
+from repro.index.pagemodel import AccessCounter, LRUBuffer
+from repro.index.rstar import Entry, Node, RStarTree
 
 
 def build(items, max_entries=8):

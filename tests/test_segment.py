@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import (
+from repro.geometry.segment import (
     clip_segment_to_rect,
     line_intersection,
     segment_intersection_point,

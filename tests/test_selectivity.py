@@ -13,8 +13,9 @@ from repro.core.selectivity import (
     mbr_join_selectivity,
 )
 from repro.datasets.relations import SpatialRelation, europe
-from repro.geometry import Polygon, Rect
-from repro.index import nested_loops_mbr_join
+from repro.geometry.polygon import Polygon
+from repro.geometry.rectangle import Rect
+from repro.index.join import nested_loops_mbr_join
 
 
 def uniform_squares(name, n, size, spacing):

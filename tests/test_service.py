@@ -25,11 +25,10 @@ from repro.core.parallel_exec import (
     parallel_partitioned_join,
 )
 from repro.core.window import WindowQueryProcessor, WindowQueryStats
-from repro.geometry import Rect
+from repro.geometry.rectangle import Rect
 from repro.index.knn import knn_query
-from repro.service import (
+from repro.service.api import (
     JoinRequest,
-    JoinService,
     KnnRequest,
     ServiceClosedError,
     ServiceOverloadedError,
@@ -37,6 +36,7 @@ from repro.service import (
     WindowRequest,
     stats_to_dict,
 )
+from repro.service.core import JoinService
 
 pytestmark = pytest.mark.parallel
 

@@ -20,9 +20,9 @@ from repro.core.parallel_exec import (
     parallel_partitioned_join,
 )
 from repro.datasets.io import save_relation
-from repro.service import JoinService, JoinServiceServer, stats_to_dict
-from repro.service.server import _join_config_from_payload
-from repro.service.api import BadRequestError
+from repro.service.api import BadRequestError, stats_to_dict
+from repro.service.core import JoinService
+from repro.service.server import JoinServiceServer, _join_config_from_payload
 
 pytestmark = pytest.mark.parallel
 

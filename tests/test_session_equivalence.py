@@ -26,12 +26,9 @@ from helpers import (
     random_relation_pair,
     stats_fingerprint,
 )
-from repro.core import (
-    JoinConfig,
-    SpatialJoinProcessor,
-    partitioned_join,
-)
+from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import live_shared_segments
+from repro.core.partition import partitioned_join
 from repro.core.session import JoinSession
 
 pytestmark = pytest.mark.parallel
@@ -151,7 +148,8 @@ def test_session_replaces_pool_after_worker_death(monkeypatch):
     """A join whose worker process dies breaks that pool, not the session."""
     from concurrent.futures.process import BrokenProcessPool
 
-    from repro.core import TileExecutionError, parallel_exec
+    from repro.core import parallel_exec
+    from repro.core.parallel_exec import TileExecutionError
 
     rel_a, rel_b = _pair(random_relation_pair, 300)
     config = _config("intersects", "batched")

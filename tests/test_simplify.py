@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.relations import bw
-from repro.geometry import Polygon
+from repro.geometry.polygon import Polygon
 from repro.geometry.predicates import point_segment_distance
 from repro.geometry.simplify import (
     simplify_polygon,

@@ -17,9 +17,10 @@ import random
 import pytest
 
 from helpers import random_relation_pair, stats_fingerprint
-from repro.core import FilterConfig, JoinConfig, SpatialJoinProcessor
+from repro.core.filters import FilterConfig
+from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.stats import MultiStepStats
-from repro.index import LRUBuffer
+from repro.index.pagemodel import LRUBuffer
 
 ENGINES = ("streaming", "batched")
 
@@ -138,11 +139,11 @@ class TestMerge:
 
     def test_merged_tile_stats_equal_partitioned_join_stats(self):
         """Folding real per-tile worker stats reproduces the serial sum."""
-        from repro.core import (
-            partitioned_join,
+        from repro.core.parallel_exec import (
             plan_columnar_tile_tasks,
             run_columnar_tile_task,
         )
+        from repro.core.partition import partitioned_join
 
         rel_a, rel_b = random_relation_pair(61)
         config = JoinConfig(exact_method="vectorized")

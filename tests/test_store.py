@@ -46,20 +46,19 @@ from repro.cli import main
 from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import live_shared_segments
 from repro.core.session import JoinSession
-from repro.datasets import (
-    RelationStore,
-    StoreCorruptionError,
-    StoreMissError,
-    StoreError,
-)
-from repro.datasets.io import save_relation
 from repro.datasets import store as store_module
+from repro.datasets.io import save_relation
 from repro.datasets.store import (
     RING_COLUMNS,
     STORE_FORMAT_VERSION,
+    RelationStore,
+    StoreCorruptionError,
     StoredRelation,
+    StoreError,
+    StoreMissError,
 )
-from repro.service import JoinService, JoinServiceServer
+from repro.service.core import JoinService
+from repro.service.server import JoinServiceServer
 
 
 @pytest.fixture()
@@ -276,9 +275,8 @@ class TestSubprocessStability:
         script = (
             "import hashlib, json, sys\n"
             "import numpy as np\n"
-            "from repro.datasets import RelationStore\n"
             "from repro.datasets.relations import SpatialRelation\n"
-            "from repro.datasets.store import RING_COLUMNS\n"
+            "from repro.datasets.store import RING_COLUMNS, RelationStore\n"
             "store = RelationStore(sys.argv[1])\n"
             "loaded = store.load_relation(sys.argv[2])\n"
             "fresh = SpatialRelation(loaded.name, [])\n"
@@ -380,6 +378,7 @@ class TestStoreCLI:
         assert "needs --store-dir" in capsys.readouterr().err
 
     def test_unknown_store_reference_fails(self, tmp_path, capsys):
+        (tmp_path / "s").mkdir()
         assert main([
             "join", "store:unknown", "store:unknown",
             "--store-dir", str(tmp_path / "s"),

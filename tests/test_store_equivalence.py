@@ -21,9 +21,9 @@ import os
 import pytest
 
 from helpers import random_relation_pair, stats_fingerprint
-from repro.core import JoinConfig, SpatialJoinProcessor
+from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.session import JoinSession
-from repro.datasets import RelationStore
+from repro.datasets.store import RelationStore
 
 pytestmark = pytest.mark.parallel
 

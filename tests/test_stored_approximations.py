@@ -42,26 +42,27 @@ from helpers import (
     sliver,
     stats_fingerprint,
 )
-from repro.approximations import compute_approximation
 from repro.approximations.batch import (
     ApproxColumns,
     BatchApproxArrays,
     stored_family,
 )
+from repro.approximations.factory import compute_approximation
 from repro.cli import main
-from repro.core import FilterConfig, JoinConfig, SpatialJoinProcessor
-from repro.core import partitioned_join
+from repro.core.filters import FilterConfig
+from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import (
     ColumnarShipment,
     live_shared_segments,
     parallel_partitioned_join,
     plan_columnar_tile_tasks,
 )
+from repro.core.partition import partitioned_join
 from repro.core.session import JoinSession
-from repro.datasets import RelationStore, SpatialRelation
 from repro.datasets.io import save_relation
-from repro.datasets.relations import SpatialObject
-from repro.geometry import Polygon
+from repro.datasets.relations import SpatialObject, SpatialRelation
+from repro.datasets.store import RelationStore
+from repro.geometry.polygon import Polygon
 
 STORED_KINDS = ("MBR", "4-C", "5-C", "CH", "MER", "MBC", "MEC")
 UNSTORED_KINDS = ("RMBR", "MBE")
@@ -592,13 +593,3 @@ def test_second_process_on_a_touched_store_builds_nothing(tmp_path, capsys):
     )
     assert streaming["builds"] == 0
     assert sorted(streaming_out[-10:]) == sorted(first_out[-10:])
-
-
-def test_importing_the_cli_does_not_import_scipy():
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import repro.cli, sys; assert 'scipy' not in sys.modules"],
-        env={"PYTHONPATH": SRC, "PATH": ""}, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from repro.core import MultiStepStats
+from repro.core.stats import MultiStepStats
 from repro.geometry.transform import rotate, scale, translate
-from repro.index import IOStats, LRUBuffer, PageLayout
+from repro.index.pagemodel import IOStats, LRUBuffer, PageLayout
 
 
 class TestTransforms:

@@ -4,16 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exact import (
-    build_trstar,
+from repro.exact.decomposition import (
     convex_decomposition,
     ear_clipping_triangulation,
-    polygons_intersect_trstar,
     trapezoid_decomposition,
     triangle_decomposition,
 )
-from repro.geometry import Polygon, cross, polygon_signed_area
-from repro.index import TRJoinCounters, TRStarTree, Trapezoid, trstar_trees_intersect
+from repro.exact.trstar_test import build_trstar, polygons_intersect_trstar
+from repro.geometry.polygon import Polygon
+from repro.geometry.predicates import cross, polygon_signed_area
+from repro.index.trstar import (
+    Trapezoid,
+    TRJoinCounters,
+    TRStarTree,
+    trstar_trees_intersect,
+)
 from tests.conftest import star_polygon
 
 stars = st.builds(

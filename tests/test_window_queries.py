@@ -4,8 +4,11 @@ import random
 
 import pytest
 
-from repro.core import FilterConfig, WindowQueryProcessor, WindowQueryStats
-from repro.geometry import Polygon, Rect, polygons_intersect_fast
+from repro.core.filters import FilterConfig
+from repro.core.window import WindowQueryProcessor, WindowQueryStats
+from repro.geometry.fastops import polygons_intersect_fast
+from repro.geometry.polygon import Polygon
+from repro.geometry.rectangle import Rect
 
 
 @pytest.fixture(scope="module")

@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.approximations import (
+from repro.approximations.containment import (
     certainly_contains,
     certainly_not_contains,
-    compute_approximation,
 )
-from repro.core import FilterConfig, JoinConfig, SpatialJoinProcessor
-from repro.datasets import SpatialRelation, cartographic_polygons
-from repro.geometry import Polygon, polygon_within_fast
+from repro.approximations.factory import compute_approximation
+from repro.core.filters import FilterConfig
+from repro.core.join import JoinConfig, SpatialJoinProcessor
+from repro.datasets.generators import cartographic_polygons
+from repro.datasets.relations import SpatialRelation
+from repro.geometry.fastops import polygon_within_fast
+from repro.geometry.polygon import Polygon
 from tests.conftest import square, star_polygon
 
 stars = st.builds(

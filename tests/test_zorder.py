@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets import uniform_rect_items
-from repro.geometry import Rect
-from repro.index import (
+from repro.datasets.generators import uniform_rect_items
+from repro.geometry.rectangle import Rect
+from repro.index.join import nested_loops_mbr_join
+from repro.index.zorder import (
     ZOrderIndex,
     build_zorder_indexes,
     interleave_bits,
-    nested_loops_mbr_join,
     z_cells_for_rect,
     zorder_mbr_join,
 )
