@@ -1,9 +1,10 @@
 """JoinSession amortisation: first join vs warm session.
 
 One measurement, one report (``benchmarks/reports/session.txt``): the
-same join run three times as independent one-shot
-``parallel_partitioned_join`` calls (each forks a pool and ships fresh
-shared segments) and three times through one
+same join run three times as independent sessionless
+``parallel_partitioned_join`` calls (each runs in a private session
+that forks a pool, ships fresh shared segments and closes before the
+call returns) and three times through one
 :class:`~repro.core.session.JoinSession` (pool forked once, segments
 shipped once, warm joins reuse both).  Warm joins must ship zero new
 shared bytes; wall clock shows how much setup the session amortises.
@@ -82,14 +83,14 @@ def test_session_reuse(report, scale):
         workers=WORKERS, grid=GRID,
     )
 
-    # -- one-shot joins vs one warm session -----------------------------------
-    oneshot = []
+    # -- sessionless joins vs one warm session --------------------------------
+    sessionless = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        oneshot_result = parallel_partitioned_join(
+        sessionless_result = parallel_partitioned_join(
             rel_a, rel_b, config=serving_config
         )
-        oneshot.append(time.perf_counter() - start)
+        sessionless.append(time.perf_counter() - start)
 
     session_lat = []
     with JoinSession(config=serving_config) as session:
@@ -98,7 +99,7 @@ def test_session_reuse(report, scale):
             session_result = session.join(rel_a, rel_b)
             session_lat.append(time.perf_counter() - start)
         assert sorted(session_result.id_pairs()) == sorted(
-            oneshot_result.id_pairs()
+            sessionless_result.id_pairs()
         )
         # Warm joins reuse everything: 0 new shared bytes.
         assert session_result.shared_payload_bytes == 0
@@ -107,7 +108,7 @@ def test_session_reuse(report, scale):
         cached_bytes = session.cached_segment_bytes
     assert live_shared_segments() == frozenset()
 
-    oneshot_avg = sum(oneshot) / len(oneshot)
+    sessionless_avg = sum(sessionless) / len(sessionless)
     cold = session_lat[0]
     warm_avg = sum(session_lat[1:]) / len(session_lat[1:])
     warm_best = min(session_lat[1:])
@@ -115,18 +116,18 @@ def test_session_reuse(report, scale):
     lines = [
         f" serving-sized relations ({len(rel_a)} x {len(rel_b)} objects), "
         f"MBR+exact pipeline, workers={WORKERS}, "
-        f"grid {GRID[0]}x{GRID[1]}, {len(oneshot_result)} result pairs",
+        f"grid {GRID[0]}x{GRID[1]}, {len(sessionless_result)} result pairs",
         "",
         " first-join vs warm-session latency "
         f"({REPEATS} joins each):",
-        f"   one-shot joins (fork + ship every time): "
-        f"{oneshot_avg * 1e3:8.0f} ms avg",
+        f"   sessionless joins (private session each):"
+        f"{sessionless_avg * 1e3:8.0f} ms avg",
         f"   session first join (fork + ship once):   "
         f"{cold * 1e3:8.0f} ms",
         f"   session warm joins (reuse pool+segments):"
         f"{warm_avg * 1e3:8.0f} ms avg, {warm_best * 1e3:.0f} ms best",
-        f"   warm-session speedup vs one-shot:        "
-        f"{oneshot_avg / warm_avg:8.2f}x",
+        f"   warm-session speedup vs sessionless:     "
+        f"{sessionless_avg / warm_avg:8.2f}x",
         f"   shared bytes shipped warm: 0 (cache holds {cached_bytes} "
         "bytes across 2 segments)",
         f"   measured on a {os.cpu_count()}-core host",
@@ -136,9 +137,9 @@ def test_session_reuse(report, scale):
 
     # Correctness-plus-reporting bar (see module docstring) plus one
     # robust latency floor: in the setup-dominated serving regime a
-    # warm session join must beat the one-shot average (locally it is
-    # ~3-4x faster; the bar leaves room for CI noise).
-    assert warm_best < oneshot_avg, (
-        f"warm session join ({warm_best:.3f}s) not faster than one-shot "
-        f"average ({oneshot_avg:.3f}s) — session reuse lost its point"
+    # warm session join must beat the sessionless average (locally it
+    # is ~3-4x faster; the bar leaves room for CI noise).
+    assert warm_best < sessionless_avg, (
+        f"warm session join ({warm_best:.3f}s) not faster than sessionless "
+        f"average ({sessionless_avg:.3f}s) — session reuse lost its point"
     )

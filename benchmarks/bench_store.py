@@ -5,15 +5,15 @@ shared-segment cache back without re-doing the work the segments
 encode; this bench measures exactly that hand-off, both ways:
 
 * **Object path** (the status quo): a cold :class:`JoinSession` meets
-  relations whose columnar caches are empty — ``segment_for`` packs the
+  relations whose columnar caches are empty — ``ship`` packs the
   ring columns (:func:`~repro.datasets.columnar.pack_rings`, a Python
   loop over every ring of every object), digests the content
   fingerprint, and copies the columns into shared memory.
 * **Store path**: the same relations' pages already sit in a
   :class:`~repro.datasets.store.RelationStore`;
   :meth:`JoinSession.warm_from_store` streams them straight into
-  freshly allocated segments with ``readinto`` on an I/O thread pool —
-  no packing, no digesting, no numpy round trip.
+  freshly allocated segments with one ``readinto`` per page file — no
+  packing, no digesting, no numpy round trip.
 
 Gate: the store path must be **>= 3x** faster (best of ``REPEATS``
 laps, both paths timed cold each lap), and the warmed segment bytes
@@ -40,9 +40,6 @@ SPEEDUP_FLOOR = 3.0
 #: timed laps per path (each lap is fully cold); best lap is compared.
 REPEATS = 3
 
-#: threads in the warm loader's I/O pool.
-IO_WORKERS = 4
-
 
 def _cold_clone(relation: SpatialRelation) -> SpatialRelation:
     """The same objects behind an empty columnar cache.
@@ -61,8 +58,7 @@ def _object_path_seconds(rel_a, rel_b) -> float:
     clone_a, clone_b = _cold_clone(rel_a), _cold_clone(rel_b)
     with JoinSession() as session:
         start = time.perf_counter()
-        session.segment_for(clone_a)
-        session.segment_for(clone_b)
+        session.ship((clone_a, clone_b))
         return time.perf_counter() - start
 
 
@@ -70,7 +66,7 @@ def _store_path_seconds(store, fingerprints) -> float:
     """Cold session + store pages: allocate segments, stream pages in."""
     with JoinSession() as session:
         start = time.perf_counter()
-        session.warm_from_store(store, fingerprints, io_workers=IO_WORKERS)
+        session.warm_from_store(store, fingerprints)
         return time.perf_counter() - start
 
 
@@ -90,9 +86,8 @@ def test_store_warm_start(series_cache, report, tmp_path_factory):
     # Correctness before speed: a store-warmed segment must hold byte
     # -identical content to an object-packed one.
     with JoinSession() as warmed, JoinSession() as packed:
-        warmed.warm_from_store(store, [fp_a, fp_b], io_workers=IO_WORKERS)
-        packed.segment_for(_cold_clone(rel_a))
-        packed.segment_for(_cold_clone(rel_b))
+        warmed.warm_from_store(store, [fp_a, fp_b])
+        packed.ship((_cold_clone(rel_a), _cold_clone(rel_b)))
         for fingerprint in (fp_a, fp_b):
             assert _segment_bytes(warmed, fingerprint) == _segment_bytes(
                 packed, fingerprint
@@ -127,7 +122,6 @@ def test_store_warm_start(series_cache, report, tmp_path_factory):
         },
         "store_page_bytes": page_bytes,
         "shared_segment_bytes": shared_bytes,
-        "io_workers": IO_WORKERS,
         "repeats": REPEATS,
         "object_path_seconds": object_laps,
         "store_path_seconds": store_laps,
@@ -150,8 +144,7 @@ def test_store_warm_start(series_cache, report, tmp_path_factory):
             f" object path (pack+digest+copy): "
             f"{object_best * 1e3:>8.1f} ms  (best of {REPEATS})",
             f" store path (mmap pages -> shm): "
-            f"{store_best * 1e3:>8.1f} ms  (best of {REPEATS}, "
-            f"{IO_WORKERS} I/O threads)",
+            f"{store_best * 1e3:>8.1f} ms  (best of {REPEATS})",
             f" warm-start speedup:             {speedup:>8.1f}x  "
             f"(gate: >= {SPEEDUP_FLOOR:.0f}x)",
             "",

@@ -538,8 +538,7 @@ def cmd_join_batch(args: argparse.Namespace) -> int:
                 )
                 print(
                     f"  warmed {loaded} shared segments from store "
-                    f"pages ({session.store_load_bytes} bytes, "
-                    f"I/O-parallel)"
+                    f"pages ({session.store_load_bytes} bytes)"
                 )
         for i in range(args.repeat):
             result = session.join(rel_a, rel_b)
@@ -747,6 +746,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             grid=tuple(args.grid),
             **kernel_override,
         )
+        _open_store(args.store_dir)  # a missing directory is an error
         service = JoinService(
             config=config,
             sessions=args.sessions,
@@ -771,8 +771,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             run_server(service, args.host, args.port, ready=announce)
         )
     except KeyboardInterrupt:
-        # asyncio.run normally converts Ctrl-C into task cancellation,
-        # which run_server absorbs; this only triggers on a second ^C.
+        # run_server turns SIGINT and SIGTERM into a clean stop; this
+        # only triggers on a SIGINT after its handlers are removed.
         pass
     print("join service stopped")
     return 0

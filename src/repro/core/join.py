@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from ..datasets.relations import SpatialObject, SpatialRelation
@@ -55,13 +55,12 @@ PARTITIONERS = ("grid", "rtree")
 #: never change what it returns — pairs, order, or statistics.  The
 #: differential suites prove each one result-neutral: worker count
 #: (``tests/test_parallel_exec_equivalence.py``,
-#: ``tests/test_session_equivalence.py``), the kernel backend
-#: (``tests/test_kernel_tier.py``), and the session handle (a
-#: resource-lifecycle choice).  :meth:`JoinConfig.canonical_key` strips
+#: ``tests/test_session_equivalence.py``) and the kernel backend
+#: (``tests/test_kernel_tier.py``).  :meth:`JoinConfig.canonical_key` strips
 #: exactly these, so two configs that differ only here share one result
 #: fingerprint — the contract the service result cache and request
 #: coalescing (:mod:`repro.service`) are built on.
-EXECUTION_ONLY_FIELDS = ("workers", "session", "kernels")
+EXECUTION_ONLY_FIELDS = ("workers", "kernels")
 
 
 def _default_kernels() -> str:
@@ -166,11 +165,6 @@ class JoinConfig:
     #: here (integers, both >= 1) instead of deep inside
     #: ``plan_tile_indices``.
     grid: Tuple[int, int] = (4, 4)
-    #: optional :class:`repro.core.session.JoinSession` that the
-    #: partitioned executor should run inside (persistent worker pool +
-    #: shared-segment cache).  Never shipped to workers — tasks carry a
-    #: copy of the config with the session stripped.
-    session: Optional[object] = None
 
     def __post_init__(self):
         if self.exact_method not in EXACT_METHODS:
@@ -227,14 +221,6 @@ class JoinConfig:
         # Coerce list/sequence grids (e.g. from the CLI) to a tuple so
         # the config stays hashable and comparable.
         object.__setattr__(self, "grid", validate_grid(self.grid))
-        if self.session is not None:
-            from .session import JoinSession  # lazy: session imports us
-
-            if not isinstance(self.session, JoinSession):
-                raise ValueError(
-                    f"session must be a JoinSession or None, "
-                    f"got {self.session!r}"
-                )
         for name in ("batch_size", "exact_batch"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -259,16 +245,9 @@ class JoinConfig:
             # Tile tasks ship the whole config to worker processes, so a
             # parallel config must pickle.  Failing here gives a clear
             # one-frame error instead of a mid-join traceback from
-            # inside the process pool.  The session stays behind in the
-            # parent (the executor strips it before building tasks), so
-            # it is stripped from the probe too.
+            # inside the process pool.
             try:
-                probe = (
-                    self
-                    if self.session is None
-                    else replace(self, session=None)
-                )
-                pickle.dumps(probe)
+                pickle.dumps(self)
             except Exception as exc:
                 raise ValueError(
                     f"JoinConfig with workers={self.workers} must be "
@@ -300,7 +279,7 @@ class JoinConfig:
         partitioned-join responses — same pairs, same order, same merged
         :class:`~repro.core.stats.MultiStepStats` — regardless of how
         they differ in the :data:`EXECUTION_ONLY_FIELDS` (worker count,
-        kernel backend, session handle).  Everything else is
+        kernel backend).  Everything else is
         included conservatively: the filter configuration, the exact
         method, engine and batch sizes (proven result-identical, but
         kept in the key so the cache never has to rely on that proof),

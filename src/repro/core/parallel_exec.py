@@ -48,15 +48,12 @@ exception is re-raised in the parent as :class:`TileExecutionError`
 carrying the failing tile's index, and the shared segments are still
 unlinked.
 
-Setup costs can be amortised across joins with a
-:class:`repro.core.session.JoinSession`: the session owns a long-lived
-worker pool and a cache of shared-memory segments keyed by relation
-fingerprint, so repeated joins of the same relations fork no new
-workers and ship zero redundant bytes.  Sessionless calls keep the
-one-shot lifecycle (segments created before dispatch, unlinked in
-``finally``).
-
-Either way the guarantees are the same:
+**One owner.**  :class:`repro.core.session.JoinSession` is the only
+owner of worker pools and shared segments.  A session keeps its pool
+and a cache of segments keyed by relation fingerprint across joins, so
+repeated joins of the same relations fork no new workers and ship zero
+redundant bytes; a call without a session opens a private session and
+closes it before returning.  The guarantees are the same either way:
 
 * **Result transparency** — the merged pair list equals the serial
   partitioned join's (and therefore the plain multi-step join's up to
@@ -71,9 +68,10 @@ Either way the guarantees are the same:
   in-process, in the same largest-first order, with no pool and no
   pickling (the wire format is exercised by every ``workers >= 2``
   join).
-* **Segment lifecycle** — shared segments are created before dispatch
-  and unlinked in a ``finally`` block, so success, worker failure, and
-  KeyboardInterrupt all leave ``/dev/shm`` clean
+* **Segment lifecycle** — shared segments are unlinked by
+  :meth:`JoinSession.close` (for a private session in a ``finally``
+  block, after its pool has shut down), so success, worker failure,
+  and KeyboardInterrupt all leave ``/dev/shm`` clean
   (``tests/test_parallel_exec_shm.py`` enforces it;
   :func:`live_shared_segments` exposes the tracking set).
   Approximation blocks are owned by their relation's
@@ -114,10 +112,11 @@ import math
 import multiprocessing
 import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor
 from dataclasses import dataclass, field, replace
 from multiprocessing import shared_memory
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -147,6 +146,10 @@ from .partition import (
     tile_relation,
 )
 from .stats import MultiStepStats
+
+if TYPE_CHECKING:
+    from .session import JoinSession
+
 
 @dataclass(frozen=True)
 class SegmentLayout:
@@ -273,8 +276,8 @@ class ParallelPartitionedJoinResult(PartitionedJoinResult):
     partitioner: str = "grid"
     #: shared segments served from / added to the segment cache by this
     #: join: a warm session join reports ``hits=2, misses=0``; a
-    #: sessionless join always creates both segments fresh
-    #: (``hits=0, misses=2``).
+    #: sessionless join runs in a fresh private session and ships both
+    #: (``hits=0, misses=2``; a self-join ships its one relation once).
     segment_cache_hits: int = 0
     segment_cache_misses: int = 0
     #: bytes served from the session's segment cache instead of being
@@ -371,12 +374,11 @@ class SharedRelationSegment:
 
     The unit of segment ownership: created once per relation content,
     attached (read-only) by any number of tile tasks, and unlinked
-    exactly once by whoever owns it — a per-join
-    :class:`ColumnarShipment` or a cross-join
-    :class:`repro.core.session.JoinSession` segment cache, which keys
-    reuse on :attr:`fingerprint`.  Approximation blocks are keyed by
-    kind under that fingerprint (:attr:`approx`), added as joins need
-    them (:meth:`ensure_approx`) and unlinked together with the rings.
+    exactly once by the :class:`repro.core.session.JoinSession` segment
+    cache that holds it, which keys reuse on :attr:`fingerprint`.
+    Approximation blocks are keyed by kind under that fingerprint
+    (:attr:`approx`), added as joins need them (:meth:`ensure_approx`)
+    and unlinked together with the rings.
     """
 
     def __init__(self, relation: SpatialRelation):
@@ -472,60 +474,6 @@ class SharedRelationSegment:
             self.rings.close()
 
 
-class ColumnarShipment:
-    """Parent-side owner of one join's per-relation shared segments.
-
-    Creating the shipment copies each relation's packed ring columns
-    into one :class:`SharedRelationSegment`; :meth:`ship_approx` adds
-    the approximation blocks the join reads; :meth:`close` unlinks them
-    all.  Callers must close in a ``finally`` block — the lifecycle
-    tests assert that no ``/dev/shm`` entry survives success, worker
-    failure, or interrupt.  (Session-cached segments are not wrapped in
-    a shipment: their lifecycle belongs to the session.)
-    """
-
-    def __init__(self, relations: Sequence[SpatialRelation]):
-        self._relations = tuple(relations)
-        self._segments: List[SharedRelationSegment] = []
-        #: approximation blocks shipped and their bytes.
-        self.approx_blocks = 0
-        self.approx_bytes = 0
-        try:
-            for relation in self._relations:
-                self._segments.append(SharedRelationSegment(relation))
-        except BaseException:
-            self.close()
-            raise
-
-    def ship_approx(self, kinds: Sequence[str]) -> None:
-        """Ship the given approximation kinds of every relation."""
-        for relation, segment in zip(self._relations, self._segments):
-            _, misses, shipped = segment.ensure_approx(relation, kinds)
-            self.approx_blocks += misses
-            self.approx_bytes += shipped
-
-    def specs_for(self, kinds: Sequence[str] = ()) -> List[SharedRelationSpec]:
-        return [segment.spec_for(kinds) for segment in self._segments]
-
-    @property
-    def segment_names(self) -> Tuple[str, ...]:
-        """Names of the ring segments, in relation order."""
-        return tuple(
-            segment.rings.spec.shm_name for segment in self._segments
-        )
-
-    @property
-    def total_bytes(self) -> int:
-        """Ring payload bytes shipped through shared memory."""
-        return sum(segment.nbytes for segment in self._segments)
-
-    def close(self) -> None:
-        """Unlink every segment (idempotent)."""
-        segments, self._segments = self._segments, []
-        for segment in segments:
-            segment.close()
-
-
 def _attach_segment(spec: SharedColumnsSpec) -> shared_memory.SharedMemory:
     """Attach to a parent-owned segment without adopting its lifecycle.
 
@@ -589,21 +537,26 @@ def _partition_plan(
     return strategy.plan(relation_a, relation_b, grid)
 
 
-def _columnar_tasks_for_specs(
+def _plan_in_session(
+    session: "JoinSession",
     relation_a: SpatialRelation,
     relation_b: SpatialRelation,
     grid: Tuple[int, int],
     config: JoinConfig,
-    spec_a: SharedRelationSpec,
-    spec_b: SharedRelationSpec,
-) -> Tuple[List[ColumnarTileTask], List[PartitionStats]]:
-    """Build the tile tasks against already-shipped segments.
+) -> Tuple[List[ColumnarTileTask], List[PartitionStats], Dict[str, int]]:
+    """Ship both relations into ``session`` and cut the tile tasks.
 
-    Shared by the one-shot path (segments in a fresh
-    :class:`ColumnarShipment`) and the session path (segments served
-    from the :class:`~repro.core.session.JoinSession` cache) — one task
-    format either way.
+    Returns the tasks (non-empty only, in plan order), a
+    :class:`PartitionStats` shell for every plan entry in key order
+    (grid plans list empty tiles at zero counts, exactly as the serial
+    partitioned join does), and the join's segment counters from
+    :meth:`JoinSession.ship`.
     """
+    kinds = config.approximation_kinds()
+    (segment_a, segment_b), counters = session.ship(
+        (relation_a, relation_b), kinds
+    )
+    spec_a, spec_b = segment_a.spec_for(kinds), segment_b.spec_for(kinds)
     plan = _partition_plan(relation_a, relation_b, grid, config)
     tasks: List[ColumnarTileTask] = []
     for key, idx_a, idx_b in plan.entries:
@@ -621,7 +574,7 @@ def _columnar_tasks_for_specs(
                 config=config,
             )
         )
-    return tasks, plan.partition_shells()
+    return tasks, plan.partition_shells(), counters
 
 
 def plan_columnar_tile_tasks(
@@ -629,31 +582,29 @@ def plan_columnar_tile_tasks(
     relation_b: SpatialRelation,
     grid: Tuple[int, int],
     config: JoinConfig,
-) -> Tuple[List[ColumnarTileTask], List[PartitionStats], ColumnarShipment]:
+) -> Tuple[List[ColumnarTileTask], List[PartitionStats], "JoinSession"]:
     """Decompose a join into shared segments + per-task index arrays.
 
     The configured :class:`~repro.core.partition.Partitioner` forms the
     tasks; each references the relations' shared ring columns and the
     stored columns of every approximation kind the join reads
-    (:meth:`JoinConfig.approximation_kinds`).  Returns the tasks
-    (non-empty only, in plan order), a :class:`PartitionStats` shell
-    for every plan entry in key order (grid plans list empty tiles at
-    zero counts, exactly as the serial partitioned join does), and the
-    shipment.  The caller owns the returned
-    :class:`ColumnarShipment` and must :meth:`~ColumnarShipment.close`
-    it once the outcomes are in — in a ``finally`` block.
+    (:meth:`JoinConfig.approximation_kinds`).  Returns the tasks, the
+    :class:`PartitionStats` shells (see :func:`_plan_in_session`) and
+    the private :class:`~repro.core.session.JoinSession` holding the
+    segments.  The caller owns that session and must
+    :meth:`~repro.core.session.JoinSession.close` it once the outcomes
+    are in — in a ``finally`` block.
     """
-    shipment = ColumnarShipment((relation_a, relation_b))
+    from .session import JoinSession
+
+    session = JoinSession()
     try:
-        kinds = config.approximation_kinds()
-        shipment.ship_approx(kinds)
-        spec_a, spec_b = shipment.specs_for(kinds)
-        tasks, partitions = _columnar_tasks_for_specs(
-            relation_a, relation_b, grid, config, spec_a, spec_b
+        tasks, partitions, _ = _plan_in_session(
+            session, relation_a, relation_b, grid, config
         )
-        return tasks, partitions, shipment
+        return tasks, partitions, session
     except BaseException:
-        shipment.close()
+        session.close()
         raise
 
 
@@ -941,7 +892,7 @@ def _task_cost(task: ColumnarTileTask) -> int:
 def _execute(
     tasks: Sequence[ColumnarTileTask],
     runner: Callable,
-    pool: Optional[ProcessPoolExecutor],
+    pool: Optional[Executor],
 ) -> List[TileOutcome]:
     """Run the tasks largest-first on ``pool`` (in-process when None).
 
@@ -972,43 +923,28 @@ def _dispatch(
     tasks: Sequence[ColumnarTileTask],
     runner: Callable,
     n_workers: int,
-    session=None,
-    kernels: str = "numpy",
+    session: "JoinSession",
+    kernels: str,
 ) -> List[TileOutcome]:
-    """Run the tasks on a pool (or in-process for one worker).
+    """Run the tasks on the session's pool (in-process for one worker).
 
-    ``session`` supplies a persistent pool when given; otherwise a
-    one-shot pool is created and torn down around the join.  Either
-    pool warms the resolved ``kernels`` backend in the parent before
-    forking and in every worker at start-up (:func:`_warm_worker_kernels`).
+    The pool warms the resolved ``kernels`` backend in the parent
+    before forking and in every worker at start-up
+    (:func:`_warm_worker_kernels`).
     """
     if n_workers == 1 or not tasks:
         return _execute(tasks, runner, None)
-    if session is not None:
-        try:
-            pool = session.pool(n_workers, kernels=kernels)
-            return _execute(tasks, runner, pool)
-        except BaseException as exc:
-            # A pool whose worker process died is unusable for every
-            # later join; discard it so the session's next join forks a
-            # fresh one (public-API detection — no reliance on the
-            # executor's private broken flag).
-            cause = getattr(exc, "cause", None)
-            if isinstance(exc, BrokenExecutor) or isinstance(
-                cause, BrokenExecutor
-            ):
-                session._discard_pool()
-            raise
-    # Warm in the parent first: the first use of the C backend builds
-    # its library once here, and the forked workers inherit it loaded.
-    warm_up(kernels)
-    with ProcessPoolExecutor(
-        max_workers=min(n_workers, len(tasks)),
-        mp_context=_pool_context(),
-        initializer=_warm_worker_kernels,
-        initargs=(kernels,),
-    ) as pool:
-        return _execute(tasks, runner, pool)
+    try:
+        return _execute(tasks, runner, session.pool(n_workers, kernels=kernels))
+    except BaseException as exc:
+        # A pool whose worker process died is unusable for every later
+        # join; discard it so the session's next join forks a fresh one
+        # (public-API detection — no reliance on the executor's private
+        # broken flag).
+        cause = getattr(exc, "cause", None)
+        if isinstance(exc, BrokenExecutor) or isinstance(cause, BrokenExecutor):
+            session._discard_pool()
+        raise
 
 
 def parallel_partitioned_join(
@@ -1017,7 +953,7 @@ def parallel_partitioned_join(
     grid: Optional[Tuple[int, int]] = None,
     config: Optional[JoinConfig] = None,
     workers: Optional[int] = None,
-    session=None,
+    session: Optional["JoinSession"] = None,
     partitioner: Optional[str] = None,
 ) -> ParallelPartitionedJoinResult:
     """Partitioned multi-step join on a real process pool.
@@ -1034,37 +970,47 @@ def parallel_partitioned_join(
     same grid, and for the tree strategy identical across every worker
     count (its task decomposition depends only on the relations).
 
-    ``session`` (or ``config.session``) runs the join inside a
+    ``session`` runs the join inside a
     :class:`repro.core.session.JoinSession`: the worker pool persists
     across joins and shared segments are served from the session's
     fingerprint-keyed cache, so repeated joins of the same relations
-    ship zero redundant bytes.  The segments are leased (pinned) for
-    the duration of the join, so a byte-bounded session cache can never
-    evict them mid-flight.  Without a session every resource is created
-    and torn down around this one call.
+    ship zero redundant bytes.  Without a session the join runs in a
+    private session that is closed before this call returns.
     """
+    if session is None:
+        from .session import JoinSession
+
+        with JoinSession() as private:
+            return parallel_partitioned_join(
+                relation_a, relation_b, grid, config, workers, private,
+                partitioner,
+            )
     config = config or JoinConfig()
     if workers is not None:
         config = replace(config, workers=workers)
     if partitioner is not None:
         config = replace(config, partitioner=partitioner)
-    if session is None:
-        session = config.session
-    if session is not None:
-        session._ensure_open()
     grid = config.grid if grid is None else validate_grid(grid)
-    n_workers = config.workers
-    # Tasks ship the config to worker processes; a live session must
-    # stay behind in the parent.  ``kernels`` is resolved here, once:
-    # workers receive (and pre-warm) a concrete backend name instead of
-    # each re-resolving "auto".
+    # ``kernels`` is resolved here, once: workers receive (and pre-warm)
+    # a concrete backend name instead of each re-resolving "auto".
     resolved_kernels = resolve_backend(config.kernels)
-    wire_config = (
-        config if config.session is None else replace(config, session=None)
-    )
-    if wire_config.kernels != resolved_kernels:
-        wire_config = replace(wire_config, kernels=resolved_kernels)
+    if config.kernels != resolved_kernels:
+        config = replace(config, kernels=resolved_kernels)
+    # The session runs one join at a time: its lock is held until the
+    # outcomes are merged, so no close() can unlink a segment in flight.
+    with session._lock:
+        session._ensure_open()
+        return _join_in_session(session, relation_a, relation_b, grid, config)
 
+
+def _join_in_session(
+    session: "JoinSession",
+    relation_a: SpatialRelation,
+    relation_b: SpatialRelation,
+    grid: Tuple[int, int],
+    config: JoinConfig,
+) -> ParallelPartitionedJoinResult:
+    """The executor body: plan, dispatch and merge inside ``session``."""
     if config.predicate in ("distance", "knn") and _proximity_runs_serial(
         relation_a, relation_b
     ):
@@ -1080,10 +1026,9 @@ def parallel_partitioned_join(
         # workers=1 executing the same tasks in-process.
         start = time.perf_counter()
         serial = SpatialJoinProcessor(
-            replace(wire_config, workers=1)
+            replace(config, workers=1)
         ).join(relation_a, relation_b)
-        if session is not None:
-            session._note_join()
+        session.joins_run += 1
         return ParallelPartitionedJoinResult(
             pairs=serial.pairs,
             partitions=[],
@@ -1095,50 +1040,13 @@ def parallel_partitioned_join(
         )
 
     start = time.perf_counter()
-    shipment: Optional[ColumnarShipment] = None
-    lease = None
-    shipped_bytes = reused_bytes = 0
-    cache_hits = cache_misses = 0
-    approx_hits = approx_misses = approx_bytes = 0
-    try:
-        if session is not None:
-            kinds = wire_config.approximation_kinds()
-            lease = session.lease_segments((relation_a, relation_b), kinds)
-            for segment, reused in zip(lease.segments, lease.reused):
-                if reused:
-                    cache_hits += 1
-                    reused_bytes += segment.nbytes
-                else:
-                    cache_misses += 1
-                    shipped_bytes += segment.nbytes
-            approx_hits = lease.approx_hits
-            approx_misses = lease.approx_misses
-            approx_bytes = lease.approx_bytes
-            tasks, partitions = _columnar_tasks_for_specs(
-                relation_a, relation_b, grid, wire_config,
-                lease.segments[0].spec_for(kinds),
-                lease.segments[1].spec_for(kinds),
-            )
-        else:
-            tasks, partitions, shipment = plan_columnar_tile_tasks(
-                relation_a, relation_b, grid, wire_config
-            )
-            shipped_bytes = shipment.total_bytes
-            cache_misses = 2
-            approx_misses = shipment.approx_blocks
-            approx_bytes = shipment.approx_bytes
-        outcomes = _dispatch(
-            tasks,
-            run_columnar_tile_task,
-            n_workers,
-            session=session,
-            kernels=resolved_kernels,
-        )
-    finally:
-        if shipment is not None:
-            shipment.close()
-        if lease is not None:
-            lease.release()
+    tasks, partitions, counters = _plan_in_session(
+        session, relation_a, relation_b, grid, config
+    )
+    outcomes = _dispatch(
+        tasks, run_columnar_tile_task, config.workers,
+        session=session, kernels=config.kernels,
+    )
 
     # Deterministic merge: fold outcomes in tile-key order, not the
     # largest-first dispatch order.
@@ -1169,22 +1077,15 @@ def parallel_partitioned_join(
         # serial pipeline's.
         position = {obj.oid: i for i, obj in enumerate(relation_a)}
         pairs.sort(key=lambda pair: position[pair[0].oid])
-    if session is not None:
-        session._note_join()
+    session.joins_run += 1
     return ParallelPartitionedJoinResult(
         pairs=pairs,
         partitions=partitions,
         stats=merged,
-        workers=n_workers,
+        workers=config.workers,
         tile_tasks=len(tasks),
         elapsed_seconds=time.perf_counter() - start,
         tile_seconds=tile_seconds,
-        shared_payload_bytes=shipped_bytes,
         partitioner=config.partitioner,
-        segment_cache_hits=cache_hits,
-        segment_cache_misses=cache_misses,
-        reused_payload_bytes=reused_bytes,
-        approx_cache_hits=approx_hits,
-        approx_cache_misses=approx_misses,
-        approx_payload_bytes=approx_bytes,
+        **counters,
     )

@@ -1,15 +1,8 @@
-"""Join sessions: a serving-oriented runtime for repeated parallel joins.
+"""Join sessions: the owner of worker pools and shared segments.
 
-The paper's §6 outlook motivates parallel multi-step joins; the
-one-shot executor in :mod:`repro.core.parallel_exec` realises it, but
-pays the full setup on every call — a fresh
-:class:`~concurrent.futures.ProcessPoolExecutor` is forked, each
-relation's ring columns are copied into fresh shared-memory segments,
-and everything is torn down again when the join returns.  Serving
-workloads (many joins against a slowly-changing set of relations) are
-session-oriented: the setup should be paid once and amortised.
-
-:class:`JoinSession` is that context.  It owns
+The paper's §6 outlook motivates parallel multi-step joins; the tile
+executor in :mod:`repro.core.parallel_exec` realises it, and every
+resource it runs on belongs to a :class:`JoinSession`.  A session owns
 
 * a **persistent worker pool**, created lazily on the first join that
   needs one and reused by every following join at the same worker
@@ -23,15 +16,14 @@ session-oriented: the setup should be paid once and amortised.
   later join of the same content ships **zero redundant bytes** — the
   tile tasks simply reference the cached segment.  A relation whose
   object list changed gets a fresh fingerprint (and so a fresh
-  segment); the stale segment stays cached until evicted.
+  segment); every segment lives until :meth:`JoinSession.close`.
 * **approximation blocks** beside each cached segment, keyed by
   ``(fingerprint, kind)``: when a join first reads a kind
-  (:meth:`JoinConfig.approximation_kinds`), the lease takes
-  ``relation.columnar().approx(kind)`` — memory, then store pages,
-  then one build that is published — and places its stored columns in
-  shared memory; every later join of that content finds the block.
-  Blocks are owned by their segment: leased, counted into the byte
-  bound, evicted and unlinked with it, and
+  (:meth:`JoinConfig.approximation_kinds`), :meth:`JoinSession.ship`
+  takes ``relation.columnar().approx(kind)`` — memory, then store
+  pages, then one build that is published — and places its stored
+  columns in shared memory; every later join of that content finds the
+  block.  Blocks are owned by their segment and unlinked with it, and
   :meth:`JoinSession.warm_from_store` streams stored sidecar pages into
   them beside the ring pages.  They have their own counters
   (``approx_cache_hits`` / ``approx_cache_misses`` /
@@ -40,21 +32,14 @@ session-oriented: the setup should be paid once and amortised.
   ``segment_cache_*`` and ``store_load*`` counters keep counting ring
   payloads only.
 
-The cache is **byte-bounded LRU** when ``max_cache_bytes`` is set:
-whenever the cached bytes exceed the bound, least-recently-joined
-segments are unlinked first (``segment_cache_evictions`` counts them)
-until the cache fits.  Unbounded sessions (the default) keep the old
-keep-everything behaviour plus manual :meth:`evict`.  Segments of the
-join *currently running* are never evicted: the executor takes a
-:class:`SegmentLease` over both relations, which pins their
-fingerprints until the join's outcomes are merged — without the pin,
-shipping a large second relation could unlink the first relation's
-segment while tile tasks still reference it.
+A join call without a session
+(:func:`~repro.core.parallel_exec.parallel_partitioned_join` with no
+``session``) opens a private session and closes it before returning,
+so the pool and segments are created and torn down around that call.
 
 Lifecycle is explicit: use the session as a context manager (or call
 :meth:`close`), after which the pool is shut down and every cached
-segment is unlinked — ``live_shared_segments()`` is empty again, the
-same leak-free guarantee the one-shot path has
+segment is unlinked — ``live_shared_segments()`` is empty again
 (``tests/test_parallel_exec_shm.py`` and the autouse leak fixture in
 ``tests/conftest.py`` enforce it).
 
@@ -80,8 +65,7 @@ latency (report: ``benchmarks/reports/session.txt``).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -99,96 +83,6 @@ from .parallel_exec import (
 )
 
 
-class SegmentLease:
-    """Pins one join's shared segments in the session cache.
-
-    Acquiring the lease resolves (or creates) the segment of every
-    relation — and beside it the approximation blocks of the kinds the
-    join reads — and marks its fingerprint as *leased*: LRU eviction skips
-    leased fingerprints, so a bounded cache can never unlink a segment
-    the in-flight join's tile tasks still reference.  :meth:`release`
-    unpins and then re-applies the byte bound, so the post-join
-    invariant ``cached_segment_bytes <= max_cache_bytes`` holds (unless
-    the just-joined segments alone exceed the bound, which no eviction
-    policy could fix).
-    """
-
-    def __init__(self, session: "JoinSession",
-                 relations: Sequence[SpatialRelation],
-                 kinds: Sequence[str] = ()):
-        self._session = session
-        self._fingerprints: List[str] = []
-        #: the relations' segments, in ``relations`` order.
-        self.segments: List[SharedRelationSegment] = []
-        #: per segment: True when served from the cache (no new bytes).
-        self.reused: List[bool] = []
-        #: approximation blocks of ``kinds`` found beside the segments /
-        #: newly placed there by this lease, and the new ones' bytes.
-        self.approx_hits = self.approx_misses = self.approx_bytes = 0
-        try:
-            with session._lock:
-                for relation in relations:
-                    fingerprint = relation.columnar().fingerprint
-                    segment, reused = session._acquire(relation, fingerprint)
-                    session._leased[fingerprint] = (
-                        session._leased.get(fingerprint, 0) + 1
-                    )
-                    self._fingerprints.append(fingerprint)
-                    self.segments.append(segment)
-                    self.reused.append(reused)
-                    hits, misses, shipped = segment.ensure_approx(
-                        relation, kinds
-                    )
-                    self.approx_hits += hits
-                    self.approx_misses += misses
-                    self.approx_bytes += shipped
-                session.approx_cache_hits += self.approx_hits
-                session.approx_cache_misses += self.approx_misses
-                session._evict_to_bound()
-        except BaseException:
-            self.release()
-            raise
-
-    def release(self) -> None:
-        """Unpin the leased segments and re-apply the cache bound."""
-        with self._session._lock:
-            fingerprints, self._fingerprints = self._fingerprints, []
-            leased = self._session._leased
-            for fingerprint in fingerprints:
-                count = leased.get(fingerprint, 0) - 1
-                if count <= 0:
-                    leased.pop(fingerprint, None)
-                else:
-                    leased[fingerprint] = count
-            if fingerprints and not self._session.closed:
-                self._session._evict_to_bound()
-
-
-def _stream_page(job: Tuple[object, SharedColumns, int, int]) -> None:
-    """Read one store page file into its slice of a shared segment.
-
-    One unit of the warm loader's I/O parallelism: ``readinto`` drops
-    the GIL while the kernel fills the shared-memory slice, so a small
-    thread pool genuinely overlaps page reads.  The exported buffer
-    view is released before returning — segment teardown must never
-    trip over a dangling export (``BufferError``).
-    """
-    from ..datasets.store import StoreCorruptionError
-
-    path, segment, offset, nbytes = job
-    view = memoryview(segment.buf)[offset:offset + nbytes]
-    try:
-        with open(path, "rb", buffering=0) as page:
-            read = page.readinto(view)
-        if read != nbytes:
-            raise StoreCorruptionError(
-                f"short read from store page {path}: got {read} of "
-                f"{nbytes} bytes (page changed after validation?)"
-            )
-    finally:
-        view.release()
-
-
 def _pages_layout(pages) -> SegmentLayout:
     """The segment layout that holds the given store pages back to back.
 
@@ -200,78 +94,74 @@ def _pages_layout(pages) -> SegmentLayout:
     )
 
 
-def _stream_jobs(
-    pages, target: SharedColumns
-) -> List[Tuple[object, SharedColumns, int, int]]:
-    """One :func:`_stream_page` job per page of a freshly allocated segment."""
-    return [
-        (page.path, target, offset, nbytes)
-        for page, (_, offset, nbytes) in zip(
-            pages, target.spec.layout.extents()
-        )
-    ]
+def _stream_pages(pages, target: SharedColumns) -> None:
+    """Read store page files into a freshly allocated segment, in order.
+
+    ``readinto`` fills each page's slice of the segment directly.  Each
+    exported buffer view is released before the next page — segment
+    teardown must never trip over a dangling export (``BufferError``).
+    """
+    from ..datasets.store import StoreCorruptionError
+
+    for page, (_, offset, nbytes) in zip(pages, target.spec.layout.extents()):
+        view = memoryview(target.buf)[offset:offset + nbytes]
+        try:
+            with open(page.path, "rb", buffering=0) as handle:
+                read = handle.readinto(view)
+            if read != nbytes:
+                raise StoreCorruptionError(
+                    f"short read from store page {page.path}: got {read} "
+                    f"of {nbytes} bytes (page changed after validation?)"
+                )
+        finally:
+            view.release()
 
 
 class JoinSession:
-    """Long-lived context amortising parallel-join setup across joins.
+    """Owner of the tile executor's worker pool and shared segments.
 
     See the module docstring for the model.  All state lives in the
     creating process; worker processes stay stateless.  Cache, pool and
-    telemetry mutation is guarded by a reentrant lock and :meth:`join`
-    holds it end-to-end, so a session can be handed between threads (the
-    :class:`repro.service.JoinService` executor does) and still runs
-    exactly one join at a time — concurrency comes from a *pool* of
-    sessions, not from sharing one.
+    telemetry mutation is guarded by a reentrant lock, and the executor
+    holds it for a whole join, so a session can be handed between
+    threads (the :class:`repro.service.JoinService` executor does) and
+    still runs exactly one join at a time — concurrency comes from a
+    *pool* of sessions, not from sharing one.  The segment cache has no
+    bound: segments live until :meth:`close`.
     """
 
     def __init__(
         self,
         config: Optional[JoinConfig] = None,
         workers: Optional[int] = None,
-        max_cache_bytes: Optional[int] = None,
     ):
         config = config or JoinConfig()
         if workers is not None:
             config = replace(config, workers=workers)
-        if config.session is not None:
-            # A session's default config must not point at another
-            # session (or itself) — joins run inside *this* one.
-            config = replace(config, session=None)
-        if max_cache_bytes is not None and max_cache_bytes < 0:
-            raise ValueError(
-                f"max_cache_bytes must be >= 0, got {max_cache_bytes}"
-            )
         self.config = config
-        #: byte bound of the segment cache (None = unbounded).
-        self.max_cache_bytes = max_cache_bytes
         #: serialises joins and cache/pool mutation across threads: a
         #: session runs **one join at a time** — concurrency comes from
         #: using several sessions (see :mod:`repro.service`).  Reentrant
         #: because the executor calls back into :meth:`pool` /
-        #: :meth:`lease_segments` while :meth:`join` holds the lock.
+        #: :meth:`ship` while it holds the lock.
         self._lock = threading.RLock()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers = 0
         self._pool_kernels: Optional[str] = None
-        #: fingerprint -> segment, least-recently-joined first.
-        self._segments: "OrderedDict[str, SharedRelationSegment]" = (
-            OrderedDict()
-        )
-        #: fingerprints pinned by in-flight joins (lease reference counts).
-        self._leased: Dict[str, int] = {}
+        #: fingerprint -> segment.
+        self._segments: Dict[str, SharedRelationSegment] = {}
         self._closed = False
         #: telemetry, cumulative over the session's lifetime.
         self.joins_run = 0
         self.segment_cache_hits = 0
         self.segment_cache_misses = 0
-        self.segment_cache_evictions = 0
         self.pools_created = 0
         #: segments populated from persistent-store pages
         #: (:meth:`warm_from_store`) and the bytes they streamed in.
         self.store_loads = 0
         self.store_load_bytes = 0
         #: approximation blocks, counted apart from the ring segments
-        #: above: found beside a leased segment / placed there by a
+        #: above: found beside a cached segment / placed there by a
         #: join, and streamed in from store sidecars.
         self.approx_cache_hits = 0
         self.approx_cache_misses = 0
@@ -297,8 +187,7 @@ class JoinSession:
             self._pool_kernels = None
             if pool is not None:
                 pool.shutdown(wait=True)
-            segments, self._segments = self._segments, OrderedDict()
-            self._leased = {}
+            segments, self._segments = self._segments, {}
             for segment in segments.values():
                 segment.close()
 
@@ -329,21 +218,15 @@ class JoinSession:
         sessionless :func:`~repro.core.parallel_exec.parallel_partitioned_join`
         — only the resource lifecycle differs.
 
-        Thread-safe: the session lock is held for the whole join, so a
-        session handed between threads (the :mod:`repro.service`
-        executor does this) runs one join at a time and its cache/pool
-        state never interleaves mid-join.
+        Thread-safe: the executor holds the session lock for the whole
+        join, so a session handed between threads (the
+        :mod:`repro.service` executor does this) runs one join at a
+        time and its cache/pool state never interleaves mid-join.
         """
-        with self._lock:
-            self._ensure_open()
-            cfg = config or self.config
-            if workers is not None:
-                cfg = replace(cfg, workers=workers)
-            if cfg.session is not None:
-                cfg = replace(cfg, session=None)
-            return parallel_partitioned_join(
-                relation_a, relation_b, grid=grid, config=cfg, session=self
-            )
+        return parallel_partitioned_join(
+            relation_a, relation_b, grid=grid, config=config or self.config,
+            workers=workers, session=self,
+        )
 
     # -- pooled resources ---------------------------------------------------
 
@@ -404,40 +287,61 @@ class JoinSession:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
-    def segment_for(
-        self, relation: SpatialRelation
-    ) -> Tuple[SharedRelationSegment, bool]:
-        """The cached shared segment for the relation's current content.
-
-        Returns ``(segment, reused)``: ``reused`` is False exactly when
-        this call copied the relation's ring columns into a fresh
-        segment.  The segment's lifecycle belongs to the session — do
-        not close it; it is unlinked by LRU eviction, :meth:`evict` or
-        :meth:`close`.  (The executor uses :meth:`lease_segments`
-        instead, which additionally pins the segments for the join's
-        duration.)
-        """
-        with self._lock:
-            self._ensure_open()
-            fingerprint = relation.columnar().fingerprint
-            segment, reused = self._acquire(relation, fingerprint)
-            self._evict_to_bound(protect=frozenset((fingerprint,)))
-            return segment, reused
-
-    def lease_segments(
+    def ship(
         self, relations: Sequence[SpatialRelation], kinds: Sequence[str] = ()
-    ) -> SegmentLease:
-        """Acquire (and pin) the segments of one join's relations.
+    ) -> Tuple[List[SharedRelationSegment], Dict[str, int]]:
+        """The segments of one join's relations, cached or freshly shipped.
 
         ``kinds`` are the approximation kinds the join reads; their
         stored columns are placed beside each relation's ring segment
-        (once per fingerprint and kind) under the same lease.  The
-        returned :class:`SegmentLease` keeps the fingerprints safe
-        from LRU eviction until :meth:`SegmentLease.release` — call it
-        in a ``finally`` once the join's outcomes are merged.
+        (once per fingerprint and kind).  Returns the segments in
+        ``relations`` order and the join's counters, keyed by their
+        :class:`~repro.core.parallel_exec.ParallelPartitionedJoinResult`
+        field names.  The segments belong to the session: they are
+        unlinked by :meth:`close`.
         """
-        self._ensure_open()
-        return SegmentLease(self, relations, kinds)
+        counters = dict.fromkeys(
+            (
+                "segment_cache_hits", "segment_cache_misses",
+                "shared_payload_bytes", "reused_payload_bytes",
+                "approx_cache_hits", "approx_cache_misses",
+                "approx_payload_bytes",
+            ),
+            0,
+        )
+        segments: List[SharedRelationSegment] = []
+        with self._lock:
+            self._ensure_open()
+            for relation in relations:
+                segment, reused = self._acquire(relation)
+                segments.append(segment)
+                if reused:
+                    counters["segment_cache_hits"] += 1
+                    counters["reused_payload_bytes"] += segment.nbytes
+                else:
+                    counters["segment_cache_misses"] += 1
+                    counters["shared_payload_bytes"] += segment.nbytes
+                hits, misses, shipped = segment.ensure_approx(relation, kinds)
+                counters["approx_cache_hits"] += hits
+                counters["approx_cache_misses"] += misses
+                counters["approx_payload_bytes"] += shipped
+            self.approx_cache_hits += counters["approx_cache_hits"]
+            self.approx_cache_misses += counters["approx_cache_misses"]
+        return segments, counters
+
+    def _acquire(
+        self, relation: SpatialRelation
+    ) -> Tuple[SharedRelationSegment, bool]:
+        """Cache lookup/insert: ``(segment, reused)``."""
+        fingerprint = relation.columnar().fingerprint
+        segment = self._segments.get(fingerprint)
+        if segment is not None:
+            self.segment_cache_hits += 1
+            return segment, True
+        segment = SharedRelationSegment(relation)
+        self._segments[fingerprint] = segment
+        self.segment_cache_misses += 1
+        return segment, False
 
     # -- persistent-store warm-up -------------------------------------------
 
@@ -445,7 +349,6 @@ class JoinSession:
         self,
         store,
         fingerprints: Optional[Iterable[str]] = None,
-        io_workers: int = 4,
     ) -> Dict[str, str]:
         """Populate the segment cache straight from persistent-store pages.
 
@@ -453,16 +356,14 @@ class JoinSession:
         already cached, an uninitialised shared segment is allocated
         (:meth:`SharedRelationSegment.allocate`) and the relation's ring
         pages from ``store`` (a
-        :class:`~repro.datasets.store.RelationStore`) are streamed
-        directly into its buffer — ``readinto`` on the raw page files,
-        no WKT parsing, no :func:`~repro.datasets.columnar.pack_rings`,
-        no digesting.  Every approximation sidecar the store holds for
-        the relation is streamed into a block beside it the same way
-        (``approx_store_loads``), so the first join of a warmed
-        relation finds its approximation blocks too.  Page reads run
-        concurrently on a small thread pool (``io_workers``;
-        ``readinto`` releases the GIL, so the reads genuinely overlap),
-        across columns *and* relations.
+        :class:`~repro.datasets.store.RelationStore`) are read directly
+        into its buffer, one page after another — ``readinto`` on the
+        raw page files, no WKT parsing, no
+        :func:`~repro.datasets.columnar.pack_rings`, no digesting.  Every
+        approximation sidecar the store holds for the relation is read
+        into a block beside it the same way (``approx_store_loads``), so
+        the first join of a warmed relation finds its approximation
+        blocks too.
 
         Returns ``{fingerprint: "loaded" | "cached"}``.  ``fingerprints``
         defaults to everything in the store.  On any failure all freshly
@@ -472,9 +373,9 @@ class JoinSession:
         and short reads fail here).
 
         A later :meth:`join` whose relation content matches a warmed
-        fingerprint ships zero bytes: the lease finds the segment in the
-        cache (a ``segment_cache_hit``), exactly as if a previous join
-        had shipped it.  Warm loads are counted separately
+        fingerprint ships zero bytes: it finds the segment in the cache
+        (a ``segment_cache_hit``), exactly as if a previous join had
+        shipped it.  Warm loads are counted separately
         (``store_loads`` / ``store_load_bytes``) so warm-start wins stay
         observable in :meth:`stats`.
         """
@@ -486,14 +387,12 @@ class JoinSession:
                 else store.fingerprints()
             )
             report: Dict[str, str] = {}
-            fresh: "OrderedDict[str, SharedRelationSegment]" = OrderedDict()
-            jobs: List[Tuple[object, SharedColumns, int, int]] = []
+            fresh: Dict[str, SharedRelationSegment] = {}
             try:
                 for fingerprint in wanted:
                     if fingerprint in report:
                         continue
                     if fingerprint in self._segments:
-                        self._segments.move_to_end(fingerprint)
                         report[fingerprint] = "cached"
                         continue
                     stored = store.load(fingerprint)
@@ -503,26 +402,16 @@ class JoinSession:
                     )
                     fresh[fingerprint] = segment
                     report[fingerprint] = "loaded"
-                    jobs += _stream_jobs(ring_pages, segment.rings)
+                    _stream_pages(ring_pages, segment.rings)
                     for kind in stored.approx_kinds():
                         pages = stored.approx_pages(kind)
                         if pages is not None:
                             block = segment.allocate_approx(
                                 kind, _pages_layout(pages)
                             )
-                            jobs += _stream_jobs(pages, block)
-                if len(jobs) > 1 and io_workers > 1:
-                    with ThreadPoolExecutor(
-                        max_workers=min(io_workers, len(jobs))
-                    ) as io_pool:
-                        # list() re-raises the first worker exception.
-                        list(io_pool.map(_stream_page, jobs))
-                else:
-                    for job in jobs:
-                        _stream_page(job)
+                            _stream_pages(pages, block)
             except BaseException:
-                for fingerprint, segment in fresh.items():
-                    report.pop(fingerprint, None)
+                for segment in fresh.values():
                     segment.close()
                 raise
             for fingerprint, segment in fresh.items():
@@ -531,71 +420,7 @@ class JoinSession:
                 self.store_load_bytes += segment.nbytes
                 self.approx_store_loads += len(segment.approx)
                 self.approx_store_load_bytes += segment.approx_nbytes
-            self._evict_to_bound(protect=frozenset(fresh))
             return report
-
-    def _acquire(
-        self, relation: SpatialRelation, fingerprint: str
-    ) -> Tuple[SharedRelationSegment, bool]:
-        """Cache lookup/insert without applying the byte bound."""
-        segment = self._segments.get(fingerprint)
-        if segment is not None:
-            self._segments.move_to_end(fingerprint)
-            self.segment_cache_hits += 1
-            return segment, True
-        segment = SharedRelationSegment(relation)
-        self._segments[fingerprint] = segment
-        self.segment_cache_misses += 1
-        return segment, False
-
-    def _evict_to_bound(self, protect: frozenset = frozenset()) -> None:
-        """Unlink least-recently-joined segments until the cache fits.
-
-        Leased (in-flight) and explicitly protected fingerprints are
-        never victims; if only those remain, the cache is allowed to
-        exceed the bound until the leases release.
-        """
-        if self.max_cache_bytes is None:
-            return
-        while self.cached_segment_bytes > self.max_cache_bytes:
-            victim = next(
-                (
-                    fingerprint
-                    for fingerprint in self._segments
-                    if fingerprint not in protect
-                    and fingerprint not in self._leased
-                ),
-                None,
-            )
-            if victim is None:
-                return
-            self._segments.pop(victim).close()
-            self.segment_cache_evictions += 1
-
-    def evict(self, relation: SpatialRelation) -> bool:
-        """Unlink the cached segment of this relation's current content.
-
-        Returns True when a segment was cached (and is now gone); use
-        it to bound the cache when a relation will not be joined again.
-
-        A fingerprint pinned by an in-flight join's
-        :class:`SegmentLease` is **refused** (returns False): unlinking
-        it would pull shared memory out from under live tile tasks.
-        (An earlier version popped and closed the segment regardless of
-        leases — an explicit evict racing a join could corrupt it.)
-        Call again once the join has finished if the segment should
-        still go.
-        """
-        with self._lock:
-            self._ensure_open()
-            fingerprint = relation.columnar().fingerprint
-            if fingerprint in self._leased:
-                return False
-            segment = self._segments.pop(fingerprint, None)
-            if segment is None:
-                return False
-            segment.close()
-            return True
 
     # -- telemetry ----------------------------------------------------------
 
@@ -625,12 +450,11 @@ class JoinSession:
         The observable record of warm-start wins: cache ``hits`` count
         joins that shipped zero redundant bytes, ``store_loads`` /
         ``store_load_bytes`` count segments streamed from persistent
-        store pages (:meth:`warm_from_store`), ``evictions`` count
-        byte-bound LRU victims — all of them ring segments.  The
-        ``approx_*`` counters say the same about approximation blocks
-        (found beside a leased segment, placed there by a join,
-        streamed from store sidecars); ``cached_segment_bytes`` is
-        what the byte bound applies to, rings and blocks together.
+        store pages (:meth:`warm_from_store`) — all of them ring
+        segments.  The ``approx_*`` counters say the same about
+        approximation blocks (found beside a cached segment, placed
+        there by a join, streamed from store sidecars);
+        ``cached_segment_bytes`` counts rings and blocks together.
         The service status endpoint aggregates these across its
         session pool.
         """
@@ -639,7 +463,6 @@ class JoinSession:
                 "joins_run": self.joins_run,
                 "segment_cache_hits": self.segment_cache_hits,
                 "segment_cache_misses": self.segment_cache_misses,
-                "segment_cache_evictions": self.segment_cache_evictions,
                 "store_loads": self.store_loads,
                 "store_load_bytes": self.store_load_bytes,
                 "approx_cache_hits": self.approx_cache_hits,
@@ -651,10 +474,6 @@ class JoinSession:
                 "cached_segment_bytes": self.cached_segment_bytes,
                 "cached_approx_bytes": self.cached_approx_bytes,
             }
-
-    def _note_join(self) -> None:
-        with self._lock:
-            self.joins_run += 1
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

@@ -26,8 +26,8 @@ out exactly like one shared-memory segment's interior
 (:class:`repro.core.parallel_exec.SegmentLayout`), so a restarted
 :class:`~repro.core.session.JoinSession` can warm its segment cache by
 streaming the page files straight into shared memory
-(:meth:`JoinSession.warm_from_store`, I/O-parallel across a thread
-pool) without ever materialising Python geometry.
+(:meth:`JoinSession.warm_from_store`, one ``readinto`` per page) without
+ever materialising Python geometry.
 
 The directory name, the manifest, and the page bytes are all keyed by
 the relation's content fingerprint
@@ -138,7 +138,7 @@ class StoreCorruptionError(StoreError):
 
 
 class PageFile(NamedTuple):
-    """One column page on disk: what an I/O-parallel loader streams."""
+    """One column page on disk: what the session's warm loader streams."""
 
     column: str
     path: Path

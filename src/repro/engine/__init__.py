@@ -124,9 +124,9 @@ The compiled kernel tier — one semantics, three backends
     the three per-batch kernels (ragged edge pairs, ragged edge
     distance, point-in-polygon) from ``geometry/_ckernels.c``, built
     with the local compiler on first use and cached per source hash —
-    pools build and load it in the parent before forking
-    (:meth:`repro.core.session.JoinSession.pool` and one-shot pools
-    alike), so workers inherit the library and
+    the pool builds and loads it in the parent before forking
+    (:meth:`repro.core.session.JoinSession.pool`, the only place a
+    worker pool is created), so workers inherit the library and
     :func:`repro.core.parallel_exec._warm_worker_kernels` only loads;
     ``python`` runs the loop-form twins of every kernel, the readable
     reference the C file transliterates; ``auto`` (the default) picks
@@ -280,36 +280,27 @@ Tile dispatch — largest first
     exception surfaces as ``TileExecutionError`` naming the failed
     tile.
 
-Join sessions — amortising setup across repeated joins
-    A one-shot ``parallel_partitioned_join`` forks a fresh pool and
-    ships fresh shared segments every call.  Serving workloads wrap
-    joins in a :class:`repro.core.session.JoinSession` instead: the
-    session owns a persistent worker pool (forked once per worker
-    count, reused by every later join, transparently replaced if
-    broken) and a shared-segment cache keyed by relation fingerprint
-    (a content digest of the packed ring columns), so repeated joins
-    of the same relations ship **zero** redundant bytes
-    (``result.shared_payload_bytes == 0`` warm).  Approximation blocks
-    are cached under the same fingerprint, one per kind, added when a
-    join first reads the kind and leased, byte-accounted, evicted and
-    unlinked together with the relation's ring segment; they have
-    their own counters (``approx_cache_hits`` / ``approx_cache_misses``
-    on the result and in ``JoinSession.stats()``), so the segment
-    counters keep counting ring payloads only.  Reuse a session
-    whenever the same relations are joined more than once — under
-    different predicates, engines, grids, or partners; create one-shot
-    joins only for one-off queries.  The cache holds segments until
-    ``evict()``/``close()``, or — for long-lived serving sessions
-    joining ever-changing relations —
-    ``JoinSession(max_cache_bytes=N)`` bounds it: segments of the
-    least recently *joined* relations are evicted (and unlinked)
-    first once the byte bound is exceeded, the running join's own
-    segments are leased and never evicted mid-flight, and
-    ``segment_cache_evictions`` counts what the bound cost
-    (``tests/test_session_cache.py`` pins the lifecycle).  Either
-    way the session is a context manager and leaves
-    ``live_shared_segments()`` empty on close, the same leak-free
-    guarantee as the one-shot path.
+Join sessions — the one owner of pools and segments
+    A :class:`repro.core.session.JoinSession` owns every worker pool
+    and every shared segment the tile executor uses: a persistent
+    worker pool (forked once per worker count, reused by every later
+    join, transparently replaced if broken) and a shared-segment cache
+    keyed by relation fingerprint (a content digest of the packed ring
+    columns), so repeated joins of the same relations ship **zero**
+    redundant bytes (``result.shared_payload_bytes == 0`` warm).  A
+    ``parallel_partitioned_join`` call without a session runs in a
+    private session that forks its pool and ships its segments for
+    that one call and closes before the call returns.  Approximation
+    blocks are cached under the same fingerprint, one per kind, added
+    when a join first reads the kind and unlinked together with the
+    relation's ring segment; they have their own counters
+    (``approx_cache_hits`` / ``approx_cache_misses`` on the result and
+    in ``JoinSession.stats()``), so the segment counters keep counting
+    ring payloads only.  Reuse a session whenever the same relations
+    are joined more than once — under different predicates, engines,
+    grids, or partners.  The cache has no bound: segments live until
+    ``close()``, and the session is a context manager that leaves
+    ``live_shared_segments()`` empty on close.
     ``benchmarks/bench_session.py`` measures first-join vs warm-join
     latency (``benchmarks/reports/session.txt``).
 
@@ -346,9 +337,9 @@ The persistent storage tier — warm starts that survive restarts
     and sidecar pages mirror the segment layouts, a restarted session
     warms its segment cache by *streaming the files straight into
     shared memory*
-    (:meth:`~repro.core.session.JoinSession.warm_from_store`, an
-    I/O-parallel ``readinto`` loop over a thread pool — the GIL is
-    released for the copies), and a warmed service answers its first
+    (:meth:`~repro.core.session.JoinSession.warm_from_store`, one
+    ``readinto`` per page file, page after page), and a warmed
+    service answers its first
     join of a stored relation as a segment-cache hit with its
     approximation blocks already in place.  The store front
     doors: ``python -m repro store pack/ls/rm`` manages a store,

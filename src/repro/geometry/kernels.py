@@ -62,10 +62,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import logging
 import os
-import platform
-import subprocess
 import sys
 import tempfile
 import time
@@ -75,8 +72,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import fastops as _fastops
-
-_LOG = logging.getLogger(__name__)
 
 #: valid values of ``JoinConfig.kernels``.
 KERNEL_BACKENDS = ("auto", "numpy", "c", "python")
@@ -139,7 +134,9 @@ def resolve_backend(name: str = "auto") -> str:
 def _auto_backend() -> str:
     library, error = _c_library()
     if library is None:
-        _LOG.warning(
+        import logging  # only the fallback warning needs it
+
+        logging.getLogger(__name__).warning(
             "C kernels unavailable, kernels='auto' falls back to numpy: %s",
             error,
         )
@@ -181,7 +178,7 @@ def _cache_dirs() -> Tuple[Path, ...]:
 
 def _library_name() -> str:
     """File name of the built library: a hash of source, flags, platform."""
-    tag = f"{sys.platform}-{platform.machine()}"
+    tag = f"{sys.platform}-{os.uname().machine}"
     digest = hashlib.sha256(
         _C_SOURCE.read_bytes() + " ".join((*_C_FLAGS, tag)).encode()
     ).hexdigest()[:16]
@@ -224,7 +221,10 @@ def _build_library(path: Path) -> None:
     (its last stderr line is the message) and ``OSError`` when
     ``path``'s directory is not writable.
     """
+    # Only a compile needs these; a cached library loads without them.
+    import logging
     import shlex
+    import subprocess
     import sysconfig
 
     compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
@@ -254,7 +254,7 @@ def _build_library(path: Path) -> None:
     finally:
         if os.path.exists(temp):
             os.unlink(temp)
-    _LOG.debug("built the C kernels into %s", path)
+    logging.getLogger(__name__).debug("built the C kernels into %s", path)
 
 
 def _open_library(path: Path) -> Optional[ctypes.CDLL]:

@@ -30,6 +30,12 @@ a session therefore never runs two joins at once (its lock enforces
 this independently), and process-level parallelism stays where it
 belongs, inside each session's worker pool.
 
+The sessions own every worker pool and shared segment the service
+uses, and their caches have no bound: :meth:`JoinService.close` drains
+in-flight executions and closes every session, which shuts its pool
+down and unlinks its segments.  ``repro serve`` closes the service on
+SIGINT and on SIGTERM (:func:`~repro.service.server.run_server`).
+
 Responses are **byte-identical to serial joins**: execution goes
 through :func:`~repro.core.parallel_exec.parallel_partitioned_join`,
 whose output is proven identical to the serial partitioned join across
@@ -41,9 +47,8 @@ from __future__ import annotations
 
 import asyncio
 import queue
-import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.join import JoinConfig
@@ -115,14 +120,12 @@ class SessionPool:
     as many executor threads as sessions, at most briefly.
     """
 
-    def __init__(self, size: int, config: Optional[JoinConfig] = None,
-                 max_cache_bytes: Optional[int] = None):
+    def __init__(self, size: int, config: Optional[JoinConfig] = None):
         if size < 1:
             raise ValueError(f"session pool size must be >= 1, got {size}")
         self.size = size
         self._sessions: List[JoinSession] = [
-            JoinSession(config=config, max_cache_bytes=max_cache_bytes)
-            for _ in range(size)
+            JoinSession(config=config) for _ in range(size)
         ]
         self._free: "queue.Queue[JoinSession]" = queue.Queue()
         for session in self._sessions:
@@ -165,7 +168,6 @@ class JoinService:
         max_pending: int = 32,
         result_cache_entries: int = 256,
         request_timeout: Optional[float] = None,
-        max_cache_bytes: Optional[int] = None,
         store_dir: Optional[str] = None,
         execute_hook: Optional[Callable[[object], None]] = None,
     ):
@@ -185,9 +187,7 @@ class JoinService:
             RelationStore(store_dir) if store_dir is not None else None
         )
         self.telemetry = ServiceTelemetry()
-        self._pool = SessionPool(
-            sessions, config=self.config, max_cache_bytes=max_cache_bytes
-        )
+        self._pool = SessionPool(sessions, config=self.config)
         # Lazy import keeps concurrent.futures out of the hot path
         # modules; thread count == session count so every running
         # execution owns a session without waiting.
@@ -285,8 +285,8 @@ class JoinService:
 
     def session_stats(self) -> Dict[str, int]:
         """Pool-wide session telemetry: the sum of every session's
-        :meth:`JoinSession.stats` (segment cache hits/misses/evictions,
-        store loads and bytes, pools forked, live cached segments)."""
+        :meth:`JoinSession.stats` (segment cache hits/misses, store
+        loads and bytes, pools forked, live cached segments)."""
         totals: Dict[str, int] = {}
         for session in self._pool.sessions:
             for key, value in session.stats().items():
@@ -408,13 +408,10 @@ class JoinService:
         raise BadRequestError(f"unknown request type {type(request).__name__}")
 
     def _execute_join(self, request: JoinRequest) -> JoinResponse:
-        config = request.config
-        if config.session is not None:
-            config = replace(config, session=None)
         session = self._pool.checkout()
         try:
             result = session.join(
-                request.relation_a, request.relation_b, config=config
+                request.relation_a, request.relation_b, config=request.config
             )
         finally:
             self._pool.checkin(session)

@@ -44,6 +44,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
+import threading
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, Optional
 
@@ -108,9 +111,7 @@ def _join_config_from_payload(payload: Dict, base: JoinConfig) -> JoinConfig:
             progressive=payload.get("progressive", base.filter.progressive),
         )
     try:
-        from dataclasses import replace
-
-        return replace(base, session=None, **kwargs)
+        return replace(base, **kwargs)
     except (ValueError, TypeError) as exc:
         raise BadRequestError(str(exc)) from exc
 
@@ -349,14 +350,32 @@ async def run_server(
     service: JoinService, host: str, port: int,
     ready: Optional[Callable[["JoinServiceServer"], None]] = None,
 ) -> None:
-    """Start a server and serve until cancelled (the CLI entry point)."""
+    """Start a server and serve until cancelled or signalled.
+
+    On the main thread, SIGINT and SIGTERM stop the server the same
+    way, whatever disposition the process inherited (a SIGINT inherited
+    as ignored would otherwise leave no way to stop it but SIGKILL):
+    the server and its service close, the sessions unlink their shared
+    segments, and the call returns normally.
+    """
     server = JoinServiceServer(service, host=host, port=port)
     await server.start()
     if ready is not None:
         ready(server)
+    serving = asyncio.ensure_future(server.serve_forever())
+    loop = asyncio.get_running_loop()
+    signals = (
+        (signal.SIGINT, signal.SIGTERM)
+        if threading.current_thread() is threading.main_thread()
+        else ()
+    )
+    for signum in signals:
+        loop.add_signal_handler(signum, serving.cancel)
     try:
-        await server.serve_forever()
+        await serving
     except asyncio.CancelledError:
         pass
     finally:
         await server.close()
+        for signum in signals:
+            loop.remove_signal_handler(signum)

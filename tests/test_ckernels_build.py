@@ -175,6 +175,32 @@ class TestCache:
         ]
 
 
+class TestLazyImports:
+    """A cached library loads without the modules only a build needs."""
+
+    def test_library_name_is_tagged_with_the_machine(self):
+        tag = f"{sys.platform}-{os.uname().machine}"
+        assert kernels._library_name().endswith(f"-{tag}.so")
+
+    def test_cached_library_loads_without_build_modules(self, cache_dir):
+        kernels._build_library(cache_dir / kernels._library_name())
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from repro.geometry import kernels\n"
+            "kernels._cache_dirs = lambda: (Path(sys.argv[1]),)\n"
+            "print(kernels.warm_up('c'))\n"
+            "print(sorted({'subprocess', 'logging'} & set(sys.modules)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(cache_dir)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[:2] == ["c", "[]"]
+
+
 class TestArgumentChecks:
     """The C kernels index raw buffers: bad rows must raise, not read
     out of bounds (the numpy oracle raises ``IndexError`` on them too)."""

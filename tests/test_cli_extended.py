@@ -385,6 +385,7 @@ class TestArgumentErrors:
         ["store", "rm", "{missing}", "abc"],
         ["join", "store:a", "store:b", "--store-dir", "{missing}"],
         ["join-batch", "store:a", "store:b", "--store-dir", "{missing}"],
+        ["serve", "--port", "0", "--store-dir", "{missing}"],
     ])
     def test_missing_store_dir_is_not_created(self, tmp_path, capsys,
                                               command):

@@ -279,24 +279,10 @@ class TestKValidation:
             knn_query_exact(tree, (0.5, 0.5), k, [])
 
 
-def test_non_session_session_rejected():
-    with pytest.raises(ValueError, match="session"):
-        JoinConfig(session=42)
-
-
-def test_session_config_composes_with_parallel_pickle_check():
-    """A live session never ships to workers: the probe strips it."""
-    import pickle
-    from dataclasses import replace
-
-    from repro.core.session import JoinSession
-
-    with JoinSession() as session:
-        config = JoinConfig(workers=2, session=session)
-        assert config.session is session
-        # What actually crosses the process boundary is picklable.
-        wire = replace(config, session=None)
-        assert pickle.loads(pickle.dumps(wire)) == wire
+def test_session_field_removed():
+    """Sessions are passed to the executor, never carried by a config."""
+    with pytest.raises(TypeError):
+        JoinConfig(session=None)
 
 
 @pytest.mark.parametrize("workers", (0, -1, -8))

@@ -20,6 +20,7 @@ import pytest
 
 from helpers import random_relation_pair
 from repro.datasets.io import save_relation
+from repro.geometry.kernels import resolve_backend
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -53,6 +54,11 @@ OFF_PATH = (
     "repro.approximations.quality",
 )
 
+#: Standard-library modules only a kernel build or its fallback warning
+#: needs.  A serial join whose C library is already cached loads none of
+#: them.  (``platform`` would belong here too, but numpy imports it.)
+BUILD_ONLY = ("subprocess", "logging")
+
 _CHILD = """
 import contextlib, io, json, sys
 import repro.cli
@@ -64,7 +70,8 @@ print(json.dumps({
     "exit": code,
     "modules": sorted(m for m in sys.modules
                       if m.split(".")[0] in ("repro", "scipy")
-                      or m in ("multiprocessing", "concurrent.futures")),
+                      or m in ("multiprocessing", "concurrent.futures",
+                               "subprocess", "logging")),
 }))
 """
 
@@ -96,6 +103,8 @@ def stored_pair(tmp_path_factory):
     assert done.returncode == 0, done.stderr
     refs = ["store:" + line.rsplit("-> ", 1)[1]
             for line in done.stdout.splitlines()]
+    # Build (or find) the cached C library here, so no child compiles.
+    resolve_backend("auto")
     return refs, store_dir
 
 
@@ -117,6 +126,9 @@ def test_serial_stored_join_loads_only_the_join_path(stored_pair, engine):
                      "--engine", engine, "--pairs"])
     assert report["exit"] == 0
     _assert_off_path_unloaded(report)
+    if resolve_backend("auto") == "c":
+        loaded = [m for m in BUILD_ONLY if m in report["modules"]]
+        assert loaded == [], loaded
 
 
 @pytest.mark.parallel

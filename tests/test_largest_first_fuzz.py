@@ -46,10 +46,10 @@ def test_workers_1_runs_tasks_largest_first(monkeypatch, partitioner, seed):
         exact_method="vectorized", partitioner=partitioner, target_tasks=8,
         grid=(3, 3),
     )
-    tasks, _, shipment = parallel_exec.plan_columnar_tile_tasks(
+    tasks, _, session = parallel_exec.plan_columnar_tile_tasks(
         rel_a, rel_b, config.grid, config
     )
-    shipment.close()
+    session.close()
     cost = {task.tile: task.idx_a.size * task.idx_b.size for task in tasks}
     plan_order = [task.tile for task in tasks]
     # Python's sort is stable with reverse=True too: ties keep plan order.

@@ -1,8 +1,9 @@
 """Shared-memory lifecycle of the columnar wire format.
 
-The parent owns the segments: it creates them before dispatch and must
-unlink them whatever happens afterwards — success, a worker blowing up,
-or a KeyboardInterrupt mid-join.  These tests track segment names
+The parent's session owns the segments: a sessionless join opens a
+private session, which creates them before dispatch and must unlink
+them whatever happens afterwards — success, a worker blowing up, or a
+KeyboardInterrupt mid-join.  These tests track segment names
 through :func:`repro.core.parallel_exec.live_shared_segments` and by
 attempting to re-attach after the join: a FileNotFoundError proves the
 ``/dev/shm`` entry is gone.
@@ -19,11 +20,12 @@ from helpers import random_relation_pair
 from repro.core import parallel_exec
 from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import (
-    ColumnarShipment,
+    SharedRelationSegment,
     TileExecutionError,
     live_shared_segments,
     parallel_partitioned_join,
 )
+from repro.core.session import JoinSession
 
 pytestmark = pytest.mark.parallel
 
@@ -34,15 +36,15 @@ def _config(**overrides) -> JoinConfig:
 
 
 def _capture_segments(monkeypatch):
-    """Record every segment name any ColumnarShipment creates."""
+    """Record every ring segment name any SharedRelationSegment creates."""
     created = []
-    original = ColumnarShipment.__init__
+    original = SharedRelationSegment.__init__
 
-    def spy(self, relations):
-        original(self, relations)
-        created.extend(self.segment_names)
+    def spy(self, relation):
+        original(self, relation)
+        created.append(self.rings.spec.shm_name)
 
-    monkeypatch.setattr(ColumnarShipment, "__init__", spy)
+    monkeypatch.setattr(SharedRelationSegment, "__init__", spy)
     return created
 
 
@@ -56,19 +58,20 @@ def _assert_all_unlinked(names):
             shared_memory.SharedMemory(name=name)
 
 
-def test_shipment_create_exposes_and_close_unlinks():
+def test_session_ship_exposes_and_close_unlinks():
     rel_a, rel_b = random_relation_pair(401, n_objects=6)
-    shipment = ColumnarShipment((rel_a, rel_b))
-    names = shipment.segment_names
-    assert len(names) == 2
+    session = JoinSession()
+    segments, counters = session.ship((rel_a, rel_b))
+    names = [segment.rings.spec.shm_name for segment in segments]
+    assert len(set(names)) == 2
     assert set(names) <= live_shared_segments()
-    assert shipment.total_bytes > 0
+    assert counters["shared_payload_bytes"] > 0
     # While open, anyone may attach by name.
     probe = shared_memory.SharedMemory(name=names[0])
     probe.close()
-    shipment.close()
+    session.close()
     _assert_all_unlinked(names)
-    shipment.close()  # idempotent
+    session.close()  # idempotent
 
 
 def test_segments_unlinked_on_success(monkeypatch):
@@ -164,10 +167,10 @@ def test_tile_failure_attribution_is_exact(monkeypatch, workers):
     in-process and on a pool."""
     rel_a, rel_b = random_relation_pair(408, n_objects=10)
     config = _config()
-    tasks, _, shipment = parallel_exec.plan_columnar_tile_tasks(
+    tasks, _, session = parallel_exec.plan_columnar_tile_tasks(
         rel_a, rel_b, (3, 3), config
     )
-    shipment.close()
+    session.close()
     assert len(tasks) >= 2, "need at least two joinable tiles"
     target = tasks[1].tile
     monkeypatch.setattr(sys.modules[__name__], "_CRASH_TILE", target)
@@ -183,7 +186,7 @@ def test_tile_failure_attribution_is_exact(monkeypatch, workers):
     _assert_all_unlinked(created)
 
 
-def test_columnar_tasks_and_outcomes_are_picklable():
+def test_columnar_tasks_and_outcomes_are_picklable(monkeypatch):
     """The columnar IPC contract: tasks round-trip while segments live."""
     import pickle
 
@@ -193,10 +196,10 @@ def test_columnar_tasks_and_outcomes_are_picklable():
     )
 
     rel_a, rel_b = random_relation_pair(406, n_objects=10)
-    tasks, partitions, shipment = plan_columnar_tile_tasks(
+    created = _capture_segments(monkeypatch)
+    tasks, partitions, session = plan_columnar_tile_tasks(
         rel_a, rel_b, (3, 3), _config()
     )
-    names = list(shipment.segment_names)
     try:
         assert tasks, "generator produced no joinable tiles"
         assert len(partitions) == 9
@@ -211,5 +214,5 @@ def test_columnar_tasks_and_outcomes_are_picklable():
             assert again.tile == task.tile
             assert again.id_pairs == outcome.id_pairs
     finally:
-        shipment.close()
-    _assert_all_unlinked(names)
+        session.close()
+    _assert_all_unlinked(created)

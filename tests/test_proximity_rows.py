@@ -147,14 +147,14 @@ def test_distance_pretest_keeps_pairs_exactly_at_epsilon():
 
 def _run_tasks(rel_a, rel_b, config, around=nullcontext()):
     """Every task of the config's plan, run here (inside ``around``)."""
-    tasks, _, shipment = plan_columnar_tile_tasks(
+    tasks, _, session = plan_columnar_tile_tasks(
         rel_a, rel_b, config.grid, config
     )
     try:
         with around:
             return [run_columnar_tile_task(task) for task in tasks]
     finally:
-        shipment.close()
+        session.close()
 
 
 def _run_plan(rel_a, rel_b, config):

@@ -14,7 +14,7 @@ executions so counters can be asserted exactly.
 
 import asyncio
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -68,9 +68,7 @@ def _relations(seed):
 
 def _oracle(rel_a, rel_b, config):
     """The serial ground truth for one request."""
-    serial = replace(
-        config, workers=1, session=None
-    )
+    serial = replace(config, workers=1)
     result = parallel_partitioned_join(rel_a, rel_b, config=serial)
     return tuple(result.id_pairs()), stats_to_dict(result.stats)
 
@@ -457,6 +455,16 @@ class TestConfigCanonicalization:
             fingerprints.add(fingerprint)
         assert len(fingerprints) == 10  # all pairwise distinct
 
+    def test_execution_only_fields_are_workers_and_kernels(self):
+        """Only the worker count and the kernel backend leave the
+        canonical key; a config carries no session."""
+        from repro.core.join import EXECUTION_ONLY_FIELDS
+
+        assert EXECUTION_ONLY_FIELDS == ("workers", "kernels")
+        variant = JoinConfig(workers=3, kernels="python")
+        assert variant.canonical_key() == JoinConfig().canonical_key()
+        assert "session" not in {f.name for f in fields(JoinConfig)}
+
     def test_kernels_field_is_execution_only(self):
         """The kernel backend can never split the result cache: configs
         differing only in ``kernels`` share one canonical fingerprint."""
@@ -472,10 +480,3 @@ class TestConfigCanonicalization:
         # stripped even though they arrived in the same change.
         assert JoinConfig(epsilon=0.1).fingerprint() != base.fingerprint()
         assert JoinConfig(k=4).fingerprint() != base.fingerprint()
-
-    def test_session_field_is_execution_only(self):
-        from repro.core.session import JoinSession
-
-        with JoinSession() as session:
-            config = JoinConfig(session=session)
-            assert config.fingerprint() == JoinConfig().fingerprint()

@@ -9,7 +9,14 @@ differential guarantee of ``test_service.py``.
 
 import asyncio
 import json
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +32,8 @@ from repro.service.core import JoinService
 from repro.service.server import JoinServiceServer, _join_config_from_payload
 
 pytestmark = pytest.mark.parallel
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -352,14 +361,6 @@ class TestConfigPayload:
         assert config.engine == "batched"
         assert config.grid == (2, 2)
 
-    def test_session_never_leaks_from_base(self):
-        from repro.core.session import JoinSession
-
-        with JoinSession() as session:
-            base = JoinConfig(session=session)
-            config = _join_config_from_payload({"op": "join"}, base)
-            assert config.session is None
-
     def test_filter_toggles_build_filter_config(self):
         base = JoinConfig()
         config = _join_config_from_payload(
@@ -411,3 +412,69 @@ class TestServeCLI:
         from repro.cli import _COMMANDS
 
         assert "serve" in _COMMANDS
+
+
+def _mapped_segments(pid):
+    """Names of the ``/dev/shm`` files process ``pid`` has mapped."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return {
+            line.split("/dev/shm/", 1)[1].split()[0]
+            for line in maps
+            if "/dev/shm/" in line
+        }
+
+
+def _ignore_sigint():
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/<pid>/maps"
+)
+class TestServeSignals:
+    """``repro serve`` stops cleanly on SIGINT and SIGTERM, even when it
+    inherited SIGINT as ignored, and unlinks every shared segment."""
+
+    def _serve_join_then_signal(self, wkt_paths, signum, preexec_fn):
+        _, _, path_a, path_b = wkt_paths
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            env={"PYTHONPATH": SRC, "PATH": ""},
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            preexec_fn=preexec_fn,
+        )
+        try:
+            banner = proc.stdout.readline()
+            port = int(re.search(r":(\d+) ", banner).group(1))
+            with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(json.dumps({
+                    "op": "join", "relation_a": path_a, "relation_b": path_b,
+                }).encode("utf-8") + b"\n")
+                stream.flush()
+                reply = json.loads(stream.readline())
+            assert reply["status"] == "ok", reply
+            segments = _mapped_segments(proc.pid)
+            assert segments, "the join shipped no segments"
+            proc.send_signal(signum)
+            out, _ = proc.communicate(timeout=5)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, out
+        assert "join service stopped" in out
+        assert "leaked" not in out
+        assert not any(os.path.exists(f"/dev/shm/{name}") for name in segments)
+
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_stops_with_sigint_inherited_as_ignored(self, wkt_paths, signum):
+        self._serve_join_then_signal(wkt_paths, signum, _ignore_sigint)
+
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_stops_with_default_sigint(self, wkt_paths, signum):
+        self._serve_join_then_signal(wkt_paths, signum, None)

@@ -180,20 +180,6 @@ def test_session_rejects_joins_after_close():
     session.close()  # idempotent
 
 
-def test_session_evict_unlinks_segment():
-    rel_a, rel_b = _pair(random_relation_pair, 301)
-    with JoinSession(config=_config("intersects", "batched")) as session:
-        session.join(rel_a, rel_b, grid=(2, 2), workers=1)
-        assert session.cached_relations == 2
-        assert session.evict(rel_a) is True
-        assert session.evict(rel_a) is False
-        assert session.cached_relations == 1
-        # The next join re-ships only the evicted relation.
-        result = session.join(rel_a, rel_b, grid=(2, 2), workers=1)
-        assert result.segment_cache_hits == 1
-        assert result.segment_cache_misses == 1
-
-
 def test_sessions_share_segments_across_relation_copies():
     """The cache keys on content fingerprint, not object identity."""
     rel_a, rel_b = _pair(random_relation_pair, 302)
@@ -210,21 +196,20 @@ def test_sessions_share_segments_across_relation_copies():
         assert result.shared_payload_bytes == 0
 
 
-def test_config_session_field_routes_through_session():
-    """JoinConfig(session=...) is honoured by the executor entry point."""
-    from dataclasses import replace
-
+def test_session_argument_routes_through_session():
+    """``parallel_partitioned_join(session=...)`` runs inside that session."""
     from repro.core.parallel_exec import parallel_partitioned_join
 
     rel_a, rel_b = _pair(random_relation_pair, 303)
-    base = _config("intersects", "batched")
-    with JoinSession(config=base) as session:
-        config = replace(base, session=session)
+    config = _config("intersects", "batched")
+    with JoinSession(config=config) as session:
         first = parallel_partitioned_join(
-            rel_a, rel_b, grid=(2, 2), config=config, workers=1
+            rel_a, rel_b, grid=(2, 2), config=config, workers=1,
+            session=session,
         )
         warm = parallel_partitioned_join(
-            rel_a, rel_b, grid=(2, 2), config=config, workers=1
+            rel_a, rel_b, grid=(2, 2), config=config, workers=1,
+            session=session,
         )
         assert first.segment_cache_misses == 2
         assert warm.segment_cache_hits == 2

@@ -148,7 +148,7 @@ class TestMerge:
         rel_a, rel_b = random_relation_pair(61)
         config = JoinConfig(exact_method="vectorized")
         serial = partitioned_join(rel_a, rel_b, grid=(3, 3), config=config)
-        tasks, _, shipment = plan_columnar_tile_tasks(
+        tasks, _, session = plan_columnar_tile_tasks(
             rel_a, rel_b, (3, 3), config
         )
         try:
@@ -156,7 +156,7 @@ class TestMerge:
                 run_columnar_tile_task(task).stats for task in tasks
             )
         finally:
-            shipment.close()
+            session.close()
         assert stats_fingerprint(merged) == stats_fingerprint(serial.stats)
         merged.check_invariants()
 

@@ -251,6 +251,77 @@ class TestCorruption:
         assert live_shared_segments() == frozenset()
 
 
+def _segment_bytes(columns):
+    """The filled payload of one shared segment, copied out."""
+    view = columns.buf[:columns.spec.layout.nbytes]
+    try:
+        return bytes(view)
+    finally:
+        view.release()
+
+
+class TestWarmLoader:
+    """``warm_from_store`` reads pages into segments one after another."""
+
+    def test_warmed_segment_is_byte_identical_to_a_shipped_one(self, packed):
+        relation, fingerprint, store = packed
+        with JoinSession() as warmed, JoinSession() as shipped:
+            assert warmed.warm_from_store(store, [fingerprint]) == {
+                fingerprint: "loaded"
+            }
+            (segment,), _ = shipped.ship([relation])
+            loaded = warmed._segments[fingerprint]
+            assert loaded.nbytes == segment.nbytes
+            assert _segment_bytes(loaded.rings) == _segment_bytes(
+                segment.rings
+            )
+        assert live_shared_segments() == frozenset()
+
+    def test_each_fingerprint_is_loaded_once(self, packed):
+        _, fingerprint, store = packed
+        with JoinSession() as session:
+            report = session.warm_from_store(
+                store, [fingerprint, fingerprint]
+            )
+            assert report == {fingerprint: "loaded"}
+            assert session.warm_from_store(store) == {fingerprint: "cached"}
+            stats = session.stats()
+            assert stats["store_loads"] == 1
+            assert stats["cached_relations"] == 1
+        assert live_shared_segments() == frozenset()
+
+    def test_short_read_after_validation_is_a_clean_error(
+        self, packed, monkeypatch
+    ):
+        """A page that shrinks between validation and reading fails the
+        warm-up and leaves the cache as it was."""
+        _, fingerprint, store = packed
+        validated = StoredRelation.ring_pages
+
+        def pages_then_truncate(self):
+            pages = validated(self)
+            largest = max(pages, key=lambda page: page.nbytes)
+            Path(largest.path).write_bytes(
+                Path(largest.path).read_bytes()[:-8]
+            )
+            return pages
+
+        monkeypatch.setattr(StoredRelation, "ring_pages", pages_then_truncate)
+        with JoinSession() as session:
+            with pytest.raises(StoreCorruptionError, match="short read"):
+                session.warm_from_store(store, [fingerprint])
+            assert session.cached_relations == 0
+            assert session.stats()["store_loads"] == 0
+        assert live_shared_segments() == frozenset()
+
+    def test_io_workers_option_is_gone(self, packed):
+        _, fingerprint, store = packed
+        with JoinSession() as session:
+            with pytest.raises(TypeError, match="io_workers"):
+                session.warm_from_store(store, [fingerprint], io_workers=4)
+            assert session.cached_relations == 0
+
+
 class TestSubprocessStability:
     """The same geometry packs to the same fingerprint in any process."""
 

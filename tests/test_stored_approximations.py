@@ -52,7 +52,6 @@ from repro.cli import main
 from repro.core.filters import FilterConfig
 from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import (
-    ColumnarShipment,
     live_shared_segments,
     parallel_partitioned_join,
     plan_columnar_tile_tasks,
@@ -414,8 +413,8 @@ def test_unstored_kind_is_derived_only_for_objects_that_reach_the_filter(
         engine="batched", exact_method="vectorized",
         filter=FilterConfig(conservative="RMBR", progressive="MER"))
     grid = (4, 4)
-    tasks, _, shipment = plan_columnar_tile_tasks(rel_a, rel_b, grid, config)
-    shipment.close()
+    tasks, _, session = plan_columnar_tile_tasks(rel_a, rel_b, grid, config)
+    session.close()
     mbrs_a, mbrs_b = rel_a.columnar().mbrs, rel_b.columnar().mbrs
     reach = in_tiles = 0
     for task in tasks:
@@ -442,17 +441,19 @@ def test_unstored_kind_is_derived_only_for_objects_that_reach_the_filter(
 class TestApproximationBlocks:
     def test_blocks_count_as_live_segments(self):
         rel_a, rel_b = random_relation_pair(630, n_objects=6)
-        shipment = ColumnarShipment((rel_a, rel_b))
+        session = JoinSession()
         try:
+            session.ship((rel_a, rel_b))
             assert len(live_shared_segments()) == 2
-            shipment.ship_approx(("5-C", "MER", "MBE"))  # MBE: no stored form
+            kinds = ("5-C", "MER", "MBE")  # MBE: no stored form
+            (segment_a, _), counters = session.ship((rel_a, rel_b), kinds)
             assert len(live_shared_segments()) == 6
-            assert shipment.approx_blocks == 4
-            assert len(shipment.segment_names) == 2
-            spec_a, _ = shipment.specs_for(("5-C", "MER", "MBE"))
+            assert counters["approx_cache_misses"] == 4
+            assert counters["segment_cache_hits"] == 2
+            spec_a = segment_a.spec_for(kinds)
             assert [kind for kind, _ in spec_a.approx] == ["5-C", "MER"]
         finally:
-            shipment.close()
+            session.close()
         assert live_shared_segments() == frozenset()
 
     def test_session_counts_blocks_apart_from_segments(self):
@@ -480,20 +481,8 @@ class TestApproximationBlocks:
             assert stats["segment_cache_misses"] == 2
             assert stats["cached_segment_bytes"] > stats["cached_approx_bytes"] > 0
             assert len(live_shared_segments()) == 2 + 8
-            # Eviction takes a relation's blocks with its ring segment.
-            assert session.evict(rel_a) is True
-            assert len(live_shared_segments()) == 1 + 4
+        # Closing takes every relation's blocks with its ring segment.
         assert live_shared_segments() == frozenset()
-
-    def test_byte_bound_accounts_for_blocks(self):
-        rel_a, rel_b = random_relation_pair(632, n_objects=8)
-        config = JoinConfig(engine="batched", exact_method="vectorized")
-        with JoinSession(config=config, max_cache_bytes=0) as session:
-            result = session.join(rel_a, rel_b, grid=(2, 2))
-            assert result.approx_cache_misses == 4
-            assert session.cached_segment_bytes == 0
-            assert session.segment_cache_evictions == 2
-            assert live_shared_segments() == frozenset()
 
     def test_warm_from_store_streams_sidecars(self, tmp_path, builds):
         store, (fp_a, fp_b) = _touched_store(

@@ -179,7 +179,7 @@ def test_zorder_declustering_same_results():
 def test_tree_tasks_carry_no_dedup_frame():
     rel_a, rel_b = _pair(random_relation_pair, SEEDS[0])
     config = _config("intersects", "batched")
-    tasks, partitions, shipment = plan_columnar_tile_tasks(
+    tasks, partitions, session = plan_columnar_tile_tasks(
         rel_a, rel_b, (4, 4), config
     )
     try:
@@ -194,16 +194,16 @@ def test_tree_tasks_carry_no_dedup_frame():
             assert np.all(np.diff(task.idx_a) > 0)
             assert np.all(np.diff(task.idx_b) > 0)
     finally:
-        shipment.close()
+        session.close()
 
 
 def test_grid_tasks_unchanged_by_the_strategy_layer():
     rel_a, rel_b = _pair(random_relation_pair, SEEDS[0])
     config = replace(_config("intersects", "batched"), partitioner="grid")
-    tasks, partitions, shipment = plan_columnar_tile_tasks(
+    tasks, partitions, session = plan_columnar_tile_tasks(
         rel_a, rel_b, (3, 3), config
     )
-    shipment.close()
+    session.close()
     assert len(partitions) == 9  # every tile, empty ones included
     assert [p.tile for p in partitions] == sorted(p.tile for p in partitions)
     for task in tasks:
