@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.datasets.testseries import TestSeries, canonical_series
 from repro.geometry.fastops import polygons_intersect_fast
 from repro.index.join import nested_loops_mbr_join
@@ -52,6 +54,21 @@ def classified_candidates(
         hit = polygons_intersect_fast(obj_a.polygon, obj_b.polygon)
         out.append((obj_a, obj_b, hit))
     return out
+
+
+def candidate_rows(series: TestSeries) -> np.ndarray:
+    """``(n, 2)`` row pairs of all MBR-intersecting pairs.
+
+    Nested-loops order, the order of :func:`classified_candidates`; row
+    ``i`` is ``relation.objects[i]``, the currency of the batched filter
+    and the exact step.
+    """
+    items = [
+        [(obj.mbr, row) for row, obj in enumerate(relation)]
+        for relation in (series.relation_a, series.relation_b)
+    ]
+    pairs = list(nested_loops_mbr_join(*items))
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
 class BenchReport:

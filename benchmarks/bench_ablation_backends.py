@@ -26,12 +26,16 @@ def test_ablation_step1_backends(benchmark, series_cache, report):
 
     timings = {}
 
-    # R*-tree (dynamic insertion)
+    # R*-tree (dynamic insertion); its leaf items are row indices
     tree_a = series.relation_a.build_rtree()
     tree_b = series.relation_b.build_rtree()
+    objects_a, objects_b = series.relation_a.objects, series.relation_b.objects
     stats = JoinStats()
     start = time.perf_counter()
-    reference = {(a.oid, b.oid) for a, b in rstar_join(tree_a, tree_b, stats=stats)}
+    reference = {
+        (objects_a[a].oid, objects_b[b].oid)
+        for a, b in rstar_join(tree_a, tree_b, stats=stats)
+    }
     timings["R*-tree join"] = time.perf_counter() - start
 
     # Hilbert-packed R-tree

@@ -21,10 +21,12 @@ def test_ablation_zorder_vs_rstar(benchmark, series_cache, report):
 
     tree_a = series.relation_a.build_rtree()
     tree_b = series.relation_b.build_rtree()
+    objects_a, objects_b = series.relation_a.objects, series.relation_b.objects
     stats = JoinStats()
     start = time.perf_counter()
     rstar_pairs = {
-        (a.oid, b.oid) for a, b in rstar_join(tree_a, tree_b, stats=stats)
+        (objects_a[a].oid, objects_b[b].oid)  # leaf items are row indices
+        for a, b in rstar_join(tree_a, tree_b, stats=stats)
     }
     rstar_time = time.perf_counter() - start
 

@@ -1,8 +1,10 @@
 """Engine benchmark: streaming vs batched execution of the filter step.
 
-Compares the per-pair scalar geometric filter against the vectorized
-``BatchGeometricFilter`` on the paper's test series, across batch sizes,
-plus an end-to-end join with both engines (identical results enforced).
+Compares the per-pair scalar geometric filter (on the candidates'
+objects) against the vectorized ``BatchGeometricFilter`` (on their row
+indices, reading the relations' stored columns through the default
+kernel backend) on the paper's test series, across batch sizes, plus an
+end-to-end join with both engines (identical results enforced).
 The acceptance bar — the reason this runs in CI — is a >= 3x filter-step
 speedup at batch sizes >= 256.
 """
@@ -13,15 +15,13 @@ import time
 
 import numpy as np
 
+from _support import candidate_rows
 from repro.core.filters import FilterConfig, geometric_filter
 from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.stats import MultiStepStats
-from repro.engine.batched import (
-    CANDIDATE,
-    FALSE_HIT,
-    HIT,
-    BatchGeometricFilter,
-)
+from repro.engine.base import CANDIDATE, FALSE_HIT, HIT
+from repro.engine.batched import BatchGeometricFilter
+from repro.geometry.kernels import KernelDispatcher, get_kernels
 
 SERIES = ("Europe A", "BW A")
 BATCH_SIZES = (64, 256, 1024)
@@ -49,18 +49,16 @@ def _scalar_counts(pairs, config):
     return counts
 
 
-def _batched_counts(batch_filter, pairs, batch_size):
+def _batched_counts(batch_filter, rows, batch_size):
     counts = np.zeros(3, dtype=np.int64)
-    for lo in range(0, len(pairs), batch_size):
-        chunk = pairs[lo:lo + batch_size]
-        codes = batch_filter.classify(
-            [p[0] for p in chunk], [p[1] for p in chunk]
-        )
+    for lo in range(0, len(rows), batch_size):
+        chunk = rows[lo:lo + batch_size]
+        codes = batch_filter.classify(chunk[:, 0], chunk[:, 1])
         counts += np.bincount(codes, minlength=3)
     return {code: int(counts[code]) for code in (FALSE_HIT, HIT, CANDIDATE)}
 
 
-def test_engine_batched_filter_speedup(series_cache, classified, report):
+def test_engine_batched_filter_speedup(series_cache, report):
     config = FilterConfig()  # the paper's 5-C + MER recommendation
     lines = [
         f"{'series':>10} {'pairs':>7} {'scalar ms':>10} "
@@ -70,25 +68,27 @@ def test_engine_batched_filter_speedup(series_cache, classified, report):
     speedups = {}
     for name in SERIES:
         series = series_cache(name)
-        pairs = [(a, b) for a, b, _hit in classified(name)]
+        rel_a, rel_b = series.relation_a, series.relation_b
+        rows = candidate_rows(series)
+        pairs = [(rel_a[i], rel_b[j]) for i, j in rows.tolist()]
         # The paper's storage model computes approximations at insertion
-        # time; warm the per-object caches so neither side pays them.
-        for rel in (series.relation_a, series.relation_b):
-            rel.precompute_approximations(["5-C", "MER"])
+        # time: build both relations' 5-C and MER columns (which also
+        # seeds the per-object caches) so neither side pays them.
+        stores = tuple(
+            rel.columnar(eager_kinds=("5-C", "MER")) for rel in (rel_a, rel_b)
+        )
 
         scalar_time, scalar_counts = _time_best(
             lambda: _scalar_counts(pairs, config)
         )
-        # The batched analogue of that insertion-time storage: one warm
-        # classify pass registers every object with the filter's array
-        # encoders, so the timed runs measure the filter step itself,
-        # not the one-time packing cost.
-        batch_filter = BatchGeometricFilter(config)
-        _batched_counts(batch_filter, pairs, BATCH_SIZES[0])
+        batch_filter = BatchGeometricFilter(
+            config, stores,
+            kernels=KernelDispatcher(get_kernels(JoinConfig().kernels)),
+        )
         cells = []
         for batch_size in BATCH_SIZES:
             batched_time, batched_counts = _time_best(
-                lambda b=batch_size: _batched_counts(batch_filter, pairs, b)
+                lambda b=batch_size: _batched_counts(batch_filter, rows, b)
             )
             assert batched_counts == scalar_counts, (
                 f"{name}: batched filter classified differently at "

@@ -3,9 +3,21 @@
 Paper (5-corner test + MER test on BW A): 23% identified false hits,
 23% identified hits, 10% non-identified false hits, 44% non-identified
 hits — 46% of all candidate pairs resolved without exact geometry.
+
+The candidates are row pairs of the two relations; the 5-C and MER tests
+are the batched filter's, one per kind, on the relations' stored
+columns, and the ground truth is the exact step's decision.
 """
 
-from repro.approximations.base import approx_intersect
+import numpy as np
+
+from _support import candidate_rows
+from repro.core.filters import FilterConfig
+from repro.core.join import JoinConfig
+from repro.core.stats import MultiStepStats
+from repro.engine.base import FALSE_HIT, HIT
+from repro.engine.batched import BatchGeometricFilter
+from repro.exact.refine import BatchedRefinement
 
 PAPER = {
     "identified false hits": 23,
@@ -15,30 +27,35 @@ PAPER = {
 }
 
 
-def classify(pairs):
-    counts = {k: 0 for k in PAPER}
-    for obj_a, obj_b, hit in pairs:
-        if hit:
-            proven = approx_intersect(
-                obj_a.approximation("MER"), obj_b.approximation("MER")
-            )
-            counts["identified hits" if proven else "non-identified hits"] += 1
-        else:
-            eliminated = not approx_intersect(
-                obj_a.approximation("5-C"), obj_b.approximation("5-C")
-            )
-            key = (
-                "identified false hits"
-                if eliminated
-                else "non-identified false hits"
-            )
-            counts[key] += 1
-    return counts
+def classify(series, rows):
+    rel_a, rel_b = series.relation_a, series.relation_b
+    stores = (rel_a.columnar(), rel_b.columnar())
+    hit = BatchedRefinement.from_relations(
+        JoinConfig(), rel_a, rel_b
+    ).resolve_batch(rows, MultiStepStats())
+
+    def outcome(conservative, progressive):
+        config = FilterConfig(conservative=conservative, progressive=progressive)
+        return BatchGeometricFilter(config, stores).classify(
+            rows[:, 0], rows[:, 1]
+        )
+
+    proven = outcome(None, "MER") == HIT
+    eliminated = outcome("5-C", None) == FALSE_HIT
+    return {
+        "identified false hits": int(np.count_nonzero(~hit & eliminated)),
+        "identified hits": int(np.count_nonzero(hit & proven)),
+        "non-identified false hits": int(np.count_nonzero(~hit & ~eliminated)),
+        "non-identified hits": int(np.count_nonzero(hit & ~proven)),
+    }
 
 
-def test_fig12_identification_split(benchmark, classified, report):
-    pairs = classified("BW A")
-    counts = benchmark.pedantic(lambda: classify(pairs), rounds=1, iterations=1)
+def test_fig12_identification_split(benchmark, series_cache, report):
+    series = series_cache("BW A")
+    rows = candidate_rows(series)
+    counts = benchmark.pedantic(
+        lambda: classify(series, rows), rounds=1, iterations=1
+    )
     total = sum(counts.values())
 
     lines = [f"{'class':>28} {'measured':>9} {'paper':>7}"]

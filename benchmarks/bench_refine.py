@@ -2,8 +2,9 @@
 
 Isolates step 3 of the pipeline: every MBR-intersecting candidate pair
 of a canonical series is resolved once by a loop of
-:func:`polygons_intersect_fast` calls (which rebuild per-polygon edge
-arrays on every call) and once by the batched refinement
+:func:`polygons_intersect_fast` calls on its objects (which rebuild
+per-polygon edge arrays on every call) and once, on its row indices, by
+the batched refinement
 (``exact_batch`` candidates per batch, each batch one ragged edge-pair
 kernel call on the relations' edge tables — clip rectangle, edge-box
 pruning, orientation test — plus one bulk point-in-polygon call).
@@ -24,23 +25,15 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
+from _support import candidate_rows
 from repro.core.filters import FilterConfig
 from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.stats import MultiStepStats
 from repro.exact.refine import BatchedRefinement
 from repro.geometry.fastops import polygons_intersect_fast
-from repro.index.join import nested_loops_mbr_join
 
 #: the acceptance-bar batch size, plus a larger point for the curve.
 BATCH_SIZES = (64, 256)
-
-
-def _candidate_pairs(series):
-    return list(
-        nested_loops_mbr_join(
-            series.relation_a.mbr_items(), series.relation_b.mbr_items()
-        )
-    )
 
 
 def _time_scalar(pairs):
@@ -49,7 +42,7 @@ def _time_scalar(pairs):
     return time.perf_counter() - start, decisions
 
 
-def _time_batched(config, series, pairs):
+def _time_batched(config, series, rows):
     step = BatchedRefinement.from_relations(
         config, series.relation_a, series.relation_b
     )
@@ -57,17 +50,20 @@ def _time_batched(config, series, pairs):
     capacity = config.exact_batch
     start = time.perf_counter()
     decisions = []
-    for lo in range(0, len(pairs), capacity):
+    for lo in range(0, len(rows), capacity):
         decisions.extend(
-            step.resolve_batch(pairs[lo:lo + capacity], stats)
+            step.resolve_batch(rows[lo:lo + capacity], stats).tolist()
         )
     return time.perf_counter() - start, decisions
 
 
 def test_refine_batched_speedup(series_cache, report):
     series = series_cache("Europe A")
-    pairs = _candidate_pairs(series)
-    assert pairs, "series produced no MBR candidates"
+    rows = candidate_rows(series)
+    assert len(rows), "series produced no MBR candidates"
+    pairs = [
+        (series.relation_a[i], series.relation_b[j]) for i, j in rows.tolist()
+    ]
 
     base = JoinConfig()
     # The ring columns are the stored representation (built once per
@@ -88,7 +84,7 @@ def test_refine_batched_speedup(series_cache, report):
     for exact_batch in BATCH_SIZES:
         config = replace(base, exact_batch=exact_batch)
         batched_seconds, batched_decisions = _time_batched(
-            config, series, pairs
+            config, series, rows
         )
         assert batched_decisions == scalar_decisions, (
             f"batched refinement (exact_batch={exact_batch}) diverged "

@@ -51,8 +51,8 @@ def main() -> None:
     tree = cities.build_rtree()
     centre = (0.5, 0.5)
     print("\n5 nearest cities to the map centre (MINDIST to MBR):")
-    for dist, obj in knn_query(tree, centre, 5):
-        print(f"  city {obj.oid:>4}  mindist={dist:.5f}")
+    for dist, row in knn_query(tree, centre, 5):
+        print(f"  city {cities.objects[row].oid:>4}  mindist={dist:.5f}")
 
 
 if __name__ == "__main__":

@@ -20,14 +20,13 @@ The relation-level owner of these columns is
 :class:`repro.datasets.columnar.ColumnarRelation`: it packs one encoder
 per (relation, approximation kind) exactly once and caches it on the
 relation, so repeated joins — and sweeps over filter configurations —
-never re-pack.  A join spans two relations; the batched filter adopts
-the two pre-packed stores with :meth:`BatchApproxArrays.from_columnar`,
-which concatenates the finished arrays (a memcpy) instead of re-running
-the per-object packing kernels.  That holds for every kind with a
-stored form (:func:`stored_family`); a kind without one (RMBR, MBE) is
-registered incrementally, per join, so it is derived only for the
-objects that reach the filter (the one rule,
-:meth:`repro.engine.batched.BatchGeometricFilter.encoder`).
+never re-pack.  Row ``i`` of a relation's encoder is the relation's
+object ``i``.  A join spans two relations, and the batched filter reads
+each side's own arrays with that side's row indices: nothing is
+concatenated per join and no object is looked up.  That holds for every
+kind with a stored form (:func:`stored_family`); a kind without one
+(RMBR, MBE) is appended per join and side, only for the rows that reach
+the filter (the one rule, :meth:`repro.engine.batched.BatchGeometricFilter.side`).
 
 Stored form
 -----------
@@ -195,20 +194,18 @@ def _widen_concat(matrices: Sequence[np.ndarray]) -> np.ndarray:
 class BatchApproxArrays:
     """Array store for one approximation kind over many objects.
 
-    Objects are registered on first sight (keyed by identity — oids are
-    only unique per relation, and a join sees objects of two relations);
-    repeated lookups are pure array gathers.  Matrices are rebuilt lazily
-    after new registrations, so draining a join batch-by-batch pays the
-    packing cost once per object, not once per candidate pair.
+    :meth:`append` packs objects as new rows, in order; readers index
+    the arrays with those rows.  Matrices are rebuilt lazily after new
+    rows, so appending a join's objects batch by batch pays the packing
+    cost once per object, not once per candidate pair.
     """
 
     def __init__(self, kind: str):
         self.kind = kind
         #: shape family of the kind: "convex", "circle" or "ellipse".
         self.family: Optional[str] = None
-        self._row_of: Dict[int, int] = {}
-        self._objects: List[object] = []  # keeps id() keys alive
-        # Rows registered since the last flush (cleared when packed).
+        self._count = 0
+        # Rows appended since the last flush (cleared when packed).
         self._pending_mbr_rows: List[tuple] = []
         self._pending_fa_rows: List[float] = []
         self._pending_circle_rows: List[tuple] = []
@@ -223,49 +220,7 @@ class BatchApproxArrays:
         self._degenerate = np.empty(0, dtype=bool)
 
     def __len__(self) -> int:
-        return len(self._objects)
-
-    # -- adoption of pre-packed relation columns ----------------------------
-
-    @classmethod
-    def from_columnar(
-        cls, kind: str, stores: Sequence["BatchApproxArrays"]
-    ) -> "BatchApproxArrays":
-        """Combined encoder over pre-packed per-relation stores.
-
-        ``stores`` are the relation-level encoders cached by
-        ``ColumnarRelation.approx(kind)``.  Their finished arrays are
-        concatenated (convex matrices widened to the common width first);
-        no per-object packing kernel runs.  Objects not covered by any
-        store can still be registered incrementally afterwards.
-        """
-        out = cls(kind)
-        filled = []
-        for store in stores:
-            if store.kind != kind:
-                raise ValueError(
-                    f"cannot combine kind {store.kind!r} into {kind!r}"
-                )
-            store._flush()
-            if len(store):
-                filled.append(store)
-        if not filled:
-            return out
-        out.family = filled[0].family
-        for store in filled:
-            for obj in store._objects:
-                out._row_of[id(obj)] = len(out._objects)
-                out._objects.append(obj)
-        out._mbrs = np.concatenate([s._mbrs for s in filled])
-        out._false_areas = np.concatenate([s._false_areas for s in filled])
-        if out.family == "circle":
-            out._circles = np.concatenate([s._circles for s in filled])
-        elif out.family == "convex":
-            out._vx = _widen_concat([s._vx for s in filled])
-            out._vy = _widen_concat([s._vy for s in filled])
-            out._counts = np.concatenate([s._counts for s in filled])
-            out._degenerate = np.concatenate([s._degenerate for s in filled])
-        return out
+        return self._count
 
     # -- the stored form ------------------------------------------------------
 
@@ -288,8 +243,7 @@ class BatchApproxArrays:
         if not objects:
             return out
         out.family = columns.family
-        out._objects = list(objects)
-        out._row_of = {id(obj): row for row, obj in enumerate(objects)}
+        out._count = len(objects)
         arrays = columns.arrays
         out._mbrs = arrays["mbrs"]
         out._false_areas = arrays["false_areas"]
@@ -325,29 +279,20 @@ class BatchApproxArrays:
             },
         )
 
-    # -- registration -------------------------------------------------------
+    # -- packing ------------------------------------------------------------
 
-    def rows(self, objects: Sequence[object]) -> np.ndarray:
-        """Row indices for ``objects``, registering unseen ones."""
-        out = np.empty(len(objects), dtype=np.intp)
-        row_of = self._row_of
-        for i, obj in enumerate(objects):
-            row = row_of.get(id(obj))
-            if row is None:
-                row = self._register(obj)
-            out[i] = row
-        return out
+    def append(self, objects: Sequence[object]) -> np.ndarray:
+        """Pack ``objects`` as new rows, in order; returns their rows."""
+        first = self._count
+        for obj in objects:
+            self._register(obj)
+        return np.arange(first, self._count, dtype=np.intp)
 
-    def approximation(self, obj) -> "object":
-        return obj.approximation(self.kind)
-
-    def _register(self, obj) -> int:
-        appr = self.approximation(obj)
+    def _register(self, obj) -> None:
+        appr = obj.approximation(self.kind)
         if self.family is None:
             self.family = appr.shape_kind
-        row = len(self._objects)
-        self._row_of[id(obj)] = row
-        self._objects.append(obj)
+        self._count += 1
         m = appr.mbr()
         self._pending_mbr_rows.append((m.xmin, m.ymin, m.xmax, m.ymax))
         # Stored false area of §3.3: area(Appr(obj)) - area(obj).  Summing
@@ -361,13 +306,12 @@ class BatchApproxArrays:
         elif self.family == "convex":
             self._pending_vertex_rows.append(list(appr.convex_vertices()))
         self._dirty = True
-        return row
 
     def _flush(self) -> None:
         """Materialise rows registered since the last flush.
 
         Only the pending tail is converted from Python values — a join
-        that drains candidates batch-by-batch keeps registering objects
+        that drains candidates batch-by-batch keeps appending objects
         between classify calls, and rebuilding the full arrays each time
         would make the packing cost quadratic in the object count.
         """

@@ -224,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1,
                        help="default worker processes per join "
                             "(requests may override)")
-    serve.add_argument("--engine", default="streaming",
+    serve.add_argument("--engine", default="batched",
                        choices=("streaming", "batched"),
                        help="default execution engine for requests")
     serve.add_argument("--kernels", default=None,
@@ -287,10 +287,11 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                         choices=EXACT_METHODS,
                         help="exact step: 'vectorized', the batched "
                              "edge-table refinement (the only choice)")
-    parser.add_argument("--engine", default="streaming",
+    parser.add_argument("--engine", default="batched",
                         choices=("streaming", "batched"),
-                        help="execution engine: per-pair streaming filter "
-                             "or vectorized batched filter (see repro.engine)")
+                        help="execution engine: vectorized batched filter "
+                             "(default) or per-pair streaming filter (see "
+                             "repro.engine)")
     parser.add_argument("--batch-size", type=int, default=1024,
                         help="candidate pairs per block for --engine batched")
     parser.add_argument("--exact-batch", type=int, default=64,
@@ -654,8 +655,8 @@ def cmd_knn(args: argparse.Namespace) -> int:
     point = (args.point[0], args.point[1])
     results = knn_query(tree, point, k)
     print(f"{len(results)} nearest objects to {point}:")
-    for dist, obj in results:
-        print(f"  object {obj.oid}  mindist={dist:.6f}")
+    for dist, row in results:
+        print(f"  object {relation.objects[row].oid}  mindist={dist:.6f}")
     return 0
 
 

@@ -88,7 +88,8 @@ def points_in_regions_join(
     pairs: List[Tuple[int, SpatialObject]] = []
     for idx, point in enumerate(points):
         stats.probes += 1
-        for obj in tree.point_query(point, stats.index_io):
+        for row in tree.point_query(point, stats.index_io):
+            obj = regions.objects[row]
             stats.candidates += 1
             outcome = _classify(obj, point, cfg, stats)
             if outcome:

@@ -10,11 +10,13 @@ Execution of the three steps:
    the §4 benchmarks and as test oracles.
 
 How candidate pairs flow through steps 2 and 3 is the job of an
-execution *engine* (:mod:`repro.engine`): the ``streaming`` engine pipes
+execution *engine* (:mod:`repro.engine`): the ``batched`` engine (the
+default) drains candidates in blocks and runs the filter as array
+operations over the relations' columns, the ``streaming`` engine pipes
 one pair at a time (the paper's "no additional cost arises for handling
-these candidates"), the ``batched`` engine drains candidates in blocks
-and runs the filter as numpy array operations.  Both produce identical
-results and statistics; :class:`JoinConfig.engine` selects one.
+these candidates").  Both produce identical results and statistics;
+:class:`JoinConfig.engine` selects one.  Engines work on row indices;
+:class:`SpatialJoinProcessor` attaches the objects to the result pairs.
 """
 
 from __future__ import annotations
@@ -131,9 +133,9 @@ class JoinConfig:
     #: statistics are identical across backends (see
     #: :mod:`repro.geometry.kernels`).
     kernels: str = field(default_factory=_default_kernels)
-    #: execution engine: 'streaming' (per-pair) or 'batched' (vectorized
-    #: filter over candidate blocks); see :mod:`repro.engine`.
-    engine: str = "streaming"
+    #: execution engine: 'batched' (vectorized filter over candidate
+    #: blocks) or 'streaming' (per-pair); see :mod:`repro.engine`.
+    engine: str = "batched"
     #: candidate pairs drained per block by the batched engine.
     batch_size: int = 1024
     #: remaining candidates accumulated per refinement batch (step 3,
@@ -389,9 +391,11 @@ class SpatialJoinProcessor:
         from ..engine.base import create_engine
 
         engine = create_engine(self.config)
-        yield from engine.execute(
+        objects_a, objects_b = relation_a.objects, relation_b.objects
+        for row_a, row_b in engine.execute(
             relation_a, relation_b, stats, refinement=refinement
-        )
+        ):
+            yield objects_a[row_a], objects_b[row_b]
 
 
 def nested_loops_join(

@@ -78,9 +78,10 @@ def line_region_join(
     use_progressive = (
         cfg.progressive is not None and cfg.progressive.lower() != "none"
     )
-    for (idx, line), obj in rstar_join(
+    for (idx, line), row in rstar_join(
         line_tree, region_tree, None, None, stats.mbr_join
     ):
+        obj = regions.objects[row]
         stats.candidates += 1
         if use_progressive:
             approx = obj.approximation(cfg.progressive)

@@ -834,8 +834,10 @@ def run_columnar_tile_task(task: ColumnarTileTask) -> TileOutcome:
 
         refinement = BatchedRefinement(
             task.config,
-            RingGeometry(map_a.rings, rel_a.objects, task.idx_a),
-            RingGeometry(map_b.rings, rel_b.objects, task.idx_b),
+            RingGeometry(map_a.rings, task.idx_a),
+            RingGeometry(map_b.rings, task.idx_b),
+            rel_a.objects,
+            rel_b.objects,
         )
         return _finish_tile(task, rel_a, rel_b, start, refinement)
     finally:

@@ -77,13 +77,15 @@ class WindowQueryProcessor:
         stats = stats if stats is not None else WindowQueryStats()
         if self._counter is not None:
             self._counter.reset()
+        objects = self.relation.objects
         candidates = self.tree.window_query(window, self._counter)
         if self._counter is not None:
             stats.node_visits = self._counter.node_visits
             stats.page_reads = self._counter.page_reads
         results: List[SpatialObject] = []
         window_poly = Polygon(window.corners())
-        for obj in candidates:
+        for row in candidates:
+            obj = objects[row]
             stats.candidates += 1
             outcome = self._filter_window(obj, window)
             if outcome is False:
@@ -106,12 +108,14 @@ class WindowQueryProcessor:
         stats = stats if stats is not None else WindowQueryStats()
         if self._counter is not None:
             self._counter.reset()
+        objects = self.relation.objects
         candidates = self.tree.point_query(point, self._counter)
         if self._counter is not None:
             stats.node_visits = self._counter.node_visits
             stats.page_reads = self._counter.page_reads
         results: List[SpatialObject] = []
-        for obj in candidates:
+        for row in candidates:
+            obj = objects[row]
             stats.candidates += 1
             outcome = self._filter_point(obj, point)
             if outcome is False:

@@ -337,7 +337,7 @@ class ColumnarRelation:
                 )
             else:
                 encoder = BatchApproxArrays(kind)
-                encoder.rows(self.objects)
+                encoder.append(self.objects)
                 encoder.mbrs  # materialise now: the pack cost belongs here
                 self._approx[kind] = encoder
             self.pack_counts[kind] = self.pack_counts.get(kind, 0) + 1
@@ -374,5 +374,5 @@ class ColumnarRelation:
         if self._ring_geometry is None:
             from ..exact.refine import RingGeometry  # lazy: import cycle
 
-            self._ring_geometry = RingGeometry(self.rings, self.objects)
+            self._ring_geometry = RingGeometry(self.rings)
         return self._ring_geometry

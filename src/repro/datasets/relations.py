@@ -103,16 +103,22 @@ class SpatialRelation:
         directory_max: Optional[int] = None,
         bulk: bool = False,
     ) -> RStarTree:
-        """R*-tree over the objects' MBRs."""
+        """R*-tree over the objects' MBRs; leaf items are row indices.
+
+        Item ``i`` is ``self.objects[i]``'s row, the index every column
+        of :meth:`columnar` and every edge-table row share, so the
+        MBR-join's candidates feed the filter and the exact step as
+        they are.  Readers that want an object take
+        ``self.objects[item]``.
+        """
+        items = [(obj.mbr, row) for row, obj in enumerate(self.objects)]
         if bulk:
             return RStarTree.bulk_load(
-                self.mbr_items(),
-                max_entries=max_entries,
-                directory_max=directory_max,
+                items, max_entries=max_entries, directory_max=directory_max
             )
         tree = RStarTree(max_entries=max_entries, directory_max=directory_max)
-        for rect, obj in self.mbr_items():
-            tree.insert(rect, obj)
+        for rect, row in items:
+            tree.insert(rect, row)
         return tree
 
     def rtree(self, max_entries: int = 32) -> RStarTree:

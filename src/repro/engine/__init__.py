@@ -3,32 +3,44 @@
 The paper's pipeline (MBR-join → geometric filter → exact geometry,
 Figure 1) fixes *what* is computed per candidate pair; this package
 separates *how* the candidate stream is executed.  Two interchangeable
-backends implement the :class:`~repro.engine.base.Engine` interface:
+backends implement the :class:`~repro.engine.base.Engine` interface.
+Both work on **row indices**: the relation's memoised R*-tree stores
+each object's row as its leaf item, so the MBR-join emits
+``(row_a, row_b)`` pairs that index the relations' columns and edge
+tables directly — no step maps an object back to its row, and no
+``id()``-keyed map exists.  An engine yields qualifying row pairs;
+:class:`~repro.core.join.SpatialJoinProcessor` attaches the objects
+once, when it builds the result.
 
-Streaming engine (``engine="streaming"``, the default)
-    Tuple-at-a-time filtering: each candidate pair leaves the R*-tree
-    MBR-join and runs through the filter before the next pair is
-    produced; a filter hit is emitted at once unless a remaining
-    candidate ahead of it still waits for its exact batch.  This is the
-    paper's original architecture — nothing is materialised between
-    steps and memory use is bounded by the exact batch.  Per pair,
-    however, it pays Python interpreter overhead for every
-    approximation test.
-
-Batched engine (``engine="batched"``)
-    Set-at-a-time: candidate pairs are drained from the MBR-join in
-    blocks of ``batch_size`` and the filter runs as numpy array kernels
-    over the whole block — bulk MBR overlap, bulk separating-axis tests
-    for the convex approximations (RMBR, 4-C, 5-C, CH, MER), bulk circle
-    tests (MBC, MEC), and a bulk false-area screen.  Only pairs a kernel
-    cannot decide identically to the scalar predicate (degenerate
-    shapes, near-tangent circles, ellipses, false-area screen survivors)
-    fall back to scalar code; remaining candidates go to the same
-    batched exact step as the streaming engine's.  Results, result
-    order, and every
+Batched engine (``engine="batched"``, the default)
+    Set-at-a-time: candidate row pairs are drained from the MBR-join in
+    blocks of ``batch_size`` and the filter runs as array kernels over
+    the whole block, indexing each relation's own stored columns —
+    bulk MBR overlap, one compiled separating-axis call per filter step
+    for the convex approximations (RMBR, 4-C, 5-C, CH, MER), bulk
+    circle tests (MBC, MEC), and a bulk false-area screen.  Only pairs
+    a kernel cannot decide identically to the scalar predicate
+    (degenerate shapes, near-tangent circles, ellipses, false-area
+    screen survivors) fall back to scalar code on
+    ``relation.objects[row]``; the remaining candidates are refined in
+    consecutive ``exact_batch`` chunks, in candidate order.  Results,
+    result order, and every
     :class:`~repro.core.stats.MultiStepStats` counter are identical to
     the streaming engine — ``tests/test_engine_equivalence.py`` is the
     differential harness that enforces this.
+
+Streaming engine (``engine="streaming"``)
+    Tuple-at-a-time filtering: each candidate pair leaves the R*-tree
+    MBR-join and runs through the scalar filter on its two objects
+    before the next pair is produced; a filter hit is emitted at once
+    unless a remaining candidate ahead of it still waits for its exact
+    batch (each kept pair enters
+    :func:`~repro.engine.base.refine_in_order` as a one-row block).
+    This is the paper's original architecture — nothing is
+    materialised between steps and memory use is bounded by the exact
+    batch.  Per pair, however, it pays Python interpreter overhead for
+    every approximation test, so it is 3-4x slower than the batched
+    engine and serves as the Figure-1 reference.
 
 Storage model — the columnar relation store
     The paper computes each approximation once at insertion time and
@@ -51,14 +63,16 @@ Storage model — the columnar relation store
     replaced or resized.
 
     The batched engine's filter decides per kind where a kind's arrays
-    come from (``BatchGeometricFilter.encoder``, the one rule): a kind
-    with a stored form is *adopted* from the two relations' columns
-    (``BatchApproxArrays.from_columnar``), so packing happens once per
-    (relation, kind), and a sweep over many filter configurations — or
-    repeated joins of the same relation against different partners —
-    pays no repack cost; a kind without one (RMBR, MBE) is packed per
-    join, for the objects that reach the filter.  Results, order, and
-    statistics are the same either way (``tests/test_columnar.py``).
+    come from (``BatchGeometricFilter.side``, the one rule): a kind
+    with a stored form is read from each relation's own columns with
+    that relation's row indices — nothing is concatenated per join —
+    so packing happens once per (relation, kind), and a sweep over many
+    filter configurations — or repeated joins of the same relation
+    against different partners — pays no repack cost; a kind without
+    one (RMBR, MBE) is packed per join and side, for the rows that
+    reach the filter.  Results, order, and statistics are the same
+    either way (``tests/test_columnar.py``; ``tests/test_row_pipeline.py``
+    counts the per-object Python a warm join no longer runs).
 
 Picking a batch size
     ``batch_size`` trades memory and latency against vectorisation
@@ -71,7 +85,7 @@ Picking a batch size
     thumb: ``batch_size=1024`` for relation-scale joins, smaller only if
     results must stream out with minimal delay.
 
-Choosing an engine from the CLI::
+Choosing an engine from the CLI (``batched`` is the default)::
 
     python -m repro join a.wkt b.wkt --engine batched --batch-size 1024
     python -m repro join a.wkt b.wkt --engine streaming
@@ -84,14 +98,16 @@ or from code via :class:`repro.core.join.JoinConfig`::
 paper's test series; the batched filter step is typically ≥ 3× faster at
 batch sizes ≥ 256.
 
-Refinement pipeline — the exact step as its own layer
+Refinement — the exact step as its own layer
     Step 3 (the exact-geometry test on remaining candidates) is
-    independent of the engine: the order-preserving
-    :class:`~repro.engine.base.RefinementPipeline` drives one
-    :class:`~repro.exact.refine.BatchedRefinement` inside either
-    engine.  It accumulates remaining candidates into batches of
-    ``JoinConfig.exact_batch`` (CLI ``join --exact-batch N``, default
-    64) and resolves each batch as one array program: the pairs' rows
+    independent of the engine: both hand one
+    :class:`~repro.exact.refine.BatchedRefinement` consecutive chunks
+    of ``JoinConfig.exact_batch`` remaining candidates in candidate
+    order (CLI ``join --exact-batch N``, default 64) — both through
+    :func:`~repro.engine.base.refine_in_order`, the batched engine one
+    filtered block at a time, the streaming engine one kept pair at a
+    time — and each chunk is
+    resolved as one array program: the pairs' rows
     select edge ranges from the relations' edge tables (every edge, its
     bounding box and a per-object offset column, built once from the
     flattened :class:`~repro.datasets.columnar.RingColumns`); one
@@ -114,15 +130,16 @@ Refinement pipeline — the exact step as its own layer
     and ``bench_fig16_cost_vs_edges.py`` compare the paper's processors.
 
 The compiled kernel tier — one semantics, three backends
-    The bulk hot paths both engines lean on — MBR overlap, the ragged
+    The bulk hot paths the engines lean on — MBR overlap, the filter's
+    separating-axis test over the stored vertex columns, the ragged
     edge-pair kernel, point-in-polygon and the ragged edge-distance
     kernel — live
     behind the backend registry of :mod:`repro.geometry.kernels`,
     selected by ``JoinConfig(kernels=...)`` (CLI ``join --kernels``,
     env default ``REPRO_KERNELS``).  ``numpy`` is the vectorised
     reference implementation (the differential oracle); ``c`` runs
-    the three per-batch kernels (ragged edge pairs, ragged edge
-    distance, point-in-polygon) from ``geometry/_ckernels.c``, built
+    the four per-batch kernels (convex rows, ragged edge pairs, ragged
+    edge distance, point-in-polygon) from ``geometry/_ckernels.c``, built
     with the local compiler on first use and cached per source hash —
     the pool builds and loads it in the parent before forking
     (:meth:`repro.core.session.JoinSession.pool`, the only place a

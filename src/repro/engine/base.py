@@ -6,85 +6,107 @@ of the R*-tree MBR-join and decides, per pair, hit / false hit / exact
 test.  Step 1 (tree building, I/O accounting, the synchronised traversal)
 is identical for every engine and lives here in :meth:`Engine.execute`.
 
+The currency of an engine is the **row index**: the memoised R*-tree of
+a relation (:meth:`~repro.datasets.relations.SpatialRelation.rtree`)
+stores each object's row as its leaf item, so step 1 emits
+``(row_a, row_b)`` pairs, the filter and the exact step index the
+relations' columns and edge tables with them, and an engine yields
+qualifying row pairs.  No step maps an object back to its row; objects
+are attached once, by :class:`~repro.core.join.SpatialJoinProcessor`,
+when it builds the result.
+
 Step 3 — the exact-geometry test on the remaining candidates — is one
 array program per batch: :class:`~repro.exact.refine.BatchedRefinement`
 resolves ``config.exact_batch`` remaining candidates at a time with the
-edge-table kernels.  The :class:`RefinementPipeline` drives it for one
-engine run and preserves the candidate order of the output stream, so
-the batch size never reorders results.  The paper's scalar processors
-(TR*-tree, plane sweep, quadratic) stay in :mod:`repro.exact` for the
-§4 benchmarks and as test oracles.
+edge-table kernels, consecutive chunks of the remaining rows in
+candidate order, so the batch size never reorders results.  The paper's
+scalar processors (TR*-tree, plane sweep, quadratic) stay in
+:mod:`repro.exact` for the §4 benchmarks and as test oracles.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, ClassVar, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Optional, Tuple
 
+import numpy as np
+
+from ..core.filters import FilterOutcome
 from ..core.join import ENGINES, JoinConfig
 from ..core.stats import MultiStepStats
-from ..datasets.relations import SpatialObject, SpatialRelation
+from ..datasets.relations import SpatialRelation
 from ..index.join import rstar_join
 from ..index.pagemodel import AccessCounter, LRUBuffer
 
 if TYPE_CHECKING:
     from ..exact.refine import BatchedRefinement
 
-Pair = Tuple[SpatialObject, SpatialObject]
+#: one candidate or result pair: a row of each relation.
+RowPair = Tuple[int, int]
+
+#: outcome codes of a classified block of candidate pairs.
+FALSE_HIT, HIT, CANDIDATE = 0, 1, 2
+
+#: the code of each scalar filter outcome.
+OUTCOME_CODE = {
+    FilterOutcome.FALSE_HIT: FALSE_HIT,
+    FilterOutcome.HIT: HIT,
+    FilterOutcome.CANDIDATE: CANDIDATE,
+}
 
 
-class RefinementPipeline:
-    """Order-preserving runner around one refinement step.
+def refine_in_order(
+    blocks: Iterable[Tuple[np.ndarray, np.ndarray]],
+    stats: MultiStepStats,
+    refinement: "BatchedRefinement",
+) -> Iterator[RowPair]:
+    """Refine the remaining candidates of classified blocks, in order.
 
-    Engines push every non-false-hit pair here instead of testing
-    inline: filter-proven hits emit immediately while no candidate is
-    awaiting refinement, otherwise they are buffered behind it so the
-    output order stays exactly the tuple-at-a-time pipeline's.
-    Candidates accumulate until ``step.batch_capacity`` are pending,
-    then the whole backlog is resolved in one batch and drained in
-    candidate order.  With capacity 1 nothing is ever buffered.
+    ``blocks`` yields ``(rows, codes)``: an ``(n, 2)`` array of candidate
+    row pairs and their outcome codes, in candidate order.  ``held``
+    keeps the non-false-hit rows that cannot be emitted yet (they follow
+    a candidate still awaiting refinement), ``ok`` their verdicts and
+    ``waiting`` the positions in ``held`` of the candidates not refined
+    yet.  Every full chunk of ``refinement.batch_capacity`` waiting
+    candidates is refined as soon as it exists and the last, shorter one
+    at the end of the stream, so the chunks — and the refinement
+    counters — do not depend on how the stream is cut into blocks, and
+    rows leave in candidate order.
     """
-
-    def __init__(self, step: "BatchedRefinement", stats: MultiStepStats):
-        self.step = step
-        self.stats = stats
-        #: (pair, qualified) in arrival order; ``None`` = awaiting exact.
-        self._pending: List[List] = []
-        self._awaiting: List[int] = []
-
-    def push(self, pair: Pair, needs_exact: bool) -> List[Pair]:
-        """Feed one filter outcome; return the pairs ready to emit."""
-        if not needs_exact:
-            if not self._awaiting:
-                return [pair]
-            self._pending.append([pair, True])
-            return []
-        self.stats.remaining_candidates += 1
-        self._pending.append([pair, None])
-        self._awaiting.append(len(self._pending) - 1)
-        if len(self._awaiting) >= self.step.batch_capacity:
-            return self._resolve_pending()
-        return []
-
-    def flush(self) -> List[Pair]:
-        """Resolve the remaining backlog at end of stream."""
-        return self._resolve_pending()
-
-    def _resolve_pending(self) -> List[Pair]:
-        if self._awaiting:
-            batch = [self._pending[i][0] for i in self._awaiting]
-            qualified = self.step.resolve_batch(batch, self.stats)
-            for i, ok in zip(self._awaiting, qualified):
-                ok = bool(ok)
-                if ok:
-                    self.stats.exact_hits += 1
-                else:
-                    self.stats.exact_false_hits += 1
-                self._pending[i][1] = ok
-            self._awaiting = []
-        out = [pair for pair, ok in self._pending if ok]
-        self._pending = []
-        return out
+    capacity = refinement.batch_capacity
+    held = np.empty((0, 2), dtype=np.intp)
+    ok = np.empty(0, dtype=bool)
+    waiting = np.empty(0, dtype=np.intp)
+    blocks = iter(blocks)
+    while True:
+        block = next(blocks, None)
+        if block is not None:
+            rows, codes = block
+            kept = codes != FALSE_HIT
+            codes = codes[kept]
+            fresh = len(held) + np.flatnonzero(codes == CANDIDATE)
+            stats.remaining_candidates += len(fresh)
+            held = np.concatenate((held, rows[kept]))
+            ok = np.concatenate((ok, codes == HIT))
+            waiting = np.concatenate((waiting, fresh))
+            chunks = len(waiting) - len(waiting) % capacity
+        else:
+            chunks = len(waiting)
+        for lo in range(0, chunks, capacity):
+            chunk = waiting[lo:lo + capacity]
+            qualified = refinement.resolve_batch(held[chunk], stats)
+            hits = int(np.count_nonzero(qualified))
+            stats.exact_hits += hits
+            stats.exact_false_hits += len(chunk) - hits
+            ok[chunk] = qualified
+        waiting = waiting[chunks:]
+        ready = int(waiting[0]) if len(waiting) else len(held)
+        emit = held[:ready][ok[:ready]]
+        yield from zip(emit[:, 0].tolist(), emit[:, 1].tolist())
+        if block is None:
+            return
+        held, ok = held[ready:], ok[ready:]
+        waiting -= ready
 
 
 class Engine(ABC):
@@ -104,8 +126,8 @@ class Engine(ABC):
         relation_b: SpatialRelation,
         stats: MultiStepStats,
         refinement: Optional["BatchedRefinement"] = None,
-    ) -> Iterator[Pair]:
-        """Run the full three-step join, yielding result pairs.
+    ) -> Iterator[RowPair]:
+        """Run the full three-step join, yielding result row pairs.
 
         ``refinement`` overrides the step built by
         :meth:`build_refinement` — the parallel tile executor injects a
@@ -125,7 +147,7 @@ class Engine(ABC):
             tree_a, tree_b, counter_a, counter_b, stats.mbr_join
         )
         return self.process(
-            candidates, stats, RefinementPipeline(refinement, stats)
+            relation_a, relation_b, candidates, stats, refinement
         )
 
     # -- steps 2 + 3 (strategy) ---------------------------------------------
@@ -133,20 +155,22 @@ class Engine(ABC):
     @abstractmethod
     def process(
         self,
-        candidates: Iterator[Pair],
+        relation_a: SpatialRelation,
+        relation_b: SpatialRelation,
+        candidates: Iterator[RowPair],
         stats: MultiStepStats,
-        refine: RefinementPipeline,
-    ) -> Iterator[Pair]:
-        """Classify the candidate stream; yield the qualifying pairs.
+        refinement: "BatchedRefinement",
+    ) -> Iterator[RowPair]:
+        """Classify the candidate row pairs; yield the qualifying ones.
 
-        Remaining candidates go to ``refine``, the run's step 3.
+        Remaining candidates go to ``refinement``, the run's step 3.
         """
 
     def build_refinement(
         self, relation_a: SpatialRelation, relation_b: SpatialRelation
     ) -> "BatchedRefinement":
         """The exact step over the relations' cached edge tables."""
-        # Imported lazily: repro.exact.refine imports this module.
+        # Imported lazily: repro.exact.refine imports repro.core.join.
         from ..exact.refine import BatchedRefinement
 
         return BatchedRefinement.from_relations(

@@ -1,21 +1,29 @@
 """Per-pair (tuple-at-a-time) execution — the paper's original pipeline.
 
-Candidate pairs stream through the geometric filter one at a time; the
-remaining candidates queue in the refinement pipeline for the batched
-exact step.  No candidate set is materialised between steps (§2.4: "no
-additional cost arises for handling these candidates").  This
-is the code that used to live inside
-:class:`repro.core.join.SpatialJoinProcessor`, extracted unchanged so it
-can serve as the reference backend for the differential-testing harness.
+Candidate pairs stream through the geometric filter one at a time; each
+pair the filter keeps goes on as a one-row block to
+:func:`~repro.engine.base.refine_in_order`, the order-preserving exact
+step both engines share, before the next pair is produced.  No
+candidate set is materialised between steps (§2.4: "no additional cost
+arises for handling these candidates").  This is the reference backend
+of the differential-testing harness: the scalar filter reads each
+candidate's two objects (``relation.objects[row]``), the exact step
+their rows.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator, Tuple
+
+import numpy as np
 
 from ..core.filters import FilterOutcome, geometric_filter
 from ..core.stats import MultiStepStats
-from .base import Engine, Pair, RefinementPipeline
+from ..datasets.relations import SpatialRelation
+from .base import OUTCOME_CODE, Engine, RowPair, refine_in_order
+
+if TYPE_CHECKING:
+    from ..exact.refine import BatchedRefinement
 
 
 class StreamingEngine(Engine):
@@ -25,24 +33,40 @@ class StreamingEngine(Engine):
 
     def process(
         self,
-        candidates: Iterator[Pair],
+        relation_a: SpatialRelation,
+        relation_b: SpatialRelation,
+        candidates: Iterator[RowPair],
         stats: MultiStepStats,
-        refine: RefinementPipeline,
-    ) -> Iterator[Pair]:
-        cfg = self.config
-        within = cfg.predicate == "within"
-        if within:
-            from ..core.within import within_filter
+        refinement: "BatchedRefinement",
+    ) -> Iterator[RowPair]:
+        return refine_in_order(
+            self._kept_pairs(relation_a, relation_b, candidates, stats),
+            stats,
+            refinement,
+        )
 
-        for obj_a, obj_b in candidates:
+    def _kept_pairs(
+        self,
+        relation_a: SpatialRelation,
+        relation_b: SpatialRelation,
+        candidates: Iterator[RowPair],
+        stats: MultiStepStats,
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """One-row blocks of the pairs the scalar filter does not drop."""
+        cfg = self.config
+        if cfg.predicate == "within":
+            from ..core.within import within_filter as pair_filter
+        else:
+            pair_filter = geometric_filter
+        objects_a, objects_b = relation_a.objects, relation_b.objects
+        for pair in candidates:
             stats.candidate_pairs += 1
-            if within:
-                outcome = within_filter(obj_a, obj_b, cfg.filter, stats)
-            else:
-                outcome = geometric_filter(obj_a, obj_b, cfg.filter, stats)
+            outcome = pair_filter(
+                objects_a[pair[0]], objects_b[pair[1]], cfg.filter, stats
+            )
             if outcome is FilterOutcome.FALSE_HIT:
                 continue
-            yield from refine.push(
-                (obj_a, obj_b), outcome is FilterOutcome.CANDIDATE
+            yield (
+                np.array([pair], dtype=np.intp),
+                np.array([OUTCOME_CODE[outcome]], dtype=np.int8),
             )
-        yield from refine.flush()

@@ -2,10 +2,13 @@
 
 This module is the *exact* step (step 3, paper §4) of every
 ``intersects`` and ``within`` join, set-at-a-time like the batched
-filter.  Candidates that survive the geometric filter are accumulated
-by the :class:`~repro.engine.base.RefinementPipeline` into batches of
-``JoinConfig.exact_batch`` and each batch is resolved by **one array
-program** — no Python step per pair beyond looking up its two rows:
+filter.  Its currency is the row index: a batch is ``(row_a, row_b)``
+pairs of the two relations (rows of ``relation.objects``, of the
+relation's columns and of its edge table alike), so no object is mapped
+back to a row and no ``id()``-keyed map exists.  The engines hand it
+consecutive chunks of ``JoinConfig.exact_batch`` remaining candidates in
+candidate order, and each chunk is resolved by **one array program** —
+no Python step per pair:
 
 * **Edge table.**  :class:`RingGeometry` holds a relation's
   :class:`~repro.geometry.fastops.EdgeTable`: every edge of every object
@@ -57,9 +60,8 @@ differential harness.
 
 What still resolves pair by pair inside a batch (counted by
 ``MultiStepStats.refine_fallback_pairs``): the ``within`` predicate,
-through :func:`~repro.geometry.fastops.polygon_within_fast`, and pairs
-with an object that has no table row, through
-:func:`~repro.geometry.fastops.polygons_intersect_fast`.
+through :func:`~repro.geometry.fastops.polygon_within_fast` on the
+rows' objects.
 
 In the multi-process tile executor the worker builds each side's
 :class:`RingGeometry` from the shared-memory mapped ring columns for the
@@ -70,20 +72,18 @@ are copies, never views, so the segment can be unmapped at any time.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.join import JoinConfig
 from ..core.stats import MultiStepStats
 from ..datasets.columnar import RingColumns
-from ..engine.base import Pair
 from ..geometry.fastops import (
     EdgeTable,
     build_edge_table,
     gather_edges,
     polygon_within_fast,
-    polygons_intersect_fast,
     rects_contain_bulk,
 )
 from ..geometry.kernels import KernelDispatcher, get_kernels
@@ -128,30 +128,20 @@ def clip_rects(
 
 
 class RingGeometry:
-    """The edge table of some objects plus the map from object to table row.
+    """The edge table of some rows of packed ring columns.
 
     ``table`` (:class:`~repro.geometry.fastops.EdgeTable`) is built once,
-    in the constructor, from packed :class:`RingColumns`: ``objects[i]``
-    is described by column row ``rows[i]`` (default: row ``i``, the whole
-    relation) and becomes table row ``i``.  The table's arrays are copies
-    of the column data, so an instance built over a mapped shared-memory
-    segment keeps working after the segment is unmapped.
+    in the constructor, from packed :class:`RingColumns`: column row
+    ``rows[i]`` (default: row ``i``, the whole relation) becomes table
+    row ``i``.  The table's arrays are copies of the column data, so an
+    instance built over a mapped shared-memory segment keeps working
+    after the segment is unmapped.
     """
 
-    def __init__(
-        self,
-        columns: RingColumns,
-        objects: Sequence[object],
-        rows: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, columns: RingColumns, rows: Optional[np.ndarray] = None):
         self.table: EdgeTable = build_edge_table(
             columns.object_rings, columns.ring_offsets, columns.ring_xy, rows
         )
-        self._rows = {id(obj): i for i, obj in enumerate(objects)}
-
-    def row_of(self, obj) -> Optional[int]:
-        """Table row of a live object, or ``None`` if unmapped."""
-        return self._rows.get(id(obj))
 
     def edges(self, row: int) -> EdgeSet:
         """The object's edges as ``(x1, y1, x2, y2)``, ``Polygon.edges()`` order."""
@@ -170,12 +160,12 @@ class RingGeometry:
 class BatchedRefinement:
     """The exact step: batches of remaining candidates, one array program each.
 
-    Decides the ``intersects`` predicate as
-    :func:`polygons_intersect_fast` does; the ``within`` predicate and
-    pairs whose objects are missing from the edge tables resolve pair
-    by pair inside the batch.  ``batch_capacity`` tells the
-    :class:`~repro.engine.base.RefinementPipeline` how many candidates
-    to accumulate before calling :meth:`resolve_batch`.
+    Decides the ``intersects`` predicate on table rows as
+    :func:`~repro.geometry.fastops.polygons_intersect_fast` does; the
+    ``within`` predicate resolves pair by pair on the rows' objects
+    (``objects_a[row_a]``, ``objects_b[row_b]``).  ``batch_capacity`` is
+    how many remaining candidates an engine hands to one
+    :meth:`resolve_batch` call.
     """
 
     def __init__(
@@ -183,10 +173,13 @@ class BatchedRefinement:
         config: JoinConfig,
         geometry_a: RingGeometry,
         geometry_b: RingGeometry,
+        objects_a: Sequence[object],
+        objects_b: Sequence[object],
     ):
         self.config = config
         self.batch_capacity = config.exact_batch
         self._geometry = (geometry_a, geometry_b)
+        self._objects = (objects_a, objects_b)
         # All bulk kernels route through the configured backend; every
         # backend decides identically (repro.geometry.kernels).
         self._kernels = KernelDispatcher(get_kernels(config.kernels))
@@ -200,49 +193,38 @@ class BatchedRefinement:
             config,
             relation_a.columnar().ring_geometry(),
             relation_b.columnar().ring_geometry(),
+            relation_a.objects,
+            relation_b.objects,
         )
 
     # -- batch resolution ---------------------------------------------------
 
-    def resolve_batch(
-        self, pairs: Sequence[Pair], stats: MultiStepStats
-    ) -> List[bool]:
-        """Exact-test each pair; qualified flags in input order."""
+    def resolve_batch(self, pairs, stats: MultiStepStats) -> np.ndarray:
+        """Exact-test each ``(row_a, row_b)`` pair; qualified flags in input order.
+
+        ``pairs`` is a sequence of row pairs or an ``(n, 2)`` int array.
+        """
+        rows = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         stats.refine_batches += 1
-        stats.refine_batch_pairs += len(pairs)
+        stats.refine_batch_pairs += len(rows)
         self._kernels.bind(stats)
         if self.config.predicate == "within":
-            stats.refine_fallback_pairs += len(pairs)
-            return [polygon_within_fast(a.polygon, b.polygon) for a, b in pairs]
-        return self._resolve_intersects(pairs, stats)
-
-    def _resolve_intersects(
-        self, pairs: Sequence[Pair], stats: MultiStepStats
-    ) -> List[bool]:
+            stats.refine_fallback_pairs += len(rows)
+            objects_a, objects_b = self._objects
+            return np.array(
+                [
+                    polygon_within_fast(
+                        objects_a[row_a].polygon, objects_b[row_b].polygon
+                    )
+                    for row_a, row_b in rows.tolist()
+                ],
+                dtype=bool,
+            )
         geometry_a, geometry_b = self._geometry
-        results = np.zeros(len(pairs), dtype=bool)
-        rows = [
-            (geometry_a.row_of(obj_a), geometry_b.row_of(obj_b))
-            for obj_a, obj_b in pairs
-        ]
-        mapped = [
-            i for i, (row_a, row_b) in enumerate(rows)
-            if row_a is not None and row_b is not None
-        ]
-        if len(mapped) < len(pairs):
-            stats.refine_fallback_pairs += len(pairs) - len(mapped)
-            for i in set(range(len(pairs))).difference(mapped):
-                results[i] = polygons_intersect_fast(
-                    pairs[i][0].polygon, pairs[i][1].polygon
-                )
-        results[mapped] = intersects_rows(
-            self._kernels,
-            geometry_a.table,
-            geometry_b.table,
-            np.array([rows[i][0] for i in mapped], dtype=np.intp),
-            np.array([rows[i][1] for i in mapped], dtype=np.intp),
+        return intersects_rows(
+            self._kernels, geometry_a.table, geometry_b.table,
+            rows[:, 0], rows[:, 1],
         )
-        return results.tolist()
 
 
 def intersects_rows(

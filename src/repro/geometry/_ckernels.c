@@ -1,5 +1,7 @@
 /*
- * Compiled twins of the per-batch loop kernels of _kernels_loops.py.
+ * Compiled twins of the per-batch loop kernels of _kernels_loops.py: the
+ * exact step's ragged edge kernels and point-in-polygon test, and the
+ * filter's separating-axis test.
  *
  * Each function below transliterates one loop kernel of
  * repro.geometry._kernels_loops statement for statement: the same
@@ -172,6 +174,55 @@ int64_t ck_edge_pairs_ragged(
     }
     free(kept_b);
     return evaluated;
+}
+
+/* One direction of the separating-axis test of one padded row pair.  A
+ * NaN projection makes the oracle's min/max NaN and its comparison false,
+ * so an edge with one never separates. */
+static int sat_separated(const double *px, const double *py, int64_t wp,
+                         const double *qx, const double *qy, int64_t wq)
+{
+    int64_t e, v;
+    for (e = 0; e + 1 < wp; e++) {
+        double nx = py[e + 1] - py[e];
+        double ny = px[e] - px[e + 1];
+        double max_p = -INFINITY, min_q = INFINITY;
+        int nan = 0;
+        for (v = 0; v < wp && !nan; v++) {
+            double proj = px[v] * nx + py[v] * ny;
+            if (proj != proj)
+                nan = 1;
+            else if (proj > max_p)
+                max_p = proj;
+        }
+        for (v = 0; v < wq && !nan; v++) {
+            double proj = qx[v] * nx + qy[v] * ny;
+            if (proj != proj)
+                nan = 1;
+            else if (proj < min_q)
+                min_q = proj;
+        }
+        if (!nan && min_q > max_p + EPSILON)
+            return 1;
+    }
+    return 0;
+}
+
+/* Loop twin: convex_rows.  Pair p tests row rows_a[p] of the (n_a, wa)
+ * vertex matrices avx/avy against row rows_b[p] of the (n_b, wb) ones. */
+void ck_convex_rows(
+    int64_t n_pairs, int64_t wa, int64_t wb,
+    const double *avx, const double *avy, const int64_t *rows_a,
+    const double *bvx, const double *bvy, const int64_t *rows_b,
+    uint8_t *out)
+{
+    int64_t p;
+    for (p = 0; p < n_pairs; p++) {
+        const double *ax = avx + rows_a[p] * wa, *ay = avy + rows_a[p] * wa;
+        const double *bx = bvx + rows_b[p] * wb, *by = bvy + rows_b[p] * wb;
+        out[p] = (uint8_t)!(sat_separated(ax, ay, wa, bx, by, wb)
+                            || sat_separated(bx, by, wb, ax, ay, wa));
+    }
 }
 
 /* sqrt, not hypot, as in the loop twin and the numpy oracle. */

@@ -5,10 +5,10 @@ oracle kernel from :mod:`repro.geometry.fastops`: plain ``for`` loops over
 contiguous float64/int64 arrays, ``math`` scalars, no Python objects.
 
 :mod:`repro.geometry.kernels` runs them as the ``"python"`` backend.
-``_ckernels.c`` transliterates the three per-batch kernels
+``_ckernels.c`` transliterates the four per-batch kernels
 (``edge_pairs_ragged``, ``edge_distance_ragged``,
-``points_in_polygons``) statement for statement into the ``"c"``
-backend; a change to one of them must change its C twin the same way.
+``points_in_polygons`` and the filter's ``convex_rows``) statement for
+statement into the ``"c"`` backend; a change to one of them must change its C twin the same way.
 
 Float arithmetic is kept operation-for-operation identical to the
 oracle kernels — same expressions, same epsilons, same evaluation
@@ -226,6 +226,61 @@ def rects_intersect_rows(a, b):
             and b[i, 0] <= a[i, 2]
             and a[i, 1] <= b[i, 3]
             and b[i, 1] <= a[i, 3]
+        )
+    return out
+
+
+def _sat_separated(px, py, wp, qx, qy, wq):
+    """One direction of ``fastops._sat_separated`` for one row pair.
+
+    True if some edge normal of the padded row ``p`` separates ``q``
+    from it.  A NaN projection makes numpy's ``min``/``max`` NaN and the
+    comparison False, so an edge with one never separates.
+    """
+    for e in range(wp - 1):
+        nx = py[e + 1] - py[e]
+        ny = px[e] - px[e + 1]
+        max_p = -np.inf
+        for v in range(wp):
+            proj = px[v] * nx + py[v] * ny
+            if proj != proj:
+                break
+            if proj > max_p:
+                max_p = proj
+        else:
+            min_q = np.inf
+            for v in range(wq):
+                proj = qx[v] * nx + qy[v] * ny
+                if proj != proj:
+                    break
+                if proj < min_q:
+                    min_q = proj
+            else:
+                if min_q > max_p + EPSILON:
+                    return True
+    return False
+
+
+def convex_rows(avx, avy, rows_a, bvx, bvy, rows_b):
+    """Loop counterpart of ``fastops.convex_intersect_bulk`` over gathered rows.
+
+    Pair ``p`` tests row ``rows_a[p]`` of the padded ``avx``/``avy``
+    matrices against row ``rows_b[p]`` of ``bvx``/``bvy``; the two sides
+    may have different widths.  True where no edge normal of either
+    polygon separates them.
+    """
+    n_pairs = rows_a.shape[0]
+    wa = avx.shape[1]
+    wb = bvx.shape[1]
+    out = np.zeros(n_pairs, dtype=np.bool_)
+    for p in range(n_pairs):
+        ax = avx[rows_a[p]]
+        ay = avy[rows_a[p]]
+        bx = bvx[rows_b[p]]
+        by = bvy[rows_b[p]]
+        out[p] = not (
+            _sat_separated(ax, ay, wa, bx, by, wb)
+            or _sat_separated(bx, by, wb, ax, ay, wa)
         )
     return out
 

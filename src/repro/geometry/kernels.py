@@ -1,12 +1,14 @@
 """Kernel backend registry for the filter/refine hot paths.
 
 The joins spend their kernel time in a handful of bulk geometry
-kernels (``fastops``): row-wise MBR tests for the filter, and for the
-exact step one ragged edge-pair kernel per refinement batch over the
-relations' edge tables (``edge_pairs_intersect_ragged``), one bulk
-point-in-polygon call, and for the proximity predicates one ragged
-edge-distance kernel per round of pending pairs
-(``min_edge_distance_ragged``), capped by a per-pair reach.
+kernels (``fastops``): for the filter, row-wise MBR tests and one
+separating-axis test per filter step over the relations' padded vertex
+columns (``convex_intersect_rows``); for the exact step one ragged
+edge-pair kernel per refinement batch over the relations' edge tables
+(``edge_pairs_intersect_ragged``) and one bulk point-in-polygon call;
+and for the proximity predicates one ragged edge-distance kernel per
+round of pending pairs (``min_edge_distance_ragged``), capped by a
+per-pair reach.
 This module makes the *execution substrate* of those kernels pluggable
 behind an unchanged interface — ``JoinConfig(kernels=...)`` selects a
 backend per join, and every backend decides every predicate identically
@@ -16,8 +18,9 @@ backend per join, and every backend decides every predicate identically
     The vectorised oracle kernels from :mod:`repro.geometry.fastops`.
     Always available.
 ``"c"``
-    The three per-batch loop kernels (ragged edge pairs, ragged edge
-    distance, points in polygons) compiled from ``_ckernels.c``, a
+    The four per-batch loop kernels (ragged edge pairs, ragged edge
+    distance, points in polygons, convex rows) compiled from
+    ``_ckernels.c``, a
     statement-for-statement transliteration of their loop twins in
     :mod:`repro.geometry._kernels_loops`; the row-wise rectangle test
     is the numpy oracle's.
@@ -84,8 +87,13 @@ NUMBA_AVAILABLE = False
 #: kernels a backend provides (the dispatcher mirrors these names).
 #: The exact step calls one kernel per batch or round, never per pair:
 #: ``edge_pairs_intersect_ragged`` for intersects, ``min_edge_distance_ragged``
-#: for the proximity predicates.  Per-pair building blocks that no hot
-#: path calls through a backend (``fastops.edge_matrix_intersect_any``,
+#: for the proximity predicates.  The filter calls
+#: ``convex_intersect_rows`` once per filter step, on the two relations'
+#: stored vertex columns and the step's row indices (rows in
+#: ``[0, len(vx))``; the compiled and loop backends raise ``IndexError``
+#: outside it).  Per-pair building
+#: blocks that no hot path calls through a backend
+#: (``fastops.edge_matrix_intersect_any``,
 #: ``edges_overlapping_rect_mask``) and the reach heuristic
 #: ``fastops.vertex_distance_bounds`` are plain functions, not kernels;
 #: so is ``fastops.segments_intersect_bulk``, which ``fastops`` calls
@@ -95,6 +103,7 @@ KERNEL_NAMES = (
     "edge_pairs_intersect_ragged",
     "rects_intersect_bulk",
     "min_edge_distance_ragged",
+    "convex_intersect_rows",
 )
 
 _NO_MBRS = np.empty((0, 4), dtype=np.float64)
@@ -280,6 +289,7 @@ def _open_library(path: Path) -> Optional[ctypes.CDLL]:
         "ck_edge_pairs_ragged": (count, 3, 11),
         "ck_edge_distance_ragged": (count, 3, 13),
         "ck_points_in_polygons": (None, 3, 10),
+        "ck_convex_rows": (None, 3, 7),
     }
     for name, (restype, n_counts, n_pointers) in signatures.items():
         function = getattr(library, name)
@@ -293,6 +303,13 @@ def _open_library(path: Path) -> Optional[ctypes.CDLL]:
 # ---------------------------------------------------------------------------
 
 
+def _numpy_convex_rows(avx, avy, rows_a, bvx, bvy, rows_b):
+    """Gather the rows, then the oracle's separating-axis test."""
+    return _fastops.convex_intersect_bulk(
+        avx[rows_a], avy[rows_a], bvx[rows_b], bvy[rows_b]
+    )
+
+
 def _build_numpy_set() -> KernelSet:
     return KernelSet(
         "numpy",
@@ -300,6 +317,7 @@ def _build_numpy_set() -> KernelSet:
         edge_pairs_intersect_ragged=_fastops.edge_pairs_intersect_ragged,
         rects_intersect_bulk=_fastops.rects_intersect_bulk,
         min_edge_distance_ragged=_fastops.min_edge_distance_ragged,
+        convex_intersect_rows=_numpy_convex_rows,
     )
 
 
@@ -355,6 +373,21 @@ def _c_index(values, size: int, n: int) -> np.ndarray:
     return values
 
 
+def _convex_rows_args(avx, avy, rows_a, bvx, bvy, rows_b) -> Tuple:
+    """The checked, contiguous arguments of ``convex_intersect_rows``."""
+    n = len(rows_a)
+    sides = []
+    for vx, vy, rows in ((avx, avy, rows_a), (bvx, bvy, rows_b)):
+        vx, vy = _column(vx), _column(vy)
+        if vx.ndim != 2 or vy.shape != vx.shape:
+            raise ValueError(
+                f"vertex matrices must share one 2-D shape, got "
+                f"{vx.shape} and {vy.shape}"
+            )
+        sides += [vx, vy, _c_index(rows, len(vx), n)]
+    return tuple(sides)
+
+
 def _c_rows(values, shape: Tuple[int, ...]) -> np.ndarray:
     values = _column(values)
     if values.shape != shape:
@@ -369,6 +402,7 @@ def _build_c_set() -> KernelSet:
     edge_pairs = library.ck_edge_pairs_ragged
     edge_dist = library.ck_edge_distance_ragged
     pts_in_poly = library.ck_points_in_polygons
+    sat_rows = library.ck_convex_rows
 
     def points_in_polygons_bulk(px, py, qidx, ex1, ey1, ex2, ey2, mbrs=None):
         k = len(px)
@@ -417,12 +451,21 @@ def _build_c_set() -> KernelSet:
         )
         return dist, _edge_count(evaluated)
 
+    def convex_intersect_rows(avx, avy, rows_a, bvx, bvy, rows_b):
+        args = _convex_rows_args(avx, avy, rows_a, bvx, bvy, rows_b)
+        n = len(args[2])
+        out = np.zeros(n, dtype=np.bool_)
+        sat_rows(n, args[0].shape[1], args[3].shape[1],
+                 *_pointers((*args, out)))
+        return out
+
     return KernelSet(
         "c",
         points_in_polygons_bulk=points_in_polygons_bulk,
         edge_pairs_intersect_ragged=edge_pairs_intersect_ragged,
         rects_intersect_bulk=oracle.rects_intersect_bulk,
         min_edge_distance_ragged=min_edge_distance_ragged,
+        convex_intersect_rows=convex_intersect_rows,
     )
 
 
@@ -463,12 +506,18 @@ def _build_python_set() -> KernelSet:
         )
         return dist, int(evaluated)
 
+    def convex_intersect_rows(avx, avy, rows_a, bvx, bvy, rows_b):
+        return _loops.convex_rows(
+            *_convex_rows_args(avx, avy, rows_a, bvx, bvy, rows_b)
+        )
+
     return KernelSet(
         "python",
         points_in_polygons_bulk=points_in_polygons_bulk,
         edge_pairs_intersect_ragged=edge_pairs_intersect_ragged,
         rects_intersect_bulk=rects_intersect_bulk,
         min_edge_distance_ragged=min_edge_distance_ragged,
+        convex_intersect_rows=convex_intersect_rows,
     )
 
 
@@ -526,6 +575,10 @@ def warm_up(name: str = "auto") -> str:
     kernels.min_edge_distance_ragged(
         table, table, one, one, np.array([1.0]), np.array([1e-9])
     )
+    square_x = np.array([[0.0, 1.0, 1.0, 0.0, 0.0]])
+    square_y = np.array([[0.0, 0.0, 1.0, 1.0, 0.0]])
+    kernels.convex_intersect_rows(square_x, square_y, one, square_x,
+                                  square_y, one)
     _WARM_EVENTS.append(backend)
     return backend
 
@@ -598,6 +651,16 @@ class KernelDispatcher:
         start = time.perf_counter()
         out = self.kernels.rects_intersect_bulk(a, b)
         self._record("rects_intersect_bulk", len(a),
+                     time.perf_counter() - start)
+        return out
+
+    def convex_intersect_rows(self, avx, avy, rows_a, bvx, bvy, rows_b):
+        """One call per filter step; ``pairs`` counts row pairs."""
+        start = time.perf_counter()
+        out = self.kernels.convex_intersect_rows(
+            avx, avy, rows_a, bvx, bvy, rows_b
+        )
+        self._record("convex_intersect_rows", len(out),
                      time.perf_counter() - start)
         return out
 

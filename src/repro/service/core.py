@@ -435,11 +435,11 @@ class JoinService:
 
     def _execute_knn(self, request: KnnRequest) -> KnnResponse:
         k = validate_k(request.k)
-        tree = request.relation.rtree()
-        neighbours = knn_query(tree, request.point, k)
+        objects = request.relation.objects
+        neighbours = knn_query(request.relation.rtree(), request.point, k)
         return KnnResponse(
             op="knn",
             neighbours=tuple(
-                (obj.oid, float(dist)) for dist, obj in neighbours
+                (objects[row].oid, float(dist)) for dist, row in neighbours
             ),
         )

@@ -139,7 +139,6 @@ def _assert_edge_table_identity(rel):
     table = geometry.table
     assert table.offsets[0] == 0 and table.offsets[-1] == table.coords.shape[1]
     for row, obj in enumerate(rel):
-        assert geometry.row_of(obj) == row
         x1, y1, x2, y2 = (column.tolist() for column in geometry.edges(row))
         edges = list(obj.polygon.edges())
         assert list(zip(zip(x1, y1), zip(x2, y2))) == edges
@@ -209,7 +208,7 @@ def test_edge_table_build_has_no_per_object_step():
             *(column.view(_CountingColumn) for column in rel.columnar().rings)
         )
         _CountingColumn.reads = 0
-        geometry = RingGeometry(columns, rel.objects)
+        geometry = RingGeometry(columns)
         assert geometry.table.coords.shape == (4, 3 * n_objects)
         return _CountingColumn.reads
 
@@ -294,7 +293,7 @@ def _reaching_objects(rel_a, rel_b) -> int:
 def test_stored_kinds_come_from_columns_unstored_kinds_per_join(
     monkeypatch, unstored
 ):
-    """The per-kind rule of ``BatchGeometricFilter.encoder``.
+    """The per-kind rule of ``BatchGeometricFilter.side``.
 
     RMBR and MBE have no stored form: each join packs the kind for the
     objects that reach the filter, and each object derives it once.
@@ -380,33 +379,6 @@ def test_serial_tiles_gather_every_stored_kind(
     assert builds == [] and calls == []
 
 
-def test_from_columnar_adopts_without_packing(monkeypatch):
-    rel_a, rel_b = random_relation_pair(305, n_objects=8)
-    store_a = rel_a.columnar().approx("CH")
-    store_b = rel_b.columnar().approx("CH")
-    calls = _register_spy(monkeypatch)
-    combined = BatchApproxArrays.from_columnar("CH", [store_a, store_b])
-    assert calls == []
-    assert len(combined) == len(rel_a) + len(rel_b)
-    objects = list(rel_a) + list(rel_b)
-    rows = combined.rows(objects)
-    assert calls == [], "adopted objects must be pure gathers"
-    assert rows.tolist() == list(range(len(objects)))
-    np.testing.assert_array_equal(
-        combined.mbrs, np.concatenate([store_a.mbrs, store_b.mbrs])
-    )
-    np.testing.assert_array_equal(
-        combined.false_areas,
-        np.concatenate([store_a.false_areas, store_b.false_areas]),
-    )
-    # A foreign object still registers incrementally on top.
-    extra = SpatialRelation("X", [Polygon([(0, 0), (1, 0), (0.5, 1)])])
-    row = combined.rows([extra.objects[0]])
-    assert row.tolist() == [len(objects)]
-    assert len(calls) == 1
-    assert combined.mbrs.shape == (len(objects) + 1, 4)
-
-
 def test_columnar_cache_invalidated_when_objects_replaced():
     rel_a, _ = random_relation_pair(306, n_objects=4)
     store = rel_a.columnar()
@@ -456,9 +428,10 @@ def test_rtree_is_memoised_per_capacity_and_invalidated_like_columnar():
     # build_rtree keeps handing out private trees (callers may insert).
     assert rel_a.build_rtree() is not tree
     assert rel_a.build_rtree() is not rel_a.build_rtree()
-    assert sorted(e.item.oid for e in tree.all_entries()) == [
-        o.oid for o in rel_a
-    ]
+    # Leaf items are row indices into rel_a.objects.
+    assert sorted(e.item for e in tree.all_entries()) == list(
+        range(len(rel_a))
+    )
     # Same rule as columnar(): a replaced or resized list drops the cache.
     rel_a.objects = rel_a.objects[:-1]
     shorter = rel_a.rtree()

@@ -111,12 +111,13 @@ def test_equivalence_on_paper_series(tiny_series, tiny_oracle):
 
 
 def test_create_engine_dispatch():
-    assert isinstance(create_engine(JoinConfig()), StreamingEngine)
+    """``batched`` is the default engine; ``streaming`` stays selectable."""
+    assert isinstance(create_engine(JoinConfig()), BatchedEngine)
     assert isinstance(
-        create_engine(JoinConfig(engine="batched")), BatchedEngine
+        create_engine(JoinConfig(engine="streaming")), StreamingEngine
     )
-    assert create_engine(JoinConfig()).name == "streaming"
-    assert create_engine(JoinConfig(engine="batched")).name == "batched"
+    assert create_engine(JoinConfig()).name == "batched"
+    assert create_engine(JoinConfig(engine="streaming")).name == "streaming"
 
 
 def test_cli_engine_flag(tmp_path, capsys):
@@ -130,7 +131,10 @@ def test_cli_engine_flag(tmp_path, capsys):
     save_relation(rel_a, path_a)
     save_relation(rel_b, path_b)
 
-    assert main(["join", path_a, path_b, "--exact", "vectorized"]) == 0
+    assert main([
+        "join", path_a, path_b, "--exact", "vectorized",
+        "--engine", "streaming",
+    ]) == 0
     out_streaming = capsys.readouterr().out
     assert main([
         "join", path_a, path_b, "--exact", "vectorized",

@@ -216,27 +216,31 @@ def test_batch_circle_filter_matches_scalar_at_large_coordinates():
     rel_a, rel_b = random_relation_pair(29, n_objects=14)
     rel_a, rel_b = scaled(rel_a, 1e8), scaled(rel_b, 1e8)
     fc = FilterConfig(conservative="MBC", progressive="MEC")
-    batch = BatchGeometricFilter(fc)
+    batch = BatchGeometricFilter(fc, (rel_a.columnar(), rel_b.columnar()))
     pairs = [
-        (oa, ob) for oa in rel_a for ob in rel_b
+        (i, j)
+        for i, oa in enumerate(rel_a)
+        for j, ob in enumerate(rel_b)
         if oa.mbr.intersects(ob.mbr)
     ]
     assert pairs
     codes = batch.classify([p[0] for p in pairs], [p[1] for p in pairs])
-    from repro.engine.batched import _OUTCOME_ENUM
+    from repro.engine.base import OUTCOME_CODE
 
-    for (oa, ob), code in zip(pairs, codes):
-        assert _OUTCOME_ENUM[int(code)] == geometric_filter(oa, ob, fc)
+    for (i, j), code in zip(pairs, codes):
+        assert int(code) == OUTCOME_CODE[
+            geometric_filter(rel_a[i], rel_b[j], fc)
+        ]
 
 
 class TestBatchApproxArraysIncremental:
     def test_wave_registration_equals_one_shot_packing(self):
-        """Batch-by-batch registration must pack the same arrays.
+        """Batch-by-batch appending must pack the same arrays.
 
         The encoder flushes incrementally (only new rows are converted);
-        registering in waves — with later waves bringing hulls wide
+        appending in waves — with later waves bringing hulls wide
         enough to force re-padding of the earlier rows — must produce
-        exactly the arrays of a single registration of everything.
+        exactly the arrays of a single append of everything.
         """
         from helpers import random_relation_pair
         from repro.approximations.batch import BatchApproxArrays
@@ -247,11 +251,11 @@ class TestBatchApproxArraysIncremental:
         objects.sort(key=lambda o: len(o.approximation("CH").convex_vertices()))
         for kind in ("CH", "5-C", "MBC"):
             one_shot = BatchApproxArrays(kind)
-            rows_all = one_shot.rows(objects)
+            rows_all = one_shot.append(objects)
             waves = BatchApproxArrays(kind)
             rows_waved = []
             for lo in range(0, len(objects), 5):
-                rows_waved.extend(waves.rows(objects[lo:lo + 5]))
+                rows_waved.extend(waves.append(objects[lo:lo + 5]))
                 waves.mbrs  # force a flush between waves
             assert list(rows_all) == rows_waved
             np.testing.assert_array_equal(waves.mbrs, one_shot.mbrs)
@@ -286,21 +290,23 @@ def test_fuzz_batch_filter_against_scalar_filter():
     for seed in range(20):
         rel_a, rel_b = random_relation_pair(seed, n_objects=10)
         pairs = [
-            (oa, ob)
-            for oa in rel_a
-            for ob in rel_b
+            (i, j)
+            for i, oa in enumerate(rel_a)
+            for j, ob in enumerate(rel_b)
             if oa.mbr.intersects(ob.mbr)
         ]
         if not pairs:
             continue
+        stores = (rel_a.columnar(), rel_b.columnar())
         for fc in configs:
-            batch = BatchGeometricFilter(fc)
-            objs_a = [p[0] for p in pairs]
-            objs_b = [p[1] for p in pairs]
-            codes = batch.classify(objs_a, objs_b)
-            for (oa, ob), code in zip(pairs, codes):
-                scalar = geometric_filter(oa, ob, fc)
-                assert batch.classify_pair(oa, ob) == scalar
-                from repro.engine.batched import _OUTCOME_ENUM
+            batch = BatchGeometricFilter(fc, stores)
+            rows_a = [p[0] for p in pairs]
+            rows_b = [p[1] for p in pairs]
+            codes = batch.classify(rows_a, rows_b)
+            from repro.engine.base import OUTCOME_CODE
 
-                assert _OUTCOME_ENUM[int(code)] == scalar
+            for (i, j), code in zip(pairs, codes):
+                scalar = OUTCOME_CODE[geometric_filter(rel_a[i], rel_b[j], fc)]
+                single = BatchGeometricFilter(fc, stores).classify([i], [j])
+                assert int(single[0]) == scalar
+                assert int(code) == scalar

@@ -81,8 +81,11 @@ class TestEveryConfigurationAgrees:
         items_b = series.relation_b.mbr_items()
         rstar_a = series.relation_a.build_rtree(max_entries=8)
         rstar_b = series.relation_b.build_rtree(max_entries=8)
+        objects_a = series.relation_a.objects
+        objects_b = series.relation_b.objects
         reference = sorted(
-            (a.oid, b.oid) for a, b in rstar_join(rstar_a, rstar_b)
+            (objects_a[a].oid, objects_b[b].oid)
+            for a, b in rstar_join(rstar_a, rstar_b)
         )
         packed = sorted(
             (a.oid, b.oid)

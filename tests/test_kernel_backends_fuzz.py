@@ -2,7 +2,8 @@
 
 The compiled kernel tier (:mod:`repro.geometry.kernels`) promises that
 every backend decides *identically* — same booleans, same floats, same
-edge-pair counts.  The ``python`` backend runs the loop kernels and the
+edge-pair counts — for the exact step's kernels and for the filter's
+separating-axis test (``convex_intersect_rows``).  The ``python`` backend runs the loop kernels and the
 ``c`` backend their C transliteration (``geometry/_ckernels.c``, built
 without FMA contraction); both are fuzzed against the numpy oracle,
 distances bit for bit.
@@ -23,9 +24,11 @@ from hypothesis import strategies as st
 from helpers import min_edge_distance_bulk
 from repro.datasets.relations import SpatialRelation
 from repro.exact.refine import clip_margins, clip_rects
+from repro.geometry.convex import convex_hull
 from repro.geometry.fastops import (
     EdgeArrays,
     build_edge_table,
+    pack_convex_rows,
     vertex_distance_bounds,
 )
 from repro.geometry.kernels import get_kernels
@@ -330,3 +333,103 @@ def test_min_edge_distance_ragged_degenerate_cases(offset):
         _edge_table(objects_a, offset), _edge_table(objects_b, offset),
         [np.full(16, 0.125), np.full(16, 1.0)],
     )
+
+
+# -- convex_intersect_rows --------------------------------------------------
+
+#: a convex polygon: the hull of a few points, kept when it has >= 3
+#: vertices (degenerate shapes never reach the kernel).
+convex_polygon = st.lists(point, min_size=3, max_size=8).map(
+    lambda pts: convex_hull(pts)
+).filter(lambda hull: len(hull) >= 3)
+
+
+def _padded(hulls, extra=0):
+    """``pack_convex_rows`` matrices, widened by ``extra`` padding columns."""
+    vx, vy, _ = pack_convex_rows([list(h) for h in hulls])
+    if extra:
+        vx = np.concatenate([vx, np.repeat(vx[:, :1], extra, axis=1)], axis=1)
+        vy = np.concatenate([vy, np.repeat(vy[:, :1], extra, axis=1)], axis=1)
+    return vx, vy
+
+
+def _assert_convex_rows_match(avx, avy, rows_a, bvx, bvy, rows_b):
+    oracle = get_kernels("numpy").convex_intersect_rows(
+        avx, avy, rows_a, bvx, bvy, rows_b
+    )
+    assert oracle.dtype == bool and oracle.shape == (len(rows_a),)
+    for name in ALT_BACKENDS:
+        got = get_kernels(name).convex_intersect_rows(
+            avx, avy, rows_a, bvx, bvy, rows_b
+        )
+        assert np.array_equal(np.asarray(got), oracle), name
+    return oracle
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(convex_polygon, min_size=1, max_size=5),
+       st.lists(convex_polygon, min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=3), st.data())
+def test_convex_intersect_rows_match(hulls_a, hulls_b, pad_a, pad_b, data):
+    """Unequal padded widths, repeated padding vertices, snapped-grid
+    touching; every row pair, plus drawn rows with repeats."""
+    avx, avy = _padded(hulls_a, pad_a)
+    bvx, bvy = _padded(hulls_b, pad_b)
+    rows_a = np.repeat(np.arange(len(hulls_a)), len(hulls_b))
+    rows_b = np.tile(np.arange(len(hulls_b)), len(hulls_a))
+    _assert_convex_rows_match(avx, avy, rows_a, bvx, bvy, rows_b)
+    drawn = data.draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=len(hulls_a) - 1),
+            st.integers(min_value=0, max_value=len(hulls_b) - 1),
+        ),
+        max_size=12,
+    ))
+    picks = np.array(drawn, dtype=np.intp).reshape(-1, 2)
+    _assert_convex_rows_match(avx, avy, picks[:, 0], bvx, bvy, picks[:, 1])
+
+
+def test_convex_intersect_rows_special_cases():
+    """Touching within eps, identical and nested polygons, non-finite
+    coordinates, an empty batch and out-of-range rows."""
+    square = _ccw_square(0.0, 0.0, 1.0)
+    eps_shift = 0.5e-12
+    hulls_a = [
+        square,
+        square,                                   # identical to b[0]
+        _ccw_square(0.0, 0.0, 0.25),              # nested in b[0]
+        _ccw_square(2.0, 0.0, 1.0),               # shares b[0]'s edge
+        _ccw_square(2.0 + eps_shift, 0.0, 1.0),   # apart by < eps
+        _ccw_square(2.0 + 1e-6, 2.0, 1.0),        # apart by > eps
+        [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)],
+    ]
+    hulls_b = [square, _ccw_square(3.0, 2.0, 1.0), [(1.0, 0.0), (2.0, 0.0),
+                                                     (1.5, 1.0)]]
+    avx, avy = _padded(hulls_a, 2)
+    bvx, bvy = _padded(hulls_b)
+    rows_a = np.repeat(np.arange(len(hulls_a)), len(hulls_b))
+    rows_b = np.tile(np.arange(len(hulls_b)), len(hulls_a))
+    hits = _assert_convex_rows_match(avx, avy, rows_a, bvx, bvy, rows_b)
+    assert hits.reshape(len(hulls_a), len(hulls_b))[:5, 0].all()
+    # Non-finite coordinates: NaN and +-inf in vertex and padding columns.
+    for value in (np.nan, np.inf, -np.inf):
+        for column in (0, 1, avx.shape[1] - 1):
+            bad_x, bad_y = avx.copy(), avy.copy()
+            bad_x[0, column] = value
+            bad_y[2, column] = value
+            with np.errstate(invalid="ignore"):
+                _assert_convex_rows_match(
+                    bad_x, bad_y, rows_a, bvx, bvy, rows_b
+                )
+                _assert_convex_rows_match(
+                    bvx, bvy, rows_b, bad_x, bad_y, rows_a
+                )
+    empty = np.empty(0, dtype=np.intp)
+    assert _assert_convex_rows_match(avx, avy, empty, bvx, bvy, empty).size == 0
+    for bad_a, bad_b in (([len(hulls_a)], [0]), ([0], [-len(hulls_b) - 1])):
+        for name in ["numpy", *ALT_BACKENDS]:
+            with pytest.raises(IndexError):
+                get_kernels(name).convex_intersect_rows(
+                    avx, avy, np.array(bad_a), bvx, bvy, np.array(bad_b)
+                )

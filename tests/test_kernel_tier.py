@@ -100,8 +100,9 @@ class TestBackendResolution:
 #: engine/refinement-batch variety exercising every kernel call site.
 ENGINE_CONFIGS = [
     JoinConfig(),
-    JoinConfig(engine="batched"),
+    JoinConfig(engine="streaming"),
     JoinConfig(exact_batch=1),
+    JoinConfig(engine="streaming", exact_batch=1),
     JoinConfig(engine="batched", exact_batch=7),
     JoinConfig(predicate="within", engine="batched"),
 ]

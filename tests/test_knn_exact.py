@@ -9,10 +9,19 @@ from repro.datasets.relations import europe
 from repro.geometry.polygon import Polygon
 from repro.index.knn import knn_query_exact
 from repro.index.pagemodel import AccessCounter
+from repro.index.rstar import RStarTree
 
 
 def exact_dist(point, obj):
     return point_polygon_distance(point, obj.polygon)
+
+
+def object_tree(rel, max_entries=32):
+    """``rel.build_rtree``'s tree with the objects, not their rows, as items."""
+    tree = RStarTree(max_entries=max_entries)
+    for obj in rel:
+        tree.insert(obj.mbr, obj)
+    return tree
 
 
 class TestPointPolygonDistance:
@@ -39,7 +48,7 @@ class TestExactKnn:
     @pytest.mark.parametrize("k", [1, 3, 10])
     def test_matches_linear_scan(self, k):
         rel = europe(size=120)
-        tree = rel.build_rtree(max_entries=8)
+        tree = object_tree(rel, max_entries=8)
         rng = random.Random(31)
         for _ in range(5):
             p = (rng.random(), rng.random())
@@ -49,7 +58,7 @@ class TestExactKnn:
 
     def test_results_sorted(self):
         rel = europe(size=60)
-        tree = rel.build_rtree()
+        tree = object_tree(rel)
         got = knn_query_exact(tree, (0.3, 0.7), 8, exact_dist)
         ds = [d for d, _ in got]
         assert ds == sorted(ds)
@@ -57,7 +66,7 @@ class TestExactKnn:
     def test_prunes_exact_evaluations(self):
         """MINDIST pruning must evaluate far fewer objects than a scan."""
         rel = europe(size=200)
-        tree = rel.build_rtree(max_entries=8)
+        tree = object_tree(rel, max_entries=8)
         calls = []
 
         def counting_dist(point, obj):
@@ -69,19 +78,19 @@ class TestExactKnn:
 
     def test_k_exceeds_size(self):
         rel = europe(size=15)
-        tree = rel.build_rtree()
+        tree = object_tree(rel)
         got = knn_query_exact(tree, (0.5, 0.5), 100, exact_dist)
         assert len(got) == 15
 
     def test_invalid_k(self):
         rel = europe(size=5)
-        tree = rel.build_rtree()
+        tree = object_tree(rel)
         with pytest.raises(ValueError):
             knn_query_exact(tree, (0, 0), 0, exact_dist)
 
     def test_page_accounting(self):
         rel = europe(size=80)
-        tree = rel.build_rtree(max_entries=8)
+        tree = object_tree(rel, max_entries=8)
         counter = AccessCounter()
         knn_query_exact(tree, (0.2, 0.2), 2, exact_dist, counter)
         assert 0 < counter.node_visits <= tree.node_count()
@@ -89,7 +98,7 @@ class TestExactKnn:
     def test_exact_beats_mindist_ordering(self):
         """A large far MBR with a tiny polygon: exact k-NN reorders."""
         rel = europe(size=50)
-        tree = rel.build_rtree()
+        tree = object_tree(rel)
         p = (0.5, 0.5)
         exact = knn_query_exact(tree, p, 5, exact_dist)
         for d, obj in exact:

@@ -296,7 +296,7 @@ class TestVersion2Contract:
         # A second relation whose objects compute their own MEC, one by
         # one, and are packed row by row.
         packer = BatchApproxArrays("MEC")
-        packer.rows(SpatialRelation(name, _polygons(name)).objects)
+        packer.append(SpatialRelation(name, _polygons(name)).objects)
         packed = packer.columns().arrays
         assert list(stored) == list(packed)
         for column, array in stored.items():

@@ -87,6 +87,20 @@ def _edges_within(geometry, row, rect, reach):
     return tuple(table.coords[:, span][:, keep])
 
 
+class _Geometry:
+    """A relation's edge table plus the object-to-row lookup the
+    per-pair reference needs (the pipelines themselves work on rows)."""
+
+    def __init__(self, relation: SpatialRelation):
+        geometry = relation.columnar().ring_geometry()
+        self.table = geometry.table
+        self.edges = geometry.edges
+        self._rows = {id(obj): row for row, obj in enumerate(relation)}
+
+    def row_of(self, obj: SpatialObject) -> int:
+        return self._rows[id(obj)]
+
+
 def _exact_distance(
     obj_a: SpatialObject,
     obj_b: SpatialObject,
@@ -119,8 +133,8 @@ def reference_distance_join(
     owns: Optional[Callable[[SpatialObject, SpatialObject], bool]] = None,
 ) -> Iterator[Pair]:
     epsilon = config.epsilon
-    geometry_a = relation_a.columnar().ring_geometry()
-    geometry_b = relation_b.columnar().ring_geometry()
+    geometry_a = _Geometry(relation_a)
+    geometry_b = _Geometry(relation_b)
     half = epsilon / 2.0
     tree_a = expanded_tree(relation_a, half, config.rtree_max_entries)
     tree_b = expanded_tree(relation_b, half, config.rtree_max_entries)
@@ -176,8 +190,8 @@ def reference_knn_join(
     stats: MultiStepStats,
 ) -> Iterator[Pair]:
     k = config.k
-    geometry_a = relation_a.columnar().ring_geometry()
-    geometry_b = relation_b.columnar().ring_geometry()
+    geometry_a = _Geometry(relation_a)
+    geometry_b = _Geometry(relation_b)
     tree_b = relation_b.rtree(config.rtree_max_entries)
     for obj_a in relation_a:
         if tree_b.size == 0:
@@ -215,7 +229,7 @@ def reference_knn_join(
                             rect_distance(obj_a.mbr, entry.rect),
                             next(tiebreak),
                             True,
-                            entry.item,
+                            relation_b.objects[entry.item],
                         ),
                     )
             else:
@@ -262,8 +276,8 @@ def restated_knn_stats(relation_a, relation_b, k) -> MultiStepStats:
     counts ``MINDIST <= d_k``.
     """
     stats = MultiStepStats()
-    geometry_a = relation_a.columnar().ring_geometry()
-    geometry_b = relation_b.columnar().ring_geometry()
+    geometry_a = _Geometry(relation_a)
+    geometry_b = _Geometry(relation_b)
     objects_b = list(relation_b)
     for obj_a in relation_a:
         if not objects_b:
@@ -404,8 +418,8 @@ def _pair_distance(relation_a, relation_b, index):
     obj_b = relation_b[(index // len(relation_a)) % len(relation_b)]
     return _exact_distance(
         obj_a, obj_b,
-        relation_a.columnar().ring_geometry(),
-        relation_b.columnar().ring_geometry(),
+        _Geometry(relation_a),
+        _Geometry(relation_b),
     )
 
 

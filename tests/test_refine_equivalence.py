@@ -182,8 +182,7 @@ def test_tile_geometry_over_mapped_rows_matches_whole_relation():
         mapped = [_MappedRelation(seg.spec_for()) for seg in segments]
         tiles = [m.tile(idx) for m, idx in zip(mapped, (idx_a, idx_b))]
         geometry = [
-            RingGeometry(m.rings, tile.objects, idx)
-            for m, tile, idx in zip(mapped, tiles, (idx_a, idx_b))
+            RingGeometry(m.rings, idx) for m, idx in zip(mapped, (idx_a, idx_b))
         ]
     finally:
         for m in mapped:
@@ -198,22 +197,24 @@ def test_tile_geometry_over_mapped_rows_matches_whole_relation():
             for ours, theirs in zip(geo.edges(row), whole.edges(source)):
                 assert np.array_equal(ours, theirs)
             assert geo.bounds(row) == whole.bounds(source)
-    tile_pairs = [(a, b) for a in tiles[0].objects for b in tiles[1].objects]
-    whole_pairs = [(rel_a[i], rel_b[j]) for i in idx_a for j in idx_b]
-    tile_step = BatchedRefinement(config, *geometry)
+    # Tile row i is the relation's row idx[i].
+    tile_pairs = [
+        (a, b) for a in range(len(idx_a)) for b in range(len(idx_b))
+    ]
+    whole_pairs = np.array([(i, j) for i in idx_a for j in idx_b])
+    tile_step = BatchedRefinement(
+        config, *geometry, tiles[0].objects, tiles[1].objects
+    )
     whole_step = BatchedRefinement.from_relations(config, rel_a, rel_b)
     tile_stats, whole_stats = MultiStepStats(), MultiStepStats()
     decided = tile_step.resolve_batch(tile_pairs, tile_stats)
-    assert decided == whole_step.resolve_batch(whole_pairs, whole_stats)
+    assert decided.tolist() == (
+        whole_step.resolve_batch(whole_pairs, whole_stats).tolist()
+    )
     assert any(decided) and not all(decided)
     assert tile_stats.refine_fallback_pairs == 0
-    assert whole_step.resolve_batch([], whole_stats) == []
-    # An object the table has no row for takes the scalar fallback.
-    stranger = (rel_a[0], tiles[1].objects[0])
-    assert tile_step.resolve_batch([stranger], tile_stats) == (
-        whole_step.resolve_batch([(rel_a[0], rel_b[idx_b[0]])], whole_stats)
-    )
-    assert tile_stats.refine_fallback_pairs == 1
+    assert whole_step.resolve_batch([], whole_stats).tolist() == []
+    assert whole_stats.refine_batch_pairs == len(whole_pairs)
 
 
 @pytest.mark.slow
@@ -461,11 +462,12 @@ def test_batched_decisions_equal_every_scalar_processor(name, rel_a, rel_b):
             a.polygon, b.polygon),
         "fast": lambda a, b: polygons_intersect_fast(a.polygon, b.polygon),
     }
+    objects = [(rel_a[i], rel_b[j]) for i, j in candidates]
     for label, processor in processors.items():
-        expected = [processor(a, b) for a, b in candidates]
+        expected = [processor(a, b) for a, b in objects]
         mismatched = [
             (a.oid, b.oid)
-            for (a, b), ours, theirs in zip(candidates, decided, expected)
+            for (a, b), ours, theirs in zip(objects, decided, expected)
             if ours != theirs
         ]
         assert not mismatched, f"{name}: {label} differs on {mismatched}"

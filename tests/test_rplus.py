@@ -173,7 +173,9 @@ class TestJoin:
         )
         rs_a = rel_a.build_rtree(max_entries=8)
         rs_b = rel_b.build_rtree(max_entries=8)
-        expected = sorted((a.oid, b.oid) for a, b in rstar_join(rs_a, rs_b))
+        expected = sorted(
+            (rel_a[a].oid, rel_b[b].oid) for a, b in rstar_join(rs_a, rs_b)
+        )
         assert got == expected
 
     def test_join_yields_unique_pairs(self):

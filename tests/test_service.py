@@ -46,8 +46,8 @@ pytestmark = pytest.mark.parallel
 CONFIGS = [
     JoinConfig(),
     JoinConfig(predicate="within"),
-    JoinConfig(engine="batched"),
-    JoinConfig(exact_batch=1),
+    JoinConfig(engine="streaming"),
+    JoinConfig(engine="streaming", exact_batch=1),
     JoinConfig(engine="batched", exact_batch=7, grid=(2, 3)),
     JoinConfig(partitioner="rtree"),
     JoinConfig(predicate="distance", epsilon=0.05),
@@ -417,7 +417,7 @@ class TestLifecycleAndQueries:
 
         response = run(drive())
         assert response.neighbours == tuple(
-            (obj.oid, float(dist)) for dist, obj in direct
+            (rel_a.objects[row].oid, float(dist)) for dist, row in direct
         )
 
     def test_invalid_constructor_arguments(self):
@@ -441,7 +441,7 @@ class TestConfigCanonicalization:
         fingerprints = {base.fingerprint()}
         for variant in (
             JoinConfig(predicate="within"),
-            JoinConfig(engine="batched"),
+            JoinConfig(engine="streaming"),
             JoinConfig(exact_batch=1),
             JoinConfig(grid=(2, 2)),
             JoinConfig(partitioner="rtree"),

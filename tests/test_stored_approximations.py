@@ -161,7 +161,7 @@ class TestStoredForm:
             clone._approximations[kind] = scalar
             clones.append(clone)
         repacked = BatchApproxArrays(kind)
-        repacked.rows(clones)
+        repacked.append(clones)
         again = repacked.columns()
         assert list(again.arrays) == list(columns.arrays)
         for name, array in columns.arrays.items():

@@ -1,33 +1,9 @@
-"""Tests for point transforms, MultiStepStats and pagemodel corners."""
-
-import math
+"""Tests for MultiStepStats and pagemodel corners."""
 
 import pytest
 
 from repro.core.stats import MultiStepStats
-from repro.geometry.transform import rotate, scale, translate
 from repro.index.pagemodel import IOStats, LRUBuffer, PageLayout
-
-
-class TestTransforms:
-    def test_translate(self):
-        assert translate([(1, 2)], 3, -1) == [(4, 1)]
-
-    def test_rotate_quarter_turn(self):
-        out = rotate([(1, 0)], math.pi / 2, origin=(0, 0))
-        assert out[0][0] == pytest.approx(0.0, abs=1e-12)
-        assert out[0][1] == pytest.approx(1.0)
-
-    def test_rotate_about_noncentral_origin(self):
-        out = rotate([(2, 1)], math.pi, origin=(1, 1))
-        assert out[0] == pytest.approx((0.0, 1.0))
-
-    def test_scale(self):
-        assert scale([(2, 2)], 2.0, origin=(1, 1)) == [(3.0, 3.0)]
-
-    def test_scale_identity(self):
-        pts = [(0.3, 0.7), (0.1, 0.2)]
-        assert scale(pts, 1.0, origin=(0, 0)) == pts
 
 
 class TestMultiStepStats:
