@@ -82,7 +82,7 @@ def validate_grid(grid) -> Tuple[int, int]:
     """Validate a partition grid at the config/CLI boundary.
 
     Returns the grid as a plain ``(nx, ny)`` tuple of ints; raises
-    ``ValueError`` (never a deep ``plan_tile_indices`` traceback) when
+    ``ValueError`` (never a deep grid-partitioner traceback) when
     the shape or the dimensions are wrong.  Every message names the
     minimum — a 1x1 grid — so the fix is obvious.
     """
@@ -165,7 +165,7 @@ class JoinConfig:
     target_tasks: int = 64
     #: partition grid ``(nx, ny)`` for the tile executor; validated
     #: here (integers, both >= 1) instead of deep inside
-    #: ``plan_tile_indices``.
+    #: the grid partitioner.
     grid: Tuple[int, int] = (4, 4)
 
     def __post_init__(self):
@@ -343,27 +343,12 @@ class SpatialJoinProcessor:
     # -- public API ---------------------------------------------------------
 
     def join(
-        self,
-        relation_a: SpatialRelation,
-        relation_b: SpatialRelation,
-        refinement=None,
-    ) -> JoinResult:
-        """Intersection join of two relations.
-
-        ``refinement`` optionally injects a pre-built
-        :class:`~repro.exact.refine.BatchedRefinement` — the parallel
-        tile executor uses this to refine directly on the edge tables of
-        the rows shipped to the worker instead of repacking per tile.
-        """
-        stats = MultiStepStats()
-        pairs = list(self._pipeline(relation_a, relation_b, stats, refinement))
-        return JoinResult(pairs=pairs, stats=stats)
-
-    def join_iter(
         self, relation_a: SpatialRelation, relation_b: SpatialRelation
-    ) -> Iterator[Tuple[SpatialObject, SpatialObject]]:
-        """Streaming variant of :meth:`join` (stats are discarded)."""
-        yield from self._pipeline(relation_a, relation_b, MultiStepStats())
+    ) -> JoinResult:
+        """Intersection join of two relations."""
+        stats = MultiStepStats()
+        pairs = list(self._pipeline(relation_a, relation_b, stats))
+        return JoinResult(pairs=pairs, stats=stats)
 
     # -- pipeline -------------------------------------------------------------
 
@@ -372,7 +357,6 @@ class SpatialJoinProcessor:
         relation_a: SpatialRelation,
         relation_b: SpatialRelation,
         stats: MultiStepStats,
-        refinement=None,
     ) -> Iterator[Tuple[SpatialObject, SpatialObject]]:
         if self.config.predicate in ("distance", "knn"):
             # Proximity predicates run their own pipelines on the
@@ -390,10 +374,11 @@ class SpatialJoinProcessor:
         # which themselves import from repro.core.
         from ..engine.base import create_engine
 
-        engine = create_engine(self.config)
+        capacity = self.config.rtree_max_entries
         objects_a, objects_b = relation_a.objects, relation_b.objects
-        for row_a, row_b in engine.execute(
-            relation_a, relation_b, stats, refinement=refinement
+        for row_a, row_b in create_engine(self.config).execute(
+            relation_a.columnar(), relation_b.columnar(),
+            relation_a.rtree(capacity), relation_b.rtree(capacity), stats,
         ):
             yield objects_a[row_a], objects_b[row_b]
 

@@ -23,12 +23,16 @@ columns (:class:`repro.approximations.batch.ApproxColumns`, taken from
 ``relation.columnar().approx(kind)`` — the get-or-build point, so a
 build happens at most once, in the parent).  A :class:`ColumnarTileTask`
 then pickles only the segment descriptors plus two per-tile index
-arrays; workers map the segments, rebuild polygons bit-identically via
-:meth:`Polygon.from_normalized`, and *gather* the tile's approximation
-rows by the same indices (:func:`repro.core.partition.tile_relation`,
-the helper the serial partitioned join cuts its tiles with) — workers
-gather, they never derive a stored kind.  Replicated objects cost
-nothing extra on the wire (the columns ship once, indices are cheap).
+arrays.  A tile is those rows of its parents' columns: workers map the
+segments and cut each side with
+:meth:`~repro.datasets.columnar.ColumnarRelation.cut` — the gathered
+oids, MBR rows, approximation rows and edge table of the task's rows —
+and run it with :func:`repro.core.partition.run_tile`, the runner of the
+serial partitioned join's tiles too.  Workers gather, they never derive
+a stored kind, and a tile object is rebuilt (bit-identically, via
+:meth:`Polygon.from_normalized`) only when a scalar path reads it.
+Replicated objects cost nothing extra on the wire (the columns ship
+once, indices are cheap).
 
 **Segment layout.**  A segment's interior is described in exactly one
 place: the :class:`SegmentLayout` — ``(name, dtype, shape)`` per column,
@@ -93,9 +97,9 @@ flow counters equal the plain serial pipeline's; tree tasks prune the
 synchronized traversal by rectangle distance and stay disjoint; kNN
 tasks carry disjoint left rows plus the right rows within each
 member's k-th-neighbour upper bound, and merged pairs are re-sorted to
-the serial left-relation order.  Proximity tiles gather their rows
-(:class:`~repro.core.proximity.ProximityRows`) from the segments and
-build no object.  Only tiny joins — candidate volume
+the serial left-relation order.  Proximity tiles take the same cut and
+read its rows (:meth:`~repro.core.proximity.ProximityRows.of`), building
+no object.  Only tiny joins — candidate volume
 below :data:`PROXIMITY_SERIAL_VOLUME`, a rule that never reads
 execution-only fields, keeping the service result cache coherent —
 route to the plain serial pipeline instead.
@@ -130,9 +134,8 @@ from typing import (
 import numpy as np
 
 from ..approximations.batch import ApproxColumns, stored_family
-from ..datasets.columnar import RingColumns, unpack_polygon
-from ..datasets.relations import SpatialObject, SpatialRelation
-from ..geometry.fastops import build_edge_table
+from ..datasets.columnar import ColumnarRelation, RingColumns
+from ..datasets.relations import SpatialRelation
 from ..geometry.kernels import resolve_backend, warm_up
 from ..geometry.rectangle import Rect
 from .join import JoinConfig, SpatialJoinProcessor, validate_grid
@@ -141,9 +144,9 @@ from .partition import (
     PartitionPlan,
     PartitionStats,
     create_partitioner,
-    owning_tile,
+    fold_tiles,
     owning_tiles,
-    tile_relation,
+    run_tile,
 )
 from .stats import MultiStepStats
 
@@ -244,7 +247,7 @@ class ColumnarTileTask:
     spec_b: SharedRelationSpec
     idx_a: np.ndarray
     idx_b: np.ndarray
-    space: Optional[Tuple[float, float, float, float]]
+    space: Optional[Rect]
     grid: Optional[Tuple[int, int]]
     config: JoinConfig
 
@@ -569,7 +572,7 @@ def _plan_in_session(
                 spec_b=spec_b,
                 idx_a=idx_a,
                 idx_b=idx_b,
-                space=plan.space_tuple,
+                space=plan.space,
                 grid=plan.grid,
                 config=config,
             )
@@ -613,29 +616,12 @@ def plan_columnar_tile_tasks(
 # ---------------------------------------------------------------------------
 
 
-def _objects_from_columns(
-    columns: RingColumns, indices: np.ndarray
-) -> List[SpatialObject]:
-    """Rebuild the indexed objects from mapped ring columns.
-
-    Polygons copy their coordinates out of the columns (bit-identically,
-    via :meth:`Polygon.from_normalized`), so the returned objects hold
-    no references into the backing buffer.
-    """
-    return [
-        SpatialObject(int(columns.oids[i]), unpack_polygon(columns, int(i)))
-        for i in indices
-    ]
-
-
 class _MappedRelation:
     """A worker's read-only mapping of one relation's shared segments.
 
     Attaches the ring segment and every approximation block named by
-    the spec.  :meth:`tile` copies a tile's rows out; everything it
-    returns is free of references into the mapped buffers, and so is
-    the edge table batched refinement gathers from :attr:`rings`, so
-    :meth:`close` can unmap at any time.
+    the spec.  :meth:`cut` gathers a tile from them; the tile's arrays
+    are copies, so :meth:`close` can unmap once the tile's join is over.
     """
 
     def __init__(self, spec: SharedRelationSpec):
@@ -658,42 +644,10 @@ class _MappedRelation:
         self._segments.append(shm)
         return block.layout.views(shm.buf)
 
-    def tile(self, indices: np.ndarray) -> SpatialRelation:
-        """The tile's relation slice, approximations gathered — never derived.
-
-        Objects are rebuilt from the ring columns; the rows of every
-        shipped approximation kind are gathered by the same indices
-        (:func:`~repro.core.partition.tile_relation`, which cuts the
-        serial partitioned join's tiles too).
-        """
-        return tile_relation(
-            self.name,
-            _objects_from_columns(self.rings, indices),
-            self.approx,
-            indices,
-        )
-
-    def proximity_rows(self, indices: np.ndarray, predicate: str):
-        """The task's :class:`~repro.core.proximity.ProximityRows`, gathered.
-
-        Edge table, oids and (``distance`` only) the shipped MBC/MEC
-        circle rows of ``indices`` — copies, and no object, polygon or
-        approximation is built on the way.
-        """
-        from .proximity import ProximityRows
-
-        rings = self.rings
-        table = build_edge_table(
-            rings.object_rings, rings.ring_offsets, rings.ring_xy, indices
-        )
-        circles = {
-            columns.kind: columns.arrays["circles"][indices]
-            for columns in self.approx
-            if columns.kind in ("MBC", "MEC")
-        }
-        return ProximityRows(
-            rings.oids[indices], table.mbrs, table,
-            circles.get("MBC"), circles.get("MEC"),
+    def cut(self, indices: np.ndarray) -> ColumnarRelation:
+        """The tile of rows ``indices``; read its objects before closing."""
+        return ColumnarRelation.cut(
+            self.name, self.rings, indices, self.approx
         )
 
     def close(self) -> None:
@@ -711,138 +665,80 @@ class _MappedRelation:
                 pass
 
 
-def _finish_tile(task, rel_a, rel_b, start: float, refinement) -> TileOutcome:
-    """Tile-local join + reference-tile de-duplication.
+def _tile_pairs(
+    task: ColumnarTileTask, map_a: _MappedRelation, map_b: _MappedRelation
+) -> Tuple[List[Tuple[int, int]], MultiStepStats]:
+    """The task's owned oid pairs and stats, on tiles cut from the mappings.
 
-    The relation slices arrive with their stored approximation columns
-    gathered from shared memory (:meth:`_MappedRelation.tile`), so the
-    batched filter reads them as they are.  ``refinement`` is the exact
-    step, built from the mapped ring columns so it reads the shipped
-    geometry directly.
-    """
-    config = replace(task.config, workers=1)
-    result = SpatialJoinProcessor(config).join(
-        rel_a, rel_b, refinement=refinement
-    )
-    if task.grid is None:
-        # Tree-guided tasks partition the candidate-pair space
-        # disjointly (each object lives in exactly one leaf), so every
-        # pair this task emits is owned by it — no reference-tile rule.
-        owned = [
-            (obj_a.oid, obj_b.oid) for obj_a, obj_b in result.pairs
-        ]
-    else:
-        space = Rect(*task.space)
-        nx, ny = task.grid
-        owned = [
-            (obj_a.oid, obj_b.oid)
-            for obj_a, obj_b in result.pairs
-            if owning_tile(obj_a.mbr, obj_b.mbr, space, nx, ny) == task.tile
-        ]
-    return TileOutcome(
-        tile=task.tile,
-        id_pairs=owned,
-        stats=result.stats,
-        elapsed_seconds=time.perf_counter() - start,
-    )
-
-
-def _finish_proximity_tile(task, rows_a, rows_b, start: float) -> TileOutcome:
-    """Task-local proximity join on gathered rows.
-
-    Runs the proximity pipeline on the task's
-    :class:`~repro.core.proximity.ProximityRows`, which yields oid pairs
-    directly.  For ε-expanded *grid* distance tasks
-    (``task.space``/``task.grid`` set) the owning-task rule runs on the
+    ``intersects``/``within`` tiles run :func:`run_tile` with the grid
+    task's reference-tile frame.  Proximity tiles run the row pipelines
+    on the tiles' :class:`~repro.core.proximity.ProximityRows`; for
+    ε-expanded *grid* distance tasks the owning-task rule runs on the
     ε/2-**expanded** MBR rows — the frame the replication used — and
-    runs *before* any counter moves, so each global candidate is
-    processed by exactly one task and the merged flow statistics equal
-    the serial pipeline's; non-owned replicas only count into
-    ``stats.dedup_dropped``.  Tree-guided distance tasks and every kNN
-    task are disjoint by construction and need no hook.
+    *before* any counter moves, so each global candidate is processed
+    by exactly one task and the merged flow statistics equal the serial
+    pipeline's (non-owned replicas only count into
+    ``stats.dedup_dropped``).  Tree-guided tasks and every kNN task are
+    disjoint by construction and need no hook.  The tiles die with this
+    call, before the caller unmaps the segments their objects read.
     """
-    from .proximity import distance_join_pipeline, knn_join_pipeline
-
-    config = replace(task.config, workers=1)
-    stats = MultiStepStats()
-    if config.predicate == "distance":
-        owns = None
-        if task.grid is not None:
-            space = Rect(*task.space)
-            nx, ny = task.grid
-            grow = np.array([-1.0, -1.0, 1.0, 1.0]) * (config.epsilon / 2.0)
-            expanded_a = rows_a.mbrs + grow
-            expanded_b = rows_b.mbrs + grow
-
-            def owns(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
-                ix, iy = owning_tiles(
-                    expanded_a[ra], expanded_b[rb], space, nx, ny
-                )
-                return (ix == task.tile[0]) & (iy == task.tile[1])
-
-        pairs = list(
-            distance_join_pipeline(rows_a, rows_b, config, stats, owns=owns)
-        )
-    else:
-        pairs = list(knn_join_pipeline(rows_a, rows_b, config, stats))
-    return TileOutcome(
-        tile=task.tile,
-        id_pairs=pairs,
-        stats=stats,
-        elapsed_seconds=time.perf_counter() - start,
+    config = task.config
+    tile_a, tile_b = map_a.cut(task.idx_a), map_b.cut(task.idx_b)
+    frame = None if task.grid is None else (task.space, task.grid, task.tile)
+    if config.predicate not in ("distance", "knn"):
+        return run_tile(config, tile_a, tile_b, frame)
+    from .proximity import (
+        ProximityRows,
+        distance_join_pipeline,
+        knn_join_pipeline,
     )
+
+    stats = MultiStepStats()
+    rows_a = ProximityRows.of(tile_a, config.predicate)
+    rows_b = ProximityRows.of(tile_b, config.predicate)
+    if config.predicate == "knn":
+        return list(knn_join_pipeline(rows_a, rows_b, config, stats)), stats
+    owns = None
+    if frame is not None:
+        space, (nx, ny), key = frame
+        grow = np.array([-1.0, -1.0, 1.0, 1.0]) * (config.epsilon / 2.0)
+        expanded_a = rows_a.mbrs + grow
+        expanded_b = rows_b.mbrs + grow
+
+        def owns(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+            ix, iy = owning_tiles(
+                expanded_a[ra], expanded_b[rb], space, nx, ny
+            )
+            return (ix == key[0]) & (iy == key[1])
+
+    pairs = distance_join_pipeline(rows_a, rows_b, config, stats, owns=owns)
+    return list(pairs), stats
 
 
 def run_columnar_tile_task(task: ColumnarTileTask) -> TileOutcome:
     """Execute one tile task (runs inside a worker).
 
-    The local join is the ordinary multi-step pipeline with the task's
-    engine configuration; de-duplication applies the reference-tile rule
-    *in the worker*, so only owned pairs cross the process boundary.
-    Objects are rebuilt from the shared ring columns and their
-    approximations are *gathered* from the shared approximation blocks
-    by the task's row indices — no tile computes an approximation of a
-    shipped kind.  (A filter kind without a stored form is packed per
-    join by the batched filter, for the objects that reach it.)  The
-    exact step reads a
-    :class:`~repro.exact.refine.RingGeometry` edge table gathered from
-    the mapped ring columns for the task's rows only (copies, so the
-    mapping can be closed whenever the join ends).
-    Proximity tasks never build an object: they gather their
-    :class:`~repro.core.proximity.ProximityRows` from the mapped
-    segments (:meth:`_MappedRelation.proximity_rows`) and run the row
-    pipelines on them.
+    Maps the task's segments, cuts the two tiles from them (gathered,
+    never derived: no tile computes an approximation of a shipped kind
+    or builds an object no scalar path reads) and joins them
+    (:func:`_tile_pairs`).  De-duplication runs *in the worker*, so
+    only owned pairs cross the process boundary.
     """
     start = time.perf_counter()
     mapped: List[_MappedRelation] = []
     try:
-        map_a = _MappedRelation(task.spec_a)
-        mapped.append(map_a)
-        map_b = _MappedRelation(task.spec_b)
-        mapped.append(map_b)
-        predicate = task.config.predicate
-        if predicate in ("distance", "knn"):
-            return _finish_proximity_tile(
-                task,
-                map_a.proximity_rows(task.idx_a, predicate),
-                map_b.proximity_rows(task.idx_b, predicate),
-                start,
-            )
-        rel_a = map_a.tile(task.idx_a)
-        rel_b = map_b.tile(task.idx_b)
-        from ..exact.refine import BatchedRefinement, RingGeometry
-
-        refinement = BatchedRefinement(
-            task.config,
-            RingGeometry(map_a.rings, task.idx_a),
-            RingGeometry(map_b.rings, task.idx_b),
-            rel_a.objects,
-            rel_b.objects,
-        )
-        return _finish_tile(task, rel_a, rel_b, start, refinement)
+        for spec in (task.spec_a, task.spec_b):
+            mapped.append(_MappedRelation(spec))
+        id_pairs, stats = _tile_pairs(task, *mapped)
     finally:
         for relation in mapped:
             relation.close()
+    return TileOutcome(
+        tile=task.tile,
+        id_pairs=id_pairs,
+        stats=stats,
+        elapsed_seconds=time.perf_counter() - start,
+    )
 
 
 def _pool_context():
@@ -1052,23 +948,11 @@ def _join_in_session(
 
     # Deterministic merge: fold outcomes in tile-key order, not the
     # largest-first dispatch order.
-    outcomes.sort(key=lambda outcome: outcome.tile)
-    by_id_a = {obj.oid: obj for obj in relation_a}
-    by_id_b = {obj.oid: obj for obj in relation_b}
-    by_tile = {p.tile: p for p in partitions}
-    pairs: List[Tuple[SpatialObject, SpatialObject]] = []
-    merged = MultiStepStats()
-    tile_seconds: Dict[Tuple[int, int], float] = {}
-    for outcome in outcomes:
-        pstats = by_tile[outcome.tile]
-        pstats.candidate_pairs = outcome.stats.candidate_pairs
-        pstats.output_pairs = len(outcome.id_pairs)
-        merged.merge(outcome.stats)
-        tile_seconds[outcome.tile] = outcome.elapsed_seconds
-        pairs.extend(
-            (by_id_a[oid_a], by_id_b[oid_b])
-            for oid_a, oid_b in outcome.id_pairs
-        )
+    pairs, merged = fold_tiles(
+        relation_a, relation_b, partitions,
+        [(each.tile, each.id_pairs, each.stats) for each in outcomes],
+    )
+    tile_seconds = {each.tile: each.elapsed_seconds for each in outcomes}
     if config.predicate == "knn":
         # Tasks partition the left relation, so the task-key fold
         # groups neighbour lists by task; the serial pipeline emits

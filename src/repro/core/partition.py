@@ -13,15 +13,19 @@ Execution here is sequential; the per-tile work statistics quantify the
 achievable parallel speedup (total work / slowest tile).  The grid
 decomposition is a vectorized index computation over the relations'
 columnar MBR columns (:func:`assign_tile_indices` /
-:func:`plan_tile_indices` — masks built from exactly the comparisons of
+:meth:`GridPartitioner.plan` — masks built from exactly the comparisons of
 :meth:`Rect.intersects`, so membership cannot diverge from the scalar
-reference-tile rule).  Every tile relation, serial or in a worker, is
-cut by :func:`tile_relation`, which gathers the parent's stored
-approximation rows, so no tile derives a stored kind.  The helpers
-(:func:`joint_space`, :func:`tile_rects`, :func:`owning_tile`,
-:func:`tile_relation`) are shared with the real multi-process executor
-in :mod:`repro.core.parallel_exec`, which runs the same tiles on a
-:class:`concurrent.futures.ProcessPoolExecutor`.
+reference-tile rule).  A tile is two row-index arrays over its parents'
+columns: each side is cut by
+:meth:`~repro.datasets.columnar.ColumnarRelation.cut`, which gathers the
+parent's oids, MBR rows, stored approximation rows and edge table, so
+no tile derives a stored kind or rebuilds an object it does not read.
+One runner, :func:`run_tile`, joins every ``intersects``/``within``
+tile: the serial :func:`partitioned_join` (in-memory parent columns)
+and the tile tasks of the real multi-process executor in
+:mod:`repro.core.parallel_exec` (shared-memory parent columns), which
+also shares :func:`joint_space`, :func:`tile_rects` and
+:func:`owning_tiles`.
 
 **Tile formation is a pluggable strategy** (``JoinConfig(partitioner=...)``,
 CLI ``join --partitioner``).  :class:`GridPartitioner` produces the
@@ -48,14 +52,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..approximations.batch import ApproxColumns, stored_family
+from ..approximations.batch import stored_family
+from ..datasets.columnar import ColumnarRelation
 from ..datasets.relations import SpatialObject, SpatialRelation
 from ..geometry.rectangle import Rect
-from .join import PARTITIONERS, JoinConfig, JoinResult, SpatialJoinProcessor
+from ..index.rstar import rtree_over
+from .join import PARTITIONERS, JoinConfig
 from .stats import MultiStepStats
 
 
@@ -115,6 +121,8 @@ def partitioned_join(
     ``intersects`` and ``within`` only: MBR-overlap tiles would drop
     proximity pairs whose MBRs do not meet, so ``distance`` and ``knn``
     raise ``ValueError`` (the executor's ε-aware plans cover them).
+    Each tile is cut from the relations' in-memory columns and run by
+    :func:`run_tile`, the runner of the executor's tile tasks too.
     """
     config = config or JoinConfig()
     if config.predicate in ("distance", "knn"):
@@ -123,72 +131,102 @@ def partitioned_join(
             "use parallel_partitioned_join, whose ε-aware plans keep "
             "pairs whose MBRs do not intersect"
         )
-    nx, ny = grid
-    space, plan = plan_tile_indices(relation_a, relation_b, grid)
+    plan = GridPartitioner().plan(relation_a, relation_b, grid)
     # The parent's stored columns: built here at most once per relation.
     kinds = [k for k in config.approximation_kinds() if stored_family(k)]
-    stored_a = [relation_a.columnar().approx(k).columns() for k in kinds]
-    stored_b = [relation_b.columnar().approx(k).columns() for k in kinds]
-    objs_a, objs_b = relation_a.objects, relation_b.objects
+    parents = [
+        (store, [store.approx(kind).columns() for kind in kinds])
+        for store in (relation_a.columnar(), relation_b.columnar())
+    ]
 
-    processor = SpatialJoinProcessor(config)
-    all_pairs: List[Tuple[SpatialObject, SpatialObject]] = []
-    partitions: List[PartitionStats] = []
-    merged = MultiStepStats()
-    for key, idx_a, idx_b in plan:
-        pstats = PartitionStats(
-            tile=key, objects_a=len(idx_a), objects_b=len(idx_b)
+    def cut(side: int, rows: np.ndarray) -> ColumnarRelation:
+        store, stored = parents[side]
+        return ColumnarRelation.cut(
+            store.name, store.rings, rows, stored, store.objects
         )
-        partitions.append(pstats)
-        if idx_a.size == 0 or idx_b.size == 0:
-            continue
-        sub_a = tile_relation(
-            relation_a.name, [objs_a[i] for i in idx_a], stored_a, idx_a
-        )
-        sub_b = tile_relation(
-            relation_b.name, [objs_b[i] for i in idx_b], stored_b, idx_b
-        )
-        result = processor.join(sub_a, sub_b)
-        pstats.candidate_pairs = result.stats.candidate_pairs
-        merged.merge(result.stats)
-        for obj_a, obj_b in result.pairs:
-            if owning_tile(obj_a.mbr, obj_b.mbr, space, nx, ny) == key:
-                pstats.output_pairs += 1
-                all_pairs.append((obj_a, obj_b))
+
+    outcomes = [
+        (key, *run_tile(
+            config, cut(0, idx_a), cut(1, idx_b), (plan.space, grid, key)
+        ))
+        for key, idx_a, idx_b in plan.entries
+        if idx_a.size and idx_b.size
+    ]
+    partitions = plan.partition_shells()
+    pairs, stats = fold_tiles(relation_a, relation_b, partitions, outcomes)
     return PartitionedJoinResult(
-        pairs=all_pairs, partitions=partitions, stats=merged
+        pairs=pairs, partitions=partitions, stats=stats
     )
 
 
-def plan_tile_indices(
+def fold_tiles(
     relation_a: SpatialRelation,
     relation_b: SpatialRelation,
-    grid: Tuple[int, int],
-) -> Tuple[
-    Rect,
-    List[Tuple[Tuple[int, int], np.ndarray, np.ndarray]],
-]:
-    """The shared tile plan as index arrays into the relations' columns.
+    partitions: List[PartitionStats],
+    outcomes: List[
+        Tuple[Tuple[int, int], List[Tuple[int, int]], MultiStepStats]
+    ],
+) -> Tuple[List[Tuple[SpatialObject, SpatialObject]], MultiStepStats]:
+    """Merge ``(key, oid pairs, stats)`` tile outcomes, in key order.
 
-    ``(space, [(tile, idx_a, idx_b), ...])`` where the index arrays
-    select each tile's objects out of ``relation.objects`` (and out of
-    every column of ``relation.columnar()``).  Single source of truth
-    for the grid decomposition consumed by the serial
-    :func:`partitioned_join` and the multi-process
-    executor (:mod:`repro.core.parallel_exec`) — one definition of tile
-    order, replication, and which tiles exist, so the serial-vs-parallel
-    byte-identity guarantee cannot drift.
+    Fills each tile's :class:`PartitionStats` in ``partitions`` and
+    returns the result's object pairs and merged stats, so neither the
+    order the tiles ran in nor the process that ran them shows.
     """
-    nx, ny = grid
-    if nx < 1 or ny < 1:
-        raise ValueError(f"grid must be at least 1x1, got {grid}")
-    space = joint_space(relation_a, relation_b)
-    tiles = tile_rects(space, nx, ny)
-    indices_a = assign_tile_indices(relation_a.columnar().mbrs, tiles)
-    indices_b = assign_tile_indices(relation_b.columnar().mbrs, tiles)
-    return space, [
-        (key, indices_a[key], indices_b[key]) for key in tiles
-    ]
+    by_id_a = {obj.oid: obj for obj in relation_a}
+    by_id_b = {obj.oid: obj for obj in relation_b}
+    by_tile = {p.tile: p for p in partitions}
+    pairs: List[Tuple[SpatialObject, SpatialObject]] = []
+    merged = MultiStepStats()
+    for key, id_pairs, stats in sorted(outcomes, key=lambda o: o[0]):
+        by_tile[key].candidate_pairs = stats.candidate_pairs
+        by_tile[key].output_pairs = len(id_pairs)
+        merged.merge(stats)
+        pairs.extend((by_id_a[a], by_id_b[b]) for a, b in id_pairs)
+    return pairs, merged
+
+
+def run_tile(
+    config: JoinConfig,
+    tile_a: ColumnarRelation,
+    tile_b: ColumnarRelation,
+    owner: Optional[Tuple[Rect, Tuple[int, int], Tuple[int, int]]] = None,
+) -> Tuple[List[Tuple[int, int]], MultiStepStats]:
+    """One ``intersects``/``within`` tile's join: owned oid pairs and stats.
+
+    The runner of every partitioned join's tiles (the serial
+    :func:`partitioned_join` and the executor's tile tasks alike).
+    Step 1 runs on R*-trees built by inserts over the tiles' MBR rows
+    in row order (:func:`rtree_over`, the tree a relation of the tile's
+    objects builds), then the configured engine on the two tile stores.
+    ``owner`` — ``(space, (nx, ny), key)`` of a grid tile — keeps the
+    pairs whose reference point lies in tile ``key``
+    (:func:`owning_tiles` on the tiles' MBR rows); tree-guided tasks
+    (``None``) own every pair they emit.
+    """
+    from ..engine.base import create_engine  # lazy: engines import core
+
+    stats = MultiStepStats()
+    capacity = config.rtree_max_entries
+    rows = np.array(
+        list(create_engine(config).execute(
+            tile_a, tile_b,
+            rtree_over(tile_a.mbrs, capacity),
+            rtree_over(tile_b.mbrs, capacity),
+            stats,
+        )),
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    rows_a, rows_b = rows[:, 0], rows[:, 1]
+    if owner is not None:
+        space, (nx, ny), key = owner
+        ix, iy = owning_tiles(
+            tile_a.mbrs[rows_a], tile_b.mbrs[rows_b], space, nx, ny
+        )
+        owned = (ix == key[0]) & (iy == key[1])
+        rows_a, rows_b = rows_a[owned], rows_b[owned]
+    oids = zip(tile_a.oids[rows_a].tolist(), tile_b.oids[rows_b].tolist())
+    return list(oids), stats
 
 
 def joint_space(
@@ -265,47 +303,6 @@ def assign_tile_indices(
         )
         out[key] = np.nonzero(mask)[0]
     return out
-
-
-class _SubRelation(SpatialRelation):
-    """A view over existing SpatialObjects (shares their caches)."""
-
-    def __init__(self, name: str, objects: List[SpatialObject]):
-        self.name = name
-        self.objects = objects
-
-
-def subrelation(name: str, objects: List[SpatialObject]) -> SpatialRelation:
-    """A relation view over existing objects, keeping their oids intact."""
-    return _SubRelation(name, objects)
-
-
-def subrelation_from_indices(
-    relation: SpatialRelation, indices: Sequence[int]
-) -> SpatialRelation:
-    """A relation view selected by index array (rows of the columns)."""
-    objects = relation.objects
-    return _SubRelation(relation.name, [objects[i] for i in indices])
-
-
-def tile_relation(
-    name: str,
-    objects: List[SpatialObject],
-    stored: Sequence[ApproxColumns],
-    indices: np.ndarray,
-) -> SpatialRelation:
-    """A tile of ``objects`` (the parent's rows ``indices``).
-
-    The rows ``indices`` of each of the parent's ``stored`` columns are
-    installed in the tile's column store, which also seeds the objects'
-    approximation caches: the tile reads stored kinds, never derives.
-    """
-    relation = subrelation(name, objects)
-    if stored:
-        store = relation.columnar()
-        for columns in stored:
-            store.install_approx(columns.take(indices))
-    return relation
 
 
 def owning_tile(
@@ -458,15 +455,6 @@ class PartitionPlan:
     grid: Optional[Tuple[int, int]]
     entries: List[Tuple[Tuple[int, int], np.ndarray, np.ndarray]]
 
-    @property
-    def space_tuple(self) -> Optional[Tuple[float, float, float, float]]:
-        if self.space is None:
-            return None
-        return (
-            self.space.xmin, self.space.ymin,
-            self.space.xmax, self.space.ymax,
-        )
-
     def partition_shells(self) -> List[PartitionStats]:
         """Zero-count :class:`PartitionStats` per entry, in key order."""
         return [
@@ -537,9 +525,12 @@ class Partitioner(ABC):
 class GridPartitioner(Partitioner):
     """Uniform-grid tiles with reference-tile de-duplication (PBSM-style).
 
-    A thin strategy wrapper over :func:`plan_tile_indices` — the single
-    source of truth for the grid decomposition — so the executor's
-    historical behaviour is byte-for-byte unchanged.
+    :meth:`plan` is the single source of truth for the grid
+    decomposition, consumed by the serial :func:`partitioned_join` and
+    the multi-process executor (:mod:`repro.core.parallel_exec`): one
+    definition of tile order, replication, and which tiles exist, so the
+    serial-vs-parallel byte-identity guarantee cannot drift.  Entries
+    are index arrays into every column of ``relation.columnar()``.
     """
 
     name = "grid"
@@ -550,7 +541,14 @@ class GridPartitioner(Partitioner):
         relation_b: SpatialRelation,
         grid: Tuple[int, int],
     ) -> PartitionPlan:
-        space, entries = plan_tile_indices(relation_a, relation_b, grid)
+        nx, ny = grid
+        if nx < 1 or ny < 1:
+            raise ValueError(f"grid must be at least 1x1, got {grid}")
+        space = joint_space(relation_a, relation_b)
+        tiles = tile_rects(space, nx, ny)
+        indices_a = assign_tile_indices(relation_a.columnar().mbrs, tiles)
+        indices_b = assign_tile_indices(relation_b.columnar().mbrs, tiles)
+        entries = [(key, indices_a[key], indices_b[key]) for key in tiles]
         return PartitionPlan(
             partitioner=self.name, space=space, grid=grid, entries=entries
         )

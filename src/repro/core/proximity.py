@@ -12,8 +12,8 @@ sessions and the join service unchanged.
 bundle per side (oids, MBR rows, MBC/MEC circle rows, the
 :class:`~repro.geometry.fastops.EdgeTable`) and produce ``(row_a,
 row_b)`` index arrays; objects (serial joins) or oids (tile tasks, which
-gather their rows from the mapped segments and never build an object)
-are attached only when pairs are emitted.  The exact step
+read the rows of their tile cut and never build an object) are attached
+only when pairs are emitted.  The exact step
 (:func:`_capped_distances`) settles distance 0 with the batched
 intersects decision (:func:`repro.exact.refine.intersects_rows`) and
 the rest with one :func:`KernelDispatcher.min_edge_distance_ragged`
@@ -69,9 +69,8 @@ from ..datasets.relations import SpatialRelation
 from ..exact.refine import clip_margins, intersects_rows
 from ..geometry.fastops import EdgeTable, vertex_distance_bounds
 from ..geometry.kernels import KernelDispatcher, dispatcher_for
-from ..geometry.rectangle import Rect
 from ..index.join import JoinStats, rstar_join
-from ..index.rstar import RStarTree
+from ..index.rstar import rtree_over
 from .join import JoinConfig
 from .stats import MultiStepStats
 
@@ -213,17 +212,6 @@ def _circle_gaps(circles_a, circles_b, epsilon: float) -> np.ndarray:
     )
 
 
-def _expanded_tree(mbrs: np.ndarray, amount: float, max_entries: int) -> RStarTree:
-    """R*-tree of the MBR rows grown by ``amount`` (``Rect.expand``), items = rows."""
-    tree = RStarTree(max_entries=max_entries)
-    for row, (xmin, ymin, xmax, ymax) in enumerate(mbrs.tolist()):
-        tree.insert(
-            Rect(xmin - amount, ymin - amount, xmax + amount, ymax + amount),
-            row,
-        )
-    return tree
-
-
 def distance_rows(
     rows_a: ProximityRows,
     rows_b: ProximityRows,
@@ -239,8 +227,8 @@ def distance_rows(
     raw = JoinStats()
     found = np.array(
         list(rstar_join(
-            _expanded_tree(rows_a.mbrs, half, config.rtree_max_entries),
-            _expanded_tree(rows_b.mbrs, half, config.rtree_max_entries),
+            rtree_over(rows_a.mbrs, config.rtree_max_entries, expand=half),
+            rtree_over(rows_b.mbrs, config.rtree_max_entries, expand=half),
             None, None, raw,
         )),
         dtype=np.intp,

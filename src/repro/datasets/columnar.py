@@ -38,11 +38,16 @@ resolves a kind from memory, then from the pages of the persistent
 store the relation was loaded from, and only then builds it — and
 publishes what it built back to that store, so an approximation is
 computed at most once per (relation content, kind) across joins,
-sessions and processes.  Columns that arrive already packed (store
-pages, a tile worker's gathered shared-memory rows) are adopted with
-:meth:`ColumnarRelation.install_approx`, which also seeds every
-object's scalar approximation cache from the same rows: nothing
-downstream of a stored kind ever calls ``compute_approximation``.
+sessions and processes.  Columns that arrive already packed from store
+pages are adopted with :meth:`ColumnarRelation.install_approx`, which
+also seeds every object's scalar approximation cache from the same rows:
+nothing downstream of a stored kind ever calls ``compute_approximation``.
+
+A **tile** of a partitioned join is a store of its own over some rows of
+a parent's columns (:meth:`ColumnarRelation.cut`): the gathered oids, MBR
+rows and stored approximation rows, and the edge table of those rows.
+It seeds no cache and, in a worker, builds a tile object only when a
+scalar path first reads it (:class:`_TileObjects`).
 """
 
 from __future__ import annotations
@@ -148,34 +153,76 @@ def unpack_polygon(columns: RingColumns, index: int) -> Polygon:
     return Polygon.from_normalized(rings[0], rings[1:])
 
 
+class _TileObjects(Sequence):
+    """A worker tile's objects, each built on its first read.
+
+    Object ``i`` is rebuilt from parent row ``rows[i]`` of the packed
+    rings (:func:`unpack_polygon`, bit-identical) with row ``i`` of every
+    gathered stored kind in its approximation cache: reading an object
+    derives nothing, and an object no scalar path reads is never built.
+    """
+
+    def __init__(self, rings: RingColumns, rows: np.ndarray,
+                 oids: np.ndarray, stored: Sequence[ApproxColumns]):
+        self._rings = rings
+        self._rows = rows
+        self._oids = oids
+        self._stored = stored
+        self._built: Dict[int, object] = {}
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, row):
+        row = int(row)
+        obj = self._built.get(row)
+        if obj is None:
+            from .relations import SpatialObject  # lazy: import cycle
+
+            obj = SpatialObject(
+                int(self._oids[row]),
+                unpack_polygon(self._rings, int(self._rows[row])),
+            )
+            for columns in self._stored:
+                obj._approximations[columns.kind] = columns.approximation(row)
+            self._built[row] = obj
+        return obj
+
+
 class ColumnarRelation:
     """The numpy column store of one relation (see module docstring)."""
 
     def __init__(self, relation: "SpatialRelation"):
-        self.name = relation.name
+        objects = list(relation.objects)
+        self._fill(
+            relation.name, relation.objects, objects,
+            np.array([obj.oid for obj in objects], dtype=np.int64),
+            np.array(
+                [
+                    (m.xmin, m.ymin, m.xmax, m.ymax)
+                    for m in (obj.mbr for obj in objects)
+                ],
+                dtype=np.float64,
+            ).reshape(-1, 4),
+        )
+
+    def _fill(self, name, source, objects, oids, mbrs, areas=None,
+              rings=None, fingerprint=None, approx_store=None) -> None:
+        """Install the base columns; everything built on them starts empty."""
+        self.name = name
         #: the relation's live object list — identity is the cache key
         #: (:meth:`SpatialRelation.columnar` rebuilds when it changes).
-        self._source = relation.objects
+        self._source = source
         #: snapshot of the objects at build time; row ``i`` describes
         #: ``objects[i]``.  A snapshot, so lazily-built column groups
         #: stay consistent with the eager ones even if the relation's
         #: list is resized afterwards (which invalidates the cache).
-        self.objects = list(relation.objects)
-        self.oids = np.array([obj.oid for obj in self.objects], dtype=np.int64)
-        self.mbrs = np.array(
-            [
-                (m.xmin, m.ymin, m.xmax, m.ymax)
-                for m in (obj.mbr for obj in self.objects)
-            ],
-            dtype=np.float64,
-        ).reshape(-1, 4)
-        self._areas: Optional[np.ndarray] = None
-        self._rings: Optional[RingColumns] = None
-        self._fingerprint: Optional[str] = None
-        self._init_derived()
-
-    def _init_derived(self, approx_store=None) -> None:
-        """Empty caches of everything built on top of the base columns."""
+        self.objects = objects
+        self.oids = oids
+        self.mbrs = mbrs
+        self._areas: Optional[np.ndarray] = areas
+        self._rings: Optional[RingColumns] = rings
+        self._fingerprint: Optional[str] = fingerprint
         self._approx: Dict[str, BatchApproxArrays] = {}
         #: where stored approximation columns are read from and
         #: published to (a :class:`repro.datasets.store.StoredRelation`);
@@ -258,20 +305,56 @@ class ColumnarRelation:
         to it.
         """
         store = cls.__new__(cls)
-        store.name = relation.name
-        store._source = relation.objects
-        store.objects = list(relation.objects)
-        store.oids = np.ascontiguousarray(rings.oids)
-        store.mbrs = np.asarray(mbrs, dtype=np.float64).reshape(-1, 4)
-        store._areas = np.asarray(areas, dtype=np.float64)
-        store._rings = rings
-        store._fingerprint = fingerprint
-        store._init_derived(approx_store)
+        store._fill(
+            relation.name, relation.objects, list(relation.objects),
+            np.ascontiguousarray(rings.oids),
+            np.asarray(mbrs, dtype=np.float64).reshape(-1, 4),
+            np.asarray(areas, dtype=np.float64), rings, fingerprint,
+            approx_store,
+        )
         if approx_store is not None:
             for kind in approx_store.approx_kinds():
                 columns = approx_store.load_approx(kind)
                 if columns is not None:
                     store.install_approx(columns)
+        return store
+
+    @classmethod
+    def cut(
+        cls,
+        name: str,
+        rings: RingColumns,
+        rows: np.ndarray,
+        stored: Sequence[ApproxColumns] = (),
+        objects: Optional[Sequence[object]] = None,
+    ) -> "ColumnarRelation":
+        """A tile: rows ``rows`` of a parent (tile row ``i`` is ``rows[i]``).
+
+        Holds the gathered oids, the edge table of the rows (whose shell
+        MBRs are its ``mbrs``, the floats of ``obj.mbr``) and the rows of
+        the parent's ``stored`` approximation columns, installed as they
+        are: no tile derives a stored kind or seeds an object cache.
+        Its objects are the parent's ``objects`` at ``rows`` or, without
+        them (a worker's mapped columns), built on first read
+        (:class:`_TileObjects`).  Arrays are copies, so ``rings`` may be
+        unmapped once the tile's join is over.
+        """
+        from ..exact.refine import RingGeometry  # lazy: import cycle
+
+        geometry = RingGeometry(rings, rows)
+        taken = [columns.take(rows) for columns in stored]
+        oids = rings.oids[rows]
+        if objects is None:
+            objects = _TileObjects(rings, rows, oids, taken)
+        else:
+            objects = [objects[i] for i in rows.tolist()]
+        store = cls.__new__(cls)
+        store._fill(name, objects, objects, oids, geometry.table.mbrs)
+        store._ring_geometry = geometry
+        for columns in taken:
+            store._approx[columns.kind] = BatchApproxArrays.from_columns(
+                columns, store.objects
+            )
         return store
 
     def partition_tree(self, max_entries: int = 8):
@@ -288,18 +371,9 @@ class ColumnarRelation:
         """
         tree = self._partition_trees.get(max_entries)
         if tree is None:
-            from ..geometry.rectangle import Rect
-            from ..index.rstar import RStarTree  # lazy: avoid an import cycle
+            from ..index.rstar import rtree_over  # lazy: avoid an import cycle
 
-            tree = RStarTree.bulk_load(
-                [
-                    (Rect(xmin, ymin, xmax, ymax), row)
-                    for row, (xmin, ymin, xmax, ymax) in enumerate(
-                        self.mbrs.tolist()
-                    )
-                ],
-                max_entries=max_entries,
-            )
+            tree = rtree_over(self.mbrs, max_entries, bulk=True)
             self._partition_trees[max_entries] = tree
         return tree
 

@@ -24,7 +24,7 @@ from ..approximations.batch import stored_family
 from ..approximations.factory import compute_approximation
 from ..geometry.polygon import Polygon
 from ..geometry.rectangle import Rect
-from ..index.rstar import RStarTree
+from ..index.rstar import RStarTree, rtree_over
 from .columnar import ColumnarRelation
 from .generators import cartographic_polygons, relation_statistics
 
@@ -109,17 +109,12 @@ class SpatialRelation:
         of :meth:`columnar` and every edge-table row share, so the
         MBR-join's candidates feed the filter and the exact step as
         they are.  Readers that want an object take
-        ``self.objects[item]``.
+        ``self.objects[item]``.  Built by :func:`rtree_over` on the
+        ``columnar().mbrs`` rows (the floats of ``obj.mbr``).
         """
-        items = [(obj.mbr, row) for row, obj in enumerate(self.objects)]
-        if bulk:
-            return RStarTree.bulk_load(
-                items, max_entries=max_entries, directory_max=directory_max
-            )
-        tree = RStarTree(max_entries=max_entries, directory_max=directory_max)
-        for rect, row in items:
-            tree.insert(rect, row)
-        return tree
+        return rtree_over(
+            self.columnar().mbrs, max_entries, directory_max, bulk=bulk
+        )
 
     def rtree(self, max_entries: int = 32) -> RStarTree:
         """The (cached) R*-tree of :meth:`build_rtree` for read-only use.
@@ -242,8 +237,3 @@ def bw(seed: int = 1994, size: Optional[int] = None) -> SpatialRelation:
         )
         _CACHE[key] = SpatialRelation("BW", polys)
     return _CACHE[key]
-
-
-def clear_cache() -> None:
-    """Drop memoised relations (tests that need fresh instances)."""
-    _CACHE.clear()

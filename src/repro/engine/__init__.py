@@ -231,21 +231,25 @@ Parallel wire format — shared columns
     The parent writes each relation's packed ring columns into one
     :class:`multiprocessing.shared_memory.SharedMemory` segment and a
     tile task pickles only the segment descriptors plus two index
-    arrays; workers map the segments, gather their slice, and rebuild
-    polygons bit-identically (``Polygon.from_normalized``).  Replicated
-    objects therefore cost nothing extra on the wire — the geometry
-    ships once per join, not once per tile
+    arrays: a tile is those rows of its parents' columns.  Workers map
+    the segments and cut the tile
+    (``repro.datasets.columnar.ColumnarRelation.cut``: gathered oids,
+    MBR rows, approximation rows and edge table), and an engine runs on
+    the two tile stores as it runs on two relations' stores
+    (``repro.core.partition.run_tile``, the runner of the serial
+    partitioned join's tiles too); a tile object is rebuilt
+    (``Polygon.from_normalized``, bit-identically) only when a scalar
+    path reads it.  Replicated objects therefore cost nothing extra on
+    the wire — the geometry ships once per join, not once per tile
     (``tests/test_parallel_exec_shm.py`` pins the segment lifecycle:
     unlinked on success, worker failure, and interrupt).
     The approximations ride the same way: for every kind the join
     reads (``JoinConfig.approximation_kinds()``) the parent takes
     ``relation.columnar().approx(kind)`` — the one get-or-build point —
     and places its stored columns in a block beside the ring segment;
-    workers gather a tile's rows by the same index arrays into a
-    pre-seeded tile-local column store
-    (``repro.core.partition.tile_relation``, which cuts the serial
-    partitioned join's tiles too), so **no tile ever computes an
-    approximation** of a stored kind
+    the tile cut gathers a tile's rows by the same index arrays, seeding
+    no object cache, so **no tile ever computes an approximation** of a
+    stored kind
     (``tests/test_stored_approximations.py`` counts the calls across
     the forked workers; RMBR and MBE have no stored form and are
     packed per join, for the objects that reach the filter).  What
@@ -261,7 +265,7 @@ Tile formation — uniform grid vs tree-guided partitioning
     ``grid=(nx, ny)`` tiles described above: simple, predictable, but
     a cluster denser than one tile ships as a single straggler task,
     and objects straddling tile borders are re-tested in every tile
-    they touch (the ``owning_tile`` rule keeps the output exact).
+    they touch (the reference-tile rule keeps the output exact).
     ``rtree`` instead bulk-loads (or reuses, via
     ``relation.columnar().partition_tree()``) an R*-tree over each
     relation's MBR column and runs the paper's synchronized traversal

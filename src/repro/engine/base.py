@@ -3,17 +3,21 @@
 An engine owns steps 2 and 3 of the multi-step join for one
 :class:`~repro.core.join.JoinConfig`: it consumes the candidate stream
 of the R*-tree MBR-join and decides, per pair, hit / false hit / exact
-test.  Step 1 (tree building, I/O accounting, the synchronised traversal)
-is identical for every engine and lives here in :meth:`Engine.execute`.
+test.  Step 1 (I/O accounting, the synchronised traversal) is identical
+for every engine and lives here in :meth:`Engine.execute`.
 
-The currency of an engine is the **row index**: the memoised R*-tree of
-a relation (:meth:`~repro.datasets.relations.SpatialRelation.rtree`)
-stores each object's row as its leaf item, so step 1 emits
-``(row_a, row_b)`` pairs, the filter and the exact step index the
-relations' columns and edge tables with them, and an engine yields
-qualifying row pairs.  No step maps an object back to its row; objects
-are attached once, by :class:`~repro.core.join.SpatialJoinProcessor`,
-when it builds the result.
+An engine reads two column stores
+(:class:`~repro.datasets.columnar.ColumnarRelation`: oids, MBR rows,
+approximation columns, edge table and a row sequence of objects) and
+two R*-trees over their MBR rows, never a relation: a serial join hands
+it each relation's store and memoised tree
+(:meth:`~repro.datasets.relations.SpatialRelation.rtree`), a partitioned
+join each tile's (:func:`repro.core.partition.run_tile`).  Its currency
+is the **row index**: the trees store each object's row as its leaf
+item, so step 1 emits ``(row_a, row_b)`` pairs, the filter and the
+exact step index the stores' columns and edge tables with them, and an
+engine yields qualifying row pairs.  No step maps an object back to its
+row; the caller attaches objects (or oids) to the result.
 
 Step 3 — the exact-geometry test on the remaining candidates — is one
 array program per batch: :class:`~repro.exact.refine.BatchedRefinement`
@@ -27,16 +31,17 @@ scalar processors (TR*-tree, plane sweep, quadratic) stay in
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Tuple
 
 import numpy as np
 
 from ..core.filters import FilterOutcome
 from ..core.join import ENGINES, JoinConfig
 from ..core.stats import MultiStepStats
-from ..datasets.relations import SpatialRelation
+from ..datasets.columnar import ColumnarRelation
 from ..index.join import rstar_join
 from ..index.pagemodel import AccessCounter, LRUBuffer
+from ..index.rstar import RStarTree
 
 if TYPE_CHECKING:
     from ..exact.refine import BatchedRefinement
@@ -122,16 +127,17 @@ class Engine(ABC):
 
     def execute(
         self,
-        relation_a: SpatialRelation,
-        relation_b: SpatialRelation,
+        store_a: ColumnarRelation,
+        store_b: ColumnarRelation,
+        tree_a: RStarTree,
+        tree_b: RStarTree,
         stats: MultiStepStats,
-        refinement: Optional["BatchedRefinement"] = None,
     ) -> Iterator[RowPair]:
         """Run the full three-step join, yielding result row pairs.
 
-        ``refinement`` overrides the step built by
-        :meth:`build_refinement` — the parallel tile executor injects a
-        step bound to the edge tables of the rows it already mapped.
+        ``store_a``/``store_b`` are the two column stores (a relation's
+        or a tile's), ``tree_a``/``tree_b`` R*-trees over their MBR rows
+        whose leaf items are their rows.
         """
         cfg = self.config
         counter_a = counter_b = None
@@ -139,15 +145,12 @@ class Engine(ABC):
             buffer = LRUBuffer(cfg.buffer_pages)
             counter_a = AccessCounter(buffer=buffer)
             counter_b = AccessCounter(buffer=buffer)
-        tree_a = relation_a.rtree(cfg.rtree_max_entries)
-        tree_b = relation_b.rtree(cfg.rtree_max_entries)
-        if refinement is None:
-            refinement = self.build_refinement(relation_a, relation_b)
         candidates = rstar_join(
             tree_a, tree_b, counter_a, counter_b, stats.mbr_join
         )
         return self.process(
-            relation_a, relation_b, candidates, stats, refinement
+            store_a, store_b, candidates, stats,
+            self.build_refinement(store_a, store_b),
         )
 
     # -- steps 2 + 3 (strategy) ---------------------------------------------
@@ -155,8 +158,8 @@ class Engine(ABC):
     @abstractmethod
     def process(
         self,
-        relation_a: SpatialRelation,
-        relation_b: SpatialRelation,
+        store_a: ColumnarRelation,
+        store_b: ColumnarRelation,
         candidates: Iterator[RowPair],
         stats: MultiStepStats,
         refinement: "BatchedRefinement",
@@ -167,14 +170,15 @@ class Engine(ABC):
         """
 
     def build_refinement(
-        self, relation_a: SpatialRelation, relation_b: SpatialRelation
+        self, store_a: ColumnarRelation, store_b: ColumnarRelation
     ) -> "BatchedRefinement":
-        """The exact step over the relations' cached edge tables."""
+        """The exact step over the stores' edge tables."""
         # Imported lazily: repro.exact.refine imports repro.core.join.
         from ..exact.refine import BatchedRefinement
 
-        return BatchedRefinement.from_relations(
-            self.config, relation_a, relation_b
+        return BatchedRefinement(
+            self.config, store_a.ring_geometry(), store_b.ring_geometry(),
+            store_a.objects, store_b.objects,
         )
 
 

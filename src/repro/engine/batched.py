@@ -17,7 +17,7 @@ columns, indexed by the block's row indices:
 Only the pairs a bulk kernel cannot decide *identically* to the scalar
 predicate — degenerate (< 3 vertex) convex shapes, circle pairs within
 an ulp-scale margin of tangency, ellipses (MBE), and false-area screen
-survivors — fall back to the scalar code on ``relation.objects[row]``,
+survivors — fall back to the scalar code on ``store.objects[row]``,
 so the classification of every candidate pair (and therefore every
 counter in :class:`~repro.core.stats.MultiStepStats`) is exactly the
 streaming engine's.  The remaining candidates are refined in consecutive
@@ -39,7 +39,6 @@ from ..approximations.false_area import false_area_test
 from ..core.filters import FilterConfig
 from ..core.stats import MultiStepStats
 from ..datasets.columnar import ColumnarRelation
-from ..datasets.relations import SpatialRelation
 from ..geometry.fastops import (
     circle_slack_bulk,
     rects_contain_bulk,
@@ -318,18 +317,19 @@ class BatchWithinFilter:
 class BatchedEngine(Engine):
     """Vectorized block-at-a-time pipeline over the candidate row pairs.
 
-    The filter reads the two relations' cached column stores: a stored
-    kind is packed once per (relation, kind), not once per join, so
-    sweeping many filter configurations over the same relations pays no
-    repack cost (see :class:`KindColumns`).
+    The filter reads the two column stores it is handed: a relation's
+    cached store packs a stored kind once per (relation, kind), not once
+    per join, so sweeping many filter configurations over the same
+    relations pays no repack cost, and a tile's store holds the rows
+    gathered from its parent's (see :class:`KindColumns`).
     """
 
     name = "batched"
 
     def make_filter(
-        self, relation_a: SpatialRelation, relation_b: SpatialRelation
+        self, store_a: ColumnarRelation, store_b: ColumnarRelation
     ):
-        stores = (relation_a.columnar(), relation_b.columnar())
+        stores = (store_a, store_b)
         if self.config.predicate == "within":
             return BatchWithinFilter(self.config.filter, stores)
         return BatchGeometricFilter(
@@ -340,27 +340,27 @@ class BatchedEngine(Engine):
 
     def process(
         self,
-        relation_a: SpatialRelation,
-        relation_b: SpatialRelation,
+        store_a: ColumnarRelation,
+        store_b: ColumnarRelation,
         candidates: Iterator[RowPair],
         stats: MultiStepStats,
         refinement,
     ) -> Iterator[RowPair]:
         """Filter blocks of ``batch_size`` candidates; refine in order."""
         return refine_in_order(
-            self._classified_blocks(relation_a, relation_b, candidates, stats),
+            self._classified_blocks(store_a, store_b, candidates, stats),
             stats,
             refinement,
         )
 
     def _classified_blocks(
         self,
-        relation_a: SpatialRelation,
-        relation_b: SpatialRelation,
+        store_a: ColumnarRelation,
+        store_b: ColumnarRelation,
         candidates: Iterator[RowPair],
         stats: MultiStepStats,
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        batch_filter = self.make_filter(relation_a, relation_b)
+        batch_filter = self.make_filter(store_a, store_b)
         batch_size = self.config.batch_size
         while True:
             batch = list(islice(candidates, batch_size))

@@ -7,7 +7,7 @@ step both engines share, before the next pair is produced.  No
 candidate set is materialised between steps (§2.4: "no additional cost
 arises for handling these candidates").  This is the reference backend
 of the differential-testing harness: the scalar filter reads each
-candidate's two objects (``relation.objects[row]``), the exact step
+candidate's two objects (``store.objects[row]``), the exact step
 their rows.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.filters import FilterOutcome, geometric_filter
 from ..core.stats import MultiStepStats
-from ..datasets.relations import SpatialRelation
+from ..datasets.columnar import ColumnarRelation
 from .base import OUTCOME_CODE, Engine, RowPair, refine_in_order
 
 if TYPE_CHECKING:
@@ -33,22 +33,22 @@ class StreamingEngine(Engine):
 
     def process(
         self,
-        relation_a: SpatialRelation,
-        relation_b: SpatialRelation,
+        store_a: ColumnarRelation,
+        store_b: ColumnarRelation,
         candidates: Iterator[RowPair],
         stats: MultiStepStats,
         refinement: "BatchedRefinement",
     ) -> Iterator[RowPair]:
         return refine_in_order(
-            self._kept_pairs(relation_a, relation_b, candidates, stats),
+            self._kept_pairs(store_a, store_b, candidates, stats),
             stats,
             refinement,
         )
 
     def _kept_pairs(
         self,
-        relation_a: SpatialRelation,
-        relation_b: SpatialRelation,
+        store_a: ColumnarRelation,
+        store_b: ColumnarRelation,
         candidates: Iterator[RowPair],
         stats: MultiStepStats,
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -58,7 +58,7 @@ class StreamingEngine(Engine):
             from ..core.within import within_filter as pair_filter
         else:
             pair_filter = geometric_filter
-        objects_a, objects_b = relation_a.objects, relation_b.objects
+        objects_a, objects_b = store_a.objects, store_b.objects
         for pair in candidates:
             stats.candidate_pairs += 1
             outcome = pair_filter(

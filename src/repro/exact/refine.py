@@ -63,11 +63,12 @@ What still resolves pair by pair inside a batch (counted by
 through :func:`~repro.geometry.fastops.polygon_within_fast` on the
 rows' objects.
 
-In the multi-process tile executor the worker builds each side's
-:class:`RingGeometry` from the shared-memory mapped ring columns for the
-**task's rows only** (:func:`repro.core.parallel_exec.run_columnar_tile_task`),
-so a tile pays for its own points, not the relation's.  Table arrays
-are copies, never views, so the segment can be unmapped at any time.
+A tile of a partitioned join carries its own :class:`RingGeometry`,
+built from its parent's ring columns for the **tile's rows only**
+(:meth:`repro.datasets.columnar.ColumnarRelation.cut`, over in-memory
+columns or a worker's shared-memory mapping), so a tile pays for its
+own points, not the relation's.  Table arrays are copies, never views,
+so a segment can be unmapped at any time.
 """
 
 from __future__ import annotations

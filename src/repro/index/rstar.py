@@ -509,6 +509,36 @@ class RStarTree:
         return tree
 
 
+def rtree_over(
+    mbrs,
+    max_entries: int = 32,
+    directory_max: Optional[int] = None,
+    bulk: bool = False,
+    expand: float = 0.0,
+) -> RStarTree:
+    """R*-tree over the rows of an ``(n, 4)`` MBR array; leaf items are rows.
+
+    Row ``i``, grown by ``expand`` on every side (the distance join's
+    ε/2, as :meth:`Rect.expand` computes it), is stored with item ``i``:
+    inserted in row order, or STR bulk-loaded when ``bulk``.
+    """
+    rows = mbrs.tolist()
+    if expand:
+        rows = [
+            (xmin - expand, ymin - expand, xmax + expand, ymax + expand)
+            for xmin, ymin, xmax, ymax in rows
+        ]
+    items = [(Rect(*rect), row) for row, rect in enumerate(rows)]
+    if bulk:
+        return RStarTree.bulk_load(
+            items, max_entries=max_entries, directory_max=directory_max
+        )
+    tree = RStarTree(max_entries=max_entries, directory_max=directory_max)
+    for rect, row in items:
+        tree.insert(rect, row)
+    return tree
+
+
 def _collect_entries(node: Node) -> List[Entry]:
     """All leaf entries in the subtree rooted at ``node``."""
     out: List[Entry] = []

@@ -30,7 +30,7 @@ from helpers import random_relation_pair, stats_fingerprint
 from repro.approximations.batch import BatchApproxArrays
 from repro.core.filters import FilterConfig
 from repro.core.join import JoinConfig, SpatialJoinProcessor
-from repro.core.partition import partitioned_join, tile_relation
+from repro.core.partition import partitioned_join
 from repro.datasets.columnar import (
     ColumnarRelation,
     pack_rings,
@@ -342,7 +342,7 @@ def test_stored_kinds_come_from_columns_unstored_kinds_per_join(
 def test_serial_tiles_gather_every_stored_kind(
     monkeypatch, conservative, progressive
 ):
-    """``tile_relation`` cuts every stored kind from the parent's columns.
+    """``ColumnarRelation.cut`` cuts every stored kind from the parent's columns.
 
     Once the relations hold a kind, serial partitioned tiles neither
     derive nor pack it: a tile's columns are the parent's rows bit for
@@ -368,14 +368,15 @@ def test_serial_tiles_gather_every_stored_kind(
 
     parent = rel_a.columnar().approx(kind).columns()
     rows = np.arange(len(rel_a))[1::3]
-    tile = tile_relation(
-        "tile", [rel_a.objects[i] for i in rows], [parent], rows
+    store = rel_a.columnar()
+    tile = ColumnarRelation.cut(
+        "tile", store.rings, rows, [parent], store.objects
     )
-    gathered = tile.columnar().approx(kind).columns()
+    gathered = tile.approx(kind).columns()
     assert gathered.kind == kind
     for name, column in parent.arrays.items():
         np.testing.assert_array_equal(gathered.arrays[name], column[rows])
-    assert tile.columnar().pack_counts == {}
+    assert tile.pack_counts == {}
     assert builds == [] and calls == []
 
 

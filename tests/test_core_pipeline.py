@@ -56,16 +56,6 @@ class TestPipelineCorrectness:
         with pytest.raises(ValueError):
             JoinConfig(exact_method="magic")
 
-    def test_join_iter_streams_same_pairs(self, tiny_series, tiny_oracle):
-        proc = SpatialJoinProcessor(JoinConfig(exact_method="vectorized"))
-        got = {
-            (a.oid, b.oid)
-            for a, b in proc.join_iter(
-                tiny_series.relation_a, tiny_series.relation_b
-            )
-        }
-        assert got == tiny_oracle
-
 
 class TestPipelineStats:
     def test_stats_partition_candidates(self, tiny_series):

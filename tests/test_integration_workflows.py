@@ -3,10 +3,6 @@
 import pytest
 
 from repro.core.filters import FilterConfig
-from repro.core.histogram import (
-    estimate_join_candidates_histogram,
-    joint_histograms,
-)
 from repro.core.join import JoinConfig, SpatialJoinProcessor, nested_loops_join
 from repro.core.overlay import MapOverlay
 from repro.core.parallel import simulate_parallel_join
@@ -107,14 +103,6 @@ class TestEveryConfigurationAgrees:
 
 class TestOptimiserLoop:
     """Estimate -> execute -> calibrate -> re-estimate."""
-
-    def test_histogram_estimate_within_range(self, series, join_result):
-        hist_a, hist_b = joint_histograms(
-            series.relation_a, series.relation_b
-        )
-        estimated = estimate_join_candidates_histogram(hist_a, hist_b)
-        measured = join_result.stats.candidate_pairs
-        assert measured / 5 <= estimated <= measured * 5
 
     def test_calibration_feedback(self, series, join_result):
         stats = join_result.stats

@@ -49,14 +49,15 @@ from repro.core.partition import (
     joint_space,
     owning_tile,
     owning_tiles,
-    subrelation_from_indices,
 )
 from repro.core.proximity import (
+    ProximityRows,
     distance_join_pipeline,
     knn_join_pipeline,
     loosen,
 )
 from repro.core.stats import MultiStepStats
+from repro.datasets.columnar import ColumnarRelation
 from repro.datasets.relations import SpatialObject, SpatialRelation
 from repro.datasets.testseries import canonical_series
 from repro.exact.refine import clip_margins
@@ -381,9 +382,10 @@ SETTINGS = settings(
 
 
 def _run(pipeline, relation_a, relation_b, config, **hook):
+    """Oid pairs and stats (a pipeline on rows yields oids already)."""
     stats = MultiStepStats()
     pairs = [
-        (a.oid, b.oid)
+        (a, b) if isinstance(a, int) else (a.oid, b.oid)
         for a, b in pipeline(relation_a, relation_b, config, stats, **hook)
     ]
     stats.check_invariants()
@@ -461,6 +463,19 @@ def test_knn_join_matches_per_pair_reference(relations, which):
     assert len(pairs) == len(relation_a) * min(k, n_b)
 
 
+def _tile(relation, rows):
+    """The worker's tile cut of ``relation``'s rows (with the MBC and MEC
+    rows a distance task ships) and a relation over the cut's objects."""
+    store = relation.columnar()
+    stored = [store.approx(kind).columns() for kind in ("MBC", "MEC")]
+    cut = ColumnarRelation.cut(
+        store.name, store.rings, rows, stored, store.objects
+    )
+    view = SpatialRelation(relation.name, [])
+    view.objects = list(cut.objects)
+    return cut, view
+
+
 @SETTINGS
 @given(relation_pairs, st.sampled_from(["zero", "pair", "beyond"]),
        st.integers(min_value=0, max_value=10_000))
@@ -477,10 +492,10 @@ def test_distance_join_owns_hook_of_grid_plan(relations, kind, index):
     half = epsilon / 2.0
     grow = np.array([-half, -half, half, half])
     for tile, rows_a, rows_b in plan.entries:
-        tile_a = subrelation_from_indices(relation_a, rows_a)
-        tile_b = subrelation_from_indices(relation_b, rows_b)
-        expanded_a = tile_a.columnar().mbrs + grow
-        expanded_b = tile_b.columnar().mbrs + grow
+        cut_a, tile_a = _tile(relation_a, rows_a)
+        cut_b, tile_b = _tile(relation_b, rows_b)
+        expanded_a = cut_a.mbrs + grow
+        expanded_b = cut_b.mbrs + grow
 
         def owns(obj_a, obj_b, tile=tile):
             return owning_tile(
@@ -496,7 +511,9 @@ def test_distance_join_owns_hook_of_grid_plan(relations, kind, index):
 
         want = _run(reference_distance_join, tile_a, tile_b, config,
                     owns=owns)
-        got = _run(distance_join_pipeline, tile_a, tile_b, config,
+        got = _run(distance_join_pipeline,
+                   ProximityRows.of(cut_a, "distance"),
+                   ProximityRows.of(cut_b, "distance"), config,
                    owns=owns_rows)
         assert got == want, (tile, config)
         assert got[1].dedup_dropped == want[1].dedup_dropped

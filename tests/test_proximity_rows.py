@@ -36,8 +36,7 @@ from helpers import (
     scalar_distance_join,
     stats_fingerprint,
 )
-from repro.approximations.batch import ApproxColumns
-from repro.core import parallel_exec
+from repro.approximations.batch import ApproxColumns, BatchApproxArrays
 from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import (
     plan_columnar_tile_tasks,
@@ -54,7 +53,6 @@ from repro.datasets import (
     columnar as columnar_module,
     relations as relations_module,
 )
-from repro.datasets.columnar import ColumnarRelation
 from repro.datasets.relations import SpatialObject, SpatialRelation
 from repro.datasets.testseries import canonical_series
 from repro.geometry.fastops import build_edge_table
@@ -302,7 +300,10 @@ def test_owning_tiles_is_owning_tile_per_row(rows, nx, ny):
 
 class _counting:
     """While entered: count object constructions, polygon unpacks and
-    approximation lookups (``counts``)."""
+    approximation builds or scalar lookups (``counts``).  A tile reads
+    its gathered circle rows through ``ColumnarRelation.approx``; the
+    two ways that call could build a kind (a pack over the objects, the
+    MEC search) are what is counted of it."""
 
     def __init__(self, monkeypatch):
         self.monkeypatch = monkeypatch
@@ -320,10 +321,10 @@ class _counting:
     def __enter__(self):
         self._wrap(SpatialObject, "__init__", "objects")
         self._wrap(columnar_module, "unpack_polygon", "unpack")
-        self._wrap(parallel_exec, "unpack_polygon", "unpack")
         self._wrap(SpatialObject, "approximation", "approx")
         self._wrap(relations_module, "compute_approximation", "approx")
-        self._wrap(ColumnarRelation, "approx", "approx")
+        self._wrap(BatchApproxArrays, "append", "approx")
+        self._wrap(columnar_module, "enclosed_circles", "approx")
         self._wrap(ApproxColumns, "approximation", "approx")
         return self
 

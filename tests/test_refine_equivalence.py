@@ -170,7 +170,7 @@ def test_tile_geometry_over_mapped_rows_matches_whole_relation():
 
     from repro.core.parallel_exec import SharedRelationSegment, _MappedRelation
     from repro.core.stats import MultiStepStats
-    from repro.exact.refine import BatchedRefinement, RingGeometry
+    from repro.exact.refine import BatchedRefinement
 
     rel_a, rel_b = random_relation_pair(23, n_objects=16)
     config = JoinConfig(exact_method="vectorized", exact_batch=64)
@@ -180,10 +180,8 @@ def test_tile_geometry_over_mapped_rows_matches_whole_relation():
     mapped = []
     try:
         mapped = [_MappedRelation(seg.spec_for()) for seg in segments]
-        tiles = [m.tile(idx) for m, idx in zip(mapped, (idx_a, idx_b))]
-        geometry = [
-            RingGeometry(m.rings, idx) for m, idx in zip(mapped, (idx_a, idx_b))
-        ]
+        tiles = [m.cut(idx) for m, idx in zip(mapped, (idx_a, idx_b))]
+        geometry = [tile.ring_geometry() for tile in tiles]
     finally:
         for m in mapped:
             m.close()
@@ -373,7 +371,7 @@ def test_engine_builds_the_batched_step():
         for exact_batch in (1, 64, 128):
             step = create_engine(
                 JoinConfig(engine=engine, exact_batch=exact_batch)
-            ).build_refinement(rel_a, rel_b)
+            ).build_refinement(rel_a.columnar(), rel_b.columnar())
             assert isinstance(step, BatchedRefinement)
             assert step.batch_capacity == exact_batch
 

@@ -9,7 +9,9 @@ not depend on how the candidate stream is cut into blocks, and check
 that the other readers of the
 row-item R*-tree (window, point, inside and line-region queries) map
 rows back to ``relation.objects`` on a relation whose oids are not its
-rows.
+rows.  Tiles of partitioned joins are rows of their parents' columns:
+a tile task builds only the objects its scalar paths read, and the
+serial partitioned join runs the executor's tile runner.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import numpy as np
 import pytest
 
+import repro.datasets.relations as relations_module
 from helpers import random_relation_pair
 from repro.approximations.batch import BatchApproxArrays
 from repro.cli import _build_parser
@@ -28,9 +31,15 @@ from repro.core.lineregion import (
     brute_force_line_region_join,
     line_region_join,
 )
+from repro.core.parallel_exec import (
+    parallel_partitioned_join,
+    plan_columnar_tile_tasks,
+    run_columnar_tile_task,
+)
+from repro.core.partition import partitioned_join
 from repro.core.stats import MultiStepStats
 from repro.core.window import WindowQueryProcessor
-from repro.datasets.relations import SpatialObject
+from repro.datasets.relations import SpatialObject, europe
 from repro.datasets.store import RelationStore
 from repro.datasets.testseries import canonical_series
 from repro.engine.base import CANDIDATE, FALSE_HIT, HIT, refine_in_order
@@ -309,3 +318,100 @@ def test_join_and_serve_default_to_the_batched_engine():
     parser = _build_parser()
     assert parser.parse_args(["join", "a.wkt", "b.wkt"]).engine == "batched"
     assert parser.parse_args(["serve"]).engine == "batched"
+
+
+# ---------------------------------------------------------------------------
+# Tiles: rows of their parents' columns, one runner
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def europe_pair():
+    """The 32-object Europe pair of seeds 7 and 8."""
+    return europe(seed=7, size=32), europe(seed=8, size=32)
+
+
+def test_intersects_tile_task_builds_no_object(europe_pair, monkeypatch):
+    """A tile task on the default filter reads rows only: it constructs
+    no object and computes or looks up no approximation."""
+    rel_a, rel_b = europe_pair
+    config = JoinConfig(grid=(4, 4))
+    tasks, _, session = plan_columnar_tile_tasks(rel_a, rel_b, (4, 4), config)
+    calls = {}
+    try:
+        _counting(monkeypatch, SpatialObject, "__init__", calls)
+        _counting(monkeypatch, SpatialObject, "approximation", calls)
+        _counting(monkeypatch, relations_module, "compute_approximation",
+                  calls)
+        outcomes = [run_columnar_tile_task(task) for task in tasks]
+    finally:
+        monkeypatch.undo()
+        session.close()
+    assert len(tasks) > 1
+    assert calls == {}
+    stats = MultiStepStats()
+    for outcome in outcomes:
+        stats.merge(outcome.stats)
+    assert stats.filter_hits and stats.refine_batches
+    pairs = sorted(pair for outcome in outcomes for pair in outcome.id_pairs)
+    serial = SpatialJoinProcessor(config).join(rel_a, rel_b)
+    assert pairs == sorted(serial.id_pairs())
+
+
+def test_within_tile_task_builds_only_the_rows_it_reads(
+    europe_pair, monkeypatch
+):
+    """A ``within`` tile builds the objects of the MBR-contained
+    candidates (what its scalar filter and exact step read), each once,
+    and no other."""
+    rel_a, rel_b = europe_pair
+    config = JoinConfig(predicate="within", grid=(4, 4))
+    built = []
+    original = SpatialObject.__init__
+
+    def counting(self, oid, polygon):
+        built.append((oid, polygon.shell[0]))
+        original(self, oid, polygon)
+
+    monkeypatch.setattr(SpatialObject, "__init__", counting)
+    tasks, _, session = plan_columnar_tile_tasks(rel_a, rel_b, (4, 4), config)
+    spared = 0
+    try:
+        for task in tasks:
+            del built[:]
+            run_columnar_tile_task(task)
+            mbrs_a = rel_a.columnar().mbrs[task.idx_a]
+            mbrs_b = rel_b.columnar().mbrs[task.idx_b]
+            rows_a, rows_b = np.nonzero(
+                (mbrs_b[None, :, 0] <= mbrs_a[:, None, 0])
+                & (mbrs_b[None, :, 1] <= mbrs_a[:, None, 1])
+                & (mbrs_a[:, None, 2] <= mbrs_b[None, :, 2])
+                & (mbrs_a[:, None, 3] <= mbrs_b[None, :, 3])
+            )
+            read = [
+                (obj.oid, obj.polygon.shell[0])
+                for relation, idx, rows in (
+                    (rel_a, task.idx_a, rows_a), (rel_b, task.idx_b, rows_b)
+                )
+                for obj in (relation.objects[i] for i in idx[np.unique(rows)])
+            ]
+            assert sorted(built) == sorted(read), task.tile
+            spared += len(task.idx_a) + len(task.idx_b) - len(built)
+    finally:
+        session.close()
+    assert spared > 0
+
+
+@pytest.mark.parametrize("predicate", ["intersects", "within"])
+@pytest.mark.parametrize("engine", ["batched", "streaming"])
+def test_partitioned_join_equals_the_one_worker_executor(predicate, engine):
+    """The serial partitioned join and the executor's in-process tile
+    tasks run one tile runner: same pairs, order and counters."""
+    rel_a, rel_b = random_relation_pair(42, n_objects=24)
+    config = JoinConfig(predicate=predicate, engine=engine, grid=(3, 3))
+    serial = partitioned_join(rel_a, rel_b, grid=(3, 3), config=config)
+    tiled = parallel_partitioned_join(rel_a, rel_b, config=config, workers=1)
+    assert serial.pairs
+    assert serial.id_pairs() == tiled.id_pairs()
+    assert serial.stats == tiled.stats
+    assert serial.partitions == tiled.partitions
