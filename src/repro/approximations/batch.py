@@ -112,12 +112,6 @@ class ApproxColumns:
     def __len__(self) -> int:
         return len(self.arrays["mbrs"])
 
-    def take(self, rows: np.ndarray) -> "ApproxColumns":
-        """The given rows as fresh (copied) columns — a tile's slice."""
-        return ApproxColumns(
-            self.kind, {name: a[rows] for name, a in self.arrays.items()}
-        )
-
     def approximation(self, row: int) -> Approximation:
         """Row ``row`` as the scalar approximation object.
 
@@ -230,9 +224,9 @@ class BatchApproxArrays:
     ) -> "BatchApproxArrays":
         """Encoder over already-packed columns; row ``i`` is ``objects[i]``.
 
-        Installs the arrays as they are (store memmaps and gathered tile
-        rows alike) — no approximation is computed and nothing is
-        packed.
+        Installs the arrays as they are (store memmaps and a worker's
+        mapped shared blocks alike) — no approximation is computed and
+        nothing is packed.
         """
         if len(columns) != len(objects):
             raise ValueError(

@@ -17,22 +17,29 @@ One wire format carries a tile to its worker: the parent writes each
 relation's packed ring columns
 (:class:`repro.datasets.columnar.RingColumns`) into one
 :class:`multiprocessing.shared_memory.SharedMemory` segment, once per
-join, and beside it one block per stored approximation kind the join
+session, and beside it one block per stored approximation kind the join
 reads (:meth:`JoinConfig.approximation_kinds`) holding that kind's
 columns (:class:`repro.approximations.batch.ApproxColumns`, taken from
 ``relation.columnar().approx(kind)`` — the get-or-build point, so a
 build happens at most once, in the parent).  A :class:`ColumnarTileTask`
 then pickles only the segment descriptors plus two per-tile index
-arrays.  A tile is those rows of its parents' columns: workers map the
-segments and cut each side with
-:meth:`~repro.datasets.columnar.ColumnarRelation.cut` — the gathered
-oids, MBR rows, approximation rows and edge table of the task's rows —
-and run it with :func:`repro.core.partition.run_tile`, the runner of the
-serial partitioned join's tiles too.  Workers gather, they never derive
-a stored kind, and a tile object is rebuilt (bit-identically, via
-:meth:`Polygon.from_normalized`) only when a scalar path reads it.
-Replicated objects cost nothing extra on the wire (the columns ship
-once, indices are cheap).
+arrays: a tile is those rows of its parents' stores, run by
+:func:`repro.core.partition.run_tile`, the runner of the serial
+partitioned join's tiles too.  Replicated objects cost nothing extra on
+the wire (the columns ship once, indices are cheap).
+
+**Resolve once per process.**  A task names each relation by its ring
+segment, and nothing is mapped, cut or rebuilt per task.  In the parent
+(``workers=1``, or planned tasks run in-process) the name resolves to
+the relation's in-memory ``relation.columnar()``, registered when
+:meth:`JoinSession.ship` shipped it: no segment is attached.  In a pool
+worker the first task naming a segment maps it, and the worker keeps
+one store over the mapped columns (:class:`_MappedRelation`) for the
+pool's life; blocks shipped later are mapped when a task first names
+them.  Keeping the mappings is safe because :meth:`JoinSession.close`
+and :meth:`JoinSession._discard_pool` shut the pool down, waiting for
+its workers, *before* any segment is unlinked, and a session unlinks
+segments only in ``close``.
 
 **Segment layout.**  A segment's interior is described in exactly one
 place: the :class:`SegmentLayout` — ``(name, dtype, shape)`` per column,
@@ -69,9 +76,9 @@ closes it before returning.  The guarantees are the same either way:
   the associative :meth:`MultiStepStats.merge`, so the merged counters
   equal the serial partitioned join's exactly.
 * **Degenerate pool** — ``workers=1`` runs the identical task objects
-  in-process, in the same largest-first order, with no pool and no
-  pickling (the wire format is exercised by every ``workers >= 2``
-  join).
+  in-process, in the same largest-first order, with no pool, no
+  pickling and no mapping (the wire format is exercised by every
+  ``workers >= 2`` join).
 * **Segment lifecycle** — shared segments are unlinked by
   :meth:`JoinSession.close` (for a private session in a ``finally``
   block, after its pool has shut down), so success, worker failure,
@@ -97,9 +104,10 @@ flow counters equal the plain serial pipeline's; tree tasks prune the
 synchronized traversal by rectangle distance and stay disjoint; kNN
 tasks carry disjoint left rows plus the right rows within each
 member's k-th-neighbour upper bound, and merged pairs are re-sorted to
-the serial left-relation order.  Proximity tiles take the same cut and
-read its rows (:meth:`~repro.core.proximity.ProximityRows.of`), building
-no object.  Only tiny joins — candidate volume
+the serial left-relation order.  A proximity tile gathers its rows
+from the parent store's rows (:meth:`~repro.core.proximity.ProximityRows.take`,
+one ragged gather of the memoised edge table), building no object.
+Only tiny joins — candidate volume
 below :data:`PROXIMITY_SERIAL_VOLUME`, a rule that never reads
 execution-only fields, keeping the service result cache coherent —
 route to the plain serial pipeline instead.
@@ -133,8 +141,8 @@ from typing import (
 
 import numpy as np
 
-from ..approximations.batch import ApproxColumns, stored_family
-from ..datasets.columnar import ColumnarRelation, RingColumns
+from ..approximations.batch import ApproxColumns, BatchApproxArrays, stored_family
+from ..datasets.columnar import ColumnarRelation, RingColumns, _LazyObjects
 from ..datasets.relations import SpatialRelation
 from ..geometry.kernels import resolve_backend, warm_up
 from ..geometry.rectangle import Rect
@@ -307,6 +315,13 @@ class ParallelPartitionedJoinResult(PartitionedJoinResult):
 #: names of segments created by this process and not yet unlinked.
 _LIVE_SEGMENTS: Set[str] = set()
 
+#: ring segment name -> the in-memory store tasks read in the process
+#: that made the segment (:meth:`SharedRelationSegment.serve`).
+_SERVED: Dict[str, ColumnarRelation] = {}
+#: ring segment name -> a pool worker's store over the mapped segment,
+#: kept for the pool's life (the parent adds none for a fork to inherit).
+_MAPPED: Dict[str, "_MappedRelation"] = {}
+
 
 def live_shared_segments() -> frozenset:
     """Names of shared segments this process still owns (for tests)."""
@@ -451,6 +466,21 @@ class SharedRelationSegment:
             shipped += block.nbytes
         return hits, misses, shipped
 
+    def serve(self, store: ColumnarRelation) -> None:
+        """Let in-process tasks read ``store``, the shipped relation's own.
+
+        A block the store lacks (streamed from store pages, or shipped
+        for another relation object of this content) is adopted as a
+        copy, so no in-process task builds a kind the session holds.
+        """
+        for kind, block in self.approx.items():
+            if kind not in store.packed_kinds():
+                views = block.spec.layout.views(block.buf).items()
+                store.install_approx(ApproxColumns(
+                    kind, {name: view.copy() for name, view in views}
+                ))
+        _SERVED[self.rings.spec.shm_name] = store
+
     def spec_for(self, kinds: Sequence[str] = ()) -> SharedRelationSpec:
         """The descriptor tile tasks carry: rings plus the given kinds' blocks."""
         return SharedRelationSpec(
@@ -469,6 +499,7 @@ class SharedRelationSegment:
 
     def close(self) -> None:
         """Unlink the ring segment and every approximation block (idempotent)."""
+        _SERVED.pop(self.rings.spec.shm_name, None)
         blocks, self.approx = self.approx, {}
         try:
             for block in blocks.values():
@@ -616,77 +647,90 @@ def plan_columnar_tile_tasks(
 # ---------------------------------------------------------------------------
 
 
-class _MappedRelation:
-    """A worker's read-only mapping of one relation's shared segments.
+class _MappedRelation(ColumnarRelation):
+    """A pool worker's store over one relation's shared segments.
 
-    Attaches the ring segment and every approximation block named by
-    the spec.  :meth:`cut` gathers a tile from them; the tile's arrays
-    are copies, so :meth:`close` can unmap once the tile's join is over.
+    Made by the first task that names the ring segment and kept for the
+    pool's life (:func:`_task_store`).  Its edge table is built once,
+    and its MBR rows are that table's shell MBRs (the floats of
+    ``obj.mbr``); its objects are built on first read; each
+    approximation block is mapped when a task first names it and
+    installed as it is, so no worker derives a stored kind.
     """
 
     def __init__(self, spec: SharedRelationSpec):
-        self.name = spec.relation_name
         self._segments: List[shared_memory.SharedMemory] = []
-        self.rings: Optional[RingColumns] = None
-        self.approx: List[ApproxColumns] = []
-        try:
-            self.rings = RingColumns(**self._map(spec.rings))
-            self.approx = [
-                ApproxColumns(kind, self._map(block))
-                for kind, block in spec.approx
-            ]
-        except BaseException:
-            self.close()
-            raise
+        rings = RingColumns(**self._map(spec.rings))
+        objects = _LazyObjects(rings)
+        self._fill(spec.relation_name, objects, objects, rings.oids, None,
+                   rings=rings)
+        self.mbrs = self.ring_geometry().table.mbrs
+        self.map_blocks(spec.approx)
 
     def _map(self, block: SharedColumnsSpec) -> Dict[str, np.ndarray]:
         shm = _attach_segment(block)
         self._segments.append(shm)
         return block.layout.views(shm.buf)
 
-    def cut(self, indices: np.ndarray) -> ColumnarRelation:
-        """The tile of rows ``indices``; read its objects before closing."""
-        return ColumnarRelation.cut(
-            self.name, self.rings, indices, self.approx
-        )
+    def map_blocks(self, blocks: Sequence[Tuple[str, SharedColumnsSpec]]) -> None:
+        """Map and install the approximation blocks not mapped yet."""
+        for kind, block in blocks:
+            if kind not in self._approx:
+                columns = ApproxColumns(kind, self._map(block))
+                self.objects.add(columns)
+                self._approx[kind] = BatchApproxArrays.from_columns(
+                    columns, self.objects
+                )
 
     def close(self) -> None:
-        # Release the exported buffers (the column views) before closing.
-        self.rings = None
-        self.approx = []
-        segments, self._segments = self._segments, []
+        """Unmap the segments (a worker keeps its stores until it exits)."""
+        segments = self._segments
+        self.__dict__.clear()  # the column views export the buffers
         for shm in segments:
             try:
                 shm.close()
             except BufferError:
-                # The traceback of a failing tile still references a
-                # view; the mapping is dropped with it.  The parent
-                # owns the unlink either way.
-                pass
+                pass  # a view outlives the store; the mapping goes with it
+
+
+def _task_store(spec: SharedRelationSpec) -> ColumnarRelation:
+    """The store a task reads for one relation, resolved once per process:
+    the parent's in-memory store, or a pool worker's mapped one."""
+    name = spec.rings.shm_name
+    if os.getpid() == spec.rings.origin_pid:
+        if name not in _SERVED:
+            raise RuntimeError(f"segment {name} is not held by an open session")
+        return _SERVED[name]
+    store = _MAPPED.get(name)
+    if store is None:
+        store = _MAPPED[name] = _MappedRelation(spec)
+    store.map_blocks(spec.approx)
+    return store
 
 
 def _tile_pairs(
-    task: ColumnarTileTask, map_a: _MappedRelation, map_b: _MappedRelation
+    task: ColumnarTileTask, store_a: ColumnarRelation, store_b: ColumnarRelation
 ) -> Tuple[List[Tuple[int, int]], MultiStepStats]:
-    """The task's owned oid pairs and stats, on tiles cut from the mappings.
+    """The task's owned oid pairs and stats, on its rows of the two stores.
 
     ``intersects``/``within`` tiles run :func:`run_tile` with the grid
     task's reference-tile frame.  Proximity tiles run the row pipelines
-    on the tiles' :class:`~repro.core.proximity.ProximityRows`; for
-    ε-expanded *grid* distance tasks the owning-task rule runs on the
-    ε/2-**expanded** MBR rows — the frame the replication used — and
-    *before* any counter moves, so each global candidate is processed
-    by exactly one task and the merged flow statistics equal the serial
-    pipeline's (non-owned replicas only count into
-    ``stats.dedup_dropped``).  Tree-guided tasks and every kNN task are
-    disjoint by construction and need no hook.  The tiles die with this
-    call, before the caller unmaps the segments their objects read.
+    on their rows of the stores' :class:`~repro.core.proximity.ProximityRows`;
+    for ε-expanded *grid*
+    distance tasks the owning-task rule runs on the ε/2-**expanded** MBR
+    rows — the frame the replication used — and *before* any counter
+    moves, so each global candidate is processed by exactly one task and
+    the merged flow statistics equal the serial pipeline's (non-owned
+    replicas only count into ``stats.dedup_dropped``).  Tree-guided
+    tasks and every kNN task are disjoint by construction and need no
+    hook.
     """
     config = task.config
-    tile_a, tile_b = map_a.cut(task.idx_a), map_b.cut(task.idx_b)
     frame = None if task.grid is None else (task.space, task.grid, task.tile)
     if config.predicate not in ("distance", "knn"):
-        return run_tile(config, tile_a, tile_b, frame)
+        return run_tile(
+            config, store_a, store_b, task.idx_a, task.idx_b, frame
+        )
     from .proximity import (
         ProximityRows,
         distance_join_pipeline,
@@ -694,8 +738,8 @@ def _tile_pairs(
     )
 
     stats = MultiStepStats()
-    rows_a = ProximityRows.of(tile_a, config.predicate)
-    rows_b = ProximityRows.of(tile_b, config.predicate)
+    rows_a = ProximityRows.of(store_a, config.predicate).take(task.idx_a)
+    rows_b = ProximityRows.of(store_b, config.predicate).take(task.idx_b)
     if config.predicate == "knn":
         return list(knn_join_pipeline(rows_a, rows_b, config, stats)), stats
     owns = None
@@ -716,23 +760,16 @@ def _tile_pairs(
 
 
 def run_columnar_tile_task(task: ColumnarTileTask) -> TileOutcome:
-    """Execute one tile task (runs inside a worker).
+    """Execute one tile task (in a pool worker, or in-process).
 
-    Maps the task's segments, cuts the two tiles from them (gathered,
-    never derived: no tile computes an approximation of a shipped kind
-    or builds an object no scalar path reads) and joins them
-    (:func:`_tile_pairs`).  De-duplication runs *in the worker*, so
-    only owned pairs cross the process boundary.
+    Joins the task's rows of this process's two stores
+    (:func:`_task_store`, :func:`_tile_pairs`).  De-duplication runs
+    *in the worker*, so only owned pairs cross the process boundary.
     """
     start = time.perf_counter()
-    mapped: List[_MappedRelation] = []
-    try:
-        for spec in (task.spec_a, task.spec_b):
-            mapped.append(_MappedRelation(spec))
-        id_pairs, stats = _tile_pairs(task, *mapped)
-    finally:
-        for relation in mapped:
-            relation.close()
+    id_pairs, stats = _tile_pairs(
+        task, _task_store(task.spec_a), _task_store(task.spec_b)
+    )
     return TileOutcome(
         tile=task.tile,
         id_pairs=id_pairs,
@@ -799,11 +836,15 @@ def _execute(
     order, so neither order reaches the result.
     """
     ordered = sorted(tasks, key=_task_cost, reverse=True)
-    futures = (
-        [] if pool is None else [pool.submit(runner, task) for task in ordered]
-    )
+    futures: List = []
     outcomes: List[TileOutcome] = []
     try:
+        if pool is not None:
+            for task in ordered:
+                try:
+                    futures.append(pool.submit(runner, task))
+                except BrokenExecutor as exc:  # found broken already
+                    raise TileExecutionError(task.tile, exc) from exc
         for position, task in enumerate(ordered):
             try:
                 outcomes.append(

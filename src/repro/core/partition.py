@@ -16,15 +16,13 @@ columnar MBR columns (:func:`assign_tile_indices` /
 :meth:`GridPartitioner.plan` — masks built from exactly the comparisons of
 :meth:`Rect.intersects`, so membership cannot diverge from the scalar
 reference-tile rule).  A tile is two row-index arrays over its parents'
-columns: each side is cut by
-:meth:`~repro.datasets.columnar.ColumnarRelation.cut`, which gathers the
-parent's oids, MBR rows, stored approximation rows and edge table, so
-no tile derives a stored kind or rebuilds an object it does not read.
-One runner, :func:`run_tile`, joins every ``intersects``/``within``
-tile: the serial :func:`partitioned_join` (in-memory parent columns)
-and the tile tasks of the real multi-process executor in
-:mod:`repro.core.parallel_exec` (shared-memory parent columns), which
-also shares :func:`joint_space`, :func:`tile_rects` and
+stores, and nothing is gathered, cut or rebuilt for it: one runner,
+:func:`run_tile`, joins every ``intersects``/``within`` tile on the
+parent stores at those rows — the serial :func:`partitioned_join`
+(in-memory stores) and the tile tasks of the real multi-process
+executor in :mod:`repro.core.parallel_exec` (in-memory stores in the
+parent, a store over the mapped segments kept for a pool worker's
+life), which also shares :func:`joint_space`, :func:`tile_rects` and
 :func:`owning_tiles`.
 
 **Tile formation is a pluggable strategy** (``JoinConfig(partitioner=...)``,
@@ -56,7 +54,6 @@ from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..approximations.batch import stored_family
 from ..datasets.columnar import ColumnarRelation
 from ..datasets.relations import SpatialObject, SpatialRelation
 from ..geometry.rectangle import Rect
@@ -121,8 +118,8 @@ def partitioned_join(
     ``intersects`` and ``within`` only: MBR-overlap tiles would drop
     proximity pairs whose MBRs do not meet, so ``distance`` and ``knn``
     raise ``ValueError`` (the executor's ε-aware plans cover them).
-    Each tile is cut from the relations' in-memory columns and run by
-    :func:`run_tile`, the runner of the executor's tile tasks too.
+    Each tile is two row arrays over the relations' in-memory stores,
+    run by :func:`run_tile`, the runner of the executor's tile tasks too.
     """
     config = config or JoinConfig()
     if config.predicate in ("distance", "knn"):
@@ -132,22 +129,10 @@ def partitioned_join(
             "pairs whose MBRs do not intersect"
         )
     plan = GridPartitioner().plan(relation_a, relation_b, grid)
-    # The parent's stored columns: built here at most once per relation.
-    kinds = [k for k in config.approximation_kinds() if stored_family(k)]
-    parents = [
-        (store, [store.approx(kind).columns() for kind in kinds])
-        for store in (relation_a.columnar(), relation_b.columnar())
-    ]
-
-    def cut(side: int, rows: np.ndarray) -> ColumnarRelation:
-        store, stored = parents[side]
-        return ColumnarRelation.cut(
-            store.name, store.rings, rows, stored, store.objects
-        )
-
+    store_a, store_b = relation_a.columnar(), relation_b.columnar()
     outcomes = [
         (key, *run_tile(
-            config, cut(0, idx_a), cut(1, idx_b), (plan.space, grid, key)
+            config, store_a, store_b, idx_a, idx_b, (plan.space, grid, key)
         ))
         for key, idx_a, idx_b in plan.entries
         if idx_a.size and idx_b.size
@@ -188,44 +173,48 @@ def fold_tiles(
 
 def run_tile(
     config: JoinConfig,
-    tile_a: ColumnarRelation,
-    tile_b: ColumnarRelation,
+    store_a: ColumnarRelation,
+    store_b: ColumnarRelation,
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
     owner: Optional[Tuple[Rect, Tuple[int, int], Tuple[int, int]]] = None,
 ) -> Tuple[List[Tuple[int, int]], MultiStepStats]:
     """One ``intersects``/``within`` tile's join: owned oid pairs and stats.
 
-    The runner of every partitioned join's tiles (the serial
-    :func:`partitioned_join` and the executor's tile tasks alike).
-    Step 1 runs on R*-trees built by inserts over the tiles' MBR rows
-    in row order (:func:`rtree_over`, the tree a relation of the tile's
-    objects builds), then the configured engine on the two tile stores.
+    The tile is rows ``rows_a``/``rows_b`` of its parents' stores; the
+    runner of every partitioned join's tiles (the serial
+    :func:`partitioned_join` and the executor's tile tasks alike).  Step
+    1 runs on R*-trees built by inserts over the rows' MBRs in row order,
+    labelled with parent rows (:func:`rtree_over`: the tree a relation
+    of the tile's objects builds), then the configured engine on the two
+    **parent** stores, so nothing is gathered or rebuilt per tile.
     ``owner`` — ``(space, (nx, ny), key)`` of a grid tile — keeps the
     pairs whose reference point lies in tile ``key``
-    (:func:`owning_tiles` on the tiles' MBR rows); tree-guided tasks
+    (:func:`owning_tiles` on the parents' MBR rows); tree-guided tasks
     (``None``) own every pair they emit.
     """
     from ..engine.base import create_engine  # lazy: engines import core
 
     stats = MultiStepStats()
     capacity = config.rtree_max_entries
-    rows = np.array(
+    pairs = np.array(
         list(create_engine(config).execute(
-            tile_a, tile_b,
-            rtree_over(tile_a.mbrs, capacity),
-            rtree_over(tile_b.mbrs, capacity),
+            store_a, store_b,
+            rtree_over(store_a.mbrs, capacity, rows=rows_a),
+            rtree_over(store_b.mbrs, capacity, rows=rows_b),
             stats,
         )),
         dtype=np.intp,
     ).reshape(-1, 2)
-    rows_a, rows_b = rows[:, 0], rows[:, 1]
+    found_a, found_b = pairs[:, 0], pairs[:, 1]
     if owner is not None:
         space, (nx, ny), key = owner
         ix, iy = owning_tiles(
-            tile_a.mbrs[rows_a], tile_b.mbrs[rows_b], space, nx, ny
+            store_a.mbrs[found_a], store_b.mbrs[found_b], space, nx, ny
         )
         owned = (ix == key[0]) & (iy == key[1])
-        rows_a, rows_b = rows_a[owned], rows_b[owned]
-    oids = zip(tile_a.oids[rows_a].tolist(), tile_b.oids[rows_b].tolist())
+        found_a, found_b = found_a[owned], found_b[owned]
+    oids = zip(store_a.oids[found_a].tolist(), store_b.oids[found_b].tolist())
     return list(oids), stats
 
 
@@ -272,11 +261,12 @@ def assign_tile_indices(
 ) -> Dict[Tuple[int, int], np.ndarray]:
     """Replication as index arrays: rows of ``mbrs`` per intersected tile.
 
-    Vectorized over the ``(n, 4)`` MBR columns; each tile's mask uses
-    exactly the comparisons of :meth:`Rect.intersects` (closed
-    rectangles), so membership can never diverge from the scalar rule
-    that :func:`owning_tile` relies on.  Index arrays are ascending,
-    i.e. objects keep their relation order inside every tile.
+    One ``(tiles, 1)`` against ``(1, n)`` broadcast over the ``(n, 4)``
+    MBR columns, with exactly the comparisons of :meth:`Rect.intersects`
+    (closed rectangles) on the same floats, so membership can never
+    diverge from the scalar rule that :func:`owning_tile` relies on.
+    Index arrays are ascending, i.e. objects keep their relation order
+    inside every tile.
 
     ``expand`` grows every MBR by that amount on each side before the
     intersection masks (the ε/2 expansion of distance-join task
@@ -284,25 +274,18 @@ def assign_tile_indices(
     performs, so the vectorized masks agree bit-for-bit with the scalar
     expanded-ownership rule the workers apply.
     """
-    out: Dict[Tuple[int, int], np.ndarray] = {}
-    if len(mbrs) == 0:
-        empty = np.empty(0, dtype=np.intp)
-        return {key: empty for key in tiles}
-    xmin, ymin, xmax, ymax = mbrs.T
-    if expand:
-        xmin = xmin - expand
-        ymin = ymin - expand
-        xmax = xmax + expand
-        ymax = ymax + expand
-    for key, tile in tiles.items():
-        mask = (
-            (xmin <= tile.xmax)
-            & (tile.xmin <= xmax)
-            & (ymin <= tile.ymax)
-            & (tile.ymin <= ymax)
-        )
-        out[key] = np.nonzero(mask)[0]
-    return out
+    # x + (-e) is x - e exactly, so this is Rect.expand's arithmetic.
+    xmin, ymin, xmax, ymax = (mbrs + [-expand, -expand, expand, expand]).T
+    t_xmin, t_ymin, t_xmax, t_ymax = np.array(
+        [(t.xmin, t.ymin, t.xmax, t.ymax) for t in tiles.values()]
+    ).reshape(-1, 4, 1).transpose(1, 0, 2)
+    # Tile-major (tiles, n) mask: each tile's rows come out contiguous
+    # and ascending.
+    tile_of, rows = np.nonzero(
+        (xmin <= t_xmax) & (t_xmin <= xmax) & (ymin <= t_ymax) & (t_ymin <= ymax)
+    )
+    ends = np.searchsorted(tile_of, np.arange(len(tiles) + 1)).tolist()
+    return {key: rows[ends[i]:ends[i + 1]] for i, key in enumerate(tiles)}
 
 
 def owning_tile(

@@ -12,8 +12,8 @@ sessions and the join service unchanged.
 bundle per side (oids, MBR rows, MBC/MEC circle rows, the
 :class:`~repro.geometry.fastops.EdgeTable`) and produce ``(row_a,
 row_b)`` index arrays; objects (serial joins) or oids (tile tasks, which
-read the rows of their tile cut and never build an object) are attached
-only when pairs are emitted.  The exact step
+gather their rows from the parent's (:meth:`ProximityRows.take`) and
+never build an object) are attached only when pairs are emitted.  The exact step
 (:func:`_capped_distances`) settles distance 0 with the batched
 intersects decision (:func:`repro.exact.refine.intersects_rows`) and
 the rest with one :func:`KernelDispatcher.min_edge_distance_ragged`
@@ -112,6 +112,14 @@ class ProximityRows(NamedTuple):
         return cls(
             columnar.oids, columnar.mbrs, columnar.ring_geometry().table,
             *circles,
+        )
+
+    def take(self, rows: np.ndarray) -> "ProximityRows":
+        """Rows ``rows`` of every column, in that order: a tile's rows."""
+        return ProximityRows(
+            self.oids[rows], self.mbrs[rows], self.table.take(rows),
+            *(circles[rows] for circles in (self.mbc, self.mec)
+              if circles is not None),
         )
 
 

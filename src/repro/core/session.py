@@ -6,8 +6,10 @@ resource it runs on belongs to a :class:`JoinSession`.  A session owns
 
 * a **persistent worker pool**, created lazily on the first join that
   needs one and reused by every following join at the same worker
-  count (a join with a different count transparently rebuilds it, and
-  a pool broken by a dead worker process is replaced on next use);
+  count (a join with a different count transparently rebuilds it; a
+  pool broken by a dead worker process fails the join that meets it
+  and is replaced by the next).  Its workers keep the segments they map
+  until it shuts down, always before any segment is unlinked;
 * a **shared-segment cache** keyed by relation *fingerprint*
   (:attr:`repro.datasets.columnar.ColumnarRelation.fingerprint`, a
   content digest of the packed ring columns): the first join of a
@@ -121,7 +123,8 @@ class JoinSession:
     """Owner of the tile executor's worker pool and shared segments.
 
     See the module docstring for the model.  All state lives in the
-    creating process; worker processes stay stateless.  Cache, pool and
+    creating process, except the mappings each pool worker keeps of the
+    segments its tasks named (dropped with the pool).  Cache, pool and
     telemetry mutation is guarded by a reentrant lock, and the executor
     holds it for a whole join, so a session can be handed between
     threads (the :class:`repro.service.JoinService` executor does) and
@@ -240,19 +243,14 @@ class JoinSession:
         the parent warms ``kernels`` before forking and each worker once
         at start-up, so a backend switch needs fresh workers) shuts the
         old pool down and forks a fresh one.  A pool broken by a dying
-        worker process is discarded by the executor when the
-        ``BrokenExecutor`` surfaces (see ``parallel_exec._dispatch``), so
-        the next join rebuilds it here; the private broken flag is only
-        probed as an extra belt-and-braces check.
+        worker process fails the join that meets it with a
+        ``TileExecutionError`` and is discarded there (see
+        ``parallel_exec._dispatch``), so the next join rebuilds it here.
         """
         with self._lock:
             self._ensure_open()
-            broken = self._pool is not None and getattr(
-                self._pool, "_broken", False
-            )
             if self._pool is not None and (
-                broken
-                or self._pool_workers != n_workers
+                self._pool_workers != n_workers
                 or self._pool_kernels != kernels
             ):
                 self._discard_pool()
@@ -314,6 +312,7 @@ class JoinSession:
             self._ensure_open()
             for relation in relations:
                 segment, reused = self._acquire(relation)
+                segment.serve(relation.columnar())
                 segments.append(segment)
                 if reused:
                     counters["segment_cache_hits"] += 1

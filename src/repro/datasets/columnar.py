@@ -43,11 +43,10 @@ pages are adopted with :meth:`ColumnarRelation.install_approx`, which
 also seeds every object's scalar approximation cache from the same rows:
 nothing downstream of a stored kind ever calls ``compute_approximation``.
 
-A **tile** of a partitioned join is a store of its own over some rows of
-a parent's columns (:meth:`ColumnarRelation.cut`): the gathered oids, MBR
-rows and stored approximation rows, and the edge table of those rows.
-It seeds no cache and, in a worker, builds a tile object only when a
-scalar path first reads it (:class:`_TileObjects`).
+A **tile** of a partitioned join is two row-index arrays over its
+parents' stores (:func:`repro.core.partition.run_tile`), never a store
+of its own.  A pool worker reads one store over a relation's mapped
+shared segments for the pool's life (:mod:`repro.core.parallel_exec`).
 """
 
 from __future__ import annotations
@@ -153,25 +152,23 @@ def unpack_polygon(columns: RingColumns, index: int) -> Polygon:
     return Polygon.from_normalized(rings[0], rings[1:])
 
 
-class _TileObjects(Sequence):
-    """A worker tile's objects, each built on its first read.
+class _LazyObjects(Sequence):
+    """The objects of packed ring columns, each built on its first read.
 
-    Object ``i`` is rebuilt from parent row ``rows[i]`` of the packed
-    rings (:func:`unpack_polygon`, bit-identical) with row ``i`` of every
-    gathered stored kind in its approximation cache: reading an object
-    derives nothing, and an object no scalar path reads is never built.
+    Object ``i`` is rebuilt from row ``i`` of the rings
+    (:func:`unpack_polygon`, bit-identical) with row ``i`` of every
+    stored kind :meth:`add`-ed in its approximation cache: reading an
+    object derives nothing, and an object no scalar path reads is never
+    built.  The objects of a pool worker's store.
     """
 
-    def __init__(self, rings: RingColumns, rows: np.ndarray,
-                 oids: np.ndarray, stored: Sequence[ApproxColumns]):
+    def __init__(self, rings: RingColumns):
         self._rings = rings
-        self._rows = rows
-        self._oids = oids
-        self._stored = stored
+        self._stored: List[ApproxColumns] = []
         self._built: Dict[int, object] = {}
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._rings.oids)
 
     def __getitem__(self, row):
         row = int(row)
@@ -180,13 +177,19 @@ class _TileObjects(Sequence):
             from .relations import SpatialObject  # lazy: import cycle
 
             obj = SpatialObject(
-                int(self._oids[row]),
-                unpack_polygon(self._rings, int(self._rows[row])),
+                int(self._rings.oids[row]), unpack_polygon(self._rings, row)
             )
             for columns in self._stored:
                 obj._approximations[columns.kind] = columns.approximation(row)
             self._built[row] = obj
         return obj
+
+    def add(self, columns: ApproxColumns) -> None:
+        """Serve a stored kind's rows to the objects built so far and later."""
+        self._stored.append(columns)
+        for row, obj in self._built.items():
+            if columns.kind not in obj._approximations:
+                obj._approximations[columns.kind] = columns.approximation(row)
 
 
 class ColumnarRelation:
@@ -317,44 +320,6 @@ class ColumnarRelation:
                 columns = approx_store.load_approx(kind)
                 if columns is not None:
                     store.install_approx(columns)
-        return store
-
-    @classmethod
-    def cut(
-        cls,
-        name: str,
-        rings: RingColumns,
-        rows: np.ndarray,
-        stored: Sequence[ApproxColumns] = (),
-        objects: Optional[Sequence[object]] = None,
-    ) -> "ColumnarRelation":
-        """A tile: rows ``rows`` of a parent (tile row ``i`` is ``rows[i]``).
-
-        Holds the gathered oids, the edge table of the rows (whose shell
-        MBRs are its ``mbrs``, the floats of ``obj.mbr``) and the rows of
-        the parent's ``stored`` approximation columns, installed as they
-        are: no tile derives a stored kind or seeds an object cache.
-        Its objects are the parent's ``objects`` at ``rows`` or, without
-        them (a worker's mapped columns), built on first read
-        (:class:`_TileObjects`).  Arrays are copies, so ``rings`` may be
-        unmapped once the tile's join is over.
-        """
-        from ..exact.refine import RingGeometry  # lazy: import cycle
-
-        geometry = RingGeometry(rings, rows)
-        taken = [columns.take(rows) for columns in stored]
-        oids = rings.oids[rows]
-        if objects is None:
-            objects = _TileObjects(rings, rows, oids, taken)
-        else:
-            objects = [objects[i] for i in rows.tolist()]
-        store = cls.__new__(cls)
-        store._fill(name, objects, objects, oids, geometry.table.mbrs)
-        store._ring_geometry = geometry
-        for columns in taken:
-            store._approx[columns.kind] = BatchApproxArrays.from_columns(
-                columns, store.objects
-            )
         return store
 
     def partition_tree(self, max_entries: int = 8):

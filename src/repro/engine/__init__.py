@@ -231,24 +231,26 @@ Parallel wire format — shared columns
     The parent writes each relation's packed ring columns into one
     :class:`multiprocessing.shared_memory.SharedMemory` segment and a
     tile task pickles only the segment descriptors plus two index
-    arrays: a tile is those rows of its parents' columns.  Workers map
-    the segments and cut the tile
-    (``repro.datasets.columnar.ColumnarRelation.cut``: gathered oids,
-    MBR rows, approximation rows and edge table), and an engine runs on
-    the two tile stores as it runs on two relations' stores
+    arrays: a tile is those rows of its parents' stores, and an engine
+    runs on the two parent stores at those rows
     (``repro.core.partition.run_tile``, the runner of the serial
-    partitioned join's tiles too); a tile object is rebuilt
-    (``Polygon.from_normalized``, bit-identically) only when a scalar
-    path reads it.  Replicated objects therefore cost nothing extra on
-    the wire — the geometry ships once per join, not once per tile
-    (``tests/test_parallel_exec_shm.py`` pins the segment lifecycle:
-    unlinked on success, worker failure, and interrupt).
+    partitioned join's tiles too).  Each process resolves a shipped
+    relation to a store once: the parent reads its in-memory
+    ``relation.columnar()`` (``workers=1`` attaches nothing), and a pool
+    worker maps the segments on the first task that names them and
+    keeps one store over them for the pool's life — the edge table
+    built once, an object rebuilt (``Polygon.from_normalized``,
+    bit-identically) only when a scalar path reads it.  Replicated
+    objects cost nothing extra: the geometry ships once per session,
+    not once per tile (``tests/test_parallel_exec_shm.py`` pins the
+    segment lifecycle: unlinked on success, worker failure, a killed
+    worker and interrupt).
     The approximations ride the same way: for every kind the join
     reads (``JoinConfig.approximation_kinds()``) the parent takes
     ``relation.columnar().approx(kind)`` — the one get-or-build point —
     and places its stored columns in a block beside the ring segment;
-    the tile cut gathers a tile's rows by the same index arrays, seeding
-    no object cache, so **no tile ever computes an approximation** of a
+    a worker installs the mapped block as it is, seeding no object
+    cache, so **no tile ever computes an approximation** of a
     stored kind
     (``tests/test_stored_approximations.py`` counts the calls across
     the forked workers; RMBR and MBE have no stored form and are

@@ -12,7 +12,8 @@ approximation columns, edge table and a row sequence of objects) and
 two R*-trees over their MBR rows, never a relation: a serial join hands
 it each relation's store and memoised tree
 (:meth:`~repro.datasets.relations.SpatialRelation.rtree`), a partitioned
-join each tile's (:func:`repro.core.partition.run_tile`).  Its currency
+join the parents' stores and, per tile, trees over the tile's rows
+labelled with parent rows (:func:`repro.core.partition.run_tile`).  Its currency
 is the **row index**: the trees store each object's row as its leaf
 item, so step 1 emits ``(row_a, row_b)`` pairs, the filter and the
 exact step index the stores' columns and edge tables with them, and an
@@ -135,9 +136,9 @@ class Engine(ABC):
     ) -> Iterator[RowPair]:
         """Run the full three-step join, yielding result row pairs.
 
-        ``store_a``/``store_b`` are the two column stores (a relation's
-        or a tile's), ``tree_a``/``tree_b`` R*-trees over their MBR rows
-        whose leaf items are their rows.
+        ``store_a``/``store_b`` are the two relations' column stores,
+        ``tree_a``/``tree_b`` R*-trees over their MBR rows (all of them,
+        or a tile's) whose leaf items are those rows.
         """
         cfg = self.config
         counter_a = counter_b = None

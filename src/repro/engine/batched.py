@@ -320,8 +320,8 @@ class BatchedEngine(Engine):
     The filter reads the two column stores it is handed: a relation's
     cached store packs a stored kind once per (relation, kind), not once
     per join, so sweeping many filter configurations over the same
-    relations pays no repack cost, and a tile's store holds the rows
-    gathered from its parent's (see :class:`KindColumns`).
+    relations pays no repack cost, and a tile reads its parents' stores
+    at its rows (see :class:`KindColumns`).
     """
 
     name = "batched"

@@ -63,17 +63,16 @@ What still resolves pair by pair inside a batch (counted by
 through :func:`~repro.geometry.fastops.polygon_within_fast` on the
 rows' objects.
 
-A tile of a partitioned join carries its own :class:`RingGeometry`,
-built from its parent's ring columns for the **tile's rows only**
-(:meth:`repro.datasets.columnar.ColumnarRelation.cut`, over in-memory
-columns or a worker's shared-memory mapping), so a tile pays for its
-own points, not the relation's.  Table arrays are copies, never views,
-so a segment can be unmapped at any time.
+A tile of a partitioned join is rows of its parents' stores, so its
+exact step reads the parents' memoised tables with parent rows: in
+memory, or in a pool worker the one table built over the relation's
+mapped ring columns for the pool's life
+(:mod:`repro.core.parallel_exec`).  No tile builds a table.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -129,19 +128,16 @@ def clip_rects(
 
 
 class RingGeometry:
-    """The edge table of some rows of packed ring columns.
+    """The edge table of packed ring columns.
 
     ``table`` (:class:`~repro.geometry.fastops.EdgeTable`) is built once,
     in the constructor, from packed :class:`RingColumns`: column row
-    ``rows[i]`` (default: row ``i``, the whole relation) becomes table
-    row ``i``.  The table's arrays are copies of the column data, so an
-    instance built over a mapped shared-memory segment keeps working
-    after the segment is unmapped.
+    ``i`` becomes table row ``i``.
     """
 
-    def __init__(self, columns: RingColumns, rows: Optional[np.ndarray] = None):
+    def __init__(self, columns: RingColumns):
         self.table: EdgeTable = build_edge_table(
-            columns.object_rings, columns.ring_offsets, columns.ring_xy, rows
+            columns.object_rings, columns.ring_offsets, columns.ring_xy
         )
 
     def edges(self, row: int) -> EdgeSet:

@@ -559,6 +559,18 @@ class EdgeTable(NamedTuple):
     bounds: np.ndarray  #: ``(n, 4)`` box over *all* rings of each object
     mbrs: np.ndarray  #: ``(n, 4)`` box over each shell (the object MBR)
 
+    def take(self, rows: np.ndarray) -> "EdgeTable":
+        """The table of objects ``rows`` in that order: one ragged gather,
+        float for float the table built over those objects' rings."""
+        rows = np.asarray(rows, dtype=np.intp)
+        lengths = self.offsets[rows + 1] - self.offsets[rows]
+        index = ragged_arange(self.offsets[rows], lengths)
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        return EdgeTable(
+            self.coords[:, index], self.boxes[:, index], offsets,
+            self.bounds[rows], self.mbrs[rows],
+        )
+
 
 def ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``concatenate([arange(s, s + l) for s, l in zip(starts, lengths)])``."""
@@ -568,24 +580,16 @@ def ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def build_edge_table(
-    object_rings: np.ndarray,
-    ring_offsets: np.ndarray,
-    ring_xy: np.ndarray,
-    rows: Optional[np.ndarray] = None,
+    object_rings: np.ndarray, ring_offsets: np.ndarray, ring_xy: np.ndarray
 ) -> EdgeTable:
-    """The :class:`EdgeTable` of packed ring columns, or of some ``rows``.
+    """The :class:`EdgeTable` of packed ring columns.
 
-    Inputs are the ``RingColumns`` arrays.  With ``rows`` the table
-    covers exactly those objects, in that order, at a cost proportional
-    to their points (a tile worker passes its task's rows).  Built by
-    index arithmetic alone — no per-object or per-ring Python step — and
-    every output array is a fresh copy, never a view of ``ring_xy``, so
-    a shared-memory segment behind it can be unmapped afterwards.
+    Inputs are the ``RingColumns`` arrays.  Built by index arithmetic
+    alone — no per-object or per-ring Python step — and every output
+    array is a fresh copy, never a view of ``ring_xy``.
     """
-    if rows is None:
-        rows = np.arange(len(object_rings) - 1)
-    first_ring = object_rings[rows]
-    ring_counts = object_rings[rows + 1] - first_ring
+    first_ring = object_rings[:-1]
+    ring_counts = object_rings[1:] - first_ring
     rings = ragged_arange(first_ring, ring_counts)
     ring_first = ring_offsets[rings]
     ring_lengths = ring_offsets[rings + 1] - ring_first
@@ -606,8 +610,8 @@ def build_edge_table(
             np.maximum(coords[1], coords[3]),
         )
     )
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    if len(rows) == 0:
+    offsets = np.zeros(len(ring_counts) + 1, dtype=np.int64)
+    if len(ring_counts) == 0:
         empty = np.empty((0, 4))
         return EdgeTable(coords, boxes, offsets, empty, empty)
     ring_starts = ring_ends - ring_lengths

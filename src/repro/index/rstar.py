@@ -515,20 +515,24 @@ def rtree_over(
     directory_max: Optional[int] = None,
     bulk: bool = False,
     expand: float = 0.0,
+    rows=None,
 ) -> RStarTree:
     """R*-tree over the rows of an ``(n, 4)`` MBR array; leaf items are rows.
 
     Row ``i``, grown by ``expand`` on every side (the distance join's
     ε/2, as :meth:`Rect.expand` computes it), is stored with item ``i``:
-    inserted in row order, or STR bulk-loaded when ``bulk``.
+    inserted in row order, or STR bulk-loaded when ``bulk``.  ``rows``
+    takes only those rows, in that order, each with its row of ``mbrs``
+    as item: the tree of ``mbrs[rows]``, labelled with parent rows.
     """
-    rows = mbrs.tolist()
+    labels = range(len(mbrs)) if rows is None else rows.tolist()
+    rects = (mbrs if rows is None else mbrs[rows]).tolist()
     if expand:
-        rows = [
+        rects = [
             (xmin - expand, ymin - expand, xmax + expand, ymax + expand)
-            for xmin, ymin, xmax, ymax in rows
+            for xmin, ymin, xmax, ymax in rects
         ]
-    items = [(Rect(*rect), row) for row, rect in enumerate(rows)]
+    items = [(Rect(*rect), label) for label, rect in zip(labels, rects)]
     if bulk:
         return RStarTree.bulk_load(
             items, max_entries=max_entries, directory_max=directory_max

@@ -253,6 +253,20 @@ def run_both_engines(
     return streaming, batched
 
 
+def run_on_worker_stores(task):
+    """``(oid pairs, stats)`` of a tile task run as a pool worker's first
+    task runs it: on fresh stores over the segments the task names
+    (objects built on first read), closed afterwards."""
+    from repro.core.parallel_exec import _MappedRelation, _tile_pairs
+
+    stores = [_MappedRelation(spec) for spec in (task.spec_a, task.spec_b)]
+    try:
+        return _tile_pairs(task, *stores)
+    finally:
+        for store in stores:
+            store.close()
+
+
 def assert_parallel_equivalent(
     relation_a: SpatialRelation,
     relation_b: SpatialRelation,

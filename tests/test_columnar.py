@@ -30,12 +30,10 @@ from helpers import random_relation_pair, stats_fingerprint
 from repro.approximations.batch import BatchApproxArrays
 from repro.core.filters import FilterConfig
 from repro.core.join import JoinConfig, SpatialJoinProcessor
+from repro.core.parallel_exec import _MappedRelation
 from repro.core.partition import partitioned_join
-from repro.datasets.columnar import (
-    ColumnarRelation,
-    pack_rings,
-    unpack_polygon,
-)
+from repro.core.session import JoinSession
+from repro.datasets.columnar import pack_rings, unpack_polygon
 from repro.datasets.relations import SpatialRelation
 from repro.geometry.polygon import Polygon
 
@@ -298,7 +296,7 @@ def test_stored_kinds_come_from_columns_unstored_kinds_per_join(
     RMBR and MBE have no stored form: each join packs the kind for the
     objects that reach the filter, and each object derives it once.
     MER has one: it is built once per relation, read from the columns
-    by every later join, and gathered (never re-packed) by serial
+    by every later join, and read (never re-packed) by serial
     partitioned tiles.
     """
     builds = _build_spy(monkeypatch)
@@ -328,7 +326,7 @@ def test_stored_kinds_come_from_columns_unstored_kinds_per_join(
     parted = partitioned_join(rel_a, rel_b, grid=(3, 3), config=config)
     assert sorted(parted.id_pairs()) == sorted(first.id_pairs())
     assert builds == []
-    assert "MER" not in calls  # tiles gather the parent's MER rows
+    assert "MER" not in calls  # tiles read the parent's MER rows
     for rel in (rel_a, rel_b):
         assert rel.columnar().pack_counts == {"MER": 1}
 
@@ -339,14 +337,15 @@ def test_stored_kinds_come_from_columns_unstored_kinds_per_join(
      (None, "MER"), (None, "MEC")],
     ids=["CH", "4-C", "5-C", "MBC", "MER", "MEC"],
 )
-def test_serial_tiles_gather_every_stored_kind(
+def test_tiles_read_every_stored_kind_from_the_parent(
     monkeypatch, conservative, progressive
 ):
-    """``ColumnarRelation.cut`` cuts every stored kind from the parent's columns.
+    """Tiles read every stored kind from the parent's columns.
 
     Once the relations hold a kind, serial partitioned tiles neither
-    derive nor pack it: a tile's columns are the parent's rows bit for
-    bit, and the tiled pairs equal the serial join's.
+    derive nor pack it, and the tiled pairs equal the serial join's.  A
+    pool worker's store over the shipped block holds the parent's
+    columns bit for bit and packs nothing either.
     """
     kind = conservative or progressive
     rel_a, rel_b = random_relation_pair(306, n_objects=14, degenerate=False)
@@ -367,16 +366,17 @@ def test_serial_tiles_gather_every_stored_kind(
         assert rel.columnar().pack_counts == {kind: 1}
 
     parent = rel_a.columnar().approx(kind).columns()
-    rows = np.arange(len(rel_a))[1::3]
-    store = rel_a.columnar()
-    tile = ColumnarRelation.cut(
-        "tile", store.rings, rows, [parent], store.objects
-    )
-    gathered = tile.approx(kind).columns()
-    assert gathered.kind == kind
-    for name, column in parent.arrays.items():
-        np.testing.assert_array_equal(gathered.arrays[name], column[rows])
-    assert tile.pack_counts == {}
+    with JoinSession() as session:
+        (segment,), _ = session.ship((rel_a,), (kind,))
+        worker = _MappedRelation(segment.spec_for((kind,)))
+        try:
+            mapped = worker.approx(kind).columns()
+            assert mapped.kind == kind
+            for name, column in parent.arrays.items():
+                np.testing.assert_array_equal(mapped.arrays[name], column)
+            assert worker.pack_counts == {}
+        finally:
+            worker.close()
     assert builds == [] and calls == []
 
 

@@ -1,5 +1,6 @@
 """Tests for the partitioned (parallelism-oriented) join."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,12 @@ from helpers import random_relation_pair
 from repro.core.join import JoinConfig, SpatialJoinProcessor, nested_loops_join
 from repro.core.parallel import simulate_parallel_join
 from repro.core.parallel_exec import parallel_partitioned_join
-from repro.core.partition import partitioned_join
+from repro.core.partition import (
+    assign_tile_indices,
+    partitioned_join,
+    tile_rects,
+)
+from repro.geometry.rectangle import Rect
 
 
 class TestPartitionedJoin:
@@ -109,3 +115,35 @@ class TestPartitionedJoin:
             config=JoinConfig(exact_method="vectorized"),
         )
         assert fine.max_tile_work < coarse.max_tile_work
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from([0.0, 1.0 / 64.0, 0.013, 0.5]),
+)
+def test_grid_assignment_equals_per_object_intersects(seed, n, nx, ny, half):
+    """The broadcast tile assignment keeps exactly the rows whose MBR,
+    grown by ``half`` as ``Rect.expand`` grows it, meets each closed
+    tile, in ascending order.  Half the coordinates sit on a 1/8 lattice,
+    so MBR sides fall on tile borders."""
+    rng = np.random.default_rng(seed)
+    corners = rng.random((n, 2))
+    sizes = rng.random((n, 2)) * 0.4
+    on_lattice = rng.random(n) < 0.5
+    corners[on_lattice] = np.floor(corners[on_lattice] * 8) / 8
+    sizes[on_lattice] = np.ceil(sizes[on_lattice] * 8) / 8
+    mbrs = np.column_stack((corners, corners + sizes))
+    tiles = tile_rects(Rect(0.0, 0.0, 1.25, 1.25), nx, ny)
+    got = assign_tile_indices(mbrs, tiles, expand=half)
+    assert list(got) == list(tiles)
+    for key, tile in tiles.items():
+        want = [
+            row for row in range(n)
+            if Rect(*mbrs[row].tolist()).expand(half).intersects(tile)
+        ]
+        assert got[key].dtype == np.intp
+        assert got[key].tolist() == want, key

@@ -57,7 +57,6 @@ from repro.core.proximity import (
     loosen,
 )
 from repro.core.stats import MultiStepStats
-from repro.datasets.columnar import ColumnarRelation
 from repro.datasets.relations import SpatialObject, SpatialRelation
 from repro.datasets.testseries import canonical_series
 from repro.exact.refine import clip_margins
@@ -464,16 +463,12 @@ def test_knn_join_matches_per_pair_reference(relations, which):
 
 
 def _tile(relation, rows):
-    """The worker's tile cut of ``relation``'s rows (with the MBC and MEC
-    rows a distance task ships) and a relation over the cut's objects."""
-    store = relation.columnar()
-    stored = [store.approx(kind).columns() for kind in ("MBC", "MEC")]
-    cut = ColumnarRelation.cut(
-        store.name, store.rings, rows, stored, store.objects
-    )
+    """A distance task's rows of ``relation`` (gathered from the parent's
+    rows, MBC and MEC circles included) and a relation over those rows'
+    objects."""
     view = SpatialRelation(relation.name, [])
-    view.objects = list(cut.objects)
-    return cut, view
+    view.objects = [relation.objects[i] for i in rows.tolist()]
+    return ProximityRows.of(relation.columnar(), "distance").take(rows), view
 
 
 @SETTINGS
@@ -492,10 +487,11 @@ def test_distance_join_owns_hook_of_grid_plan(relations, kind, index):
     half = epsilon / 2.0
     grow = np.array([-half, -half, half, half])
     for tile, rows_a, rows_b in plan.entries:
-        cut_a, tile_a = _tile(relation_a, rows_a)
-        cut_b, tile_b = _tile(relation_b, rows_b)
-        expanded_a = cut_a.mbrs + grow
-        expanded_b = cut_b.mbrs + grow
+        gathered_a, tile_a = _tile(relation_a, rows_a)
+        gathered_b, tile_b = _tile(relation_b, rows_b)
+        expanded_a = gathered_a.mbrs + grow
+        expanded_b = gathered_b.mbrs + grow
+        assert gathered_a.mbrs.tobytes() == tile_a.columnar().mbrs.tobytes()
 
         def owns(obj_a, obj_b, tile=tile):
             return owning_tile(
@@ -511,9 +507,7 @@ def test_distance_join_owns_hook_of_grid_plan(relations, kind, index):
 
         want = _run(reference_distance_join, tile_a, tile_b, config,
                     owns=owns)
-        got = _run(distance_join_pipeline,
-                   ProximityRows.of(cut_a, "distance"),
-                   ProximityRows.of(cut_b, "distance"), config,
+        got = _run(distance_join_pipeline, gathered_a, gathered_b, config,
                    owns=owns_rows)
         assert got == want, (tile, config)
         assert got[1].dedup_dropped == want[1].dedup_dropped

@@ -15,13 +15,18 @@ this suite pins what that form must not change or lose:
   ``k >= |B|``, ``|B| = 1`` and empty relations.  The counters of every
   task plan equal the serial join's.
 * **No object in a proximity tile.**  Distance and kNN tiles construct
-  no ``SpatialObject``, unpack no polygon and look up no approximation; the shell MBRs of an edge table are the columnar
-  MBRs bit for bit.
+  no ``SpatialObject``, unpack no polygon and look up no approximation,
+  in-process and on a pool worker's mapped stores; the shell MBRs of an
+  edge table are the columnar MBRs bit for bit.
+* **A tile's edge table is a row gather.**  ``EdgeTable.take`` of any
+  rows (unsorted, repeated, none, objects with holes) is the table
+  built over those objects, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -32,7 +37,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     grid_square,
+    random_star,
     random_relation_pair,
+    run_on_worker_stores,
     scalar_distance_join,
     stats_fingerprint,
 )
@@ -53,9 +60,10 @@ from repro.datasets import (
     columnar as columnar_module,
     relations as relations_module,
 )
+from repro.datasets.columnar import pack_rings
 from repro.datasets.relations import SpatialObject, SpatialRelation
 from repro.datasets.testseries import canonical_series
-from repro.geometry.fastops import build_edge_table
+from repro.geometry.fastops import EdgeTable, build_edge_table
 from repro.geometry.polygon import Polygon
 from repro.geometry.rectangle import Rect
 
@@ -343,9 +351,20 @@ def test_proximity_tiles_build_no_object(monkeypatch, partitioner,
                         grid=(2, 2), target_tasks=4, **kwargs)
     serial = SpatialJoinProcessor(config).join(rel_a, rel_b)
     counting = _counting(monkeypatch)
-    outcomes = _run_tasks(rel_a, rel_b, config, around=counting)
+    tasks, _, session = plan_columnar_tile_tasks(
+        rel_a, rel_b, config.grid, config
+    )
+    try:
+        with counting:
+            outcomes = [run_columnar_tile_task(task) for task in tasks]
+            # A pool worker reads a store over the mapped segments,
+            # whose objects would be built on a read: none is.
+            on_workers = [run_on_worker_stores(task) for task in tasks]
+    finally:
+        session.close()
     assert len(outcomes) > 1
     assert counting.counts == {"objects": 0, "unpack": 0, "approx": 0}
+    assert on_workers == [(each.id_pairs, each.stats) for each in outcomes]
     pairs = sorted(pair for outcome in outcomes for pair in outcome.id_pairs)
     assert pairs == sorted(serial.id_pairs())
 
@@ -359,8 +378,46 @@ def test_edge_table_mbrs_are_columnar_mbrs(which):
             columnar.ring_geometry().table.mbrs.tobytes()
             == columnar.mbrs.tobytes()
         )
-        rings = columnar.rings
         rows = np.arange(len(relation))[::3]
-        table = build_edge_table(rings.object_rings, rings.ring_offsets,
-                                 rings.ring_xy, rows)
+        table = columnar.ring_geometry().table.take(rows)
         assert table.mbrs.tobytes() == columnar.mbrs[rows].tobytes()
+
+
+def _holed_star(rng: random.Random, cx: float, cy: float) -> Polygon:
+    """A star with a square hole around its centre (inside its inner
+    radius), or without one."""
+    radius = rng.uniform(0.02, 0.2)
+    star = random_star(rng, cx, cy, radius, rng.randint(3, 12))
+    if rng.random() < 0.5:
+        return star
+    half = 0.2 * radius
+    hole = [(cx - half, cy - half), (cx + half, cy - half),
+            (cx + half, cy + half), (cx - half, cy + half)]
+    return Polygon(star.shell, holes=[hole])
+
+
+@SETTINGS
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=0, max_value=12), st.data())
+def test_edge_table_take_is_the_table_of_those_objects(seed, count, data):
+    rng = random.Random(seed)
+    relation = SpatialRelation("t", [
+        _holed_star(rng, rng.uniform(0, 1), rng.uniform(0, 1))
+        for _ in range(count)
+    ])
+    table = relation.columnar().ring_geometry().table
+    picks = data.draw(st.lists(
+        st.integers(min_value=0, max_value=max(count - 1, 0)),
+        max_size=2 * count,
+    ))
+    for rows in (picks, []):
+        rows = np.array(rows, dtype=np.intp)
+        rings = pack_rings([relation.objects[i] for i in rows.tolist()])
+        want = build_edge_table(
+            rings.object_rings, rings.ring_offsets, rings.ring_xy
+        )
+        got = table.take(rows)
+        for name, ours, theirs in zip(EdgeTable._fields, got, want):
+            assert ours.dtype == theirs.dtype, name
+            assert ours.shape == theirs.shape, name
+            assert ours.tobytes() == theirs.tobytes(), name

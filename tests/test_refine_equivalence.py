@@ -163,54 +163,60 @@ def test_refine_kernel_calls_per_batch():
     assert not calls
 
 
-def test_tile_geometry_over_mapped_rows_matches_whole_relation():
-    """A worker's edge table covers its task's rows only, decides like
-    the relation's own table, and outlives the shared-memory mapping."""
+def test_worker_geometry_over_mapped_rings_matches_whole_relation():
+    """A worker's edge table, built once over the mapped ring columns,
+    is the relation's own bit for bit; a task's rows of it (a ragged
+    gather) are the relation's rows; and refinement on the worker's
+    store at parent rows decides like the relation's own."""
     import numpy as np
 
-    from repro.core.parallel_exec import SharedRelationSegment, _MappedRelation
+    from repro.core.parallel_exec import _MappedRelation
     from repro.core.stats import MultiStepStats
+    from repro.core.session import JoinSession
     from repro.exact.refine import BatchedRefinement
 
     rel_a, rel_b = random_relation_pair(23, n_objects=16)
     config = JoinConfig(exact_method="vectorized", exact_batch=64)
     idx_a = np.array([11, 2, 7, 3, 14])
     idx_b = np.array([0, 9, 4, 15, 8, 1])
-    segments = [SharedRelationSegment(rel) for rel in (rel_a, rel_b)]
-    mapped = []
-    try:
-        mapped = [_MappedRelation(seg.spec_for()) for seg in segments]
-        tiles = [m.cut(idx) for m, idx in zip(mapped, (idx_a, idx_b))]
-        geometry = [tile.ring_geometry() for tile in tiles]
-    finally:
-        for m in mapped:
-            m.close()
-        for seg in segments:
-            seg.close()
+    whole_pairs = np.array([(i, j) for i in idx_a for j in idx_b])
+    with JoinSession() as session:
+        segments, _ = session.ship((rel_a, rel_b))
+        stores = [_MappedRelation(seg.spec_for()) for seg in segments]
+        try:
+            geometry = [store.ring_geometry() for store in stores]
+            worker_step = BatchedRefinement(
+                config, *geometry, stores[0].objects, stores[1].objects
+            )
+            worker_stats = MultiStepStats()
+            decided = worker_step.resolve_batch(whole_pairs, worker_stats)
+            taken = [
+                geo.table.take(idx)
+                for geo, idx in zip(geometry, (idx_a, idx_b))
+            ]
+            for geo, rel in zip(geometry, (rel_a, rel_b)):
+                whole = rel.columnar().ring_geometry()
+                for ours, theirs in zip(geo.table, whole.table):
+                    assert ours.tobytes() == theirs.tobytes()
+        finally:
+            for store in stores:
+                store.close()
     assert not live_shared_segments()
-    for geo, rel, idx in zip(geometry, (rel_a, rel_b), (idx_a, idx_b)):
-        assert len(geo.table.offsets) == len(idx) + 1
+    for table, rel, idx in zip(taken, (rel_a, rel_b), (idx_a, idx_b)):
+        assert len(table.offsets) == len(idx) + 1
         whole = rel.columnar().ring_geometry()
         for row, source in enumerate(idx):
-            for ours, theirs in zip(geo.edges(row), whole.edges(source)):
+            edges = table.coords[:, table.offsets[row]:table.offsets[row + 1]]
+            for ours, theirs in zip(edges, whole.edges(source)):
                 assert np.array_equal(ours, theirs)
-            assert geo.bounds(row) == whole.bounds(source)
-    # Tile row i is the relation's row idx[i].
-    tile_pairs = [
-        (a, b) for a in range(len(idx_a)) for b in range(len(idx_b))
-    ]
-    whole_pairs = np.array([(i, j) for i in idx_a for j in idx_b])
-    tile_step = BatchedRefinement(
-        config, *geometry, tiles[0].objects, tiles[1].objects
-    )
+            assert tuple(table.bounds[row].tolist()) == whole.bounds(source)
     whole_step = BatchedRefinement.from_relations(config, rel_a, rel_b)
-    tile_stats, whole_stats = MultiStepStats(), MultiStepStats()
-    decided = tile_step.resolve_batch(tile_pairs, tile_stats)
+    whole_stats = MultiStepStats()
     assert decided.tolist() == (
         whole_step.resolve_batch(whole_pairs, whole_stats).tolist()
     )
     assert any(decided) and not all(decided)
-    assert tile_stats.refine_fallback_pairs == 0
+    assert worker_stats.refine_fallback_pairs == 0
     assert whole_step.resolve_batch([], whole_stats).tolist() == []
     assert whole_stats.refine_batch_pairs == len(whole_pairs)
 

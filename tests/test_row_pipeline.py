@@ -9,9 +9,10 @@ not depend on how the candidate stream is cut into blocks, and check
 that the other readers of the
 row-item R*-tree (window, point, inside and line-region queries) map
 rows back to ``relation.objects`` on a relation whose oids are not its
-rows.  Tiles of partitioned joins are rows of their parents' columns:
-a tile task builds only the objects its scalar paths read, and the
-serial partitioned join runs the executor's tile runner.
+rows.  Tiles of partitioned joins are rows of their parents' stores: a
+task run in-process reads the relations' own objects, a pool worker's
+store over the mapped segments builds only the objects the scalar paths
+read, and the serial partitioned join runs the executor's tile runner.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 import repro.datasets.relations as relations_module
-from helpers import random_relation_pair
+from helpers import random_relation_pair, run_on_worker_stores
 from repro.approximations.batch import BatchApproxArrays
 from repro.cli import _build_parser
 from repro.core.inside import points_in_regions_join
@@ -332,8 +333,9 @@ def europe_pair():
 
 
 def test_intersects_tile_task_builds_no_object(europe_pair, monkeypatch):
-    """A tile task on the default filter reads rows only: it constructs
-    no object and computes or looks up no approximation."""
+    """A tile task on the default filter reads rows only: in-process and
+    on a worker's mapped stores it constructs no object and computes or
+    looks up no approximation."""
     rel_a, rel_b = europe_pair
     config = JoinConfig(grid=(4, 4))
     tasks, _, session = plan_columnar_tile_tasks(rel_a, rel_b, (4, 4), config)
@@ -344,6 +346,7 @@ def test_intersects_tile_task_builds_no_object(europe_pair, monkeypatch):
         _counting(monkeypatch, relations_module, "compute_approximation",
                   calls)
         outcomes = [run_columnar_tile_task(task) for task in tasks]
+        on_workers = [run_on_worker_stores(task) for task in tasks]
     finally:
         monkeypatch.undo()
         session.close()
@@ -356,14 +359,18 @@ def test_intersects_tile_task_builds_no_object(europe_pair, monkeypatch):
     pairs = sorted(pair for outcome in outcomes for pair in outcome.id_pairs)
     serial = SpatialJoinProcessor(config).join(rel_a, rel_b)
     assert pairs == sorted(serial.id_pairs())
+    assert on_workers == [
+        (outcome.id_pairs, outcome.stats) for outcome in outcomes
+    ]
 
 
 def test_within_tile_task_builds_only_the_rows_it_reads(
     europe_pair, monkeypatch
 ):
-    """A ``within`` tile builds the objects of the MBR-contained
-    candidates (what its scalar filter and exact step read), each once,
-    and no other."""
+    """On a worker's stores a ``within`` tile builds the objects of the
+    MBR-contained candidates (what its scalar filter and exact step
+    read), each once, and no other; run in-process it reads the
+    relations' own objects and builds none."""
     rel_a, rel_b = europe_pair
     config = JoinConfig(predicate="within", grid=(4, 4))
     built = []
@@ -379,7 +386,11 @@ def test_within_tile_task_builds_only_the_rows_it_reads(
     try:
         for task in tasks:
             del built[:]
-            run_columnar_tile_task(task)
+            in_process = run_columnar_tile_task(task)
+            assert built == [], task.tile
+            assert run_on_worker_stores(task) == (
+                in_process.id_pairs, in_process.stats
+            )
             mbrs_a = rel_a.columnar().mbrs[task.idx_a]
             mbrs_b = rel_b.columnar().mbrs[task.idx_b]
             rows_a, rows_b = np.nonzero(

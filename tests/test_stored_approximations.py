@@ -180,19 +180,6 @@ class TestStoredForm:
         assert adopted.degenerate.tolist() == [True, False]
         assert len(columns.approximation(0).convex_vertices()) < 3
 
-    def test_take_copies_rows(self):
-        relation = SpatialRelation("t", mixed_polygons(5, 6))
-        columns = relation.columnar().approx("5-C").columns()
-        rows = np.array([4, 1])
-        taken = columns.take(rows)
-        assert len(taken) == 2
-        for name, array in taken.arrays.items():
-            assert not np.shares_memory(array, columns.arrays[name])
-            assert array.tobytes() == columns.arrays[name][rows].tobytes()
-        assert signature(taken.approximation(0)) == signature(
-            columns.approximation(4)
-        )
-
     def test_row_count_must_match_the_objects(self):
         relation = SpatialRelation("u", mixed_polygons(6, 4))
         columns = relation.columnar().approx("MBC").columns()
@@ -407,7 +394,8 @@ def test_sessionless_tiles_gather_too(builds):
 def test_unstored_kind_is_derived_only_for_objects_that_reach_the_filter(
     builds,
 ):
-    """RMBR has no block to ride in: a tile derives it lazily, per candidate."""
+    """RMBR has no block to ride in: it is derived lazily, only for the
+    objects that reach the filter, once per object in each process."""
     rel_a, rel_b = random_relation_pair(623, n_objects=14, degenerate=False)
     config = JoinConfig(
         engine="batched", exact_method="vectorized",
@@ -417,19 +405,32 @@ def test_unstored_kind_is_derived_only_for_objects_that_reach_the_filter(
     session.close()
     mbrs_a, mbrs_b = rel_a.columnar().mbrs, rel_b.columnar().mbrs
     reach = in_tiles = 0
+    distinct, distinct_b = [], []
     for task in tasks:
         a, b = mbrs_a[task.idx_a][:, None, :], mbrs_b[task.idx_b][None, :, :]
         meet = ((a[..., 0] <= b[..., 2]) & (b[..., 0] <= a[..., 2])
                 & (a[..., 1] <= b[..., 3]) & (b[..., 1] <= a[..., 3]))
         reach += int(meet.any(axis=1).sum() + meet.any(axis=0).sum())
         in_tiles += len(task.idx_a) + len(task.idx_b)
-    assert 0 < reach < in_tiles  # else the count below proves nothing
+        distinct += [int(r) for r in task.idx_a[meet.any(axis=1)]]
+        distinct_b += [int(r) for r in task.idx_b[meet.any(axis=0)]]
+    distinct = len(set(distinct)) + len(set(distinct_b))
+    # Else the counts below prove nothing: some objects reach the filter
+    # in several tiles, and some in none.
+    assert 0 < distinct < reach < in_tiles
     builds.reset()
-    for workers in (1, 2):
+    # In-process tiles read the relations' own objects: each derives
+    # RMBR once (MER was shipped), and a second join derives nothing.
+    for expected in (distinct, 0):
         parallel_partitioned_join(rel_a, rel_b, grid=grid, config=config,
-                                  workers=workers)
-        assert builds.count == reach, workers  # RMBR only; MER was shipped
+                                  workers=1)
+        assert builds.count == expected
         builds.reset()
+    # A pool worker builds its own objects, each once for the pool's
+    # life: each of the two workers derives RMBR at most once per object.
+    parallel_partitioned_join(rel_a, rel_b, grid=grid, config=config,
+                              workers=2)
+    assert distinct <= builds.count <= min(reach, 2 * distinct)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +512,17 @@ class TestApproximationBlocks:
                 serial.stats
             )
         assert builds.count == 0
-        assert fresh_a.columnar().packed_kinds() == []
+        # Nothing was packed for the fresh relations: their in-process
+        # tiles read the blocks streamed from the store pages, adopted
+        # bit for bit.
+        for fresh, fingerprint in ((fresh_a, fp_a), (fresh_b, fp_b)):
+            columnar = fresh.columnar()
+            assert columnar.pack_counts == {}
+            for kind in columnar.packed_kinds():
+                paged = store.load(fingerprint).load_approx(kind)
+                for name, array in paged.arrays.items():
+                    got = columnar.approx(kind).columns().arrays[name]
+                    assert got.tobytes() == array.tobytes(), (kind, name)
 
 
 # ---------------------------------------------------------------------------
