@@ -10,8 +10,7 @@ to the numpy oracle before timing is trusted.  The ``c`` backend runs
 the ragged edge-pair, ragged edge-distance, point-in-polygon and the
 filter's separating-axis (``convex_intersect_rows``) kernels in C and
 the oracle's own rectangle kernel, so that row measures ~1x by
-construction.  The separating-axis kernel is also timed on the
-``python`` loop twin, the reference the C file transliterates.
+construction.
 
 The table lands in ``benchmarks/reports/kernels.txt``.  Acceptance:
 at least two refine kernels run >= 3x the numpy oracle's pairs/second
@@ -40,10 +39,6 @@ MIN_KERNELS = 2
 #: the filter's kernel; it must reach MIN_SPEEDUP too, but does not count
 #: toward the refine kernels' bar.
 FILTER_KERNEL = "convex_intersect_rows"
-
-#: kernels also timed on the ``python`` loop twin (the rest would take
-#: minutes there).
-LOOP_TWIN_KERNELS = (FILTER_KERNEL,)
 
 
 def _build_workloads(series):
@@ -169,7 +164,7 @@ def _best_seconds(fn, reps=3):
 def test_kernel_backends_pairs_per_second(series_cache, report):
     series = series_cache("Europe A")
     workloads = _build_workloads(series)
-    for backend in ("numpy", ALT_BACKEND, "python"):
+    for backend in ("numpy", ALT_BACKEND):
         warm_up(backend)  # build outside the timed region, as in the pools
 
     lines = [
@@ -201,19 +196,6 @@ def test_kernel_backends_pairs_per_second(series_cache, report):
             f" {kernel_name:<28} {n_pairs:>9} {numpy_rate:>10.2e}/s "
             f"{alt_rate:>10.2e}/s {speedups[kernel_name]:>7.2f}x"
         )
-        if kernel_name in LOOP_TWIN_KERNELS:
-            loop_set = get_kernels("python")
-            assert run(loop_set) == oracle_result, (
-                f"python diverged from numpy on {kernel_name}"
-            )
-            loop_rate = n_pairs / max(
-                _best_seconds(lambda: run(loop_set), reps=1), 1e-9
-            )
-            rows[kernel_name]["python_pairs_per_sec"] = loop_rate
-            lines.append(
-                f" {'  (python loop twin)':<28} {'':>9} {'':>12} "
-                f"{loop_rate:>10.2e}/s {loop_rate / numpy_rate:>7.2f}x"
-            )
     lines.append(" (pairs/second, best of 3 runs, backends pre-warmed)")
     report.table(
         "Kernels",

@@ -7,7 +7,7 @@ names ("MBR", "RMBR", "4-C", "5-C", "CH", "MBC", "MBE", "MEC", "MER");
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict
 
 from ..geometry.polygon import Polygon
 from .base import Approximation
@@ -68,15 +68,3 @@ def compute_approximation(polygon: Polygon, kind: str) -> Approximation:
             raise ValueError(f"unknown approximation kind: {kind!r}") from None
         return MCornerApproximation.of(polygon, m)
     raise ValueError(f"unknown approximation kind: {kind!r}")
-
-
-def compute_approximations(
-    polygon: Polygon, kinds: Iterable[str]
-) -> Dict[str, Approximation]:
-    """Compute several approximations of one polygon at once."""
-    return {kind: compute_approximation(polygon, kind) for kind in kinds}
-
-
-def approximation_parameters(kind: str, sample: Approximation) -> int:
-    """Storage parameter count of an approximation instance."""
-    return sample.num_parameters

@@ -85,9 +85,15 @@ import sys
 from typing import Callable, List, Optional
 
 from .core.filters import FilterConfig
-from .core.join import EXACT_METHODS, JoinConfig, SpatialJoinProcessor
+from .core.join import (
+    ENGINES,
+    EXACT_METHODS,
+    JoinConfig,
+    SpatialJoinProcessor,
+)
 from .datasets.io import load_relation
 from .datasets.relations import SpatialRelation
+from .geometry.kernels import KERNEL_BACKENDS
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -225,10 +231,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="default worker processes per join "
                             "(requests may override)")
     serve.add_argument("--engine", default="batched",
-                       choices=("streaming", "batched"),
+                       choices=ENGINES,
                        help="default execution engine for requests")
     serve.add_argument("--kernels", default=None,
-                       choices=("auto", "numpy", "c", "python"),
+                       choices=KERNEL_BACKENDS,
                        help="default kernel backend for requests "
                             "(execution-only; cached results are shared "
                             "across backends)")
@@ -270,12 +276,11 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                         help="neighbours per left object for "
                              "--predicate knn (default 1)")
     parser.add_argument("--kernels", default=None,
-                        choices=("auto", "numpy", "c", "python"),
+                        choices=KERNEL_BACKENDS,
                         help="kernel backend for the bulk filter/refine hot "
-                             "paths: 'numpy' (vectorised oracle), 'c' "
-                             "(loop kernels compiled from C with the local "
-                             "compiler on first use), 'python' "
-                             "(interpreted loops, for testing), or 'auto' "
+                             "paths: 'numpy' (vectorised oracle), 'c' (the "
+                             "oracle's per-batch loops compiled from C with "
+                             "the local compiler on first use), or 'auto' "
                              "(c when it builds and loads, else numpy; the "
                              "default, overridable via REPRO_KERNELS). "
                              "Results are identical across backends")
@@ -288,7 +293,7 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
                         help="exact step: 'vectorized', the batched "
                              "edge-table refinement (the only choice)")
     parser.add_argument("--engine", default="batched",
-                        choices=("streaming", "batched"),
+                        choices=ENGINES,
                         help="execution engine: vectorized batched filter "
                              "(default) or per-pair streaming filter (see "
                              "repro.engine)")

@@ -20,7 +20,6 @@ model reproduces Figure 11/18's shape rather than its absolute seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
 
 #: §5 model constants (seconds).
 PAGE_ACCESS_SECONDS = 0.010
@@ -60,14 +59,6 @@ class CostBreakdown:
     @property
     def total(self) -> float:
         return self.mbr_join + self.object_access + self.exact_test
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "mbr_join_s": self.mbr_join,
-            "object_access_s": self.object_access,
-            "exact_test_s": self.exact_test,
-            "total_s": self.total,
-        }
 
 
 def total_join_cost(scenario: JoinScenario, label: str = "") -> CostBreakdown:

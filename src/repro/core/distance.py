@@ -8,8 +8,8 @@ its callers share at the scalar level:
 
 * :func:`validate_epsilon`, the boundary check of a distance threshold;
 * exact distances — :func:`segment_distance`, :func:`polygon_distance`
-  (0 when the areas intersect), :func:`point_polygon_distance` and the
-  rectangle lower bound :func:`rect_distance`;
+  (0 when the areas intersect) and the rectangle lower bound
+  :func:`rect_distance`;
 * :func:`brute_force_distance_join`, the nested-loops set oracle.
 """
 
@@ -71,15 +71,6 @@ def polygon_distance(a: Polygon, b: Polygon) -> float:
                 if best == 0.0:
                     return 0.0
     return best
-
-
-def point_polygon_distance(p: Tuple[float, float], polygon: Polygon) -> float:
-    """Distance from a point to a polygonal area (0 inside the area)."""
-    if polygon.contains_point(p):
-        return 0.0
-    return min(
-        point_segment_distance(p, e1, e2) for e1, e2 in polygon.edges()
-    )
 
 
 def rect_distance(a: Rect, b: Rect) -> float:

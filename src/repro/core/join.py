@@ -126,9 +126,8 @@ class JoinConfig:
     #: neighbours per left object for the 'knn' predicate (>= 1).
     k: int = 1
     #: kernel backend for the bulk filter/refine hot paths: 'numpy'
-    #: (vectorised oracle), 'c' (the loop kernels compiled from C,
-    #: built on first use), 'python' (the loop kernels, interpreted,
-    #: for differential testing), or 'auto' (c when the library
+    #: (vectorised oracle), 'c' (the oracle's per-batch loops compiled
+    #: from C, built on first use), or 'auto' (c when the library
     #: loads, else numpy).  Execution-only: results, order, and
     #: statistics are identical across backends (see
     #: :mod:`repro.geometry.kernels`).

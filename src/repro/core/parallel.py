@@ -144,9 +144,6 @@ class ParallelJoinReport:
     #: when only the deterministic model was requested.
     measured: List[MeasuredRun] = field(default_factory=list)
 
-    def speedup_curve(self) -> List[Tuple[int, float]]:
-        return [(p, sim.speedup) for p, sim in self.simulations]
-
     def speedup_table(self) -> List[Tuple[int, float, Optional[float]]]:
         """``(workers, modeled speedup, measured speedup or None)`` rows."""
         measured_by_workers = {m.workers: m.speedup for m in self.measured}

@@ -171,40 +171,3 @@ def estimate_join(
         object_access_seconds=2 * remaining * page_access_seconds,
         exact_test_seconds=remaining * exact_seconds,
     )
-
-
-def calibrate_rates(
-    measured_hits: int,
-    measured_false_hits: int,
-    identified_hits: int,
-    identified_false_hits: int,
-) -> FilterRates:
-    """FilterRates from one measured join (optimiser feedback loop)."""
-    total = measured_hits + measured_false_hits
-    if total == 0:
-        return FilterRates()
-    return FilterRates(
-        false_hit_identification=(
-            identified_false_hits / measured_false_hits
-            if measured_false_hits
-            else 0.0
-        ),
-        hit_identification=(
-            identified_hits / measured_hits if measured_hits else 0.0
-        ),
-        hit_share=measured_hits / total,
-    )
-
-
-def estimate_window_selectivity(
-    profile: RelationProfile, window: Rect
-) -> float:
-    """Expected fraction of a relation returned by a window query."""
-    if profile.count == 0:
-        return 0.0
-    space = profile.data_space
-    width = max(space.width, 1e-12)
-    height = max(space.height, 1e-12)
-    px = min(1.0, (profile.avg_width + window.width) / width)
-    py = min(1.0, (profile.avg_height + window.height) / height)
-    return px * py

@@ -8,6 +8,7 @@ library models is supported: ``POLYGON`` with optional hole rings.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 from typing import Iterable, List, Union
@@ -53,7 +54,12 @@ def polygon_to_wkt(polygon: Polygon, precision: int = 17) -> str:
 
 
 def polygon_from_wkt(text: str) -> Polygon:
-    """Parse a ``POLYGON (...)`` string (holes supported)."""
+    """Parse a ``POLYGON (...)`` string (holes supported).
+
+    Raises ``ValueError`` on malformed text and on a ``nan`` or ``inf``
+    coordinate: every predicate is false for NaN, so such a polygon
+    would silently drop out of every join instead of failing.
+    """
     stripped = text.strip()
     if not stripped.upper().startswith("POLYGON"):
         raise ValueError(f"not a POLYGON WKT: {stripped[:40]!r}")
@@ -64,7 +70,12 @@ def polygon_from_wkt(text: str) -> Polygon:
             parts = pair.split()
             if len(parts) != 2:
                 raise ValueError(f"malformed coordinate pair: {pair!r}")
-            coords.append((float(parts[0]), float(parts[1])))
+            x, y = float(parts[0]), float(parts[1])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(
+                    f"non-finite coordinate pair: {pair.strip()!r}"
+                )
+            coords.append((x, y))
         rings.append(coords)
     if not rings:
         raise ValueError("POLYGON with no rings")

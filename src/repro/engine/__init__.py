@@ -145,8 +145,8 @@ The compiled kernel tier — one semantics, three backends
     (:meth:`repro.core.session.JoinSession.pool`, the only place a
     worker pool is created), so workers inherit the library and
     :func:`repro.core.parallel_exec._warm_worker_kernels` only loads;
-    ``python`` runs the loop-form twins of every kernel, the readable
-    reference the C file transliterates; ``auto`` (the default) picks
+    ``c`` is the compiled form of the oracle's per-batch loops, not a
+    second algorithm; ``auto`` (the default) picks
     ``c`` when the library loads and falls back to numpy with one
     logged warning.  The backend is **execution-only**: results, order, and
     every stats counter are identical across backends

@@ -60,9 +60,6 @@ class OperationCounter:
     def reset(self) -> None:
         self.counts.clear()
 
-    def snapshot(self) -> Dict[str, int]:
-        return dict(self.counts)
-
 
 def measure_host_weights(repetitions: int = 20000) -> Dict[str, float]:
     """Re-measure Table 6 on the current host (seconds per operation)."""

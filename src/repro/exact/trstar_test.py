@@ -44,29 +44,3 @@ def polygons_intersect_trstar(
         counter.count(RECT_INTERSECTION, raw.rect_tests)
         counter.count(TRAPEZOID_INTERSECTION, raw.trapezoid_tests)
     return result
-
-
-class TRStarObject:
-    """A polygon bundled with its (lazily built) TR*-tree.
-
-    The multi-step join processor stores these per relation so the
-    decomposition cost is paid once per object, as in the paper.
-    """
-
-    __slots__ = ("polygon", "max_entries", "_tree")
-
-    def __init__(self, polygon: Polygon, max_entries: int = 3):
-        self.polygon = polygon
-        self.max_entries = max_entries
-        self._tree: Optional[TRStarTree] = None
-
-    @property
-    def tree(self) -> TRStarTree:
-        if self._tree is None:
-            self._tree = build_trstar(self.polygon, self.max_entries)
-        return self._tree
-
-    def intersects(
-        self, other: "TRStarObject", counter: Optional[OperationCounter] = None
-    ) -> bool:
-        return polygons_intersect_trstar(self.tree, other.tree, counter)

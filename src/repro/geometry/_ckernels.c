@@ -1,16 +1,16 @@
 /*
- * Compiled twins of the per-batch loop kernels of _kernels_loops.py: the
- * exact step's ragged edge kernels and point-in-polygon test, and the
- * filter's separating-axis test.
+ * The compiled form of the numpy oracle's per-batch loops
+ * (repro.geometry.fastops): the exact step's ragged edge kernels and
+ * point-in-polygon test, and the filter's separating-axis test.
  *
- * Each function below transliterates one loop kernel of
- * repro.geometry._kernels_loops statement for statement: the same
- * expressions, the same epsilons, the same evaluation order, and the same
- * Python min/max tie rules.  repro.geometry.kernels compiles this file
- * with -O2 -std=c99 -ffp-contract=off (never -ffast-math), so no
- * multiply-add is fused and every float expression rounds exactly as the
- * Python loop twin and the numpy oracle round it: all backends decide
- * every predicate identically and compute bit-identical distances.
+ * Each function below runs, one pair or point at a time, the loop that
+ * its fastops kernel runs over whole arrays: the same expressions, the
+ * same epsilons, the same evaluation order and the same min/max tie
+ * rules.  repro.geometry.kernels compiles this file with -O2 -std=c99
+ * -ffp-contract=off (never -ffast-math), so no multiply-add is fused and
+ * every float expression rounds exactly as the numpy oracle rounds it:
+ * both backends decide every predicate identically and compute
+ * bit-identical distances (tests/test_kernel_backends_fuzz.py).
  *
  * Array layout: an edge table's coords and boxes are (4, E) C-contiguous
  * float64 (row r of edge j at [r * E + j]); offsets, rows and query
@@ -23,7 +23,7 @@
 
 #define EPSILON 1e-12
 
-/* Python's min/max of two floats: the first argument wins ties. */
+/* min/max of two floats: the first argument wins ties. */
 static double min2(double a, double b) { return b < a ? b : a; }
 static double max2(double a, double b) { return b > a ? b : a; }
 
@@ -119,7 +119,7 @@ static int64_t *kept_list(int64_t n_pairs, const int64_t *offsets_b,
     return malloc((size_t)longest * sizeof(int64_t));
 }
 
-/* Loop twin: edge_pairs_ragged.  Writes hits[p]; returns the summed
+/* fastops.edge_pairs_intersect_ragged.  Writes hits[p]; returns the summed
  * clipped a x clipped b sizes, or -1 if the kept-edge list cannot be
  * allocated. */
 int64_t ck_edge_pairs_ragged(
@@ -208,8 +208,9 @@ static int sat_separated(const double *px, const double *py, int64_t wp,
     return 0;
 }
 
-/* Loop twin: convex_rows.  Pair p tests row rows_a[p] of the (n_a, wa)
- * vertex matrices avx/avy against row rows_b[p] of the (n_b, wb) ones. */
+/* fastops.convex_intersect_bulk on gathered rows.  Pair p tests row
+ * rows_a[p] of the (n_a, wa) vertex matrices avx/avy against row
+ * rows_b[p] of the (n_b, wb) ones. */
 void ck_convex_rows(
     int64_t n_pairs, int64_t wa, int64_t wb,
     const double *avx, const double *avy, const int64_t *rows_a,
@@ -225,7 +226,7 @@ void ck_convex_rows(
     }
 }
 
-/* sqrt, not hypot, as in the loop twin and the numpy oracle. */
+/* sqrt, not hypot, as in the numpy oracle. */
 static double point_seg_dist(double px, double py, double ax, double ay,
                              double bx, double by)
 {
@@ -283,7 +284,7 @@ static double box_gap_sq(double axmin, double aymin, double axmax,
     return gap_x * gap_x + gap_y * gap_y;
 }
 
-/* Loop twin: edge_distance_ragged.  Writes dist[p]; returns the summed
+/* fastops.min_edge_distance_ragged.  Writes dist[p]; returns the summed
  * clipped a x clipped b sizes, or -1 if the kept-edge list cannot be
  * allocated. */
 int64_t ck_edge_distance_ragged(
@@ -347,7 +348,7 @@ int64_t ck_edge_distance_ragged(
     return evaluated;
 }
 
-/* Loop twin: points_in_polygons.  inside and boundary arrive zeroed;
+/* fastops.points_in_polygons_bulk.  inside and boundary arrive zeroed;
  * has_mbrs selects the MBR pretest over the (k, 4) rows of mbrs. */
 void ck_points_in_polygons(
     int64_t k, int64_t n_edges, int64_t has_mbrs,

@@ -77,29 +77,6 @@ def intersect_rings(
     return _clip_rings(subject, clip, op="intersection")
 
 
-def union_rings(
-    subject: Sequence[Coord], clip: Sequence[Coord]
-) -> List[List[Coord]]:
-    """Union region(s) of two simple rings.
-
-    The outer boundary is returned counter-clockwise; enclosed gaps
-    (holes of the union) come out clockwise, so orientation tells the
-    caller which ring is which.  Disjoint inputs return both rings.
-    """
-    return _clip_rings(subject, clip, op="union")
-
-
-def difference_rings(
-    subject: Sequence[Coord], clip: Sequence[Coord]
-) -> List[List[Coord]]:
-    """Region(s) of ``subject`` minus ``clip``.
-
-    When the clip ring is strictly inside the subject the true result is
-    an annulus; it is returned as two rings (CCW outer + CW hole).
-    """
-    return _clip_rings(subject, clip, op="difference")
-
-
 def _clip_rings(
     subject: Sequence[Coord], clip: Sequence[Coord], op: str
 ) -> List[List[Coord]]:

@@ -11,7 +11,6 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from .predicates import EPSILON, Coord, cross, polygon_signed_area
-from .rectangle import Rect
 
 
 def convex_hull(points: Sequence[Coord]) -> List[Coord]:
@@ -167,11 +166,6 @@ def convex_intersection_area(
     if len(inter) < 3:
         return 0.0
     return abs(polygon_signed_area(inter))
-
-
-def clip_convex_to_rect(poly: Sequence[Coord], rect: Rect) -> List[Coord]:
-    """Clip a convex polygon to a rectangle."""
-    return clip_convex(poly, list(rect.corners()))
 
 
 def min_area_rotated_rect(

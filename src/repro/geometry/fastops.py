@@ -512,32 +512,6 @@ def points_in_polygons_bulk(
     return inside
 
 
-def edges_overlapping_rect_mask(
-    x1: np.ndarray,
-    y1: np.ndarray,
-    x2: np.ndarray,
-    y2: np.ndarray,
-    xmin: float,
-    ymin: float,
-    xmax: float,
-    ymax: float,
-) -> np.ndarray:
-    """Edges whose bounding box meets the closed clip rectangle.
-
-    The clip pretest for one object of one candidate pair: an edge
-    whose own bounding box misses the (margin-inflated) intersection
-    rectangle of the pair's bounds cannot take part in any edge-pair
-    intersection.  :func:`edge_pairs_intersect_ragged` applies the same
-    comparisons to a whole batch's stored edge boxes.
-    """
-    return (
-        (np.minimum(x1, x2) <= xmax)
-        & (np.maximum(x1, x2) >= xmin)
-        & (np.minimum(y1, y2) <= ymax)
-        & (np.maximum(y1, y2) >= ymin)
-    )
-
-
 # ---------------------------------------------------------------------------
 # The edge table: one flat, offset-addressed edge layout per relation, and
 # the ragged kernel that decides a whole batch of candidate pairs on it.
@@ -773,7 +747,6 @@ def _clipped_edges(
     """Edges of ``rows`` whose box meets their pair's clip rectangle.
 
     Returns table edge indices and the pair each belongs to, pair-major.
-    Same comparisons as :func:`edges_overlapping_rect_mask`.
     """
     edges, pair = gather_edges(table.offsets, rows)
     xmin, ymin, xmax, ymax = table.boxes[:, edges]
@@ -796,9 +769,9 @@ def _point_segment_distance_bulk(
 ) -> np.ndarray:
     """Broadcast point-to-closed-segment distance.
 
-    Same expressions (and ``sqrt`` instead of ``hypot``) as the loop
-    kernel ``_kernels_loops._point_seg_dist``, so all backends compute
-    bit-identical distances.
+    ``sqrt`` instead of ``hypot``: ``point_seg_dist`` in
+    ``_ckernels.c``, the compiled form of this loop, evaluates the same
+    expressions, so both backends compute bit-identical distances.
     """
     dx = bx - ax
     dy = by - ay
@@ -822,9 +795,9 @@ def _edge_pair_distances(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y):
 
     ``core.distance.segment_distance`` semantics: 0 for a properly
     crossing pair (the raw-sign crossing test, no epsilon), else the
-    minimum of the four endpoint-to-segment distances.  The loop kernel
-    ``_kernels_loops._edge_pair_distance`` evaluates the same
-    expressions, so every backend computes bit-identical distances.
+    minimum of the four endpoint-to-segment distances.  Its compiled
+    form, ``edge_pair_distance`` in ``_ckernels.c``, evaluates the same
+    expressions, so both backends compute bit-identical distances.
     """
     proper = _proper_crossing(
         *_orientations(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y), eps=0.0

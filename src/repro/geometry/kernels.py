@@ -11,25 +11,20 @@ round of pending pairs (``min_edge_distance_ragged``), capped by a
 per-pair reach.
 This module makes the *execution substrate* of those kernels pluggable
 behind an unchanged interface — ``JoinConfig(kernels=...)`` selects a
-backend per join, and every backend decides every predicate identically
+backend per join, and both backends decide every predicate identically
 (the numpy kernels are the differential oracle):
 
 ``"numpy"``
     The vectorised oracle kernels from :mod:`repro.geometry.fastops`.
     Always available.
 ``"c"``
-    The four per-batch loop kernels (ragged edge pairs, ragged edge
-    distance, points in polygons, convex rows) compiled from
-    ``_ckernels.c``, a
-    statement-for-statement transliteration of their loop twins in
-    :mod:`repro.geometry._kernels_loops`; the row-wise rectangle test
-    is the numpy oracle's.
+    The compiled form of the oracle's four per-batch loops (ragged edge
+    pairs, ragged edge distance, points in polygons, convex rows):
+    ``_ckernels.c`` runs each pair or point through the expressions the
+    oracle evaluates over whole arrays, in the same order; the row-wise
+    rectangle test is the numpy oracle's.
     Requesting it when the library cannot be built or loaded raises a
     clear ``ValueError``.
-``"python"``
-    The loop kernels of :mod:`repro.geometry._kernels_loops`, run by
-    the interpreter.  Slow; the readable reference the C file
-    transliterates, differential-tested against the oracle.
 ``"auto"``
     ``"c"`` when the library loads, else ``"numpy"`` (with one logged
     warning quoting why the build or load failed).
@@ -38,7 +33,7 @@ backend per join, and every backend decides every predicate identically
 interpreter's own compiler (``sysconfig``'s ``CC``) and
 ``-O2 -std=c99 -fPIC -shared -ffp-contract=off``: no fused multiply-add
 and no fast-math, so every float expression rounds exactly as in the
-loop twins and the oracle.  It is cached as
+oracle.  It is cached as
 ``__pycache__/_ckernels-<hash>-<platform>.so`` next to the source (or
 in the system temp directory where that is not writable), named by a
 hash of the C source, the flags and the platform, so an edited source
@@ -77,7 +72,7 @@ import numpy as np
 from . import fastops as _fastops
 
 #: valid values of ``JoinConfig.kernels``.
-KERNEL_BACKENDS = ("auto", "numpy", "c", "python")
+KERNEL_BACKENDS = ("auto", "numpy", "c")
 
 #: Always False.  The JIT backend this flag described was replaced by
 #: ``"c"``; the name stays only because the end-to-end benchmark's
@@ -90,11 +85,10 @@ NUMBA_AVAILABLE = False
 #: for the proximity predicates.  The filter calls
 #: ``convex_intersect_rows`` once per filter step, on the two relations'
 #: stored vertex columns and the step's row indices (rows in
-#: ``[0, len(vx))``; the compiled and loop backends raise ``IndexError``
-#: outside it).  Per-pair building
-#: blocks that no hot path calls through a backend
-#: (``fastops.edge_matrix_intersect_any``,
-#: ``edges_overlapping_rect_mask``) and the reach heuristic
+#: ``[0, len(vx))``; the compiled backend raises ``IndexError``
+#: outside it).  The per-pair building
+#: block that no hot path calls through a backend
+#: (``fastops.edge_matrix_intersect_any``) and the reach heuristic
 #: ``fastops.vertex_distance_bounds`` are plain functions, not kernels;
 #: so is ``fastops.segments_intersect_bulk``, which ``fastops`` calls
 #: directly.
@@ -172,7 +166,7 @@ def get_kernels(name: str = "auto") -> KernelSet:
 
 _C_SOURCE = Path(__file__).with_name("_ckernels.c")
 #: never -ffast-math or -march=native: -ffp-contract=off keeps every
-#: float expression rounding exactly as in the loop twins.
+#: float expression rounding exactly as in the numpy oracle.
 _C_FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
 
 
@@ -469,62 +463,9 @@ def _build_c_set() -> KernelSet:
     )
 
 
-def _build_python_set() -> KernelSet:
-    """The loop kernels, adapted to the oracle kernels' signatures."""
-    from . import _kernels_loops as _loops
-
-    def points_in_polygons_bulk(px, py, qidx, ex1, ey1, ex2, ey2, mbrs=None):
-        return _loops.points_in_polygons(
-            _column(px), _column(py),
-            _index(qidx),
-            _column(ex1), _column(ey1), _column(ex2), _column(ey2),
-            _NO_MBRS if mbrs is None else _column(mbrs),
-        )
-
-    def edge_pairs_intersect_ragged(table_a, table_b, rows_a, rows_b,
-                                    clip, margin):
-        hits, evaluated = _loops.edge_pairs_ragged(
-            _column(table_a.coords), _column(table_a.boxes),
-            _index(table_a.offsets),
-            _column(table_b.coords), _column(table_b.boxes),
-            _index(table_b.offsets),
-            _index(rows_a), _index(rows_b), _column(clip), _column(margin),
-        )
-        return hits, int(evaluated)
-
-    def rects_intersect_bulk(a, b):
-        return _loops.rects_intersect_rows(_column(a), _column(b))
-
-    def min_edge_distance_ragged(table_a, table_b, rows_a, rows_b,
-                                 reach, margin):
-        dist, evaluated = _loops.edge_distance_ragged(
-            _column(table_a.coords), _column(table_a.boxes),
-            _index(table_a.offsets), _column(table_a.bounds),
-            _column(table_b.coords), _column(table_b.boxes),
-            _index(table_b.offsets), _column(table_b.bounds),
-            _index(rows_a), _index(rows_b), _column(reach), _column(margin),
-        )
-        return dist, int(evaluated)
-
-    def convex_intersect_rows(avx, avy, rows_a, bvx, bvy, rows_b):
-        return _loops.convex_rows(
-            *_convex_rows_args(avx, avy, rows_a, bvx, bvy, rows_b)
-        )
-
-    return KernelSet(
-        "python",
-        points_in_polygons_bulk=points_in_polygons_bulk,
-        edge_pairs_intersect_ragged=edge_pairs_intersect_ragged,
-        rects_intersect_bulk=rects_intersect_bulk,
-        min_edge_distance_ragged=min_edge_distance_ragged,
-        convex_intersect_rows=convex_intersect_rows,
-    )
-
-
 _SET_FACTORIES: Dict[str, Callable[[], KernelSet]] = {
     "numpy": _build_numpy_set,
     "c": _build_c_set,
-    "python": _build_python_set,
 }
 
 

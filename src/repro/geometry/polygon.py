@@ -147,12 +147,6 @@ class Polygon:
             self._area = area
         return self._area
 
-    def perimeter(self) -> float:
-        total = 0.0
-        for p, q in self.edges():
-            total += math.hypot(q[0] - p[0], q[1] - p[1])
-        return total
-
     def mbr(self) -> Rect:
         """Minimum bounding rectangle (cached)."""
         if self._mbr is None:
@@ -211,18 +205,6 @@ class Polygon:
                 j = i
         return inside
 
-    def contains_point_strict(self, p: Coord) -> bool:
-        """Containment excluding the boundary."""
-        x, y = p
-        for ring in self.rings():
-            n = len(ring)
-            for i in range(n):
-                a = ring[i]
-                b = ring[(i + 1) % n]
-                if orientation(a, p, b) == 0 and on_segment(a, p, b):
-                    return False
-        return self.contains_point(p)
-
     def contains_rect(self, rect: Rect) -> bool:
         """True if the closed rectangle lies entirely inside the polygon.
 
@@ -251,18 +233,6 @@ class Polygon:
                 # is inside, the rect is not fully covered by the polygon.
                 return False
         return True
-
-    def contains_polygon(self, other: "Polygon") -> bool:
-        """True if ``other`` lies entirely inside this polygon.
-
-        Assumes the boundaries do not cross (the exact processors check
-        edge intersection first, exactly as in §4 of the paper); then
-        containment follows from a single point-in-polygon test, with the
-        MBR pretest the paper reports saves 75–93% of the tests.
-        """
-        if not self.mbr().contains_rect(other.mbr()):
-            return False
-        return self.contains_point(other.shell[0])
 
     def distance_to_boundary(self, p: Coord) -> float:
         """Distance from ``p`` to the nearest point on any ring."""

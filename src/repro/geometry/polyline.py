@@ -46,10 +46,6 @@ class Polyline:
     def num_vertices(self) -> int:
         return len(self.points)
 
-    @property
-    def num_segments(self) -> int:
-        return len(self.points) - 1
-
     def segments(self) -> Iterator[Edge]:
         for i in range(len(self.points) - 1):
             yield (self.points[i], self.points[i + 1])

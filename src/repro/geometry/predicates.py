@@ -44,21 +44,9 @@ def cross(o: Coord, a: Coord, b: Coord) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def dot(o: Coord, a: Coord, b: Coord) -> float:
-    """Dot product of vectors ``o->a`` and ``o->b``."""
-    return (a[0] - o[0]) * (b[0] - o[0]) + (a[1] - o[1]) * (b[1] - o[1])
-
-
 def distance(a: Coord, b: Coord) -> float:
     """Euclidean distance between two points."""
     return math.hypot(b[0] - a[0], b[1] - a[1])
-
-
-def distance_sq(a: Coord, b: Coord) -> float:
-    """Squared euclidean distance (avoids the sqrt in hot loops)."""
-    dx = b[0] - a[0]
-    dy = b[1] - a[1]
-    return dx * dx + dy * dy
 
 
 def on_segment(p: Coord, q: Coord, r: Coord) -> bool:
@@ -88,11 +76,6 @@ def point_segment_distance(p: Coord, a: Coord, b: Coord) -> float:
     cx = ax + t * dx
     cy = ay + t * dy
     return math.hypot(px - cx, py - cy)
-
-
-def collinear(p: Coord, q: Coord, r: Coord) -> bool:
-    """True if the three points are collinear within tolerance."""
-    return orientation(p, q, r) == 0
 
 
 def polygon_signed_area(points: Sequence[Coord]) -> float:

@@ -8,7 +8,6 @@ MBR-join performs millions of ``intersects`` calls.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .predicates import Coord
@@ -156,12 +155,6 @@ class Rect:
             * (max(self.ymax, other.ymax) - min(self.ymin, other.ymin))
         )
         return union_area - self.area()
-
-    def min_distance(self, other: "Rect") -> float:
-        """Minimum distance between the two rectangles (0 if intersecting)."""
-        dx = max(self.xmin - other.xmax, other.xmin - self.xmax, 0.0)
-        dy = max(self.ymin - other.ymax, other.ymin - self.ymax, 0.0)
-        return math.hypot(dx, dy)
 
     def expand(self, amount: float) -> "Rect":
         """Rectangle grown by ``amount`` on every side."""

@@ -8,7 +8,7 @@ test* in its cost model (Table 6).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from .predicates import EPSILON, Coord, on_segment, orientation
 
@@ -34,36 +34,6 @@ def segments_intersect(p1: Coord, p2: Coord, q1: Coord, q2: Coord) -> bool:
     if o4 == 0 and on_segment(q1, p2, q2):
         return True
     return False
-
-
-def segment_intersection_point(
-    p1: Coord, p2: Coord, q1: Coord, q2: Coord
-) -> Optional[Coord]:
-    """Intersection point of two segments, or ``None``.
-
-    For collinear overlaps an arbitrary shared point is returned.  Used by
-    clipping code, not by the counted predicate tests.
-    """
-    d1x = p2[0] - p1[0]
-    d1y = p2[1] - p1[1]
-    d2x = q2[0] - q1[0]
-    d2y = q2[1] - q1[1]
-    denom = d1x * d2y - d1y * d2x
-    if abs(denom) > EPSILON:
-        t = ((q1[0] - p1[0]) * d2y - (q1[1] - p1[1]) * d2x) / denom
-        u = ((q1[0] - p1[0]) * d1y - (q1[1] - p1[1]) * d1x) / denom
-        if -EPSILON <= t <= 1 + EPSILON and -EPSILON <= u <= 1 + EPSILON:
-            return (p1[0] + t * d1x, p1[1] + t * d1y)
-        return None
-    # Parallel: check collinear overlap.  Both cross-orientations must
-    # vanish — a degenerate (point) segment makes one of them trivially
-    # zero without the segments being collinear.
-    if orientation(p1, p2, q1) != 0 or orientation(q1, q2, p1) != 0:
-        return None
-    for cand in (q1, q2, p1, p2):
-        if on_segment(p1, cand, p2) and on_segment(q1, cand, q2):
-            return cand
-    return None
 
 
 def line_intersection(
@@ -150,45 +120,3 @@ def segment_intersects_rect(
             if r < t1:
                 t1 = r
     return t0 <= t1
-
-
-def clip_segment_to_rect(
-    p1: Coord,
-    p2: Coord,
-    xmin: float,
-    ymin: float,
-    xmax: float,
-    ymax: float,
-) -> Optional[Tuple[Coord, Coord]]:
-    """Clip segment to the box; return the clipped segment or ``None``."""
-    x1, y1 = p1
-    x2, y2 = p2
-    dx = x2 - x1
-    dy = y2 - y1
-    t0, t1 = 0.0, 1.0
-    for p, q in (
-        (-dx, x1 - xmin),
-        (dx, xmax - x1),
-        (-dy, y1 - ymin),
-        (dy, ymax - y1),
-    ):
-        if abs(p) <= EPSILON:
-            if q < -EPSILON:
-                return None
-            continue
-        r = q / p
-        if p < 0:
-            if r > t1:
-                return None
-            if r > t0:
-                t0 = r
-        else:
-            if r < t0:
-                return None
-            if r < t1:
-                t1 = r
-    if t0 > t1:
-        return None
-    a = (x1 + t0 * dx, y1 + t0 * dy)
-    b = (x1 + t1 * dx, y1 + t1 * dy)
-    return a, b

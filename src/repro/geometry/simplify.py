@@ -112,26 +112,3 @@ def _ring_area(ring: Sequence[Coord]) -> float:
         x2, y2 = ring[(i + 1) % n]
         area += x1 * y2 - x2 * y1
     return abs(area) / 2.0
-
-
-def vertex_reduction(points: Sequence[Coord], min_distance: float) -> List[Coord]:
-    """Radial-distance pre-filter: drop points closer than ``min_distance``.
-
-    The cheap O(n) companion of Douglas-Peucker, used to thin extremely
-    dense boundaries before the O(n²) worst-case DP pass.
-    """
-    if min_distance < 0:
-        raise ValueError("min_distance must be >= 0")
-    pts = list(points)
-    if len(pts) <= 2 or min_distance == 0:
-        return pts
-    out = [pts[0]]
-    limit_sq = min_distance * min_distance
-    for p in pts[1:]:
-        dx = p[0] - out[-1][0]
-        dy = p[1] - out[-1][1]
-        if dx * dx + dy * dy >= limit_sq:
-            out.append(p)
-    if len(out) < 2:
-        out.append(pts[-1])
-    return out

@@ -4,9 +4,8 @@ The paper's experiments fix an LRU buffer (§3.4: 128 KB LRU; §5: 32
 pages).  To check how sensitive the reported I/O ratios are to that
 choice, this module adds the classic alternatives with the same
 interface as :class:`~repro.index.pagemodel.LRUBuffer` — ``access``
-returns True on a hit and the hit/miss counters drive
-:class:`~repro.index.pagemodel.IOStats`.  The buffer-policy ablation
-bench sweeps them against each other.
+returns True on a hit and counts hits and misses.  The buffer-policy
+ablation bench sweeps them against each other.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ class FIFOBuffer:
             evicted = self._queue.popleft()
             self._resident.discard(evicted)
         return False
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
 
     def reset_counters(self) -> None:
         self.hits = 0
@@ -88,10 +83,6 @@ class ClockBuffer:
             else:
                 del self._frames[page_id]
                 return
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
 
     def reset_counters(self) -> None:
         self.hits = 0

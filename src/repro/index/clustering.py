@@ -137,15 +137,6 @@ class ObjectStore:
 
     # -- statistics -------------------------------------------------------------
 
-    def total_pages(self) -> int:
-        last = 0
-        for record in self._records.values():
-            last = max(last, record.pages[-1])
-        return last + 1 if self._records else 0
-
-    def total_bytes(self) -> int:
-        return sum(r.size_bytes for r in self._records.values())
-
     def __len__(self) -> int:
         return len(self._records)
 

@@ -100,76 +100,3 @@ def knn_query(
                     ),
                 )
     return out
-
-
-def nearest_query(
-    tree: RStarTree, point: Coord, counter: Optional[AccessCounter] = None
-) -> Optional[Tuple[float, Any]]:
-    """The single nearest item, or None for an empty tree."""
-    result = knn_query(tree, point, 1, counter)
-    return result[0] if result else None
-
-
-def knn_query_exact(
-    tree: RStarTree,
-    point: Coord,
-    k: int,
-    exact_distance,
-    counter: Optional[AccessCounter] = None,
-) -> List[Tuple[float, Any]]:
-    """k-NN refined by an exact distance function (filter-refine k-NN).
-
-    ``exact_distance(point, item) -> float`` supplies the true distance
-    (e.g. point-to-polygon via :func:`repro.core.distance`).  The search
-    is the classic incremental best-first scheme: because MINDIST to an
-    item's MBR lower-bounds its exact distance, the scan can stop as
-    soon as the next MINDIST exceeds the k-th best exact distance seen —
-    the multi-step principle (cheap bound first, exact geometry last)
-    applied to nearest-neighbour search.
-    """
-    k = validate_k(k)
-    if tree.size == 0:
-        return []
-    tiebreak = itertools.count()
-    heap: List[Tuple[float, int, bool, Any]] = [
-        (0.0, next(tiebreak), False, tree.root)
-    ]
-    best: List[Tuple[float, int, Any]] = []  # max-heap via negated dist
-    while heap:
-        mindist, _, is_entry, payload = heapq.heappop(heap)
-        if len(best) == k and mindist > -best[0][0]:
-            break  # no remaining candidate can beat the k-th exact dist
-        if is_entry:
-            exact = exact_distance(point, payload)
-            heapq.heappush(best, (-exact, next(tiebreak), payload))
-            if len(best) > k:
-                heapq.heappop(best)
-            continue
-        node: Node = payload
-        if counter is not None:
-            counter.visit(node.page_id)
-        if node.is_leaf:
-            for entry in node.entries:
-                heapq.heappush(
-                    heap,
-                    (
-                        point_rect_distance(point, entry.rect),
-                        next(tiebreak),
-                        True,
-                        entry.item,
-                    ),
-                )
-        else:
-            for child in node.children:
-                heapq.heappush(
-                    heap,
-                    (
-                        point_rect_distance(point, child.mbr()),
-                        next(tiebreak),
-                        False,
-                        child,
-                    ),
-                )
-    return sorted(
-        ((-neg, item) for neg, _, item in best), key=lambda t: t[0]
-    )

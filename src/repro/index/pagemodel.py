@@ -94,23 +94,6 @@ APPROX_BYTES = {
 
 
 @dataclass
-class IOStats:
-    """Aggregate page-access statistics of one experiment run."""
-
-    page_accesses: int = 0
-    buffer_hits: int = 0
-
-    @property
-    def total_requests(self) -> int:
-        return self.page_accesses + self.buffer_hits
-
-    def merge(self, buffer: LRUBuffer) -> "IOStats":
-        self.page_accesses += buffer.misses
-        self.buffer_hits += buffer.hits
-        return self
-
-
-@dataclass
 class AccessCounter:
     """Page-visit recorder shared by tree traversals.
 

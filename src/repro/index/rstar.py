@@ -301,69 +301,6 @@ class RStarTree:
                     best_groups = (g1, g2)
         return best_groups
 
-    # -- deletion -----------------------------------------------------------------
-
-    def delete(self, rect: Rect, item: Any) -> bool:
-        """Remove one ``(rect, item)`` entry; returns False if absent.
-
-        Follows the classic condense-tree scheme: underfull nodes on the
-        path are dissolved and their members reinserted at their level.
-        """
-        found = self._find_leaf(self.root, rect, item, [])
-        if found is None:
-            return False
-        leaf, path = found
-        for i, e in enumerate(leaf.entries):
-            if (e.item is item or e.item == item) and e.rect == rect:
-                del leaf.entries[i]
-                break
-        leaf.invalidate_mbr()
-        for ancestor in path:
-            ancestor.invalidate_mbr()
-        self.size -= 1
-        self._condense(leaf, path)
-        return True
-
-    def _find_leaf(
-        self, node: Node, rect: Rect, item: Any, path: List[Node]
-    ) -> Optional[Tuple[Node, List[Node]]]:
-        if node.is_leaf:
-            for e in node.entries:
-                if (e.item is item or e.item == item) and e.rect == rect:
-                    return node, list(path)
-            return None
-        for child in node.children:
-            if child.mbr().intersects(rect):
-                path.append(node)
-                found = self._find_leaf(child, rect, item, path)
-                if found is not None:
-                    return found
-                path.pop()
-        return None
-
-    def _condense(self, node: Node, path: List[Node]) -> None:
-        """Dissolve underfull nodes upward; reinsert orphaned entries.
-
-        Orphaned subtrees are flattened to leaf entries before
-        reinsertion — slower than level-preserving reinsertion but
-        immune to the tree shrinking below an orphan's level.
-        """
-        orphans: List[Entry] = []
-        current = node
-        for parent in reversed(path):
-            if current.fanout() < self._min(current):
-                parent.children.remove(current)
-                parent.invalidate_mbr()
-                orphans.extend(_collect_entries(current))
-            current = parent
-        # Shrink the root while it is a directory with a single child.
-        while not self.root.is_leaf and len(self.root.children) == 1:
-            self.root = self.root.children[0]
-        if not self.root.is_leaf and not self.root.children:
-            self.root = Node(level=0)
-        for entry in orphans:
-            self._insert_entry(entry, 0, reinsert_done=set())
-
     # -- queries -----------------------------------------------------------------
 
     def window_query(
@@ -541,19 +478,6 @@ def rtree_over(
     for rect, row in items:
         tree.insert(rect, row)
     return tree
-
-
-def _collect_entries(node: Node) -> List[Entry]:
-    """All leaf entries in the subtree rooted at ``node``."""
-    out: List[Entry] = []
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current.is_leaf:
-            out.extend(current.entries)
-        else:
-            stack.extend(current.children)
-    return out
 
 
 def _center_dist(a: Coord, b: Coord) -> float:

@@ -127,10 +127,6 @@ class TRStarTree(RStarTree):
         for entry in self.all_entries():
             yield entry.item
 
-    @property
-    def average_height(self) -> int:
-        return self.height
-
 
 @dataclass
 class TRJoinCounters:

@@ -44,11 +44,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import threading
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from ..core.filters import FilterConfig
 from ..core.join import JoinConfig
@@ -114,6 +115,22 @@ def _join_config_from_payload(payload: Dict, base: JoinConfig) -> JoinConfig:
         return replace(base, **kwargs)
     except (ValueError, TypeError) as exc:
         raise BadRequestError(str(exc)) from exc
+
+
+def _finite_numbers(value, count: int, expected: str) -> Tuple[float, ...]:
+    """``count`` finite floats from a JSON list, else a 400 ``expected``.
+
+    JSON admits ``NaN`` and ``Infinity``; a non-finite window or point
+    would silently match nothing.
+    """
+    if isinstance(value, (list, tuple)) and len(value) == count:
+        try:
+            numbers = tuple(float(v) for v in value)
+        except (TypeError, ValueError):
+            numbers = ()
+        if len(numbers) == count and all(map(math.isfinite, numbers)):
+            return numbers
+    raise BadRequestError(f"{expected} (finite numbers), got {value!r}")
 
 
 class JoinServiceServer:
@@ -274,25 +291,25 @@ class JoinServiceServer:
                 config=config,
             )
         if op == "window":
-            window = payload.get("window")
-            if not isinstance(window, (list, tuple)) or len(window) != 4:
-                raise BadRequestError(
-                    f"window must be [xmin, ymin, xmax, ymax], got {window!r}"
-                )
+            window = _finite_numbers(payload.get("window"), 4,
+                                     "window must be [xmin, ymin, xmax, ymax]")
+            try:
+                rect = Rect(*window)
+            except ValueError as exc:  # xmin > xmax or ymin > ymax
+                raise BadRequestError(str(exc)) from exc
             return WindowRequest(
                 relation=self._relation(payload, "relation"),
-                window=Rect(*(float(v) for v in window)),
+                window=rect,
             )
         if op == "knn":
-            point = payload.get("point")
-            if not isinstance(point, (list, tuple)) or len(point) != 2:
-                raise BadRequestError(f"point must be [x, y], got {point!r}")
+            point = _finite_numbers(payload.get("point"), 2,
+                                    "point must be [x, y]")
             if "k" in payload and not isinstance(payload["k"], int):
                 raise BadRequestError(f"k must be an integer, got "
                                       f"{payload['k']!r}")
             return KnnRequest(
                 relation=self._relation(payload, "relation"),
-                point=(float(point[0]), float(point[1])),
+                point=point,
                 k=payload.get("k", 5),
             )
         raise BadRequestError(

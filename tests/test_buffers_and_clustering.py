@@ -136,11 +136,6 @@ class TestObjectStore:
             pages = store.pages_of(obj.oid)
             assert list(pages) == list(range(pages[0], pages[-1] + 1))
 
-    def test_total_pages_covers_bytes(self):
-        rel = europe(size=30)
-        store = ObjectStore(rel, page_size=2048)
-        assert store.total_pages() >= store.total_bytes() // 2048
-
     def test_unbuffered_read_counts_all_pages(self):
         rel = europe(size=10)
         store = ObjectStore(rel)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.geometry.clipping import intersect_rings, union_rings
+from repro.geometry.clipping import intersect_rings
 from repro.geometry.predicates import polygon_signed_area
 
 
@@ -61,19 +61,6 @@ def test_concave_intersection_area_vs_monte_carlo(seed):
         seed=seed,
     )
     # Monte-Carlo with 20k samples: stddev ~ sqrt(p/n) <= 0.0036
-    assert computed == pytest.approx(sampled, abs=0.02)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_concave_union_area_vs_monte_carlo(seed):
-    ring_a = star_polygon(seed * 3 + 40)
-    ring_b = star_polygon(seed * 3 + 41, cx=0.6, cy=0.55)
-    regions = union_rings(ring_a, ring_b)
-    computed = sum(polygon_signed_area(r) for r in regions)
-    sampled = monte_carlo_area(
-        lambda p: point_in_ring(p, ring_a) or point_in_ring(p, ring_b),
-        seed=seed + 99,
-    )
     assert computed == pytest.approx(sampled, abs=0.02)
 
 

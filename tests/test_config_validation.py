@@ -269,14 +269,12 @@ class TestKValidation:
 
     @pytest.mark.parametrize("k", (0, -3))
     def test_queries_reject_bad_k_at_the_boundary(self, k):
-        from repro.index.knn import knn_query, knn_query_exact
+        from repro.index.knn import knn_query
         from repro.index.rstar import RStarTree
 
         tree = RStarTree()
         with pytest.raises(ValueError, match="k must be"):
             knn_query(tree, (0.5, 0.5), k)
-        with pytest.raises(ValueError, match="k must be"):
-            knn_query_exact(tree, (0.5, 0.5), k, [])
 
 
 def test_session_field_removed():

@@ -184,15 +184,6 @@ class TestCostModels:
         # §5: total improvement by a factor of more than 3.
         assert v1.total / v3.total > 3.0
 
-    def test_breakdown_dict(self):
-        from repro.core.costs import JoinScenario, total_join_cost
-
-        bd = total_join_cost(JoinScenario(1000, 0.5, 100, uses_trstar=True))
-        d = bd.as_dict()
-        assert d["total_s"] == pytest.approx(
-            d["mbr_join_s"] + d["object_access_s"] + d["exact_test_s"]
-        )
-
     def test_approximation_impact(self):
         from repro.core.costs import approximation_impact
 

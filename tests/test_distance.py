@@ -18,7 +18,7 @@ from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.datasets.relations import SpatialRelation, europe
 from repro.geometry.polygon import Polygon
 from repro.geometry.rectangle import Rect
-from repro.index.knn import knn_query, nearest_query, point_rect_distance
+from repro.index.knn import knn_query, point_rect_distance
 from repro.index.pagemodel import AccessCounter
 
 
@@ -197,18 +197,6 @@ class TestKNN:
         tree, _ = self.build_tree(n=5)
         with pytest.raises(ValueError):
             knn_query(tree, (0, 0), 0)
-
-    def test_nearest_query(self):
-        tree, rel = self.build_tree(n=50)
-        result = nearest_query(tree, (0.5, 0.5))
-        assert result is not None
-        d, _ = result
-        assert d == min(point_rect_distance((0.5, 0.5), o.mbr) for o in rel)
-
-    def test_nearest_on_empty_tree(self):
-        from repro.index.rstar import RStarTree
-
-        assert nearest_query(RStarTree(), (0, 0)) is None
 
     def test_knn_page_accounting(self):
         tree, _ = self.build_tree()

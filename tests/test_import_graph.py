@@ -48,7 +48,6 @@ OFF_PATH = (
     "repro.exact.costmodel",
     "repro.exact.bruteforce",
     "repro.exact.trstar_test",
-    "repro.geometry._kernels_loops",
     "repro.geometry.clipping",
     "repro.geometry.simplify",
     "repro.approximations.quality",

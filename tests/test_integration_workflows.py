@@ -7,7 +7,6 @@ from repro.core.join import JoinConfig, SpatialJoinProcessor, nested_loops_join
 from repro.core.overlay import MapOverlay
 from repro.core.parallel import simulate_parallel_join
 from repro.core.partition import partitioned_join
-from repro.core.selectivity import calibrate_rates, estimate_join
 from repro.datasets.io import load_relation, save_relation
 from repro.datasets.relations import europe
 from repro.datasets.testseries import strategy_a
@@ -99,24 +98,6 @@ class TestEveryConfigurationAgrees:
         )
         assert packed == reference
         assert rplus == reference
-
-
-class TestOptimiserLoop:
-    """Estimate -> execute -> calibrate -> re-estimate."""
-
-    def test_calibration_feedback(self, series, join_result):
-        stats = join_result.stats
-        rates = calibrate_rates(
-            stats.filter_hits + stats.exact_hits,
-            stats.filter_false_hits + stats.exact_false_hits,
-            stats.filter_hits,
-            stats.filter_false_hits,
-        )
-        estimate = estimate_join(series.relation_a, series.relation_b, rates)
-        # calibrated filter effectiveness equals the measured one
-        assert estimate.filter_effectiveness == pytest.approx(
-            stats.identification_rate(), abs=1e-9
-        )
 
 
 class TestCapacityPlanning:

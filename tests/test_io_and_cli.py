@@ -46,6 +46,48 @@ class TestWKT:
         with pytest.raises(ValueError):
             polygon_from_wkt("POLYGON ((0 0 0, 1 1))")
 
+    @pytest.mark.parametrize(
+        "value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"]
+    )
+    @pytest.mark.parametrize("where", ["x", "y", "hole"])
+    def test_reject_non_finite_coordinate(self, value, where):
+        """Every spelling ``float`` reads as nan or inf (``1e999``
+        overflows) is refused, in either ordinate and in a hole."""
+        shell = ["0 0", "4 0", "4 4", "0 4", "0 0"]
+        hole = ["1 1", "3 1", "3 3", "1 3", "1 1"]
+        if where == "x":
+            shell[1] = f"{value} 0"
+        elif where == "y":
+            shell[2] = f"4 {value}"
+        else:
+            hole[2] = f"{value} 3"
+        text = f"POLYGON (({', '.join(shell)}), ({', '.join(hole)}))"
+        with pytest.raises(ValueError, match="non-finite coordinate pair"):
+            polygon_from_wkt(text)
+
+    def test_finite_twin_of_a_rejected_polygon_parses(self):
+        poly = polygon_from_wkt(
+            "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 3 1, 3 3, 1 3, 1 1))"
+        )
+        assert poly.area() == pytest.approx(12.0)
+
+    @pytest.mark.parametrize("line_no", [2, 4, 5])
+    def test_load_names_the_line_of_a_non_finite_coordinate(self, tmp_path,
+                                                            line_no):
+        lines = [
+            "# relation: r",
+            "POLYGON ((0 0, 1 0, 1 1, 0 0))",
+            "",
+            "POLYGON ((2 2, 3 2, 3 3, 2 2))",
+            "POLYGON ((4 4, 5 4, 5 5, 4 4))",
+        ]
+        lines[line_no - 1] = "POLYGON ((0 0, 1 0, inf 1, 0 0))"
+        path = tmp_path / "bad.wkt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError,
+                           match=rf"bad\.wkt:{line_no}: non-finite"):
+            load_relation(path)
+
     def test_relation_roundtrip(self, tmp_path):
         relation = SpatialRelation(
             "round-trip", cartographic_polygons(25, 30, seed=3)

@@ -1,12 +1,12 @@
-"""Hypothesis fuzz: loop-form kernel backends ≡ the numpy oracle.
+"""Hypothesis fuzz: the compiled kernel backend ≡ the numpy oracle.
 
 The compiled kernel tier (:mod:`repro.geometry.kernels`) promises that
-every backend decides *identically* — same booleans, same floats, same
+both backends decide *identically* — same booleans, same floats, same
 edge-pair counts — for the exact step's kernels and for the filter's
-separating-axis test (``convex_intersect_rows``).  The ``python`` backend runs the loop kernels and the
-``c`` backend their C transliteration (``geometry/_ckernels.c``, built
-without FMA contraction); both are fuzzed against the numpy oracle,
-distances bit for bit.
+separating-axis test (``convex_intersect_rows``).  The ``c`` backend
+runs the oracle's per-batch loops compiled from
+``geometry/_ckernels.c`` (built without FMA contraction); it is fuzzed
+against the numpy oracle, distances bit for bit.
 
 Coordinates are drawn from a coarse ``1/8`` grid (mixed with arbitrary
 floats) so exactly-collinear, exactly-touching, and exactly-overlapping
@@ -35,7 +35,7 @@ from repro.geometry.kernels import get_kernels
 from repro.geometry.polygon import Polygon
 
 #: the backends whose kernels must match the numpy oracle bit-for-bit.
-ALT_BACKENDS = ["python", "c"]
+ALT_BACKENDS = ["c"]
 
 snapped = st.integers(min_value=-8, max_value=16).map(lambda n: n / 8.0)
 coord = st.one_of(

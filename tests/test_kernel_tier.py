@@ -27,9 +27,11 @@ from dataclasses import replace
 import pytest
 
 from helpers import random_relation_pair, scalar_distance_join, stats_fingerprint
+from repro.cli import _build_parser
 from repro.cli import main as cli_main
 from repro.core.distance import brute_force_distance_join
 from repro.core.join import (
+    ENGINES,
     EXECUTION_ONLY_FIELDS,
     JoinConfig,
     SpatialJoinProcessor,
@@ -50,7 +52,7 @@ from repro.service.api import BadRequestError, stats_to_dict
 from repro.service.server import _join_config_from_payload
 
 #: backends every default-config join must match bit-for-bit.
-ALT_BACKENDS = ["python", "c"]
+ALT_BACKENDS = ["c"]
 
 
 def _relations(seed, n_objects=20):
@@ -78,9 +80,19 @@ class TestBackendResolution:
         for name in KERNEL_BACKENDS:
             assert resolve_backend(name) != "auto"
 
+    def test_removed_python_backend_rejected(self):
+        """The interpreted loop backend is gone: the error lists the
+        backends that remain."""
+        removed = "python"
+        listed = rf"backend '{removed}'.*\('auto', 'numpy', 'c'\)"
+        with pytest.raises(ValueError, match=listed):
+            resolve_backend(removed)
+        with pytest.raises(ValueError, match=listed):
+            JoinConfig(kernels=removed)
+
     def test_repro_kernels_env_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "python")
-        assert JoinConfig().kernels == "python"
+        monkeypatch.setenv("REPRO_KERNELS", "numpy")
+        assert JoinConfig().kernels == "numpy"
         monkeypatch.delenv("REPRO_KERNELS")
         assert JoinConfig().kernels == "auto"
         monkeypatch.setenv("REPRO_KERNELS", "gpu")
@@ -89,8 +101,8 @@ class TestBackendResolution:
 
     def test_warm_up_records_event(self):
         before = warm_events()
-        assert warm_up("python") == "python"
-        assert warm_events() == before + ("python",)
+        assert warm_up("numpy") == "numpy"
+        assert warm_events() == before + ("numpy",)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +117,8 @@ ENGINE_CONFIGS = [
     JoinConfig(engine="streaming", exact_batch=1),
     JoinConfig(engine="batched", exact_batch=7),
     JoinConfig(predicate="within", engine="batched"),
+    JoinConfig(predicate="within", engine="streaming"),
+    JoinConfig(predicate="within", exact_batch=1),
 ]
 
 
@@ -125,7 +139,7 @@ class TestBackendDifferential:
         assert got.id_pairs() == oracle.id_pairs()
         assert len(oracle) > 0
         if config.predicate == "intersects":
-            # Batched refinement ran on this backend's loop twin.
+            # Batched refinement ran on this backend.
             ragged = f"{backend}.edge_pairs_intersect_ragged"
             assert got.stats.kernel_calls[ragged] == got.stats.refine_batches
         # Telemetry differs (different backend prefixes) but is
@@ -154,14 +168,14 @@ class TestKernelTelemetry:
     def test_distance_join_records_kernel_calls(self):
         rel_a, rel_b = _relations(43)
         config = JoinConfig(predicate="distance", epsilon=0.3,
-                            kernels="python")
+                            kernels="c")
         result = SpatialJoinProcessor(config).join(rel_a, rel_b)
         stats = result.stats
         assert stats.kernel_calls, "no kernel telemetry recorded"
-        assert all(key.startswith("python.") for key in stats.kernel_calls)
+        assert all(key.startswith("c.") for key in stats.kernel_calls)
         assert stats.kernel_calls.keys() == stats.kernel_pairs.keys()
         assert stats.kernel_calls.keys() == stats.kernel_seconds.keys()
-        assert "python.min_edge_distance_ragged" in stats.kernel_calls
+        assert "c.min_edge_distance_ragged" in stats.kernel_calls
         assert all(n >= 1 for n in stats.kernel_calls.values())
         assert all(s >= 0.0 for s in stats.kernel_seconds.values())
 
@@ -205,15 +219,15 @@ class TestKernelTelemetry:
 
     def test_telemetry_merges_across_tiles(self):
         merged = MultiStepStats()
-        ragged = "python.edge_pairs_intersect_ragged"
+        ragged = "c.edge_pairs_intersect_ragged"
         for calls in ({ragged: 2},
-                      {ragged: 3, "python.rects_intersect_bulk": 1}):
+                      {ragged: 3, "c.rects_intersect_bulk": 1}):
             tile = MultiStepStats()
             tile.kernel_calls.update(calls)
             merged.merge(tile)
         assert merged.kernel_calls == {
             ragged: 5,
-            "python.rects_intersect_bulk": 1,
+            "c.rects_intersect_bulk": 1,
         }
 
 
@@ -230,7 +244,7 @@ def _fetch_warm_events():
 
 
 class TestPoolPreWarm:
-    @pytest.mark.parametrize("backend", ALT_BACKENDS)
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
     def test_session_workers_warm_once_and_never_rewarm(self, backend):
         """The parent warms the backend once before the pool forks (for
         ``c``: builds and loads the library, so no worker runs the
@@ -259,13 +273,13 @@ class TestPoolPreWarm:
     def test_backend_switch_rebuilds_pool_with_new_warmup(self):
         with JoinSession(config=JoinConfig(workers=2)) as session:
             parent_snapshot = warm_events()
-            pool = session.pool(2, kernels="python")
+            pool = session.pool(2, kernels="c")
             assert pool.submit(_fetch_warm_events).result() == (
-                parent_snapshot + ("python", "python")
+                parent_snapshot + ("c", "c")
             )
             pool = session.pool(2, kernels="numpy")
             assert pool.submit(_fetch_warm_events).result() == (
-                parent_snapshot + ("python", "numpy", "numpy")
+                parent_snapshot + ("c", "numpy", "numpy")
             )
             assert session.pools_created == 2
 
@@ -364,12 +378,12 @@ class TestServicePayload:
         request = {"op": "join", "relation_a": "a", "relation_b": "b"}
         config = _join_config_from_payload(
             {**request, "predicate": "distance", "epsilon": 0.05,
-             "kernels": "python"},
+             "kernels": "c"},
             base,
         )
         assert config.predicate == "distance"
         assert config.epsilon == 0.05
-        assert config.kernels == "python"
+        assert config.kernels == "c"
         config = _join_config_from_payload(
             {**request, "predicate": "knn", "k": 3}, base
         )
@@ -393,8 +407,12 @@ class TestServicePayload:
             _join_config_from_payload({**request, "target_tasks": 0}, base)
         with pytest.raises(BadRequestError, match="unknown join fields"):
             _join_config_from_payload({**request, "epsilo": 0.1}, base)
-        with pytest.raises(BadRequestError, match="unknown kernel backend"):
-            _join_config_from_payload({**request, "kernels": "gpu"}, base)
+        for backend in ("gpu", "python"):
+            with pytest.raises(BadRequestError,
+                               match="unknown kernel backend"):
+                _join_config_from_payload(
+                    {**request, "kernels": backend}, base
+                )
 
 
 class TestCli:
@@ -410,10 +428,41 @@ class TestCli:
         path_a, path_b = wkt_paths
         rc = cli_main([
             "join", path_a, path_b, "--predicate", "distance",
-            "--epsilon", "0.2", "--kernels", "python",
+            "--epsilon", "0.2", "--kernels", "c",
         ])
         assert rc == 0
         assert "distance (eps=0.2) join:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["join", "serve"])
+    def test_removed_python_backend_is_usage_error(self, wkt_paths, capsys,
+                                                   command):
+        args = [command, *wkt_paths] if command == "join" else [command]
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([*args, "--kernels", "python"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'python'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,values", [
+        ("--kernels", KERNEL_BACKENDS),
+        ("--engine", ENGINES),
+    ])
+    @pytest.mark.parametrize("command", ["join", "join-batch", "serve"])
+    def test_option_choices_are_the_registry(self, capsys, command, option,
+                                             values):
+        """Every command's ``--kernels``/``--engine`` takes exactly the
+        values its registry holds, and its help lists them."""
+        parser = _build_parser()
+        args = [command] if command == "serve" else [command, "a", "b"]
+        for value in values:
+            parsed = parser.parse_args([*args, option, value])
+            assert getattr(parsed, option[2:]) == value
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args([*args, option, "none-such"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        assert "{" + ",".join(values) + "}" in capsys.readouterr().out
 
     def test_knn_predicate(self, wkt_paths, capsys):
         path_a, path_b = wkt_paths

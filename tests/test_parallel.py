@@ -94,8 +94,7 @@ class TestSimulatedJoin:
         report = simulate_parallel_join(
             rel_a, rel_b, grid=(4, 4), processor_counts=(1, 2, 4, 8)
         )
-        curve = report.speedup_curve()
-        speedups = [s for _, s in curve]
+        speedups = [sim.speedup for _, sim in report.simulations]
         assert speedups == sorted(speedups)
         assert speedups[0] == pytest.approx(1.0)
         assert speedups[-1] > 1.5  # 16 tiles on 8 processors must help

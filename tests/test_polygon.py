@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.polygon import Polygon
 from repro.geometry.rectangle import Rect
-from tests.conftest import square, star_polygon
+from tests.conftest import star_polygon
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -53,9 +53,6 @@ class TestMeasures:
         )
         assert p.area() == pytest.approx(0.75)
 
-    def test_perimeter(self):
-        assert Polygon(UNIT_SQUARE).perimeter() == pytest.approx(4.0)
-
     def test_mbr(self):
         p = Polygon([(0, 0), (2, 1), (1, 3)])
         assert p.mbr() == Rect(0, 0, 2, 3)
@@ -89,11 +86,6 @@ class TestContainment:
 
     def test_vertex_counts_inside(self):
         assert Polygon(UNIT_SQUARE).contains_point((0.0, 0.0))
-
-    def test_strict_excludes_boundary(self):
-        p = Polygon(UNIT_SQUARE)
-        assert not p.contains_point_strict((1.0, 0.5))
-        assert p.contains_point_strict((0.5, 0.5))
 
     def test_point_in_hole_is_outside(self):
         p = Polygon(
@@ -141,14 +133,6 @@ class TestContainsRect:
         )
         assert not u_shape.contains_rect(Rect(0.5, 2, 2.5, 2.5))
         assert u_shape.contains_rect(Rect(0.1, 0.1, 2.9, 0.9))
-
-
-class TestContainsPolygon:
-    def test_nested(self):
-        assert Polygon(UNIT_SQUARE).contains_polygon(square(0.5, 0.5, 0.2))
-
-    def test_disjoint(self):
-        assert not Polygon(UNIT_SQUARE).contains_polygon(square(5, 5, 0.2))
 
 
 class TestSimplicity:

@@ -7,10 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry.predicates import (
-    collinear,
     cross,
     distance,
-    distance_sq,
     is_ccw,
     on_segment,
     orientation,
@@ -47,9 +45,6 @@ class TestOrientation:
 class TestDistances:
     def test_distance(self):
         assert distance((0, 0), (3, 4)) == 5.0
-
-    def test_distance_sq_consistency(self):
-        assert distance_sq((1, 2), (4, 6)) == pytest.approx(25.0)
 
     def test_point_segment_distance_perpendicular(self):
         assert point_segment_distance((0, 1), (-1, 0), (1, 0)) == pytest.approx(1.0)
@@ -113,7 +108,3 @@ class TestCross:
             assert orient == 1
         elif c < -1e-9:
             assert orient == -1
-
-    def test_collinear_helper(self):
-        assert collinear((0, 0), (1, 2), (2, 4))
-        assert not collinear((0, 0), (1, 2), (2, 5))

@@ -7,9 +7,9 @@ two objects' *full* edge sets — on degenerate geometry (shared vertices,
 collinear overlapping edges, T-touches, holes, zero-area rings), when a
 pair's clip leaves one or both sides without edges, at coordinate
 magnitudes where only the relative margin term acts, and however the
-element budget splits the batch.  The loop twin (``python`` backend)
-and its C transliteration (``c``) must return the same booleans *and*
-the same edge-pair count.
+element budget splits the batch.  The numpy oracle and its compiled
+form (``c``) must return the same booleans *and* the same edge-pair
+count.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.geometry.fastops import edges_intersect_matrix_any
 from repro.geometry.kernels import get_kernels
 from repro.geometry.polygon import Polygon
 
-BACKENDS = ["numpy", "python", "c"]
+BACKENDS = ["numpy", "c"]
 
 snapped = st.integers(min_value=0, max_value=8).map(lambda n: n / 8.0)
 half = st.sampled_from([0.0625, 0.125, 0.25, 0.5])

@@ -96,12 +96,6 @@ class TestCombination:
     def test_enlargement_positive(self):
         assert Rect(0, 0, 1, 1).enlargement(Rect(2, 0, 3, 1)) == pytest.approx(2.0)
 
-    def test_min_distance(self):
-        assert Rect(0, 0, 1, 1).min_distance(Rect(4, 4, 5, 5)) == pytest.approx(
-            (2 * 3**2) ** 0.5
-        )
-        assert Rect(0, 0, 2, 2).min_distance(Rect(1, 1, 3, 3)) == 0.0
-
     def test_expand(self):
         r = Rect(0, 0, 1, 1).expand(0.5)
         assert (r.xmin, r.ymin, r.xmax, r.ymax) == (-0.5, -0.5, 1.5, 1.5)

@@ -18,9 +18,6 @@ from hypothesis import strategies as st
 
 from repro.geometry.fastops import (
     EdgeArrays,
-    edge_matrix_intersect_any,
-    edges_intersect_matrix_any,
-    edges_overlapping_rect_mask,
     points_in_polygons_bulk,
     segments_intersect_bulk,
 )
@@ -235,47 +232,3 @@ def test_is_simple_known_shapes():
     bowtie = Polygon.from_normalized([(0, 0), (1, 1), (1, 0), (0, 1)])
     assert not bowtie.is_simple()
     assert _star(3, 11).is_simple()
-
-
-# -- pruning soundness ------------------------------------------------------
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=10_000),
-    st.integers(min_value=0, max_value=10_000),
-)
-def test_pruned_edge_matrix_equals_full_matrix(seed_a, seed_b):
-    """MBR-clip pruning must never change the edge-matrix decision.
-
-    This is the exact pruning the batched refinement applies before
-    :func:`edge_matrix_intersect_any`; the pruned evaluation must equal
-    :func:`edges_intersect_matrix_any` on the full edge sets.
-    """
-    poly_a = _star(seed_a, 3 + seed_a % 9)
-    poly_b = _star(seed_b, 3 + seed_b % 7).translated(
-        (seed_b % 5) * 0.2 - 0.4, (seed_a % 5) * 0.2 - 0.4
-    )
-    ea = EdgeArrays(poly_a)
-    eb = EdgeArrays(poly_b)
-    ra, rb = poly_a.mbr(), poly_b.mbr()
-    margin = 1e-9
-    xmin = max(ra.xmin, rb.xmin) - margin
-    ymin = max(ra.ymin, rb.ymin) - margin
-    xmax = min(ra.xmax, rb.xmax) + margin
-    ymax = min(ra.ymax, rb.ymax) + margin
-    mask_a = edges_overlapping_rect_mask(
-        ea.x1, ea.y1, ea.x2, ea.y2, xmin, ymin, xmax, ymax
-    )
-    mask_b = edges_overlapping_rect_mask(
-        eb.x1, eb.y1, eb.x2, eb.y2, xmin, ymin, xmax, ymax
-    )
-    full = edges_intersect_matrix_any(poly_a, poly_b)
-    if mask_a.any() and mask_b.any():
-        pruned = edge_matrix_intersect_any(
-            ea.x1[mask_a], ea.y1[mask_a], ea.x2[mask_a], ea.y2[mask_a],
-            eb.x1[mask_b], eb.y1[mask_b], eb.x2[mask_b], eb.y2[mask_b],
-        )
-    else:
-        pruned = False
-    assert pruned == full

@@ -200,7 +200,7 @@ def test_classify_of_no_rows_is_empty(stored_pair):
     assert stats == MultiStepStats()
 
 
-@pytest.mark.parametrize("backend", ("numpy", "c", "python"))
+@pytest.mark.parametrize("backend", ("numpy", "c"))
 def test_filter_runs_one_convex_kernel_call_per_step(stored_pair, backend):
     """5-C then MER over one block: two ``convex_intersect_rows`` calls,
     on the backend the join names, over at most the pairs each step

@@ -166,54 +166,3 @@ class TestPageLayout:
 
         layout = PageLayout(page_size=2048)
         assert layout.buffer_pages(128 * 1024) == 64
-
-
-class TestDeletion:
-    def test_delete_and_query(self):
-        items = uniform_rect_items(120, seed=21, avg_extent=0.05)
-        tree = build_tree(items, max_entries=8)
-        rect, item = items[17]
-        assert tree.delete(rect, item)
-        assert tree.size == 119
-        assert item not in tree.window_query(rect)
-
-    def test_delete_absent_returns_false(self):
-        items = uniform_rect_items(20, seed=22)
-        tree = build_tree(items)
-        assert not tree.delete(Rect(0.9, 0.9, 0.99, 0.99), "missing")
-        assert tree.size == 20
-
-    def test_delete_many_preserves_invariants_and_results(self):
-        import random as _random
-
-        rng = _random.Random(23)
-        items = uniform_rect_items(250, seed=23, avg_extent=0.04)
-        tree = build_tree(items, max_entries=6)
-        remaining = list(items)
-        rng.shuffle(remaining)
-        removed, kept = remaining[:150], remaining[150:]
-        for rect, item in removed:
-            assert tree.delete(rect, item)
-        tree.check_invariants()
-        w = Rect(0, 0, 1, 1)
-        assert sorted(tree.window_query(w)) == sorted(i for _r, i in kept)
-
-    def test_delete_all_entries(self):
-        items = uniform_rect_items(40, seed=24)
-        tree = build_tree(items, max_entries=4)
-        for rect, item in items:
-            assert tree.delete(rect, item)
-        assert tree.size == 0
-        assert tree.window_query(Rect(0, 0, 1, 1)) == []
-
-    def test_reinsert_after_heavy_deletion(self):
-        items = uniform_rect_items(100, seed=25, avg_extent=0.03)
-        tree = build_tree(items, max_entries=5)
-        for rect, item in items[:80]:
-            tree.delete(rect, item)
-        for rect, item in items[:80]:
-            tree.insert(rect, item)
-        tree.check_invariants()
-        w = Rect(0.2, 0.2, 0.7, 0.7)
-        want = sorted(i for r, i in items if r.intersects(w))
-        assert sorted(tree.window_query(w)) == want

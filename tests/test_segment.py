@@ -5,9 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry.segment import (
-    clip_segment_to_rect,
     line_intersection,
-    segment_intersection_point,
     segment_intersects_rect,
     segment_y_at,
     segments_intersect,
@@ -50,26 +48,6 @@ class TestSegmentsIntersect:
         assert segments_intersect(a, b, a, b)
 
 
-class TestIntersectionPoint:
-    def test_crossing_point(self):
-        p = segment_intersection_point((0, 0), (2, 2), (0, 2), (2, 0))
-        assert p == pytest.approx((1.0, 1.0))
-
-    def test_none_when_disjoint(self):
-        assert segment_intersection_point((0, 0), (1, 0), (0, 1), (1, 1)) is None
-
-    def test_collinear_overlap_returns_shared_point(self):
-        p = segment_intersection_point((0, 0), (2, 0), (1, 0), (3, 0))
-        assert p is not None
-        assert 1.0 <= p[0] <= 2.0 and p[1] == 0.0
-
-    @given(points, points, points, points)
-    def test_consistent_with_predicate(self, a, b, c, d):
-        point = segment_intersection_point(a, b, c, d)
-        if point is not None:
-            assert segments_intersect(a, b, c, d)
-
-
 class TestLineIntersection:
     def test_perpendicular_lines(self):
         p = line_intersection((0, 0), (1, 0), (5, -1), (5, 1))
@@ -107,24 +85,3 @@ class TestSegmentRect:
 
     def test_diagonal_near_miss(self):
         assert not segment_intersects_rect((-1, 0.5), (0.5, -1), 0, 0, 1, 1)
-
-    def test_clip_inside(self):
-        seg = clip_segment_to_rect((-1, 0.5), (2, 0.5), 0, 0, 1, 1)
-        assert seg is not None
-        (x1, y1), (x2, y2) = seg
-        assert (x1, y1) == pytest.approx((0.0, 0.5))
-        assert (x2, y2) == pytest.approx((1.0, 0.5))
-
-    def test_clip_miss_returns_none(self):
-        assert clip_segment_to_rect((-1, 2), (2, 2), 0, 0, 1, 1) is None
-
-    @given(points, points)
-    def test_clip_consistent_with_predicate(self, a, b):
-        hit = segment_intersects_rect(a, b, 0, 0, 1, 1)
-        clipped = clip_segment_to_rect(a, b, 0, 0, 1, 1)
-        if hit != (clipped is not None):
-            # Grazing contact: the two functions may disagree within
-            # epsilon, but only for a degenerate clip on the boundary.
-            assert clipped is not None
-            (x1, y1), (x2, y2) = clipped
-            assert abs(x2 - x1) <= 1e-9 and abs(y2 - y1) <= 1e-9

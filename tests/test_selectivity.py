@@ -2,19 +2,15 @@
 
 import pytest
 
-from repro.core.join import SpatialJoinProcessor
 from repro.core.selectivity import (
     FilterRates,
     RelationProfile,
-    calibrate_rates,
     estimate_candidates,
     estimate_join,
-    estimate_window_selectivity,
     mbr_join_selectivity,
 )
 from repro.datasets.relations import SpatialRelation, europe
 from repro.geometry.polygon import Polygon
-from repro.geometry.rectangle import Rect
 from repro.index.join import nested_loops_mbr_join
 
 
@@ -80,16 +76,6 @@ class TestSelectivity:
         # clustered real-world extents: allow an order of magnitude
         assert measured / 10 <= estimated <= measured * 10
 
-    def test_window_selectivity_monotone_in_window(self):
-        p = RelationProfile.of(europe(size=60))
-        sels = [
-            estimate_window_selectivity(p, Rect(0, 0, w, w))
-            for w in (0.01, 0.1, 0.5, 1.0)
-        ]
-        assert sels == sorted(sels)
-        assert all(0 <= s <= 1 for s in sels)
-
-
 class TestJoinEstimate:
     def test_estimate_consistency(self):
         rel_a = europe(size=40)
@@ -112,39 +98,3 @@ class TestJoinEstimate:
             FilterRates(false_hit_identification=1.2)
         with pytest.raises(ValueError):
             FilterRates(hit_share=-0.1)
-
-    def test_calibrate_roundtrip(self):
-        rates = calibrate_rates(
-            measured_hits=100,
-            measured_false_hits=50,
-            identified_hits=35,
-            identified_false_hits=33,
-        )
-        assert rates.hit_identification == pytest.approx(0.35)
-        assert rates.false_hit_identification == pytest.approx(0.66)
-        assert rates.hit_share == pytest.approx(100 / 150)
-
-    def test_calibrate_empty_join(self):
-        rates = calibrate_rates(0, 0, 0, 0)
-        assert isinstance(rates, FilterRates)
-
-    def test_calibrated_estimate_matches_measured_pipeline(self):
-        """Feedback loop: calibrate on one join, estimate it again."""
-        rel_a = europe(size=50)
-        rel_b = europe(seed=21, size=50)
-        result = SpatialJoinProcessor().join(rel_a, rel_b)
-        stats = result.stats
-        measured_hits = stats.filter_hits + stats.exact_hits
-        measured_false = stats.filter_false_hits + stats.exact_false_hits
-        rates = calibrate_rates(
-            measured_hits,
-            measured_false,
-            stats.filter_hits,
-            stats.filter_false_hits,
-        )
-        est = estimate_join(rel_a, rel_b, rates)
-        # candidate estimate carries the model error; the *shares*
-        # derived from calibration must reproduce exactly
-        assert est.hits / max(est.candidates, 1e-12) == pytest.approx(
-            measured_hits / stats.candidate_pairs, abs=1e-9
-        )

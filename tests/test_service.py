@@ -58,7 +58,7 @@ CONFIGS = [
 EXECUTION_VARIANTS = [
     JoinConfig(workers=2),
     JoinConfig(kernels="numpy", workers=2),
-    JoinConfig(kernels="python"),
+    JoinConfig(kernels="c"),
 ]
 
 
@@ -461,7 +461,7 @@ class TestConfigCanonicalization:
         from repro.core.join import EXECUTION_ONLY_FIELDS
 
         assert EXECUTION_ONLY_FIELDS == ("workers", "kernels")
-        variant = JoinConfig(workers=3, kernels="python")
+        variant = JoinConfig(workers=3, kernels="c")
         assert variant.canonical_key() == JoinConfig().canonical_key()
         assert "session" not in {f.name for f in fields(JoinConfig)}
 
@@ -472,7 +472,7 @@ class TestConfigCanonicalization:
 
         assert "kernels" in EXECUTION_ONLY_FIELDS
         base = JoinConfig(kernels="numpy")
-        for backend in ("auto", "python"):
+        for backend in ("auto", "c"):
             variant = JoinConfig(kernels=backend)
             assert variant.canonical_key() == base.canonical_key()
             assert variant.fingerprint() == base.fingerprint()

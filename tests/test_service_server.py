@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from helpers import random_relation_pair
+from repro.cli import main as cli_main
 from repro.core.join import JoinConfig
 from repro.core.parallel_exec import (
     live_shared_segments,
@@ -303,6 +304,11 @@ class TestWireErrors:
                 writer,
                 {"op": "window", "relation": path_a, "window": [0, 0, 10]},
             )
+            degenerate_window = await _rpc(
+                reader,
+                writer,
+                {"op": "window", "relation": path_a, "window": [1, 1, 0, 0]},
+            )
             bad_point = await _rpc(
                 reader,
                 writer,
@@ -318,7 +324,7 @@ class TestWireErrors:
                     "k": "three",
                 },
             )
-            return bad_window, bad_point, bad_k
+            return bad_window, degenerate_window, bad_point, bad_k
 
         responses = _serve(body, sessions=1)
         for response in responses:
@@ -331,6 +337,7 @@ class TestWireErrors:
             ("predicate", "overlaps-ish"),
             ("batch_size", 2.5),  # rejected by JoinConfig, not the engine
             ("exact", "planesweep"),  # a test oracle, not a join option
+            ("kernels", "python"),  # removed backend
         ],
     )
     def test_invalid_config_value_is_400(self, wkt_paths, field, value):
@@ -352,6 +359,93 @@ class TestWireErrors:
         assert error["status"] == "error"
         assert error["code"] == 400
         assert str(value) in error["error"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinates_are_rejected(self, tmp_path, capsys,
+                                                 value):
+        """A nan/inf coordinate is bad input at every parse boundary: the
+        CLI exits 2 naming the file line, the service answers 400.  (A
+        NaN vertex used to drop its polygon from every join silently.)"""
+        bad = tmp_path / "bad.wkt"
+        bad.write_text(
+            f"POLYGON ((0 0, 2 0, {value} 2, 0 2, 0 0))\n"
+            "POLYGON ((10 10, 12 10, 12 12, 10 12, 10 10))\n"
+        )
+        ok = tmp_path / "ok.wkt"
+        ok.write_text("POLYGON ((1 1, 3 1, 3 3, 1 3, 1 1))\n")
+        for args in (
+            ["info", str(bad)],
+            ["join", str(bad), str(ok), "--pairs"],
+            ["store", "pack", str(tmp_path / "store"), str(bad)],
+        ):
+            assert cli_main(args) == 2, args
+            err = capsys.readouterr().err
+            assert f"{bad}:1: non-finite coordinate pair" in err, args
+        number = float(value)
+
+        async def body(server, reader, writer):
+            return [
+                await _rpc(reader, writer, payload)
+                for payload in (
+                    {"op": "join", "relation_a": str(bad),
+                     "relation_b": str(ok)},
+                    {"op": "window", "relation": str(ok),
+                     "window": [0, 0, number, 4]},
+                    {"op": "knn", "relation": str(ok),
+                     "point": [number, 0]},
+                )
+            ]
+
+        for response in _serve(body, sessions=1):
+            assert response["status"] == "error"
+            assert response["code"] == 400
+
+
+class TestNonFiniteWireNumbers:
+    """JSON admits ``NaN``, ``Infinity`` and an overflowing literal
+    (``1e999`` loads as inf).  Each is refused in every window and point
+    position while the request line is parsed, before any relation is
+    read."""
+
+    @pytest.fixture(scope="class")
+    def server(self):
+        server = JoinServiceServer(JoinService(sessions=1))
+        yield server
+        asyncio.run(server.close())
+
+    @staticmethod
+    def _line(op, field, numbers, relation="never-read.wkt"):
+        """A request line with ``numbers`` written as raw JSON tokens."""
+        return (f'{{"op": "{op}", "relation": {json.dumps(relation)}, '
+                f'"{field}": [{", ".join(numbers)}]}}').encode()
+
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1e999"]
+    )
+    @pytest.mark.parametrize(
+        "op,field,position",
+        [("window", "window", i) for i in range(4)]
+        + [("knn", "point", i) for i in range(2)],
+    )
+    def test_non_finite_number_is_400(self, server, op, field, position,
+                                      literal):
+        numbers = ["0", "0", "4", "4"] if op == "window" else ["1", "1"]
+        numbers[position] = literal
+        with pytest.raises(BadRequestError,
+                           match=f"{field} must be .*finite numbers"):
+            server._parse(self._line(op, field, numbers))
+
+    @pytest.mark.parametrize("op,field,numbers", [
+        ("window", "window", ["0", "0", "4", "4"]),
+        ("knn", "point", ["1", "1"]),
+    ])
+    def test_finite_twin_parses(self, server, wkt_paths, op, field, numbers):
+        _, _, path_a, _ = wkt_paths
+        request = server._parse(self._line(op, field, numbers, path_a))
+        if op == "window":
+            assert tuple(request.window) == (0.0, 0.0, 4.0, 4.0)
+        else:
+            assert request.point == (1.0, 1.0)
 
 
 class TestConfigPayload:

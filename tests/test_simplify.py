@@ -14,7 +14,6 @@ from repro.geometry.simplify import (
     simplify_polygon,
     simplify_polyline,
     simplify_ring,
-    vertex_reduction,
 )
 
 
@@ -124,25 +123,3 @@ class TestRingAndPolygon:
             before = obj.polygon.num_vertices
             after = simplify_polygon(obj.polygon, 0.002).num_vertices
             assert after <= before
-
-
-class TestVertexReduction:
-    def test_zero_distance_identity(self):
-        line = noisy_line(20, 0.1)
-        assert vertex_reduction(line, 0.0) == line
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            vertex_reduction([(0, 0), (1, 1)], -0.5)
-
-    def test_thinning_dense_points(self):
-        line = [(i * 0.001, 0.0) for i in range(1000)]
-        out = vertex_reduction(line, 0.1)
-        assert len(out) <= 11
-        for (x1, _), (x2, _) in zip(out, out[1:]):
-            assert x2 - x1 >= 0.1 - 1e-12
-
-    def test_keeps_at_least_two_points(self):
-        line = [(0, 0), (1e-9, 0), (2e-9, 0)]
-        out = vertex_reduction(line, 1.0)
-        assert len(out) >= 2

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.stats import MultiStepStats
-from repro.index.pagemodel import IOStats, LRUBuffer, PageLayout
+from repro.index.pagemodel import LRUBuffer, PageLayout
 
 
 class TestMultiStepStats:
@@ -34,16 +34,6 @@ class TestMultiStepStats:
 
 
 class TestPageModelCorners:
-    def test_iostats_merge(self):
-        buf = LRUBuffer(4)
-        buf.access("a")
-        buf.access("a")
-        buf.access("b")
-        stats = IOStats().merge(buf)
-        assert stats.page_accesses == 2
-        assert stats.buffer_hits == 1
-        assert stats.total_requests == 3
-
     def test_buffer_reset_keeps_contents(self):
         buf = LRUBuffer(4)
         buf.access("a")

@@ -4,15 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exact.decomposition import (
-    convex_decomposition,
-    ear_clipping_triangulation,
-    trapezoid_decomposition,
-    triangle_decomposition,
-)
+from repro.exact.decomposition import trapezoid_decomposition
 from repro.exact.trstar_test import build_trstar, polygons_intersect_trstar
 from repro.geometry.polygon import Polygon
-from repro.geometry.predicates import cross, polygon_signed_area
 from repro.index.trstar import (
     Trapezoid,
     TRJoinCounters,
@@ -97,51 +91,6 @@ class TestTrapezoidDecomposition:
         assert sum(t.area() for t in traps) == pytest.approx(
             thin.area(), rel=1e-6
         )
-
-
-class TestOtherDecompositions:
-    @given(stars)
-    @settings(max_examples=20, deadline=None)
-    def test_triangles_cover_area(self, poly):
-        tris = triangle_decomposition(poly)
-        total = sum(abs(polygon_signed_area(list(t))) for t in tris)
-        assert total == pytest.approx(poly.area(), rel=1e-6)
-
-    @given(stars)
-    @settings(max_examples=15, deadline=None)
-    def test_ear_clipping_covers_area(self, poly):
-        tris = ear_clipping_triangulation(poly)
-        total = sum(abs(polygon_signed_area(list(t))) for t in tris)
-        assert total == pytest.approx(poly.area(), rel=1e-4)
-
-    def test_ear_clipping_rejects_holes(self):
-        holed = Polygon(
-            [(0, 0), (4, 0), (4, 4), (0, 4)],
-            holes=[[(1, 1), (3, 1), (3, 3), (1, 3)]],
-        )
-        with pytest.raises(ValueError):
-            ear_clipping_triangulation(holed)
-
-    @given(stars)
-    @settings(max_examples=15, deadline=None)
-    def test_convex_decomposition_pieces_convex_and_cover(self, poly):
-        pieces = convex_decomposition(poly)
-        total = 0.0
-        for piece in pieces:
-            n = len(piece)
-            assert n >= 3
-            for i in range(n):
-                assert (
-                    cross(piece[i], piece[(i + 1) % n], piece[(i + 2) % n])
-                    > -1e-9
-                )
-            total += abs(polygon_signed_area(piece))
-        assert total == pytest.approx(poly.area(), rel=1e-6)
-
-    def test_convex_decomposition_merges_square(self):
-        # A square decomposes into one trapezoid; merging keeps it as one
-        # convex piece.
-        assert len(convex_decomposition(UNIT_SQUARE)) == 1
 
 
 class TestTRStarTree:
