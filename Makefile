@@ -7,7 +7,7 @@
 #   make bench-engine  - streaming-vs-batched engine benchmark, quick scale
 #   make bench-parallel - measured vs LPT-modeled parallel speedup, quick scale
 #   make bench-refine  - per-pair loop vs batched exact step, quick scale
-#   make bench-kernels - numpy vs C kernel throughput (>= 3x bar), quick scale
+#   make bench-kernels - numpy vs C kernels (>= 3x bar) and builders (>= 5x), quick scale
 #   make bench-session - warm-session reuse benchmark, quick scale
 #   make bench-tree    - grid vs tree-guided task formation benchmark, quick scale
 #   make bench-service - concurrent join-service benchmark, quick scale

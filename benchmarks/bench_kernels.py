@@ -16,6 +16,12 @@ The table lands in ``benchmarks/reports/kernels.txt``.  Acceptance:
 at least two refine kernels run >= 3x the numpy oracle's pairs/second
 at quick scale, and so does the filter's separating-axis kernel, on a
 bar of its own.
+
+A second table (``kernel_builders.txt``, ``BENCH_kernel_builders.json``)
+times the stored-approximation builders: one row per kind the kernel
+tier builds (4-C, 5-C, MER, MEC), milliseconds per object over a whole
+relation's edge table, numpy oracle against ``c``, results asserted
+bit-identical first.  Acceptance: every builder runs >= 5x faster.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ MIN_KERNELS = 2
 #: the filter's kernel; it must reach MIN_SPEEDUP too, but does not count
 #: toward the refine kernels' bar.
 FILTER_KERNEL = "convex_intersect_rows"
+
+#: the bar every stored-approximation builder must reach.
+MIN_BUILDER_SPEEDUP = 5.0
 
 
 def _build_workloads(series):
@@ -222,4 +231,68 @@ def test_kernel_backends_pairs_per_second(series_cache, report):
     assert speedups[FILTER_KERNEL] >= MIN_SPEEDUP, (
         f"expected {FILTER_KERNEL} at >= {MIN_SPEEDUP}x on {ALT_BACKEND}, "
         f"got {speedups[FILTER_KERNEL]:.2f}x"
+    )
+
+
+def _builder_workloads(relation):
+    """(kind, run(kernel_set) -> comparable bytes) over the relation's
+    edge table, as ``ColumnarRelation.approx`` builds it."""
+    columnar = relation.columnar()
+    table = columnar.ring_geometry().table
+    rings = (columnar.rings.object_rings, columnar.rings.ring_offsets)
+
+    def corners(m):
+        def run(kernels):
+            vx, vy, counts = kernels.m_corners_ragged(table, *rings, m)
+            return [(x[:c].tobytes(), y[:c].tobytes())
+                    for x, y, c in zip(vx, vy, counts)]
+        return run
+
+    return [
+        ("4-C", corners(4)),
+        ("5-C", corners(5)),
+        ("MER", lambda kernels: kernels.enclosed_rects_ragged(
+            table, *rings).tobytes()),
+        ("MEC", lambda kernels: kernels.enclosed_circles_ragged(
+            table).tobytes()),
+    ]
+
+
+def test_builder_kernels_ms_per_object(series_cache, report):
+    relation = series_cache("Europe A").relation_a
+    for backend in ("numpy", ALT_BACKEND):
+        warm_up(backend)
+    oracle_set, alt_set = get_kernels("numpy"), get_kernels(ALT_BACKEND)
+    lines = [
+        f" numpy oracle vs {ALT_BACKEND}, {len(relation)} objects",
+        f" {'kind':<6} {'numpy ms/obj':>13} {ALT_BACKEND + ' ms/obj':>13} "
+        f"{'speedup':>8}",
+    ]
+    rows = {}
+    for kind, run in _builder_workloads(relation):
+        assert run(alt_set) == run(oracle_set), (
+            f"{ALT_BACKEND} diverged from numpy building {kind}"
+        )
+        numpy_ms = _best_seconds(lambda: run(oracle_set)) * 1e3 / len(relation)
+        alt_ms = _best_seconds(lambda: run(alt_set)) * 1e3 / len(relation)
+        speedup = numpy_ms / max(alt_ms, 1e-9)
+        rows[kind] = {"numpy_ms_per_object": numpy_ms,
+                      "alt_ms_per_object": alt_ms, "speedup": speedup}
+        lines.append(f" {kind:<6} {numpy_ms:>13.4f} {alt_ms:>13.4f} "
+                     f"{speedup:>7.2f}x")
+    lines.append(" (ms per object over the relation's edge table, best of "
+                 "3 runs, backends pre-warmed)")
+    report.table(
+        "Kernel builders",
+        f"stored-approximation builders: numpy vs {ALT_BACKEND}",
+        lines,
+    )
+    report.json_artifact(
+        "kernel_builders", {"alt_backend": ALT_BACKEND, "kinds": rows}
+    )
+    slow = {kind: round(row["speedup"], 2) for kind, row in rows.items()
+            if row["speedup"] < MIN_BUILDER_SPEEDUP}
+    assert not slow, (
+        f"expected every builder at >= {MIN_BUILDER_SPEEDUP}x on "
+        f"{ALT_BACKEND}, got {slow}"
     )

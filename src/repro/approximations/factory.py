@@ -24,7 +24,6 @@ from .rmbr import RMBRApproximation
 CONSERVATIVE_KINDS = ("MBR", "MBC", "MBE", "RMBR", "4-C", "5-C", "CH")
 #: progressive kinds (paper §3.3).
 PROGRESSIVE_KINDS = ("MEC", "MER")
-ALL_KINDS = CONSERVATIVE_KINDS + PROGRESSIVE_KINDS
 
 #: construction-algorithm version per kind (default 1), persisted with
 #: every stored approximation column set.  Bump a kind's entry when its

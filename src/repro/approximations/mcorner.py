@@ -10,6 +10,13 @@ area, until only ``m`` sides remain.
 This is a conservative convex m-gon containing the hull with near-minimal
 added area; the quality ordering relative to MBR/RMBR/CH reported in
 Figure 4 and Table 3 is preserved (see DESIGN.md, substitutions).
+
+The Python functions below are the oracle: :func:`m_corner_rows` runs
+them over the rows of an edge table as the ``numpy`` kernel set's
+``m_corners_ragged``.  Builds go through the kernel tier
+(:func:`~repro.geometry.kernels.builder_kernels`), whose ``c`` set is
+``ck_m_corners`` in ``_ckernels.c``: the same hull and greedy reduction,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +24,11 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..geometry.convex import convex_hull
+from ..geometry.fastops import EdgeTable, polygon_edge_table, table_polygons
+from ..geometry.kernels import builder_kernels
 from ..geometry.polygon import Polygon
 from ..geometry.predicates import Coord, cross
 from ..geometry.segment import line_intersection
@@ -38,9 +49,11 @@ class MCornerApproximation(ConvexApproximation):
     def of(cls, polygon: Polygon, m: int) -> "MCornerApproximation":
         if m < 3:
             raise ValueError(f"m-corner needs m >= 3, got {m}")
-        hull = convex_hull(polygon.shell)
-        reduced = reduce_hull_to_m_corners(hull, m)
-        return cls(reduced, m)
+        vx, vy, counts = builder_kernels().m_corners_ragged(
+            *polygon_edge_table(polygon), m
+        )
+        count = int(counts[0])
+        return cls(list(zip(vx[0, :count].tolist(), vy[0, :count].tolist())), m)
 
     @property
     def num_parameters(self) -> int:
@@ -48,6 +61,27 @@ class MCornerApproximation(ConvexApproximation):
 
     def __repr__(self) -> str:
         return f"MCornerApproximation(m={self.m}, area={self.area():.6g})"
+
+
+def m_corner_rows(
+    table: EdgeTable, object_rings: np.ndarray, ring_offsets: np.ndarray,
+    m: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row's m-corner: ``convex_hull`` of the shell, then
+    :func:`reduce_hull_to_m_corners` (the ``numpy`` ``m_corners_ragged``).
+
+    Returns ``(vx, vy, counts)``: row ``i``'s ``counts[i] <= m`` vertices
+    lead rows ``i`` of the ``(n, m)`` matrices.
+    """
+    polygons = table_polygons(table, object_rings, ring_offsets)
+    vx, vy = np.zeros((len(polygons), m)), np.zeros((len(polygons), m))
+    counts = np.zeros(len(polygons), dtype=np.int64)
+    for row, polygon in enumerate(polygons):
+        corners = reduce_hull_to_m_corners(convex_hull(polygon.shell), m)
+        counts[row] = len(corners)
+        vx[row, :len(corners)] = [x for x, _ in corners]
+        vy[row, :len(corners)] = [y for _, y in corners]
+    return vx, vy, counts
 
 
 def reduce_hull_to_m_corners(hull: Sequence[Coord], m: int) -> List[Coord]:

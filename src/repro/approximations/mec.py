@@ -29,6 +29,12 @@ that exact distance times ``1 - 1e-9`` around a centre decided inside:
 circle ⊆ polygon by construction.  An object without interior points
 (zero area) gets radius 0 at its first vertex.  (Version 1 hill-climbed
 from the vertices of a sampled point-site Voronoi diagram, per object.)
+
+**Oracle and compiled form.**  :func:`enclosed_circles` is the oracle,
+the ``numpy`` kernel set's ``enclosed_circles_ragged``.  Builds go
+through the kernel tier (:func:`~repro.geometry.kernels.builder_kernels`),
+whose ``c`` set is ``ck_enclosed_circles`` in ``_ckernels.c``: the same
+rounds of :func:`_pole_search`, object by object, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,11 +47,12 @@ from ..geometry.circle import Circle
 from ..geometry.fastops import (
     EdgeTable,
     _first_argmin,
-    build_edge_table,
     gather_edges,
     points_in_polygons_bulk,
+    polygon_edge_table,
     ragged_arange,
 )
+from ..geometry.kernels import builder_kernels
 from ..geometry.polygon import Polygon
 from ..geometry.predicates import EPSILON, Coord
 from ..geometry.rectangle import Rect
@@ -72,7 +79,9 @@ class MECApproximation(Approximation):
 
     @classmethod
     def of(cls, polygon: Polygon) -> "MECApproximation":
-        return cls(maximum_enclosed_circle(polygon))
+        table = polygon_edge_table(polygon)[0]
+        cx, cy, r = builder_kernels().enclosed_circles_ragged(table)[0].tolist()
+        return cls(Circle((cx, cy), r))
 
     @property
     def num_parameters(self) -> int:
@@ -96,11 +105,7 @@ class MECApproximation(Approximation):
 
 def maximum_enclosed_circle(polygon: Polygon) -> Circle:
     """Largest enclosed circle up to ``prec``; guaranteed to be enclosed."""
-    rings = (polygon.shell,) + polygon.holes
-    ring_offsets = np.cumsum([0] + [len(ring) for ring in rings])
-    xy = np.array([p for ring in rings for p in ring], dtype=np.float64)
-    table = build_edge_table(np.array([0, len(rings)]), ring_offsets, xy)
-    cx, cy, r = enclosed_circles(table)[0].tolist()
+    cx, cy, r = enclosed_circles(polygon_edge_table(polygon)[0])[0].tolist()
     return Circle((cx, cy), r)
 
 

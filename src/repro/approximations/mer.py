@@ -74,6 +74,15 @@ wherever version 1's assumption held.
 **Version 3.**  Where no chord is found, the fallback square is
 inscribed in the MEC (:mod:`.mec`) instead of a circle from a separate
 grid probe and hill-climb.
+
+**Oracle and compiled form.**  The functions below are the oracle:
+:func:`enclosed_rect_rows` runs :func:`maximum_enclosed_rectangle`
+over the rows of an edge table as the ``numpy`` kernel set's
+``enclosed_rects_ragged``.  Builds go through the kernel tier
+(:func:`~repro.geometry.kernels.builder_kernels`), whose ``c`` set is
+``ck_enclosed_rects`` in ``_ckernels.c``: chord, candidate lines,
+blocked-cell grid, ranked ``rect_inside`` checks and MEC fallback, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -83,7 +92,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.fastops import EdgeArrays, segments_cross_open_rects
+from ..geometry.fastops import (
+    EdgeArrays,
+    EdgeTable,
+    polygon_edge_table,
+    segments_cross_open_rects,
+    table_polygons,
+)
+from ..geometry.kernels import builder_kernels
 from ..geometry.polygon import Polygon
 from ..geometry.rectangle import Rect
 from .base import ConvexApproximation
@@ -110,7 +126,10 @@ class MERApproximation(ConvexApproximation):
 
     @classmethod
     def of(cls, polygon: Polygon) -> "MERApproximation":
-        return cls(maximum_enclosed_rectangle(polygon))
+        rects = builder_kernels().enclosed_rects_ragged(
+            *polygon_edge_table(polygon)
+        )
+        return cls(Rect(*rects[0].tolist()))
 
     @property
     def num_parameters(self) -> int:
@@ -118,6 +137,20 @@ class MERApproximation(ConvexApproximation):
 
     def __repr__(self) -> str:
         return f"MERApproximation({self.rect!r})"
+
+
+def enclosed_rect_rows(
+    table: EdgeTable, object_rings: np.ndarray, ring_offsets: np.ndarray
+) -> np.ndarray:
+    """``(n, 4)`` :func:`maximum_enclosed_rectangle` of every row, as
+    ``xmin, ymin, xmax, ymax`` (the ``numpy`` ``enclosed_rects_ragged``)."""
+    rects = [
+        maximum_enclosed_rectangle(polygon)
+        for polygon in table_polygons(table, object_rings, ring_offsets)
+    ]
+    return np.array(
+        [(r.xmin, r.ymin, r.xmax, r.ymax) for r in rects], dtype=np.float64
+    ).reshape(-1, 4)
 
 
 def maximum_enclosed_rectangle(polygon: Polygon) -> Rect:

@@ -19,7 +19,7 @@ model reproduces Figure 11/18's shape rather than its absolute seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: §5 model constants (seconds).
 PAGE_ACCESS_SECONDS = 0.010

@@ -22,14 +22,13 @@ these candidates").  Both produce identical results and statistics;
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from ..datasets.relations import SpatialObject, SpatialRelation
 from ..geometry.fastops import polygons_intersect_fast
-from ..geometry.kernels import KERNEL_BACKENDS
+from ..geometry.kernels import KERNEL_BACKENDS, default_backend
 from .filters import FilterConfig
 from .stats import MultiStepStats
 
@@ -63,19 +62,6 @@ PARTITIONERS = ("grid", "rtree")
 #: fingerprint — the contract the service result cache and request
 #: coalescing (:mod:`repro.service`) are built on.
 EXECUTION_ONLY_FIELDS = ("workers", "kernels")
-
-
-def _default_kernels() -> str:
-    """Default kernel backend: the ``REPRO_KERNELS`` env var or 'auto'.
-
-    The env override lets CI (and local runs) force every default
-    config in a test run onto one backend — e.g. run the differential
-    suites once with ``REPRO_KERNELS=numpy`` and once with
-    ``REPRO_KERNELS=c`` — without touching any call site.  Since
-    ``kernels`` is execution-only, the override can never change
-    results or cache fingerprints.
-    """
-    return os.environ.get("REPRO_KERNELS", "auto")
 
 
 def validate_grid(grid) -> Tuple[int, int]:
@@ -131,7 +117,7 @@ class JoinConfig:
     #: loads, else numpy).  Execution-only: results, order, and
     #: statistics are identical across backends (see
     #: :mod:`repro.geometry.kernels`).
-    kernels: str = field(default_factory=_default_kernels)
+    kernels: str = field(default_factory=default_backend)
     #: execution engine: 'batched' (vectorized filter over candidate
     #: blocks) or 'streaming' (per-pair); see :mod:`repro.engine`.
     engine: str = "batched"

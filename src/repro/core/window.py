@@ -10,7 +10,7 @@ the join pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..approximations.base import Approximation

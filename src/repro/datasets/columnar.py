@@ -20,9 +20,10 @@ materialises, once, every numpy column the rest of the system consumes:
 Every column is copied bit-for-bit from the scalar accessors
 (``obj.mbr``, ``appr.area()``, vertex tuples), never re-derived, so
 array consumers see exactly the floats the scalar code paths see
-(``tests/test_columnar.py`` proves the round trip).  The MEC columns
-are the one exception: built for the whole relation at once, they hold
-the same floats as a build per object (``tests/test_mec.py``).  Row
+(``tests/test_columnar.py`` proves the round trip).  The m-corner,
+MER and MEC columns are the exception: built for the whole relation at
+once by the kernel tier, they hold the same floats as a build per
+object (``tests/test_columnar.py``, ``tests/test_mec.py``).  Row
 index ``i`` always refers to ``relation.objects[i]``; tile
 decomposition and the worker wire format are therefore plain index
 arrays into these columns.
@@ -60,10 +61,10 @@ import numpy as np
 from ..approximations.batch import (
     ApproxColumns,
     BatchApproxArrays,
-    circle_columns,
+    kernel_built,
+    kernel_columns,
     stored_family,
 )
-from ..approximations.mec import enclosed_circles
 from ..geometry.polygon import Polygon
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -350,9 +351,10 @@ class ColumnarRelation:
         the backing store so no later join, session or process builds
         it again.  Repeated joins — and sweeps over filter
         configurations naming the same kinds — reuse the arrays.  Row
-        indices equal object indices.  MEC is built for all objects at
-        once on the edge table (:func:`enclosed_circles`) and adopted
-        through :meth:`install_approx`; its rows are bit-identical to
+        indices equal object indices.  m-corners, MER and MEC are built
+        for all objects at once on the edge table, by one kernel-tier
+        call (:func:`kernel_columns`), and adopted through
+        :meth:`install_approx`; their rows are bit-identical to
         per-object builds.
         """
         encoder = self._approx.get(kind)
@@ -368,12 +370,13 @@ class ColumnarRelation:
             )
             if columns is not None:
                 return self.install_approx(columns)
-            if kind == "MEC":
-                # One search over the whole edge table, not per object.
-                circles = enclosed_circles(self.ring_geometry().table)
-                encoder = self.install_approx(
-                    circle_columns(kind, circles, self.areas)
-                )
+            if kernel_built(kind) and self.objects:
+                # One kernel call over the whole edge table, not per object.
+                encoder = self.install_approx(kernel_columns(
+                    kind, self.ring_geometry().table,
+                    self.rings.object_rings, self.rings.ring_offsets,
+                    self.areas,
+                ))
             else:
                 encoder = BatchApproxArrays(kind)
                 encoder.append(self.objects)

@@ -11,13 +11,12 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import List, Union
 
 from ..geometry.polygon import Polygon
 from ..geometry.predicates import Coord
 from .relations import SpatialRelation
 
-_NUMBER = r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
 _RING_RE = re.compile(r"\(([^()]*)\)")
 
 

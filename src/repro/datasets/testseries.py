@@ -16,7 +16,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..geometry.polygon import Polygon
 from .generators import DATA_SPACE
 from .relations import SpatialRelation
 

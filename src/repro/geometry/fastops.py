@@ -609,6 +609,44 @@ def build_edge_table(
     return EdgeTable(coords, boxes, offsets, bounds, mbrs)
 
 
+def polygon_edge_table(
+    polygon: Polygon,
+) -> Tuple[EdgeTable, np.ndarray, np.ndarray]:
+    """One polygon as a one-row :class:`EdgeTable`, with its ring columns.
+
+    Returns ``(table, object_rings, ring_offsets)``: ring ``r`` (0 the
+    shell, then the holes) is edges ``ring_offsets[r] :
+    ring_offsets[r + 1]``, the layout a relation's table has over its
+    ``RingColumns`` — what the approximation builders take.
+    """
+    rings = (polygon.shell,) + polygon.holes
+    ring_offsets = np.cumsum([0] + [len(ring) for ring in rings])
+    object_rings = np.array([0, len(rings)])
+    xy = np.array([p for ring in rings for p in ring], dtype=np.float64)
+    return (
+        build_edge_table(object_rings, ring_offsets, xy),
+        object_rings,
+        ring_offsets,
+    )
+
+
+def table_polygons(
+    table: EdgeTable, object_rings: np.ndarray, ring_offsets: np.ndarray
+) -> List[Polygon]:
+    """Every row's polygon, rebuilt float for float from its ring edges
+    (the layout :func:`polygon_edge_table` describes)."""
+    x, y = table.coords[0].tolist(), table.coords[1].tolist()
+    starts = ring_offsets.tolist()
+    polygons = []
+    for first, last in zip(object_rings[:-1].tolist(), object_rings[1:].tolist()):
+        rings = [
+            list(zip(x[starts[r]:starts[r + 1]], y[starts[r]:starts[r + 1]]))
+            for r in range(first, last)
+        ]
+        polygons.append(Polygon.from_normalized(rings[0], rings[1:]))
+    return polygons
+
+
 def gather_edges(
     offsets: np.ndarray, rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:

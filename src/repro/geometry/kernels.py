@@ -1,4 +1,5 @@
-"""Kernel backend registry for the filter/refine hot paths.
+"""Kernel backend registry for the filter/refine hot paths and the
+stored-approximation builders.
 
 The joins spend their kernel time in a handful of bulk geometry
 kernels (``fastops``): for the filter, row-wise MBR tests and one
@@ -8,21 +9,27 @@ edge-pair kernel per refinement batch over the relations' edge tables
 (``edge_pairs_intersect_ragged``) and one bulk point-in-polygon call;
 and for the proximity predicates one ragged edge-distance kernel per
 round of pending pairs (``min_edge_distance_ragged``), capped by a
-per-pair reach.
+per-pair reach.  The stored approximations the filter reads are built
+by three more kernels over the rows of an edge table: m-corners
+(``m_corners_ragged``), MER (``enclosed_rects_ragged``) and MEC
+(``enclosed_circles_ragged``); one polygon is a one-row table
+(:func:`~repro.geometry.fastops.polygon_edge_table`).
 This module makes the *execution substrate* of those kernels pluggable
 behind an unchanged interface — ``JoinConfig(kernels=...)`` selects a
-backend per join, and both backends decide every predicate identically
-(the numpy kernels are the differential oracle):
+backend per join, builds use :func:`default_backend`, and both backends
+decide every predicate identically and build bit-identical
+approximations (the numpy kernels are the differential oracle):
 
 ``"numpy"``
-    The vectorised oracle kernels from :mod:`repro.geometry.fastops`.
-    Always available.
+    The vectorised oracle kernels from :mod:`repro.geometry.fastops`,
+    and the Python/numpy builders of :mod:`repro.approximations`
+    (``mcorner``, ``mer``, ``mec``) run row by row.  Always available.
 ``"c"``
     The compiled form of the oracle's four per-batch loops (ragged edge
-    pairs, ragged edge distance, points in polygons, convex rows):
-    ``_ckernels.c`` runs each pair or point through the expressions the
-    oracle evaluates over whole arrays, in the same order; the row-wise
-    rectangle test is the numpy oracle's.
+    pairs, ragged edge distance, points in polygons, convex rows) and of
+    the three builders: ``_ckernels.c`` runs each pair, point or row
+    through the expressions the oracle evaluates, in the same order;
+    the row-wise rectangle test is the numpy oracle's.
     Requesting it when the library cannot be built or loaded raises a
     clear ``ValueError``.
 ``"auto"``
@@ -79,7 +86,8 @@ KERNEL_BACKENDS = ("auto", "numpy", "c")
 #: harness (``benchmarks/e2e/run.py``) reports it among its host facts.
 NUMBA_AVAILABLE = False
 
-#: kernels a backend provides (the dispatcher mirrors these names).
+#: kernels a backend provides (the dispatcher mirrors the first five;
+#: builds call the last three directly).
 #: The exact step calls one kernel per batch or round, never per pair:
 #: ``edge_pairs_intersect_ragged`` for intersects, ``min_edge_distance_ragged``
 #: for the proximity predicates.  The filter calls
@@ -91,13 +99,21 @@ NUMBA_AVAILABLE = False
 #: (``fastops.edge_matrix_intersect_any``) and the reach heuristic
 #: ``fastops.vertex_distance_bounds`` are plain functions, not kernels;
 #: so is ``fastops.segments_intersect_bulk``, which ``fastops`` calls
-#: directly.
+#: directly.  The builders take an edge table (and, for m-corners and
+#: MER, its ``object_rings`` / ``ring_offsets`` ring columns, which
+#: index the table's edges) and return every row's approximation:
+#: ``m_corners_ragged`` ``(vx, vy, counts)`` vertex buffers of ``m``
+#: columns, ``enclosed_rects_ragged`` ``(n, 4)`` rectangles,
+#: ``enclosed_circles_ragged`` ``(n, 3)`` circles.
 KERNEL_NAMES = (
     "points_in_polygons_bulk",
     "edge_pairs_intersect_ragged",
     "rects_intersect_bulk",
     "min_edge_distance_ragged",
     "convex_intersect_rows",
+    "m_corners_ragged",
+    "enclosed_rects_ragged",
+    "enclosed_circles_ragged",
 )
 
 _NO_MBRS = np.empty((0, 4), dtype=np.float64)
@@ -112,6 +128,21 @@ class KernelSet:
         self.name = name
         for kernel_name in KERNEL_NAMES:
             setattr(self, kernel_name, kernels[kernel_name])
+
+
+def default_backend() -> str:
+    """Default kernel backend: the ``REPRO_KERNELS`` env var or 'auto'.
+
+    The default of ``JoinConfig.kernels`` and the backend every
+    approximation build uses.  The env override lets CI (and local
+    runs) force every default config and build in a test run onto one
+    backend — e.g. run the differential suites once with
+    ``REPRO_KERNELS=numpy`` and once with ``REPRO_KERNELS=c`` — without
+    touching any call site.  Backends are execution-only, so the
+    override can never change results, stored columns or cache
+    fingerprints.
+    """
+    return os.environ.get("REPRO_KERNELS", "auto")
 
 
 def resolve_backend(name: str = "auto") -> str:
@@ -158,6 +189,11 @@ def get_kernels(name: str = "auto") -> KernelSet:
         kernel_set = _SET_FACTORIES[backend]()
         _SETS[backend] = kernel_set
     return kernel_set
+
+
+def builder_kernels() -> KernelSet:
+    """The kernel set approximation builds run on (:func:`default_backend`)."""
+    return get_kernels(default_backend())
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +320,9 @@ def _open_library(path: Path) -> Optional[ctypes.CDLL]:
         "ck_edge_distance_ragged": (count, 3, 13),
         "ck_points_in_polygons": (None, 3, 10),
         "ck_convex_rows": (None, 3, 7),
+        "ck_m_corners": (count, 3, 6),
+        "ck_enclosed_rects": (count, 2, 6),
+        "ck_enclosed_circles": (count, 2, 4),
     }
     for name, (restype, n_counts, n_pointers) in signatures.items():
         function = getattr(library, name)
@@ -305,6 +344,12 @@ def _numpy_convex_rows(avx, avy, rows_a, bvx, bvy, rows_b):
 
 
 def _build_numpy_set() -> KernelSet:
+    # The builders' oracles live with their approximations, which import
+    # this module: imported here, once both are loaded.
+    from ..approximations.mcorner import m_corner_rows
+    from ..approximations.mec import enclosed_circles
+    from ..approximations.mer import enclosed_rect_rows
+
     return KernelSet(
         "numpy",
         points_in_polygons_bulk=_fastops.points_in_polygons_bulk,
@@ -312,6 +357,9 @@ def _build_numpy_set() -> KernelSet:
         rects_intersect_bulk=_fastops.rects_intersect_bulk,
         min_edge_distance_ragged=_fastops.min_edge_distance_ragged,
         convex_intersect_rows=_numpy_convex_rows,
+        m_corners_ragged=m_corner_rows,
+        enclosed_rects_ragged=enclosed_rect_rows,
+        enclosed_circles_ragged=enclosed_circles,
     )
 
 
@@ -367,6 +415,50 @@ def _c_index(values, size: int, n: int) -> np.ndarray:
     return values
 
 
+def _c_builder_table(table, object_rings=None,
+                     ring_offsets=None) -> List[np.ndarray]:
+    """``table``'s coords, offsets and mbrs (and ring columns), checked.
+
+    Every row needs an edge, and where rings are given, each row's
+    rings must tile its edges with a non-empty shell first.
+    """
+    arrays = [_column(table.coords), _index(table.offsets),
+              _column(table.mbrs)]
+    coords, offsets, mbrs = arrays
+    n_rows = len(offsets) - 1
+    ok = (
+        coords.ndim == 2 and len(coords) == 4 and n_rows >= 0
+        and mbrs.shape == (n_rows, 4)
+        and (n_rows == 0 or (
+            offsets[0] >= 0 and offsets[-1] <= coords.shape[1]
+            and bool(np.all(np.diff(offsets) > 0))
+        ))
+    )
+    if ok and object_rings is not None:
+        object_rings, ring_offsets = _index(object_rings), _index(ring_offsets)
+        arrays += [object_rings, ring_offsets]
+        ok = (
+            object_rings.shape == (n_rows + 1,) and len(ring_offsets) >= 1
+            and (n_rows == 0 or (
+                object_rings[0] >= 0
+                and object_rings[-1] < len(ring_offsets)
+                and bool(np.all(np.diff(object_rings) > 0))
+                and bool(np.all(np.diff(ring_offsets) >= 0))
+                and np.array_equal(ring_offsets[object_rings], offsets)
+                and bool(np.all(ring_offsets[object_rings[:-1] + 1]
+                                > offsets[:-1]))
+            ))
+        )
+    if not ok:
+        raise ValueError("malformed edge table or ring columns")
+    return arrays
+
+
+def _built(status: int) -> None:
+    if status < 0:
+        raise MemoryError("C kernel could not allocate its workspace")
+
+
 def _convex_rows_args(avx, avy, rows_a, bvx, bvy, rows_b) -> Tuple:
     """The checked, contiguous arguments of ``convex_intersect_rows``."""
     n = len(rows_a)
@@ -397,6 +489,9 @@ def _build_c_set() -> KernelSet:
     edge_dist = library.ck_edge_distance_ragged
     pts_in_poly = library.ck_points_in_polygons
     sat_rows = library.ck_convex_rows
+    corners = library.ck_m_corners
+    rects = library.ck_enclosed_rects
+    circles = library.ck_enclosed_circles
 
     def points_in_polygons_bulk(px, py, qidx, ex1, ey1, ex2, ey2, mbrs=None):
         k = len(px)
@@ -453,6 +548,42 @@ def _build_c_set() -> KernelSet:
                  *_pointers((*args, out)))
         return out
 
+    def m_corners_ragged(table, object_rings, ring_offsets, m):
+        if m < 3:
+            raise ValueError(f"m-corner needs m >= 3, got {m}")
+        coords, offsets, _, object_rings, ring_offsets = _c_builder_table(
+            table, object_rings, ring_offsets
+        )
+        n = len(offsets) - 1
+        vx, vy = np.zeros((n, m)), np.zeros((n, m))
+        counts = np.zeros(n, dtype=np.int64)
+        _built(corners(
+            n, coords.shape[1], m,
+            *_pointers((coords, object_rings, ring_offsets, vx, vy, counts)),
+        ))
+        return vx, vy, counts
+
+    def enclosed_rects_ragged(table, object_rings, ring_offsets):
+        arrays = _c_builder_table(table, object_rings, ring_offsets)
+        coords, offsets, mbrs, object_rings, ring_offsets = arrays
+        n = len(offsets) - 1
+        out = np.zeros((n, 4))
+        _built(rects(
+            n, coords.shape[1],
+            *_pointers((coords, offsets, object_rings, ring_offsets, mbrs,
+                        out)),
+        ))
+        return out
+
+    def enclosed_circles_ragged(table):
+        coords, offsets, mbrs = _c_builder_table(table)
+        n = len(offsets) - 1
+        out = np.zeros((n, 3))
+        _built(circles(
+            n, coords.shape[1], *_pointers((coords, offsets, mbrs, out))
+        ))
+        return out
+
     return KernelSet(
         "c",
         points_in_polygons_bulk=points_in_polygons_bulk,
@@ -460,6 +591,9 @@ def _build_c_set() -> KernelSet:
         rects_intersect_bulk=oracle.rects_intersect_bulk,
         min_edge_distance_ragged=min_edge_distance_ragged,
         convex_intersect_rows=convex_intersect_rows,
+        m_corners_ragged=m_corners_ragged,
+        enclosed_rects_ragged=enclosed_rects_ragged,
+        enclosed_circles_ragged=enclosed_circles_ragged,
     )
 
 
@@ -520,6 +654,10 @@ def warm_up(name: str = "auto") -> str:
     square_y = np.array([[0.0, 0.0, 1.0, 1.0, 0.0]])
     kernels.convex_intersect_rows(square_x, square_y, one, square_x,
                                   square_y, one)
+    rings = (np.array([0, 1]), np.array([0, 4]))
+    kernels.m_corners_ragged(table, *rings, 3)
+    kernels.enclosed_rects_ragged(table, *rings)
+    kernels.enclosed_circles_ragged(table)
     _WARM_EVENTS.append(backend)
     return backend
 

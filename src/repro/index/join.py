@@ -26,7 +26,7 @@ O(1) (``tests/test_rstar_join.py`` pins both properties).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
 
 from ..geometry.rectangle import Rect

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.datasets.columnar as columnar_module
 import repro.datasets.relations as relations_module
 from helpers import random_relation_pair, stats_fingerprint
 from repro.approximations.batch import BatchApproxArrays
@@ -218,7 +219,20 @@ def test_edge_table_build_has_no_per_object_step():
 # ---------------------------------------------------------------------------
 
 
+def _count_kernel_rows(monkeypatch, record):
+    """Also record one kind per row a relation builds in one kernel-tier
+    call (m-corners, MER, MEC: ``ColumnarRelation.approx``)."""
+    original = columnar_module.kernel_columns
+
+    def spy(kind, table, *args):
+        record.extend([kind] * (len(table.offsets) - 1))
+        return original(kind, table, *args)
+
+    monkeypatch.setattr(columnar_module, "kernel_columns", spy)
+
+
 def _register_spy(monkeypatch):
+    """Record the kind of every packed row."""
     calls = []
     original = BatchApproxArrays._register
 
@@ -227,6 +241,7 @@ def _register_spy(monkeypatch):
         return original(self, obj)
 
     monkeypatch.setattr(BatchApproxArrays, "_register", spy)
+    _count_kernel_rows(monkeypatch, calls)
     return calls
 
 
@@ -266,7 +281,8 @@ def test_same_relation_joined_against_two_partners_packs_once(monkeypatch):
 
 
 def _build_spy(monkeypatch):
-    """Record the kind of every per-object ``compute_approximation``."""
+    """Record the kind of every per-object ``compute_approximation`` and
+    of every row a kernel-tier build makes."""
     builds = []
     original = relations_module.compute_approximation
 
@@ -275,6 +291,7 @@ def _build_spy(monkeypatch):
         return original(polygon, kind)
 
     monkeypatch.setattr(relations_module, "compute_approximation", counting)
+    _count_kernel_rows(monkeypatch, builds)
     return builds
 
 

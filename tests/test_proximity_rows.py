@@ -310,8 +310,8 @@ class _counting:
     """While entered: count object constructions, polygon unpacks and
     approximation builds or scalar lookups (``counts``).  A tile reads
     its gathered circle rows through ``ColumnarRelation.approx``; the
-    two ways that call could build a kind (a pack over the objects, the
-    MEC search) are what is counted of it."""
+    two ways that call could build a kind (a pack over the objects, a
+    kernel-tier build over the edge table) are what is counted of it."""
 
     def __init__(self, monkeypatch):
         self.monkeypatch = monkeypatch
@@ -332,7 +332,7 @@ class _counting:
         self._wrap(SpatialObject, "approximation", "approx")
         self._wrap(relations_module, "compute_approximation", "approx")
         self._wrap(BatchApproxArrays, "append", "approx")
-        self._wrap(columnar_module, "enclosed_circles", "approx")
+        self._wrap(columnar_module, "kernel_columns", "approx")
         self._wrap(ApproxColumns, "approximation", "approx")
         return self
 

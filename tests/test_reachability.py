@@ -1,5 +1,6 @@
 """Reachability ratchet: every function, class and method in ``src/`` is
-named from something that runs, or a test compares against it.
+named from something that runs, or a test compares against it; every
+module-level import and assignment in ``src/`` is used.
 
 An AST pass over ``src/`` marks a module-level function, a class or a
 method reached when its name is used by code that runs.  The roots are
@@ -14,6 +15,14 @@ reached definition's body is used code in turn; a reached class also
 reaches its class body and its dunder methods, and its other methods by
 name.  The pass works on names, not on types, so it over-approximates:
 what it reports unreached is named by no running code at all.
+
+A module-level name that an import or an assignment binds in module
+``M`` is used when ``M``'s other statements load it or name it in a
+string (``__all__``), or when any file under ``src/`` or a root
+directory imports it from ``M`` (relative imports resolved), reads it
+as an attribute of an imported ``M`` or names it in a dotted string
+``"M.name"``; ``__future__`` imports and dunder names are exempt.  An
+unused one is reported as ``M.name`` beside the unreached definitions.
 
 The unreached set must equal :data:`ALLOWED`.  An entry is allowed only
 when it is a test hook or a reference that a test compares against, and
@@ -30,7 +39,7 @@ import re
 import shutil
 import textwrap
 from pathlib import Path
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import pytest
 
@@ -56,7 +65,13 @@ ALLOWED: Dict[str, str] = {
         "tests/test_fastops.py (scalar reference of EdgeArrays)",
     "repro.index.hilbert.hilbert_xy_from_d":
         "tests/test_hilbert.py (inverse of the Hilbert key)",
+    "repro.core.join.EXECUTION_ONLY_FIELDS":
+        "tests/test_service.py (the fields canonical_key leaves out)",
     # Test hooks: let a test build inputs or observe state.
+    "repro.approximations.factory.CONSERVATIVE_KINDS":
+        "tests/test_approximations.py (the conservative kinds it sweeps)",
+    "repro.approximations.factory.PROGRESSIVE_KINDS":
+        "tests/test_approximations.py (the progressive kinds it sweeps)",
     "repro.core.filters.FilterConfig.describe":
         "tests/test_filter_variants.py (parametrized case ids)",
     "repro.datasets.generators.uniform_rect_items":
@@ -171,8 +186,137 @@ def _root_file_names(root: Path) -> Set[str]:
     return names
 
 
+def _bindings(tree: ast.Module) -> Iterator[Tuple[str, ast.stmt]]:
+    """Each name a module-level import or assignment binds, with its
+    statement."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                yield alias.asname or alias.name.split(".")[0], stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            if isinstance(stmt, ast.AnnAssign) and stmt.value is None:
+                continue
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            for target in targets:
+                for node in ast.walk(target):
+                    if (isinstance(node, ast.Name)
+                            and isinstance(node.ctx, ast.Store)):
+                        yield node.id, stmt
+
+
+def _module_uses(tree: ast.Module,
+                 package: Optional[str]) -> Set[Tuple[str, str]]:
+    """The ``(module, name)`` pairs ``tree`` uses of other modules.
+
+    A pair comes from ``from module import name`` (relative imports
+    resolved against ``package``), from ``alias.name`` where ``alias``
+    is bound by an import (``import a.b as alias``, ``import a.b``,
+    ``from a import b``) and from a dotted string ``"module.name"``.
+    """
+    aliases: Dict[str, str] = {}
+    pairs: Set[Tuple[str, str]] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".")[0]
+                    aliases[root] = root
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                if package is None:
+                    continue
+                parts = package.split(".")
+                base = parts[:len(parts) - (node.level - 1)]
+                module = ".".join(base + ([module] if module else []))
+            for alias in node.names:
+                pairs.add((module, alias.name))
+                aliases[alias.asname or alias.name] = (
+                    f"{module}.{alias.name}")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED.fullmatch(node.value)):
+            parts = node.value.split(".")
+            for cut in range(1, len(parts)):
+                pairs.add((".".join(parts[:cut]), parts[cut]))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        chain, base = [], node.value
+        while isinstance(base, ast.Attribute):
+            chain.append(base.attr)
+            base = base.value
+        if isinstance(base, ast.Name) and base.id in aliases:
+            module = ".".join([aliases[base.id], *reversed(chain)])
+            pairs.add((module, node.attr))
+    return pairs
+
+
+def _own_uses(stmt: ast.stmt) -> Set[str]:
+    """Module-level names ``stmt`` reads: loaded names, the components
+    of dotted strings (``__all__``, ``getattr``) and the names in string
+    annotations (``"Iterable[Stats]"``)."""
+    names: Set[str] = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED.fullmatch(node.value)):
+            names.update(node.value.split("."))
+        annotations = []
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, _FUNCS):
+            annotations.append(node.returns)
+        for annotation in annotations:
+            if (isinstance(annotation, ast.Constant)
+                    and isinstance(annotation.value, str)):
+                try:
+                    parsed = ast.parse(annotation.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names |= _own_uses(parsed)
+    return names
+
+
+def unused_bindings(root: Path = ROOT) -> Set[str]:
+    """``module.name`` of the ``root/src`` module-level imports and
+    assignments nothing uses (see the module docstring)."""
+    src = root / "src"
+    modules = []
+    pairs: Set[Tuple[str, str]] = set()
+    files = [(path, _module_name(path, src)) for path in
+             sorted(src.rglob("*.py"))]
+    files += [(path, None) for directory in ROOT_DIRS
+              for path in sorted((root / directory).rglob("*.py"))]
+    for path, module in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        package = None
+        if module is not None:
+            modules.append((module, tree))
+            package = module if path.name == "__init__.py" else (
+                module.rpartition(".")[0])
+        pairs |= _module_uses(tree, package)
+    found: Set[str] = set()
+    for module, tree in modules:
+        for name, stmt in _bindings(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if ((module, name) in pairs
+                    or any(name in _own_uses(other)
+                           for other in tree.body if other is not stmt)):
+                continue
+            found.add(f"{module}.{name}")
+    return found
+
+
 def unreached(root: Path = ROOT) -> Set[str]:
-    """Keys of the ``root/src`` definitions no running code names."""
+    """Keys of the ``root/src`` definitions no running code names, and
+    of its module-level bindings nothing uses."""
     definitions, used = _scan_src(root / "src")
     used |= _root_file_names(root)
     reached: Set[int] = set()
@@ -196,7 +340,8 @@ def unreached(root: Path = ROOT) -> Set[str]:
                 changed = True
     return {d.key for d in definitions
             if id(d) not in reached
-            and (d.owner is None or id(d.owner) in reached)}
+            and (d.owner is None or id(d.owner) in reached)
+            } | unused_bindings(root)
 
 
 def test_unreached_set_is_the_allowlist():
@@ -274,11 +419,60 @@ RULE_CASES = [
     ("package-re-export", {
         "src/pkg/__init__.py": "from .m import f\n",
         "src/pkg/m.py": "def f(): pass\n",
+        "scripts/run.py": "from pkg import f\nf()\n",
+    }, set()),
+    ("unused-re-export", {
+        "src/pkg/__init__.py": "from .m import f\n",
+        "src/pkg/m.py": "def f(): pass\n",
+    }, {"pkg.f"}),
+    ("unused-import", {
+        "src/pkg/m.py": """
+            from __future__ import annotations
+            import os
+            import os.path as osp
+            from typing import List, Tuple
+            def f() -> Tuple: pass
+            f()
+        """,
+    }, {"pkg.m.os", "pkg.m.osp", "pkg.m.List"}),
+    ("unused-assignment", {
+        "src/pkg/m.py": """
+            _PATTERN = r"[0-9]+"
+            LIMIT: int = 3
+            A, B = 1, 2
+            def f(): return B
+            f()
+        """,
+    }, {"pkg.m._PATTERN", "pkg.m.LIMIT", "pkg.m.A"}),
+    ("same-name-in-another-module-is-no-use", {
+        "src/pkg/m.py": "from dataclasses import dataclass, field\n"
+                        "@dataclass\nclass C:\n    x: int = 0\nC()\n",
+        "src/pkg/n.py": "from dataclasses import field\nY = field()\n"
+                        "print(Y)\n",
+    }, {"pkg.m.field"}),
+    ("binding-used-in-a-body-or-string-annotation", {
+        "src/pkg/m.py": """
+            from typing import Iterable
+            import math
+            def f(xs: "Iterable[float]"): return math.pi
+            f(())
+        """,
+    }, set()),
+    ("binding-used-from-another-module", {
+        "src/pkg/m.py": "A = 1\nB = 2\nC = 3\nD = 4\n",
+        "src/pkg/n.py": """
+            from .m import A
+            import pkg.m as mm
+            from pkg import m
+            print(A, mm.B, m.C)
+        """,
+        "benchmarks/run.py": 'TARGETS = ("pkg.m.D",)\n',
     }, set()),
     ("keyword-argument", {
         "src/pkg/m.py": """
             def f(): pass
             options = dict(f=1)
+            print(options)
         """,
     }, set()),
     ("dotted-string", {
@@ -287,12 +481,14 @@ RULE_CASES = [
                 def run(self): pass
                 def idle(self): pass
             LAYER_CALLS = ("pkg.m.C.run",)
+            print(LAYER_CALLS)
         """,
     }, {"pkg.m.C.idle"}),
     ("prose-string-is-no-name", {
         "src/pkg/m.py": """
             def f(): pass
             NOTE = "call f first"
+            print(NOTE)
         """,
     }, {"pkg.m.f"}),
     ("stored-name-is-no-use", {
@@ -360,7 +556,11 @@ def test_rule_on_a_miniature_repository(tmp_path, files, expected):
     ("geometry/rectangle.py", "\n    def __repr__",
      "\n    def never_called(self):\n        return 0\n",
      "repro.geometry.rectangle.Rect.never_called"),
-], ids=["module-function", "method"])
+    ("datasets/io.py", None, "\n\n_UNUSED_PATTERN = r'x'\n",
+     "repro.datasets.io._UNUSED_PATTERN"),
+    ("core/costs.py", "\nfrom dataclasses import", "\nimport fractions",
+     "repro.core.costs.fractions"),
+], ids=["module-function", "method", "module-assignment", "module-import"])
 def test_an_added_unused_definition_fails_the_ratchet(tmp_path, module,
                                                       anchor, addition, key):
     """On a copy of this repository with one unused definition added,

@@ -35,6 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.datasets.columnar as columnar_module
 import repro.datasets.relations as relations_module
 from helpers import (
     random_relation_pair,
@@ -197,15 +198,23 @@ _BUILDS = multiprocessing.get_context("fork").Value("i", 0)
 
 @pytest.fixture()
 def builds(monkeypatch):
-    """Count every ``compute_approximation`` a ``SpatialObject`` triggers."""
+    """Count every ``compute_approximation`` a ``SpatialObject`` triggers,
+    and every row a relation builds in one kernel-tier call."""
     original = relations_module.compute_approximation
+    original_rows = columnar_module.kernel_columns
 
     def counting(polygon, kind):
         with _BUILDS.get_lock():
             _BUILDS.value += 1
         return original(polygon, kind)
 
+    def counting_rows(kind, table, *args):
+        with _BUILDS.get_lock():
+            _BUILDS.value += len(table.offsets) - 1
+        return original_rows(kind, table, *args)
+
     monkeypatch.setattr(relations_module, "compute_approximation", counting)
+    monkeypatch.setattr(columnar_module, "kernel_columns", counting_rows)
     _BUILDS.value = 0
 
     class Counter:
@@ -531,6 +540,7 @@ class TestApproximationBlocks:
 
 _COUNTING_JOIN = """
 import json, sys
+import repro.datasets.columnar as columnar
 import repro.datasets.relations as relations
 calls = []
 original = relations.compute_approximation
@@ -538,6 +548,11 @@ def counting(polygon, kind):
     calls.append(kind)
     return original(polygon, kind)
 relations.compute_approximation = counting
+original_rows = columnar.kernel_columns
+def counting_rows(kind, table, *args):
+    calls.extend([kind] * (len(table.offsets) - 1))
+    return original_rows(kind, table, *args)
+columnar.kernel_columns = counting_rows
 from repro.cli import main
 code = main(sys.argv[1:])
 print("REPORT " + json.dumps({"exit": code, "builds": len(calls),
