@@ -48,14 +48,12 @@ and stay on the lazy per-object path.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..geometry.circle import Circle
 from ..geometry.fastops import EdgeTable, pack_convex_rows
-from ..geometry.kernels import builder_kernels
 from ..geometry.rectangle import Rect
 from .base import Approximation
 from .hull import ConvexHullApproximation
@@ -143,105 +141,27 @@ class ApproxColumns:
         return MCornerApproximation(vertices, _corner_count(kind))
 
 
-def circle_columns(
-    kind: str, circles: np.ndarray, areas: np.ndarray
-) -> ApproxColumns:
-    """The stored form of ``(n, 3)`` circle rows over objects of ``areas``.
-
-    MBRs and false areas are the expressions of ``Circle.mbr()``,
-    ``Circle.area()`` and :class:`BatchApproxArrays`' packing, element
-    by element, so the columns are bit-identical to packing the circles
-    one object at a time.
-    """
-    cx, cy, r = circles.T
-    return ApproxColumns(
-        kind,
-        {
-            "circles": circles,
-            "mbrs": np.column_stack((cx - r, cy - r, cx + r, cy + r)),
-            "false_areas": math.pi * r * r - areas,
-        },
-    )
-
-
-def convex_columns(
-    kind: str, vx: np.ndarray, vy: np.ndarray, counts: np.ndarray,
-    areas: np.ndarray,
-) -> ApproxColumns:
-    """The stored form of convex vertex rows over objects of ``areas``.
-
-    Row ``i``'s ``counts[i]`` vertices lead rows ``i`` of ``vx``/``vy``.
-    Padding, MBRs and areas are the expressions of
-    :func:`~repro.geometry.fastops.pack_convex_rows`, ``Rect.from_points``
-    and ``polygon_signed_area``, column by column, so the columns are
-    bit-identical to packing the vertex lists one object at a time.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    width = int(counts.max()) + 1 if len(counts) else 1
-    column = np.arange(width)
-    # Padding repeats each row's first vertex (column 0).
-    take = np.where(column < counts[:, None], column, 0)
-    px = np.take_along_axis(vx, take, axis=1)
-    py = np.take_along_axis(vy, take, axis=1)
-    xmin, ymin = px[:, 0], py[:, 0]
-    xmax, ymax = xmin, ymin
-    total = np.zeros(len(counts))
-    # Padded columns repeat the first vertex: they move no bound, and
-    # their shoelace terms are exact zeros.
-    for c in range(1, width):
-        x, y = px[:, c], py[:, c]
-        xmin, xmax = np.where(x < xmin, x, xmin), np.where(x > xmax, x, xmax)
-        ymin, ymax = np.where(y < ymin, y, ymin), np.where(y > ymax, y, ymax)
-        total = total + (px[:, c - 1] * y - x * py[:, c - 1])
-    area = np.where(counts < 3, 0.0, np.abs(total / 2.0))
-    return ApproxColumns(
-        kind,
-        {
-            "vx": px,
-            "vy": py,
-            "counts": counts,
-            "mbrs": np.column_stack((xmin, ymin, xmax, ymax)),
-            "false_areas": area - areas,
-        },
-    )
-
-
 def kernel_built(kind: str) -> bool:
-    """Whether a relation builds ``kind`` with :func:`kernel_columns`
+    """Whether a relation builds ``kind`` with :func:`kernel_approximations`
     (m-corners, MER, MEC) rather than object by object (MBR, CH, MBC)."""
     return kind in ("MER", "MEC") or _corner_count(kind) is not None
 
 
-def kernel_columns(
+def kernel_approximations(
     kind: str, table: EdgeTable, object_rings: np.ndarray,
-    ring_offsets: np.ndarray, areas: np.ndarray,
-) -> ApproxColumns:
-    """The stored form of a :func:`kernel_built` ``kind`` for every row
-    of ``table``, built by one kernel-tier call
-    (:func:`~repro.geometry.kernels.builder_kernels`).
+    ring_offsets: np.ndarray,
+) -> List[Approximation]:
+    """Every row's approximation of a :func:`kernel_built` ``kind``, from
+    one kernel-tier call over the rows of ``table``.
 
-    Bit-identical to packing the approximations ``compute_approximation``
-    builds per object.
+    Bit-identical to ``compute_approximation`` of each row's polygon.
     """
-    m = _corner_count(kind)
-    kernels = builder_kernels()
     if kind == "MEC":
-        return circle_columns(
-            kind, kernels.enclosed_circles_ragged(table), areas
-        )
+        return MECApproximation.of_rows(table)
     if kind == "MER":
-        x1, y1, x2, y2 = kernels.enclosed_rects_ragged(
-            table, object_rings, ring_offsets
-        ).T
-        # Rect.corners(): lower-left first, counter-clockwise.
-        return convex_columns(
-            kind, np.column_stack((x1, x2, x2, x1)),
-            np.column_stack((y1, y1, y2, y2)),
-            np.full(len(areas), 4), areas,
-        )
-    return convex_columns(
-        kind, *kernels.m_corners_ragged(table, object_rings, ring_offsets, m),
-        areas,
+        return MERApproximation.of_rows(table, object_rings, ring_offsets)
+    return MCornerApproximation.of_rows(
+        table, object_rings, ring_offsets, _corner_count(kind)
     )
 
 

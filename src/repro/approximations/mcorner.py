@@ -47,13 +47,23 @@ class MCornerApproximation(ConvexApproximation):
 
     @classmethod
     def of(cls, polygon: Polygon, m: int) -> "MCornerApproximation":
+        return cls.of_rows(*polygon_edge_table(polygon), m)[0]
+
+    @classmethod
+    def of_rows(
+        cls, table: EdgeTable, object_rings: np.ndarray,
+        ring_offsets: np.ndarray, m: int,
+    ) -> List["MCornerApproximation"]:
+        """Every row's m-corner, from one kernel-tier call."""
         if m < 3:
             raise ValueError(f"m-corner needs m >= 3, got {m}")
         vx, vy, counts = builder_kernels().m_corners_ragged(
-            *polygon_edge_table(polygon), m
+            table, object_rings, ring_offsets, m
         )
-        count = int(counts[0])
-        return cls(list(zip(vx[0, :count].tolist(), vy[0, :count].tolist())), m)
+        return [
+            cls(list(zip(x[:count], y[:count])), m)
+            for x, y, count in zip(vx.tolist(), vy.tolist(), counts.tolist())
+        ]
 
     @property
     def num_parameters(self) -> int:

@@ -40,6 +40,7 @@ rounds of :func:`_pole_search`, object by object, bit for bit.
 from __future__ import annotations
 
 import math
+from typing import List
 
 import numpy as np
 
@@ -79,9 +80,13 @@ class MECApproximation(Approximation):
 
     @classmethod
     def of(cls, polygon: Polygon) -> "MECApproximation":
-        table = polygon_edge_table(polygon)[0]
-        cx, cy, r = builder_kernels().enclosed_circles_ragged(table)[0].tolist()
-        return cls(Circle((cx, cy), r))
+        return cls.of_rows(polygon_edge_table(polygon)[0])[0]
+
+    @classmethod
+    def of_rows(cls, table: EdgeTable) -> List["MECApproximation"]:
+        """Every row's MEC, from one kernel-tier call."""
+        circles = builder_kernels().enclosed_circles_ragged(table)
+        return [cls(Circle((cx, cy), r)) for cx, cy, r in circles.tolist()]
 
     @property
     def num_parameters(self) -> int:

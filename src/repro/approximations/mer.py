@@ -126,10 +126,18 @@ class MERApproximation(ConvexApproximation):
 
     @classmethod
     def of(cls, polygon: Polygon) -> "MERApproximation":
+        return cls.of_rows(*polygon_edge_table(polygon))[0]
+
+    @classmethod
+    def of_rows(
+        cls, table: EdgeTable, object_rings: np.ndarray,
+        ring_offsets: np.ndarray,
+    ) -> List["MERApproximation"]:
+        """Every row's MER, from one kernel-tier call."""
         rects = builder_kernels().enclosed_rects_ragged(
-            *polygon_edge_table(polygon)
+            table, object_rings, ring_offsets
         )
-        return cls(Rect(*rects[0].tolist()))
+        return [cls(Rect(*rect)) for rect in rects.tolist()]
 
     @property
     def num_parameters(self) -> int:

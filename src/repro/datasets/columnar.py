@@ -20,10 +20,10 @@ materialises, once, every numpy column the rest of the system consumes:
 Every column is copied bit-for-bit from the scalar accessors
 (``obj.mbr``, ``appr.area()``, vertex tuples), never re-derived, so
 array consumers see exactly the floats the scalar code paths see
-(``tests/test_columnar.py`` proves the round trip).  The m-corner,
-MER and MEC columns are the exception: built for the whole relation at
-once by the kernel tier, they hold the same floats as a build per
-object (``tests/test_columnar.py``, ``tests/test_mec.py``).  Row
+(``tests/test_columnar.py`` proves the round trip).  m-corner, MER
+and MEC objects a relation lacks are built for all its rows at once by
+the kernel tier, the same floats as a build per object, and then
+packed like every other kind.  Row
 index ``i`` always refers to ``relation.objects[i]``; tile
 decomposition and the worker wire format are therefore plain index
 arrays into these columns.
@@ -61,8 +61,8 @@ import numpy as np
 from ..approximations.batch import (
     ApproxColumns,
     BatchApproxArrays,
+    kernel_approximations,
     kernel_built,
-    kernel_columns,
     stored_family,
 )
 from ..geometry.polygon import Polygon
@@ -351,11 +351,11 @@ class ColumnarRelation:
         the backing store so no later join, session or process builds
         it again.  Repeated joins — and sweeps over filter
         configurations naming the same kinds — reuse the arrays.  Row
-        indices equal object indices.  m-corners, MER and MEC are built
-        for all objects at once on the edge table, by one kernel-tier
-        call (:func:`kernel_columns`), and adopted through
-        :meth:`install_approx`; their rows are bit-identical to
-        per-object builds.
+        indices equal object indices.  m-corners, MER and MEC missing
+        from some object's cache are built for all objects at once on
+        the edge table, by one kernel-tier call
+        (:func:`kernel_approximations`), and seed the objects' caches
+        before the pack; they are bit-identical to per-object builds.
         """
         encoder = self._approx.get(kind)
         if encoder is not None:
@@ -370,18 +370,21 @@ class ColumnarRelation:
             )
             if columns is not None:
                 return self.install_approx(columns)
-            if kernel_built(kind) and self.objects:
-                # One kernel call over the whole edge table, not per object.
-                encoder = self.install_approx(kernel_columns(
+            if kernel_built(kind) and any(
+                kind not in obj._approximations for obj in self.objects
+            ):
+                # One kernel call over the whole edge table, not per
+                # object; objects that already hold the kind keep theirs.
+                built = kernel_approximations(
                     kind, self.ring_geometry().table,
                     self.rings.object_rings, self.rings.ring_offsets,
-                    self.areas,
-                ))
-            else:
-                encoder = BatchApproxArrays(kind)
-                encoder.append(self.objects)
-                encoder.mbrs  # materialise now: the pack cost belongs here
-                self._approx[kind] = encoder
+                )
+                for obj, appr in zip(self.objects, built):
+                    obj._approximations.setdefault(kind, appr)
+            encoder = BatchApproxArrays(kind)
+            encoder.append(self.objects)
+            encoder.mbrs  # materialise now: the pack cost belongs here
+            self._approx[kind] = encoder
             self.pack_counts[kind] = self.pack_counts.get(kind, 0) + 1
             if backing is not None:
                 backing.publish_approx(encoder.columns())

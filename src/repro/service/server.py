@@ -66,6 +66,13 @@ from .api import (
 )
 from .core import JoinService
 
+#: bytes one socket read asks for.  asyncio's selector transport
+#: receives into a fresh ``max_size`` buffer (256 KiB) per read; above
+#: glibc's mmap threshold (128 KiB until a larger free raises it) that
+#: is an mmap, page faults and an munmap per request line.  Request lines are far shorter; a longer one just
+#: takes several reads.
+_RECV_BYTES = 16 * 1024
+
 #: request fields accepted by the "join" op and their JoinConfig names.
 _JOIN_FIELDS = {
     "predicate": "predicate",
@@ -185,6 +192,8 @@ class JoinServiceServer:
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
+        if hasattr(writer.transport, "max_size"):
+            writer.transport.max_size = _RECV_BYTES
         try:
             while True:
                 line = await reader.readline()

@@ -34,7 +34,7 @@ from repro.core.join import JoinConfig, SpatialJoinProcessor
 from repro.core.parallel_exec import _MappedRelation
 from repro.core.partition import partitioned_join
 from repro.core.session import JoinSession
-from repro.datasets.columnar import pack_rings, unpack_polygon
+from repro.datasets.columnar import ColumnarRelation, pack_rings, unpack_polygon
 from repro.datasets.relations import SpatialRelation
 from repro.geometry.polygon import Polygon
 
@@ -222,17 +222,16 @@ def test_edge_table_build_has_no_per_object_step():
 def _count_kernel_rows(monkeypatch, record):
     """Also record one kind per row a relation builds in one kernel-tier
     call (m-corners, MER, MEC: ``ColumnarRelation.approx``)."""
-    original = columnar_module.kernel_columns
+    original = columnar_module.kernel_approximations
 
     def spy(kind, table, *args):
         record.extend([kind] * (len(table.offsets) - 1))
         return original(kind, table, *args)
 
-    monkeypatch.setattr(columnar_module, "kernel_columns", spy)
+    monkeypatch.setattr(columnar_module, "kernel_approximations", spy)
 
 
 def _register_spy(monkeypatch):
-    """Record the kind of every packed row."""
     calls = []
     original = BatchApproxArrays._register
 
@@ -241,7 +240,6 @@ def _register_spy(monkeypatch):
         return original(self, obj)
 
     monkeypatch.setattr(BatchApproxArrays, "_register", spy)
-    _count_kernel_rows(monkeypatch, calls)
     return calls
 
 
@@ -278,6 +276,48 @@ def test_same_relation_joined_against_two_partners_packs_once(monkeypatch):
     assert set(calls) <= {"5-C", "MER"}
     kinds = {kind for kind in calls}
     assert len(calls) == len(rel_c) * len(kinds)
+
+
+@pytest.mark.parametrize("kind", ["4-C", "5-C", "MER", "MEC"])
+def test_fresh_store_over_warm_objects_builds_nothing(monkeypatch, kind):
+    """A kernel-tier kind every object already holds is packed from the
+    objects' caches: a fresh store runs no kernel-tier build, and its
+    columns equal those of the store that built the kind."""
+    rel, _ = random_relation_pair(305, n_objects=9)
+    built = rel.columnar().approx(kind).columns()
+    rows = []
+    _count_kernel_rows(monkeypatch, rows)
+    cached = [obj._approximations[kind] for obj in rel.objects]
+
+    packed = ColumnarRelation(rel).approx(kind).columns()
+
+    assert rows == []
+    assert [obj._approximations[kind] for obj in rel.objects] == cached
+    for name, column in built.arrays.items():
+        assert column.tobytes() == packed.arrays[name].tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["5-C", "MER", "MEC"])
+def test_one_object_without_the_kind_builds_it_and_keeps_the_rest(
+    monkeypatch, kind
+):
+    """One object lacking the kind costs one kernel-tier call over the
+    relation; the objects that held the kind keep their own."""
+    rel, _ = random_relation_pair(306, n_objects=9)
+    built = rel.columnar().approx(kind).columns()
+    cached = [obj._approximations[kind] for obj in rel.objects]
+    del rel.objects[4]._approximations[kind]
+    rows = []
+    _count_kernel_rows(monkeypatch, rows)
+
+    packed = ColumnarRelation(rel).approx(kind).columns()
+
+    assert rows == [kind] * len(rel)
+    kept = [obj._approximations[kind] for obj in rel.objects]
+    assert all(a is b for i, (a, b) in enumerate(zip(kept, cached)) if i != 4)
+    assert kept[4] is not cached[4]
+    for name, column in built.arrays.items():
+        assert column.tobytes() == packed.arrays[name].tobytes(), name
 
 
 def _build_spy(monkeypatch):

@@ -332,7 +332,7 @@ class _counting:
         self._wrap(SpatialObject, "approximation", "approx")
         self._wrap(relations_module, "compute_approximation", "approx")
         self._wrap(BatchApproxArrays, "append", "approx")
-        self._wrap(columnar_module, "kernel_columns", "approx")
+        self._wrap(columnar_module, "kernel_approximations", "approx")
         self._wrap(ApproxColumns, "approximation", "approx")
         return self
 

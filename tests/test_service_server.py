@@ -30,7 +30,11 @@ from repro.core.parallel_exec import (
 from repro.datasets.io import save_relation
 from repro.service.api import BadRequestError, stats_to_dict
 from repro.service.core import JoinService
-from repro.service.server import JoinServiceServer, _join_config_from_payload
+from repro.service.server import (
+    _RECV_BYTES,
+    JoinServiceServer,
+    _join_config_from_payload,
+)
 
 pytestmark = pytest.mark.parallel
 
@@ -147,6 +151,27 @@ class TestWireProtocol:
         assert telemetry["telemetry"]["result_cache_hits"] == 1
         assert telemetry["cached_results"] == 1
         assert telemetry["queue_depth"] == 0
+
+    def test_long_and_pipelined_lines_span_socket_reads(self, wkt_paths):
+        """The server reads the socket in short chunks: a request line
+        several reads long (under the stream's 64 KiB line limit), and
+        several lines in one write, are each answered as if sent alone."""
+        _, _, path_a, path_b = wkt_paths
+        request = {"op": "join", "relation_a": path_a, "relation_b": path_b}
+        line = json.dumps(request).encode("utf-8")
+        padded = line[:-1] + b" " * (3 * _RECV_BYTES) + b"}\n"
+
+        async def body(server, reader, writer):
+            short = await _rpc(reader, writer, request)
+            writer.write(padded + line + b"\n" + padded)
+            await writer.drain()
+            return short, [
+                json.loads(await reader.readline()) for _ in range(3)
+            ]
+
+        short, replies = _serve(body, sessions=1)
+        assert short["status"] == "ok"
+        assert replies == [short] * 3
 
     def test_window_and_knn_ops(self, wkt_paths):
         rel_a, _, path_a, _ = wkt_paths

@@ -201,7 +201,7 @@ def builds(monkeypatch):
     """Count every ``compute_approximation`` a ``SpatialObject`` triggers,
     and every row a relation builds in one kernel-tier call."""
     original = relations_module.compute_approximation
-    original_rows = columnar_module.kernel_columns
+    original_rows = columnar_module.kernel_approximations
 
     def counting(polygon, kind):
         with _BUILDS.get_lock():
@@ -214,7 +214,7 @@ def builds(monkeypatch):
         return original_rows(kind, table, *args)
 
     monkeypatch.setattr(relations_module, "compute_approximation", counting)
-    monkeypatch.setattr(columnar_module, "kernel_columns", counting_rows)
+    monkeypatch.setattr(columnar_module, "kernel_approximations", counting_rows)
     _BUILDS.value = 0
 
     class Counter:
@@ -548,11 +548,11 @@ def counting(polygon, kind):
     calls.append(kind)
     return original(polygon, kind)
 relations.compute_approximation = counting
-original_rows = columnar.kernel_columns
+original_rows = columnar.kernel_approximations
 def counting_rows(kind, table, *args):
     calls.extend([kind] * (len(table.offsets) - 1))
     return original_rows(kind, table, *args)
-columnar.kernel_columns = counting_rows
+columnar.kernel_approximations = counting_rows
 from repro.cli import main
 code = main(sys.argv[1:])
 print("REPORT " + json.dumps({"exit": code, "builds": len(calls),
